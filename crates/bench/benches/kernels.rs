@@ -8,8 +8,8 @@
 //! snapshot dictionary install), daemon request latency (warm resident
 //! dataset vs cold one-shot open), and streaming window latency (a warm
 //! `RepairSession` cycle vs the cold per-window one-shot insert).
-//! `meta/*` entries record the container's CPU count and live
-//! feature/kernel switches alongside the numbers.
+//! `meta/*` entries record the container's CPU count, the resolved
+//! `CFD_THREADS`, and the live kernel switch alongside the numbers.
 //!
 //! The headline pair is `index_build` / `detect`: the dictionary-encoded
 //! value layer keys every hot map on `ValueId`/`IdKey` (u32s), while the
@@ -36,7 +36,7 @@ use cfd_repair::equivalence::{Cell, EqClasses};
 use cfd_repair::lhs_index::LhsIndexes;
 use cfd_repair::pricing::TargetPricer;
 use cfd_repair::shard::{variable_shapes, GroupCensus, Parallelism};
-use cfd_repair::{batch_repair, BatchConfig, Ordering};
+use cfd_repair::Ordering;
 
 /// The pre-dictionary tuple representation: values stored inline, read
 /// without any pool access. Reference rows are materialized once,
@@ -306,11 +306,6 @@ fn smoke() -> ! {
         record_metadata(&mut h);
         let (build_speedup, detect_speedup) = bench_row_vs_column(&mut h);
         let census_speedup = bench_census(&mut h);
-        // Recorded, not gated: the speculative resolution loop's timing
-        // and abort rate land in BENCH_kernels.json so the numbers are
-        // tracked per run; a wall-time gate waits until the win is
-        // established on multi-core runners.
-        let resolution_speedup = bench_resolution(&mut h);
         let (load_speedup, mmap_speedup) = bench_load(&mut h);
         // Single-core compute kernels: gated even on a 1-CPU runner.
         let pricing_speedup = bench_pricing(&mut h);
@@ -327,9 +322,6 @@ fn smoke() -> ! {
         println!("index build speedup (row/columnar): {build_speedup:.2}x");
         println!("detection speedup  (row/columnar): {detect_speedup:.2}x");
         println!("census build speedup (serial/sharded4): {census_speedup:.2}x");
-        println!(
-            "resolution speedup (serial/spec4x16): {resolution_speedup:.2}x (recorded, not gated)"
-        );
         println!("load speedup (csv/snapshot): {load_speedup:.2}x");
         println!("snapshot open speedup (eager/mmap): {mmap_speedup:.2}x");
         println!("pricing speedup (scalar/bit-parallel): {pricing_speedup:.2}x");
@@ -985,16 +977,14 @@ fn bench_stream(h: &mut Harness) -> f64 {
 /// Run-environment metadata, recorded into `BENCH_kernels.json` alongside
 /// the timings so the numbers carry their own context: how many CPUs the
 /// container actually had (the thread-scaling entries are only meaningful
-/// ≥ 2) and which kernel/feature switches were live.
+/// ≥ 2), the resolved `CFD_THREADS`, and whether the SIMD kernels were
+/// live.
 fn record_metadata(h: &mut Harness) {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     h.record("meta/container_cpus", cpus as f64);
-    h.record(
-        "meta/feature_parallel",
-        f64::from(u8::from(cfg!(feature = "parallel"))),
-    );
+    h.record("meta/threads", Parallelism::default().get() as f64);
     h.record(
         "meta/simd_enabled",
         f64::from(u8::from(cfd_model::simd_enabled())),
@@ -1082,74 +1072,6 @@ fn bench_vio_of_candidate(h: &mut Harness) {
     });
 }
 
-/// The speculative-resolution headline: whole `BATCHREPAIR` runs on the
-/// same workload, sequential loop vs the speculative plan/validate/commit
-/// loop at 4 threads × k=16. The stats assertion pins byte-equivalence
-/// before any timing means anything; the measured abort rate and commit
-/// counts are recorded alongside the timings (CI records them — not yet
-/// gated — so the win and its failure mode stay observable). Returns the
-/// serial/speculative median ratio (> 1 means speculation wins).
-fn bench_resolution(h: &mut Harness) -> f64 {
-    let w = workload(2_000, 7);
-    let noise = inject(
-        &w.dopt,
-        &w.world,
-        &NoiseConfig {
-            rate: 0.05,
-            ..Default::default()
-        },
-    );
-    let serial_cfg = BatchConfig {
-        parallelism: Parallelism::serial(),
-        speculate: 0,
-        ..Default::default()
-    };
-    let spec_cfg = BatchConfig {
-        parallelism: Parallelism::threads(4),
-        speculate: 16,
-        ..Default::default()
-    };
-    let reference = batch_repair(&noise.dirty, &w.sigma, serial_cfg.clone()).unwrap();
-    let spec = batch_repair(&noise.dirty, &w.sigma, spec_cfg.clone()).unwrap();
-    assert_eq!(
-        reference.stats, spec.stats,
-        "speculative repair diverged from serial"
-    );
-    let sched = spec.speculation.expect("speculative stats");
-    let ser = h.run("repair_resolution/serial_2k", || {
-        batch_repair(
-            black_box(&noise.dirty),
-            black_box(&w.sigma),
-            serial_cfg.clone(),
-        )
-        .unwrap()
-        .stats
-        .steps
-    });
-    let par = h.run("repair_resolution/spec4x16_2k", || {
-        batch_repair(
-            black_box(&noise.dirty),
-            black_box(&w.sigma),
-            spec_cfg.clone(),
-        )
-        .unwrap()
-        .stats
-        .steps
-    });
-    h.record(
-        "repair_resolution/abort_rate_pct",
-        sched.abort_rate() * 100.0,
-    );
-    h.record("repair_resolution/commits", sched.commits as f64);
-    h.record("repair_resolution/planned", sched.planned as f64);
-    let speedup = ser.median_ns / par.median_ns;
-    eprintln!(
-        "resolution speedup (serial/spec4x16): {speedup:.2}x, abort rate {:.1}%",
-        sched.abort_rate() * 100.0
-    );
-    speedup
-}
-
 fn bench_equivalence(h: &mut Harness) {
     h.run("equivalence/merge_chain_10k", || {
         let mut eq = EqClasses::new(10_000, 1, |_, _| 1.0);
@@ -1213,7 +1135,6 @@ fn main() {
     let (build_speedup, detect_speedup) = bench_interned_vs_string(&mut h);
     let (col_build_speedup, col_detect_speedup) = bench_row_vs_column(&mut h);
     let census_speedup = bench_census(&mut h);
-    let resolution_speedup = bench_resolution(&mut h);
     let (load_speedup, mmap_speedup) = bench_load(&mut h);
     let server_speedup = bench_server_latency(&mut h);
     let stream_speedup = bench_stream(&mut h);
@@ -1232,7 +1153,6 @@ fn main() {
     println!("index build speedup (row/columnar): {col_build_speedup:.2}x");
     println!("detection speedup  (row/columnar): {col_detect_speedup:.2}x");
     println!("census build speedup (serial/sharded4): {census_speedup:.2}x");
-    println!("resolution speedup (serial/spec4x16): {resolution_speedup:.2}x");
     println!("load speedup (csv/snapshot): {load_speedup:.2}x");
     println!("snapshot open speedup (eager/mmap): {mmap_speedup:.2}x");
     println!("request latency (cold one-shot / warm daemon): {server_speedup:.2}x");

@@ -60,13 +60,13 @@ impl ViolationReport {
 /// CFDs expanded from the same tableau.
 pub struct GroupIndexes {
     by_lhs: BTreeMap<Vec<AttrId>, HashIndex>,
-    /// Determinism tripwire: while a speculative planning phase shares
-    /// this set read-only across worker threads, *mutating* it (a lazy
-    /// `ensure` build, an `update`, an `insert`) would leak worker
+    /// Determinism tripwire: while the sharded repair frontier scoring
+    /// shares this set read-only across worker threads, *mutating* it (a
+    /// lazy `ensure` build, an `update`, an `insert`) would leak worker
     /// scheduling into index group order — which FINDV truncates, so the
     /// order is observable in repairs. `freeze` arms the wire; mutators
-    /// panic while it is set. Lazy builds planned on a snapshot must be
-    /// replayed on the main state in commit (merge) order instead.
+    /// panic while it is set. Lazy builds a worker needs go into a
+    /// private overlay and are replayed on the main state afterwards.
     frozen: std::sync::atomic::AtomicBool,
 }
 
@@ -107,20 +107,15 @@ impl GroupIndexes {
         assert!(
             !self.frozen.load(std::sync::atomic::Ordering::Acquire),
             "GroupIndexes::{op} during a frozen (read-only parallel) phase: \
-             lazy S-set builds must be replayed in commit order, not driven \
-             from speculative planning"
+             lazy S-set builds must be replayed on the main state, not \
+             driven from a worker"
         );
     }
 
-    /// Build indexes covering every LHS attribute list in `sigma`.
+    /// Build indexes covering every LHS attribute list in `sigma`, on the
+    /// calling thread.
     pub fn build(rel: &Relation, sigma: &Sigma) -> Self {
-        let mut by_lhs = BTreeMap::new();
-        for n in sigma.iter() {
-            by_lhs
-                .entry(n.lhs().to_vec())
-                .or_insert_with(|| HashIndex::build(rel, n.lhs()));
-        }
-        GroupIndexes::with_map(by_lhs)
+        GroupIndexes::build_with_threads(rel, sigma, 1)
     }
 
     /// [`GroupIndexes::build`] with an explicit worker-thread count for
@@ -442,12 +437,7 @@ impl<'a> Engine<'a> {
     /// conflicting pair once per *distinct* variable constraint rather
     /// than once per redundant tableau row.
     pub fn build(rel: &Relation, sigma: &'a Sigma) -> Self {
-        Engine {
-            sigma,
-            indexes: GroupIndexes::build(rel, sigma),
-            rules: ConstantRules::build(sigma),
-            variable_ids: minimal_variable_ids(sigma),
-        }
+        Engine::build_with_threads(rel, sigma, 1)
     }
 
     /// [`Engine::build`] with an explicit worker-thread count for the
@@ -560,19 +550,9 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Relation size below which a parallel constant scan is not worth the
-/// thread spawn overhead.
-#[cfg(feature = "parallel")]
-const PARALLEL_SCAN_THRESHOLD: usize = 8_192;
-
 /// The constant-rule pass of full detection: for every live tuple, count
 /// the fired-but-unsatisfied constant rules into `report`.
 fn constant_scan(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) {
-    #[cfg(feature = "parallel")]
-    if rel.len() >= PARALLEL_SCAN_THRESHOLD {
-        constant_scan_parallel(rel, rules, report);
-        return;
-    }
     if cfd_model::simd_enabled() && constant_scan_simd(rel, rules, report) {
         return;
     }
@@ -821,49 +801,6 @@ fn collect_set_bits(mask: &[u64], slots: usize, hits: &mut Vec<u32>) {
     }
 }
 
-/// Sharded constant scan over `std::thread::scope`: workers produce
-/// per-shard hit lists (cheap `Copy` ids only) that are merged in tuple-id
-/// order, so the result is identical to the serial scan.
-#[cfg(feature = "parallel")]
-fn constant_scan_parallel(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8);
-    let ids: Vec<TupleId> = rel.ids().collect();
-    let chunk = ids.len().div_ceil(workers);
-    let shards: Vec<Vec<(TupleId, CfdId)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = ids
-            .chunks(chunk.max(1))
-            .map(|part| {
-                s.spawn(move || {
-                    let mut hits = Vec::new();
-                    for id in part {
-                        let t = rel.tuple(*id).expect("listed id is live");
-                        rules.for_each_fired(&t, |_, r| {
-                            if !r.rhs.satisfied_by_id(t.id(r.rhs_attr)) {
-                                hits.push((*id, r.id));
-                            }
-                        });
-                    }
-                    hits
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan shard panicked"))
-            .collect()
-    });
-    for hits in shards {
-        for (id, cfd) in hits {
-            *report.per_tuple.entry(id).or_insert(0) += 1;
-            report.per_cfd[cfd.index()].push(id);
-            report.total += 1;
-        }
-    }
-}
-
 /// Full violation detection: compute [`ViolationReport`] for `rel` w.r.t.
 /// `sigma`, reusing a prebuilt [`Engine`].
 pub fn detect_with_engine(rel: &Relation, sigma: &Sigma, engine: &Engine<'_>) -> ViolationReport {
@@ -901,8 +838,7 @@ fn detect_inner(
         per_cfd: vec![Vec::new(); sigma.len()],
         ..Default::default()
     };
-    // Constant rules: one indexed pass over the tuples (sharded across
-    // threads under the `parallel` feature — each worker only reads ids).
+    // Constant rules: one indexed pass over the tuples.
     constant_scan(rel, rules, &mut report);
     // Variable CFDs: group analysis.
     for n in variable_ids.iter().map(|id| sigma.get(*id)) {
@@ -1200,8 +1136,8 @@ mod tests {
         let (rel, sigma) = fig1();
         let mut idx = GroupIndexes::build(&rel, &sigma);
         idx.freeze();
-        // A lazy S-set build out of commit order is exactly the bug the
-        // speculative repair's planning phase must never commit.
+        // A lazy S-set build from inside a parallel phase is exactly the
+        // bug the sharded frontier scoring must never commit.
         idx.ensure(&rel, &[AttrId(0), AttrId(1), AttrId(2)]);
     }
 

@@ -22,7 +22,7 @@ pub const USAGE: &str = "cfdclean client <op> (--tcp ADDR | --unix PATH) [flags]
     detect         --name N [--limit N]
     repair         --name N --out R.csv [--algorithm batch|v-inc|w-inc|l-inc]
                    [--pick global|dependency] [--k N] [--threads N]
-                   [--speculate K] [--no-simd] [--emit-edits E.cfde] [--stats]
+                   [--no-simd] [--emit-edits E.cfde] [--stats]
     insert         --name N --updates U.csv --out M.csv
                    [--weights W.csv] [--ordering v|w|l] [--k N]
     stream-open    --name N [--window W] [--slide S] [--ordering v|w|l] [--k N]
@@ -125,10 +125,6 @@ pub fn run(op: &str, args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 k: args.get_parsed("k", 2u32)?,
                 threads: match args.get("threads") {
                     Some(_) => Some(args.get_parsed("threads", 1u32)?),
-                    None => None,
-                },
-                speculate: match args.get("speculate") {
-                    Some(_) => Some(args.get_parsed("speculate", 0u32)?),
                     None => None,
                 },
                 simd: if args.switch("no-simd") {

@@ -24,8 +24,7 @@ use crate::io::{
 pub const USAGE: &str = "cfdclean repair (--data D.csv | --snapshot NAME --catalog DIR)
                 --out REPAIRED.csv [--rules R.cfd]
                 [--weights W.csv] [--algorithm batch|v-inc|w-inc|l-inc]
-                [--pick global|dependency] [--k N] [--threads N]
-                [--speculate K] [--no-simd]
+                [--pick global|dependency] [--k N] [--threads N] [--no-simd]
                 [--emit-edits E.cfde | --apply-edits E.cfde] [--stats]
   Compute a repair of the input satisfying the rules.
     --data        dirty CSV file
@@ -40,12 +39,8 @@ pub const USAGE: &str = "cfdclean repair (--data D.csv | --snapshot NAME --catal
     --pick        BatchRepair PICKNEXT strategy (default global)
     --k           IncRepair attribute-set size (default 2)
     --threads     worker threads for sharded repair setup (default:
-                  CFD_THREADS under the parallel feature, else serial);
-                  the repair is byte-identical at every thread count
-    --speculate   speculative resolution window K for batch/global: plan K
-                  fixes concurrently, commit in serial order (default:
-                  CFD_SPECULATE under the parallel feature, else 0 = off);
-                  any K produces the identical repair
+                  CFD_THREADS, else 1); the repair is byte-identical at
+                  every thread count
     --no-simd     force the scalar reference kernels for distance pricing
                   and detection scans (equivalent to CFD_SIMD=0); repairs
                   are byte-identical with the kernels on or off
@@ -68,10 +63,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let k: usize = args.get_parsed("k", 2)?;
     let threads = match args.get("threads") {
         Some(_) => Some(args.get_parsed("threads", 1usize)?),
-        None => None,
-    };
-    let speculate = match args.get("speculate") {
-        Some(_) => Some(args.get_parsed("speculate", 0usize)?),
         None => None,
     };
     let emit_edits = args.get("emit-edits").map(str::to_string);
@@ -108,9 +99,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut opts = RepairOptions::new().algorithm(algorithm).pick(pick).k(k);
     if let Some(n) = threads {
         opts = opts.threads(n);
-    }
-    if let Some(s) = speculate {
-        opts = opts.speculate(s);
     }
     if no_simd {
         // Explicit override in addition to force_simd: if a loaded

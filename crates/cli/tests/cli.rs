@@ -139,43 +139,51 @@ fn repair_threads_flag_is_byte_identical() {
 }
 
 #[test]
-fn repair_speculate_flag_is_byte_identical() {
-    // The speculative resolution loop, end to end through the CLI: every
-    // (threads, k) writes the same bytes as the non-speculative run, and
-    // --stats surfaces the schedule counters.
-    let s = Scratch::new("repair-speculate");
-    generate_workload(&s, 400);
-    let mut outputs = Vec::new();
-    for (threads, k) in [("1", "0"), ("2", "4"), ("8", "16")] {
-        let file = format!("repaired_t{threads}_k{k}.csv");
-        let out = run(&[
-            "repair",
-            "--data",
-            &s.path("dirty.csv"),
-            "--rules",
-            &s.path("rules.cfd"),
-            "--weights",
-            &s.path("dirty_weights.csv"),
-            "--out",
-            &s.path(&file),
-            "--threads",
-            threads,
-            "--speculate",
-            k,
-            "--stats",
-        ])
-        .unwrap();
-        assert!(out.contains("repaired 400 tuples"), "{out}");
-        if k != "0" {
-            assert!(
-                out.contains("speculative rounds"),
-                "--stats should print the speculative schedule: {out}"
-            );
-        }
-        outputs.push(std::fs::read(s.path(&file)).unwrap());
+fn speculate_flag_is_rejected_as_unknown() {
+    // BATCHREPAIR has one resolution loop; `--speculate` is no longer a
+    // flag of `repair` or `client repair`, and neither help text lists it.
+    let s = Scratch::new("speculate-unknown");
+    generate_workload(&s, 200);
+    let repair = [
+        "repair",
+        "--data",
+        &s.path("dirty.csv"),
+        "--rules",
+        &s.path("rules.cfd"),
+        "--out",
+        &s.path("repaired.csv"),
+        "--speculate",
+        "4",
+    ];
+    // Rejected before any connection is attempted.
+    let client = [
+        "client",
+        "repair",
+        "--unix",
+        &s.path("no-daemon.sock"),
+        "--name",
+        "d",
+        "--out",
+        &s.path("client.csv"),
+        "--speculate",
+        "4",
+    ];
+    for argv in [&repair[..], &client[..]] {
+        let err = run(argv).unwrap_err();
+        assert!(err.contains("unknown flag --speculate"), "{err}");
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_cfdclean"))
+            .args(argv)
+            .output()
+            .unwrap();
+        assert!(!status.status.success(), "{argv:?} must exit non-zero");
+        let stderr = String::from_utf8_lossy(&status.stderr);
+        assert!(stderr.contains("unknown flag --speculate"), "{stderr}");
     }
-    assert_eq!(outputs[0], outputs[1], "k=4 diverged from non-speculative");
-    assert_eq!(outputs[0], outputs[2], "k=16 diverged from non-speculative");
+    for command in ["repair", "client"] {
+        let usage = run(&[command]).unwrap_err();
+        assert!(!usage.contains("speculate"), "{command} help: {usage}");
+    }
+    assert!(!std::path::Path::new(&s.path("repaired.csv")).exists());
 }
 
 #[test]
@@ -205,19 +213,9 @@ fn no_simd_is_a_switch_and_composes_with_later_flags() {
         run(&argv).unwrap()
     };
     repair_with("default.csv", &[]);
-    let out = repair_with(
-        "scalar.csv",
-        &[
-            "--no-simd",
-            "--threads",
-            "4",
-            "--speculate",
-            "16",
-            "--stats",
-        ],
-    );
+    let out = repair_with("scalar.csv", &["--no-simd", "--threads", "4", "--stats"]);
     assert!(
-        out.contains("steps") && out.contains("speculative rounds"),
+        out.contains("steps") && out.contains("merges"),
         "--stats after --no-simd should print counters: {out}"
     );
     assert_eq!(

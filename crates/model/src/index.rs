@@ -10,10 +10,10 @@
 //! which is correct because pattern matching excludes nulls anyway and the
 //! callers that need SQL-null semantics handle them explicitly.
 //!
-//! With the `parallel` feature, [`HashIndex::build`] shards large
-//! relations across `std::thread::scope` workers, each building a local
-//! map that is merged at the end; keys are `Copy`-cheap ids, so the merge
-//! moves integers, never strings.
+//! [`HashIndex::build_with_threads`] shards large relations across
+//! `std::thread::scope` workers, each building a local map that is merged
+//! at the end; keys are `Copy`-cheap ids, so the merge moves integers,
+//! never strings. The caller chooses the worker count.
 
 use std::collections::HashMap;
 
@@ -35,24 +35,14 @@ pub struct HashIndex {
 }
 
 impl HashIndex {
-    /// Build an index on `attrs` over all live tuples of `rel`.
-    ///
-    /// With the `parallel` feature enabled, large relations are built on
-    /// multiple threads.
-    pub fn build(rel: &Relation, attrs: &[AttrId]) -> Self {
-        #[cfg(feature = "parallel")]
-        if rel.len() >= PARALLEL_THRESHOLD {
-            return Self::build_parallel(rel, attrs);
-        }
-        Self::build_serial(rel, attrs)
-    }
-
-    /// Single-threaded build (always available; the benchmarks' baseline).
+    /// Build an index on `attrs` over all live tuples of `rel`, on the
+    /// calling thread (see [`HashIndex::build_with_threads`] for a
+    /// sharded build).
     ///
     /// On a columnar relation the build walks the indexed attributes'
     /// column slices directly — one contiguous `u32` read per (attribute,
     /// tuple) — instead of dereferencing row objects.
-    pub fn build_serial(rel: &Relation, attrs: &[AttrId]) -> Self {
+    pub fn build(rel: &Relation, attrs: &[AttrId]) -> Self {
         let mut idx = HashIndex {
             attrs: attrs.to_vec(),
             map: HashMap::new(),
@@ -71,31 +61,17 @@ impl HashIndex {
         idx
     }
 
-    /// Sharded build over `std::thread::scope` with the machine's
-    /// available parallelism. See [`HashIndex::build_with_threads`] for
-    /// the determinism contract.
-    #[cfg(feature = "parallel")]
-    pub fn build_parallel(rel: &Relation, attrs: &[AttrId]) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
-        Self::build_with_threads(rel, attrs, workers)
-    }
-
     /// Sharded build with an explicit worker count: each worker indexes a
     /// contiguous chunk of the ascending id space into a local map, and
     /// chunks are merged in id order. The result is **identical to
-    /// [`HashIndex::build_serial`] including the order of ids within each
+    /// [`HashIndex::build`] including the order of ids within each
     /// group** (ascending) — repair-layer consumers truncate group walks,
     /// so group order is part of the determinism contract, not an
     /// implementation detail. Small relations and `threads <= 1` fall
-    /// back to the serial build. Always compiled — sharding is pure
-    /// `std`; the `parallel` feature only opts the *default* build into
-    /// threads.
+    /// back to the serial build.
     pub fn build_with_threads(rel: &Relation, attrs: &[AttrId], threads: usize) -> Self {
         if threads <= 1 || rel.len() < PARALLEL_THRESHOLD {
-            return Self::build_serial(rel, attrs);
+            return Self::build(rel, attrs);
         }
         let ids: Vec<TupleId> = rel.ids().collect();
         let chunk = ids.len().div_ceil(threads);
@@ -305,21 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_default_builds_agree() {
-        let r = rel3();
-        let a = HashIndex::build(&r, &[AttrId(0)]);
-        let b = HashIndex::build_serial(&r, &[AttrId(0)]);
-        assert_eq!(a.group_count(), b.group_count());
-        for (k, ids) in a.groups() {
-            let mut x = ids.to_vec();
-            let mut y = b.get(k.as_slice()).to_vec();
-            x.sort();
-            y.sort();
-            assert_eq!(x, y);
-        }
-    }
-
-    #[test]
     fn sharded_build_preserves_group_order() {
         // Not just the same sets: FINDV truncates group walks, so the
         // ascending id order inside each group is part of the contract.
@@ -329,34 +290,13 @@ mod tests {
             r.insert(Tuple::from_iter([format!("k{}", i % 257), format!("v{i}")]))
                 .unwrap();
         }
-        let ser = HashIndex::build_serial(&r, &[AttrId(0)]);
+        let ser = HashIndex::build(&r, &[AttrId(0)]);
         for threads in [2, 3, 8] {
             let par = HashIndex::build_with_threads(&r, &[AttrId(0)], threads);
             assert_eq!(par.group_count(), ser.group_count(), "threads={threads}");
             for (k, ids) in ser.groups() {
                 assert_eq!(par.get(k.as_slice()), ids, "threads={threads}");
             }
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_build_matches_serial() {
-        let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut r = Relation::new(schema);
-        for i in 0..20_000u32 {
-            r.insert(Tuple::from_iter([format!("k{}", i % 257), format!("v{i}")]))
-                .unwrap();
-        }
-        let par = HashIndex::build_parallel(&r, &[AttrId(0)]);
-        let ser = HashIndex::build_serial(&r, &[AttrId(0)]);
-        assert_eq!(par.group_count(), ser.group_count());
-        for (k, ids) in ser.groups() {
-            let mut a = ids.to_vec();
-            let mut b = par.get(k.as_slice()).to_vec();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
         }
     }
 }

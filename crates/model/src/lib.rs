@@ -48,8 +48,7 @@
 //!   repairs draw new values from (the algorithms never invent values).
 //! * [`index::HashIndex`] — hash indexes over attribute lists keyed on
 //!   [`IdKey`], the lookup primitive behind violation detection and the
-//!   LHS-indices of §5.2; sharded parallel builds under the `parallel`
-//!   feature.
+//!   LHS-indices of §5.2; sharded builds take an explicit thread count.
 //! * [`query`] — a small selection engine (conjunctive predicates) used by
 //!   the SQL-style violation detection.
 //! * [`diff`] — `dif(D1, D2)`, the attribute-level difference measure used
@@ -68,7 +67,6 @@ pub mod active_domain;
 pub mod csv;
 pub mod database;
 pub mod diff;
-pub mod epoch;
 pub mod error;
 pub mod index;
 pub mod key;
@@ -86,7 +84,6 @@ pub mod value;
 pub use active_domain::ActiveDomain;
 pub use database::Database;
 pub use diff::{Edit, EditLog};
-pub use epoch::{Epoch, EpochClock, VersionMap};
 pub use error::ModelError;
 pub use key::IdKey;
 pub use mapping::{Mapping, MappingCache};

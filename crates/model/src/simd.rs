@@ -8,7 +8,7 @@
 //! `--no-simd`) forces every kernel back onto the scalar reference path,
 //! and the CI determinism matrix runs one corner with the flag off.
 //!
-//! Like `CFD_THREADS`/`CFD_SPECULATE`, the variable is resolved once per
+//! Like `CFD_THREADS`, the variable is resolved once per
 //! process. Default is **on**: the kernels need no special hardware (they
 //! are plain `u64`/`u32` arithmetic on the stable toolchain).
 

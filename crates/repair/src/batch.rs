@@ -27,13 +27,8 @@
 //! Parallelism: the group census and the initial `PICKNEXT` frontier are
 //! built sharded by LHS-key hash range ([`crate::shard`]) under the
 //! [`Parallelism`] carried in [`BatchConfig`]. The resolution loop itself
-//! runs in one of two modes: sequential (the reference), or *speculative*
-//! ([`crate::speculative`], `BatchConfig::speculate ≥ 1`) — shards plan
-//! their next fixes concurrently against a frozen snapshot and a commit
-//! phase replays the plans in the serial heap order, validating read-sets
-//! and falling back to inline replanning when a plan went stale. Both
-//! modes produce byte-identical repairs at every thread count and
-//! speculation depth.
+//! is the paper's serial greedy loop — every fix mutates shared state —
+//! so repairs are byte-identical at every thread count.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -41,16 +36,13 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use cfd_cfd::violation::{detect_with_parts, ConstantRules, Engine, EngineParts, GroupIndexes};
 use cfd_cfd::{CfdId, NormalCfd, Sigma};
 use cfd_model::index::HashIndex;
-use cfd_model::{
-    AttrId, EditLog, IdKey, Relation, TupleId, TupleView, ValueId, ValuePool, NULL_ID,
-};
+use cfd_model::{AttrId, EditLog, Relation, TupleId, ValueId, ValuePool, NULL_ID};
 
 use crate::cost::{class_assign_cost_ids, class_assign_cost_ids_batch, repair_cost};
 use crate::depgraph::DepGraph;
 use crate::distance::DistanceCache;
 use crate::equivalence::{Cell, EqClasses, Target};
 use crate::shard::{self, Candidate, GroupCensus, Parallelism};
-use crate::speculative::{ReadSet, SpecLog, SpecStats};
 use crate::RepairError;
 
 /// How `PICKNEXT` chooses the next violation to resolve.
@@ -96,20 +88,10 @@ pub struct BatchConfig {
     pub findv_candidates: usize,
     /// Free/free merge winner selection; defaults to group majority.
     pub merge_pricing: MergePricing,
-    /// Worker threads for census construction, initial `PICKNEXT`
-    /// scoring, and speculative plan fan-out. Repairs are byte-identical
-    /// at every thread count; the default resolves `CFD_THREADS` under
-    /// the `parallel` feature and is serial otherwise.
+    /// Worker threads for census construction and initial `PICKNEXT`
+    /// scoring. Repairs are byte-identical at every thread count; the
+    /// default resolves `CFD_THREADS` (1 when unset).
     pub parallelism: Parallelism,
-    /// Speculation depth `k` for the resolution loop ([`crate::speculative`]):
-    /// each round plans up to `k` frontier entries concurrently against a
-    /// frozen snapshot and commits them in the serial heap order,
-    /// validating read-sets. `0` disables speculation (the sequential
-    /// reference loop); any `k ≥ 1` is byte-identical to it. Only the
-    /// [`PickStrategy::GlobalBest`] picker speculates. The default
-    /// resolves `CFD_SPECULATE` under the `parallel` feature and is `0`
-    /// otherwise.
-    pub speculate: usize,
     /// Kernel selection for distance pricing: `Some(true)` forces the
     /// bit-parallel kernel, `Some(false)` the scalar reference, `None`
     /// (the default) follows the process-wide [`cfd_model::simd_enabled`]
@@ -125,7 +107,6 @@ impl Default for BatchConfig {
             findv_candidates: 32,
             merge_pricing: MergePricing::GroupMajority,
             parallelism: Parallelism::default(),
-            speculate: shard::speculation_from_env(),
             simd: None,
         }
     }
@@ -134,7 +115,7 @@ impl Default for BatchConfig {
 impl BatchConfig {
     /// The effective kernel choice: the explicit override, or the
     /// process-wide `CFD_SIMD` resolution.
-    pub(crate) fn bitparallel(&self) -> bool {
+    fn bitparallel(&self) -> bool {
         self.simd.unwrap_or_else(cfd_model::simd_enabled)
     }
 }
@@ -161,18 +142,9 @@ pub struct BatchStats {
 pub struct BatchOutcome {
     /// The repair `Repr` (same tuple ids as the input).
     pub repair: Relation,
-    /// Counters and the final repair cost. Identical for serial and
-    /// speculative runs — the speculative loop is byte-equivalent.
+    /// Counters and the final repair cost. Identical at every thread
+    /// count.
     pub stats: BatchStats,
-    /// Speculation counters, present when the run used the speculative
-    /// resolution loop (`BatchConfig::speculate ≥ 1` with the global-best
-    /// picker). Unlike [`BatchStats`], these legitimately vary with the
-    /// thread count and depth `k` — they describe the *schedule*, not the
-    /// repair.
-    pub speculation: Option<SpecStats>,
-    /// The speculative audit trace, collected only by
-    /// [`batch_repair_traced`]; `None` otherwise.
-    pub trace: Option<Vec<String>>,
 }
 
 impl BatchOutcome {
@@ -188,7 +160,7 @@ impl BatchOutcome {
 
 /// A planned resolution step.
 #[derive(Clone, Debug)]
-pub(crate) enum Fix {
+enum Fix {
     SetConst {
         cell: Cell,
         v: ValueId,
@@ -207,9 +179,9 @@ pub(crate) enum Fix {
 }
 
 impl Fix {
-    /// Stable one-line rendering for debug output and the speculative
-    /// audit trace. `pool` is the dataset pool the fix's ids live in.
-    pub(crate) fn describe(&self, pool: &ValuePool) -> String {
+    /// Stable one-line rendering for `CFD_DEBUG_FIXES` output. `pool` is
+    /// the dataset pool the fix's ids live in.
+    fn describe(&self, pool: &ValuePool) -> String {
         match self {
             Fix::SetConst { cell, v } => {
                 format!(
@@ -228,56 +200,47 @@ impl Fix {
 }
 
 /// The kind of violation `violates` found.
-pub(crate) enum Violation {
+enum Violation {
     Constant,
     Variable { partner: TupleId },
 }
 
-pub(crate) struct BatchState<'a> {
-    pub(crate) sigma: &'a Sigma,
-    pub(crate) orig: &'a Relation,
-    pub(crate) work: Relation,
-    pub(crate) eq: EqClasses,
-    pub(crate) indexes: GroupIndexes,
+struct BatchState<'a> {
+    sigma: &'a Sigma,
+    orig: &'a Relation,
+    work: Relation,
+    eq: EqClasses,
+    indexes: GroupIndexes,
     /// Hash-indexed constant rules for O(shapes) dirty marking.
-    pub(crate) rules: ConstantRules,
+    rules: ConstantRules,
     /// Subsumption-minimal variable CFD ids (see `minimal_variable_ids`).
-    pub(crate) variable_ids: Vec<CfdId>,
+    variable_ids: Vec<CfdId>,
     /// Group value census for the variable shapes (fast clean-group test).
-    pub(crate) census: GroupCensus,
-    pub(crate) dirty: Vec<BTreeSet<TupleId>>,
+    census: GroupCensus,
+    dirty: Vec<BTreeSet<TupleId>>,
     /// `vio(t)` from the initial detection: tuples whose violation count
     /// towers over their partners' are suspects even when Σ has no
     /// constant rules (a corrupted cell conflicts with its whole group;
     /// an innocent partner only with the corrupted tuple).
-    pub(crate) initial_vio: std::collections::HashMap<TupleId, usize>,
+    initial_vio: std::collections::HashMap<TupleId, usize>,
     /// Lazy priority heap for [`PickStrategy::GlobalBest`]: entries carry
     /// the last-known [`HeapKey`] and are re-verified and re-priced when
     /// popped. Seeded by the sharded frontier scoring (`seed_heap`).
-    pub(crate) heap: BinaryHeap<Reverse<HeapKey>>,
+    heap: BinaryHeap<Reverse<HeapKey>>,
     /// Memoized `dis(v, v')` over id pairs.
-    pub(crate) dcache: DistanceCache,
-    pub(crate) stats: BatchStats,
-    /// Write stamps for speculative read-set validation; `Some` only
-    /// while a speculative commit phase is live ([`crate::speculative`]).
-    pub(crate) spec_log: Option<SpecLog>,
-    /// Speculation counters; `Some` when the speculative loop runs.
-    pub(crate) spec_stats: Option<SpecStats>,
-    /// Commit/abort audit trace, collected when requested
-    /// ([`batch_repair_traced`]).
-    pub(crate) trace: Option<Vec<String>>,
-    pub(crate) config: BatchConfig,
+    dcache: DistanceCache,
+    stats: BatchStats,
+    config: BatchConfig,
 }
 
 /// The total order `PICKNEXT` resolves under — [`Candidate::key`]'s
 /// `(cost, value frequency, value id, CFD, tuple)` — shared by the
-/// frontier merge, the lazy heap, and the speculative commit replay so
-/// serial, sharded, and speculative runs pop fixes in exactly the same
-/// sequence.
-pub(crate) type HeapKey = (u64, u64, u32, u32, u32);
+/// frontier merge and the lazy heap so serial and sharded runs pop fixes
+/// in exactly the same sequence.
+type HeapKey = (u64, u64, u32, u32, u32);
 
 /// Map a non-negative cost to an order-preserving integer key.
-pub(crate) fn cost_key(cost: f64) -> u64 {
+fn cost_key(cost: f64) -> u64 {
     if cost.is_nan() {
         u64::MAX
     } else {
@@ -290,7 +253,7 @@ pub(crate) fn cost_key(cost: f64) -> u64 {
 /// (well-corroborated constants sort first among equal costs) and
 /// nulls/winnerless merges rank last. A pure function of the fix and the
 /// dataset, never of scoring order or process history.
-pub(crate) fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
+fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
     let v = match fix {
         Fix::SetConst { v, .. } => *v,
         Fix::SetNull { .. } => NULL_ID,
@@ -307,17 +270,17 @@ pub(crate) fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
 ///
 /// The sequential loop drives lazy `ensure` builds straight into the main
 /// state ([`PlanIndexes::Main`]) — build order is resolution order, the
-/// contract. Speculative planning workers must not touch the main state
+/// contract. Frontier scoring workers must not touch the main state
 /// (group order inside a [`HashIndex`] is history-dependent and FINDV
 /// truncates group walks), so they read through a frozen borrow and build
-/// misses into a worker-private overlay against the snapshot
-/// ([`PlanIndexes::Snapshot`]); the commit phase replays those `ensure`s
-/// on the main state in merge order.
-pub(crate) enum PlanIndexes<'p> {
+/// misses into a worker-private overlay ([`PlanIndexes::Snapshot`]);
+/// `seed_heap` then replays those `ensure`s on the main state in sorted
+/// order.
+enum PlanIndexes<'p> {
     /// The sequential loop: lazy builds mutate the main state directly.
     Main(&'p mut GroupIndexes),
-    /// A speculative planning worker: base hits read the frozen main
-    /// state, misses build into the private overlay.
+    /// A frontier scoring worker: base hits read the frozen main state,
+    /// misses build into the private overlay.
     Snapshot {
         base: &'p GroupIndexes,
         local: GroupIndexes,
@@ -328,16 +291,11 @@ pub(crate) enum PlanIndexes<'p> {
 /// shared references to the frozen inputs — equivalence classes included,
 /// all class lookups are non-mutating — plus per-planner memo caches.
 /// [`BatchState`] materializes one over its own fields for the sequential
-/// loop; the sharded frontier scoring and the speculative planning phase
-/// give each worker a private one (snapshot index overlay, empty distance
-/// memo) over the same shared state — the caches are semantically
-/// transparent, so worker plans equal serial plans bit for bit.
-///
-/// When `reads` is set, every lookup of *mutable* state is recorded: work
-/// tuples, census groups, S-set index groups, equivalence-class roots,
-/// and base-missing `ensure`s. The resulting [`ReadSet`] is what the
-/// speculative commit phase validates against its write stamps.
-pub(crate) struct Planner<'p> {
+/// loop; the sharded frontier scoring gives each worker a private one
+/// (snapshot index overlay, empty distance memo) over the same shared
+/// state — the caches are semantically transparent, so worker plans
+/// equal serial plans bit for bit.
+struct Planner<'p> {
     orig: &'p Relation,
     work: &'p Relation,
     rules: &'p ConstantRules,
@@ -347,10 +305,6 @@ pub(crate) struct Planner<'p> {
     eq: &'p EqClasses,
     indexes: PlanIndexes<'p>,
     dcache: &'p mut DistanceCache,
-    /// Read-set recorder, owned so one worker can swap a fresh set in per
-    /// planned pair while keeping its index overlay warm. `None` (the
-    /// sequential loop, frontier scoring) records nothing.
-    reads: Option<ReadSet>,
 }
 
 /// Score one shard of the initial frontier: verify and price every dirty
@@ -388,7 +342,6 @@ fn score_shard(
             local: GroupIndexes::empty(),
         },
         dcache: &mut dcache,
-        reads: None,
     };
     let mut out = Vec::with_capacity(pairs.len());
     for &(cfd, tid) in pairs {
@@ -428,7 +381,7 @@ fn score_shard(
 }
 
 impl<'a> BatchState<'a> {
-    pub(crate) fn new(orig: &'a Relation, sigma: &'a Sigma, config: BatchConfig) -> Self {
+    fn new(orig: &'a Relation, sigma: &'a Sigma, config: BatchConfig) -> Self {
         // Index contents are identical at any thread count, and `work`
         // below is an id-stable clone of `orig`, so building against the
         // original here equals building against the working copy — which
@@ -437,7 +390,7 @@ impl<'a> BatchState<'a> {
         Self::new_with_parts(orig, sigma, config, parts)
     }
 
-    pub(crate) fn new_with_parts(
+    fn new_with_parts(
         orig: &'a Relation,
         sigma: &'a Sigma,
         config: BatchConfig,
@@ -482,23 +435,17 @@ impl<'a> BatchState<'a> {
             heap: BinaryHeap::new(),
             dcache: DistanceCache::for_pool(orig.pool().clone(), config.bitparallel()),
             stats: BatchStats::default(),
-            spec_log: None,
-            spec_stats: None,
-            trace: None,
             config,
         };
         if state.config.pick == PickStrategy::GlobalBest {
             state.seed_heap();
-            if state.config.speculate >= 1 {
-                state.spec_stats = Some(SpecStats::default());
-            }
         }
         state
     }
 
     /// The planning view over this state's own fields (the sequential
-    /// loop and the speculative commit phase's inline replans).
-    pub(crate) fn planner(&mut self) -> Planner<'_> {
+    /// loop).
+    fn planner(&mut self) -> Planner<'_> {
         Planner {
             orig: self.orig,
             work: &self.work,
@@ -509,7 +456,6 @@ impl<'a> BatchState<'a> {
             eq: &self.eq,
             indexes: PlanIndexes::Main(&mut self.indexes),
             dcache: &mut self.dcache,
-            reads: None,
         }
     }
 
@@ -616,86 +562,10 @@ impl<'a> BatchState<'a> {
 }
 
 impl<'p> Planner<'p> {
-    /// A speculative planning worker's view over shared frozen state:
-    /// read-only borrows of everything mutable, a private snapshot index
-    /// overlay, a private distance memo. Call [`Planner::begin_recording`]
-    /// before each pair and [`Planner::take_reads`] after it.
-    pub(crate) fn snapshot(
-        state: &'p BatchState<'_>,
-        dcache: &'p mut DistanceCache,
-    ) -> Planner<'p> {
-        Planner {
-            orig: state.orig,
-            work: &state.work,
-            rules: &state.rules,
-            census: &state.census,
-            initial_vio: &state.initial_vio,
-            config: &state.config,
-            eq: &state.eq,
-            indexes: PlanIndexes::Snapshot {
-                base: &state.indexes,
-                local: GroupIndexes::empty(),
-            },
-            dcache,
-            reads: None,
-        }
-    }
-
-    /// Start recording reads into a fresh [`ReadSet`].
-    pub(crate) fn begin_recording(&mut self) {
-        self.reads = Some(ReadSet::default());
-    }
-
-    /// Stop recording and hand back what was read.
-    pub(crate) fn take_reads(&mut self) -> ReadSet {
-        self.reads.take().unwrap_or_default()
-    }
-
-    /// Record a work-tuple read (no-op outside speculative planning).
-    fn note_tuple(&mut self, t: TupleId) {
-        if let Some(r) = self.reads.as_mut() {
-            r.tuples.insert(t);
-        }
-    }
-
-    /// Record an equivalence-class read: the class is identified by its
-    /// *current* root, which is also what commit-time write stamps use.
-    /// The root walk only happens while recording — the sequential loop
-    /// pays nothing.
-    fn note_eq(&mut self, c: Cell) {
-        if self.reads.is_none() {
-            return;
-        }
-        let root = self.eq.find(c);
-        if let Some(r) = self.reads.as_mut() {
-            r.eq_roots.insert(root);
-        }
-    }
-
-    /// Record a census-group read under a tracked shape.
-    fn note_census<V: TupleView + ?Sized>(&mut self, lhs: &[AttrId], rhs: AttrId, t: &V) {
-        if self.reads.is_none() {
-            return;
-        }
-        let pos = self.census.shape_pos(lhs, rhs);
-        let key = t.project_key(lhs);
-        if let (Some(si), Some(r)) = (pos, self.reads.as_mut()) {
-            r.census.insert((si, key));
-        }
-    }
-
-    /// Record an S-set index group read.
-    fn note_group(&mut self, attrs: &[AttrId], key: IdKey) {
-        if let Some(r) = self.reads.as_mut() {
-            r.groups.insert((attrs.to_vec(), key));
-        }
-    }
-
     /// The S-set index on `attrs`, lazily built according to the planning
     /// mode: straight on the main state (sequential loop), or into the
-    /// worker-private overlay when the main state lacks it (speculative
-    /// snapshot). Overlay touches of base-missing lists are recorded so
-    /// the commit phase can replay the `ensure`s in merge order.
+    /// worker-private overlay when the main state lacks it (frontier
+    /// scoring).
     fn s_index(&mut self, attrs: &[AttrId]) -> &HashIndex {
         match &mut self.indexes {
             PlanIndexes::Main(ix) => ix.ensure(self.work, attrs),
@@ -703,27 +573,18 @@ impl<'p> Planner<'p> {
                 let base: &'p GroupIndexes = base;
                 match base.get(attrs) {
                     Some(ix) => ix,
-                    None => {
-                        if let Some(r) = self.reads.as_mut() {
-                            if !r.ensured.iter().any(|a| a == attrs) {
-                                r.ensured.push(attrs.to_vec());
-                            }
-                        }
-                        local.ensure(self.work, attrs)
-                    }
+                    None => local.ensure(self.work, attrs),
                 }
             }
         }
     }
 
     /// Effective value of a cell (target materialized into `work`).
-    fn eff(&mut self, t: TupleId, a: AttrId) -> ValueId {
-        self.note_tuple(t);
+    fn eff(&self, t: TupleId, a: AttrId) -> ValueId {
         self.work.tuple(t).expect("live tuple").id(a)
     }
 
-    /// Original value of a cell (for cost computation; the original
-    /// relation is immutable, so this is never a recorded read).
+    /// Original value of a cell (for cost computation).
     fn orig_id(&self, c: Cell) -> ValueId {
         self.orig.tuple(c.tuple).expect("live tuple").id(c.attr)
     }
@@ -736,7 +597,6 @@ impl<'p> Planner<'p> {
     /// groups. Constant rules only: they pin nearly every attribute in
     /// CFD workloads and cost O(shapes) to check.
     fn residual_vios(&mut self, tid: TupleId, b: AttrId, v: ValueId) -> usize {
-        self.note_tuple(tid);
         let mut t = self.work.tuple(tid).expect("live").to_tuple();
         t.set_id(b, v);
         self.rules.violations_of(&t, None)
@@ -745,8 +605,7 @@ impl<'p> Planner<'p> {
     /// Does `t` currently violate normal CFD `n`? Variable violations
     /// require the partner to live in a *different* equivalence class —
     /// merged cells are already "resolved pending instantiation".
-    pub(crate) fn violates(&mut self, n: &NormalCfd, tid: TupleId) -> Option<Violation> {
-        self.note_tuple(tid);
+    fn violates(&mut self, n: &NormalCfd, tid: TupleId) -> Option<Violation> {
         let t = self.work.tuple(tid)?;
         if !n.applies_to(&t) {
             return None;
@@ -763,9 +622,6 @@ impl<'p> Planner<'p> {
             if v.is_null() {
                 return None;
             }
-            // The group census is mutable state: record the read before
-            // acting on it.
-            self.note_census(n.lhs(), a, &t);
             // Census fast path: a group with ≤ 1 distinct non-null value
             // cannot conflict; conflicting ids are then enumerated
             // value-bucket by value-bucket instead of scanning the group.
@@ -783,13 +639,11 @@ impl<'p> Planner<'p> {
                 .conflicting_ids(n.lhs(), a, &t, v)
                 .take(64)
                 .collect();
-            self.note_eq(Cell::new(tid, a));
             let mut partner: Option<TupleId> = None;
             for other in candidates {
                 if other == tid {
                     continue;
                 }
-                self.note_eq(Cell::new(other, a));
                 if self.eq.same_class(Cell::new(tid, a), Cell::new(other, a)) {
                     continue;
                 }
@@ -813,9 +667,7 @@ impl<'p> Planner<'p> {
             .collect();
         s_attrs.sort();
         s_attrs.dedup();
-        self.note_tuple(tid);
         let t = self.work.tuple(tid).expect("live").to_tuple();
-        self.note_group(&s_attrs, t.project_key(&s_attrs));
         let take = self.config.findv_candidates;
         let s_group: Vec<TupleId> = self
             .s_index(&s_attrs)
@@ -882,7 +734,6 @@ impl<'p> Planner<'p> {
     /// scenario in `robustness.rs`).
     fn class_residual_vios(&mut self, cell: Cell, v: ValueId) -> usize {
         const SAMPLE: usize = 8;
-        self.note_eq(cell);
         // Copy only the sampled prefix — classes merged through
         // low-cardinality FDs hold thousands of cells and this runs on
         // every candidate pricing.
@@ -911,7 +762,6 @@ impl<'p> Planner<'p> {
     /// have merged country-sized classes.
     fn assign_cost(&mut self, cell: Cell, v: ValueId) -> f64 {
         const EXACT_LIMIT: usize = 64;
-        self.note_eq(cell);
         if self.eq.members(cell).len() > EXACT_LIMIT {
             let current = self.eff(cell.tuple, cell.attr);
             return if current == v {
@@ -945,7 +795,6 @@ impl<'p> Planner<'p> {
         if candidates.is_empty() {
             return Vec::new();
         }
-        self.note_eq(cell);
         if self.eq.members(cell).len() > EXACT_LIMIT {
             let current = self.eff(cell.tuple, cell.attr);
             let w = self.eq.weight_sum(cell);
@@ -980,7 +829,6 @@ impl<'p> Planner<'p> {
         for &tid in candidates {
             for (i, &b) in n.lhs().iter().enumerate() {
                 let cell = Cell::new(tid, b);
-                self.note_eq(cell);
                 if *self.eq.target(cell) != Target::Free {
                     continue;
                 }
@@ -1014,7 +862,6 @@ impl<'p> Planner<'p> {
         for &tid in candidates {
             for &b in n.lhs() {
                 let cell = Cell::new(tid, b);
-                self.note_eq(cell);
                 if *self.eq.target(cell) == Target::Null {
                     continue;
                 }
@@ -1031,12 +878,7 @@ impl<'p> Planner<'p> {
     /// the fix and its cost. Returns `None` only in the degenerate case of
     /// a violation with every involved class already null (impossible by
     /// the violation definitions, but handled defensively).
-    pub(crate) fn plan_fix(
-        &mut self,
-        n: &NormalCfd,
-        tid: TupleId,
-        v: &Violation,
-    ) -> Option<(Fix, f64)> {
+    fn plan_fix(&mut self, n: &NormalCfd, tid: TupleId, v: &Violation) -> Option<(Fix, f64)> {
         let a = n.rhs_attr();
         match v {
             Violation::Constant => {
@@ -1045,7 +887,6 @@ impl<'p> Planner<'p> {
                     .rhs_pattern_id()
                     .as_const_id()
                     .expect("constant violation implies constant pattern");
-                self.note_eq(cell);
                 match *self.eq.target(cell) {
                     // Case 1.1: free RHS target — assigning the pattern
                     // constant is available. §3.1 resolves "in more than
@@ -1084,8 +925,6 @@ impl<'p> Planner<'p> {
                         + usize::from(
                             self.initial_vio.get(partner).copied().unwrap_or(0) > SUSPECT_VIO,
                         );
-                self.note_tuple(tid);
-                self.note_tuple(*partner);
                 let suspects = self
                     .rules
                     .violations_of(&self.work.tuple(tid).expect("live"), None)
@@ -1095,8 +934,6 @@ impl<'p> Planner<'p> {
                     + initial_suspects;
                 let defer_penalty = 10.0 * suspects as f64;
                 let (c1, c2) = (Cell::new(tid, a), Cell::new(*partner, a));
-                self.note_eq(c1);
-                self.note_eq(c2);
                 let t1 = *self.eq.target(c1);
                 let t2 = *self.eq.target(c2);
                 match (&t1, &t2) {
@@ -1203,9 +1040,7 @@ impl<'p> Planner<'p> {
         if self.config.merge_pricing == MergePricing::Pairwise {
             return self.plan_pairwise_merge(n, tid, partner, v1, v2);
         }
-        self.note_tuple(tid);
         let t = self.work.tuple(tid).expect("live").to_tuple();
-        self.note_census(n.lhs(), a, &t);
         // (value, incremental weight sum, sampled carriers, carrier
         // count) per bucket. Weight sums are maintained by the census, so
         // this is O(distinct values) plus the ≤ SAMPLE carriers actually
@@ -1309,12 +1144,6 @@ impl<'a> BatchState<'a> {
             .set_value_id(cell.tuple, cell.attr, v)
             .expect("live tuple");
         let after = self.work.tuple(cell.tuple).expect("live").to_tuple();
-        // Stamp the write for speculative read-set validation before the
-        // downstream structures change: the tuple itself, every census
-        // group it enters or leaves, and every watched S-set index group.
-        if let Some(log) = self.spec_log.as_mut() {
-            log.record_write(cell, &before, &after, &self.census);
-        }
         self.indexes.update(cell.tuple, &before, &after);
         self.census.update(cell.tuple, &before, &after);
         // Constant rules are per-tuple: only the rules firing on the new
@@ -1398,19 +1227,8 @@ impl<'a> BatchState<'a> {
 
     /// Apply a planned fix. Each application strictly increases the class
     /// progress measure, which bounds the main loop (Theorem 4.2).
-    pub(crate) fn apply_fix(&mut self, fix: Fix) -> Result<(), RepairError> {
+    fn apply_fix(&mut self, fix: Fix) -> Result<(), RepairError> {
         let before_progress = self.eq.progress();
-        // Stamp the classes this fix is about to mutate (by their pre-op
-        // roots — the same identification plan read-sets record).
-        if self.spec_log.is_some() {
-            let roots = match &fix {
-                Fix::SetConst { cell, .. } | Fix::SetNull { cell } => vec![self.eq.find(*cell)],
-                Fix::Merge { a, b, .. } => vec![self.eq.find(*a), self.eq.find(*b)],
-            };
-            if let Some(log) = self.spec_log.as_mut() {
-                log.record_eq(&roots);
-            }
-        }
         match fix {
             Fix::SetConst { cell, v } => {
                 self.eq
@@ -1521,7 +1339,7 @@ impl<'a> BatchState<'a> {
     /// pop heap entries, re-verify and re-price lazily, apply the first
     /// entry whose price is still current. Returns false when no
     /// violations remain.
-    pub(crate) fn step_global(&mut self) -> Result<bool, RepairError> {
+    fn step_global(&mut self) -> Result<bool, RepairError> {
         while let Some(Reverse(key)) = self.heap.pop() {
             let (_, _, _, cfd_raw, tid_raw) = key;
             let id = CfdId(cfd_raw);
@@ -1629,11 +1447,9 @@ impl<'a> BatchState<'a> {
         // exceed that many fixes; a generous multiple guards against bugs.
         let cells = self.work.len() * self.work.schema().arity();
         let max_steps = 8 * cells + 64;
-        let speculating = self.spec_stats.is_some();
         loop {
             loop {
                 let advanced = match self.config.pick {
-                    PickStrategy::GlobalBest if speculating => self.step_speculative(max_steps)?,
                     PickStrategy::GlobalBest => self.step_global()?,
                     PickStrategy::DependencyOrdered => self.step_dependency(&graph)?,
                 };
@@ -1657,8 +1473,6 @@ impl<'a> BatchState<'a> {
         Ok(BatchOutcome {
             repair: self.work,
             stats: self.stats,
-            speculation: self.spec_stats,
-            trace: self.trace,
         })
     }
 }
@@ -1694,27 +1508,6 @@ pub fn batch_repair_with_parts(
     let outcome = state.run()?;
     debug_assert!(cfd_cfd::check(&outcome.repair, sigma));
     Ok(outcome)
-}
-
-/// [`batch_repair`] with the speculative commit/abort audit trace.
-///
-/// The trace is a deterministic line-per-event log of the speculative
-/// resolution loop — round boundaries, plan verdicts (commit, requeue,
-/// drop, abort with the failing read category, miss), and the `ensure`
-/// replays — and is empty for non-speculative configurations. The golden
-/// fixture suite pins it so changes to the validation logic are
-/// reviewable as fixture diffs.
-pub fn batch_repair_traced(
-    d: &Relation,
-    sigma: &Sigma,
-    config: BatchConfig,
-) -> Result<(BatchOutcome, Vec<String>), RepairError> {
-    let mut state = BatchState::new(d, sigma, config);
-    state.trace = Some(Vec::new());
-    let mut outcome = state.run()?;
-    debug_assert!(cfd_cfd::check(&outcome.repair, sigma));
-    let trace = outcome.trace.take().unwrap_or_default();
-    Ok((outcome, trace))
 }
 
 #[cfg(test)]

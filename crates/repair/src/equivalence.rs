@@ -144,8 +144,9 @@ impl EqClasses {
     }
 
     /// Non-compressing root lookup. Union-by-size keeps chains `O(log n)`
-    /// without compression, and a `&self` walk is what lets speculative
-    /// planning workers share one `EqClasses` immutably across threads —
+    /// without compression, and a `&self` walk is what lets the sharded
+    /// frontier scoring workers share one `EqClasses` immutably across
+    /// threads —
     /// every read accessor below goes through this. (Compression still
     /// happens inside the mutating ops, which walk via `find_idx`.)
     fn find_idx_ro(&self, mut i: usize) -> usize {
@@ -421,8 +422,8 @@ mod tests {
 
     #[test]
     fn read_only_lookups_need_no_mut() {
-        // The speculative planner shares one EqClasses across worker
-        // threads through `&`: every read accessor must answer correctly
+        // Frontier scoring shares one EqClasses across worker threads
+        // through `&`: every read accessor must answer correctly
         // on deep, uncompressed chains.
         let mut eq = EqClasses::new(6, 1, |_, _| 1.0);
         for t in 1..6 {

@@ -83,8 +83,7 @@ pub struct IncConfig {
     pub null_cost_factor: f64,
     /// Worker threads for index construction and the V-INCREPAIR ordering
     /// scan. Repairs are byte-identical at every thread count; the default
-    /// resolves `CFD_THREADS` under the `parallel` feature and is serial
-    /// otherwise.
+    /// resolves `CFD_THREADS` (1 when unset).
     pub parallelism: Parallelism,
     /// Distance-kernel override, mirroring [`crate::BatchConfig::simd`]:
     /// `None` follows the process-wide `CFD_SIMD` switch. Repairs are

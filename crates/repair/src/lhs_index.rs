@@ -51,8 +51,7 @@ pub struct LhsIndexes {
     shapes: HashMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>,
     /// Determinism tripwire, mirroring `GroupIndexes`: while a parallel
     /// phase shares this structure read-only across worker threads (the
-    /// V-INCREPAIR ordering scan, speculative planning on snapshots),
-    /// growing a group from a worker would make pin outcomes depend on
+    /// V-INCREPAIR ordering scan), growing a group from a worker would make pin outcomes depend on
     /// scheduling. `freeze` arms the wire; `insert` panics while armed —
     /// index growth must happen on the main state, in resolution order.
     frozen: std::sync::atomic::AtomicBool,

@@ -24,36 +24,10 @@
 //! setup fan out across threads ([`Parallelism`]) while staying
 //! byte-identical to a serial run.
 //!
-//! ## The speculative resolution loop
-//!
-//! [`speculative`] extends the parallelism from the setup into the
-//! resolution loop itself, under a **plan/validate/commit** protocol:
-//!
-//! * **Plan** — each round, the top `k` dirty entries of the `PICKNEXT`
-//!   heap are partitioned by LHS-key hash range and planned concurrently
-//!   (`PICKNEXT` verify + `CFD-RESOLVE` + `FINDV`) against the frozen
-//!   current state; every plan records its **read-set** (work tuples,
-//!   census groups, S-set index groups, equivalence-class roots, lazy
-//!   index builds).
-//! * **Validate + commit** — plans replay in the serial heap order. A
-//!   plan whose read-set is untouched since the snapshot commits without
-//!   replanning (its lazy S-set `ensure`s are replayed onto the main
-//!   state *at its heap position* — index group order is
-//!   history-dependent and FINDV truncates group walks, so build order
-//!   is part of the determinism contract). A stale plan **aborts** and
-//!   its entry is replanned inline through the sequential code path.
-//!   Aborts happen exactly when an earlier commit in the same round
-//!   wrote a cell the plan read — cross-shard LHS conflicts, shared
-//!   S-groups, shared equivalence classes.
-//!
-//! Output is therefore byte-identical at every thread count **and**
-//! every speculation depth `k`: commits are either literally sequential
-//! plans or bit-equal to them (planning is a pure function of the state
-//! it reads), and the commit order is the same total `(cost, use_count,
-//! ValueId, CFD, tuple)` order the frontier merge and the lazy heap
-//! share. `BatchConfig::speculate` / `CFD_SPECULATE` / CLI `--speculate`
-//! select `k`; [`SpecStats`] reports the schedule (commit/abort/miss
-//! counts) — the only thing that legitimately varies with threads.
+//! The resolution loop itself is the paper's serial greedy loop:
+//! `PICKNEXT` picks the cheapest fix, `CFD-RESOLVE`/`FINDV` applies it,
+//! and the loop repeats. The one runtime thread knob is `CFD_THREADS`
+//! (default 1), resolved in [`options`].
 //!
 //! Both repair problems are NP-complete (the paper's Corollaries 4.1/5.1,
 //! via Bohannon et al. 2005 and distance-SAT); the algorithms here are the
@@ -73,29 +47,18 @@ pub mod options;
 pub mod pricing;
 pub mod resident;
 pub mod shard;
-pub mod speculative;
 pub mod subset;
 
 pub use batch::{
-    batch_repair, batch_repair_traced, batch_repair_with_parts, BatchOutcome, BatchStats,
-    MergePricing, PickStrategy,
+    batch_repair, batch_repair_with_parts, BatchConfig, BatchOutcome, BatchStats, MergePricing,
+    PickStrategy,
 };
-pub use incremental::{inc_repair, IncOutcome, IncStats, Ordering};
+pub use incremental::{inc_repair, IncConfig, IncOutcome, IncStats, Ordering};
 pub use ind_repair::{repair_ind, repair_inds, IndRepairConfig, IndRepairStats};
 pub use options::{Algorithm, RepairOptions};
 pub use resident::StreamRepairer;
-pub use speculative::SpecStats;
-pub use subset::{consistent_subset, repair_via_incremental};
-
-// Deprecated configuration re-exports, kept working for one release:
-// [`RepairOptions`] is the one knob surface now — it lowers to these
-// structs ([`RepairOptions::batch_config`] / [`RepairOptions::inc_config`])
-// and owns the `CFD_THREADS` / `CFD_SPECULATE` environment resolution.
-// Construct them directly only for expert fields the builder does not
-// surface.
-pub use batch::BatchConfig;
-pub use incremental::IncConfig;
 pub use shard::Parallelism;
+pub use subset::{consistent_subset, repair_via_incremental};
 
 /// Errors surfaced by the repair algorithms.
 #[derive(Debug)]

@@ -1,77 +1,34 @@
 //! One knob surface for both repair algorithms: [`RepairOptions`].
 //!
-//! Historically every entry point took its own config struct —
-//! [`BatchConfig`](crate::BatchConfig) for `BATCHREPAIR`,
-//! [`IncConfig`](crate::IncConfig) for `INCREPAIR` — and each resolved
-//! the `CFD_THREADS` / `CFD_SPECULATE` environment defaults on its own.
 //! Callers that expose both algorithms behind one switch (the CLI
-//! `repair` command, the `cfd-server` daemon) had to duplicate the
-//! mapping from user-facing flags to per-algorithm fields.
+//! `repair` command, the `cfd-server` daemon) map user-facing flags onto
+//! the *shared* determinism axes — algorithm, picker, `k`, threads,
+//! distance-kernel override — once, here, and lower them to either
+//! algorithm's config via [`RepairOptions::batch_config`] /
+//! [`RepairOptions::inc_config`]. An unset thread count defers to
+//! `CFD_THREADS`, and the environment is parsed **here and only here**
+//! (`env_threads`). (`CFD_SIMD` is process-wide kernel selection and
+//! stays with [`cfd_model::simd_enabled`]; `simd(bool)` here is the
+//! per-call override threaded into the configs.)
 //!
-//! [`RepairOptions`] is that mapping, written once: a small builder over
-//! the *shared* determinism axes (algorithm, picker, `k`, threads,
-//! speculation depth, distance-kernel override) that lowers to either
-//! legacy config via [`RepairOptions::batch_config`] /
-//! [`RepairOptions::inc_config`]. Unset axes defer to the environment,
-//! and the environment is parsed **here and only here** —
-//! [`Parallelism::from_env`](crate::Parallelism::from_env) and
-//! [`speculation_from_env`](crate::shard::speculation_from_env) are
-//! delegating shims kept for one release. (The third axis, `CFD_SIMD`,
-//! is process-wide kernel selection and stays with
-//! [`cfd_model::simd_enabled`]; `simd(bool)` here is the per-call
-//! override threaded into the configs.)
-//!
-//! The old structs remain exported and functional — construct them
+//! [`BatchConfig`] and [`IncConfig`] stay public — construct them
 //! directly only when poking fields `RepairOptions` deliberately does
 //! not surface (`findv_candidates`, `vio_penalty`, …).
 
 use crate::batch::{BatchConfig, PickStrategy};
 use crate::incremental::{IncConfig, Ordering};
-use crate::shard::{Parallelism, MAX_SPECULATE, MAX_THREADS};
+use crate::shard::{Parallelism, MAX_THREADS};
 
-/// Resolved `CFD_THREADS`: under the `parallel` feature, the variable
-/// when set (clamped to `1..=64`), else the machine's available
-/// parallelism capped at 8; without the feature, 1. Parsed once per
-/// process — the sole reader of the variable.
+/// Resolved `CFD_THREADS`: the variable when set (clamped to `1..=64`),
+/// else 1. Parsed once per process — the sole reader of the variable.
 pub(crate) fn env_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        /// Threads the auto-detected default will not exceed.
-        const MAX_AUTO_THREADS: usize = 8;
-        static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        *RESOLVED.get_or_init(|| {
-            if let Ok(raw) = std::env::var("CFD_THREADS") {
-                if let Ok(n) = raw.trim().parse::<usize>() {
-                    return n.clamp(1, MAX_THREADS);
-                }
-            }
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, MAX_AUTO_THREADS)
-        })
-    }
-    #[cfg(not(feature = "parallel"))]
-    1
-}
-
-/// Resolved `CFD_SPECULATE`: under the `parallel` feature, the variable
-/// when set (clamped to `0..=1024`), else 0. Parsed once per process —
-/// the sole reader of the variable.
-pub(crate) fn env_speculation() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        *RESOLVED.get_or_init(|| {
-            std::env::var("CFD_SPECULATE")
-                .ok()
-                .and_then(|raw| raw.trim().parse::<usize>().ok())
-                .map(|n| n.min(MAX_SPECULATE))
-                .unwrap_or(0)
-        })
-    }
-    #[cfg(not(feature = "parallel"))]
-    0
+    static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *RESOLVED.get_or_init(|| {
+        std::env::var("CFD_THREADS")
+            .ok()
+            .and_then(|raw| raw.trim().parse::<usize>().ok())
+            .map_or(1, |n| n.clamp(1, MAX_THREADS))
+    })
 }
 
 /// Which repair algorithm to run — the paper's two flavors, with the
@@ -120,18 +77,17 @@ impl std::fmt::Display for Algorithm {
 }
 
 /// Builder over the shared repair knobs, lowering to [`BatchConfig`] or
-/// [`IncConfig`]. Unset axes resolve from the environment exactly once
-/// per process; two `RepairOptions` that compare equal produce
-/// byte-identical repairs on the same dataset, whatever the thread or
-/// speculation settings — that is the determinism contract the
-/// differential suites pin.
+/// [`IncConfig`]. An unset thread count resolves from the environment
+/// exactly once per process; two `RepairOptions` that compare equal
+/// produce byte-identical repairs on the same dataset, whatever the
+/// thread setting — that is the determinism contract the differential
+/// suites pin.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RepairOptions {
     algorithm: Algorithm,
     pick: PickStrategy,
     k: usize,
     threads: Option<usize>,
-    speculate: Option<usize>,
     simd: Option<bool>,
 }
 
@@ -142,7 +98,6 @@ impl Default for RepairOptions {
             pick: PickStrategy::GlobalBest,
             k: 1,
             threads: None,
-            speculate: None,
             simd: None,
         }
     }
@@ -180,13 +135,6 @@ impl RepairOptions {
         self
     }
 
-    /// Explicit speculation depth (clamped to `0..=1024`), overriding
-    /// `CFD_SPECULATE`. Repairs are byte-identical at every depth.
-    pub fn speculate(mut self, k: usize) -> Self {
-        self.speculate = Some(k.min(MAX_SPECULATE));
-        self
-    }
-
     /// Distance-kernel override: `true` forces the bit-parallel kernel,
     /// `false` the scalar reference. Unset follows the process-wide
     /// [`cfd_model::simd_enabled`] switch. Byte-identical either way.
@@ -215,27 +163,21 @@ impl RepairOptions {
         self.threads
     }
 
-    /// The explicit speculation override, if any.
-    pub fn speculate_override(&self) -> Option<usize> {
-        self.speculate
-    }
-
     /// The explicit kernel override, if any.
     pub fn simd_override(&self) -> Option<bool> {
         self.simd
     }
 
-    /// The effective thread count: the override, or the environment.
+    /// The effective thread count: the override, or `CFD_THREADS`.
     pub fn parallelism(&self) -> Parallelism {
-        match self.threads {
-            Some(n) => Parallelism::threads(n),
-            None => Parallelism::from_env(),
-        }
+        Parallelism::threads(self.threads.unwrap_or_else(env_threads))
     }
 
-    /// The effective speculation depth: the override, or the environment.
+    /// Speculation depth of the resolution loop: always `0`. The loop is
+    /// the paper's serial greedy BATCHREPAIR; this constant is kept for
+    /// callers that record it in run metadata.
     pub fn speculation(&self) -> usize {
-        self.speculate.unwrap_or_else(env_speculation)
+        0
     }
 
     /// Lower to the `BATCHREPAIR` config.
@@ -243,7 +185,6 @@ impl RepairOptions {
         BatchConfig {
             pick: self.pick,
             parallelism: self.parallelism(),
-            speculate: self.speculation(),
             simd: self.simd,
             ..BatchConfig::default()
         }
@@ -285,11 +226,9 @@ mod tests {
             .algorithm(Algorithm::Incremental(Ordering::Weight))
             .k(3)
             .threads(2)
-            .speculate(4)
             .simd(false);
         let b = opts.batch_config();
         assert_eq!(b.parallelism.get(), 2);
-        assert_eq!(b.speculate, 4);
         assert_eq!(b.simd, Some(false));
         let i = opts.inc_config();
         assert_eq!(i.k, 3);
@@ -299,18 +238,15 @@ mod tests {
     }
 
     #[test]
-    fn unset_axes_match_the_legacy_env_defaults() {
+    fn unset_threads_follow_the_environment() {
         let opts = RepairOptions::new();
-        assert_eq!(opts.parallelism(), Parallelism::from_env());
+        assert_eq!(opts.parallelism(), Parallelism::default());
+        assert_eq!(opts.parallelism().get(), env_threads());
         assert_eq!(
-            opts.speculation(),
-            crate::shard::speculation_from_env(),
-            "speculation default must match the legacy resolver"
+            opts.batch_config().parallelism,
+            BatchConfig::default().parallelism
         );
-        assert_eq!(
-            opts.batch_config().speculate,
-            BatchConfig::default().speculate
-        );
+        assert_eq!(opts.speculation(), 0);
     }
 
     #[test]
@@ -318,10 +254,6 @@ mod tests {
         assert_eq!(
             RepairOptions::new().threads(10_000).parallelism(),
             Parallelism::threads(10_000)
-        );
-        assert_eq!(
-            RepairOptions::new().speculate(1 << 20).speculation(),
-            MAX_SPECULATE
         );
         assert_eq!(RepairOptions::new().k(0).k_choice(), 1);
     }

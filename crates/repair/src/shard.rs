@@ -29,11 +29,10 @@
 //!   depends on which worker finished first.
 //!
 //! [`Parallelism`] carries the thread count through the repair entry
-//! points. Under the `parallel` feature the default resolves from the
-//! `CFD_THREADS` environment variable (the CI determinism matrix runs the
-//! whole suite at 1/2/8) and falls back to the machine's parallelism;
-//! without the feature the default is serial, but explicit thread counts
-//! always work — the implementation is pure `std`.
+//! points. The default resolves from the `CFD_THREADS` environment
+//! variable (1 when unset; the CI determinism matrix runs the whole suite
+//! at 1/2/8), and explicit counts override it — the implementation is
+//! pure `std`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -60,22 +59,10 @@ impl Parallelism {
         Parallelism { threads: 1 }
     }
 
-    /// An explicit thread count (clamped to `1..=64`). Works with or
-    /// without the `parallel` feature — sharding is pure `std`.
+    /// An explicit thread count (clamped to `1..=64`).
     pub fn threads(n: usize) -> Self {
         Parallelism {
             threads: n.clamp(1, MAX_THREADS),
-        }
-    }
-
-    /// The environment default: under the `parallel` feature, honour
-    /// `CFD_THREADS` when set, otherwise use the machine's available
-    /// parallelism (capped at 8); without the feature, serial. The
-    /// variable itself is parsed in [`crate::options`] — the one place
-    /// environment defaults resolve.
-    pub fn from_env() -> Self {
-        Parallelism {
-            threads: crate::options::env_threads(),
         }
     }
 
@@ -91,25 +78,13 @@ impl Parallelism {
 }
 
 impl Default for Parallelism {
+    /// The `CFD_THREADS` resolution (1 when unset), parsed in
+    /// [`crate::options`].
     fn default() -> Self {
-        Parallelism::from_env()
+        Parallelism {
+            threads: crate::options::env_threads(),
+        }
     }
-}
-
-/// Maximum configurable speculation depth; far above any useful window.
-/// Both the `CFD_SPECULATE` resolution and the CLI `--speculate` flag
-/// clamp to it, and the speculative loop clamps once more defensively.
-pub const MAX_SPECULATE: usize = 1_024;
-
-/// The environment default for [`BatchConfig::speculate`]
-/// (`crate::batch::BatchConfig`): under the `parallel` feature, honour
-/// `CFD_SPECULATE` when set (clamped to `0..=1024`); otherwise `0`
-/// (the sequential resolution loop). Like `CFD_THREADS`, the variable is
-/// resolved once per process, in [`crate::options`] — this is a
-/// delegating shim kept for one release; new code reads
-/// [`RepairOptions::speculation`](crate::RepairOptions::speculation).
-pub fn speculation_from_env() -> usize {
-    crate::options::env_speculation()
 }
 
 /// Shard index of a group key: a stable FNV-1a hash of the id run, reduced
@@ -425,19 +400,6 @@ impl GroupCensus {
             .iter()
             .find(|(l, r, _)| l == lhs && *r == rhs)
             .map(|(_, _, map)| map)
-    }
-
-    /// Position of a tracked shape — the stable identifier speculative
-    /// read-sets and write stamps key census cells by.
-    pub(crate) fn shape_pos(&self, lhs: &[AttrId], rhs: AttrId) -> Option<usize> {
-        self.shapes
-            .iter()
-            .position(|(l, r, _)| l == lhs && *r == rhs)
-    }
-
-    /// The tracked shapes, for write stamping: `(lhs, rhs)` per position.
-    pub(crate) fn shape_list(&self) -> impl Iterator<Item = (&[AttrId], AttrId)> + '_ {
-        self.shapes.iter().map(|(l, r, _)| (l.as_slice(), *r))
     }
 
     /// Number of distinct non-null RHS values in `t`'s group under the

@@ -1,15 +1,13 @@
 //! Property tests pinning the one total order the repair pipeline shares.
 //!
-//! Three consumers must agree on candidate ordering, or speculative
-//! commits could apply fixes in a different sequence than serial
-//! resolution and the byte-identity contract would silently break:
+//! Two consumers must agree on candidate ordering, or a sharded run
+//! could apply fixes in a different sequence than a serial one and the
+//! byte-identity contract would silently break:
 //!
 //! 1. [`merge_frontiers`] — the sharded initial-frontier merge;
 //! 2. the resolution heap — `BinaryHeap<Reverse<HeapKey>>` where
-//!    `HeapKey == Candidate::key()`;
-//! 3. the speculative commit replay — which pops the *same* heap, so its
-//!    commit order is the heap's pop order by construction; the property
-//!    pinned here is that this pop order equals the frontier merge order.
+//!    `HeapKey == Candidate::key()`; the property pinned here is that
+//!    its pop order equals the frontier merge order.
 //!
 //! Seeded `cfd_prng` trials over arbitrary candidate sets: Ord-law
 //! sanity (totality, antisymmetry, transitivity on the key tuples),
@@ -100,8 +98,8 @@ fn merge_is_shard_decomposition_invariant() {
     });
 }
 
-/// The heap the resolution loop and the speculative commit replay pop
-/// must yield candidates in exactly the frontier merge order.
+/// The heap the resolution loop pops must yield candidates in exactly
+/// the frontier merge order.
 #[test]
 fn heap_pop_order_equals_merge_order() {
     trials(300, 0x8EA9_0243, |rng| {

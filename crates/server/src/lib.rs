@@ -18,9 +18,9 @@
 //!
 //! A sequence of requests against a daemon produces **byte-identical**
 //! results to the equivalent sequence of one-shot CLI invocations, at
-//! every `CFD_THREADS` × `CFD_SPECULATE` × `CFD_SIMD` setting — repair
-//! CSVs, edit logs, violation reports, all of it
-//! (`tests/server_differential.rs` pins the matrix). Two properties
+//! every `CFD_THREADS` × `CFD_SIMD` setting — repair CSVs, edit logs,
+//! violation reports, all of it (`tests/server_integration.rs` pins the
+//! matrix). Two properties
 //! carry the contract:
 //!
 //! * repairs never mutate the resident relation (they return fresh
@@ -86,7 +86,7 @@
 //! 0x03 OpenSnapshot  name:str
 //! 0x04 Detect        dataset:str limit:u32
 //! 0x05 Repair        dataset:str algorithm:str pick:str k:u32
-//!                    threads:opt<u32> speculate:opt<u32> simd:opt<bool>
+//!                    threads:opt<u32> simd:opt<bool>
 //!                    want_edits:bool want_stats:bool
 //! 0x06 Insert        dataset:str csv:bytes weights:opt<bytes>
 //!                    ordering:u8 ('v'|'w'|'l') k:u32
@@ -105,8 +105,10 @@
 //!
 //! `algorithm` is the CLI spelling (`batch`, `v-inc`, `w-inc`,
 //! `l-inc`); `pick` is `global` or `dependency`; unset `threads` /
-//! `speculate` / `simd` defer to the daemon's environment exactly as
-//! the CLI's unset flags do.
+//! `simd` defer to the daemon's environment exactly as the CLI's unset
+//! flags do. A `Repair` frame in the older layout — an extra
+//! `opt<u32>` between `threads` and `simd` — is rejected with a
+//! `Protocol` error (trailing bytes or a bad tag), never misread.
 //!
 //! The stream opcodes drive a windowed repair session
 //! ([`cfdclean::RepairSession`], at most one per dataset, opened on a

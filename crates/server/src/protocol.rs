@@ -303,8 +303,6 @@ pub struct RepairSpec {
     pub k: u32,
     /// Explicit worker-thread override.
     pub threads: Option<u32>,
-    /// Explicit speculation-depth override.
-    pub speculate: Option<u32>,
     /// Explicit distance-kernel override.
     pub simd: Option<bool>,
 }
@@ -316,7 +314,6 @@ impl Default for RepairSpec {
             pick: "global".to_string(),
             k: 2,
             threads: None,
-            speculate: None,
             simd: None,
         }
     }
@@ -451,7 +448,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.str(&spec.pick);
             e.u32(spec.k);
             e.opt_u32(spec.threads);
-            e.opt_u32(spec.speculate);
             e.opt_bool(spec.simd);
             e.bool(*want_edits);
             e.bool(*want_stats);
@@ -554,7 +550,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
                 pick: d.str()?.to_string(),
                 k: d.u32()?,
                 threads: d.opt_u32()?,
-                speculate: d.opt_u32()?,
                 simd: d.opt_bool()?,
             },
             want_edits: d.bool()?,
@@ -794,7 +789,6 @@ mod tests {
                 pick: "dependency".into(),
                 k: 3,
                 threads: Some(2),
-                speculate: None,
                 simd: Some(false),
             },
             want_edits: true,
@@ -887,6 +881,46 @@ mod tests {
         e.extend_from_slice(&2u32.to_le_bytes());
         e.extend_from_slice(&[0xff, 0xfe]);
         assert!(matches!(decode_request(&e), Err(ProtoError::BadUtf8)));
+    }
+
+    #[test]
+    fn retired_repair_layout_is_a_typed_error() {
+        // Before the resolution loop lost its speculation depth, a Repair
+        // frame carried an extra `opt<u32>` between `threads` and `simd`.
+        // A stale client's frame must fail to decode — never decode to a
+        // different request.
+        let legacy = |spec: &RepairSpec, depth: Option<u32>, edits: bool, stats: bool| {
+            let mut e = Enc::new(OP_REPAIR);
+            e.str("cust");
+            e.str(&spec.algorithm);
+            e.str(&spec.pick);
+            e.u32(spec.k);
+            e.opt_u32(spec.threads);
+            e.opt_u32(depth);
+            e.opt_bool(spec.simd);
+            e.bool(edits);
+            e.bool(stats);
+            e.0
+        };
+        for depth in [None, Some(8)] {
+            for threads in [None, Some(2)] {
+                for simd in [None, Some(false), Some(true)] {
+                    for (edits, stats) in [(false, false), (true, false), (true, true)] {
+                        let spec = RepairSpec {
+                            threads,
+                            simd,
+                            ..RepairSpec::default()
+                        };
+                        let frame = legacy(&spec, depth, edits, stats);
+                        let got = decode_request(&frame);
+                        assert!(
+                            matches!(got, Err(ProtoError::Trailing(_) | ProtoError::BadTag(_))),
+                            "depth={depth:?} threads={threads:?} simd={simd:?}: {got:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

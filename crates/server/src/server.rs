@@ -389,9 +389,6 @@ fn spec_to_options(spec: &RepairSpec) -> Result<RepairOptions, SessionError> {
     if let Some(n) = spec.threads {
         opts = opts.threads(n as usize);
     }
-    if let Some(s) = spec.speculate {
-        opts = opts.speculate(s as usize);
-    }
     if let Some(simd) = spec.simd {
         opts = opts.simd(simd);
     }

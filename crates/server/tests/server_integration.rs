@@ -4,7 +4,7 @@
 //! `cfd-server` produces byte-identical results to the equivalent
 //! one-shot runs (the [`cfdclean::DatasetHandle`] facade, which the CLI
 //! routes through) — across concurrent connections, across the
-//! threads × speculation × SIMD corner matrix, and across
+//! threads × SIMD corner matrix, and across
 //! open → repair → evict cycles whose pool memory provably returns to
 //! baseline. Robustness: malformed frames, oversized frames, and
 //! mid-frame disconnects produce typed errors or clean closes, never a
@@ -155,26 +155,20 @@ fn corner_matrix_repairs_are_byte_identical_through_the_daemon() {
 
     let baseline = fixture("cust_repaired.csv");
     for threads in [1u32, 2, 8] {
-        for speculate in [0u32, 8] {
-            for simd in [false, true] {
-                let (_, blobs) = ok(c
-                    .request(&Request::Repair {
-                        dataset: "cust".into(),
-                        spec: RepairSpec {
-                            threads: Some(threads),
-                            speculate: Some(speculate),
-                            simd: Some(simd),
-                            ..RepairSpec::default()
-                        },
-                        want_edits: false,
-                        want_stats: false,
-                    })
-                    .unwrap());
-                assert_eq!(
-                    blobs[0], baseline,
-                    "threads={threads} speculate={speculate} simd={simd} diverged"
-                );
-            }
+        for simd in [false, true] {
+            let (_, blobs) = ok(c
+                .request(&Request::Repair {
+                    dataset: "cust".into(),
+                    spec: RepairSpec {
+                        threads: Some(threads),
+                        simd: Some(simd),
+                        ..RepairSpec::default()
+                    },
+                    want_edits: false,
+                    want_stats: false,
+                })
+                .unwrap());
+            assert_eq!(blobs[0], baseline, "threads={threads} simd={simd} diverged");
         }
     }
     daemon.stop();

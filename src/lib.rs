@@ -70,8 +70,7 @@
 //! [`SessionError::Poisoned`] instead of a wedged session, siblings
 //! proceed untouched, and eviction still succeeds and reclaims the
 //! memory. The server integration suite pins daemon answers against
-//! the one-shot facade across the thread-count × speculation × SIMD
-//! corner matrix, and a CI smoke job diffs a real daemon's output
+//! the one-shot facade across the thread-count × SIMD corner matrix, and a CI smoke job diffs a real daemon's output
 //! against the committed golden fixtures.
 //!
 //! ## Streaming repair sessions
@@ -136,27 +135,18 @@
 //! client over CSV and rule files, and a dependency-free seedable PRNG
 //! (`cfd-prng`) backing the generator and the randomized test suites.
 //!
-//! The `parallel` feature shards index builds, full-relation violation
-//! scans, and the repair layer's setup — `BATCHREPAIR`'s group census
-//! and initial `PICKNEXT` frontier, `INCREPAIR`'s ordering scan — across
-//! threads (`std::thread::scope`), cheap to fan out now that keys are
-//! `Copy` ids over `Sync` column slices. Sharding partitions by LHS-key
-//! hash range and merges under a total, seed-independent order
-//! ([`repair::shard`]), so repairs are **byte-identical at every thread
-//! count** ([`repair::Parallelism`], `CFD_THREADS`, CLI `--threads`); a
-//! 300-trial differential suite and a CI thread-count matrix pin the
-//! guarantee.
-//!
-//! The resolution loop itself parallelizes *speculatively*
-//! ([`repair::speculative`], `CFD_SPECULATE`, CLI `--speculate`): shards
-//! plan their next k fixes concurrently against a frozen snapshot,
-//! recording read-sets, and a commit phase replays the plans in the
-//! serial heap order — validated plans apply without replanning, stale
-//! plans abort to an inline sequential replan — so output stays
-//! byte-identical at every thread count and speculation depth. A
-//! second 300-trial differential matrix (threads × k), a golden
-//! commit/abort audit-trace fixture, and epoch-versioned write-stamp
-//! validation ([`model::epoch`]) pin that contract too.
+//! One runtime knob controls threading: `CFD_THREADS` (default 1; CLI
+//! `--threads`, [`repair::RepairOptions::threads`]). It shards the
+//! detection index builds and the repair layer's setup —
+//! `BATCHREPAIR`'s group census and initial `PICKNEXT` frontier,
+//! `INCREPAIR`'s ordering scan — across `std::thread::scope` workers,
+//! cheap to fan out now that keys are `Copy` ids over `Sync` column
+//! slices. Sharding partitions by LHS-key hash range and merges under a
+//! total, seed-independent order ([`repair::shard`]), so repairs are
+//! **byte-identical at every thread count** ([`repair::Parallelism`]);
+//! a 300-trial differential suite and a CI thread-count matrix pin the
+//! guarantee. The resolution loop itself is the paper's serial greedy
+//! `BATCHREPAIR` loop.
 //!
 //! ## Example
 //!

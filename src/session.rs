@@ -27,8 +27,8 @@
 //! a dataset interns into a brand-new pool in the same order the CLI
 //! does (CSV column-major, then the rules' pattern constants, uncounted),
 //! so every detect/repair answer is byte-identical to running the
-//! equivalent `cfdclean` command — at every `CFD_THREADS`,
-//! `CFD_SPECULATE`, and `CFD_SIMD` setting, per the workspace-wide
+//! equivalent `cfdclean` command — at every `CFD_THREADS` and
+//! `CFD_SIMD` setting, per the workspace-wide
 //! thread-determinism contract. Insert requests keep the contract over
 //! time: ΔD's values are interned, repaired, and then retired **and
 //! sealed** ([`ValuePool::seal_ids`]) — released without free-list
@@ -424,7 +424,7 @@ impl DatasetHandle {
                     bound.parts.clone(),
                     opts.batch_config(),
                 )?;
-                let mut d = format!(
+                let d = format!(
                     "steps {} merges {} consts {} nulls {} cost {:.3}",
                     outcome.stats.steps,
                     outcome.stats.merges,
@@ -432,15 +432,6 @@ impl DatasetHandle {
                     outcome.stats.nulls_set,
                     outcome.stats.cost
                 );
-                if let Some(s) = outcome.speculation {
-                    d.push_str(&format!(
-                        " | speculative rounds {} commits {} aborts {} (rate {:.2})",
-                        s.rounds,
-                        s.commits,
-                        s.aborts,
-                        s.abort_rate()
-                    ));
-                }
                 (outcome.repair, d)
             }
             Algorithm::Incremental(_) => {

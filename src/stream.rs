@@ -8,7 +8,7 @@
 //! [`StreamRepairer`] (no index is ever rebuilt), and the durable output
 //! per closed window is one id-stable `.cfde` edit log — the repair of
 //! exactly that window's arrivals, byte-identical at every
-//! `CFD_THREADS` × `CFD_SPECULATE` × `CFD_SIMD` corner and identical
+//! `CFD_THREADS` × `CFD_SIMD` corner and identical
 //! whether the events were fed in-process or through the daemon.
 //!
 //! ## Window semantics

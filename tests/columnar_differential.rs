@@ -19,13 +19,15 @@
 //! seed. ≥ 100 trials run through the full pipeline (the acceptance bar),
 //! plus another 100 through the storage-op fuzzer.
 
+use std::sync::Arc;
+
 use cfd_prng::{trials, ChaCha8Rng, Rng, SeedableRng};
 
 use cfdclean::cfd::pattern::{PatternRow, PatternValue};
 use cfdclean::cfd::violation::{detect, ViolationReport};
 use cfdclean::cfd::{Cfd, Sigma};
 use cfdclean::discovery::{discover, DiscoveryConfig};
-use cfdclean::model::{AttrId, Relation, Schema, StorageLayout, Tuple, TupleId, Value};
+use cfdclean::model::{AttrId, Relation, Schema, StorageLayout, Tuple, TupleId, Value, ValuePool};
 use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, IncConfig, PickStrategy};
 
 const ARITY: usize = 4;
@@ -43,17 +45,29 @@ fn rand_value(rng: &mut ChaCha8Rng) -> Value {
     }
 }
 
-fn rand_tuple(rng: &mut ChaCha8Rng) -> Tuple {
+/// A tuple over `values`, interned into `pool`, with per-cell `weights`.
+/// The repairing trials intern into a pool of their own: the
+/// process-default shared pool is mutated by the concurrently running
+/// tests, and its use counts break FINDV and PICKNEXT ties.
+fn tuple_in(pool: &ValuePool, values: &[Value], weights: &[f64]) -> Tuple {
+    let mut t = Tuple::from_ids(values.iter().map(|v| pool.intern(v)).collect());
+    for (i, w) in weights.iter().enumerate() {
+        t.set_weight(AttrId(i as u16), *w);
+    }
+    t
+}
+
+fn rand_tuple(rng: &mut ChaCha8Rng, pool: &ValuePool) -> Tuple {
     let values: Vec<Value> = (0..ARITY).map(|_| rand_value(rng)).collect();
     let weights: Vec<f64> = (0..ARITY)
         .map(|_| (rng.gen_range(0..=10u32) as f64) / 10.0)
         .collect();
-    Tuple::with_weights(values, weights)
+    tuple_in(pool, &values, &weights)
 }
 
 /// Random Σ mixing a wildcard FD row with constant rows, like the paper's
 /// tableaus.
-fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema) -> Sigma {
+fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema, pool: &ValuePool) -> Sigma {
     let n = rng.gen_range(1..=3usize);
     let mut cfds = Vec::new();
     for i in 0..n {
@@ -80,14 +94,14 @@ fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema) -> Sigma {
             .unwrap(),
         );
     }
-    Sigma::normalize(schema.clone(), cfds).unwrap()
+    Sigma::normalize_in(schema.clone(), cfds, pool).unwrap()
 }
 
-/// Both layouts loaded with identical tuples through the normal insert
-/// path.
-fn twin_relations(rows: &[Tuple]) -> (Relation, Relation) {
-    let mut row = Relation::with_layout(schema(), StorageLayout::RowMajor);
-    let mut col = Relation::with_layout(schema(), StorageLayout::Columnar);
+/// Both layouts loaded with identical tuples (interned into `pool`)
+/// through the normal insert path.
+fn twin_relations(rows: &[Tuple], pool: &Arc<ValuePool>) -> (Relation, Relation) {
+    let mut row = Relation::with_layout_in(schema(), StorageLayout::RowMajor, pool.clone());
+    let mut col = Relation::with_layout_in(schema(), StorageLayout::Columnar, pool.clone());
     for t in rows {
         let a = row.insert(t.clone()).unwrap();
         let b = col.insert(t.clone()).unwrap();
@@ -132,14 +146,15 @@ fn assert_same_report(a: &ViolationReport, b: &ViolationReport, ctx: &str) {
 #[test]
 fn differential_storage_operations() {
     trials(100, 0xC01D1FF, |rng| {
+        let pool = ValuePool::shared();
         let rows: Vec<Tuple> = (0..rng.gen_range(1..12usize))
-            .map(|_| rand_tuple(rng))
+            .map(|_| rand_tuple(rng, &pool))
             .collect();
-        let (mut row, mut col) = twin_relations(&rows);
+        let (mut row, mut col) = twin_relations(&rows, &pool);
         for _ in 0..rng.gen_range(1..24usize) {
             match rng.gen_range(0..6u32) {
                 0 => {
-                    let t = rand_tuple(rng);
+                    let t = rand_tuple(rng, &pool);
                     let a = row.insert(t.clone()).unwrap();
                     let b = col.insert(t).unwrap();
                     assert_eq!(a, b);
@@ -195,11 +210,12 @@ fn differential_storage_operations() {
 #[test]
 fn differential_full_pipeline() {
     trials(100, 0xD1FFC01, |rng| {
+        let pool = ValuePool::new_handle();
         let rows: Vec<Tuple> = (0..rng.gen_range(2..14usize))
-            .map(|_| rand_tuple(rng))
+            .map(|_| rand_tuple(rng, &pool))
             .collect();
-        let sigma = rand_sigma(rng, &schema());
-        let (mut row, mut col) = twin_relations(&rows);
+        let sigma = rand_sigma(rng, &schema(), &pool);
+        let (mut row, mut col) = twin_relations(&rows, &pool);
         // A few tombstones so detection sees a non-dense id space.
         for _ in 0..rng.gen_range(0..3usize) {
             let id = TupleId(rng.gen_range(0..row.slot_count() as u32));
@@ -230,7 +246,7 @@ fn differential_full_pipeline() {
 
         // Stage 3: INCREPAIR against the (clean, identical) repairs.
         let delta: Vec<Tuple> = (0..rng.gen_range(1..4usize))
-            .map(|_| rand_tuple(rng))
+            .map(|_| rand_tuple(rng, &pool))
             .collect();
         let inc_row = inc_repair(&out_row.repair, &delta, &sigma, IncConfig::default()).unwrap();
         let inc_col = inc_repair(&out_col.repair, &delta, &sigma, IncConfig::default()).unwrap();
@@ -264,7 +280,7 @@ fn degenerate_relations_survive_the_pipeline() {
         // arity-4 but zero tuples
         let rel = Relation::with_layout(schema(), layout);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let sigma = rand_sigma(&mut rng, &schema());
+        let sigma = rand_sigma(&mut rng, &schema(), rel.pool());
         assert!(detect(&rel, &sigma).is_clean());
         let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
         assert_eq!(out.repair.len(), 0);
@@ -277,10 +293,11 @@ fn degenerate_relations_survive_the_pipeline() {
 fn differential_csv_round_trip() {
     use cfdclean::model::csv::{read_relation, write_relation};
     trials(100, 0xC57D1FF, |rng| {
+        let pool = ValuePool::shared();
         let rows: Vec<Tuple> = (0..rng.gen_range(1..10usize))
-            .map(|_| rand_tuple(rng))
+            .map(|_| rand_tuple(rng, &pool))
             .collect();
-        let (row, col) = twin_relations(&rows);
+        let (row, col) = twin_relations(&rows, &pool);
         let mut out_row = Vec::new();
         let mut out_col = Vec::new();
         write_relation(&row, &mut out_row).unwrap();

@@ -15,27 +15,24 @@
 //!   and stats.
 //!
 //! Mirrors `tests/columnar_differential.rs`: seeded trials via
-//! `cfd_prng`, failures reproduce exactly from the seed. 300 trials total
-//! (200 batch × both pickers + 100 incremental), run under both default
-//! and `parallel` feature sets — explicit thread counts spawn real
-//! workers either way. The CI thread-count matrix additionally runs the
-//! whole suite under `CFD_THREADS=1,2,8`, which flows into every
-//! *default*-config repair in the repo (golden fixtures included).
+//! `cfd_prng`, failures reproduce exactly from the seed. 400 trials total
+//! (200 batch × both pickers, 100 conflict-heavy batch × both pickers,
+//! 100 incremental); explicit thread counts spawn real workers. The CI
+//! thread-count matrix additionally runs the whole suite under
+//! `CFD_THREADS=1,2,8`, which flows into every *default*-config repair
+//! in the repo (golden fixtures included).
 
 use cfd_prng::{trials, ChaCha8Rng, Rng};
 
 use cfdclean::cfd::pattern::{PatternRow, PatternValue};
 use cfdclean::cfd::{Cfd, Sigma};
-use cfdclean::model::{AttrId, Relation, Schema, Tuple, TupleId, Value};
+use cfdclean::model::{AttrId, Relation, Schema, Tuple, TupleId, Value, ValuePool};
 use cfdclean::repair::{
     batch_repair, inc_repair, BatchConfig, IncConfig, Parallelism, PickStrategy,
 };
 
 const ARITY: usize = 4;
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-/// Speculation depths for the speculative differential matrix: planning
-/// windows below, at, and far above typical frontier sizes.
-const SPEC_DEPTHS: [usize; 3] = [1, 4, 16];
 
 fn schema() -> Schema {
     Schema::new("par", &["a", "b", "c", "d"]).unwrap()
@@ -50,18 +47,30 @@ fn rand_value(rng: &mut ChaCha8Rng) -> Value {
     }
 }
 
-fn rand_tuple(rng: &mut ChaCha8Rng) -> Tuple {
+/// A tuple over `values`, interned into `pool`, with per-cell `weights`.
+/// Every trial interns into a pool of its own: the process-default shared
+/// pool is mutated by the concurrently running tests, and its use counts
+/// break FINDV and PICKNEXT ties.
+fn tuple_in(pool: &ValuePool, values: &[Value], weights: &[f64]) -> Tuple {
+    let mut t = Tuple::from_ids(values.iter().map(|v| pool.intern(v)).collect());
+    for (i, w) in weights.iter().enumerate() {
+        t.set_weight(AttrId(i as u16), *w);
+    }
+    t
+}
+
+fn rand_tuple(rng: &mut ChaCha8Rng, pool: &ValuePool) -> Tuple {
     let values: Vec<Value> = (0..ARITY).map(|_| rand_value(rng)).collect();
     let weights: Vec<f64> = (0..ARITY)
         .map(|_| (rng.gen_range(0..=10u32) as f64) / 10.0)
         .collect();
-    Tuple::with_weights(values, weights)
+    tuple_in(pool, &values, &weights)
 }
 
 /// Random Σ mixing a wildcard FD row with constant rows, like the paper's
 /// tableaus. Multi-attribute LHS lists are included so the shard
 /// partitioner sees compound keys.
-fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema) -> Sigma {
+fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema, pool: &ValuePool) -> Sigma {
     let n = rng.gen_range(1..=3usize);
     let mut cfds = Vec::new();
     for i in 0..n {
@@ -95,13 +104,14 @@ fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema) -> Sigma {
         let row = PatternRow::new(lhs.iter().map(|_| pat(rng)).collect(), vec![pat(rng)]);
         cfds.push(Cfd::new(&format!("phi{i}"), lhs, vec![AttrId(r as u16)], vec![row]).unwrap());
     }
-    Sigma::normalize(schema.clone(), cfds).unwrap()
+    Sigma::normalize_in(schema.clone(), cfds, pool).unwrap()
 }
 
 fn rand_relation(rng: &mut ChaCha8Rng) -> Relation {
-    let mut rel = Relation::new(schema());
+    let pool = ValuePool::new_handle();
+    let mut rel = Relation::new_in(schema(), pool.clone());
     for _ in 0..rng.gen_range(2..14usize) {
-        rel.insert(rand_tuple(rng)).unwrap();
+        rel.insert(rand_tuple(rng, &pool)).unwrap();
     }
     // A few tombstones so the shard walks see a non-dense id space.
     for _ in 0..rng.gen_range(0..3usize) {
@@ -136,125 +146,65 @@ fn assert_same_contents(reference: &Relation, got: &Relation, ctx: &str) {
     }
 }
 
-/// 200 trials × both pickers: sharded `BATCHREPAIR` at 1/2/8 threads must
-/// be byte-identical to the serial reference (repairs *and* stats,
-/// including the exact cost bits).
-#[test]
-fn differential_batch_both_pickers() {
-    trials(200, 0x5AA5_D1FF, |rng| {
-        let rel = rand_relation(rng);
-        let sigma = rand_sigma(rng, &schema());
-        for pick in [PickStrategy::GlobalBest, PickStrategy::DependencyOrdered] {
-            let reference = batch_repair(
-                &rel,
-                &sigma,
-                BatchConfig {
-                    pick,
-                    parallelism: Parallelism::serial(),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            for threads in THREAD_COUNTS {
-                let sharded = batch_repair(
-                    &rel,
-                    &sigma,
-                    BatchConfig {
-                        pick,
-                        parallelism: Parallelism::threads(threads),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let ctx = format!("batch {pick:?} threads={threads}");
-                assert_same_contents(&reference.repair, &sharded.repair, &ctx);
-                assert_eq!(reference.stats, sharded.stats, "{ctx}: stats");
-                assert_eq!(
-                    reference.stats.cost.to_bits(),
-                    sharded.stats.cost.to_bits(),
-                    "{ctx}: cost bits"
-                );
-            }
-        }
-    });
-}
-
 /// Run one (relation, Σ) workload through the serial reference and the
-/// full speculative (threads × k) matrix, asserting byte-identical
-/// repairs and stats (exact cost bits included). `BatchStats` must not
-/// vary; only the `speculation` schedule counters may.
-fn assert_speculative_matrix(rel: &Relation, sigma: &Sigma, label: &str) {
-    let reference = batch_repair(
-        rel,
-        sigma,
-        BatchConfig {
-            parallelism: Parallelism::serial(),
-            speculate: 0,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(
-        reference.speculation.is_none(),
-        "serial run must not speculate"
-    );
-    for threads in THREAD_COUNTS {
-        for k in SPEC_DEPTHS {
-            let spec = batch_repair(
+/// sharded 1/2/8-thread configurations under both pickers, asserting
+/// byte-identical repairs *and* stats (exact cost bits included).
+fn assert_thread_matrix(rel: &Relation, sigma: &Sigma, label: &str) {
+    for pick in [PickStrategy::GlobalBest, PickStrategy::DependencyOrdered] {
+        let reference = batch_repair(
+            rel,
+            sigma,
+            BatchConfig {
+                pick,
+                parallelism: Parallelism::serial(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for threads in THREAD_COUNTS {
+            let sharded = batch_repair(
                 rel,
                 sigma,
                 BatchConfig {
+                    pick,
                     parallelism: Parallelism::threads(threads),
-                    speculate: k,
                     ..Default::default()
                 },
             )
             .unwrap();
-            let ctx = format!("{label} threads={threads} k={k}");
-            assert_same_contents(&reference.repair, &spec.repair, &ctx);
-            assert_eq!(reference.stats, spec.stats, "{ctx}: stats");
+            let ctx = format!("{label} {pick:?} threads={threads}");
+            assert_same_contents(&reference.repair, &sharded.repair, &ctx);
+            assert_eq!(reference.stats, sharded.stats, "{ctx}: stats");
             assert_eq!(
                 reference.stats.cost.to_bits(),
-                spec.stats.cost.to_bits(),
+                sharded.stats.cost.to_bits(),
                 "{ctx}: cost bits"
-            );
-            let sched = spec.speculation.expect("speculative run reports stats");
-            // Aborted or moot plans consumed a produced plan; every
-            // commit / requeue / clean-drop came from a validated hit.
-            assert!(
-                sched.aborts + sched.moot <= sched.planned,
-                "{ctx}: more discarded plans than produced ({sched:?})"
-            );
-            assert!(
-                sched.commits + sched.clean_drops + sched.requeues <= sched.hits,
-                "{ctx}: hit outcomes exceed hits ({sched:?})"
             );
         }
     }
 }
 
-/// 200 trials: speculative `BATCHREPAIR` over the full (threads × k)
-/// matrix must be byte-identical to the sequential reference on the
-/// standard randomized workloads.
+/// 200 trials × both pickers: sharded `BATCHREPAIR` at 1/2/8 threads must
+/// be byte-identical to the serial reference.
 #[test]
-fn differential_speculative_batch() {
-    trials(200, 0x5BEC_D1FF, |rng| {
+fn differential_batch_both_pickers() {
+    trials(200, 0x5AA5_D1FF, |rng| {
         let rel = rand_relation(rng);
-        let sigma = rand_sigma(rng, &schema());
-        assert_speculative_matrix(&rel, &sigma, "spec");
+        let sigma = rand_sigma(rng, &schema(), rel.pool());
+        assert_thread_matrix(&rel, &sigma, "batch");
     });
 }
 
 /// 100 trials on conflict-heavy workloads: a tiny key universe packs many
-/// tuples into each LHS group and many groups into each shard, so
-/// concurrent plans constantly read census groups and classes that
-/// earlier commits mutate — the high-abort-pressure regime where the
-/// validation logic earns its keep. Weights vary per cell so merge
+/// tuples into each LHS group and many groups into each shard, so the
+/// sharded census and frontier scoring see dense, heavily contended
+/// groups whose every tuple is dirty. Weights vary per cell so merge
 /// winners and FINDV prices are non-trivial.
 #[test]
-fn differential_speculative_conflict_heavy() {
+fn differential_conflict_heavy_sharded() {
     trials(100, 0x0C0F_11C7, |rng| {
-        let mut rel = Relation::new(schema());
+        let pool = ValuePool::new_handle();
+        let mut rel = Relation::new_in(schema(), pool.clone());
         let rows = rng.gen_range(8..28usize);
         for _ in 0..rows {
             // Two group keys and three RHS values: nearly every tuple
@@ -266,10 +216,10 @@ fn differential_speculative_conflict_heavy() {
                 Value::str(format!("w{}", rng.gen_range(0..3u32))),
                 Value::str(format!("z{}", rng.gen_range(0..4u32))),
             ];
-            let weights = (0..ARITY)
+            let weights: Vec<f64> = (0..ARITY)
                 .map(|_| (rng.gen_range(1..=10u32) as f64) / 10.0)
                 .collect();
-            rel.insert(Tuple::with_weights(vals, weights)).unwrap();
+            rel.insert(tuple_in(&pool, &vals, &weights)).unwrap();
         }
         // An FD a→b (variable, always firing) plus a constant rule layer
         // on d→c so constant and variable resolutions interleave.
@@ -284,8 +234,8 @@ fn differential_speculative_conflict_heavy() {
             )],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema(), vec![fd, cons]).unwrap();
-        assert_speculative_matrix(&rel, &sigma, "conflict");
+        let sigma = Sigma::normalize_in(schema(), vec![fd, cons], rel.pool()).unwrap();
+        assert_thread_matrix(&rel, &sigma, "conflict");
     });
 }
 
@@ -296,13 +246,13 @@ fn differential_speculative_conflict_heavy() {
 fn differential_increpair() {
     trials(100, 0x14C_D1FF, |rng| {
         let rel = rand_relation(rng);
-        let sigma = rand_sigma(rng, &schema());
+        let sigma = rand_sigma(rng, &schema(), rel.pool());
         // Clean base: repair it first (serial; batch parity is pinned above).
         let base = batch_repair(&rel, &sigma, BatchConfig::default())
             .unwrap()
             .repair;
         let delta: Vec<Tuple> = (0..rng.gen_range(1..5usize))
-            .map(|_| rand_tuple(rng))
+            .map(|_| rand_tuple(rng, base.pool()))
             .collect();
         let reference = inc_repair(
             &base,

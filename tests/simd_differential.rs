@@ -10,8 +10,8 @@
 //!   empty, >64-char values crossing the u64 word boundary, and
 //!   transposition-heavy typo strings — for both the exact and the
 //!   bounded (cutoff) form;
-//! * 300 seeded repair trials (200 `BATCHREPAIR` across thread and
-//!   speculation corners + 100 `INCREPAIR`) produce byte-identical
+//! * 300 seeded repair trials (200 `BATCHREPAIR` across thread-count
+//!   corners + 100 `INCREPAIR`) produce byte-identical
 //!   repairs and exact `f64` cost bits with the kernels forced on vs
 //!   forced off (`BatchConfig::simd` / `IncConfig::simd`, the in-process
 //!   form of `CFD_SIMD`); the CI determinism matrix additionally runs a
@@ -26,7 +26,7 @@ use cfd_prng::{trials, ChaCha8Rng, Rng};
 use cfdclean::cfd::pattern::{PatternRow, PatternValue};
 use cfdclean::cfd::violation::{constant_scan_with_kernel, Engine};
 use cfdclean::cfd::{Cfd, Sigma};
-use cfdclean::model::{AttrId, Relation, Schema, Tuple, TupleId, Value};
+use cfdclean::model::{AttrId, Relation, Schema, Tuple, TupleId, Value, ValuePool};
 use cfdclean::repair::distance::{dl_distance_bounded, dl_distance_reference};
 use cfdclean::repair::pricing::TargetPricer;
 use cfdclean::repair::{
@@ -177,18 +177,31 @@ fn rand_value(rng: &mut ChaCha8Rng) -> Value {
     }
 }
 
-fn rand_tuple(rng: &mut ChaCha8Rng) -> Tuple {
+/// A tuple over `values`, interned into `pool`, with per-cell `weights`.
+/// Every trial interns into a pool of its own: the process-default shared
+/// pool is mutated by the concurrently running tests, and its use counts
+/// break FINDV and PICKNEXT ties.
+fn tuple_in(pool: &ValuePool, values: &[Value], weights: &[f64]) -> Tuple {
+    let mut t = Tuple::from_ids(values.iter().map(|v| pool.intern(v)).collect());
+    for (i, w) in weights.iter().enumerate() {
+        t.set_weight(AttrId(i as u16), *w);
+    }
+    t
+}
+
+fn rand_tuple(rng: &mut ChaCha8Rng, pool: &ValuePool) -> Tuple {
     let values: Vec<Value> = (0..ARITY).map(|_| rand_value(rng)).collect();
     let weights: Vec<f64> = (0..ARITY)
         .map(|_| (rng.gen_range(0..=10u32) as f64) / 10.0)
         .collect();
-    Tuple::with_weights(values, weights)
+    tuple_in(pool, &values, &weights)
 }
 
 fn rand_relation(rng: &mut ChaCha8Rng) -> Relation {
-    let mut rel = Relation::new(schema());
+    let pool = ValuePool::new_handle();
+    let mut rel = Relation::new_in(schema(), pool.clone());
     for _ in 0..rng.gen_range(2..14usize) {
-        rel.insert(rand_tuple(rng)).unwrap();
+        rel.insert(rand_tuple(rng, &pool)).unwrap();
     }
     for _ in 0..rng.gen_range(0..3usize) {
         let id = TupleId(rng.gen_range(0..rel.slot_count() as u32));
@@ -197,7 +210,7 @@ fn rand_relation(rng: &mut ChaCha8Rng) -> Relation {
     rel
 }
 
-fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema) -> Sigma {
+fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema, pool: &ValuePool) -> Sigma {
     let n = rng.gen_range(1..=3usize);
     let mut cfds = Vec::new();
     for i in 0..n {
@@ -227,7 +240,7 @@ fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema) -> Sigma {
             .unwrap(),
         );
     }
-    Sigma::normalize(schema.clone(), cfds).unwrap()
+    Sigma::normalize_in(schema.clone(), cfds, pool).unwrap()
 }
 
 /// Bit-level equality of two relations: same id space, same liveness,
@@ -257,13 +270,13 @@ fn assert_same_contents(reference: &Relation, got: &Relation, ctx: &str) {
 
 /// 200 trials: `BATCHREPAIR` with the scalar kernels (simd off) is the
 /// reference; the bit-parallel kernels must reproduce it byte-for-byte —
-/// repairs, stats, and exact cost bits — at serial, sharded, and
-/// speculative corners and under both pickers.
+/// repairs, stats, and exact cost bits — at serial and sharded corners
+/// and under both pickers.
 #[test]
 fn differential_batch_simd_on_off() {
     trials(200, 0x51AD_BA7C, |rng| {
         let rel = rand_relation(rng);
-        let sigma = rand_sigma(rng, &schema());
+        let sigma = rand_sigma(rng, &schema(), rel.pool());
         let pick = if rng.gen_bool(0.5) {
             PickStrategy::GlobalBest
         } else {
@@ -275,31 +288,24 @@ fn differential_batch_simd_on_off() {
             BatchConfig {
                 pick,
                 parallelism: Parallelism::serial(),
-                speculate: 0,
                 simd: Some(false),
                 ..Default::default()
             },
         )
         .unwrap();
-        for (threads, k) in [(0usize, 0usize), (2, 4), (8, 16)] {
-            let parallelism = if threads == 0 {
-                Parallelism::serial()
-            } else {
-                Parallelism::threads(threads)
-            };
+        for threads in [1usize, 2, 8] {
             let fast = batch_repair(
                 &rel,
                 &sigma,
                 BatchConfig {
                     pick,
-                    parallelism,
-                    speculate: k,
+                    parallelism: Parallelism::threads(threads),
                     simd: Some(true),
                     ..Default::default()
                 },
             )
             .unwrap();
-            let ctx = format!("batch {pick:?} simd-on threads={threads} k={k}");
+            let ctx = format!("batch {pick:?} simd-on threads={threads}");
             assert_same_contents(&reference.repair, &fast.repair, &ctx);
             assert_eq!(reference.stats, fast.stats, "{ctx}: stats");
             assert_eq!(
@@ -317,12 +323,12 @@ fn differential_batch_simd_on_off() {
 fn differential_increpair_simd_on_off() {
     trials(100, 0x51AD_14C0, |rng| {
         let rel = rand_relation(rng);
-        let sigma = rand_sigma(rng, &schema());
+        let sigma = rand_sigma(rng, &schema(), rel.pool());
         let base = batch_repair(&rel, &sigma, BatchConfig::default())
             .unwrap()
             .repair;
         let delta: Vec<Tuple> = (0..rng.gen_range(1..5usize))
-            .map(|_| rand_tuple(rng))
+            .map(|_| rand_tuple(rng, base.pool()))
             .collect();
         let reference = inc_repair(
             &base,
@@ -361,7 +367,7 @@ fn differential_increpair_simd_on_off() {
 fn differential_constant_scan_simd() {
     trials(150, 0x51AD_DE7E, |rng| {
         let rel = rand_relation(rng);
-        let sigma = rand_sigma(rng, &schema());
+        let sigma = rand_sigma(rng, &schema(), rel.pool());
         let engine = Engine::build(&rel, &sigma);
         let scalar = constant_scan_with_kernel(&rel, &sigma, &engine, false);
         let simd = constant_scan_with_kernel(&rel, &sigma, &engine, true);

@@ -11,7 +11,7 @@
 //!   of the same batch; a multi-window stream (no deletes) equals the
 //!   sequence of one-shot repairs on the evolved bases. One-shot repairs
 //!   are already pinned byte-identical across the `CFD_THREADS` ×
-//!   `CFD_SPECULATE` × `CFD_SIMD` matrix, so running this suite under
+//!   `CFD_SIMD` matrix, so running this suite under
 //!   the CI determinism matrix extends that guarantee to streams by
 //!   transitivity.
 //! * **Sliding ≡ tumbling at S = W**, and window-commit arithmetic.
