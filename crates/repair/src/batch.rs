@@ -29,20 +29,32 @@
 //! [`Parallelism`] carried in [`BatchConfig`]. The resolution loop itself
 //! is the paper's serial greedy loop — every fix mutates shared state —
 //! so repairs are byte-identical at every thread count.
+//!
+//! Frontier scoring prices every dirty pair against the frozen t=0 state,
+//! where every equivalence class is still a singleton and no fix has been
+//! applied. There the group level of a variable-CFD merge price (bucket
+//! census, winner, sampled minority-carrier cost) depends only on the
+//! (CFD, LHS group key), so each scoring worker computes it once per
+//! group and memoizes it, together with per-cell residuals and per-tuple
+//! suspect scores ([`FrozenMemo`]). The memo lives in the frozen planning
+//! view only; the loop, whose fixes change classes and values, plans
+//! through a view without one. Seeded heap keys are therefore the bits an
+//! unmemoized planner computes.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::hash::Hash;
 
 use cfd_cfd::violation::{detect_with_parts, ConstantRules, Engine, EngineParts, GroupIndexes};
 use cfd_cfd::{CfdId, NormalCfd, Sigma};
 use cfd_model::index::HashIndex;
-use cfd_model::{AttrId, EditLog, Relation, TupleId, ValueId, ValuePool, NULL_ID};
+use cfd_model::{AttrId, EditLog, IdKey, Relation, TupleId, ValueId, ValuePool, NULL_ID};
 
 use crate::cost::{class_assign_cost_ids, class_assign_cost_ids_batch, repair_cost};
 use crate::depgraph::DepGraph;
 use crate::distance::DistanceCache;
 use crate::equivalence::{Cell, EqClasses, Target};
-use crate::shard::{self, Candidate, GroupCensus, Parallelism};
+use crate::shard::{self, Candidate, FnvBuildHasher, GroupCensus, Parallelism};
 use crate::RepairError;
 
 /// How `PICKNEXT` chooses the next violation to resolve.
@@ -178,27 +190,6 @@ enum Fix {
     },
 }
 
-impl Fix {
-    /// Stable one-line rendering for `CFD_DEBUG_FIXES` output. `pool` is
-    /// the dataset pool the fix's ids live in.
-    fn describe(&self, pool: &ValuePool) -> String {
-        match self {
-            Fix::SetConst { cell, v } => {
-                format!(
-                    "SetConst {} {} := {}",
-                    cell.tuple,
-                    cell.attr,
-                    pool.resolve(*v)
-                )
-            }
-            Fix::SetNull { cell } => format!("SetNull {} {}", cell.tuple, cell.attr),
-            Fix::Merge { a, b, .. } => {
-                format!("Merge {} {} ~ {} {}", a.tuple, a.attr, b.tuple, b.attr)
-            }
-        }
-    }
-}
-
 /// The kind of violation `violates` found.
 enum Violation {
     Constant,
@@ -266,6 +257,9 @@ fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
     }
 }
 
+/// A `HashMap` under the fixed-seed FNV hasher: no per-process seed.
+type FnvMap<K, V> = HashMap<K, V, FnvBuildHasher>;
+
 /// The S-set index view `PICKNEXT`/`CFD-RESOLVE` planning reads through.
 ///
 /// The sequential loop drives lazy `ensure` builds straight into the main
@@ -275,7 +269,9 @@ fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
 /// truncates group walks), so they read through a frozen borrow and build
 /// misses into a worker-private overlay ([`PlanIndexes::Snapshot`]);
 /// `seed_heap` then replays those `ensure`s on the main state in sorted
-/// order.
+/// order. The frozen view also carries the scoring worker's
+/// [`FrozenMemo`]; the sequential loop has none, so no memoized price
+/// can outlive the t=0 state it was computed on.
 enum PlanIndexes<'p> {
     /// The sequential loop: lazy builds mutate the main state directly.
     Main(&'p mut GroupIndexes),
@@ -284,7 +280,29 @@ enum PlanIndexes<'p> {
     Snapshot {
         base: &'p GroupIndexes,
         local: GroupIndexes,
+        memo: FrozenMemo,
     },
+}
+
+/// Pricing memo tables of one frontier scoring worker.
+///
+/// Exact because scoring plans against the frozen t=0 state: no fix has
+/// been applied, every equivalence class is a singleton, and nothing
+/// mutates `work`, the census or the classes while the worker runs. Each
+/// memoized quantity is then a pure function of its key, so a hit
+/// returns the bits a fresh computation would. The loop mutates that
+/// state with every fix and plans through [`PlanIndexes::Main`], which
+/// has no memo.
+#[derive(Default)]
+struct FrozenMemo {
+    /// Group level of free/free merge pricing (`group_merge_price`) per
+    /// (variable CFD, LHS group key): every tuple of a group sees the same
+    /// bucket census, winner and sampled minority-carrier cost.
+    groups: FnvMap<(CfdId, IdKey), Option<(ValueId, f64)>>,
+    /// `class_residual_vios` per (cell, candidate value).
+    residuals: FnvMap<(Cell, ValueId), usize>,
+    /// Per-tuple suspect score (`suspicion`).
+    suspects: FnvMap<TupleId, usize>,
 }
 
 /// The read-mostly planning context `PICKNEXT`/`CFD-RESOLVE` run against:
@@ -311,10 +329,14 @@ struct Planner<'p> {
 /// `(CFD, tuple)` pair assigned to this shard against the frozen t=0
 /// state. `eq` is the all-singleton initial class grid, shared read-only
 /// across workers (class lookups never mutate); S-set indexes missing
-/// from the main set build into a worker-private overlay. Returns the
-/// priced candidates plus the attribute lists the overlay materialized
-/// (the caller replays those `ensure`s on the main state so later lazy
-/// builds are thread-count-independent).
+/// from the main set build into a worker-private overlay. Because that
+/// state cannot change while the worker runs, the worker also memoizes
+/// group-level merge prices, residuals and suspect scores in a private
+/// [`FrozenMemo`] — shards split by LHS-key hash, so a group's tuples all
+/// land in one worker's memo. Returns the priced candidates plus the
+/// attribute lists the overlay materialized (the caller replays those
+/// `ensure`s on the main state so later lazy builds are
+/// thread-count-independent).
 #[allow(clippy::too_many_arguments)] // exactly the shared planning state
 fn score_shard(
     sigma: &Sigma,
@@ -340,15 +362,16 @@ fn score_shard(
         indexes: PlanIndexes::Snapshot {
             base: indexes,
             local: GroupIndexes::empty(),
+            memo: FrozenMemo::default(),
         },
         dcache: &mut dcache,
     };
     let mut out = Vec::with_capacity(pairs.len());
     for &(cfd, tid) in pairs {
-        let n = sigma.get(CfdId(cfd)).clone();
+        let n = sigma.get(CfdId(cfd));
         let planned = planner
-            .violates(&n, TupleId(tid))
-            .and_then(|v| planner.plan_fix(&n, TupleId(tid), &v));
+            .violates(n, TupleId(tid))
+            .and_then(|v| planner.plan_fix(n, TupleId(tid), &v));
         let cand = match planned {
             Some((fix, cost)) => {
                 let (freq, value) = fix_meta(&fix, orig.pool());
@@ -468,7 +491,9 @@ impl<'a> BatchState<'a> {
     /// under [`Candidate::key`]'s total order. Scoring is a pure function
     /// of relation content, so the heap starts identical at every thread
     /// count — and the resolution loop after it is sequential, making the
-    /// whole repair byte-identical to a serial run.
+    /// whole repair byte-identical to a serial run. The workers' memo
+    /// tables are dropped with them: nothing memoized at t=0 reaches the
+    /// loop.
     fn seed_heap(&mut self) {
         let pairs: Vec<(u32, u32)> = self
             .dirty
@@ -569,7 +594,7 @@ impl<'p> Planner<'p> {
     fn s_index(&mut self, attrs: &[AttrId]) -> &HashIndex {
         match &mut self.indexes {
             PlanIndexes::Main(ix) => ix.ensure(self.work, attrs),
-            PlanIndexes::Snapshot { base, local } => {
+            PlanIndexes::Snapshot { base, local, .. } => {
                 let base: &'p GroupIndexes = base;
                 match base.get(attrs) {
                     Some(ix) => ix,
@@ -577,6 +602,28 @@ impl<'p> Planner<'p> {
                 }
             }
         }
+    }
+
+    /// `compute()`, memoized in the frozen view's `table` under `key()`;
+    /// the sequential loop has no memo and always computes afresh.
+    fn memoized<K: Hash + Eq, V: Copy>(
+        &mut self,
+        table: fn(&mut FrozenMemo) -> &mut FnvMap<K, V>,
+        key: impl FnOnce() -> K,
+        compute: impl FnOnce(&mut Self) -> V,
+    ) -> V {
+        let PlanIndexes::Snapshot { memo, .. } = &mut self.indexes else {
+            return compute(self);
+        };
+        let key = key();
+        if let Some(&hit) = table(memo).get(&key) {
+            return hit;
+        }
+        let value = compute(self);
+        if let PlanIndexes::Snapshot { memo, .. } = &mut self.indexes {
+            table(memo).insert(key, value);
+        }
+        value
     }
 
     /// Effective value of a cell (target materialized into `work`).
@@ -602,6 +649,23 @@ impl<'p> Planner<'p> {
         self.rules.violations_of(&t, None)
     }
 
+    /// Suspect score of `tid` for the variable-CFD deferral penalty: its
+    /// current constant-rule violations, plus one when its initial
+    /// `vio(t)` exceeds `SUSPECT_VIO`.
+    fn suspicion(&mut self, tid: TupleId) -> usize {
+        const SUSPECT_VIO: usize = 8;
+        self.memoized(
+            |m| &mut m.suspects,
+            || tid,
+            |p| {
+                let initial = p.initial_vio.get(&tid).copied().unwrap_or(0);
+                p.rules
+                    .violations_of(&p.work.tuple(tid).expect("live"), None)
+                    + usize::from(initial > SUSPECT_VIO)
+            },
+        )
+    }
+
     /// Does `t` currently violate normal CFD `n`? Variable violations
     /// require the partner to live in a *different* equivalence class —
     /// merged cells are already "resolved pending instantiation".
@@ -625,20 +689,21 @@ impl<'p> Planner<'p> {
             // Census fast path: a group with ≤ 1 distinct non-null value
             // cannot conflict; conflicting ids are then enumerated
             // value-bucket by value-bucket instead of scanning the group.
-            if self.census.distinct(n.lhs(), a, &t) <= 1 {
+            let buckets = self.census.value_buckets(n.lhs(), a, &t)?;
+            if buckets.len() <= 1 {
                 return None;
             }
             // The partner choice feeds the fix pricing, so it must not
             // depend on interning history: bucket iteration is ValueId
-            // (interning) order, so collect the bounded candidate set and
+            // (interning) order, so walk the bounded candidate set and
             // pick the smallest qualifying tuple id — a relation-content
             // property. (Groups with > 64 conflictors may still truncate
             // differently across histories; any partner is sound.)
-            let candidates: Vec<TupleId> = self
-                .census
-                .conflicting_ids(n.lhs(), a, &t, v)
-                .take(64)
-                .collect();
+            let candidates = buckets
+                .iter()
+                .filter(|(val, _)| **val != v)
+                .flat_map(|(_, bucket)| bucket.ids.iter().copied())
+                .take(64);
             let mut partner: Option<TupleId> = None;
             for other in candidates {
                 if other == tid {
@@ -734,22 +799,21 @@ impl<'p> Planner<'p> {
     /// scenario in `robustness.rs`).
     fn class_residual_vios(&mut self, cell: Cell, v: ValueId) -> usize {
         const SAMPLE: usize = 8;
-        // Copy only the sampled prefix — classes merged through
-        // low-cardinality FDs hold thousands of cells and this runs on
-        // every candidate pricing.
-        let members: Vec<Cell> = self
-            .eq
-            .members(cell)
-            .iter()
-            .filter(|m| **m != cell)
-            .take(SAMPLE)
-            .copied()
-            .collect();
-        let mut total = self.residual_vios(cell.tuple, cell.attr, v);
-        for m in members {
-            total += self.residual_vios(m.tuple, m.attr, v);
-        }
-        total
+        self.memoized(
+            |m| &mut m.residuals,
+            || (cell, v),
+            |p| {
+                // Only the sampled prefix — classes merged through
+                // low-cardinality FDs hold thousands of cells and this
+                // runs on every candidate pricing.
+                let eq = p.eq;
+                let mut total = p.residual_vios(cell.tuple, cell.attr, v);
+                for m in eq.members(cell).iter().filter(|m| **m != cell).take(SAMPLE) {
+                    total += p.residual_vios(m.tuple, m.attr, v);
+                }
+                total
+            },
+        )
     }
 
     /// Cost of assigning constant `v` to the class of `cell`.
@@ -919,19 +983,7 @@ impl<'p> Planner<'p> {
                 // suspects are pushed behind all clean fixes; by the time
                 // they re-verify, the constant repairs have usually
                 // dissolved the conflict.
-                const SUSPECT_VIO: usize = 8;
-                let initial_suspects =
-                    usize::from(self.initial_vio.get(&tid).copied().unwrap_or(0) > SUSPECT_VIO)
-                        + usize::from(
-                            self.initial_vio.get(partner).copied().unwrap_or(0) > SUSPECT_VIO,
-                        );
-                let suspects = self
-                    .rules
-                    .violations_of(&self.work.tuple(tid).expect("live"), None)
-                    + self
-                        .rules
-                        .violations_of(&self.work.tuple(*partner).expect("live"), None)
-                    + initial_suspects;
+                let suspects = self.suspicion(tid) + self.suspicion(*partner);
                 let defer_penalty = 10.0 * suspects as f64;
                 let (c1, c2) = (Cell::new(tid, a), Cell::new(*partner, a));
                 let t1 = *self.eq.target(c1);
@@ -1027,7 +1079,8 @@ impl<'p> Planner<'p> {
     /// implements the paper's most-common-value guidance at the point
     /// where it matters: the winner is the value with the largest
     /// weighted support among the group's carriers, and the cost is what
-    /// it takes to move every minority carrier there.
+    /// it takes to move every minority carrier there, scaled by the
+    /// representative loser's residual damage.
     fn plan_group_merge(
         &mut self,
         n: &NormalCfd,
@@ -1036,75 +1089,78 @@ impl<'p> Planner<'p> {
         v1: ValueId,
         v2: ValueId,
     ) -> (f64, Option<ValueId>, usize) {
-        let a = n.rhs_attr();
         if self.config.merge_pricing == MergePricing::Pairwise {
             return self.plan_pairwise_merge(n, tid, partner, v1, v2);
         }
-        let t = self.work.tuple(tid).expect("live").to_tuple();
-        // (value, incremental weight sum, sampled carriers, carrier
-        // count) per bucket. Weight sums are maintained by the census, so
-        // this is O(distinct values) plus the ≤ SAMPLE carriers actually
-        // priced below — a country-sized majority bucket is never cloned.
-        // Carrier iteration per bucket is tuple-id ordered; winner ties
-        // across buckets break by *value* order below, so the choice does
-        // not depend on interning history.
-        const SAMPLE: usize = 16;
-        let buckets: Vec<(ValueId, f64, Vec<TupleId>, usize)> = self
-            .census
-            .value_buckets(n.lhs(), a, &t)
-            .map(|m| {
-                m.iter()
-                    .map(|(v, b)| {
-                        (
-                            *v,
-                            b.weight,
-                            b.ids.iter().copied().take(SAMPLE).collect(),
-                            b.ids.len(),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        if buckets.len() < 2 {
+        let Some((winner, cost)) = self.group_merge_price(n, tid) else {
             // Census unavailable (e.g. the shape is tracked under a
             // different minimal CFD) — fall back to pairwise pricing.
             return self.plan_pairwise_merge(n, tid, partner, v1, v2);
-        }
-        // Weight ties break by *value* order (pool comparison), so the
-        // winner does not depend on interning history.
-        let pool = self.orig.pool();
-        let wi = buckets
-            .iter()
-            .enumerate()
-            .max_by(|(_, (va, x, _, _)), (_, (vb, y, _, _))| {
-                x.partial_cmp(y)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| pool.cmp_values(*vb, *va))
-            })
-            .map(|(i, _)| i)
-            .expect("buckets non-empty");
-        let winner = buckets[wi].0;
-        // Moving every minority carrier to the winner; sampled and scaled
-        // beyond SAMPLE carriers per bucket, to bound planning cost.
-        let mut cost = 0.0;
-        for (bi, (_, _, ids, total)) in buckets.iter().enumerate() {
-            if bi == wi {
-                continue;
-            }
-            let mut bucket_cost = 0.0;
-            for id in ids {
-                bucket_cost += self.assign_cost(Cell::new(*id, a), winner);
-            }
-            if *total > ids.len() {
-                bucket_cost *= *total as f64 / ids.len() as f64;
-            }
-            cost += bucket_cost;
-        }
+        };
         // Residual damage of the representative loser, as elsewhere.
         let loser = if winner == v1 { partner } else { tid };
-        let residual = self.class_residual_vios(Cell::new(loser, a), winner);
-        let cost = cost * (1.0 + residual as f64);
-        (cost, Some(winner), residual)
+        let residual = self.class_residual_vios(Cell::new(loser, n.rhs_attr()), winner);
+        (cost * (1.0 + residual as f64), Some(winner), residual)
+    }
+
+    /// The group level of [`plan_group_merge`](Self::plan_group_merge):
+    /// the winner of `tid`'s LHS group under `n` and the cost of moving
+    /// every minority carrier to it, or `None` when the census holds
+    /// fewer than two value buckets for the group. Depends on the group,
+    /// never on which of its tuples is being planned, so the frozen view
+    /// memoizes it per (CFD, group key).
+    fn group_merge_price(&mut self, n: &NormalCfd, tid: TupleId) -> Option<(ValueId, f64)> {
+        let t = self.work.tuple(tid).expect("live");
+        self.memoized(
+            |m| &mut m.groups,
+            || (n.id(), t.project_key(n.lhs())),
+            |p| {
+                let a = n.rhs_attr();
+                // Weight sums are maintained by the census, so this is
+                // O(distinct values) plus the ≤ SAMPLE carriers actually
+                // priced below — a country-sized majority bucket is never
+                // walked. Carrier iteration per bucket is tuple-id
+                // ordered; winner ties across buckets break by *value*
+                // order, so the choice does not depend on interning
+                // history.
+                const SAMPLE: usize = 16;
+                let census = p.census;
+                let buckets = census.value_buckets(n.lhs(), a, &t)?;
+                if buckets.len() < 2 {
+                    return None;
+                }
+                let pool = p.orig.pool();
+                let winner = buckets
+                    .iter()
+                    .max_by(|(va, x), (vb, y)| {
+                        x.weight
+                            .partial_cmp(&y.weight)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then_with(|| pool.cmp_values(**vb, **va))
+                    })
+                    .map(|(v, _)| *v)
+                    .expect("buckets non-empty");
+                // Moving every minority carrier to the winner; sampled and
+                // scaled beyond SAMPLE carriers per bucket, to bound
+                // planning cost.
+                let mut cost = 0.0;
+                for (v, bucket) in buckets {
+                    if *v == winner {
+                        continue;
+                    }
+                    let mut bucket_cost = 0.0;
+                    let sampled = bucket.ids.len().min(SAMPLE);
+                    for id in bucket.ids.iter().take(SAMPLE) {
+                        bucket_cost += p.assign_cost(Cell::new(*id, a), winner);
+                    }
+                    if bucket.ids.len() > sampled {
+                        bucket_cost *= bucket.ids.len() as f64 / sampled as f64;
+                    }
+                    cost += bucket_cost;
+                }
+                Some((winner, cost))
+            },
+        )
     }
 
     /// Two-cell merge pricing: the literal §4.1 reading, also the
@@ -1238,14 +1294,6 @@ impl<'a> BatchState<'a> {
                 self.materialize_class(cell);
             }
             Fix::SetNull { cell } => {
-                if std::env::var_os("CFD_DEBUG_NULLS").is_some() {
-                    eprintln!(
-                        "SETNULL tuple={} attr={} ws={:.2}",
-                        cell.tuple,
-                        cell.attr,
-                        self.eq.weight_sum(cell)
-                    );
-                }
                 self.eq
                     .set_target(cell, Target::Null)
                     .map_err(|e| RepairError::Internal(e.to_string()))?;
@@ -1325,8 +1373,8 @@ impl<'a> BatchState<'a> {
     fn next_violation_of(&mut self, id: CfdId) -> Option<(TupleId, Violation)> {
         loop {
             let tid = *self.dirty[id.index()].iter().next()?;
-            let n = self.sigma.get(id).clone();
-            match self.planner().violates(&n, tid) {
+            let n = self.sigma.get(id);
+            match self.planner().violates(n, tid) {
                 Some(v) => return Some((tid, v)),
                 None => {
                     self.dirty[id.index()].remove(&tid);
@@ -1347,15 +1395,15 @@ impl<'a> BatchState<'a> {
             if !self.dirty[id.index()].contains(&tid) {
                 continue; // already resolved (stale duplicate)
             }
-            let n = self.sigma.get(id).clone();
-            let violation = match self.planner().violates(&n, tid) {
+            let n = self.sigma.get(id);
+            let violation = match self.planner().violates(n, tid) {
                 Some(v) => v,
                 None => {
                     self.dirty[id.index()].remove(&tid);
                     continue;
                 }
             };
-            let (fix, cost) = match self.planner().plan_fix(&n, tid, &violation) {
+            let (fix, cost) = match self.planner().plan_fix(n, tid, &violation) {
                 Some(planned) => planned,
                 None => {
                     self.dirty[id.index()].remove(&tid);
@@ -1369,15 +1417,6 @@ impl<'a> BatchState<'a> {
                 // correct priority and look at the next candidate.
                 self.heap.push(Reverse(price));
                 continue;
-            }
-            if std::env::var_os("CFD_DEBUG_FIXES").is_some() {
-                eprintln!(
-                    "FIX cfd={} row={} cost={:.3} {}",
-                    n.source_name(),
-                    n.source_row(),
-                    cost,
-                    fix.describe(self.orig.pool())
-                );
             }
             self.apply_fix(fix)?;
             // The tuple may still violate this CFD with other partners:
@@ -1397,8 +1436,8 @@ impl<'a> BatchState<'a> {
                 continue;
             }
             while let Some((tid, v)) = self.next_violation_of(id) {
-                let n = self.sigma.get(id).clone();
-                match self.planner().plan_fix(&n, tid, &v) {
+                let n = self.sigma.get(id);
+                match self.planner().plan_fix(n, tid, &v) {
                     Some((fix, _)) => {
                         self.apply_fix(fix)?;
                         any = true;
@@ -1893,6 +1932,90 @@ mod tests {
             out.stats.merges + out.stats.nulls_set + out.stats.consts_set
         );
         assert!(out.stats.consts_set + out.stats.merges >= 2); // at least t3's CT/ST
+    }
+
+    /// Re-price every t=0 heap entry with the sequential planner, which
+    /// carries no memo (`violates` → `plan_fix` → `fix_meta` →
+    /// `cost_key`), and require the seeded key bit for bit. Returns the
+    /// number of entries checked and how many belong to variable CFDs.
+    fn assert_seeded_keys_unmemoized(
+        rel: &Relation,
+        sigma: &Sigma,
+        threads: usize,
+        label: &str,
+    ) -> (usize, usize) {
+        let config = BatchConfig {
+            parallelism: Parallelism::threads(threads),
+            ..Default::default()
+        };
+        let mut state = BatchState::new(rel, sigma, config);
+        let seeded: Vec<HeapKey> = state.heap.iter().map(|Reverse(k)| *k).collect();
+        let pairs: usize = state.dirty.iter().map(BTreeSet::len).sum();
+        assert_eq!(
+            seeded.len(),
+            pairs,
+            "{label}: one heap entry per dirty pair"
+        );
+        let mut variable = 0;
+        for key in seeded {
+            let (_, _, _, cfd, tid) = key;
+            let n = sigma.get(CfdId(cfd));
+            variable += usize::from(!n.is_constant());
+            let mut planner = state.planner();
+            let fresh = match planner
+                .violates(n, TupleId(tid))
+                .and_then(|v| planner.plan_fix(n, TupleId(tid), &v))
+            {
+                Some((fix, cost)) => {
+                    let (freq, value) = fix_meta(&fix, rel.pool());
+                    (cost_key(cost), freq, value, cfd, tid)
+                }
+                None => (u64::MAX, u64::MAX, u32::MAX, cfd, tid),
+            };
+            assert_eq!(key, fresh, "{label}: seeded key of (cfd {cfd}, t{tid})");
+        }
+        (pairs, variable)
+    }
+
+    #[test]
+    fn seeded_frontier_matches_unmemoized_pricing() {
+        // Each trial interns into a pool of its own, so concurrently
+        // running tests cannot move the use counts the keys break ties on
+        // between seeding and re-pricing.
+        let (rel, sigma) = fig1();
+        let pool = ValuePool::new_handle();
+        let rel = rel.rekey_into(&pool);
+        let sigma =
+            Sigma::normalize_in(sigma.schema().clone(), sigma.sources().to_vec(), &pool).unwrap();
+        let (pairs, _) = assert_seeded_keys_unmemoized(&rel, &sigma, 1, "fig1");
+        assert!(pairs > 0, "Fig. 1 is dirty");
+        for seed in [1, 7, 13] {
+            let w = cfd_gen::generate(&cfd_gen::GenConfig::sized(2_000, seed));
+            let noise = cfd_gen::inject(
+                &w.dopt,
+                &w.world,
+                &cfd_gen::NoiseConfig {
+                    rate: 0.05,
+                    seed,
+                    ..Default::default()
+                },
+            );
+            let pool = ValuePool::new_handle();
+            let rel = noise.dirty.rekey_into(&pool);
+            let sigma =
+                Sigma::normalize_in(w.sigma.schema().clone(), w.sigma.sources().to_vec(), &pool)
+                    .unwrap();
+            for threads in [1, 2] {
+                let label = format!("generator seed {seed} threads {threads}");
+                let (pairs, variable) =
+                    assert_seeded_keys_unmemoized(&rel, &sigma, threads, &label);
+                // Variable pairs share groups, so the memo is exercised.
+                assert!(
+                    variable > 0 && variable < pairs,
+                    "{label}: {variable}/{pairs}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -402,20 +402,6 @@ impl GroupCensus {
             .map(|(_, _, map)| map)
     }
 
-    /// Number of distinct non-null RHS values in `t`'s group under the
-    /// shape `(lhs, rhs)`.
-    pub(crate) fn distinct<V: TupleView + ?Sized>(
-        &self,
-        lhs: &[AttrId],
-        rhs: AttrId,
-        t: &V,
-    ) -> usize {
-        self.shape(lhs, rhs)
-            .and_then(|map| map.get(&t.project_key(lhs)))
-            .map(|vals| vals.len())
-            .unwrap_or(0)
-    }
-
     /// All value buckets of `t`'s group under the shape `(lhs, rhs)`.
     /// `None` when the shape or group is untracked (e.g. every carrier
     /// is null).
@@ -427,26 +413,6 @@ impl GroupCensus {
     ) -> Option<&BTreeMap<ValueId, ValueBucket>> {
         self.shape(lhs, rhs)
             .and_then(|map| map.get(&t.project_key(lhs)))
-    }
-
-    /// Tuple ids in `t`'s group carrying a value different from `v`,
-    /// iterated value-bucket by value-bucket — O(distinct values) to find
-    /// the first candidate instead of O(|group|).
-    pub(crate) fn conflicting_ids<'c, V: TupleView + ?Sized>(
-        &'c self,
-        lhs: &[AttrId],
-        rhs: AttrId,
-        t: &V,
-        v: ValueId,
-    ) -> impl Iterator<Item = TupleId> + 'c {
-        self.shape(lhs, rhs)
-            .and_then(|map| map.get(&t.project_key(lhs)))
-            .into_iter()
-            .flat_map(move |vals| {
-                vals.iter()
-                    .filter(move |(val, _)| **val != v)
-                    .flat_map(|(_, bucket)| bucket.ids.iter().copied())
-            })
     }
 
     /// Record an in-place update of one tuple.
