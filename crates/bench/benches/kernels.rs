@@ -424,7 +424,8 @@ fn smoke() -> ! {
 }
 
 /// The persistence headline: cold ingest of the same 20k-tuple dirty
-/// workload through three paths — CSV (parse text, intern every cell),
+/// workload through three paths — CSV (parse text, deduplicate each
+/// column's fields, bulk-install the distinct values),
 /// eager snapshot (verify checksums, bulk-install the dictionary, copy
 /// columns), and mapped snapshot (map the file, verify checksums in
 /// place, borrow the id columns zero-copy). The equality assertions pin

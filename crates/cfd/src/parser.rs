@@ -27,7 +27,7 @@
 
 use std::fmt::Write as _;
 
-use cfd_model::{ModelError, Schema, Value};
+use cfd_model::{AttrId, Schema, Value};
 
 use crate::cfd::Cfd;
 use crate::pattern::{PatternRow, PatternValue};
@@ -53,13 +53,18 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<ModelError> for ParseError {
-    fn from(e: ModelError) -> Self {
-        ParseError {
-            line: 0,
-            message: e.to_string(),
-        }
-    }
+/// Resolve attribute names against `schema`; an unknown name is reported
+/// at the line of its own token.
+fn resolve_attrs(schema: &Schema, names: &[(String, usize)]) -> Result<Vec<AttrId>, ParseError> {
+    names
+        .iter()
+        .map(|(name, line)| {
+            schema.require_attr(name).map_err(|e| ParseError {
+                line: *line,
+                message: e.to_string(),
+            })
+        })
+        .collect()
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -264,14 +269,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn attr_list(&mut self) -> Result<Vec<String>, ParseError> {
+    /// An attribute list, each name paired with the line of its token.
+    fn attr_list(&mut self) -> Result<Vec<(String, usize)>, ParseError> {
         self.expect(Tok::LBracket)?;
-        let mut names = vec![self.ident()?];
+        let mut names = vec![self.located_ident()?];
         loop {
             match self.peek() {
                 Some(Tok::Comma) => {
                     self.next();
-                    names.push(self.ident()?);
+                    names.push(self.located_ident()?);
                 }
                 Some(Tok::RBracket) => {
                     self.next();
@@ -285,6 +291,11 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    fn located_ident(&mut self) -> Result<(String, usize), ParseError> {
+        let line = self.line();
+        Ok((self.ident()?, line))
     }
 
     fn cells(&mut self, terminators: &[Tok]) -> Result<Vec<PatternValue>, ParseError> {
@@ -336,8 +347,8 @@ impl<'a> Parser<'a> {
         let lhs_names = self.attr_list()?;
         self.expect(Tok::Arrow)?;
         let rhs_names = self.attr_list()?;
-        let lhs = schema.attrs_named(&lhs_names)?;
-        let rhs = schema.attrs_named(&rhs_names)?;
+        let lhs = resolve_attrs(schema, &lhs_names)?;
+        let rhs = resolve_attrs(schema, &rhs_names)?;
         let mut rows = Vec::new();
         if self.peek() == Some(&Tok::LBrace) {
             self.next();
@@ -504,6 +515,17 @@ phi1: [AC, PN] -> [STR, CT, ST] {
         let s = schema();
         let err = parse_rules(&s, "bad: [XX] -> [CT]").unwrap_err();
         assert!(err.message.contains("XX"), "{err}");
+    }
+
+    #[test]
+    fn unknown_attribute_reports_its_token_line() {
+        let s = Schema::new("r", &["a", "b"]).unwrap();
+        let input = "# header a,b\nok: [a] -> [b]\n\nbad: [a,\n  missing] -> [b]\n";
+        let err = parse_rules(&s, input).unwrap_err();
+        assert_eq!(err.line, 5, "{err}");
+        assert!(err.message.contains("missing"), "{err}");
+        let err = parse_rules(&s, "x: [a]\n  -> [nope]").unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
     }
 
     #[test]

@@ -7,30 +7,43 @@
 //! anything that parses as `i64` *and* was written by [`write_relation`]
 //! from an `Int` is prefixed with `#i:` to keep types stable.
 //!
-//! Import is columnar: records are decoded into per-attribute value
-//! columns, each column is interned with **one**
-//! [`ValuePool::intern_column`](crate::ValuePool::intern_column) call
-//! (one lock acquisition per attribute instead of one per cell), and the
-//! resulting id columns are installed through the same
-//! decode→columns→install tail snapshot load uses
-//! ([`Relation::from_columns`] →
-//! [`Relation::from_store`](crate::Relation::from_store) over a
-//! [`ColumnStore`]) — no intermediate [`Tuple`] objects. The difference
-//! between the two ingest paths is only *what* feeds the install: CSV
-//! interns every cell's text, a snapshot
-//! ([`crate::snapshot`]) bulk-installs its dictionary and remaps.
+//! Import reads the input once and splits it into lines and fields that
+//! borrow from that one buffer. A line without a `"` splits on commas in
+//! place; only a line that contains a quote goes through the unescaping
+//! splitter. Each column is then deduplicated *by field* (text plus
+//! whether it was quoted) in first-occurrence order, so a cell costs one
+//! hash probe and no allocation. The distinct fields are decoded once and
+//! installed with their occurrence counts through
+//! [`ValuePool::install_column`] — the same bulk install snapshot load
+//! uses — one call per column in schema order. A pool allocates ids in
+//! first-occurrence order within a column, so this gives exactly the ids
+//! and `use_count`s that interning every cell in row order would. Two
+//! fields that decode to one value (`#i:7` and `#i:07`) simply install the
+//! same value twice and add up their counts. The id columns go straight
+//! into a [`ColumnStore`](crate::ColumnStore) via
+//! [`Relation::from_columns_in`]; no intermediate
+//! [`Tuple`](crate::Tuple) objects are built.
+//!
+//! Export encodes each distinct id once per call and streams rows to the
+//! writer in bounded chunks.
 
-use std::io::{BufRead, Write};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::io::{self, BufRead, Write};
 
 use crate::error::ModelError;
-use crate::pool::ValuePool;
+use crate::hash::FnvBuildHasher;
+use crate::pool::{ValueId, ValuePool};
 use crate::relation::Relation;
-use crate::schema::Schema;
-use crate::storage::intern_columns;
+use crate::schema::{AttrId, Schema};
 use crate::value::Value;
 
 const NULL_TOKEN: &str = "\\N";
 const INT_PREFIX: &str = "#i:";
+
+/// Rendered bytes [`write_relation`] buffers before handing them to the
+/// writer.
+const WRITE_CHUNK: usize = 64 * 1024;
 
 fn escape(field: &str, out: &mut String) {
     escape_with(field, out, false)
@@ -76,10 +89,10 @@ fn encode_value(v: &Value, out: &mut String) {
 }
 
 fn decode_value(field: &Field) -> Value {
+    let text = &*field.text;
     if field.quoted {
-        return Value::str(&field.text);
+        return Value::str(text);
     }
-    let text = field.text.as_str();
     if text == NULL_TOKEN {
         Value::Null
     } else if let Some(rest) = text.strip_prefix(INT_PREFIX) {
@@ -91,42 +104,66 @@ fn decode_value(field: &Field) -> Value {
     }
 }
 
-/// One decoded CSV field plus whether any part of it was quoted — quoting
-/// marks a field as a verbatim string for [`decode_value`].
-struct Field {
-    text: String,
+/// One CSV field plus whether any part of it was quoted — quoting marks a
+/// field as a verbatim string for [`decode_value`]. The text borrows from
+/// the input unless unescaping had to rewrite it.
+#[derive(PartialEq, Eq, Hash)]
+struct Field<'a> {
+    text: Cow<'a, str>,
     quoted: bool,
 }
 
 /// Write `rel` as CSV: a header row of attribute names, then one row per
 /// live tuple (in id order). Weights are not persisted.
 pub fn write_relation<W: Write>(rel: &Relation, w: &mut W) -> Result<(), ModelError> {
-    let mut line = String::new();
+    let mut out = String::new();
+    write_header(rel, &mut out);
+    // The encoded text of every id met so far, as spans of `encoded`
+    // indexed by id: each distinct value is resolved and escaped once.
+    let mut encoded = String::new();
+    let mut spans: Vec<Option<(usize, usize)>> = Vec::new();
+    let pool = rel.pool();
+    let arity = rel.schema().arity();
+    for (_, t) in rel.iter() {
+        for a in 0..arity {
+            if a > 0 {
+                out.push(',');
+            }
+            let id = t.id(AttrId(a as u16));
+            if id.index() >= spans.len() {
+                spans.resize(id.index() + 1, None);
+            }
+            let (start, end) = *spans[id.index()].get_or_insert_with(|| {
+                let start = encoded.len();
+                pool.with_value(id, |v| encode_value(v, &mut encoded));
+                (start, encoded.len())
+            });
+            out.push_str(&encoded[start..end]);
+        }
+        out.push('\n');
+        if out.len() >= WRITE_CHUNK {
+            w.write_all(out.as_bytes())?;
+            out.clear();
+        }
+    }
+    w.write_all(out.as_bytes())?;
+    Ok(())
+}
+
+/// The attribute names of `rel`, escaped, as one CSV line.
+fn write_header(rel: &Relation, out: &mut String) {
     for (i, a) in rel.schema().attr_ids().enumerate() {
         if i > 0 {
-            line.push(',');
+            out.push(',');
         }
-        escape(rel.schema().attr_name(a), &mut line);
+        escape(rel.schema().attr_name(a), out);
     }
-    line.push('\n');
-    w.write_all(line.as_bytes())?;
-    for (_, t) in rel.iter() {
-        line.clear();
-        for (i, v) in t.values().iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            encode_value(v, &mut line);
-        }
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-    }
-    Ok(())
+    out.push('\n');
 }
 
 /// Split one CSV record, honoring quotes. Returns an error message on
 /// malformed quoting.
-fn split_record(line: &str) -> Result<Vec<Field>, String> {
+fn split_record(line: &str) -> Result<Vec<Field<'static>>, String> {
     let mut fields = Vec::new();
     let mut cur = String::new();
     let mut cur_quoted = false;
@@ -157,7 +194,7 @@ fn split_record(line: &str) -> Result<Vec<Field>, String> {
                 }
                 ',' => {
                     fields.push(Field {
-                        text: std::mem::take(&mut cur),
+                        text: Cow::Owned(std::mem::take(&mut cur)),
                         quoted: std::mem::take(&mut cur_quoted),
                     });
                 }
@@ -169,35 +206,78 @@ fn split_record(line: &str) -> Result<Vec<Field>, String> {
         return Err("unterminated quote".to_string());
     }
     fields.push(Field {
-        text: cur,
+        text: Cow::Owned(cur),
         quoted: cur_quoted,
     });
     Ok(fields)
 }
 
-/// The text of split fields, quoting forgotten — for headers and weight
-/// rows, where quoting carries no meaning.
+/// Split one record into `out` (cleared first). A line without a quote
+/// splits on commas in place — exactly what [`split_record`] yields for
+/// it, without copying; any other line goes through [`split_record`].
+fn split_fields<'a>(line: &'a str, out: &mut Vec<Field<'a>>) -> Result<(), String> {
+    out.clear();
+    if line.contains('"') {
+        out.extend(split_record(line)?);
+    } else {
+        out.extend(line.split(',').map(|text| Field {
+            text: Cow::Borrowed(text),
+            quoted: false,
+        }));
+    }
+    Ok(())
+}
+
+/// The text of split fields, quoting forgotten — for headers, where
+/// quoting carries no meaning.
 fn field_texts(fields: Vec<Field>) -> Vec<String> {
-    fields.into_iter().map(|f| f.text).collect()
+    fields.into_iter().map(|f| f.text.into_owned()).collect()
 }
 
-/// [`read_relation_in`] on the process-default shared pool
-/// (compatibility shim — dataset paths pass the owning pool, or a fresh
-/// [`ValuePool::new_handle`], to keep ids and counts scoped).
-pub fn read_relation<R: BufRead>(name: &str, r: &mut R) -> Result<Relation, ModelError> {
-    read_relation_in(name, r, ValuePool::shared())
+/// All of `r` as text, for line-wise parsing from one buffer. When the
+/// input is not valid UTF-8, the text stops before the first line that is
+/// not, and that line's place holds the error `BufRead::lines` raises
+/// there — so every error surfaces at the same point it used to.
+fn read_text<R: BufRead>(r: &mut R) -> Result<(String, Option<io::Error>), ModelError> {
+    let mut buf = Vec::new();
+    r.read_to_end(&mut buf)?;
+    match String::from_utf8(buf) {
+        Ok(text) => Ok((text, None)),
+        Err(e) => {
+            let valid = e.utf8_error().valid_up_to();
+            let mut bytes = e.into_bytes();
+            let end = bytes[..valid]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |p| p + 1);
+            bytes.truncate(end);
+            let text = String::from_utf8(bytes).expect("whole lines before the first bad byte");
+            let err = io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            );
+            Ok((text, Some(err)))
+        }
+    }
 }
 
-/// Read a relation written by [`write_relation`], constructing the schema
-/// from the header and naming the relation `name`, interning every cell
-/// into `pool`. The result is columnar: records are decoded into
-/// per-attribute columns and bulk-interned, one pool pass per column.
-pub fn read_relation_in<R: BufRead>(
-    name: &str,
-    r: &mut R,
-    pool: std::sync::Arc<ValuePool>,
-) -> Result<Relation, ModelError> {
-    let mut lines = r.lines();
+/// The lines of `text` exactly as `BufRead::lines` yields them (`\n` or
+/// `\r\n` stripped, no empty line after a final newline), then `bad`.
+fn text_lines(text: &str, bad: Option<io::Error>) -> impl Iterator<Item = io::Result<&str>> {
+    text.split_inclusive('\n')
+        .map(|l| {
+            Ok(match l.strip_suffix('\n') {
+                Some(l) => l.strip_suffix('\r').unwrap_or(l),
+                None => l,
+            })
+        })
+        .chain(bad.map(Err))
+}
+
+/// The header line of a CSV input, split into attribute names.
+fn read_header<'a>(
+    lines: &mut impl Iterator<Item = io::Result<&'a str>>,
+) -> Result<Vec<String>, ModelError> {
     let header = match lines.next() {
         Some(h) => h?,
         None => {
@@ -207,18 +287,77 @@ pub fn read_relation_in<R: BufRead>(
             })
         }
     };
-    let attrs =
-        field_texts(split_record(&header).map_err(|message| ModelError::Csv { line: 1, message })?);
+    let fields = split_record(header).map_err(|message| ModelError::Csv { line: 1, message })?;
+    Ok(field_texts(fields))
+}
+
+/// [`read_relation_in`] on the process-default shared pool
+/// (compatibility shim — dataset paths pass the owning pool, or a fresh
+/// [`ValuePool::new_handle`], to keep ids and counts scoped).
+pub fn read_relation<R: BufRead>(name: &str, r: &mut R) -> Result<Relation, ModelError> {
+    read_relation_in(name, r, ValuePool::shared())
+}
+
+/// One column being read: its distinct fields in first-occurrence order
+/// with their decoded values and occurrence counts, and each row's index
+/// into that list (a local code until [`ColumnDict::install`] maps it to
+/// a pool id).
+#[derive(Default)]
+struct ColumnDict<'a> {
+    index: HashMap<Field<'a>, u32, FnvBuildHasher>,
+    values: Vec<Value>,
+    counts: Vec<u64>,
+    cells: Vec<ValueId>,
+}
+
+impl<'a> ColumnDict<'a> {
+    fn push(&mut self, field: Field<'a>) {
+        let values = &mut self.values;
+        let counts = &mut self.counts;
+        let code = *self.index.entry(field).or_insert_with_key(|f| {
+            values.push(decode_value(f));
+            counts.push(0);
+            (values.len() - 1) as u32
+        });
+        self.counts[code as usize] += 1;
+        self.cells.push(ValueId(code));
+    }
+
+    /// Install the distinct values into `pool` and return the column as
+    /// pool ids.
+    fn install(self, pool: &ValuePool) -> Vec<ValueId> {
+        let ids = pool.install_column(&self.values, &self.counts);
+        let mut cells = self.cells;
+        for c in &mut cells {
+            *c = ids[c.index()];
+        }
+        cells
+    }
+}
+
+/// Read a relation written by [`write_relation`], constructing the schema
+/// from the header and naming the relation `name`, interning every cell
+/// into `pool`. The result is columnar (see the module docs for how the
+/// columns are deduplicated and installed).
+pub fn read_relation_in<R: BufRead>(
+    name: &str,
+    r: &mut R,
+    pool: std::sync::Arc<ValuePool>,
+) -> Result<Relation, ModelError> {
+    let (text, bad) = read_text(r)?;
+    let mut lines = text_lines(&text, bad);
+    let attrs = read_header(&mut lines)?;
     let schema = Schema::new(name, &attrs)?;
     let arity = schema.arity();
-    let mut columns: Vec<Vec<Value>> = vec![Vec::new(); arity];
+    let mut columns: Vec<ColumnDict> = (0..arity).map(|_| ColumnDict::default()).collect();
+    let mut fields = Vec::with_capacity(arity);
     for (i, line) in lines.enumerate() {
         let line_no = i + 2;
         let line = line?;
         if line.is_empty() {
             continue;
         }
-        let fields = split_record(&line).map_err(|message| ModelError::Csv {
+        split_fields(line, &mut fields).map_err(|message| ModelError::Csv {
             line: line_no,
             message,
         })?;
@@ -228,11 +367,11 @@ pub fn read_relation_in<R: BufRead>(
                 message: format!("expected {arity} fields, found {}", fields.len()),
             });
         }
-        for (col, f) in columns.iter_mut().zip(&fields) {
-            col.push(decode_value(f));
+        for (col, f) in columns.iter_mut().zip(fields.drain(..)) {
+            col.push(f);
         }
     }
-    let id_cols = intern_columns(&pool, &columns);
+    let id_cols = columns.into_iter().map(|c| c.install(&pool)).collect();
     Relation::from_columns_in(schema, id_cols, None, pool)
 }
 
@@ -242,13 +381,7 @@ pub fn read_relation_in<R: BufRead>(
 /// value CSV so plain data files stay interoperable with other tools.
 pub fn write_weights<W: Write>(rel: &Relation, w: &mut W) -> Result<(), ModelError> {
     let mut line = String::new();
-    for (i, a) in rel.schema().attr_ids().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        escape(rel.schema().attr_name(a), &mut line);
-    }
-    line.push('\n');
+    write_header(rel, &mut line);
     w.write_all(line.as_bytes())?;
     for (_, t) in rel.iter() {
         line.clear();
@@ -269,18 +402,9 @@ pub fn write_weights<W: Write>(rel: &Relation, w: &mut W) -> Result<(), ModelErr
 /// relation's attributes in schema order, every weight must parse as a
 /// finite `f64` in `[0, 1]`, and the row count must match.
 pub fn read_weights<R: BufRead>(rel: &mut Relation, r: &mut R) -> Result<(), ModelError> {
-    let mut lines = r.lines();
-    let header = match lines.next() {
-        Some(h) => h?,
-        None => {
-            return Err(ModelError::Csv {
-                line: 1,
-                message: "missing header".to_string(),
-            })
-        }
-    };
-    let attrs =
-        field_texts(split_record(&header).map_err(|message| ModelError::Csv { line: 1, message })?);
+    let (text, bad) = read_text(r)?;
+    let mut lines = text_lines(&text, bad);
+    let attrs = read_header(&mut lines)?;
     let expected: Vec<&str> = rel
         .schema()
         .attr_ids()
@@ -295,16 +419,18 @@ pub fn read_weights<R: BufRead>(rel: &mut Relation, r: &mut R) -> Result<(), Mod
     let arity = rel.schema().arity();
     let ids: Vec<crate::TupleId> = rel.ids().collect();
     let mut idx = 0usize;
+    let mut fields = Vec::with_capacity(arity);
+    let mut weights = Vec::with_capacity(arity);
     for (i, line) in lines.enumerate() {
         let line_no = i + 2;
         let line = line?;
         if line.is_empty() {
             continue;
         }
-        let fields = field_texts(split_record(&line).map_err(|message| ModelError::Csv {
+        split_fields(line, &mut fields).map_err(|message| ModelError::Csv {
             line: line_no,
             message,
-        })?);
+        })?;
         if fields.len() != arity {
             return Err(ModelError::Csv {
                 line: line_no,
@@ -315,8 +441,9 @@ pub fn read_weights<R: BufRead>(rel: &mut Relation, r: &mut R) -> Result<(), Mod
             line: line_no,
             message: format!("more weight rows than tuples ({})", ids.len()),
         })?;
-        let mut weights = Vec::with_capacity(arity);
+        weights.clear();
         for f in &fields {
+            let f = &*f.text;
             let wt: f64 = f.trim().parse().map_err(|_| ModelError::Csv {
                 line: line_no,
                 message: format!("weight {f:?} is not a number"),
@@ -344,8 +471,8 @@ pub fn read_weights<R: BufRead>(rel: &mut Relation, r: &mut R) -> Result<(), Mod
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{AttrId, Schema};
     use crate::tuple::Tuple;
+    use cfd_prng::{ChaCha8Rng, Rng};
 
     fn sample() -> Relation {
         let schema = Schema::new("order", &["id", "name", "qty"]).unwrap();
@@ -480,6 +607,320 @@ mod tests {
         assert!(read_weights(&mut r, &mut input.as_bytes()).is_err());
         let input = "id,name,qty\n0.5,NaN,0.5\n0.5,0.5,0.5\n";
         assert!(read_weights(&mut r, &mut input.as_bytes()).is_err());
+    }
+
+    /// The pre-dictionary reader, kept as the parity oracle: `lines()`,
+    /// [`split_record`] on every line, cells decoded into per-attribute
+    /// columns, then each column interned cell by cell into `pool`.
+    fn reference_read(input: &[u8], pool: &ValuePool) -> Result<Vec<Vec<ValueId>>, ModelError> {
+        let mut lines = input.lines();
+        let header = match lines.next() {
+            Some(h) => h?,
+            None => {
+                return Err(ModelError::Csv {
+                    line: 1,
+                    message: "missing header".to_string(),
+                })
+            }
+        };
+        let attrs = field_texts(
+            split_record(&header).map_err(|message| ModelError::Csv { line: 1, message })?,
+        );
+        let arity = Schema::new("r", &attrs)?.arity();
+        let mut columns: Vec<Vec<Value>> = vec![Vec::new(); arity];
+        for (i, line) in lines.enumerate() {
+            let line_no = i + 2;
+            let line = line?;
+            if line.is_empty() {
+                continue;
+            }
+            let fields = split_record(&line).map_err(|message| ModelError::Csv {
+                line: line_no,
+                message,
+            })?;
+            if fields.len() != arity {
+                return Err(ModelError::Csv {
+                    line: line_no,
+                    message: format!("expected {arity} fields, found {}", fields.len()),
+                });
+            }
+            for (col, f) in columns.iter_mut().zip(&fields) {
+                col.push(decode_value(f));
+            }
+        }
+        Ok(columns
+            .iter()
+            .map(|c| c.iter().map(|v| pool.intern(v)).collect())
+            .collect())
+    }
+
+    /// The pre-dictionary weight reader, kept as the parity oracle.
+    fn reference_read_weights(rel: &mut Relation, input: &[u8]) -> Result<(), ModelError> {
+        let mut lines = input.lines();
+        let header = match lines.next() {
+            Some(h) => h?,
+            None => {
+                return Err(ModelError::Csv {
+                    line: 1,
+                    message: "missing header".to_string(),
+                })
+            }
+        };
+        let attrs = field_texts(
+            split_record(&header).map_err(|message| ModelError::Csv { line: 1, message })?,
+        );
+        let expected: Vec<&str> = rel
+            .schema()
+            .attr_ids()
+            .map(|a| rel.schema().attr_name(a))
+            .collect();
+        if attrs != expected {
+            return Err(ModelError::Csv {
+                line: 1,
+                message: format!("weight header {attrs:?} does not match schema {expected:?}"),
+            });
+        }
+        let arity = rel.schema().arity();
+        let ids: Vec<crate::TupleId> = rel.ids().collect();
+        let mut idx = 0usize;
+        for (i, line) in lines.enumerate() {
+            let line_no = i + 2;
+            let line = line?;
+            if line.is_empty() {
+                continue;
+            }
+            let fields = field_texts(split_record(&line).map_err(|message| ModelError::Csv {
+                line: line_no,
+                message,
+            })?);
+            if fields.len() != arity {
+                return Err(ModelError::Csv {
+                    line: line_no,
+                    message: format!("expected {arity} weights, found {}", fields.len()),
+                });
+            }
+            let id = *ids.get(idx).ok_or_else(|| ModelError::Csv {
+                line: line_no,
+                message: format!("more weight rows than tuples ({})", ids.len()),
+            })?;
+            let mut weights = Vec::with_capacity(arity);
+            for f in &fields {
+                let wt: f64 = f.trim().parse().map_err(|_| ModelError::Csv {
+                    line: line_no,
+                    message: format!("weight {f:?} is not a number"),
+                })?;
+                if !wt.is_finite() || !(0.0..=1.0).contains(&wt) {
+                    return Err(ModelError::Csv {
+                        line: line_no,
+                        message: format!("weight {wt} outside [0, 1]"),
+                    });
+                }
+                weights.push(wt);
+            }
+            rel.set_weights(id, &weights)?;
+            idx += 1;
+        }
+        if idx != ids.len() {
+            return Err(ModelError::Csv {
+                line: idx + 2,
+                message: format!("{} weight rows for {} tuples", idx, ids.len()),
+            });
+        }
+        Ok(())
+    }
+
+    fn assert_same_error(got: &ModelError, want: &ModelError, ctx: &str) {
+        match (got, want) {
+            (
+                ModelError::Csv { line, message },
+                ModelError::Csv {
+                    line: want_line,
+                    message: want_message,
+                },
+            ) => assert_eq!((line, message), (want_line, want_message), "{ctx}"),
+            (ModelError::Io(a), ModelError::Io(b)) => {
+                assert_eq!(
+                    (a.kind(), a.to_string()),
+                    (b.kind(), b.to_string()),
+                    "{ctx}"
+                )
+            }
+            _ => panic!("{ctx}: got {got:?}, want {want:?}"),
+        }
+    }
+
+    /// One awkward CSV field, as written in the file.
+    fn awkward_field(rng: &mut ChaCha8Rng) -> &'static str {
+        const FIELDS: &[&str] = &[
+            "plain",
+            "H. Porter",
+            "\\N",
+            "\"\\N\"",
+            "#i:7",
+            "#i:07",
+            "\"#i:7\"",
+            "#i:-3",
+            "#i:x",
+            "\"#i:x\"",
+            "#i:99999999999999999999",
+            "\"\"",
+            "",
+            "\"a,b\"",
+            "\"say \"\"hi\"\", eh\"",
+            "\"plain\"",
+            "naïve café",
+            "\"東京, 日本\"",
+            "\"x\ry\"",
+            "7",
+        ];
+        FIELDS[rng.gen_range(0..FIELDS.len())]
+    }
+
+    /// A malformed record, or a line that is not UTF-8.
+    fn broken_line(rng: &mut ChaCha8Rng) -> Vec<u8> {
+        match rng.gen_range(0..4u32) {
+            0 => b"only,two".to_vec(),
+            1 => b"a,b\"c,d".to_vec(),
+            2 => b"\"unterminated,b,c".to_vec(),
+            _ => vec![b'x', b',', 0xff, b',', b'z'],
+        }
+    }
+
+    /// A random CSV document over three attributes mixing every encoding
+    /// corner: CRLF and LF endings, blank lines, no final newline, and
+    /// (sometimes) one malformed line.
+    fn awkward_csv(rng: &mut ChaCha8Rng, broken: bool) -> Vec<u8> {
+        let mut out: Vec<u8> = if rng.gen_bool(0.5) {
+            b"a,b,c".to_vec()
+        } else {
+            b"\"a\",b,\"c\"".to_vec()
+        };
+        let rows = rng.gen_range(0..40usize);
+        let bad_at = broken.then(|| rng.gen_range(0..=rows));
+        for r in 0..=rows {
+            out.extend_from_slice(if rng.gen_bool(0.3) { b"\r\n" } else { b"\n" });
+            if rng.gen_bool(0.1) {
+                out.extend_from_slice(b"\n");
+            }
+            if bad_at == Some(r) {
+                out.extend(broken_line(rng));
+            } else if r < rows {
+                let fields: Vec<&str> = (0..3).map(|_| awkward_field(rng)).collect();
+                out.extend_from_slice(fields.join(",").as_bytes());
+            }
+        }
+        if rng.gen_bool(0.5) {
+            out.push(b'\n');
+        }
+        out
+    }
+
+    #[test]
+    fn ingest_matches_cell_by_cell_interning() {
+        use cfd_prng::trials;
+        let mut errors = 0;
+        trials(400, 0x00c5_1f3e, |rng| {
+            let broken = rng.gen_bool(0.3);
+            let input = awkward_csv(rng, broken);
+            let ctx = format!("input {:?}", String::from_utf8_lossy(&input));
+            let (pool, ref_pool) = (ValuePool::new_handle(), ValuePool::new());
+            let got = read_relation_in("r", &mut input.as_slice(), pool.clone());
+            match (got, reference_read(&input, &ref_pool)) {
+                (Ok(rel), Ok(want)) => {
+                    for (a, col) in want.iter().enumerate() {
+                        assert_eq!(rel.column(AttrId(a as u16)).unwrap(), col, "{ctx}");
+                    }
+                    assert_eq!(pool.len(), ref_pool.len(), "{ctx}");
+                    for id in (0..ref_pool.len() as u32).map(ValueId) {
+                        assert_eq!(pool.resolve(id), ref_pool.resolve(id), "{ctx}");
+                        assert_eq!(pool.use_count(id), ref_pool.use_count(id), "{ctx}");
+                    }
+                }
+                (Err(got), Err(want)) => {
+                    errors += 1;
+                    assert_same_error(&got, &want, &ctx);
+                }
+                (got, want) => panic!("{ctx}: got {got:?}, want {want:?}"),
+            }
+        });
+        assert!(errors > 0, "the trials exercise the error paths");
+    }
+
+    #[test]
+    fn int_tags_and_null_tokens_dedup_by_value() {
+        let input = "a\n#i:7\n#i:07\n\"#i:7\"\n\\N\n\"\\N\"\n#i:7\n";
+        let pool = ValuePool::new_handle();
+        let rel = read_relation_in("r", &mut input.as_bytes(), pool.clone()).unwrap();
+        let col = rel.column(AttrId(0)).unwrap();
+        // `#i:7` and `#i:07` are one value; the quoted forms are strings.
+        assert_eq!(col[0], col[1]);
+        assert_eq!(col[0], col[5]);
+        assert_eq!(pool.use_count(col[0]), 3);
+        assert_eq!(pool.resolve(col[2]), Value::str("#i:7"));
+        assert_eq!(col[3], crate::NULL_ID);
+        assert_eq!(pool.resolve(col[4]), Value::str("\\N"));
+        assert_eq!(pool.len(), 4);
+    }
+
+    #[test]
+    fn weights_match_the_reference_reader() {
+        use cfd_prng::trials;
+        const WEIGHTS: &[&str] = &[
+            "0.5", " 0.25 ", "1", "0", "\"0.75\"", "1e-1", "NaN", "1.5", "-0.1", "abc", "",
+        ];
+        let mut base = Relation::new_in(
+            Schema::new("r", &["a", "b"]).unwrap(),
+            ValuePool::new_handle(),
+        );
+        for i in 0..4 {
+            base.insert(Tuple::new(vec![Value::int(i), Value::int(i)]))
+                .unwrap();
+        }
+        let (mut oks, mut errors) = (0, 0);
+        trials(400, 0x0077_e1a5, |rng| {
+            let mut input: Vec<u8> = match rng.gen_range(0..10u32) {
+                0 => b"a,wrong".to_vec(),
+                1 => b"\"a\",\"b\"".to_vec(),
+                _ => b"a,b".to_vec(),
+            };
+            let rows = rng.gen_range(3..6usize);
+            for _ in 0..rows {
+                input.extend_from_slice(if rng.gen_bool(0.3) { b"\r\n" } else { b"\n" });
+                if rng.gen_bool(0.1) {
+                    input.extend_from_slice(b"\n");
+                }
+                let n = if rng.gen_bool(0.05) { 3 } else { 2 };
+                let row: Vec<&str> = (0..n)
+                    .map(|_| {
+                        if rng.gen_bool(0.9) {
+                            WEIGHTS[rng.gen_range(0..5usize)]
+                        } else {
+                            WEIGHTS[rng.gen_range(0..WEIGHTS.len())]
+                        }
+                    })
+                    .collect();
+                input.extend_from_slice(row.join(",").as_bytes());
+            }
+            if rng.gen_bool(0.5) {
+                input.push(b'\n');
+            }
+            let ctx = format!("input {:?}", String::from_utf8_lossy(&input));
+            let (mut got_rel, mut want_rel) = (base.clone(), base.clone());
+            let got = read_weights(&mut got_rel, &mut input.as_slice());
+            match (got, reference_read_weights(&mut want_rel, &input)) {
+                (Ok(()), Ok(())) => oks += 1,
+                (Err(got), Err(want)) => {
+                    errors += 1;
+                    assert_same_error(&got, &want, &ctx);
+                }
+                (got, want) => panic!("{ctx}: got {got:?}, want {want:?}"),
+            }
+            for a in 0..2 {
+                let a = AttrId(a);
+                assert_eq!(got_rel.weight_column(a), want_rel.weight_column(a), "{ctx}");
+            }
+        });
+        assert!(oks > 0 && errors > 0, "{oks} ok, {errors} errors");
     }
 
     #[test]

@@ -59,15 +59,18 @@
 //!   binary format bundling the dictionary, the columnar segments, the
 //!   schema, and rule text; the [`Catalog`] of named datasets; and the
 //!   serialized form of [`EditLog`]s. CSV import and snapshot load share
-//!   one decode→columns→install pipeline ([`Relation::from_store`]);
-//!   snapshot load skips re-interning by bulk-installing the dictionary
-//!   and remapping columns.
+//!   one install path: each bulk-installs a column dictionary with
+//!   occurrence counts ([`ValuePool::install_column`]) and hands the id
+//!   columns to [`Relation::from_store`]. CSV import builds its
+//!   dictionary by deduplicating the parsed fields; snapshot load reads
+//!   it from the file and skips parsing.
 
 pub mod active_domain;
 pub mod csv;
 pub mod database;
 pub mod diff;
 pub mod error;
+pub mod hash;
 pub mod index;
 pub mod key;
 pub mod mapping;

@@ -54,14 +54,15 @@
 //!
 //! `use_count` approximates a value's occurrence frequency in the
 //! dataset's *data*. Only data-loading paths bump it: cell-by-cell
-//! interning ([`intern`](ValuePool::intern), tuple construction), bulk
-//! CSV import ([`intern_column`](ValuePool::intern_column)), and snapshot
-//! install ([`install_column`](ValuePool::install_column), which restores
-//! the exact counts recorded at save time). Non-data interning — pattern
-//! constants bound at rule-load time, probes — goes through
-//! [`intern_uncounted`](ValuePool::intern_uncounted) and leaves the
-//! counters alone, so re-loading rules or repairing twice never skews a
-//! frequency tie-break.
+//! interning ([`intern`](ValuePool::intern), tuple construction) and the
+//! bulk [`install_column`](ValuePool::install_column). CSV import counts
+//! each column's distinct values itself and installs them with those
+//! counts; snapshot load installs the exact counts recorded at save time.
+//! Both leave the counters where interning every cell would. Non-data
+//! interning — pattern constants bound at rule-load time, probes — goes
+//! through [`intern_uncounted`](ValuePool::intern_uncounted) and leaves
+//! the counters alone, so re-loading rules or repairing twice never skews
+//! a frequency tie-break.
 //!
 //! ## Reclamation
 //!
@@ -191,10 +192,10 @@ struct PoolInner {
     values: Vec<Value>,
     /// value → id.
     ids: HashMap<Value, u32>,
-    /// id → number of interning events. Every `intern` / `intern_column`
-    /// call bumps the hit's counter, so for data loaded value-by-value
-    /// (tuples, CSV columns) the counter approximates the value's global
-    /// occurrence frequency — the signal `FINDV`'s most-common-value
+    /// id → number of counted occurrences: every `intern` call bumps the
+    /// hit's counter and `install_column` adds its counts, so for loaded
+    /// data (tuples, CSV columns, snapshots) the counter approximates the
+    /// value's occurrence frequency — the signal `FINDV`'s most-common-value
     /// heuristic reads instead of re-counting a group. Atomic so the
     /// read-lock fast path of `intern` can bump without upgrading.
     counts: Vec<AtomicU64>,
@@ -333,41 +334,20 @@ impl ValuePool {
         ValueId(inner.alloc(v))
     }
 
-    /// Bulk-intern one column of values under a single lock acquisition —
-    /// the CSV import path: instead of `rows × arity` lock round-trips,
-    /// each attribute column is interned in one pass. Returns ids aligned
-    /// with `column`. Occurrence counts are bumped exactly as by
-    /// [`intern`](ValuePool::intern).
-    pub fn intern_column(&self, column: &[Value]) -> Vec<ValueId> {
-        let mut inner = self.inner.write().expect("pool lock poisoned");
-        let mut out = Vec::with_capacity(column.len());
-        for v in column {
-            if v.is_null() {
-                out.push(NULL_ID);
-                continue;
-            }
-            let id = match inner.ids.get(v).copied() {
-                Some(id) => id,
-                None => inner.alloc(v),
-            };
-            inner.counts[id as usize].fetch_add(1, Ordering::Relaxed);
-            out.push(ValueId(id));
-        }
-        out
-    }
-
-    /// Bulk-install a snapshot dictionary: intern each value **without**
+    /// Bulk-install a column dictionary: intern each value **without**
     /// the implicit occurrence bump of [`intern`](ValuePool::intern), then
     /// add `counts[i]` to its counter. Returns ids aligned with `values`.
     ///
-    /// This is the snapshot-load fast path: where CSV import pays one hash
-    /// operation per *cell* (via [`intern_column`](ValuePool::intern_column)),
-    /// installing a dictionary pays one per *distinct value*, and the
-    /// occurrence counts recorded at save time restore exactly the
-    /// frequency signal a cell-by-cell load would have produced — so
-    /// `FINDV`'s most-common-value tie-break behaves identically on a
-    /// snapshot-loaded relation and a CSV-loaded one. `Value::Null` maps
-    /// to [`NULL_ID`] and is never counted, mirroring the intern paths.
+    /// This is the one bulk load path, for CSV import and snapshot load
+    /// alike: it takes the pool's write lock once per column and pays one
+    /// hash operation per *distinct value*. When `values` lists a column's
+    /// distinct values in first-occurrence order with their occurrence
+    /// counts, the pool ends up with exactly the ids and counts that
+    /// interning the column cell by cell would give, so `FINDV`'s
+    /// most-common-value tie-break behaves identically however a relation
+    /// was loaded. A value may appear more than once in `values`; its
+    /// counts add up. `Value::Null` maps to [`NULL_ID`] and is never
+    /// counted, mirroring the intern paths.
     ///
     /// # Panics
     /// Panics when `values` and `counts` lengths differ.
@@ -734,8 +714,24 @@ mod tests {
         assert_eq!(pool.use_count(ValueId(9999)), 0);
     }
 
+    /// A column's distinct values in first-occurrence order with their
+    /// occurrence counts — what CSV import installs.
+    fn dictionary(column: &[Value]) -> (Vec<Value>, Vec<u64>) {
+        let (mut values, mut counts): (Vec<Value>, Vec<u64>) = (Vec::new(), Vec::new());
+        for v in column {
+            match values.iter().position(|d| d == v) {
+                Some(i) => counts[i] += 1,
+                None => {
+                    values.push(v.clone());
+                    counts.push(1);
+                }
+            }
+        }
+        (values, counts)
+    }
+
     #[test]
-    fn intern_column_matches_scalar_interning() {
+    fn install_column_with_counts_matches_scalar_interning() {
         let scalar = ValuePool::new();
         let bulk = ValuePool::new();
         let column: Vec<Value> = ["x", "y", "x", "z", "x"]
@@ -744,7 +740,12 @@ mod tests {
             .chain([Value::Null])
             .collect();
         let a: Vec<ValueId> = column.iter().map(|v| scalar.intern(v)).collect();
-        let b = bulk.intern_column(&column);
+        let (dict, counts) = dictionary(&column);
+        let ids = bulk.install_column(&dict, &counts);
+        let b: Vec<ValueId> = column
+            .iter()
+            .map(|v| ids[dict.iter().position(|d| d == v).unwrap()])
+            .collect();
         assert_eq!(a, b);
         assert_eq!(scalar.len(), bulk.len());
         for (v, id) in column.iter().zip(&b) {
@@ -937,7 +938,18 @@ mod tests {
         let mut baseline = None;
         for round in 0..5 {
             let cells: Vec<Value> = (0..50).map(|i| Value::str(format!("v{i}"))).collect();
-            let ids = pool.intern_column(&cells);
+            let (dict, counts) = dictionary(&cells);
+            let ids = pool.install_column(&dict, &counts);
+            let scalar = ValuePool::new();
+            for v in &cells {
+                scalar.intern(v);
+            }
+            for (v, id) in cells.iter().zip(&ids) {
+                assert_eq!(
+                    pool.use_count(*id),
+                    scalar.use_count(scalar.lookup(v).unwrap())
+                );
+            }
             // Render a few to fill the cache, as a repair would.
             pool.rendered_batch(&ids[..10]);
             pool.retire_ids(ids);

@@ -823,12 +823,6 @@ impl TupleView for RowRef<'_> {
     }
 }
 
-/// Bulk-intern decoded CSV columns into a [`ColumnStore`] — one
-/// [`ValuePool::intern_column`] call per attribute.
-pub fn intern_columns(pool: &ValuePool, columns: &[Vec<Value>]) -> Vec<Vec<ValueId>> {
-    columns.iter().map(|c| pool.intern_column(c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -883,14 +877,13 @@ mod tests {
     fn from_columns_marks_all_live() {
         // `materialize` hands back owned `Tuple`s, which resolve through
         // the process-default shared pool — intern there.
-        let pool = ValuePool::shared();
-        let cols = intern_columns(
-            &pool,
-            &[
-                vec![Value::str("a"), Value::str("b")],
-                vec![Value::int(1), Value::int(2)],
-            ],
-        );
+        let cols = [
+            [Value::str("a"), Value::str("b")],
+            [Value::int(1), Value::int(2)],
+        ]
+        .iter()
+        .map(|col| col.iter().map(ValueId::of).collect())
+        .collect();
         let s = ColumnStore::from_columns(cols, None);
         assert_eq!(s.slot_count(), 2);
         assert!(s.is_live(0) && s.is_live(1));

@@ -1,11 +1,12 @@
-//! CSV round-trips under the columnar bulk-intern import path.
+//! CSV round-trips under the columnar bulk-install import path.
 //!
-//! `read_relation` decodes records into per-attribute columns, interns
-//! each column in one `ValuePool::intern_column` pass, and builds the
-//! `ColumnStore` directly. These tests pin the tricky encodings —
-//! quoting, embedded separators and newline-free quotes, null markers,
-//! empty strings, integer tags — through import → export → import, plus
-//! weight columns through their own round trip.
+//! `read_relation` deduplicates each column's fields, installs the
+//! distinct values with their counts in one `ValuePool::install_column`
+//! call per column, and builds the `ColumnStore` directly. These tests
+//! pin the tricky encodings — quoting, embedded separators and
+//! newline-free quotes, null markers, empty strings, integer tags —
+//! through import → export → import, plus weight columns through their
+//! own round trip.
 
 use cfd_model::csv::{read_relation, read_weights, write_relation, write_weights};
 use cfd_model::{AttrId, Relation, Schema, StorageLayout, Tuple, TupleId, Value};

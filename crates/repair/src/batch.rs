@@ -424,8 +424,9 @@ impl<'a> BatchState<'a> {
         // Cell grid covers the id space including tombstones; dead slots
         // simply never participate.
         let slots = orig.ids().map(|id| id.index() + 1).max().unwrap_or(0);
+        // A point read of the weight column per cell; dead slots weigh 0.
         let eq = EqClasses::new(slots, arity, |tid, a| {
-            orig.tuple(tid).map(|t| t.weight(a)).unwrap_or(0.0)
+            orig.cell_weight(tid, a).unwrap_or(0.0)
         });
         let report = detect_with_parts(&work, sigma, &parts);
         let dirty = report
@@ -808,7 +809,12 @@ impl<'p> Planner<'p> {
                 // runs on every candidate pricing.
                 let eq = p.eq;
                 let mut total = p.residual_vios(cell.tuple, cell.attr, v);
-                for m in eq.members(cell).iter().filter(|m| **m != cell).take(SAMPLE) {
+                for m in eq
+                    .members(&cell)
+                    .iter()
+                    .filter(|m| **m != cell)
+                    .take(SAMPLE)
+                {
                     total += p.residual_vios(m.tuple, m.attr, v);
                 }
                 total
@@ -826,7 +832,7 @@ impl<'p> Planner<'p> {
     /// have merged country-sized classes.
     fn assign_cost(&mut self, cell: Cell, v: ValueId) -> f64 {
         const EXACT_LIMIT: usize = 64;
-        if self.eq.members(cell).len() > EXACT_LIMIT {
+        if self.eq.members(&cell).len() > EXACT_LIMIT {
             let current = self.eff(cell.tuple, cell.attr);
             return if current == v {
                 0.0
@@ -834,7 +840,7 @@ impl<'p> Planner<'p> {
                 self.eq.weight_sum(cell) * self.dcache.normalized(current, v)
             };
         }
-        let member_cells: Vec<Cell> = self.eq.members(cell).to_vec();
+        let member_cells: Vec<Cell> = self.eq.members(&cell).to_vec();
         let members: Vec<(f64, ValueId)> = member_cells
             .iter()
             .map(|c| {
@@ -859,7 +865,7 @@ impl<'p> Planner<'p> {
         if candidates.is_empty() {
             return Vec::new();
         }
-        if self.eq.members(cell).len() > EXACT_LIMIT {
+        if self.eq.members(&cell).len() > EXACT_LIMIT {
             let current = self.eff(cell.tuple, cell.attr);
             let w = self.eq.weight_sum(cell);
             let ds = self.dcache.normalized_batch(current, candidates);
@@ -869,7 +875,7 @@ impl<'p> Planner<'p> {
                 .map(|(&v, d)| if current == v { 0.0 } else { w * d })
                 .collect();
         }
-        let member_cells: Vec<Cell> = self.eq.members(cell).to_vec();
+        let member_cells: Vec<Cell> = self.eq.members(&cell).to_vec();
         let members: Vec<(f64, ValueId)> = member_cells
             .iter()
             .map(|c| {
@@ -1275,7 +1281,7 @@ impl<'a> BatchState<'a> {
             Target::Const(v) => v,
             Target::Null => NULL_ID,
         };
-        let members: Vec<Cell> = self.eq.members(cell).to_vec();
+        let members: Vec<Cell> = self.eq.members(&cell).to_vec();
         for m in members {
             self.write_cell(m, value);
         }
@@ -1336,12 +1342,12 @@ impl<'a> BatchState<'a> {
                 let (side_a, side_b) = match &merged_value {
                     Some(w) => (
                         if va != *w {
-                            self.eq.members(a).to_vec()
+                            self.eq.members(&a).to_vec()
                         } else {
                             Vec::new()
                         },
                         if vb != *w {
-                            self.eq.members(b).to_vec()
+                            self.eq.members(&b).to_vec()
                         } else {
                             Vec::new()
                         },
@@ -1555,6 +1561,7 @@ mod tests {
     use cfd_cfd::pattern::{PatternRow, PatternValue};
     use cfd_cfd::Cfd;
     use cfd_model::{Schema, Tuple, Value};
+    use std::sync::Arc;
 
     fn fig1() -> (Relation, Sigma) {
         let schema = Schema::new(
@@ -2015,6 +2022,58 @@ mod tests {
                     "{label}: {variable}/{pairs}"
                 );
             }
+        }
+    }
+
+    /// `repair_cost` of `out` against `orig` on the shared-pool id path,
+    /// checked bit for bit against the value path it takes once the
+    /// repair is written to CSV and read back into a fresh pool.
+    fn assert_cost_paths_agree(orig: &Relation, sigma: &Sigma, label: &str) {
+        let out = batch_repair(orig, sigma, BatchConfig::default()).unwrap();
+        assert!(Arc::ptr_eq(orig.pool(), out.repair.pool()), "{label}");
+        let mut csv = Vec::new();
+        cfd_model::csv::write_relation(&out.repair, &mut csv).unwrap();
+        let reread = cfd_model::csv::read_relation_in(
+            orig.schema().name(),
+            &mut csv.as_slice(),
+            ValuePool::new_handle(),
+        )
+        .unwrap();
+        assert!(!Arc::ptr_eq(orig.pool(), reread.pool()), "{label}");
+        let (ids, values) = (repair_cost(orig, &out.repair), repair_cost(orig, &reread));
+        assert!(ids > 0.0, "{label}: the repair changed something");
+        assert_eq!(
+            ids.to_bits(),
+            values.to_bits(),
+            "{label}: {ids} vs {values}"
+        );
+    }
+
+    #[test]
+    fn repair_cost_by_id_matches_the_cross_pool_value_path() {
+        let (rel, sigma) = fig1();
+        let pool = ValuePool::new_handle();
+        let rel = rel.rekey_into(&pool);
+        let sigma =
+            Sigma::normalize_in(sigma.schema().clone(), sigma.sources().to_vec(), &pool).unwrap();
+        assert_cost_paths_agree(&rel, &sigma, "fig1");
+        for seed in [1, 7] {
+            let w = cfd_gen::generate(&cfd_gen::GenConfig::sized(2_000, seed));
+            let noise = cfd_gen::inject(
+                &w.dopt,
+                &w.world,
+                &cfd_gen::NoiseConfig {
+                    rate: 0.05,
+                    seed,
+                    ..Default::default()
+                },
+            );
+            let pool = ValuePool::new_handle();
+            let rel = noise.dirty.rekey_into(&pool);
+            let sigma =
+                Sigma::normalize_in(w.sigma.schema().clone(), w.sigma.sources().to_vec(), &pool)
+                    .unwrap();
+            assert_cost_paths_agree(&rel, &sigma, &format!("generator seed {seed}"));
         }
     }
 

@@ -12,7 +12,9 @@
 //! greedy choice in both repair algorithms; in the absence of weight
 //! information all weights are 1 and violation counts take over.
 
-use cfd_model::{Relation, TupleId, TupleView, Value, ValueId};
+use std::sync::Arc;
+
+use cfd_model::{AttrId, Relation, TupleId, TupleView, Value, ValueId};
 
 use crate::distance::{normalized_distance, DistanceCache};
 
@@ -49,7 +51,7 @@ pub fn tuple_cost<V: TupleView + ?Sized, W: TupleView + ?Sized>(t: &V, t_new: &W
     debug_assert_eq!(t.arity(), t_new.arity());
     let mut total = 0.0;
     for i in 0..t.arity() {
-        let a = cfd_model::AttrId(i as u16);
+        let a = AttrId(i as u16);
         let (from, to) = (t.value(a), t_new.value(a));
         if from != to {
             total += t.weight(a) * normalized_distance(&from, &to);
@@ -61,12 +63,39 @@ pub fn tuple_cost<V: TupleView + ?Sized, W: TupleView + ?Sized>(t: &V, t_new: &W
 /// `cost(Repr, D)`: total cost of a repair relative to the original.
 /// Relations must share tuple ids; tuples missing on either side are
 /// ignored (repairs by value modification never add or remove tuples).
+///
+/// When both relations intern into one pool, ids compare like values
+/// (interning is injective), so cells are compared as ids and only the
+/// changed ones are resolved and priced. The sum is taken in the same
+/// order as [`tuple_cost`] per tuple, so the result is bit-identical to
+/// the value path, which relations in different pools still take.
 pub fn repair_cost(original: &Relation, repair: &Relation) -> f64 {
+    if !Arc::ptr_eq(original.pool(), repair.pool()) {
+        let mut total = 0.0;
+        for (id, t) in original.iter() {
+            if let Some(t_new) = repair.tuple(id) {
+                total += tuple_cost(&t, &t_new);
+            }
+        }
+        return total;
+    }
+    let pool = original.pool();
+    let arity = original.schema().arity();
     let mut total = 0.0;
     for (id, t) in original.iter() {
-        if let Some(t_new) = repair.tuple(id) {
-            total += tuple_cost(&t, &t_new);
+        let Some(t_new) = repair.tuple(id) else {
+            continue;
+        };
+        let mut tuple_total = 0.0;
+        for i in 0..arity {
+            let a = AttrId(i as u16);
+            let (from, to) = (t.id(a), t_new.id(a));
+            if from != to {
+                let (from, to) = (pool.resolve(from), pool.resolve(to));
+                tuple_total += t.weight(a) * normalized_distance(&from, &to);
+            }
         }
+        total += tuple_total;
     }
     total
 }
@@ -119,7 +148,7 @@ pub fn class_assign_cost_ids_batch(
 
 /// Convenience: evaluate the cost of an in-place single-attribute change in
 /// a relation.
-pub fn cell_change_cost(rel: &Relation, id: TupleId, a: cfd_model::AttrId, to: &Value) -> f64 {
+pub fn cell_change_cost(rel: &Relation, id: TupleId, a: AttrId, to: &Value) -> f64 {
     match rel.tuple(id) {
         Some(t) => change_cost(t.weight(a), &t.value(a), to),
         None => 0.0,
@@ -129,7 +158,7 @@ pub fn cell_change_cost(rel: &Relation, id: TupleId, a: cfd_model::AttrId, to: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_model::{AttrId, Schema, Tuple};
+    use cfd_model::{Schema, Tuple};
 
     #[test]
     fn identical_change_is_free() {

@@ -11,7 +11,10 @@
 //!
 //! The structure is a union–find with union-by-size, path compression, and
 //! per-root member lists + weight sums (needed by `PICKNEXT`'s `Cost` and
-//! by case 1.2's minimal-weight fallback).
+//! by case 1.2's minimal-weight fallback). A class that was never merged
+//! keeps an empty member list, which stands for the root alone: building
+//! the grid allocates nothing per cell, and the first merge writes out
+//! both sides in the order an eager list would hold them.
 
 use cfd_model::{AttrId, TupleId, ValueId};
 
@@ -91,7 +94,8 @@ pub struct EqClasses {
     size: Vec<u32>,
     /// Root-indexed: target of the class (valid only at roots).
     target: Vec<Target>,
-    /// Root-indexed member lists.
+    /// Root-indexed member lists. Empty means the singleton `[root]`
+    /// (see [`EqClasses::members`]).
     members: Vec<Vec<Cell>>,
     /// Root-indexed sum of member weights.
     weight_sum: Vec<f64>,
@@ -110,19 +114,18 @@ impl EqClasses {
         mut weight_of: impl FnMut(TupleId, AttrId) -> f64,
     ) -> Self {
         let n = n_tuples * arity;
-        let mut members = Vec::with_capacity(n);
         let mut weight_sum = Vec::with_capacity(n);
-        for idx in 0..n {
-            let cell = Cell::new(TupleId((idx / arity) as u32), AttrId((idx % arity) as u16));
-            members.push(vec![cell]);
-            weight_sum.push(weight_of(cell.tuple, cell.attr));
+        for t in 0..n_tuples {
+            for a in 0..arity {
+                weight_sum.push(weight_of(TupleId(t as u32), AttrId(a as u16)));
+            }
         }
         EqClasses {
             arity,
             parent: (0..n as u32).collect(),
             size: vec![1; n],
             target: vec![Target::Free; n],
-            members,
+            members: vec![Vec::new(); n],
             weight_sum,
             class_count: n,
             total_rank: 0,
@@ -132,6 +135,14 @@ impl EqClasses {
     #[inline]
     fn index(&self, c: Cell) -> usize {
         c.tuple.index() * self.arity + c.attr.index()
+    }
+
+    #[inline]
+    fn cell_at(&self, i: usize) -> Cell {
+        Cell::new(
+            TupleId((i / self.arity) as u32),
+            AttrId((i % self.arity) as u16),
+        )
     }
 
     fn find_idx(&mut self, mut i: usize) -> usize {
@@ -159,11 +170,7 @@ impl EqClasses {
     /// Root cell of `c`'s class.
     pub fn find(&self, c: Cell) -> Cell {
         let i = self.index(c);
-        let root = self.find_idx_ro(i);
-        Cell::new(
-            TupleId((root / self.arity) as u32),
-            AttrId((root % self.arity) as u16),
-        )
+        self.cell_at(self.find_idx_ro(i))
     }
 
     /// Are two cells in the same class?
@@ -179,11 +186,16 @@ impl EqClasses {
         &self.target[root]
     }
 
-    /// All members of `c`'s class.
-    pub fn members(&self, c: Cell) -> &[Cell] {
-        let i = self.index(c);
-        let root = self.find_idx_ro(i);
-        &self.members[root]
+    /// All members of `c`'s class, in merge order. A class that was
+    /// never merged stores an empty member list, which means the
+    /// singleton: its only member is `c` itself, returned from the
+    /// borrowed argument.
+    pub fn members<'s>(&'s self, c: &'s Cell) -> &'s [Cell] {
+        let root = self.find_idx_ro(self.index(*c));
+        match self.members[root].as_slice() {
+            [] => std::slice::from_ref(c),
+            members => members,
+        }
     }
 
     /// Sum of member weights of `c`'s class.
@@ -263,8 +275,19 @@ impl EqClasses {
         // rb merges into ra.
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
+        // Write out implicit singletons so the list reads as an eager
+        // one would: ra's members, then rb's.
         let moved = std::mem::take(&mut self.members[rb]);
-        self.members[ra].extend(moved);
+        if self.members[ra].is_empty() {
+            let root = self.cell_at(ra);
+            self.members[ra].push(root);
+        }
+        if moved.is_empty() {
+            let cell = self.cell_at(rb);
+            self.members[ra].push(cell);
+        } else {
+            self.members[ra].extend(moved);
+        }
         self.weight_sum[ra] += self.weight_sum[rb];
         self.weight_sum[rb] = 0.0;
         self.target[ra] = combined;
@@ -280,14 +303,8 @@ impl EqClasses {
         let n = self.parent.len();
         let mut roots = Vec::new();
         for i in 0..n {
-            if self.parent[i] as usize == i
-                && self.target[i] == Target::Free
-                && self.members[i].len() > 1
-            {
-                roots.push(Cell::new(
-                    TupleId((i / self.arity) as u32),
-                    AttrId((i % self.arity) as u16),
-                ));
+            if self.parent[i] as usize == i && self.target[i] == Target::Free && self.size[i] > 1 {
+                roots.push(self.cell_at(i));
             }
         }
         roots
@@ -316,7 +333,7 @@ mod tests {
         let eq = cells();
         assert_eq!(eq.class_count(), 6);
         assert_eq!(eq.total_rank(), 0);
-        assert_eq!(eq.members(c(0, 0)), &[c(0, 0)]);
+        assert_eq!(eq.members(&c(0, 0)), &[c(0, 0)]);
         assert_eq!(*eq.target(c(1, 1)), Target::Free);
         assert_eq!(eq.weight_sum(c(2, 0)), 1.0);
     }
@@ -327,7 +344,7 @@ mod tests {
         assert!(eq.merge(c(0, 0), c(1, 0)).unwrap());
         assert_eq!(eq.class_count(), 5);
         assert!(eq.same_class(c(0, 0), c(1, 0)));
-        let mut members = eq.members(c(0, 0)).to_vec();
+        let mut members = eq.members(&c(0, 0)).to_vec();
         members.sort();
         assert_eq!(members, vec![c(0, 0), c(1, 0)]);
         assert_eq!(eq.weight_sum(c(1, 0)), 1.5);
@@ -434,10 +451,141 @@ mod tests {
         let root = view.find(c(5, 0));
         assert!(view.same_class(root, c(0, 0)));
         assert_eq!(*view.target(c(5, 0)), Target::Const(cid("deep")));
-        assert_eq!(view.members(c(5, 0)).len(), 6);
+        assert_eq!(view.members(&c(5, 0)).len(), 6);
         assert_eq!(view.weight_sum(c(3, 0)), 6.0);
         // Reads through `&` are repeatable: nothing was compressed away.
         assert_eq!(view.find(c(5, 0)), root);
+    }
+
+    /// An eager reference of the class grid: every cell keeps its root
+    /// up to date, and every root holds its member list from the start.
+    /// Roots, union-by-size, member order and weight sums follow the rules
+    /// [`EqClasses`] implements.
+    struct Eager {
+        arity: usize,
+        root: Vec<usize>,
+        members: Vec<Vec<Cell>>,
+        weight_sum: Vec<f64>,
+        target: Vec<Target>,
+    }
+
+    impl Eager {
+        fn new(n_tuples: usize, arity: usize, weight_of: impl Fn(TupleId, AttrId) -> f64) -> Self {
+            let n = n_tuples * arity;
+            let cell = |i: usize| c((i / arity) as u32, (i % arity) as u16);
+            Eager {
+                arity,
+                root: (0..n).collect(),
+                members: (0..n).map(|i| vec![cell(i)]).collect(),
+                weight_sum: (0..n)
+                    .map(|i| weight_of(cell(i).tuple, cell(i).attr))
+                    .collect(),
+                target: vec![Target::Free; n],
+            }
+        }
+
+        fn root_of(&self, x: Cell) -> usize {
+            self.root[x.tuple.index() * self.arity + x.attr.index()]
+        }
+
+        fn set_target(&mut self, x: Cell, new: Target) -> bool {
+            let r = self.root_of(x);
+            let old = self.target[r];
+            let legal = old == new || new.rank() > old.rank();
+            if legal {
+                self.target[r] = new;
+            }
+            legal
+        }
+
+        fn merge(&mut self, a: Cell, b: Cell) -> Result<bool, EqError> {
+            let (mut ra, mut rb) = (self.root_of(a), self.root_of(b));
+            if ra == rb {
+                return Ok(false);
+            }
+            let combined = match (self.target[ra], self.target[rb]) {
+                (Target::Const(x), Target::Const(y)) if x != y => {
+                    return Err(EqError::ConflictingMerge)
+                }
+                (Target::Null, _) | (_, Target::Null) => Target::Null,
+                (Target::Const(x), _) | (_, Target::Const(x)) => Target::Const(x),
+                (Target::Free, Target::Free) => Target::Free,
+            };
+            if self.members[ra].len() < self.members[rb].len() {
+                std::mem::swap(&mut ra, &mut rb);
+            }
+            let moved = std::mem::take(&mut self.members[rb]);
+            for m in &moved {
+                self.root[m.tuple.index() * self.arity + m.attr.index()] = ra;
+            }
+            self.members[ra].extend(moved);
+            self.weight_sum[ra] += self.weight_sum[rb];
+            self.target[ra] = combined;
+            Ok(true)
+        }
+
+        fn roots(&self) -> impl Iterator<Item = usize> + '_ {
+            (0..self.root.len()).filter(|&i| self.root[i] == i)
+        }
+
+        fn progress(&self) -> u64 {
+            let (mut classes, mut rank) = (0u64, 0u64);
+            for r in self.roots() {
+                classes += 1;
+                rank += u64::from(self.target[r].rank());
+            }
+            2 * (self.root.len() as u64 - classes) + rank
+        }
+
+        fn free_multi_member_roots(&self) -> Vec<Cell> {
+            self.roots()
+                .filter(|&r| self.target[r] == Target::Free && self.members[r].len() > 1)
+                .map(|r| c((r / self.arity) as u32, (r % self.arity) as u16))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn lazy_singletons_match_an_eager_grid() {
+        use cfd_prng::{trials, Rng};
+        let ids: Vec<ValueId> = (0..3).map(|i| cid(&format!("eq-const-{i}"))).collect();
+        trials(300, 0x0e9c_1a55, |rng| {
+            let (n_tuples, arity) = (rng.gen_range(1..8usize), rng.gen_range(1..4usize));
+            let weights: Vec<f64> = (0..n_tuples * arity)
+                .map(|_| [0.1, 0.3, 0.7, 1.0][rng.gen_range(0..4usize)])
+                .collect();
+            let weight_of = |t: TupleId, a: AttrId| weights[t.index() * arity + a.index()];
+            let mut eq = EqClasses::new(n_tuples, arity, weight_of);
+            let mut eager = Eager::new(n_tuples, arity, weight_of);
+            let cells: Vec<Cell> = (0..n_tuples as u32)
+                .flat_map(|t| (0..arity as u16).map(move |a| c(t, a)))
+                .collect();
+            for _ in 0..rng.gen_range(0..30usize) {
+                let x = cells[rng.gen_range(0..cells.len())];
+                if rng.gen_bool(0.6) {
+                    let y = cells[rng.gen_range(0..cells.len())];
+                    assert_eq!(eq.merge(x, y), eager.merge(x, y));
+                } else {
+                    let t = match rng.gen_range(0..5u32) {
+                        0 => Target::Free,
+                        1 => Target::Null,
+                        i => Target::Const(ids[i as usize - 2]),
+                    };
+                    assert_eq!(eq.set_target(x, t).is_ok(), eager.set_target(x, t));
+                }
+                for &x in &cells {
+                    let r = eager.root_of(x);
+                    assert_eq!(eq.members(&x), eager.members[r].as_slice());
+                    assert_eq!(eq.weight_sum(x).to_bits(), eager.weight_sum[r].to_bits());
+                    assert_eq!(*eq.target(x), eager.target[r]);
+                }
+                assert_eq!(
+                    eq.free_multi_member_roots(),
+                    eager.free_multi_member_roots()
+                );
+                assert_eq!(eq.progress(), eager.progress());
+            }
+        });
     }
 
     #[test]
@@ -447,7 +595,7 @@ mod tests {
             eq.merge(c(t - 1, 0), c(t, 0)).unwrap();
         }
         assert_eq!(eq.class_count(), 1);
-        assert_eq!(eq.members(c(3, 0)).len(), 8);
+        assert_eq!(eq.members(&c(3, 0)).len(), 8);
         assert_eq!(eq.weight_sum(c(7, 0)), 8.0);
         for t in 0..8 {
             assert!(eq.same_class(c(0, 0), c(t, 0)));

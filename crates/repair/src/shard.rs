@@ -110,33 +110,9 @@ fn fnv1a(seed: u64, words: impl IntoIterator<Item = u32>) -> u64 {
     h
 }
 
-/// The same FNV-1a 64 as [`shard_of`], packaged as a [`std::hash::Hasher`]
-/// so hot-path `HashMap`s (e.g. the `DistanceCache` memo, keyed on small
-/// fixed-width id pairs) can skip SipHash. Not DoS-resistant — use only on
-/// keys derived from interned ids, never on untrusted input.
-#[derive(Clone, Debug)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// `BuildHasher` for [`Fnv64`], for `HashMap::with_hasher`/`Default`.
-pub type FnvBuildHasher = std::hash::BuildHasherDefault<Fnv64>;
+/// The same FNV-1a 64 as [`shard_of`], as a `Hasher` for hot-path maps
+/// (e.g. the `DistanceCache` memo, keyed on small fixed-width id pairs).
+pub use cfd_model::hash::{Fnv64, FnvBuildHasher};
 
 /// The distinct `(LHS attrs, RHS attr)` shapes among the
 /// subsumption-minimal variable CFDs of `sigma` — the shapes a
