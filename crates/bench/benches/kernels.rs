@@ -230,7 +230,7 @@ fn default_json_path() -> String {
 }
 
 /// The sharded-repair headline: `GroupCensus` construction — the setup
-/// phase `BATCHREPAIR` fans out by LHS-key hash range — serial vs four
+/// phase `BATCHREPAIR` fans out by variable-CFD shape — serial vs four
 /// worker threads on the same 20k-tuple workload. The checksum assertion
 /// pins bit-identical contents before any timing means anything. Returns
 /// the serial/sharded median ratio (> 1 means sharding wins).

@@ -32,3 +32,9 @@ impl std::hash::Hasher for Fnv64 {
 
 /// `BuildHasher` for [`Fnv64`], for `HashMap::with_hasher`/`Default`.
 pub type FnvBuildHasher = std::hash::BuildHasherDefault<Fnv64>;
+
+/// A `HashMap` under [`FnvBuildHasher`]: no per-process seed.
+pub type FnvMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;
+
+/// A `HashSet` under [`FnvBuildHasher`]: no per-process seed.
+pub type FnvSet<T> = std::collections::HashSet<T, FnvBuildHasher>;

@@ -35,18 +35,27 @@
 //! applied. There the group level of a variable-CFD merge price (bucket
 //! census, winner, sampled minority-carrier cost) depends only on the
 //! (CFD, LHS group key), so each scoring worker computes it once per
-//! group and memoizes it, together with per-cell residuals and per-tuple
-//! suspect scores ([`FrozenMemo`]). The memo lives in the frozen planning
-//! view only; the loop, whose fixes change classes and values, plans
-//! through a view without one. Seeded heap keys are therefore the bits an
-//! unmemoized planner computes.
+//! group and memoizes it, together with per-cell residuals
+//! ([`FrozenMemo`]). Per-tuple suspect scores need no memo: at t=0 they
+//! follow from detection's own dirty sets, so `seed_frontier` computes them
+//! once for all workers. The memo and the scores live in the frozen
+//! planning view only; the loop, whose fixes change classes and values,
+//! plans through a view without them. Seeded keys are therefore the bits
+//! an unmemoized planner computes.
+//!
+//! The seeded frontier arrives sorted from the shard merge, and
+//! [`Frontier`] keeps it that way: a cursor reads it as one sorted run,
+//! and only entries queued by the loop go through a binary heap. On
+//! low-cardinality FDs most seeded pairs are stale by the time they pop,
+//! so reading them off the run saves a heap pop per pair.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::hash::Hash;
 
 use cfd_cfd::violation::{detect_with_parts, ConstantRules, Engine, EngineParts, GroupIndexes};
 use cfd_cfd::{CfdId, NormalCfd, Sigma};
+use cfd_model::hash::FnvMap;
 use cfd_model::index::HashIndex;
 use cfd_model::{AttrId, EditLog, IdKey, Relation, TupleId, ValueId, ValuePool, NULL_ID};
 
@@ -54,19 +63,21 @@ use crate::cost::{class_assign_cost_ids, class_assign_cost_ids_batch, repair_cos
 use crate::depgraph::DepGraph;
 use crate::distance::DistanceCache;
 use crate::equivalence::{Cell, EqClasses, Target};
-use crate::shard::{self, Candidate, FnvBuildHasher, GroupCensus, Parallelism};
+use crate::shard::{self, Candidate, GroupCensus, Parallelism};
 use crate::RepairError;
 
 /// How `PICKNEXT` chooses the next violation to resolve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PickStrategy {
     /// Faithful Fig. 5: always resolve the globally cheapest (CFD, dirty
-    /// tuple) pair next. Implemented as a lazy priority heap — entries are
-    /// re-verified and re-priced on pop — so each step is O(log |dirty|)
-    /// amortized instead of the naive O(|dirty|) rescan. This is the
-    /// default: resolving cheap-certain fixes first is what keeps wrong
-    /// expensive resolutions (e.g. dragging a city to a corrupted zip's
-    /// binding) from firing before the cheap correct one.
+    /// tuple) pair next. Implemented as a lazy priority queue — entries
+    /// are re-verified and re-priced on pop — instead of the naive
+    /// O(|dirty|) rescan per step. The fully priced t=0 frontier is one
+    /// sorted run read in O(1) per pop; only pairs queued later (re-queued
+    /// or newly dirtied) pay O(log n) in a heap. This is the default:
+    /// resolving cheap-certain fixes first is what keeps wrong expensive
+    /// resolutions (e.g. dragging a city to a corrupted zip's binding)
+    /// from firing before the cheap correct one.
     GlobalBest,
     /// Dependency-graph optimization (§7.2): drain CFDs one at a time in
     /// topological order of the CFD dependency graph, looping until no
@@ -209,15 +220,15 @@ struct BatchState<'a> {
     /// Group value census for the variable shapes (fast clean-group test).
     census: GroupCensus,
     dirty: Vec<BTreeSet<TupleId>>,
-    /// `vio(t)` from the initial detection: tuples whose violation count
-    /// towers over their partners' are suspects even when Σ has no
-    /// constant rules (a corrupted cell conflicts with its whole group;
-    /// an innocent partner only with the corrupted tuple).
-    initial_vio: std::collections::HashMap<TupleId, usize>,
-    /// Lazy priority heap for [`PickStrategy::GlobalBest`]: entries carry
+    /// `vio(t)` from the initial detection, per tuple slot: tuples whose
+    /// violation count towers over their partners' are suspects even when
+    /// Σ has no constant rules (a corrupted cell conflicts with its whole
+    /// group; an innocent partner only with the corrupted tuple).
+    initial_vio: Vec<usize>,
+    /// Lazy priority queue for [`PickStrategy::GlobalBest`]: entries carry
     /// the last-known [`HeapKey`] and are re-verified and re-priced when
-    /// popped. Seeded by the sharded frontier scoring (`seed_heap`).
-    heap: BinaryHeap<Reverse<HeapKey>>,
+    /// popped. Seeded by the sharded frontier scoring (`seed_frontier`).
+    frontier: Frontier,
     /// Memoized `dis(v, v')` over id pairs.
     dcache: DistanceCache,
     stats: BatchStats,
@@ -226,9 +237,51 @@ struct BatchState<'a> {
 
 /// The total order `PICKNEXT` resolves under — [`Candidate::key`]'s
 /// `(cost, value frequency, value id, CFD, tuple)` — shared by the
-/// frontier merge and the lazy heap so serial and sharded runs pop fixes
+/// frontier merge and the lazy queue so serial and sharded runs pop fixes
 /// in exactly the same sequence.
 type HeapKey = (u64, u64, u32, u32, u32);
+
+/// `PICKNEXT`'s lazy priority queue: the seeded t=0 frontier as one
+/// ascending run read by a cursor, plus a min-heap for every entry queued
+/// after seeding (re-queued pairs and pairs newly dirtied by
+/// `write_cell`). `pop` returns the smaller of the run head and the heap
+/// top; [`HeapKey`] is a total order, so the pop sequence is exactly that
+/// of one heap holding every entry.
+#[derive(Default)]
+struct Frontier {
+    run: Vec<HeapKey>,
+    next: usize,
+    heap: BinaryHeap<Reverse<HeapKey>>,
+}
+
+impl Frontier {
+    /// A queue over an ascending run.
+    fn seeded(run: Vec<HeapKey>) -> Self {
+        debug_assert!(run.is_sorted(), "the seeded run is ascending");
+        Frontier {
+            run,
+            ..Default::default()
+        }
+    }
+
+    fn push(&mut self, key: HeapKey) {
+        self.heap.push(Reverse(key));
+    }
+
+    fn pop(&mut self) -> Option<HeapKey> {
+        match (self.run.get(self.next), self.heap.peek()) {
+            (Some(&head), Some(&Reverse(top))) if top < head => self.heap.pop().map(|r| r.0),
+            (Some(&head), _) => {
+                self.next += 1;
+                Some(head)
+            }
+            (None, _) => self.heap.pop().map(|r| r.0),
+        }
+    }
+}
+
+/// `vio(t)` above which a tuple counts as a suspect (`suspicion`).
+const SUSPECT_VIO: usize = 8;
 
 /// Map a non-negative cost to an order-preserving integer key.
 fn cost_key(cost: f64) -> u64 {
@@ -257,9 +310,6 @@ fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
     }
 }
 
-/// A `HashMap` under the fixed-seed FNV hasher: no per-process seed.
-type FnvMap<K, V> = HashMap<K, V, FnvBuildHasher>;
-
 /// The S-set index view `PICKNEXT`/`CFD-RESOLVE` planning reads through.
 ///
 /// The sequential loop drives lazy `ensure` builds straight into the main
@@ -268,10 +318,11 @@ type FnvMap<K, V> = HashMap<K, V, FnvBuildHasher>;
 /// (group order inside a [`HashIndex`] is history-dependent and FINDV
 /// truncates group walks), so they read through a frozen borrow and build
 /// misses into a worker-private overlay ([`PlanIndexes::Snapshot`]);
-/// `seed_heap` then replays those `ensure`s on the main state in sorted
+/// `seed_frontier` then replays those `ensure`s on the main state in sorted
 /// order. The frozen view also carries the scoring worker's
-/// [`FrozenMemo`]; the sequential loop has none, so no memoized price
-/// can outlive the t=0 state it was computed on.
+/// [`FrozenMemo`] and the shared t=0 suspect scores; the sequential loop
+/// has neither, so no memoized price can outlive the t=0 state it was
+/// computed on.
 enum PlanIndexes<'p> {
     /// The sequential loop: lazy builds mutate the main state directly.
     Main(&'p mut GroupIndexes),
@@ -281,6 +332,8 @@ enum PlanIndexes<'p> {
         base: &'p GroupIndexes,
         local: GroupIndexes,
         memo: FrozenMemo,
+        /// `suspicion` per tuple slot at t=0 (`BatchState::seed_frontier`).
+        suspects: &'p [usize],
     },
 }
 
@@ -301,8 +354,6 @@ struct FrozenMemo {
     groups: FnvMap<(CfdId, IdKey), Option<(ValueId, f64)>>,
     /// `class_residual_vios` per (cell, candidate value).
     residuals: FnvMap<(Cell, ValueId), usize>,
-    /// Per-tuple suspect score (`suspicion`).
-    suspects: FnvMap<TupleId, usize>,
 }
 
 /// The read-mostly planning context `PICKNEXT`/`CFD-RESOLVE` run against:
@@ -318,7 +369,7 @@ struct Planner<'p> {
     work: &'p Relation,
     rules: &'p ConstantRules,
     census: &'p GroupCensus,
-    initial_vio: &'p HashMap<TupleId, usize>,
+    initial_vio: &'p [usize],
     config: &'p BatchConfig,
     eq: &'p EqClasses,
     indexes: PlanIndexes<'p>,
@@ -327,48 +378,42 @@ struct Planner<'p> {
 
 /// Score one shard of the initial frontier: verify and price every dirty
 /// `(CFD, tuple)` pair assigned to this shard against the frozen t=0
-/// state. `eq` is the all-singleton initial class grid, shared read-only
-/// across workers (class lookups never mutate); S-set indexes missing
-/// from the main set build into a worker-private overlay. Because that
-/// state cannot change while the worker runs, the worker also memoizes
-/// group-level merge prices, residuals and suspect scores in a private
-/// [`FrozenMemo`] — shards split by LHS-key hash, so a group's tuples all
-/// land in one worker's memo. Returns the priced candidates plus the
+/// `state`, shared read-only across workers (class lookups never mutate);
+/// S-set indexes missing from the main set build into a worker-private
+/// overlay. Because that state cannot change while the worker runs, the
+/// worker also memoizes group-level merge prices and residuals in a
+/// private [`FrozenMemo`] — shards split by LHS-key hash, so a group's
+/// tuples all land in one worker's memo — and reads suspect scores off
+/// the shared t=0 `suspects`. Returns the priced candidates plus the
 /// attribute lists the overlay materialized (the caller replays those
 /// `ensure`s on the main state so later lazy builds are
 /// thread-count-independent).
-#[allow(clippy::too_many_arguments)] // exactly the shared planning state
 fn score_shard(
-    sigma: &Sigma,
-    orig: &Relation,
-    work: &Relation,
-    rules: &ConstantRules,
-    census: &GroupCensus,
-    indexes: &GroupIndexes,
-    initial_vio: &HashMap<TupleId, usize>,
-    config: &BatchConfig,
-    eq: &EqClasses,
+    state: &BatchState<'_>,
+    suspects: &[usize],
     pairs: &[(u32, u32)],
 ) -> (Vec<Candidate>, Vec<Vec<AttrId>>) {
-    let mut dcache = DistanceCache::for_pool(orig.pool().clone(), config.bitparallel());
+    let orig = state.orig;
+    let mut dcache = DistanceCache::for_pool(orig.pool().clone(), state.config.bitparallel());
     let mut planner = Planner {
         orig,
-        work,
-        rules,
-        census,
-        initial_vio,
-        config,
-        eq,
+        work: &state.work,
+        rules: &state.rules,
+        census: &state.census,
+        initial_vio: &state.initial_vio,
+        config: &state.config,
+        eq: &state.eq,
         indexes: PlanIndexes::Snapshot {
-            base: indexes,
+            base: &state.indexes,
             local: GroupIndexes::empty(),
             memo: FrozenMemo::default(),
+            suspects,
         },
         dcache: &mut dcache,
     };
     let mut out = Vec::with_capacity(pairs.len());
     for &(cfd, tid) in pairs {
-        let n = sigma.get(CfdId(cfd));
+        let n = state.sigma.get(CfdId(cfd));
         let planned = planner
             .violates(n, TupleId(tid))
             .and_then(|v| planner.plan_fix(n, TupleId(tid), &v));
@@ -434,7 +479,10 @@ impl<'a> BatchState<'a> {
             .iter()
             .map(|ids| ids.iter().copied().collect())
             .collect();
-        let initial_vio = report.per_tuple.clone();
+        let mut initial_vio = vec![0; slots];
+        for (id, &vio) in &report.per_tuple {
+            initial_vio[id.index()] = vio;
+        }
         // Reuse the detection engine's structures instead of rebuilding:
         // the group indexes and hashed constant rules are exactly what the
         // repair loop needs.
@@ -456,13 +504,13 @@ impl<'a> BatchState<'a> {
             census,
             dirty,
             initial_vio,
-            heap: BinaryHeap::new(),
+            frontier: Frontier::default(),
             dcache: DistanceCache::for_pool(orig.pool().clone(), config.bitparallel()),
             stats: BatchStats::default(),
             config,
         };
         if state.config.pick == PickStrategy::GlobalBest {
-            state.seed_heap();
+            state.seed_frontier();
         }
         state
     }
@@ -483,19 +531,20 @@ impl<'a> BatchState<'a> {
         }
     }
 
-    /// Seed the `PICKNEXT` heap with the fully priced initial frontier.
+    /// Seed the `PICKNEXT` queue with the fully priced initial frontier.
     ///
     /// Dirty `(CFD, tuple)` pairs are partitioned by hashing the tuple's
     /// LHS key under the CFD's shape ([`shard::shard_of`]) into
     /// `parallelism` ranges; each range is scored by a `std::thread::scope`
     /// worker against the frozen t=0 state, and the shard frontiers merge
-    /// under [`Candidate::key`]'s total order. Scoring is a pure function
-    /// of relation content, so the heap starts identical at every thread
-    /// count — and the resolution loop after it is sequential, making the
-    /// whole repair byte-identical to a serial run. The workers' memo
-    /// tables are dropped with them: nothing memoized at t=0 reaches the
+    /// under [`Candidate::key`]'s total order into the queue's sorted run.
+    /// Scoring is a pure function of relation content, so the queue starts
+    /// identical at every thread count — and the resolution loop after it
+    /// is sequential, making the whole repair byte-identical to a serial
+    /// run. The workers' memo tables and the t=0 suspect scores are
+    /// dropped with the scoring: nothing computed for t=0 reaches the
     /// loop.
-    fn seed_heap(&mut self) {
+    fn seed_frontier(&mut self) {
         let pairs: Vec<(u32, u32)> = self
             .dirty
             .iter()
@@ -506,56 +555,46 @@ impl<'a> BatchState<'a> {
             return;
         }
         let threads = self.config.parallelism.get().min(pairs.len());
-        let mut shards: Vec<Vec<(u32, u32)>> = vec![Vec::new(); threads];
-        for (cfd, tid) in pairs {
-            let n = self.sigma.get(CfdId(cfd));
-            let key = self
-                .work
-                .tuple(TupleId(tid))
-                .expect("dirty tuple is live")
-                .project_key(n.lhs());
-            shards[shard::shard_of(key.as_slice(), threads)].push((cfd, tid));
+        let shards: Vec<Vec<(u32, u32)>> = if threads <= 1 {
+            vec![pairs]
+        } else {
+            let mut shards = vec![Vec::new(); threads];
+            for (cfd, tid) in pairs {
+                let n = self.sigma.get(CfdId(cfd));
+                let key = self
+                    .work
+                    .tuple(TupleId(tid))
+                    .expect("dirty tuple is live")
+                    .project_key(n.lhs());
+                shards[shard::shard_of(key.as_slice(), threads)].push((cfd, tid));
+            }
+            shards
+        };
+        // `suspicion` at t=0, where `work` is the input: the constant
+        // rules `violations_of` counts are exactly the constant CFDs whose
+        // detected dirty set holds the tuple.
+        let mut suspects: Vec<usize> = self
+            .initial_vio
+            .iter()
+            .map(|&vio| usize::from(vio > SUSPECT_VIO))
+            .collect();
+        for n in self.sigma.iter().filter(|n| n.is_constant()) {
+            for tid in &self.dirty[n.id().index()] {
+                suspects[tid.index()] += 1;
+            }
         }
-        let (sigma, orig, work) = (self.sigma, self.orig, &self.work);
-        let (rules, census, indexes) = (&self.rules, &self.census, &self.indexes);
-        let (initial_vio, config, eq) = (&self.initial_vio, &self.config, &self.eq);
+        let (state, suspects): (&Self, &[usize]) = (self, &suspects);
         // Workers share the main indexes read-only; arm the tripwire so a
         // stray lazy build inside the scoring fan-out fails loudly.
-        indexes.freeze();
+        state.indexes.freeze();
         let scored: Vec<(Vec<Candidate>, Vec<Vec<AttrId>>)> = if threads <= 1 {
-            vec![score_shard(
-                sigma,
-                orig,
-                work,
-                rules,
-                census,
-                indexes,
-                initial_vio,
-                config,
-                eq,
-                &shards[0],
-            )]
+            vec![score_shard(state, suspects, &shards[0])]
         } else {
             std::thread::scope(|s| {
                 let handles: Vec<_> = shards
                     .iter()
                     .filter(|pairs| !pairs.is_empty())
-                    .map(|pairs| {
-                        s.spawn(move || {
-                            score_shard(
-                                sigma,
-                                orig,
-                                work,
-                                rules,
-                                census,
-                                indexes,
-                                initial_vio,
-                                config,
-                                eq,
-                                pairs,
-                            )
-                        })
-                    })
+                    .map(|pairs| s.spawn(move || score_shard(state, suspects, pairs)))
                     .collect();
                 handles
                     .into_iter()
@@ -576,9 +615,12 @@ impl<'a> BatchState<'a> {
         for attrs in &ensured {
             self.indexes.ensure(&self.work, attrs);
         }
-        for cand in shard::merge_frontiers(frontiers) {
-            self.heap.push(Reverse(cand.key()));
-        }
+        self.frontier = Frontier::seeded(
+            shard::merge_frontiers(frontiers)
+                .into_iter()
+                .map(Candidate::key)
+                .collect(),
+        );
     }
 
     /// Effective value of a cell (target materialized into `work`).
@@ -652,19 +694,15 @@ impl<'p> Planner<'p> {
 
     /// Suspect score of `tid` for the variable-CFD deferral penalty: its
     /// current constant-rule violations, plus one when its initial
-    /// `vio(t)` exceeds `SUSPECT_VIO`.
-    fn suspicion(&mut self, tid: TupleId) -> usize {
-        const SUSPECT_VIO: usize = 8;
-        self.memoized(
-            |m| &mut m.suspects,
-            || tid,
-            |p| {
-                let initial = p.initial_vio.get(&tid).copied().unwrap_or(0);
-                p.rules
-                    .violations_of(&p.work.tuple(tid).expect("live"), None)
-                    + usize::from(initial > SUSPECT_VIO)
-            },
-        )
+    /// `vio(t)` exceeds `SUSPECT_VIO`. The frozen view reads the t=0
+    /// score `seed_frontier` derived from detection.
+    fn suspicion(&self, tid: TupleId) -> usize {
+        if let PlanIndexes::Snapshot { suspects, .. } = &self.indexes {
+            return suspects[tid.index()];
+        }
+        self.rules
+            .violations_of(&self.work.tuple(tid).expect("live"), None)
+            + usize::from(self.initial_vio[tid.index()] > SUSPECT_VIO)
     }
 
     /// Does `t` currently violate normal CFD `n`? Variable violations
@@ -1222,7 +1260,7 @@ impl<'a> BatchState<'a> {
                 && self.config.pick == PickStrategy::GlobalBest
             {
                 // optimistic minimum key: priced properly on first pop
-                self.heap.push(Reverse((0, 0, 0, id.0, cell.tuple.0)));
+                self.frontier.push((0, 0, 0, id.0, cell.tuple.0));
             }
         }
         // Variable CFDs mentioning the changed attribute: this tuple and
@@ -1265,7 +1303,7 @@ impl<'a> BatchState<'a> {
                 if self.dirty[psi.index()].insert(member)
                     && self.config.pick == PickStrategy::GlobalBest
                 {
-                    self.heap.push(Reverse((0, 0, 0, psi.0, member.0)));
+                    self.frontier.push((0, 0, 0, psi.0, member.0));
                 }
             }
         }
@@ -1390,11 +1428,11 @@ impl<'a> BatchState<'a> {
     }
 
     /// One `PICKNEXT` + `CFD-RESOLVE` step under the global-best strategy:
-    /// pop heap entries, re-verify and re-price lazily, apply the first
+    /// pop queue entries, re-verify and re-price lazily, apply the first
     /// entry whose price is still current. Returns false when no
     /// violations remain.
     fn step_global(&mut self) -> Result<bool, RepairError> {
-        while let Some(Reverse(key)) = self.heap.pop() {
+        while let Some(key) = self.frontier.pop() {
             let (_, _, _, cfd_raw, tid_raw) = key;
             let id = CfdId(cfd_raw);
             let tid = TupleId(tid_raw);
@@ -1421,13 +1459,13 @@ impl<'a> BatchState<'a> {
             if price > key {
                 // Costs rose since this entry was queued: re-queue at the
                 // correct priority and look at the next candidate.
-                self.heap.push(Reverse(price));
+                self.frontier.push(price);
                 continue;
             }
             self.apply_fix(fix)?;
             // The tuple may still violate this CFD with other partners:
             // keep it queued for re-verification at the same price.
-            self.heap.push(Reverse(price));
+            self.frontier.push(price);
             return Ok(true);
         }
         Ok(false)
@@ -1487,16 +1525,20 @@ impl<'a> BatchState<'a> {
     }
 
     fn run(mut self) -> Result<BatchOutcome, RepairError> {
-        let graph = DepGraph::build(self.sigma);
+        // Only the dependency-ordered picker reads the graph.
+        let graph = match self.config.pick {
+            PickStrategy::DependencyOrdered => Some(DepGraph::build(self.sigma)),
+            PickStrategy::GlobalBest => None,
+        };
         // Hard bound: progress is ≤ 4·cells, so the loop cannot legally
         // exceed that many fixes; a generous multiple guards against bugs.
         let cells = self.work.len() * self.work.schema().arity();
         let max_steps = 8 * cells + 64;
         loop {
             loop {
-                let advanced = match self.config.pick {
-                    PickStrategy::GlobalBest => self.step_global()?,
-                    PickStrategy::DependencyOrdered => self.step_dependency(&graph)?,
+                let advanced = match &graph {
+                    Some(graph) => self.step_dependency(graph)?,
+                    None => self.step_global()?,
                 };
                 if self.stats.steps > max_steps {
                     return Err(RepairError::Internal(format!(
@@ -1561,6 +1603,7 @@ mod tests {
     use cfd_cfd::pattern::{PatternRow, PatternValue};
     use cfd_cfd::Cfd;
     use cfd_model::{Schema, Tuple, Value};
+    use cfd_prng::Rng;
     use std::sync::Arc;
 
     fn fig1() -> (Relation, Sigma) {
@@ -1909,7 +1952,7 @@ mod tests {
         let sigma = Sigma::normalize(schema.clone(), vec![cfd]).unwrap();
         // Brute-force most-common candidate among the S-group's keys.
         let k = schema.attr("k").unwrap();
-        let mut counts: std::collections::HashMap<ValueId, usize> = HashMap::new();
+        let mut counts: FnvMap<ValueId, usize> = FnvMap::default();
         for (id, t) in rel.iter() {
             if id != t0 {
                 *counts.entry(t.id(k)).or_insert(0) += 1;
@@ -1941,10 +1984,11 @@ mod tests {
         assert!(out.stats.consts_set + out.stats.merges >= 2); // at least t3's CT/ST
     }
 
-    /// Re-price every t=0 heap entry with the sequential planner, which
-    /// carries no memo (`violates` → `plan_fix` → `fix_meta` →
-    /// `cost_key`), and require the seeded key bit for bit. Returns the
-    /// number of entries checked and how many belong to variable CFDs.
+    /// Re-price every entry of the seeded run with the sequential planner,
+    /// which carries no memo and computes suspicion fresh (`violates` →
+    /// `plan_fix` → `fix_meta` → `cost_key`), and require the seeded key
+    /// bit for bit. Returns the number of entries checked and how many
+    /// belong to variable CFDs.
     fn assert_seeded_keys_unmemoized(
         rel: &Relation,
         sigma: &Sigma,
@@ -1956,12 +2000,16 @@ mod tests {
             ..Default::default()
         };
         let mut state = BatchState::new(rel, sigma, config);
-        let seeded: Vec<HeapKey> = state.heap.iter().map(|Reverse(k)| *k).collect();
+        assert!(
+            state.frontier.heap.is_empty(),
+            "{label}: seeding fills the run"
+        );
+        let seeded = std::mem::take(&mut state.frontier.run);
         let pairs: usize = state.dirty.iter().map(BTreeSet::len).sum();
         assert_eq!(
             seeded.len(),
             pairs,
-            "{label}: one heap entry per dirty pair"
+            "{label}: one seeded entry per dirty pair"
         );
         let mut variable = 0;
         for key in seeded {
@@ -2075,6 +2123,48 @@ mod tests {
                     .unwrap();
             assert_cost_paths_agree(&rel, &sigma, &format!("generator seed {seed}"));
         }
+    }
+
+    #[test]
+    fn frontier_pops_exactly_like_one_heap() {
+        // Random push/pop interleavings over a seeded run, against one
+        // `BinaryHeap` holding every entry. Narrow component ranges make
+        // duplicate keys common, and a quarter of all keys are the
+        // optimistic `(0, 0, 0, cfd, tid)` keys `write_cell` queues, which
+        // undercut most of the run.
+        cfd_prng::trials(300, 0xF0_0715, |rng| {
+            let key = |rng: &mut cfd_prng::ChaCha8Rng| -> HeapKey {
+                let (cfd, tid) = (rng.gen_range(0..3u32), rng.gen_range(0..6u32));
+                if rng.gen_range(0..4u32) == 0 {
+                    (0, 0, 0, cfd, tid)
+                } else {
+                    let (cost, freq) = (rng.gen_range(0..5u64), rng.gen_range(0..3u64));
+                    (cost, freq, rng.gen_range(0..3u32), cfd, tid)
+                }
+            };
+            let mut run: Vec<HeapKey> = (0..rng.gen_range(0..40usize)).map(|_| key(rng)).collect();
+            run.sort_unstable();
+            let mut reference: BinaryHeap<Reverse<HeapKey>> =
+                run.iter().copied().map(Reverse).collect();
+            let mut frontier = Frontier::seeded(run);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(0..120usize) {
+                if rng.gen_range(0..3u32) == 0 {
+                    let k = key(rng);
+                    frontier.push(k);
+                    reference.push(Reverse(k));
+                } else {
+                    got.push(frontier.pop());
+                    want.push(reference.pop().map(|r| r.0));
+                }
+            }
+            while let Some(Reverse(k)) = reference.pop() {
+                want.push(Some(k));
+                got.push(frontier.pop());
+            }
+            assert_eq!(frontier.pop(), None);
+            assert_eq!(got, want);
+        });
     }
 
     #[test]

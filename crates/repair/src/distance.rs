@@ -14,13 +14,12 @@
 //! function abandons early and returns `None`, which turns candidate
 //! enumeration over large active domains from quadratic into near-linear.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use cfd_model::hash::FnvMap;
 use cfd_model::{Value, ValueId, ValuePool};
 
 use crate::pricing::TargetPricer;
-use crate::shard::FnvBuildHasher;
 
 /// DL (optimal string alignment) distance between two char slices — the
 /// scalar reference kernel. The bit-parallel kernel
@@ -174,7 +173,7 @@ pub fn normalized_distance_ids_in(a: ValueId, b: ValueId, pool: &ValuePool) -> f
 pub struct DistanceCache {
     /// FNV-hashed memo: the keys are small fixed-width id pairs from the
     /// interner, exactly what FNV is good at and SipHash wasteful for.
-    memo: HashMap<(ValueId, ValueId), f64, FnvBuildHasher>,
+    memo: FnvMap<(ValueId, ValueId), f64>,
     /// Kernel choice for misses; resolved from [`cfd_model::simd_enabled`]
     /// by [`DistanceCache::new`], overridable per cache for the in-process
     /// SIMD-on/off differential.
@@ -208,7 +207,7 @@ impl DistanceCache {
     /// An empty cache whose ids resolve through `pool`.
     pub fn for_pool(pool: Arc<ValuePool>, bitparallel: bool) -> Self {
         DistanceCache {
-            memo: HashMap::default(),
+            memo: FnvMap::default(),
             bitparallel,
             pool,
         }

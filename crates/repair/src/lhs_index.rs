@@ -12,8 +12,7 @@
 //! * Group bookkeeping keeps per-key counts so tuples can be added as the
 //!   incremental repair grows `Repr` one repaired tuple at a time.
 
-use std::collections::HashMap;
-
+use cfd_model::hash::FnvMap;
 use cfd_model::{IdKey, Relation, TupleView, ValueId};
 
 use cfd_cfd::{NormalCfd, Sigma};
@@ -41,14 +40,14 @@ struct GroupState {
 /// one table per structural shape.
 #[derive(Clone, Debug)]
 pub struct LhsIndex {
-    map: HashMap<IdKey, GroupState>,
+    map: FnvMap<IdKey, GroupState>,
 }
 
 /// The LHS-indices for the variable CFDs in Σ, shared by shape.
 #[derive(Debug)]
 pub struct LhsIndexes {
     /// One index per distinct `(lhs attrs, rhs attr)` among variable CFDs.
-    shapes: HashMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>,
+    shapes: FnvMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>,
     /// Determinism tripwire, mirroring `GroupIndexes`: while a parallel
     /// phase shares this structure read-only across worker threads (the
     /// V-INCREPAIR ordering scan), growing a group from a worker would make pin outcomes depend on
@@ -80,7 +79,7 @@ pub enum GroupVerdict {
 
 impl LhsIndex {
     fn build(rel: &Relation, lhs: &[cfd_model::AttrId], rhs_attr: cfd_model::AttrId) -> Self {
-        let mut map: HashMap<IdKey, GroupState> = HashMap::new();
+        let mut map: FnvMap<IdKey, GroupState> = FnvMap::default();
         for (_, t) in rel.iter() {
             let key = t.project_key(lhs);
             let state = map.entry(key).or_default();
@@ -128,7 +127,7 @@ impl LhsIndex {
 const PARALLEL_BUILD_THRESHOLD: usize = 4_096;
 
 impl LhsIndexes {
-    fn with_shapes(shapes: HashMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>) -> Self {
+    fn with_shapes(shapes: FnvMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>) -> Self {
         LhsIndexes {
             shapes,
             frozen: std::sync::atomic::AtomicBool::new(false),
@@ -154,10 +153,10 @@ impl LhsIndexes {
     }
 
     /// [`LhsIndexes::build`] sharded by LHS-key hash range across `par`
-    /// worker threads, in the same two-phase shape as the group census:
-    /// contiguous id chunks fan out to extract `(shard, key, rhs)` entries
-    /// (each key projected and hashed exactly once), then shard ranges fan
-    /// out to fold exactly their own entries. Each group key lands wholly
+    /// worker threads, in two phases: contiguous id chunks fan out to
+    /// extract `(shard, key, rhs)` entries (each key projected and hashed
+    /// exactly once), then shard ranges fan out to fold exactly their own
+    /// entries. Each group key lands wholly
     /// inside one shard and entries stay in ascending id order, so the
     /// disjoint-map union is bit-identical to a serial build at every
     /// thread count.
@@ -231,14 +230,14 @@ impl LhsIndexes {
             }
         }
         // Phase 2: fold each shard's entries into its own maps.
-        let parts: Vec<Vec<HashMap<IdKey, GroupState>>> = std::thread::scope(|s| {
+        let parts: Vec<Vec<FnvMap<IdKey, GroupState>>> = std::thread::scope(|s| {
             let handles: Vec<_> = per_shard
                 .into_iter()
                 .map(|mine| {
                     s.spawn(move || {
                         mine.into_iter()
                             .map(|entries| {
-                                let mut map: HashMap<IdKey, GroupState> = HashMap::new();
+                                let mut map: FnvMap<IdKey, GroupState> = FnvMap::default();
                                 for (key, v) in entries {
                                     LhsIndex::account(map.entry(key).or_default(), v, 1);
                                 }
@@ -255,14 +254,14 @@ impl LhsIndexes {
         });
         // Disjoint-key union per shape: a key lives wholly inside the
         // shard its hash selects.
-        let mut shapes: HashMap<_, LhsIndex> = shape_list
+        let mut shapes: FnvMap<_, LhsIndex> = shape_list
             .iter()
             .cloned()
             .map(|shape| {
                 (
                     shape,
                     LhsIndex {
-                        map: HashMap::new(),
+                        map: FnvMap::default(),
                     },
                 )
             })

@@ -1,32 +1,37 @@
-//! Sharded parallel repair machinery: the LHS-key partitioner, per-shard
-//! group censuses, and the deterministic frontier merge.
+//! Sharded parallel repair machinery: the LHS-key partitioner, the group
+//! census, and the deterministic frontier merge.
 //!
 //! `BATCHREPAIR` spends its setup phase on two embarrassingly parallel
 //! jobs — building the per-shape [`GroupCensus`] and pricing the initial
-//! `PICKNEXT` frontier — both of which read frozen state keyed by each
-//! tuple's LHS projection. Dictionary encoding (PR 1) made those keys
-//! `Copy` `u32` runs and columnar storage (PR 2) made the inputs `Sync`
-//! column slices, so the work partitions cleanly: hash every group key
-//! into one of `N` ranges ([`shard_of`]), hand each range to a
-//! `std::thread::scope` worker, and merge. The partition respects group
-//! boundaries — a group key lands wholly inside one shard — which is the
-//! same degree/partition reasoning that makes FD-aware join evaluation
-//! parallelizable (Abo Khamis et al.).
+//! `PICKNEXT` frontier. Dictionary encoding made group keys `Copy` `u32`
+//! runs and columnar storage made the inputs `Sync` column slices, so both
+//! split cleanly across `std::thread::scope` workers:
+//!
+//! * the census splits by shape: each worker builds whole shapes, a
+//!   contiguous run of them, with the serial build's own pass, so a
+//!   sharded build does no more work than a serial one;
+//! * frontier scoring splits by group: each dirty pair's LHS key hashes
+//!   into one of `N` ranges ([`shard_of`]). A group key lands wholly
+//!   inside one shard — the same degree/partition reasoning that makes
+//!   FD-aware join evaluation parallelizable (Abo Khamis et al.) — so a
+//!   worker can price each group once.
 //!
 //! **Determinism is the contract.** Parallel repair must be byte-identical
 //! to serial repair at every thread count:
 //!
-//! * the census merge is a disjoint-key map union, and every bucket is
-//!   accumulated in ascending tuple-id order inside exactly one worker, so
-//!   even the floating-point weight sums are bit-identical to a serial
-//!   build;
+//! * every census shape is built by exactly one worker in ascending
+//!   tuple-id order, so even the floating-point weight sums are
+//!   bit-identical to a serial build, and every bucket's carrier list
+//!   comes out sorted by pushing alone;
 //! * shard frontiers are merged under the total, seed-independent order of
 //!   [`Candidate::key`] — cost first, then the planned value's global
 //!   [`ValuePool::use_count`](cfd_model::ValuePool::use_count) (more
 //!   corroborated values first), then [`ValueId`], then (CFD, tuple) for
 //!   totality — mirroring the stable conflict-resolution orderings of
 //!   trust-mapping style resolution (Gatterbauer & Suciu): no outcome ever
-//!   depends on which worker finished first.
+//!   depends on which worker finished first. The merged frontier is one
+//!   sorted run, which `BATCHREPAIR`'s `PICKNEXT` reads with a cursor
+//!   instead of pushing it onto its heap.
 //!
 //! [`Parallelism`] carries the thread count through the repair entry
 //! points. The default resolves from the `CFD_THREADS` environment
@@ -34,9 +39,10 @@
 //! at 1/2/8), and explicit counts override it — the implementation is
 //! pure `std`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use cfd_cfd::Sigma;
+use cfd_model::hash::FnvMap;
 use cfd_model::{AttrId, IdKey, Relation, TupleId, TupleView, ValueId};
 
 /// Upper bound on configurable threads; far above any sensible fan-out.
@@ -110,10 +116,6 @@ fn fnv1a(seed: u64, words: impl IntoIterator<Item = u32>) -> u64 {
     h
 }
 
-/// The same FNV-1a 64 as [`shard_of`], as a `Hasher` for hot-path maps
-/// (e.g. the `DistanceCache` memo, keyed on small fixed-width id pairs).
-pub use cfd_model::hash::{Fnv64, FnvBuildHasher};
-
 /// The distinct `(LHS attrs, RHS attr)` shapes among the
 /// subsumption-minimal variable CFDs of `sigma` — the shapes a
 /// [`GroupCensus`] tracks.
@@ -134,87 +136,61 @@ pub fn variable_shapes(sigma: &Sigma) -> Vec<(Vec<AttrId>, AttrId)> {
 /// decisions are O(distinct values) instead of O(|group|).
 #[derive(Default)]
 pub(crate) struct ValueBucket {
-    /// Ordered so carrier enumeration within a bucket is deterministic.
-    /// Bucket order itself is `ValueId` (interning) order — the
-    /// interning-history-sensitive decisions (merge winner, dirty-mark
-    /// majority, partner choice) each re-anchor to value order or tuple
-    /// id explicitly.
-    pub(crate) ids: BTreeSet<TupleId>,
+    /// The carriers as one flat, ascending, duplicate-free id list, so
+    /// carrier enumeration within a bucket is deterministic. The build
+    /// visits ids in ascending order and simply pushes; `update` inserts
+    /// and removes by binary search. Bucket order itself is `ValueId`
+    /// (interning) order — the interning-history-sensitive decisions
+    /// (merge winner, dirty-mark majority, partner choice) each re-anchor
+    /// to value order or tuple id explicitly.
+    pub(crate) ids: Vec<TupleId>,
     pub(crate) weight: f64,
 }
 
-pub(crate) type GroupMap = HashMap<IdKey, BTreeMap<ValueId, ValueBucket>>;
+/// Group key → RHS value → bucket, for one shape. FNV-hashed: no
+/// per-process seed, and no reader lets the map's iteration order reach
+/// a decision.
+pub(crate) type GroupMap = FnvMap<IdKey, BTreeMap<ValueId, ValueBucket>>;
 
-/// One carrier of one shape, as extracted by the sharded build's first
-/// phase: everything the insert phase needs. The shard is resolved at
-/// extraction, so each key is projected and partition-hashed exactly once
-/// across all workers.
-struct CensusEntry {
-    key: IdKey,
-    id: TupleId,
-    v: ValueId,
-    w: f64,
-}
-
-/// Phase 1 of the sharded census build: the census entries of one
-/// ascending id chunk, bucketed `[shape][shard]`. Reads column slices
-/// directly on columnar storage, row views otherwise.
-fn extract_entries(
-    rel: &Relation,
-    variable: &[(Vec<AttrId>, AttrId)],
-    part: &[TupleId],
-    shards: usize,
-) -> Vec<Vec<Vec<CensusEntry>>> {
-    let mut out: Vec<Vec<Vec<CensusEntry>>> = (0..variable.len())
-        .map(|_| {
-            (0..shards)
-                .map(|_| Vec::with_capacity(part.len() / shards + 1))
-                .collect()
-        })
-        .collect();
-    let columnar = rel.schema().arity() == 0 || rel.column(AttrId(0)).is_some();
-    if columnar {
-        for ((lhs, rhs), entries) in variable.iter().zip(out.iter_mut()) {
-            let lhs_cols: Vec<&[ValueId]> = lhs
-                .iter()
-                .map(|a| rel.column(*a).expect("columnar layout"))
-                .collect();
-            let rhs_col = rel.column(*rhs).expect("columnar layout");
-            let w_col = rel.weight_column(*rhs).expect("columnar layout");
-            for id in part {
-                let slot = id.index();
-                let v = rhs_col[slot];
-                if v.is_null() {
-                    continue;
-                }
-                let key: IdKey = lhs_cols.iter().map(|c| c[slot]).collect();
-                entries[shard_of(key.as_slice(), shards)].push(CensusEntry {
-                    key,
-                    id: *id,
-                    v,
-                    w: w_col[slot],
-                });
-            }
-        }
-        return out;
-    }
-    for id in part {
-        let t = rel.tuple(*id).expect("listed id is live");
-        for ((lhs, rhs), entries) in variable.iter().zip(out.iter_mut()) {
-            let v = t.id(*rhs);
+/// The census of one shape: every live tuple with a non-null RHS, pushed
+/// in ascending id order. Reads exactly the shape's LHS/RHS/weight column
+/// slices on columnar storage, row views otherwise.
+fn build_shape(rel: &Relation, lhs: &[AttrId], rhs: AttrId) -> GroupMap {
+    let mut map = GroupMap::default();
+    if rel.schema().arity() == 0 || rel.column(AttrId(0)).is_some() {
+        let lhs_cols: Vec<&[ValueId]> = lhs
+            .iter()
+            .map(|a| rel.column(*a).expect("columnar layout"))
+            .collect();
+        let rhs_col = rel.column(rhs).expect("columnar layout");
+        let w_col = rel.weight_column(rhs).expect("columnar layout");
+        for id in rel.ids() {
+            let slot = id.index();
+            let v = rhs_col[slot];
             if v.is_null() {
                 continue;
             }
-            let key = t.project_key(lhs);
-            entries[shard_of(key.as_slice(), shards)].push(CensusEntry {
-                key,
-                id: *id,
-                v,
-                w: t.weight(*rhs),
-            });
+            let key: IdKey = lhs_cols.iter().map(|c| c[slot]).collect();
+            let bucket = map.entry(key).or_default().entry(v).or_default();
+            bucket.ids.push(id);
+            bucket.weight += w_col[slot];
         }
+        return map;
     }
-    out
+    for (id, t) in rel.iter() {
+        let v = t.id(rhs);
+        if v.is_null() {
+            continue;
+        }
+        let bucket = map
+            .entry(t.project_key(lhs))
+            .or_default()
+            .entry(v)
+            .or_default();
+        bucket.ids.push(id);
+        bucket.weight += t.weight(rhs);
+    }
+    map
 }
 
 /// Per-(variable-shape, group-key) census of non-null RHS values. Gives
@@ -225,9 +201,11 @@ fn extract_entries(
 /// without the census. The same buckets drive group-majority merge
 /// pricing.
 ///
-/// Construction shards by LHS-key hash range across `std::thread::scope`
-/// workers (see the module docs for the determinism argument); all other
-/// operations run on the merged, layout-identical result.
+/// Construction shards by shape across `std::thread::scope` workers (see
+/// the module docs for the determinism argument). A group with no
+/// non-null carrier has no entry, whether it never had one or `update`
+/// emptied it, so a census maintained through `update` equals a fresh
+/// build of the updated relation.
 pub struct GroupCensus {
     /// One census per distinct (lhs attrs, rhs attr) among variable CFDs:
     /// group key → RHS value → the live tuple ids currently carrying it.
@@ -237,137 +215,40 @@ pub struct GroupCensus {
 impl GroupCensus {
     /// Build the census for `rel` over the given variable shapes, using
     /// `par` worker threads. Any thread count produces bit-identical
-    /// contents (weight sums included).
-    ///
-    /// The sharded path runs in two chunk/shard-parallel phases so no key
-    /// is projected or hashed twice:
-    ///
-    /// 1. **extract** — contiguous id chunks fan out across workers, each
-    ///    emitting `(shard, key, id, value, weight)` entries per shape;
-    ///    chunk results concatenate back into ascending id order;
-    /// 2. **insert** — shard ranges fan out across workers, each folding
-    ///    exactly its own entries (still in ascending id order, so bucket
-    ///    weight sums add in serial order) into a private [`GroupMap`].
-    ///
-    /// The final union is a disjoint-key move: a group key lives wholly
-    /// inside the shard its hash selects.
+    /// contents (weight sums included): each worker builds whole shapes,
+    /// a contiguous run of them, with the same ascending-id pass a serial
+    /// build makes.
     pub fn build(rel: &Relation, variable: &[(Vec<AttrId>, AttrId)], par: &Parallelism) -> Self {
-        let threads = par.get().min(rel.len().max(1));
-        if threads <= 1 {
-            return Self::build_serial(rel, variable);
-        }
-        // Phase 1: per-(shape, shard) entry extraction over id chunks.
-        let live: Vec<TupleId> = rel.ids().collect();
-        let chunk = live.len().div_ceil(threads).max(1);
-        let chunked: Vec<Vec<Vec<Vec<CensusEntry>>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = live
-                .chunks(chunk)
-                .map(|part| s.spawn(move || extract_entries(rel, variable, part, threads)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("census extract shard panicked"))
+        let threads = par.get().min(variable.len());
+        let maps: Vec<GroupMap> = if threads <= 1 {
+            variable
+                .iter()
+                .map(|(lhs, rhs)| build_shape(rel, lhs, *rhs))
                 .collect()
-        });
-        // Regroup chunk results (ascending id ranges) into per-shard work
-        // lists: appending in chunk order keeps every list id-ascending.
-        let mut per_shard: Vec<Vec<Vec<CensusEntry>>> = (0..threads)
-            .map(|_| (0..variable.len()).map(|_| Vec::new()).collect())
-            .collect();
-        for mut part in chunked {
-            for (si, shard_lists) in part.iter_mut().enumerate() {
-                for (shard, from) in shard_lists.iter_mut().enumerate() {
-                    per_shard[shard][si].append(from);
-                }
-            }
-        }
-        // Phase 2: per-shard insertion; each worker owns its entries, so
-        // keys move straight into the maps.
-        let parts: Vec<Vec<GroupMap>> = std::thread::scope(|s| {
-            let handles: Vec<_> = per_shard
-                .into_iter()
-                .map(|mine| {
-                    s.spawn(move || {
-                        mine.into_iter()
-                            .map(|shape_entries| {
-                                let mut map: GroupMap = HashMap::new();
-                                for e in shape_entries {
-                                    let bucket =
-                                        map.entry(e.key).or_default().entry(e.v).or_default();
-                                    bucket.ids.insert(e.id);
-                                    bucket.weight += e.w;
-                                }
-                                map
-                            })
-                            .collect()
+        } else {
+            let per_worker = variable.len().div_ceil(threads);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = variable
+                    .chunks(per_worker)
+                    .map(|part| {
+                        s.spawn(move || {
+                            part.iter()
+                                .map(|(lhs, rhs)| build_shape(rel, lhs, *rhs))
+                                .collect::<Vec<_>>()
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("census insert shard panicked"))
-                .collect()
-        });
-        let mut shapes: Vec<(Vec<AttrId>, AttrId, GroupMap)> = variable
-            .iter()
-            .map(|(lhs, rhs)| (lhs.clone(), *rhs, HashMap::new()))
-            .collect();
-        for part in parts {
-            for ((_, _, into), from) in shapes.iter_mut().zip(part) {
-                debug_assert!(from.keys().all(|k| !into.contains_key(k)));
-                into.extend(from);
-            }
-        }
-        GroupCensus { shapes }
-    }
-
-    /// The single-threaded reference build.
-    fn build_serial(rel: &Relation, variable: &[(Vec<AttrId>, AttrId)]) -> Self {
-        let mut shapes: Vec<(Vec<AttrId>, AttrId, GroupMap)> = variable
-            .iter()
-            .map(|(lhs, rhs)| (lhs.clone(), *rhs, HashMap::new()))
-            .collect();
-        // Columnar fast path: one pass per shape over exactly the shape's
-        // LHS/RHS/weight column slices — the census walk never touches
-        // attributes outside the shape.
-        if rel.schema().arity() == 0 || rel.column(AttrId(0)).is_some() {
-            let live: Vec<TupleId> = rel.ids().collect();
-            for (lhs, rhs, map) in &mut shapes {
-                let lhs_cols: Vec<&[ValueId]> = lhs
-                    .iter()
-                    .map(|a| rel.column(*a).expect("columnar layout"))
                     .collect();
-                let rhs_col = rel.column(*rhs).expect("columnar layout");
-                let w_col = rel.weight_column(*rhs).expect("columnar layout");
-                for id in &live {
-                    let slot = id.index();
-                    let v = rhs_col[slot];
-                    if v.is_null() {
-                        continue;
-                    }
-                    let key: IdKey = lhs_cols.iter().map(|c| c[slot]).collect();
-                    let bucket = map.entry(key).or_default().entry(v).or_default();
-                    bucket.ids.insert(*id);
-                    bucket.weight += w_col[slot];
-                }
-            }
-            return GroupCensus { shapes };
-        }
-        for (id, t) in rel.iter() {
-            for (lhs, rhs, map) in &mut shapes {
-                let v = t.id(*rhs);
-                if v.is_null() {
-                    continue;
-                }
-                let bucket = map
-                    .entry(t.project_key(lhs))
-                    .or_default()
-                    .entry(v)
-                    .or_default();
-                bucket.ids.insert(id);
-                bucket.weight += t.weight(*rhs);
-            }
-        }
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("census shard panicked"))
+                    .collect()
+            })
+        };
+        let shapes = variable
+            .iter()
+            .zip(maps)
+            .map(|((lhs, rhs), map)| (lhs.clone(), *rhs, map))
+            .collect();
         GroupCensus { shapes }
     }
 
@@ -406,14 +287,19 @@ impl GroupCensus {
             }
             let old_v = before.id(*rhs);
             if !old_v.is_null() {
-                if let Some(vals) = map.get_mut(&before.project_key(lhs)) {
+                let key = before.project_key(lhs);
+                if let Some(vals) = map.get_mut(&key) {
                     if let Some(bucket) = vals.get_mut(&old_v) {
-                        if bucket.ids.remove(&id) {
+                        if let Ok(at) = bucket.ids.binary_search(&id) {
+                            bucket.ids.remove(at);
                             bucket.weight -= before.weight(*rhs);
                         }
                         if bucket.ids.is_empty() {
                             vals.remove(&old_v);
                         }
+                    }
+                    if vals.is_empty() {
+                        map.remove(&key);
                     }
                 }
             }
@@ -424,7 +310,8 @@ impl GroupCensus {
                     .or_default()
                     .entry(new_v)
                     .or_default();
-                if bucket.ids.insert(id) {
+                if let Err(at) = bucket.ids.binary_search(&id) {
+                    bucket.ids.insert(at, id);
                     bucket.weight += after.weight(*rhs);
                 }
             }
@@ -554,20 +441,23 @@ mod tests {
         assert!(hit.iter().all(|h| *h), "some shard never selected: {hit:?}");
     }
 
-    fn random_relation(rng: &mut ChaCha8Rng, rows: usize) -> Relation {
+    /// A random cell value: null one time in eight, else one of 16.
+    fn random_value(rng: &mut ChaCha8Rng) -> Value {
+        if rng.gen_range(0..8u32) == 0 {
+            Value::Null
+        } else {
+            Value::str(format!("x{}", rng.gen_range(0..16u32)))
+        }
+    }
+
+    /// A random relation whose weights are multiples of `1 / steps`.
+    fn random_relation(rng: &mut ChaCha8Rng, rows: usize, steps: u32) -> Relation {
         let schema = Schema::new("s", &["a", "b", "c"]).unwrap();
         let mut rel = Relation::new(schema);
         for _ in 0..rows {
-            let mk = |rng: &mut ChaCha8Rng| {
-                if rng.gen_range(0..8u32) == 0 {
-                    Value::Null
-                } else {
-                    Value::str(format!("x{}", rng.gen_range(0..16u32)))
-                }
-            };
-            let values = vec![mk(rng), mk(rng), mk(rng)];
+            let values = vec![random_value(rng), random_value(rng), random_value(rng)];
             let weights = (0..3)
-                .map(|_| (rng.gen_range(0..=10u32) as f64) / 10.0)
+                .map(|_| (rng.gen_range(0..=steps) as f64) / steps as f64)
                 .collect();
             rel.insert(Tuple::with_weights(values, weights)).unwrap();
         }
@@ -582,7 +472,7 @@ mod tests {
         ];
         let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
         for _ in 0..20 {
-            let rel = random_relation(&mut rng, 60);
+            let rel = random_relation(&mut rng, 60, 10);
             let serial = GroupCensus::build(&rel, &shapes, &Parallelism::serial());
             for threads in [2, 3, 8] {
                 let sharded = GroupCensus::build(&rel, &shapes, &Parallelism::threads(threads));
@@ -593,10 +483,61 @@ mod tests {
     }
 
     #[test]
+    fn census_updates_match_a_fresh_build() {
+        // Every shape keys on an attribute another shape reads as its RHS,
+        // so random cell writes move carriers between groups, between
+        // buckets, and into and out of null. Weights are multiples of 1/8,
+        // so every weight sum is exact in any order and a maintained
+        // census can equal a fresh build bit for bit.
+        let shapes = vec![
+            (vec![AttrId(0)], AttrId(2)),
+            (vec![AttrId(0), AttrId(1)], AttrId(2)),
+            (vec![AttrId(2)], AttrId(0)),
+        ];
+        let (mut key_moves, mut rhs_moves, mut to_null, mut from_null) = (0, 0, 0, 0);
+        let mut rng = ChaCha8Rng::seed_from_u64(0xCE_2505);
+        for _ in 0..20 {
+            let base = random_relation(&mut rng, 60, 8);
+            let writes: Vec<(TupleId, AttrId, Value)> = (0..80)
+                .map(|_| {
+                    let id = TupleId(rng.gen_range(0..60u32));
+                    (
+                        id,
+                        AttrId(rng.gen_range(0..3u32) as u16),
+                        random_value(&mut rng),
+                    )
+                })
+                .collect();
+            for threads in [1, 2] {
+                let par = Parallelism::threads(threads);
+                let mut rel = base.clone();
+                let mut census = GroupCensus::build(&rel, &shapes, &par);
+                for (id, attr, v) in &writes {
+                    let before = rel.tuple(*id).unwrap().to_tuple();
+                    rel.set_value(*id, *attr, v.clone()).unwrap();
+                    let after = rel.tuple(*id).unwrap().to_tuple();
+                    census.update(*id, &before, &after);
+                    let (old, new) = (before.id(*attr), after.id(*attr));
+                    if old != new {
+                        key_moves += usize::from(*attr != AttrId(2));
+                        rhs_moves += usize::from(*attr == AttrId(2));
+                        to_null += usize::from(new.is_null());
+                        from_null += usize::from(old.is_null());
+                    }
+                }
+                let fresh = GroupCensus::build(&rel, &shapes, &par);
+                assert_eq!(census.checksum(), fresh.checksum(), "threads={threads}");
+                assert_eq!(census.carriers(), fresh.carriers(), "threads={threads}");
+            }
+        }
+        assert!(key_moves > 0 && rhs_moves > 0 && to_null > 0 && from_null > 0);
+    }
+
+    #[test]
     fn checksum_detects_content_changes() {
         let shapes = vec![(vec![AttrId(0)], AttrId(2))];
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let rel = random_relation(&mut rng, 40);
+        let rel = random_relation(&mut rng, 40, 10);
         let base = GroupCensus::build(&rel, &shapes, &Parallelism::serial());
         let mut other = rel.clone();
         // Find a live tuple with a non-null RHS and move it elsewhere.
