@@ -216,8 +216,8 @@ fn main() {
                 "Figure 12: IncRepair vs BatchRepair on small insertions",
                 "#inserted",
                 &series,
-                |p| p.seconds,
-                "s"
+                |p| p.seconds * 1e3,
+                "ms"
             )
         );
         emit("fig12", &series);

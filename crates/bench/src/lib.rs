@@ -22,9 +22,10 @@
 
 use std::time::Instant;
 
+use cfd_cfd::Engine;
 use cfd_gen::{generate, inject, GenConfig, NoiseConfig, RunSummary, Workload};
 use cfd_repair::{
-    batch_repair, inc_repair, repair_via_incremental, BatchConfig, IncConfig, Ordering,
+    batch_repair, repair_via_incremental, BatchConfig, IncConfig, InsertRepairer, Ordering,
 };
 
 /// Experiment scale: paper sizes or a 10× reduction.
@@ -274,10 +275,29 @@ pub fn fig11(scale: Scale, seed: u64) -> Vec<Series> {
 /// Figure 12 — the incremental setting: a clean base of `base_tuples`,
 /// inserting 10..70 dirty tuples; `INCREPAIR` (on ΔD only) vs
 /// `BATCHREPAIR` (from scratch on D ⊕ ΔD).
+///
+/// §5 keeps INCREPAIR's indexes warm over the clean D, so the resident
+/// state ([`InsertRepairer`] plus the group indexes) is built once,
+/// outside the timer, and every ΔD is timed through it — staging,
+/// resolution, ΔD-only verification and the rollback that readies it for
+/// the next ΔD. The one-time build is its own series, repeated on every
+/// row.
 pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
     let w = workload(scale.base_tuples(), seed);
+    let config = IncConfig::default();
+    let t0 = Instant::now();
+    let mut parts = Engine::build(&w.dopt, &w.sigma).to_parts();
+    let mut resident = InsertRepairer::new(&w.dopt, &w.sigma, &config);
+    let build_secs = t0.elapsed().as_secs_f64();
+    let mut build_points = Vec::new();
     let mut inc_points = Vec::new();
     let mut batch_points = Vec::new();
+    let point = |x: usize, seconds: f64| Point {
+        x: x as f64,
+        precision: 0.0,
+        recall: 0.0,
+        seconds,
+    };
     for n_insert in [10usize, 20, 30, 40, 50, 60, 70] {
         // Build ΔD: fresh clean tuples drawn from the same world, then
         // corrupt every one of them ("inserted 10 to 70 dirty tuples").
@@ -300,18 +320,15 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
             .iter()
             .map(|(_, t)| t.to_tuple())
             .collect();
-        // INCREPAIR on ΔD against clean D.
+        // INCREPAIR on ΔD against the warm state over clean D.
         let t0 = Instant::now();
-        let out = inc_repair(&w.dopt, &delta, &w.sigma, IncConfig::default())
+        let out = resident
+            .repair(&w.dopt, &delta, &w.sigma, &mut parts, config.clone())
             .expect("incremental insert repair succeeds");
         let inc_secs = t0.elapsed().as_secs_f64();
-        debug_assert!(cfd_cfd::check(&out.repair, &w.sigma));
-        inc_points.push(Point {
-            x: n_insert as f64,
-            precision: 0.0,
-            recall: 0.0,
-            seconds: inc_secs,
-        });
+        assert!(out.clean, "INCREPAIR left a violation");
+        build_points.push(point(n_insert, build_secs));
+        inc_points.push(point(n_insert, inc_secs));
         // BATCHREPAIR on D ⊕ ΔD from scratch.
         let mut full = w.dopt.clone();
         for t in &delta {
@@ -319,12 +336,7 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
         }
         let t0 = Instant::now();
         let _ = batch_repair(&full, &w.sigma, BatchConfig::default()).expect("batch succeeds");
-        batch_points.push(Point {
-            x: n_insert as f64,
-            precision: 0.0,
-            recall: 0.0,
-            seconds: t0.elapsed().as_secs_f64(),
-        });
+        batch_points.push(point(n_insert, t0.elapsed().as_secs_f64()));
     }
     vec![
         Series {
@@ -334,6 +346,10 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
         Series {
             label: "BatchRepair".into(),
             points: batch_points,
+        },
+        Series {
+            label: "IncRepair one-time build".into(),
+            points: build_points,
         },
     ]
 }

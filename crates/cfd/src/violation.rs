@@ -81,6 +81,12 @@ impl Clone for GroupIndexes {
     }
 }
 
+impl Default for GroupIndexes {
+    fn default() -> Self {
+        GroupIndexes::empty()
+    }
+}
+
 impl GroupIndexes {
     fn with_map(by_lhs: BTreeMap<Vec<AttrId>, HashIndex>) -> Self {
         GroupIndexes {
@@ -210,7 +216,7 @@ impl GroupIndexes {
 /// parts, reducing "which constant rules fire on `t`?" to one lookup per
 /// group — and there are only as many groups as structurally distinct
 /// tableau shapes (a handful).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ConstantRules {
     groups: Vec<ConstGroup>,
 }
@@ -375,7 +381,8 @@ fn variable_group_conflicts(
 /// resident dataset handle, `BATCHREPAIR`'s working state) hold an
 /// `EngineParts` next to their owned `Sigma` and reconstitute a borrowed
 /// [`Engine`] — or call [`detect_with_parts`] directly — per operation.
-#[derive(Clone)]
+/// The default is empty: a placeholder while the real parts are lent out.
+#[derive(Clone, Default)]
 pub struct EngineParts {
     /// Group indexes for every LHS attribute list.
     pub indexes: GroupIndexes,

@@ -34,8 +34,9 @@ use std::io::{self, BufRead, Write};
 use crate::error::ModelError;
 use crate::hash::FnvBuildHasher;
 use crate::pool::{ValueId, ValuePool};
-use crate::relation::Relation;
+use crate::relation::{Relation, TupleId};
 use crate::schema::{AttrId, Schema};
+use crate::storage::RowRef;
 use crate::value::Value;
 
 const NULL_TOKEN: &str = "\\N";
@@ -118,13 +119,35 @@ struct Field<'a> {
 pub fn write_relation<W: Write>(rel: &Relation, w: &mut W) -> Result<(), ModelError> {
     let mut out = String::new();
     write_header(rel, &mut out);
+    write_tuples(rel, rel.iter().map(|(_, t)| t), out, w)
+}
+
+/// Write the rows of the live tuples `ids`, in the given order and without
+/// a header, byte-for-byte as [`write_relation`] renders them: each row's
+/// encoding depends on its own cells only, so a cached rendering of a
+/// relation followed by `write_rows` over later ids equals a full render.
+pub fn write_rows<W: Write>(rel: &Relation, ids: &[TupleId], w: &mut W) -> Result<(), ModelError> {
+    let rows = ids
+        .iter()
+        .map(|id| rel.require(*id))
+        .collect::<Result<Vec<_>, _>>()?;
+    write_tuples(rel, rows.into_iter(), String::new(), w)
+}
+
+/// Append `rows` to `out` and write it all through `w` in chunks.
+fn write_tuples<'r, W: Write>(
+    rel: &'r Relation,
+    rows: impl Iterator<Item = RowRef<'r>>,
+    mut out: String,
+    w: &mut W,
+) -> Result<(), ModelError> {
     // The encoded text of every id met so far, as spans of `encoded`
     // indexed by id: each distinct value is resolved and escaped once.
     let mut encoded = String::new();
     let mut spans: Vec<Option<(usize, usize)>> = Vec::new();
     let pool = rel.pool();
     let arity = rel.schema().arity();
-    for (_, t) in rel.iter() {
+    for t in rows {
         for a in 0..arity {
             if a > 0 {
                 out.push(',');

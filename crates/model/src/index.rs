@@ -134,11 +134,15 @@ impl HashIndex {
     }
 
     /// Remove a tuple given its *current* contents (the caller must remove
-    /// before mutating the tuple, or pass the pre-image).
+    /// before mutating the tuple, or pass the pre-image). Undoing the
+    /// latest insert is an O(1) pop that leaves the other members in
+    /// their order; any other member is found from the front.
     pub fn remove<V: TupleView + ?Sized>(&mut self, id: TupleId, t: &V) {
         let key = self.key_of(t);
         if let Some(ids) = self.map.get_mut(&key) {
-            if let Some(pos) = ids.iter().position(|x| *x == id) {
+            if ids.last() == Some(&id) {
+                ids.pop();
+            } else if let Some(pos) = ids.iter().position(|x| *x == id) {
                 ids.swap_remove(pos);
             }
             if ids.is_empty() {

@@ -11,8 +11,8 @@
 //! provably exceeds the current `limit`-th best. Because
 //! `dis(a, b) ≥ ||a| − |b||`, bands farther than the current worst bound can
 //! be skipped wholesale; the search is exact, needs no O(n²) build, and
-//! degrades gracefully on large domains. DESIGN.md records this substitution;
-//! the `repair_ablations` bench compares it against the naive full scan.
+//! degrades gracefully on large domains. The `repair_ablations` bench
+//! compares it against the naive full scan.
 //!
 //! Entries carry `(Value, ValueId)` pairs: the resolved value keeps
 //! enumeration order deterministic (ties break by *value* order, which is
@@ -107,6 +107,28 @@ impl ValueIndex {
         if let Err(pos) = bucket.binary_search(&entry) {
             bucket.insert(pos, entry);
             self.len += 1;
+        }
+    }
+
+    /// Forget a value that left the domain — the inverse of
+    /// [`ValueIndex::add`]. A length bucket that empties is dropped, so an
+    /// add/remove sequence leaves exactly the index a fresh build over the
+    /// surviving values would. Absent ids and null are no-ops.
+    pub fn remove(&mut self, id: ValueId) {
+        if id.is_null() {
+            return;
+        }
+        let v = self.pool.resolve(id);
+        let band = v.render_len();
+        let Some(bucket) = self.by_len.get_mut(&band) else {
+            return;
+        };
+        if let Ok(pos) = bucket.binary_search(&(v, id)) {
+            bucket.remove(pos);
+            self.len -= 1;
+            if bucket.is_empty() {
+                self.by_len.remove(&band);
+            }
         }
     }
 
@@ -300,5 +322,56 @@ mod tests {
         let i = ValueIndex::from_values([Value::int(19014), Value::int(10012)]);
         let got = i.nearest(vid("19013"), 1, false);
         assert_eq!(got[0].0, ValueId::of(&Value::int(19014)));
+    }
+
+    /// Seeded random add/remove sequences, removing a value when its last
+    /// occurrence goes (as the active domain reports it), leave the same
+    /// index a fresh build over the surviving values gives: the same
+    /// buckets, the same `len` and the same `nearest` answers.
+    #[test]
+    fn add_remove_sequences_match_a_fresh_build() {
+        use cfd_prng::{trials, Rng};
+        use std::collections::BTreeMap;
+        let words = [
+            "a", "b", "ab", "ba", "abc", "abd", "bcd", "abcd", "dcba", "abcde", "z",
+        ];
+        trials(48, 0xC1_05E, |rng| {
+            let mut i = ValueIndex::default();
+            let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+            for _ in 0..rng.gen_range(1..80usize) {
+                let w = words[rng.gen_range(0..words.len())];
+                if rng.gen_range(0..3u32) > 0 {
+                    *counts.entry(w).or_default() += 1;
+                    i.add(vid(w));
+                } else if let Some(c) = counts.get_mut(w) {
+                    *c -= 1;
+                    if *c == 0 {
+                        counts.remove(w);
+                        i.remove(vid(w));
+                    }
+                }
+                let fresh = idx(&counts.keys().copied().collect::<Vec<_>>());
+                assert_eq!(i.by_len, fresh.by_len);
+                assert_eq!(i.len(), fresh.len());
+                for probe in ["ab", "abcd", "q"] {
+                    assert_eq!(
+                        i.nearest(vid(probe), 3, false),
+                        fresh.nearest(vid(probe), 3, false)
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn remove_drops_empty_buckets_and_ignores_absent_values() {
+        let mut i = idx(&["abc", "x"]);
+        i.remove(vid("zz"));
+        i.remove(cfd_model::NULL_ID);
+        assert_eq!(i.len(), 2);
+        i.remove(vid("x"));
+        assert_eq!(i.len(), 1);
+        assert!(!i.by_len.contains_key(&1));
+        assert_eq!(i.nearest(vid("x"), 2, false), vec![(vid("abc"), 3)]);
     }
 }

@@ -9,18 +9,27 @@
 //! set `C` of at most `k` attributes and values `v̄` over
 //! `adom ∪ {null}` such that the partially-repaired tuple satisfies every
 //! CFD that falls inside the already-fixed attributes, minimizing
-//! `costfix(C, v̄) = cost(t, t[C/v̄]) × vio(t[C/v̄])`. Attributes are never
-//! revisited, so termination is immediate (Theorem 5.3); feasibility is
-//! guaranteed because `null` satisfies everything (Example 5.1).
+//! `costfix(C, v̄)`. Attributes are never revisited, so termination is
+//! immediate (Theorem 5.3); feasibility is guaranteed because `null`
+//! satisfies everything (Example 5.1).
 //!
-//! One deliberate refinement: the paper's raw product makes *every*
-//! violation-free change free (`cost × 0`); we rank by
-//! `cost × (1 + vio)` so edit cost still separates violation-free
-//! candidates. DESIGN.md records the deviation.
+//! One deliberate refinement: the paper's raw product
+//! `cost(t, t[C/v̄]) × vio(t[C/v̄])` makes *every* violation-free change
+//! free, so candidates are ranked by the additive blend
+//! `cost + vio_penalty · vio` instead (see [`IncConfig::vio_penalty`]).
 //!
-//! Optimizations of §5.2 are implemented: LHS-indices validate candidates
-//! in O(1) per CFD, and the cost-based value index enumerates candidate
-//! values in increasing DL distance.
+//! The optimizations of §5.2 are implemented: LHS-indices validate
+//! candidates in O(1) per CFD, and the cost-based value index enumerates
+//! candidate values in increasing DL distance.
+//!
+//! This module holds the per-tuple machinery ([`IncState`]) and its owned,
+//! Σ-free form ([`ResidentParts`]). The drivers live elsewhere and all
+//! share it: the one-shot [`inc_repair`] and the per-request
+//! [`crate::resident::InsertRepairer`] (both in `resident.rs`), the
+//! streaming [`crate::resident::StreamRepairer`], and the §5.3 bridge
+//! [`crate::subset::repair_via_incremental`]. Every index here changes by
+//! tuple inserts and removals only, never by rebuilds, so a driver can
+//! stage ΔD into warm indexes and roll it back exactly.
 
 use cfd_cfd::violation::{Engine, EngineParts};
 use cfd_cfd::Sigma;
@@ -30,6 +39,7 @@ use crate::cluster::ValueIndex;
 use crate::cost::change_cost_ids;
 use crate::distance::DistanceCache;
 use crate::lhs_index::LhsIndexes;
+use crate::resident::InsertRepairer;
 use crate::shard::Parallelism;
 use crate::RepairError;
 
@@ -70,8 +80,7 @@ pub struct IncConfig {
     /// (`costfix = cost + vio_penalty · vio(t[C/v̄])`). The paper's
     /// multiplicative `cost × vio` cannot distinguish a zero-cost "keep"
     /// that leaves conflicts from one that doesn't — any violation-free
-    /// change is also free under it — so we use an additive blend;
-    /// DESIGN.md records the deviation.
+    /// change is also free under it — so we use an additive blend.
     pub vio_penalty: f64,
     /// Multiplier applied to the cost of a change *to null* during
     /// candidate ranking. The paper treats null as a last resort ("we pick
@@ -81,9 +90,9 @@ pub struct IncConfig {
     /// of applying certain fixes of equal edit distance. 2.0 makes certain
     /// values strictly preferred whenever one exists at comparable cost.
     pub null_cost_factor: f64,
-    /// Worker threads for index construction and the V-INCREPAIR ordering
-    /// scan. Repairs are byte-identical at every thread count; the default
-    /// resolves `CFD_THREADS` (1 when unset).
+    /// Worker threads for index construction. Repairs are byte-identical
+    /// at every thread count; the default resolves `CFD_THREADS` (1 when
+    /// unset).
     pub parallelism: Parallelism,
     /// Distance-kernel override, mirroring [`crate::BatchConfig::simd`]:
     /// `None` follows the process-wide `CFD_SIMD` switch. Repairs are
@@ -132,9 +141,9 @@ pub struct IncOutcome {
     pub stats: IncStats,
 }
 
-/// Internal driver shared by [`inc_repair`] and
-/// [`crate::subset::repair_via_incremental`]: a relation in which `pending`
-/// tuples are not yet part of the clean portion.
+/// The per-tuple machinery every `INCREPAIR` driver shares (see the
+/// module docs): a relation in which `pending` tuples are not yet part of
+/// the clean portion, with the indexes over that portion.
 pub(crate) struct IncState<'a> {
     sigma: &'a Sigma,
     config: IncConfig,
@@ -160,47 +169,31 @@ pub(crate) struct IncState<'a> {
 }
 
 impl<'a> IncState<'a> {
-    /// Build a state where `active` holds the clean portion of `work`.
-    /// Indexes must only see active tuples, so pending ones are temporarily
-    /// deleted from a scratch copy during index construction.
+    /// Build a state over `work` whose clean (active) portion is every
+    /// live tuple except `pending`. Indexes must only see active tuples,
+    /// so they are built over a scratch copy with the pending ones
+    /// deleted; the indexes store ids, so resolving them against the full
+    /// `work` is sound because the view's ids are a subset.
     pub(crate) fn new(
         work: Relation,
         pending: &[TupleId],
         sigma: &'a Sigma,
         config: IncConfig,
     ) -> Result<Self, RepairError> {
-        assert!(
-            work.schema().arity() <= 128,
-            "incremental repair supports arity ≤ 128"
-        );
-        assert!(config.k >= 1, "k must be at least 1");
         let mut active_view = work.clone();
         for id in pending {
             active_view.delete(*id)?;
         }
-        // Index only the active view (see the `engine` field docs); the
-        // indexes store ids, so resolving them against the full `work` is
-        // sound because the view's ids are a subset.
         let threads = config.parallelism.get();
-        let engine = Engine::build_with_threads(&active_view, sigma, threads);
-        let lhs = LhsIndexes::build_with(&active_view, sigma, &config.parallelism);
-        let adom = ActiveDomain::of_relation(&active_view);
-        let arity = work.schema().arity();
-        let dcache = DistanceCache::for_pool(
-            work.pool().clone(),
-            config.simd.unwrap_or_else(cfd_model::simd_enabled),
-        );
-        Ok(IncState {
-            sigma,
-            config,
+        let parts = ResidentParts {
+            engine: Engine::build_with_threads(&active_view, sigma, threads).to_parts(),
+            lhs: LhsIndexes::build_with(&active_view, sigma, &config.parallelism),
+            adom: ActiveDomain::of_relation(&active_view),
+            vidx: vec![None; work.schema().arity()],
+            dcache: fresh_dcache(&work, &config),
             work,
-            engine,
-            lhs,
-            adom,
-            vidx: vec![None; arity],
-            dcache,
-            stats: IncStats::default(),
-        })
+        };
+        Ok(IncState::resume(parts, sigma, config))
     }
 
     fn value_index(&mut self, a: AttrId) -> &ValueIndex {
@@ -254,8 +247,15 @@ impl<'a> IncState<'a> {
     /// Candidate values for attribute `a` while resolving `cur` with the
     /// attribute set `C` (as a mask). Sources, in order: the current value,
     /// values pinned by CFDs whose LHS avoids `C`, nearest active-domain
-    /// values, and `null`.
-    fn candidates_for(&mut self, cur: &Tuple, a: AttrId, c_mask: u128) -> Vec<ValueId> {
+    /// values, and `null`. `nearest` memoizes the value-index answer per
+    /// attribute for the tuple being resolved (see [`Self::tuple_resolve`]).
+    fn candidates_for(
+        &mut self,
+        cur: &Tuple,
+        a: AttrId,
+        c_mask: u128,
+        nearest: &mut [Option<(ValueId, Vec<ValueId>)>],
+    ) -> Vec<ValueId> {
         let mut out: Vec<ValueId> = Vec::with_capacity(self.config.candidates_per_attr + 6);
         let push = |out: &mut Vec<ValueId>, v: ValueId| {
             if !out.contains(&v) {
@@ -289,9 +289,14 @@ impl<'a> IncState<'a> {
         }
         // Nearest active-domain values by DL distance.
         let probe = cur.id(a);
-        let limit = self.config.candidates_per_attr;
-        for (v, _) in self.value_index(a).nearest(probe, limit, false) {
-            push(&mut out, v);
+        let slot = &mut nearest[a.index()];
+        if !matches!(slot, Some((p, _)) if *p == probe) {
+            let limit = self.config.candidates_per_attr;
+            let ids = self.value_index(a).nearest(probe, limit, false);
+            *slot = Some((probe, ids.into_iter().map(|(v, _)| v).collect()));
+        }
+        for v in &slot.as_ref().expect("filled above").1 {
+            push(&mut out, *v);
         }
         push(&mut out, NULL_ID);
         out
@@ -309,6 +314,11 @@ impl<'a> IncState<'a> {
         }
         let arity = orig.arity();
         let mut cur = orig.clone();
+        // The value indexes only grow when a tuple is activated, never
+        // inside one resolution, and an unfixed attribute keeps its
+        // original value; so every round asks each attribute the same
+        // nearest-value question, answered once here.
+        let mut nearest: Vec<Option<(ValueId, Vec<ValueId>)>> = vec![None; arity];
         // Only the attributes of *failing* constraints can participate in a
         // repair: a CFD's satisfaction depends solely on its own attributes,
         // so every attribute outside the failing set keeps its value and is
@@ -356,7 +366,7 @@ impl<'a> IncState<'a> {
                 }
                 let per_attr: Vec<Vec<ValueId>> = combo
                     .iter()
-                    .map(|a| self.candidates_for(&cur, *a, c_mask))
+                    .map(|a| self.candidates_for(&cur, *a, c_mask, &mut nearest))
                     .collect();
                 // Warm the distance memo target-major before the odometer:
                 // one prepared kernel per (original value, candidate list)
@@ -489,49 +499,70 @@ impl<'a> IncState<'a> {
         Ok(())
     }
 
+    /// `INCREPAIR`'s loop (Fig. 6): order `pending` in place, then resolve
+    /// and activate each in turn. Returns how many were activated — the
+    /// prefix of `pending` a rollback must undo — and the error that
+    /// stopped the loop early, if any. A failed activation touched no
+    /// index, so the prefix is exact either way.
+    pub(crate) fn resolve_all(&mut self, pending: &mut [TupleId]) -> (usize, Option<RepairError>) {
+        self.order_pending(pending);
+        for (done, id) in pending.iter().enumerate() {
+            if let Err(e) = self.resolve_and_activate(*id) {
+                return (done, Some(e));
+            }
+        }
+        (pending.len(), None)
+    }
+
+    /// ΔD-only verification: do the activated tuples `ids` have
+    /// `vio(t) = 0` against everything active? With the rest of the
+    /// active portion clean this is exactly "the active portion satisfies
+    /// Σ": a CFD violation involves one tuple or a pair, so any new one
+    /// touches a tuple of `ids`.
+    pub(crate) fn all_clean(&self, ids: &[TupleId]) -> bool {
+        ids.iter().all(|id| {
+            let t = self.work.require(*id).expect("activated tuple is live");
+            self.engine.vio_of(&self.work, &t, Some(*id)) == 0
+        })
+    }
+
+    /// V-INCREPAIR's sort key per pending tuple: `vio(t)` against the full
+    /// database (active + pending), ascending; ties broken by descending
+    /// total weight so the trusted side of a conflicting pending pair
+    /// enters the repair first and anchors its group. The key is total
+    /// (ids are unique).
+    ///
+    /// The pending tuples join the active group indexes just long enough
+    /// to be keyed: with them staged, every group holds the same multiset
+    /// an index over all of `work` would, so the keys are the same.
+    /// Removing them in reverse order pops each id its insert pushed, so
+    /// every group — members and their order — is left exactly as it was.
+    fn violation_keys(&mut self, pending: &[TupleId]) -> Vec<(usize, i64, TupleId)> {
+        let work = &self.work;
+        let live = |id: &TupleId| work.require(*id).expect("pending tuple is live");
+        for id in pending {
+            self.engine.insert(*id, &live(id));
+        }
+        let keyed = pending
+            .iter()
+            .map(|id| {
+                let t = live(id);
+                let wt = (t.total_weight() * 1e6) as i64;
+                (self.engine.vio_of(work, &t, Some(*id)), -wt, *id)
+            })
+            .collect();
+        for id in pending.iter().rev() {
+            self.engine.remove(*id, &live(id));
+        }
+        keyed
+    }
+
     /// Sort pending ids according to the configured ordering.
-    pub(crate) fn order_pending(&self, pending: &mut [TupleId]) {
+    pub(crate) fn order_pending(&mut self, pending: &mut [TupleId]) {
         match self.config.ordering {
             Ordering::Linear => {}
             Ordering::Violations => {
-                // vio(t) against the full database (active + pending),
-                // ascending; ties broken by descending total weight so the
-                // trusted side of a conflicting pending pair enters the
-                // repair first and anchors its group. Keys are computed
-                // per tuple against frozen state, so chunks fan out across
-                // threads and concatenate to the same vector at every
-                // thread count; the sort is total (ids are unique).
-                let threads = self.config.parallelism.get();
-                let full = Engine::build_with_threads(&self.work, self.sigma, threads);
-                let key_of = |id: TupleId| {
-                    let t = self.work.tuple(id).expect("pending tuple is live");
-                    let wt = (t.total_weight() * 1e6) as i64;
-                    (full.vio_of(&self.work, &t, Some(id)), -wt, id)
-                };
-                let mut keyed: Vec<(usize, i64, TupleId)> = if threads <= 1 || pending.len() < 64 {
-                    pending.iter().map(|id| key_of(*id)).collect()
-                } else {
-                    let chunk = pending.len().div_ceil(threads);
-                    // Workers share `self` read-only; arm the LHS-index
-                    // tripwire so any future lazy growth from inside the
-                    // fan-out fails loudly instead of leaking scheduling
-                    // into group state.
-                    self.lhs.freeze();
-                    let keyed = std::thread::scope(|s| {
-                        let handles: Vec<_> = pending
-                            .chunks(chunk.max(1))
-                            .map(|part| {
-                                s.spawn(|| part.iter().map(|id| key_of(*id)).collect::<Vec<_>>())
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("ordering shard panicked"))
-                            .collect()
-                    });
-                    self.lhs.thaw();
-                    keyed
-                };
+                let mut keyed = self.violation_keys(pending);
                 keyed.sort();
                 for (slot, (_, _, id)) in pending.iter_mut().zip(keyed) {
                     *slot = id;
@@ -541,7 +572,7 @@ impl<'a> IncState<'a> {
                 let mut keyed: Vec<(f64, TupleId)> = pending
                     .iter()
                     .map(|id| {
-                        let t = self.work.tuple(*id).expect("pending tuple is live");
+                        let t = self.work.require(*id).expect("pending tuple is live");
                         (t.total_weight(), *id)
                     })
                     .collect();
@@ -574,6 +605,31 @@ pub(crate) struct ResidentParts {
 }
 
 impl ResidentParts {
+    /// Undo the activation of `activated` (given in activation order) in
+    /// every index, newest first. The relation itself is left alone — the
+    /// caller discards it. The activated ids were pushed after every
+    /// earlier member of their groups, so removing them leaves the member
+    /// order FINDV reads exactly as it was; newest first makes each
+    /// removal a pop. A value whose domain count drops to zero also
+    /// leaves the value index, so no ΔD value outlives its request.
+    pub(crate) fn roll_back(&mut self, sigma: &Sigma, activated: &[TupleId]) {
+        let attrs: Vec<AttrId> = self.work.schema().attr_ids().collect();
+        for id in activated.iter().rev() {
+            let t = self.work.require(*id).expect("activated tuple is live");
+            self.engine.indexes.remove(*id, &t);
+            self.lhs.remove(sigma, &t);
+            for a in &attrs {
+                let v = t.id(*a);
+                self.adom.remove_id(*a, v);
+                if !v.is_null() && !self.adom.contains_id(*a, v) {
+                    if let Some(idx) = &mut self.vidx[a.index()] {
+                        idx.remove(v);
+                    }
+                }
+            }
+        }
+    }
+
     /// Drop a live *active* tuple from the relation and every index.
     /// Deletions never violate CFDs (§3.3), so no re-repair is needed.
     /// The active domain (and the value indexes over it) is append-only
@@ -597,6 +653,11 @@ impl<'a> IncState<'a> {
     /// each resume covers one repair round; callers accumulate across
     /// rounds.
     pub(crate) fn resume(parts: ResidentParts, sigma: &'a Sigma, config: IncConfig) -> Self {
+        assert!(
+            parts.work.schema().arity() <= 128,
+            "incremental repair supports arity ≤ 128"
+        );
+        assert!(config.k >= 1, "k must be at least 1");
         IncState {
             sigma,
             config,
@@ -655,34 +716,29 @@ fn combinations(items: &[AttrId], k: usize) -> Vec<Vec<AttrId>> {
     }
 }
 
+/// A distance memo bound to `work`'s pool, with the configured kernel.
+pub(crate) fn fresh_dcache(work: &Relation, config: &IncConfig) -> DistanceCache {
+    DistanceCache::for_pool(
+        work.pool().clone(),
+        config.simd.unwrap_or_else(cfd_model::simd_enabled),
+    )
+}
+
 /// Run `INCREPAIR` (Fig. 6): insert `delta` into the clean `d`, repairing
 /// each tuple so that the result satisfies `sigma`.
 ///
 /// `d` is assumed clean (`D |= Σ`); it is never modified — the defining
 /// property of incremental repair. Deletions never violate CFDs (§3.3) and
-/// need no repair, so `delta` carries insertions only.
+/// need no repair, so `delta` carries insertions only. This is the
+/// one-shot use of [`InsertRepairer`]: build it over `d`, run `delta`
+/// once, and keep the result instead of rolling back.
 pub fn inc_repair(
     d: &Relation,
     delta: &[Tuple],
     sigma: &Sigma,
     config: IncConfig,
 ) -> Result<IncOutcome, RepairError> {
-    let mut work = d.clone();
-    let mut pending = Vec::with_capacity(delta.len());
-    for t in delta {
-        pending.push(work.insert(t.clone())?);
-    }
-    let delta_ids = pending.clone();
-    let mut state = IncState::new(work, &pending, sigma, config)?;
-    state.order_pending(&mut pending);
-    for id in pending {
-        state.resolve_and_activate(id)?;
-    }
-    let outcome = IncOutcome {
-        repair: state.work,
-        delta_ids,
-        stats: state.stats,
-    };
+    let outcome = InsertRepairer::new(d, sigma, &config).repair_once(d, delta, sigma, config)?;
     debug_assert!(cfd_cfd::check(&outcome.repair, sigma));
     Ok(outcome)
 }
@@ -982,5 +1038,58 @@ mod tests {
         let out = inc_repair(&rel, &[], &sigma, IncConfig::default()).unwrap();
         assert_eq!(out.stats.processed, 0);
         assert_eq!(out.repair.len(), rel.len());
+    }
+
+    /// Staged V-ordering keys equal the keys of a fresh `Engine` built
+    /// over all of `work` (active + pending), and keying leaves every
+    /// group of the active indexes — members and their order — as it was.
+    #[test]
+    fn staged_violation_keys_match_a_full_rebuild() {
+        use cfd_gen::{generate, inject, GenConfig, NoiseConfig};
+        use cfd_prng::{trials, Rng};
+        trials(6, 0x57A6ED, |rng| {
+            let seed = rng.gen_range(0..1_000u64);
+            let w = generate(&GenConfig::sized(300, seed));
+            let noise = NoiseConfig {
+                rate: 0.1,
+                seed,
+                ..Default::default()
+            };
+            let dirty = inject(&w.dopt, &w.world, &noise).dirty;
+            let pending: Vec<TupleId> = dirty
+                .ids()
+                .filter(|_| rng.gen_range(0..4u32) == 0)
+                .collect();
+            let mut state =
+                IncState::new(dirty.clone(), &pending, &w.sigma, IncConfig::default()).unwrap();
+            let snapshot = state.engine.indexes.clone();
+
+            let staged = state.violation_keys(&pending);
+
+            let full = Engine::build(&state.work, &w.sigma);
+            let reference: Vec<(usize, i64, TupleId)> = pending
+                .iter()
+                .map(|id| {
+                    let t = state.work.require(*id).unwrap();
+                    let wt = (t.total_weight() * 1e6) as i64;
+                    (full.vio_of(&state.work, &t, Some(*id)), -wt, *id)
+                })
+                .collect();
+            assert_eq!(staged, reference, "seed {seed}");
+            assert!(
+                staged.iter().any(|k| k.0 > 0),
+                "seed {seed}: no conflicts keyed"
+            );
+            for attrs in snapshot.attr_lists() {
+                let (before, after) = (
+                    snapshot.for_lhs(&attrs),
+                    state.engine.indexes.for_lhs(&attrs),
+                );
+                assert_eq!(before.group_count(), after.group_count(), "seed {seed}");
+                for (key, ids) in before.groups() {
+                    assert_eq!(after.get(key.as_slice()), ids, "seed {seed}");
+                }
+            }
+        });
     }
 }

@@ -10,7 +10,10 @@
 //! * Constant CFDs need no table at all — the pattern itself decides — so
 //!   the index stores tables only for variable CFDs.
 //! * Group bookkeeping keeps per-key counts so tuples can be added as the
-//!   incremental repair grows `Repr` one repaired tuple at a time.
+//!   incremental repair grows `Repr` one repaired tuple at a time, and
+//!   removed again exactly: a group left with no pin and no nulls drops
+//!   its entry, so an add/remove sequence leaves the same map a fresh
+//!   build over the surviving tuples would.
 
 use cfd_model::hash::FnvMap;
 use cfd_model::{IdKey, Relation, TupleView, ValueId};
@@ -44,27 +47,10 @@ pub struct LhsIndex {
 }
 
 /// The LHS-indices for the variable CFDs in Σ, shared by shape.
-#[derive(Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LhsIndexes {
     /// One index per distinct `(lhs attrs, rhs attr)` among variable CFDs.
     shapes: FnvMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>,
-    /// Determinism tripwire, mirroring `GroupIndexes`: while a parallel
-    /// phase shares this structure read-only across worker threads (the
-    /// V-INCREPAIR ordering scan), growing a group from a worker would make pin outcomes depend on
-    /// scheduling. `freeze` arms the wire; `insert` panics while armed —
-    /// index growth must happen on the main state, in resolution order.
-    frozen: std::sync::atomic::AtomicBool,
-}
-
-impl Clone for LhsIndexes {
-    fn clone(&self) -> Self {
-        // Clones start thawed: the wire guards one shared instance
-        // during one phase, not its descendants.
-        LhsIndexes {
-            shapes: self.shapes.clone(),
-            frozen: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
 }
 
 /// Outcome of validating a candidate RHS value against a group.
@@ -101,9 +87,11 @@ impl LhsIndex {
                 }
             }
             Some(_) => {
-                // A clean relation never reaches here; tolerate by keeping
-                // the existing pin (the relation is about to be repaired).
-                debug_assert!(delta > 0, "removal of unseen value");
+                // Only the pin is counted. A second value can meet it in a
+                // group whose key matches no pattern row of the shape (no
+                // CFD constrains it), or in a relation about to be
+                // repaired; adding and removing such a value are both
+                // no-ops, so the pair stays an exact inverse.
             }
             None if delta > 0 => state.value = Some((v, delta as usize)),
             None => {}
@@ -128,23 +116,13 @@ const PARALLEL_BUILD_THRESHOLD: usize = 4_096;
 
 impl LhsIndexes {
     fn with_shapes(shapes: FnvMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>) -> Self {
-        LhsIndexes {
-            shapes,
-            frozen: std::sync::atomic::AtomicBool::new(false),
-        }
+        LhsIndexes { shapes }
     }
 
-    /// Arm the mutation tripwire for the duration of a read-only parallel
-    /// phase. Takes `&self` so already-shared references can arm it.
-    pub fn freeze(&self) {
-        self.frozen
-            .store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Disarm the tripwire once exclusive access is re-established.
-    pub fn thaw(&self) {
-        self.frozen
-            .store(false, std::sync::atomic::Ordering::Release);
+    /// Group entries across every shape — the footprint a resident
+    /// repairer must return to after rolling a request back.
+    pub fn entry_count(&self) -> usize {
+        self.shapes.values().map(|idx| idx.map.len()).sum()
     }
 
     /// Build indices for every variable-CFD shape in `sigma` over `rel`.
@@ -278,11 +256,6 @@ impl LhsIndexes {
 
     /// Register a tuple newly inserted into the clean repair.
     pub fn insert<V: TupleView + ?Sized>(&mut self, _sigma: &Sigma, t: &V) {
-        assert!(
-            !self.frozen.load(std::sync::atomic::Ordering::Acquire),
-            "LhsIndexes::insert during a frozen (read-only parallel) phase: \
-             index growth must run on the main state in resolution order"
-        );
         for ((lhs, rhs_attr), idx) in self.shapes.iter_mut() {
             let key = t.project_key(lhs);
             let state = idx.map.entry(key).or_default();
@@ -292,20 +265,19 @@ impl LhsIndexes {
 
     /// Drop a tuple from every shape's group, given its *current*
     /// contents (call before the relation deletes it). The inverse of
-    /// [`LhsIndexes::insert`]: group counts decrement, and a pin whose
-    /// count reaches zero clears, so a later insert can re-pin the group
-    /// to a different value. Sound only for tuples of the indexed clean
-    /// portion — every non-null RHS in a group equals the pin there.
+    /// [`LhsIndexes::insert`]: group counts decrement, a pin whose count
+    /// reaches zero clears (so a later insert can re-pin the group to a
+    /// different value), and a group left with no pin and no nulls drops
+    /// its entry. Sound only for tuples of the indexed clean portion —
+    /// every non-null RHS in a constrained group equals the pin there.
     pub fn remove<V: TupleView + ?Sized>(&mut self, _sigma: &Sigma, t: &V) {
-        assert!(
-            !self.frozen.load(std::sync::atomic::Ordering::Acquire),
-            "LhsIndexes::remove during a frozen (read-only parallel) phase: \
-             index maintenance must run on the main state in event order"
-        );
         for ((lhs, rhs_attr), idx) in self.shapes.iter_mut() {
             let key = t.project_key(lhs);
             if let Some(state) = idx.map.get_mut(&key) {
                 LhsIndex::account(state, t.id(*rhs_attr), -1);
+                if state.value.is_none() && state.nulls == 0 {
+                    idx.map.remove(&key);
+                }
             }
         }
     }
@@ -518,28 +490,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "LhsIndexes::insert during a frozen")]
-    fn frozen_indexes_reject_insert() {
-        let (rel, sigma) = setup();
-        let mut idx = LhsIndexes::build(&rel, &sigma);
-        idx.freeze();
-        idx.insert(&sigma, &Tuple::from_iter(["415", "1", "SF"]));
-    }
-
-    #[test]
-    fn thaw_reenables_insert_and_clones_start_thawed() {
-        let (rel, sigma) = setup();
-        let mut idx = LhsIndexes::build(&rel, &sigma);
-        idx.freeze();
-        idx.thaw();
-        idx.insert(&sigma, &Tuple::from_iter(["415", "1", "SF"]));
-        idx.freeze();
-        let mut copy = idx.clone();
-        copy.insert(&sigma, &Tuple::from_iter(["510", "2", "OAK"]));
-        idx.thaw();
-    }
-
-    #[test]
     fn null_only_group_is_unconstrained() {
         let (mut rel, sigma) = setup();
         rel.set_value(cfd_model::TupleId(0), cfd_model::AttrId(2), Value::Null)
@@ -548,5 +498,59 @@ mod tests {
         let var = sigma.get(cfd_cfd::CfdId(0));
         let probe = Tuple::from_iter(["212", "9", "ANY"]);
         assert!(idx.satisfies(var, &probe));
+    }
+
+    /// Seeded random add/remove sequences (removals in any order) leave
+    /// the same index a fresh build over the surviving tuples gives: the
+    /// same entry count and the same pin and verdict for every key.
+    #[test]
+    fn add_remove_sequences_match_a_fresh_build() {
+        use cfd_prng::{trials, Rng};
+        let schema = Schema::new("r", &["k", "v"]).unwrap();
+        let fd = Cfd::standard_fd(
+            "kv",
+            vec![schema.attr("k").unwrap()],
+            vec![schema.attr("v").unwrap()],
+        );
+        let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
+        let var = sigma.get(cfd_cfd::CfdId(0));
+        // A clean relation: key i carries value v{i} or null.
+        let row = |k: u32, null: bool| {
+            let v = if null {
+                Value::Null
+            } else {
+                Value::str(format!("v{k}"))
+            };
+            Tuple::new(vec![Value::str(format!("k{k}")), v])
+        };
+        trials(48, 0x1A5E, |rng| {
+            let mut idx = LhsIndexes::build(&Relation::new(schema.clone()), &sigma);
+            let mut live: Vec<Tuple> = Vec::new();
+            for _ in 0..rng.gen_range(1..120usize) {
+                if live.is_empty() || rng.gen_range(0..3u32) > 0 {
+                    let t = row(rng.gen_range(0..8u32), rng.gen_range(0..4u32) == 0);
+                    idx.insert(&sigma, &t);
+                    live.push(t);
+                } else {
+                    let t = live.swap_remove(rng.gen_range(0..live.len()));
+                    idx.remove(&sigma, &t);
+                }
+                let mut rel = Relation::new(schema.clone());
+                for t in &live {
+                    rel.insert(t.clone()).unwrap();
+                }
+                let fresh = LhsIndexes::build(&rel, &sigma);
+                assert_eq!(idx.entry_count(), fresh.entry_count());
+                for k in 0..8 {
+                    for probe in [
+                        row(k, false),
+                        Tuple::from_iter([format!("k{k}"), "x".into()]),
+                    ] {
+                        assert_eq!(idx.pinned_id(var, &probe), fresh.pinned_id(var, &probe));
+                        assert_eq!(idx.satisfies(var, &probe), fresh.satisfies(var, &probe));
+                    }
+                }
+            }
+        });
     }
 }

@@ -56,7 +56,7 @@ pub use batch::{
 pub use incremental::{inc_repair, IncConfig, IncOutcome, IncStats, Ordering};
 pub use ind_repair::{repair_ind, repair_inds, IndRepairConfig, IndRepairStats};
 pub use options::{Algorithm, RepairOptions};
-pub use resident::StreamRepairer;
+pub use resident::{DeltaRepair, InsertFootprint, InsertRepairer, StreamRepairer};
 pub use shard::Parallelism;
 pub use subset::{consistent_subset, repair_via_incremental};
 

@@ -1,36 +1,249 @@
-//! Resident `INCREPAIR` driver for streaming sessions.
+//! Resident `INCREPAIR` drivers: the warm indexes of §5.2 kept between
+//! repairs, so a small ΔD costs O(|ΔD|) index work instead of a rebuild
+//! over all of `D`.
 //!
-//! A one-shot [`crate::inc_repair`] rebuilds every index per call — fine
-//! for a batch, ruinous for a stream that repairs a small ΔD every window.
-//! [`StreamRepairer`] keeps the whole `IncState` machinery warm between
-//! repair rounds: the violation-engine group indexes (as owned
-//! `EngineParts`), the LHS-indices, the active domain, the lazily-built
-//! nearest-value indexes and the distance memo all persist, and each round
-//! reconstitutes a borrowing [`IncState`](crate::incremental::IncState)
-//! around them for the duration of one `resolve` call.
+//! Two drivers share the per-tuple machinery of
+//! [`IncState`](crate::incremental::IncState) through its owned form,
+//! `ResidentParts` (`IncState::resume` / `suspend` move it verbatim, so a
+//! resumed state repairs byte-identically to one never suspended):
 //!
-//! The determinism contract carries over unchanged: a resume/suspend
-//! round-trip moves owned state verbatim, so a stream of rounds repairs
-//! byte-identically to one-shot `inc_repair` calls that replayed the same
-//! history — the property the stream differential suite pins.
+//! * [`InsertRepairer`] serves repeated insert requests against one
+//!   **fixed** clean base. It keeps the LHS-indices, the active domain and
+//!   the lazily built nearest-value indexes; the caller keeps the group
+//!   indexes (a resident dataset already holds them for detection) and
+//!   lends them per request. Each request clones the base copy-on-write,
+//!   stages ΔD, orders and resolves it, verifies only the ΔD tuples, and
+//!   then **rolls every index back** to the base. One-shot
+//!   [`crate::inc_repair`] is the same driver built over `d`, run once,
+//!   and consumed without rollback.
+//! * [`StreamRepairer`] serves a stream whose base **evolves**: each
+//!   round's repaired tuples stay active, and deletions remove active
+//!   tuples. It owns every index, the group indexes included.
 //!
-//! Two divergences from the one-shot path, both deliberate:
+//! ## The rollback contract
+//!
+//! After [`InsertRepairer::repair`] returns — success or error — every
+//! index it touched holds exactly what it held before: the same group
+//! members in the same order, the same LHS-index entries, the same
+//! active-domain counts and the same value-index contents. Three facts
+//! make this exact rather than approximate:
+//!
+//! * a ΔD id joins the end of every group it enters, after all base
+//!   members, and removal only ever moves ids within that tail, so the
+//!   base members keep their order (which FINDV truncates). ΔD tuples are
+//!   undone newest first, which makes each removal a pop;
+//! * an LHS-index group with no pin and no nulls left drops its entry;
+//! * a ΔD value whose domain count returns to zero leaves the value
+//!   index. ΔD values never persist, so every request sees the base's
+//!   domain and nothing else.
+//!
+//! The distance memo is fresh per request: ΔD ids are sealed after each
+//! request and never reused, so a memo kept across requests would only
+//! collect dead keys.
+//!
+//! ## Stream divergences from the one-shot path
+//!
+//! Both deliberate:
 //!
 //! * **Deletions are index maintenance only.** Deletions never violate
 //!   CFDs (§3.3), so [`StreamRepairer::remove_active`] drops the tuple
 //!   from the relation, the group indexes and the LHS-indices and stops
 //!   there — no re-repair of tuples that conflicted with the departed one.
-//! * **The active domain is append-only.** Values contributed solely by
-//!   since-deleted tuples remain repair *candidates*. Candidates are
-//!   suggestions, never obligations (feasibility always re-checks against
-//!   live indexes), so this is sound; it keeps removal cheap and the
-//!   nearest-value indexes incremental.
+//! * **The stream's active domain is append-only.** Values contributed
+//!   solely by since-deleted tuples remain repair *candidates*.
+//!   Candidates are suggestions, never obligations (feasibility always
+//!   re-checks against live indexes), so this is sound; it keeps removal
+//!   cheap and the nearest-value indexes incremental.
 
+use cfd_cfd::violation::{Engine, EngineParts};
 use cfd_cfd::Sigma;
-use cfd_model::{Relation, Tuple, TupleId};
+use cfd_model::{ActiveDomain, Relation, Tuple, TupleId};
 
-use crate::incremental::{IncConfig, IncState, IncStats, ResidentParts};
+use crate::cluster::ValueIndex;
+use crate::incremental::{fresh_dcache, IncConfig, IncOutcome, IncState, IncStats, ResidentParts};
+use crate::lhs_index::LhsIndexes;
 use crate::RepairError;
+
+/// A resident `INCREPAIR` state over one fixed clean base (`D |= Σ`):
+/// the LHS-indices, the active domain and the nearest-value index slots,
+/// built once and rolled back after every request (see the module docs).
+///
+/// Holds no borrow of Σ, the base or its group indexes — each request
+/// passes them in, so a dataset handle can keep this next to the relation
+/// and the detection index it already owns.
+pub struct InsertRepairer {
+    lhs: LhsIndexes,
+    adom: ActiveDomain,
+    vidx: Vec<Option<ValueIndex>>,
+}
+
+/// One request through an [`InsertRepairer`].
+#[derive(Clone, Debug)]
+pub struct DeltaRepair {
+    /// `D ⊕ ΔD_Repr`, exactly what [`crate::inc_repair`] returns.
+    pub outcome: IncOutcome,
+    /// Every ΔD tuple has `vio(t) = 0` against `D ∪ ΔD_Repr`. With
+    /// `D |= Σ` this is exactly `D ⊕ ΔD_Repr |= Σ`: a CFD violation
+    /// involves one tuple or a pair, so any new one touches a ΔD tuple.
+    pub clean: bool,
+}
+
+/// The size of each index an [`InsertRepairer`] keeps — what a rollback
+/// must return to. Value-index lengths are `None` for slots not built yet.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InsertFootprint {
+    /// Group entries across every LHS-index shape.
+    pub lhs_entries: usize,
+    /// `ActiveDomain::distinct` per attribute.
+    pub adom_distinct: Vec<usize>,
+    /// `ValueIndex::len` per attribute.
+    pub value_index_len: Vec<Option<usize>>,
+}
+
+impl InsertRepairer {
+    /// Build the state over a clean `base`. The value indexes start empty
+    /// and are built on first use.
+    pub fn new(base: &Relation, sigma: &Sigma, config: &IncConfig) -> Self {
+        InsertRepairer {
+            lhs: LhsIndexes::build_with(base, sigma, &config.parallelism),
+            adom: ActiveDomain::of_relation(base),
+            vidx: vec![None; base.schema().arity()],
+        }
+    }
+
+    /// Repair `delta` against `base`, whose group indexes `parts` must
+    /// cover exactly `base` (a resident dataset's detection index does).
+    /// The parts are lent to the run and handed back rolled back, as is
+    /// every index of `self`; `base` is never modified.
+    pub fn repair(
+        &mut self,
+        base: &Relation,
+        delta: &[Tuple],
+        sigma: &Sigma,
+        parts: &mut EngineParts,
+        config: IncConfig,
+    ) -> Result<DeltaRepair, RepairError> {
+        let lent = self.lend(base, std::mem::take(parts), &config);
+        let run = Run::start(lent, delta, sigma, config);
+        let clean = run.failed.is_none() && run.state.all_clean(&run.delta_ids);
+        debug_assert!(
+            run.failed.is_some() || clean == cfd_cfd::check(&run.state.work, sigma),
+            "ΔD-only verification disagrees with a full check"
+        );
+        let (mut back, stats) = run.state.suspend();
+        back.roll_back(sigma, &run.order[..run.activated]);
+        *parts = back.engine;
+        self.lhs = back.lhs;
+        self.adom = back.adom;
+        self.vidx = back.vidx;
+        match run.failed {
+            Some(e) => Err(e),
+            None => Ok(DeltaRepair {
+                outcome: IncOutcome {
+                    repair: back.work,
+                    delta_ids: run.delta_ids,
+                    stats,
+                },
+                clean,
+            }),
+        }
+    }
+
+    /// Repair `delta` once and keep the result: the one-shot
+    /// [`crate::inc_repair`]. Builds the group indexes over `base` (the
+    /// state must have been built over it too) and consumes the state, so
+    /// nothing is rolled back.
+    pub(crate) fn repair_once(
+        mut self,
+        base: &Relation,
+        delta: &[Tuple],
+        sigma: &Sigma,
+        config: IncConfig,
+    ) -> Result<IncOutcome, RepairError> {
+        let threads = config.parallelism.get();
+        let engine = Engine::build_with_threads(base, sigma, threads).to_parts();
+        let run = Run::start(self.lend(base, engine, &config), delta, sigma, config);
+        match run.failed {
+            Some(e) => Err(e),
+            None => Ok(IncOutcome {
+                delta_ids: run.delta_ids,
+                stats: run.state.stats,
+                repair: run.state.work,
+            }),
+        }
+    }
+
+    /// The sizes a rollback must restore.
+    pub fn footprint(&self) -> InsertFootprint {
+        InsertFootprint {
+            lhs_entries: self.lhs.entry_count(),
+            adom_distinct: (0..self.vidx.len())
+                .map(|a| self.adom.distinct(cfd_model::AttrId(a as u16)))
+                .collect(),
+            value_index_len: self
+                .vidx
+                .iter()
+                .map(|slot| slot.as_ref().map(ValueIndex::len))
+                .collect(),
+        }
+    }
+
+    /// Move this state, `engine` and a copy-on-write clone of `base` into
+    /// one `ResidentParts`, with a fresh distance memo.
+    fn lend(&mut self, base: &Relation, engine: EngineParts, config: &IncConfig) -> ResidentParts {
+        ResidentParts {
+            dcache: fresh_dcache(base, config),
+            work: base.clone(),
+            engine,
+            lhs: std::mem::take(&mut self.lhs),
+            adom: std::mem::take(&mut self.adom),
+            vidx: std::mem::take(&mut self.vidx),
+        }
+    }
+}
+
+/// One pass of the shared driver: ΔD staged into the work relation (fresh
+/// ids in input order, invisible to every index), then ordered, resolved
+/// and activated.
+struct Run<'s> {
+    state: IncState<'s>,
+    /// ΔD ids in input order.
+    delta_ids: Vec<TupleId>,
+    /// ΔD ids in processing order; the first `activated` joined the indexes.
+    order: Vec<TupleId>,
+    activated: usize,
+    /// The error that stopped the run, if any.
+    failed: Option<RepairError>,
+}
+
+impl<'s> Run<'s> {
+    fn start(parts: ResidentParts, delta: &[Tuple], sigma: &'s Sigma, config: IncConfig) -> Self {
+        let mut state = IncState::resume(parts, sigma, config);
+        let mut delta_ids = Vec::with_capacity(delta.len());
+        let mut failed = None;
+        for t in delta {
+            match state.work.insert(t.clone()) {
+                Ok(id) => delta_ids.push(id),
+                Err(e) => {
+                    failed = Some(e.into());
+                    break;
+                }
+            }
+        }
+        let mut order = delta_ids.clone();
+        let mut activated = 0;
+        if failed.is_none() {
+            (activated, failed) = state.resolve_all(&mut order);
+        }
+        Run {
+            state,
+            delta_ids,
+            order,
+            activated,
+            failed,
+        }
+    }
+}
 
 /// A resident incremental repairer: owns a working relation plus every
 /// index `INCREPAIR` needs, across an unbounded sequence of repair rounds.
@@ -115,14 +328,7 @@ impl StreamRepairer {
     ) -> Result<IncStats, RepairError> {
         let parts = self.parts.take().expect("repairer lost in a failed round");
         let mut state = IncState::resume(parts, sigma, self.config.clone());
-        state.order_pending(pending);
-        let mut failed = None;
-        for id in pending.iter() {
-            if let Err(e) = state.resolve_and_activate(*id) {
-                failed = Some(e);
-                break;
-            }
-        }
+        let (_, failed) = state.resolve_all(pending);
         let (parts, stats) = state.suspend();
         self.parts = Some(parts);
         match failed {

@@ -89,11 +89,10 @@ pub fn repair_via_incremental(
 ) -> Result<SubsetRepairOutcome, RepairError> {
     let (clean_base, mut pending) = consistent_subset(d, sigma);
     let mut state = IncState::new(d.clone(), &pending, sigma, config)?;
-    state.order_pending(&mut pending);
-    let reinserted = pending.clone();
-    for id in pending {
-        state.resolve_and_activate(id)?;
+    if let (_, Some(e)) = state.resolve_all(&mut pending) {
+        return Err(e);
     }
+    let reinserted = pending;
     let stats = state.stats;
     let repair = state.work;
     debug_assert!(cfd_cfd::check(&repair, sigma));

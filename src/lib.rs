@@ -186,6 +186,6 @@ pub use cfd_sampling as sampling;
 
 pub use session::{
     read_cell, write_cell, DatasetCell, DatasetHandle, DatasetRef, EvictReport, InsertRun,
-    Installed, RepairRun, Session, SessionError, SessionStats,
+    Installed, RepairRun, ResidentFootprint, Session, SessionError, SessionStats,
 };
 pub use stream::{RepairSession, StreamCloseReport, StreamConfig, StreamInfo, WindowResult};

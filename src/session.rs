@@ -16,6 +16,8 @@
 //!   time. Detect requests run against the warm parts with zero rebuild
 //!   ([`cfd_cfd::detect_with_parts`]); `BATCHREPAIR` seeds its state
 //!   from a clone of them ([`cfd_repair::batch_repair_with_parts`]).
+//!   Insert requests lend the same parts to a **resident `INCREPAIR`
+//!   state** (see below).
 //! * [`Session`] — a named collection of handles behind per-dataset
 //!   reader/writer locks, optionally backed by a snapshot [`Catalog`]
 //!   and bounded by an LRU capacity whose evictions provably return
@@ -34,6 +36,28 @@
 //! sealed** ([`ValuePool::seal_ids`]) — released without free-list
 //! reuse — so a later request's interns still get append-order ids,
 //! exactly as a fresh process would assign them.
+//!
+//! ## The insert path
+//!
+//! The first insert request on a handle checks the base clean once (the
+//! §5 precondition `D |= Σ`, answered by the warm detection index) and
+//! only then builds the resident state: an
+//! [`InsertRepairer`](cfd_repair::InsertRepairer) holding the LHS-indices,
+//! active domain and nearest-value indexes over the base, plus the base's
+//! rendered CSV bytes. Its existence *is* the cached "base is clean"
+//! answer; a dirty base builds nothing and every insert keeps failing with
+//! the same error. Each request then costs O(|ΔD|) index work: ΔD is
+//! staged into a copy-on-write clone of the base, resolved against the
+//! warm indexes (the detection parts are lent for the run), verified by
+//! checking only the ΔD tuples, rendered as the cached base bytes plus
+//! the ΔD rows, and rolled back — every index returns exactly to the base
+//! before the request returns. Replies are byte-identical to a one-shot
+//! [`inc_repair`] over the same base. Anything that changes the base or
+//! its rules drops the state: [`DatasetHandle::bind_rules`],
+//! [`DatasetHandle::apply_weights`], and eviction (before the pool is
+//! compacted). A request that fails after staging also drops it and
+//! rebuilds the detection parts from the relation, so no failure can
+//! leave a half-rolled-back index behind.
 //!
 //! ## Locking
 //!
@@ -57,8 +81,8 @@ use cfd_model::diff::{dif, EditLog};
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
 use cfd_model::{csv, Catalog, Mapping, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
-    batch_repair_with_parts, inc_repair, repair_via_incremental, Algorithm, IncConfig, Ordering,
-    Parallelism, RepairError, RepairOptions,
+    batch_repair_with_parts, repair_via_incremental, Algorithm, IncConfig, InsertFootprint,
+    InsertRepairer, Ordering, Parallelism, RepairError, RepairOptions,
 };
 
 use crate::stream::{RepairSession, StreamCloseReport, StreamConfig, StreamInfo, WindowResult};
@@ -135,6 +159,27 @@ struct BoundRules {
     parts: EngineParts,
 }
 
+/// The resident `INCREPAIR` state of a handle whose base is clean (see
+/// the module docs on the insert path).
+struct ResidentInsert {
+    repairer: InsertRepairer,
+    /// `csv::write_relation` bytes of the base: an insert reply is these
+    /// followed by the ΔD rows.
+    base_csv: Vec<u8>,
+}
+
+/// The resident insert state's index sizes, and the group count of every
+/// detection index it borrows — what each insert request must leave
+/// unchanged.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ResidentFootprint {
+    /// The [`InsertRepairer`]'s own indexes.
+    pub repairer: InsertFootprint,
+    /// `HashIndex::group_count` per indexed LHS attribute list, in
+    /// attribute-list order.
+    pub groups: Vec<usize>,
+}
+
 /// One open dataset: a relation over its own pool, optionally with
 /// bound rules and the resident detection index. See the module docs
 /// for the determinism and locking contracts.
@@ -143,6 +188,9 @@ pub struct DatasetHandle {
     relation: Relation,
     rules_text: Option<String>,
     bound: Option<BoundRules>,
+    /// Built by the first insert on a clean base; dropped whenever the
+    /// base or its rules change.
+    resident: Option<ResidentInsert>,
     /// At most one open streaming session per dataset. The stream works
     /// a clone of the relation sharing the dataset pool; eviction aborts
     /// it so the pool-reclamation proof still holds.
@@ -252,6 +300,7 @@ impl DatasetHandle {
             relation,
             rules_text: None,
             bound: None,
+            resident: None,
             stream: None,
             mapping: None,
         }
@@ -274,6 +323,7 @@ impl DatasetHandle {
 
     /// Apply a per-cell confidence weight CSV to the relation.
     pub fn apply_weights(&mut self, weight_bytes: &[u8]) -> Result<(), SessionError> {
+        self.resident = None;
         csv::read_weights(&mut self.relation, &mut &*weight_bytes)
             .map_err(|e| SessionError::Data(format!("cannot parse weights: {e}")))
     }
@@ -300,14 +350,10 @@ impl DatasetHandle {
         }
         let sigma = Sigma::normalize_in(self.relation.schema().clone(), cfds, self.relation.pool())
             .map_err(|e| SessionError::Rules(format!("cannot normalize rules in {origin}: {e}")))?;
-        // Index contents are thread-count-independent (pinned by the
-        // engine's differential suite), so the build fan-out never leaks
-        // into results.
-        let parts =
-            Engine::build_with_threads(&self.relation, &sigma, Parallelism::default().get())
-                .to_parts();
+        let parts = detection_parts(&self.relation, &sigma);
         self.rules_text = Some(text.to_string());
         self.bound = Some(BoundRules { sigma, parts });
+        self.resident = None;
         Ok(())
     }
 
@@ -482,10 +528,11 @@ impl DatasetHandle {
 
     /// Insert a batch of new tuples (§5's `INCREPAIR` in its native
     /// setting): parse ΔD into the resident pool, repair it against the
-    /// clean base, render the merged relation, then retire **and seal**
-    /// ΔD's pool slots so the dictionary's memory returns without
-    /// perturbing append-order id assignment for later requests (see
-    /// [`ValuePool::seal_ids`]). The resident relation is not mutated.
+    /// clean base through the resident state (see the module docs), render
+    /// the merged relation, then retire **and seal** ΔD's pool slots so
+    /// the dictionary's memory returns without perturbing append-order id
+    /// assignment for later requests (see [`ValuePool::seal_ids`]). The
+    /// resident relation is not mutated.
     pub fn insert(
         &mut self,
         updates_csv: &[u8],
@@ -516,13 +563,12 @@ impl DatasetHandle {
     }
 
     fn insert_inner(
-        &self,
+        &mut self,
         updates: &mut Relation,
         weights_csv: Option<&[u8]>,
         ordering: Ordering,
         k: usize,
     ) -> Result<InsertRun, SessionError> {
-        let bound = self.bound()?;
         if updates.schema().arity() != self.relation.schema().arity() {
             return Err(SessionError::Data(format!(
                 "updates have {} attributes, base has {}",
@@ -534,8 +580,63 @@ impl DatasetHandle {
             csv::read_weights(updates, &mut &*w)
                 .map_err(|e| SessionError::Data(format!("cannot parse weights: {e}")))?;
         }
-        // The paper's contract: D |= Σ before ΔD arrives. The warm index
-        // answers this without a rebuild.
+        self.ensure_resident()?;
+        let delta: Vec<Tuple> = updates.iter().map(|(_, t)| t.to_tuple()).collect();
+        let config = IncConfig {
+            k,
+            ordering,
+            ..IncConfig::default()
+        };
+        let bound = self
+            .bound
+            .as_mut()
+            .expect("ensure_resident checked the rules");
+        let resident = self.resident.as_mut().expect("built by ensure_resident");
+        let result = resident.repairer.repair(
+            &self.relation,
+            &delta,
+            &bound.sigma,
+            &mut bound.parts,
+            config,
+        );
+        let run = match result {
+            Ok(run) if run.clean => run.outcome,
+            failed => {
+                bound.parts = detection_parts(&self.relation, &bound.sigma);
+                self.resident = None;
+                return Err(match failed {
+                    Err(e) => e.into(),
+                    Ok(_) => SessionError::Internal(
+                        "merged relation does not satisfy the rules".to_string(),
+                    ),
+                });
+            }
+        };
+        // Render before the caller seals ΔD's slots — the bytes are the
+        // durable artifact; the merged relation dies with this request.
+        // ΔD ids follow every base id, so the merged rendering is the
+        // base's followed by the ΔD rows.
+        let mut csv_bytes = resident.base_csv.clone();
+        csv::write_rows(&run.repair, &run.delta_ids, &mut csv_bytes)
+            .map_err(|e| SessionError::Internal(format!("cannot render merge: {e}")))?;
+        Ok(InsertRun {
+            csv: csv_bytes,
+            inserted: delta.len(),
+            base_rows: self.relation.len(),
+            modified: run.stats.modified,
+            nulls: run.stats.nulls_introduced,
+            cost: run.stats.cost,
+        })
+    }
+
+    /// Build the resident insert state unless it exists, after checking
+    /// the paper's contract `D |= Σ` with the warm index. A dirty base
+    /// builds nothing and answers the same error on every request.
+    fn ensure_resident(&mut self) -> Result<(), SessionError> {
+        if self.resident.is_some() {
+            return Ok(());
+        }
+        let bound = self.bound()?;
         let base_report = violation::detect_with_parts(&self.relation, &bound.sigma, &bound.parts);
         if base_report.total > 0 {
             return Err(SessionError::Data(format!(
@@ -543,34 +644,27 @@ impl DatasetHandle {
                 base_report.total
             )));
         }
-        let delta: Vec<Tuple> = updates.iter().map(|(_, t)| t.to_tuple()).collect();
-        let outcome = inc_repair(
-            &self.relation,
-            &delta,
-            &bound.sigma,
-            IncConfig {
-                k,
-                ordering,
-                ..IncConfig::default()
-            },
-        )?;
-        if !violation::check(&outcome.repair, &bound.sigma) {
-            return Err(SessionError::Internal(
-                "merged relation does not satisfy the rules".to_string(),
-            ));
-        }
-        // Render before the caller seals ΔD's slots — the bytes are the
-        // durable artifact; the merged relation dies with this request.
-        let mut csv_bytes = Vec::new();
-        csv::write_relation(&outcome.repair, &mut csv_bytes)
-            .map_err(|e| SessionError::Internal(format!("cannot render merge: {e}")))?;
-        Ok(InsertRun {
-            csv: csv_bytes,
-            inserted: delta.len(),
-            base_rows: self.relation.len(),
-            modified: outcome.stats.modified,
-            nulls: outcome.stats.nulls_introduced,
-            cost: outcome.stats.cost,
+        let mut base_csv = Vec::new();
+        csv::write_relation(&self.relation, &mut base_csv)
+            .map_err(|e| SessionError::Internal(format!("cannot render base: {e}")))?;
+        let repairer = InsertRepairer::new(&self.relation, &bound.sigma, &IncConfig::default());
+        self.resident = Some(ResidentInsert { repairer, base_csv });
+        Ok(())
+    }
+
+    /// The resident insert state's footprint, or `None` before the first
+    /// successful clean-base check (and after anything that dropped it).
+    pub fn resident_footprint(&self) -> Option<ResidentFootprint> {
+        let resident = self.resident.as_ref()?;
+        let indexes = &self.bound.as_ref()?.parts.indexes;
+        let groups = indexes
+            .attr_lists()
+            .iter()
+            .map(|attrs| indexes.for_lhs(attrs).group_count())
+            .collect();
+        Some(ResidentFootprint {
+            repairer: resident.repairer.footprint(),
+            groups,
         })
     }
 
@@ -653,6 +747,7 @@ impl DatasetHandle {
             relation,
             rules_text,
             bound,
+            resident,
             stream,
             mapping,
         } = self;
@@ -668,6 +763,7 @@ impl DatasetHandle {
         // Σ's pattern constants are uncounted, so dropping the bound
         // rules is what legalizes compacting them away.
         drop(relation);
+        drop(resident);
         drop(bound);
         drop(rules_text);
         // The mapping must not be unmapped before the relation's
@@ -685,6 +781,13 @@ impl DatasetHandle {
             pool_bytes: pool.approx_bytes(),
         }
     }
+}
+
+/// The resident detection index of `rel` under `sigma`. Index contents
+/// are thread-count-independent (pinned by the engine's differential
+/// suite), so the build fan-out never leaks into results.
+fn detection_parts(rel: &Relation, sigma: &Sigma) -> EngineParts {
+    Engine::build_with_threads(rel, sigma, Parallelism::default().get()).to_parts()
 }
 
 /// Every non-null cell id of `rel`'s live tuples, one entry per
