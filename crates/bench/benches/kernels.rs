@@ -8,8 +8,8 @@
 //! snapshot dictionary install), daemon request latency (warm resident
 //! dataset vs cold one-shot open), and streaming window latency (a warm
 //! `RepairSession` cycle vs the cold per-window one-shot insert).
-//! `meta/*` entries record the container's CPU count, the resolved
-//! `CFD_THREADS`, and the live kernel switch alongside the numbers.
+//! `meta/*` entries record the container's CPU count and the live kernel
+//! switch alongside the numbers.
 //!
 //! The headline pair is `index_build` / `detect`: the dictionary-encoded
 //! value layer keys every hot map on `ValueId`/`IdKey` (u32s), while the
@@ -35,7 +35,7 @@ use cfd_repair::distance::{dl_distance, dl_distance_bounded, dl_distance_referen
 use cfd_repair::equivalence::{Cell, EqClasses};
 use cfd_repair::lhs_index::LhsIndexes;
 use cfd_repair::pricing::TargetPricer;
-use cfd_repair::shard::{variable_shapes, GroupCensus, Parallelism};
+use cfd_repair::shard::{variable_shapes, GroupCensus};
 use cfd_repair::Ordering;
 
 /// The pre-dictionary tuple representation: values stored inline, read
@@ -229,12 +229,9 @@ fn default_json_path() -> String {
     format!("{}/../../BENCH_kernels.json", env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The sharded-repair headline: `GroupCensus` construction — the setup
-/// phase `BATCHREPAIR` fans out by variable-CFD shape — serial vs four
-/// worker threads on the same 20k-tuple workload. The checksum assertion
-/// pins bit-identical contents before any timing means anything. Returns
-/// the serial/sharded median ratio (> 1 means sharding wins).
-fn bench_census(h: &mut Harness) -> f64 {
+/// `GroupCensus` construction, the census `BATCHREPAIR` builds before
+/// scoring its frontier, on a 20k-tuple workload. An ungated timing.
+fn bench_census(h: &mut Harness) {
     let w = workload(20_000, 7);
     let noise = inject(
         &w.dopt,
@@ -246,35 +243,19 @@ fn bench_census(h: &mut Harness) -> f64 {
     );
     let shapes = variable_shapes(&w.sigma);
     assert!(!shapes.is_empty(), "workload Σ has variable CFDs");
-    let serial = Parallelism::serial();
-    let four = Parallelism::threads(4);
-    // Sanity: sharded construction must be bit-identical to serial.
-    assert_eq!(
-        GroupCensus::build(&noise.dirty, &shapes, &serial).checksum(),
-        GroupCensus::build(&noise.dirty, &shapes, &four).checksum(),
-        "sharded census diverged from serial"
-    );
-    let ser = h.run("repair_census/serial_20k", || {
-        GroupCensus::build(black_box(&noise.dirty), black_box(&shapes), &serial).carriers()
+    h.run("repair_census/serial_20k", || {
+        GroupCensus::new(black_box(&noise.dirty), black_box(&shapes)).carriers()
     });
-    let par = h.run("repair_census/sharded4_20k", || {
-        GroupCensus::build(black_box(&noise.dirty), black_box(&shapes), &four).carriers()
-    });
-    let speedup = ser.median_ns / par.median_ns;
-    eprintln!("census build speedup (serial/sharded4): {speedup:.2}x");
-    speedup
 }
 
-/// CI smoke gates: quick row-vs-column comparison plus the sharded-census
-/// comparison; exits nonzero when the columnar detection kernel regresses
-/// below the row-major baseline or the 4-thread census build falls below
-/// the serial one. Two defenses against shared-runner scheduling noise —
+/// CI smoke gates: quick row-vs-column comparison plus the load, pricing,
+/// scan, daemon and stream kernels; exits nonzero when any fast path
+/// regresses below its reference. Two defenses against shared-runner scheduling noise —
 /// a small jitter margin (detection) and best-of-three attempts — so only
 /// a reproducible regression trips the gates. Also writes
 /// `BENCH_kernels.json` so the workflow can upload the numbers as an
 /// artifact.
 const SMOKE_MIN_DETECT_SPEEDUP: f64 = 0.95;
-const SMOKE_MIN_CENSUS_SPEEDUP: f64 = 1.0;
 const SMOKE_MIN_LOAD_SPEEDUP: f64 = 1.0;
 const SMOKE_MIN_MMAP_LOAD_SPEEDUP: f64 = 1.0;
 const SMOKE_MIN_PRICING_SPEEDUP: f64 = 1.0;
@@ -284,15 +265,7 @@ const SMOKE_MIN_STREAM_SPEEDUP: f64 = 1.0;
 const SMOKE_ATTEMPTS: usize = 3;
 
 fn smoke() -> ! {
-    // The census gate compares wall time, so it only means something where
-    // threads can actually run in parallel; a single-CPU runner still
-    // records the numbers (and the bit-identical checksum still asserts)
-    // but cannot be asked to beat serial.
-    let multicore = std::thread::available_parallelism()
-        .map(|n| n.get() >= 2)
-        .unwrap_or(false);
     let mut detect_ok = false;
-    let mut census_ok = !multicore;
     let mut load_ok = false;
     let mut mmap_ok = false;
     let mut pricing_ok = false;
@@ -305,7 +278,7 @@ fn smoke() -> ! {
         h.target_batch_ns = 2_000_000;
         record_metadata(&mut h);
         let (build_speedup, detect_speedup) = bench_row_vs_column(&mut h);
-        let census_speedup = bench_census(&mut h);
+        bench_census(&mut h);
         let (load_speedup, mmap_speedup) = bench_load(&mut h);
         // Single-core compute kernels: gated even on a 1-CPU runner.
         let pricing_speedup = bench_pricing(&mut h);
@@ -321,37 +294,24 @@ fn smoke() -> ! {
         println!("{}", h.table());
         println!("index build speedup (row/columnar): {build_speedup:.2}x");
         println!("detection speedup  (row/columnar): {detect_speedup:.2}x");
-        println!("census build speedup (serial/sharded4): {census_speedup:.2}x");
         println!("load speedup (csv/snapshot): {load_speedup:.2}x");
         println!("snapshot open speedup (eager/mmap): {mmap_speedup:.2}x");
         println!("pricing speedup (scalar/bit-parallel): {pricing_speedup:.2}x");
         println!("constant scan speedup (scalar/simd): {scan_speedup:.2}x");
         println!("request latency (cold one-shot / warm daemon): {server_speedup:.2}x");
         println!("window latency (cold one-shot / warm stream): {stream_speedup:.2}x");
-        if !multicore {
-            println!("single-CPU runner: census wall-time gate not applicable");
-        }
         h.write_json(&default_json_path())
             .expect("write bench json");
         detect_ok |= detect_speedup >= SMOKE_MIN_DETECT_SPEEDUP;
-        census_ok |= census_speedup >= SMOKE_MIN_CENSUS_SPEEDUP;
         load_ok |= load_speedup >= SMOKE_MIN_LOAD_SPEEDUP;
         mmap_ok |= mmap_speedup >= SMOKE_MIN_MMAP_LOAD_SPEEDUP;
         pricing_ok |= pricing_speedup >= SMOKE_MIN_PRICING_SPEEDUP;
         scan_ok |= scan_speedup >= SMOKE_MIN_CONST_SCAN_SPEEDUP;
         server_ok |= server_speedup >= SMOKE_MIN_SERVER_SPEEDUP;
         stream_ok |= stream_speedup >= SMOKE_MIN_STREAM_SPEEDUP;
-        if detect_ok
-            && census_ok
-            && load_ok
-            && mmap_ok
-            && pricing_ok
-            && scan_ok
-            && server_ok
-            && stream_ok
-        {
+        if detect_ok && load_ok && mmap_ok && pricing_ok && scan_ok && server_ok && stream_ok {
             println!(
-                "smoke ok: columnar detection ≥ row-major, sharded census ≥ serial, \
+                "smoke ok: columnar detection ≥ row-major, \
                  snapshot load ≥ csv re-intern load, mmap snapshot open ≥ eager, \
                  bit-parallel pricing ≥ scalar, \
                  simd constant scan ≥ scalar, warm daemon detect ≥ cold one-shot, \
@@ -361,8 +321,7 @@ fn smoke() -> ! {
         }
         eprintln!(
             "smoke attempt {attempt}/{SMOKE_ATTEMPTS}: detection \
-             {detect_speedup:.2}x (gate {SMOKE_MIN_DETECT_SPEEDUP}x), census \
-             {census_speedup:.2}x (gate {SMOKE_MIN_CENSUS_SPEEDUP}x), load \
+             {detect_speedup:.2}x (gate {SMOKE_MIN_DETECT_SPEEDUP}x), load \
              {load_speedup:.2}x (gate {SMOKE_MIN_LOAD_SPEEDUP}x), mmap open \
              {mmap_speedup:.2}x (gate {SMOKE_MIN_MMAP_LOAD_SPEEDUP}x), pricing \
              {pricing_speedup:.2}x (gate {SMOKE_MIN_PRICING_SPEEDUP}x), \
@@ -376,12 +335,6 @@ fn smoke() -> ! {
         eprintln!(
             "SMOKE FAIL: columnar detection regressed below the row-major \
              baseline in {SMOKE_ATTEMPTS}/{SMOKE_ATTEMPTS} attempts"
-        );
-    }
-    if !census_ok {
-        eprintln!(
-            "SMOKE FAIL: 4-thread census construction regressed below the \
-             serial baseline in {SMOKE_ATTEMPTS}/{SMOKE_ATTEMPTS} attempts"
         );
     }
     if !load_ok {
@@ -588,8 +541,7 @@ fn bench_distance(h: &mut Harness) {
 /// to the same integers before the timings mean anything. Returns the
 /// scalar/bit-parallel median ratio (> 1 means the batched kernel wins;
 /// the bar recorded in `BENCH_kernels.json` is ≥ 1.5×, gated at ≥ 1× in
-/// smoke). Pure compute on one core — the number is meaningful on a
-/// single-CPU runner, unlike the thread-scaling entries.
+/// smoke). Pure compute on one core.
 fn bench_pricing(h: &mut Harness) -> f64 {
     let w = workload(2_000, 7);
     let noise = inject(
@@ -854,9 +806,7 @@ fn bench_server_latency(h: &mut Harness) -> f64 {
 /// insert the same batch). Each warm cycle inserts then deletes the
 /// same eight rows, so the relation and pool footprint are identical at
 /// every iteration and the timings measure a steady state. Returns the
-/// cold/warm median ratio (> 1 means the resident session wins). Both
-/// kernels are single-threaded at the default config, so the number is
-/// meaningful on a 1-CPU runner, unlike the thread-scaling entries.
+/// cold/warm median ratio (> 1 means the resident session wins).
 fn bench_stream(h: &mut Harness) -> f64 {
     use cfdclean::{DatasetHandle, StreamConfig};
     use std::cell::Cell;
@@ -977,15 +927,12 @@ fn bench_stream(h: &mut Harness) -> f64 {
 
 /// Run-environment metadata, recorded into `BENCH_kernels.json` alongside
 /// the timings so the numbers carry their own context: how many CPUs the
-/// container actually had (the thread-scaling entries are only meaningful
-/// ≥ 2), the resolved `CFD_THREADS`, and whether the SIMD kernels were
-/// live.
+/// container actually had, and whether the SIMD kernels were live.
 fn record_metadata(h: &mut Harness) {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     h.record("meta/container_cpus", cpus as f64);
-    h.record("meta/threads", Parallelism::default().get() as f64);
     h.record(
         "meta/simd_enabled",
         f64::from(u8::from(cfd_model::simd_enabled())),
@@ -1135,7 +1082,7 @@ fn main() {
     let scan_speedup = bench_constant_scan(&mut h);
     let (build_speedup, detect_speedup) = bench_interned_vs_string(&mut h);
     let (col_build_speedup, col_detect_speedup) = bench_row_vs_column(&mut h);
-    let census_speedup = bench_census(&mut h);
+    bench_census(&mut h);
     let (load_speedup, mmap_speedup) = bench_load(&mut h);
     let server_speedup = bench_server_latency(&mut h);
     let stream_speedup = bench_stream(&mut h);
@@ -1153,7 +1100,6 @@ fn main() {
     println!("detection speedup  (string/interned): {detect_speedup:.2}x");
     println!("index build speedup (row/columnar): {col_build_speedup:.2}x");
     println!("detection speedup  (row/columnar): {col_detect_speedup:.2}x");
-    println!("census build speedup (serial/sharded4): {census_speedup:.2}x");
     println!("load speedup (csv/snapshot): {load_speedup:.2}x");
     println!("snapshot open speedup (eager/mmap): {mmap_speedup:.2}x");
     println!("request latency (cold one-shot / warm daemon): {server_speedup:.2}x");

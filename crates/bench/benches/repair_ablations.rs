@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the places this implementation chooses between
+//! the paper's literal reading and a variant:
 //!
 //! 1. `PICKNEXT` strategy: cost-ordered global best vs dependency-ordered
 //!    draining (§7.2's optimization) — time *and* accuracy.
@@ -6,7 +7,8 @@
 //! 3. `INCREPAIR` tuple orderings (L / V / W).
 //! 4. Candidate-pool width of the cost-based value index.
 //! 5. Free/free merge pricing: group-majority vs the literal pairwise
-//!    reading (the snowball ablation of DESIGN.md §7 item 3).
+//!    reading of §4.1 (the snowball ablation: pairwise merges drag one
+//!    cell after another to a wrong value).
 //!
 //! Run with `cargo bench --bench repair_ablations [-- json [PATH]]`.
 

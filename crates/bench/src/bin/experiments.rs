@@ -11,7 +11,9 @@
 use std::io::Write as _;
 
 use cfd_bench::harness::json_escape;
-use cfd_bench::{fig11, fig12, fig14_15, fig8, fig9_10_13, render_table, Scale, Series};
+use cfd_bench::{
+    fig11, fig12, fig14_15, fig14_tables, fig8, fig9_10_13, render_table, Scale, Series,
+};
 
 struct Args {
     scale: Scale,
@@ -226,49 +228,16 @@ fn main() {
     if wants("fig14") || wants("fig15") {
         let series = fig14_15(args.scale, args.seed);
         if wants("fig14") {
-            println!(
-                "{}",
-                render_table(
-                    "Figure 14: Accuracy vs % of constant-CFD violations (ρ = 5%)",
-                    "const %",
-                    &series,
-                    |p| p.precision, // Recall-labelled series carry recall below
-                    "%"
-                )
-            );
-            let recall_view: Vec<Series> = series
-                .iter()
-                .filter(|s| s.label.contains("Recall"))
-                .cloned()
-                .collect();
-            println!(
-                "{}",
-                render_table(
-                    "Figure 14 (recall view)",
-                    "const %",
-                    &recall_view,
-                    |p| p.recall,
-                    "%"
-                )
-            );
+            println!("{}", fig14_tables(&series));
             emit("fig14", &series);
         }
         if wants("fig15") {
-            // one runtime row per algorithm (Prec/Recall share runs)
-            let timing: Vec<Series> = series
-                .iter()
-                .filter(|s| s.label.contains("(Prec)"))
-                .map(|s| Series {
-                    label: s.label.replace(" (Prec)", ""),
-                    points: s.points.clone(),
-                })
-                .collect();
             println!(
                 "{}",
                 render_table(
                     "Figure 15: Runtime vs % of constant-CFD violations (ρ = 5%)",
                     "const %",
-                    &timing,
+                    &series,
                     |p| p.seconds,
                     "s"
                 )

@@ -287,7 +287,7 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
     let config = IncConfig::default();
     let t0 = Instant::now();
     let mut parts = Engine::build(&w.dopt, &w.sigma).to_parts();
-    let mut resident = InsertRepairer::new(&w.dopt, &w.sigma, &config);
+    let mut resident = InsertRepairer::new(&w.dopt, &w.sigma);
     let build_secs = t0.elapsed().as_secs_f64();
     let mut build_points = Vec::new();
     let mut inc_points = Vec::new();
@@ -355,25 +355,19 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
 }
 
 /// Figures 14 and 15 — the constant-vs-variable violation mix: share of
-/// constant-CFD noise from 20% to 80% at ρ = 5%, reporting accuracy (F14)
-/// and runtime (F15) for `BATCHREPAIR` and V-INCREPAIR.
+/// constant-CFD noise from 20% to 80% at ρ = 5%, reporting accuracy (F14,
+/// see [`fig14_tables`]) and runtime (F15) for `BATCHREPAIR` and
+/// V-INCREPAIR. One series per algorithm; each point carries precision,
+/// recall and time of one run.
 pub fn fig14_15(scale: Scale, seed: u64) -> Vec<Series> {
     let w = workload(scale.base_tuples(), seed);
     let mut series = vec![
         Series {
-            label: "BatchRepair (Prec)".into(),
+            label: "BatchRepair".into(),
             points: Vec::new(),
         },
         Series {
-            label: "BatchRepair (Recall)".into(),
-            points: Vec::new(),
-        },
-        Series {
-            label: "IncRepair (Prec)".into(),
-            points: Vec::new(),
-        },
-        Series {
-            label: "IncRepair (Recall)".into(),
+            label: "IncRepair".into(),
             points: Vec::new(),
         },
     ];
@@ -395,15 +389,32 @@ pub fn fig14_15(scale: Scale, seed: u64) -> Vec<Series> {
             .push(Point::from_summary(share_pct as f64, &b));
         series[1]
             .points
-            .push(Point::from_summary(share_pct as f64, &b));
-        series[2]
-            .points
-            .push(Point::from_summary(share_pct as f64, &v));
-        series[3]
-            .points
             .push(Point::from_summary(share_pct as f64, &v));
     }
     series
+}
+
+/// Figure 14's two accuracy tables over [`fig14_15`]'s series: precision,
+/// then recall.
+pub fn fig14_tables(series: &[Series]) -> String {
+    const TITLE: &str = "Figure 14: Accuracy vs % of constant-CFD violations (ρ = 5%)";
+    format!(
+        "{}\n{}",
+        render_table(
+            &format!("{TITLE} — precision"),
+            "const %",
+            series,
+            |p| p.precision,
+            "%"
+        ),
+        render_table(
+            &format!("{TITLE} — recall"),
+            "const %",
+            series,
+            |p| p.recall,
+            "%"
+        ),
+    )
 }
 
 /// Render a metric of a set of series as an aligned text table.
@@ -475,6 +486,23 @@ mod tests {
         let table = render_table("T", "rate", &series, |p| p.precision, "%");
         assert!(table.contains("# T"));
         assert!(table.contains("99.50%"));
+    }
+
+    #[test]
+    fn fig14_recall_table_prints_recall() {
+        let series = vec![Series {
+            label: "BatchRepair".into(),
+            points: vec![Point {
+                x: 20.0,
+                precision: 97.25,
+                recall: 61.75,
+                seconds: 0.5,
+            }],
+        }];
+        let tables = fig14_tables(&series);
+        let (precision, recall) = tables.split_once("— recall").expect("a recall table");
+        assert!(precision.contains("97.25%") && !precision.contains("61.75%"));
+        assert!(recall.contains("61.75%") && !recall.contains("97.25%"));
     }
 
     #[test]

@@ -58,91 +58,21 @@ impl ViolationReport {
 /// Shared group indexes: one [`HashIndex`] per distinct LHS attribute list
 /// in Σ. Building them once amortizes across the (typically many) normal
 /// CFDs expanded from the same tableau.
+#[derive(Clone, Default)]
 pub struct GroupIndexes {
     by_lhs: BTreeMap<Vec<AttrId>, HashIndex>,
-    /// Determinism tripwire: while the sharded repair frontier scoring
-    /// shares this set read-only across worker threads, *mutating* it (a
-    /// lazy `ensure` build, an `update`, an `insert`) would leak worker
-    /// scheduling into index group order — which FINDV truncates, so the
-    /// order is observable in repairs. `freeze` arms the wire; mutators
-    /// panic while it is set. Lazy builds a worker needs go into a
-    /// private overlay and are replayed on the main state afterwards.
-    frozen: std::sync::atomic::AtomicBool,
-}
-
-impl Clone for GroupIndexes {
-    fn clone(&self) -> Self {
-        // A clone starts life thawed: the freeze protects one shared
-        // instance during one parallel phase, not its descendants.
-        GroupIndexes {
-            by_lhs: self.by_lhs.clone(),
-            frozen: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-}
-
-impl Default for GroupIndexes {
-    fn default() -> Self {
-        GroupIndexes::empty()
-    }
 }
 
 impl GroupIndexes {
-    fn with_map(by_lhs: BTreeMap<Vec<AttrId>, HashIndex>) -> Self {
-        GroupIndexes {
-            by_lhs,
-            frozen: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// Arm the mutation tripwire for the duration of a read-only parallel
-    /// phase. Takes `&self` so the already-shared reference can arm it.
-    pub fn freeze(&self) {
-        self.frozen
-            .store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Disarm the tripwire once exclusive access is re-established.
-    pub fn thaw(&self) {
-        self.frozen
-            .store(false, std::sync::atomic::Ordering::Release);
-    }
-
-    #[inline]
-    fn assert_thawed(&self, op: &str) {
-        assert!(
-            !self.frozen.load(std::sync::atomic::Ordering::Acquire),
-            "GroupIndexes::{op} during a frozen (read-only parallel) phase: \
-             lazy S-set builds must be replayed on the main state, not \
-             driven from a worker"
-        );
-    }
-
-    /// Build indexes covering every LHS attribute list in `sigma`, on the
-    /// calling thread.
+    /// Build indexes covering every LHS attribute list in `sigma`.
     pub fn build(rel: &Relation, sigma: &Sigma) -> Self {
-        GroupIndexes::build_with_threads(rel, sigma, 1)
-    }
-
-    /// [`GroupIndexes::build`] with an explicit worker-thread count for
-    /// the underlying [`HashIndex`] builds (see
-    /// [`HashIndex::build_with_threads`]); contents are identical at any
-    /// count.
-    pub fn build_with_threads(rel: &Relation, sigma: &Sigma, threads: usize) -> Self {
         let mut by_lhs = BTreeMap::new();
         for n in sigma.iter() {
             by_lhs
                 .entry(n.lhs().to_vec())
-                .or_insert_with(|| HashIndex::build_with_threads(rel, n.lhs(), threads));
+                .or_insert_with(|| HashIndex::build(rel, n.lhs()));
         }
-        GroupIndexes::with_map(by_lhs)
-    }
-
-    /// No indexes at all; populate via [`GroupIndexes::ensure`]. The
-    /// sharded repair frontier gives each scoring worker an empty set so
-    /// FINDV's lazily-built S-set indexes stay worker-private.
-    pub fn empty() -> Self {
-        GroupIndexes::with_map(BTreeMap::new())
+        GroupIndexes { by_lhs }
     }
 
     /// The attribute lists currently indexed, in sorted order.
@@ -160,7 +90,6 @@ impl GroupIndexes {
     /// indexes on `X ∪ {A} \ {B}`, which only materialize for the (φ, B)
     /// combinations the repair actually touches.
     pub fn ensure(&mut self, rel: &Relation, attrs: &[AttrId]) -> &HashIndex {
-        self.assert_thawed("ensure");
         self.by_lhs
             .entry(attrs.to_vec())
             .or_insert_with(|| HashIndex::build(rel, attrs))
@@ -179,7 +108,6 @@ impl GroupIndexes {
         before: &V,
         after: &W,
     ) {
-        self.assert_thawed("update");
         for idx in self.by_lhs.values_mut() {
             idx.update(id, before, after);
         }
@@ -187,7 +115,6 @@ impl GroupIndexes {
 
     /// Register a fresh tuple in every index.
     pub fn insert<V: TupleView + ?Sized>(&mut self, id: TupleId, t: &V) {
-        self.assert_thawed("insert");
         for idx in self.by_lhs.values_mut() {
             idx.insert(id, t);
         }
@@ -199,7 +126,6 @@ impl GroupIndexes {
     /// to keep a resident index in step with the relation without a
     /// rebuild.
     pub fn remove<V: TupleView + ?Sized>(&mut self, id: TupleId, t: &V) {
-        self.assert_thawed("remove");
         for idx in self.by_lhs.values_mut() {
             idx.remove(id, t);
         }
@@ -444,18 +370,18 @@ impl<'a> Engine<'a> {
     /// conflicting pair once per *distinct* variable constraint rather
     /// than once per redundant tableau row.
     pub fn build(rel: &Relation, sigma: &'a Sigma) -> Self {
-        Engine::build_with_threads(rel, sigma, 1)
-    }
-
-    /// [`Engine::build`] with an explicit worker-thread count for the
-    /// index builds. Contents are identical at any count.
-    pub fn build_with_threads(rel: &Relation, sigma: &'a Sigma, threads: usize) -> Self {
         Engine {
             sigma,
-            indexes: GroupIndexes::build_with_threads(rel, sigma, threads),
+            indexes: GroupIndexes::build(rel, sigma),
             rules: ConstantRules::build(sigma),
             variable_ids: minimal_variable_ids(sigma),
         }
+    }
+
+    /// [`Engine::build`], ignoring the count: `perfbench` still calls it.
+    #[doc(hidden)]
+    pub fn build_with_threads(rel: &Relation, sigma: &'a Sigma, _threads: usize) -> Self {
+        Engine::build(rel, sigma)
     }
 
     /// Decompose into the group indexes, constant rules, and the
@@ -1135,34 +1061,6 @@ mod tests {
         .unwrap();
         let sigma = Sigma::normalize(schema, vec![phi1, phi2]).unwrap();
         (rel, sigma)
-    }
-
-    #[test]
-    #[should_panic(expected = "GroupIndexes::ensure during a frozen")]
-    fn frozen_indexes_reject_lazy_ensure() {
-        let (rel, sigma) = fig1();
-        let mut idx = GroupIndexes::build(&rel, &sigma);
-        idx.freeze();
-        // A lazy S-set build from inside a parallel phase is exactly the
-        // bug the sharded frontier scoring must never commit.
-        idx.ensure(&rel, &[AttrId(0), AttrId(1), AttrId(2)]);
-    }
-
-    #[test]
-    fn thawed_indexes_accept_mutation_again() {
-        let (rel, sigma) = fig1();
-        let mut idx = GroupIndexes::build(&rel, &sigma);
-        idx.freeze();
-        idx.thaw();
-        let attrs = vec![AttrId(0), AttrId(2)];
-        idx.ensure(&rel, &attrs);
-        assert!(idx.get(&attrs).is_some());
-        // Clones of a frozen set start thawed: the wire guards one shared
-        // instance during one phase.
-        idx.freeze();
-        let mut copy = idx.clone();
-        copy.ensure(&rel, &[AttrId(1)]);
-        idx.thaw();
     }
 
     #[test]

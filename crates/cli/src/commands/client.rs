@@ -21,8 +21,8 @@ pub const USAGE: &str = "cfdclean client <op> (--tcp ADDR | --unix PATH) [flags]
     open-snapshot  --name N [--as NAME]
     detect         --name N [--limit N]
     repair         --name N --out R.csv [--algorithm batch|v-inc|w-inc|l-inc]
-                   [--pick global|dependency] [--k N] [--threads N]
-                   [--no-simd] [--emit-edits E.cfde] [--stats]
+                   [--pick global|dependency] [--k N] [--no-simd]
+                   [--emit-edits E.cfde] [--stats]
     insert         --name N --updates U.csv --out M.csv
                    [--weights W.csv] [--ordering v|w|l] [--k N]
     stream-open    --name N [--window W] [--slide S] [--ordering v|w|l] [--k N]
@@ -123,10 +123,6 @@ pub fn run(op: &str, args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 algorithm: args.get("algorithm").unwrap_or("batch").to_string(),
                 pick: args.get("pick").unwrap_or("global").to_string(),
                 k: args.get_parsed("k", 2u32)?,
-                threads: match args.get("threads") {
-                    Some(_) => Some(args.get_parsed("threads", 1u32)?),
-                    None => None,
-                },
                 simd: if args.switch("no-simd") {
                     Some(false)
                 } else {

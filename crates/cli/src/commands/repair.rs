@@ -12,7 +12,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use cfd_cfd::violation::check;
-use cfd_repair::{Algorithm, Ordering, PickStrategy, RepairOptions};
+use cfd_repair::{Algorithm, PickStrategy, RepairOptions};
 use cfdclean::DatasetHandle;
 
 use crate::args::Args;
@@ -24,7 +24,7 @@ use crate::io::{
 pub const USAGE: &str = "cfdclean repair (--data D.csv | --snapshot NAME --catalog DIR)
                 --out REPAIRED.csv [--rules R.cfd]
                 [--weights W.csv] [--algorithm batch|v-inc|w-inc|l-inc]
-                [--pick global|dependency] [--k N] [--threads N] [--no-simd]
+                [--pick global|dependency] [--k N] [--no-simd]
                 [--emit-edits E.cfde | --apply-edits E.cfde] [--stats]
   Compute a repair of the input satisfying the rules.
     --data        dirty CSV file
@@ -38,9 +38,6 @@ pub const USAGE: &str = "cfdclean repair (--data D.csv | --snapshot NAME --catal
     --algorithm   batch (default) or an IncRepair ordering
     --pick        BatchRepair PICKNEXT strategy (default global)
     --k           IncRepair attribute-set size (default 2)
-    --threads     worker threads for sharded repair setup (default:
-                  CFD_THREADS, else 1); the repair is byte-identical at
-                  every thread count
     --no-simd     force the scalar reference kernels for distance pricing
                   and detection scans (equivalent to CFD_SIMD=0); repairs
                   are byte-identical with the kernels on or off
@@ -61,10 +58,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let algorithm = args.get("algorithm").unwrap_or("batch").to_string();
     let pick = args.get("pick").unwrap_or("global").to_string();
     let k: usize = args.get_parsed("k", 2)?;
-    let threads = match args.get("threads") {
-        Some(_) => Some(args.get_parsed("threads", 1usize)?),
-        None => None,
-    };
     let emit_edits = args.get("emit-edits").map(str::to_string);
     let apply_edits = args.get("apply-edits").map(str::to_string);
     let stats = args.switch("stats");
@@ -80,26 +73,13 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         return Err("--emit-edits and --apply-edits are mutually exclusive".into());
     }
 
-    let algorithm = match algorithm.as_str() {
-        "batch" => Algorithm::Batch,
-        "v-inc" => Algorithm::Incremental(Ordering::Violations),
-        "w-inc" => Algorithm::Incremental(Ordering::Weight),
-        "l-inc" => Algorithm::Incremental(Ordering::Linear),
-        other => {
-            return Err(
-                format!("unknown --algorithm {other:?} (batch, v-inc, w-inc, l-inc)").into(),
-            )
-        }
-    };
-    let pick = match pick.as_str() {
-        "global" => PickStrategy::GlobalBest,
-        "dependency" => PickStrategy::DependencyOrdered,
-        other => return Err(format!("unknown --pick {other:?}").into()),
-    };
+    let algorithm: Algorithm = algorithm
+        .parse()
+        .map_err(|_| format!("unknown --algorithm {algorithm:?} (batch, v-inc, w-inc, l-inc)"))?;
+    let pick: PickStrategy = pick
+        .parse()
+        .map_err(|_| format!("unknown --pick {pick:?}"))?;
     let mut opts = RepairOptions::new().algorithm(algorithm).pick(pick).k(k);
-    if let Some(n) = threads {
-        opts = opts.threads(n);
-    }
     if no_simd {
         // Explicit override in addition to force_simd: if a loaded
         // library already resolved the process switch, the per-call

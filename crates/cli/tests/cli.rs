@@ -109,79 +109,54 @@ fn repair_produces_a_clean_file() {
 }
 
 #[test]
-fn repair_threads_flag_is_byte_identical() {
-    // The sharded repair contract, end to end through the CLI: the same
-    // input repaired at 1, 2, and 8 worker threads writes identical bytes.
-    let s = Scratch::new("repair-threads");
-    generate_workload(&s, 400);
-    let mut outputs = Vec::new();
-    for threads in ["1", "2", "8"] {
-        let file = format!("repaired_t{threads}.csv");
-        let out = run(&[
+fn speculate_flag_is_rejected_as_unknown() {
+    // BATCHREPAIR has one serial resolution loop; neither `--speculate`
+    // nor `--threads` is a flag of `repair` or `client repair`, and
+    // neither help text lists them.
+    let s = Scratch::new("speculate-unknown");
+    generate_workload(&s, 200);
+    for flag in ["speculate", "threads"] {
+        let retired = format!("--{flag}");
+        let repair = [
             "repair",
             "--data",
             &s.path("dirty.csv"),
             "--rules",
             &s.path("rules.cfd"),
-            "--weights",
-            &s.path("dirty_weights.csv"),
             "--out",
-            &s.path(&file),
-            "--threads",
-            threads,
-        ])
-        .unwrap();
-        assert!(out.contains("repaired 400 tuples"), "{out}");
-        outputs.push(std::fs::read(s.path(&file)).unwrap());
-    }
-    assert_eq!(outputs[0], outputs[1], "threads=2 diverged from serial");
-    assert_eq!(outputs[0], outputs[2], "threads=8 diverged from serial");
-}
-
-#[test]
-fn speculate_flag_is_rejected_as_unknown() {
-    // BATCHREPAIR has one resolution loop; `--speculate` is no longer a
-    // flag of `repair` or `client repair`, and neither help text lists it.
-    let s = Scratch::new("speculate-unknown");
-    generate_workload(&s, 200);
-    let repair = [
-        "repair",
-        "--data",
-        &s.path("dirty.csv"),
-        "--rules",
-        &s.path("rules.cfd"),
-        "--out",
-        &s.path("repaired.csv"),
-        "--speculate",
-        "4",
-    ];
-    // Rejected before any connection is attempted.
-    let client = [
-        "client",
-        "repair",
-        "--unix",
-        &s.path("no-daemon.sock"),
-        "--name",
-        "d",
-        "--out",
-        &s.path("client.csv"),
-        "--speculate",
-        "4",
-    ];
-    for argv in [&repair[..], &client[..]] {
-        let err = run(argv).unwrap_err();
-        assert!(err.contains("unknown flag --speculate"), "{err}");
-        let status = std::process::Command::new(env!("CARGO_BIN_EXE_cfdclean"))
-            .args(argv)
-            .output()
-            .unwrap();
-        assert!(!status.status.success(), "{argv:?} must exit non-zero");
-        let stderr = String::from_utf8_lossy(&status.stderr);
-        assert!(stderr.contains("unknown flag --speculate"), "{stderr}");
-    }
-    for command in ["repair", "client"] {
-        let usage = run(&[command]).unwrap_err();
-        assert!(!usage.contains("speculate"), "{command} help: {usage}");
+            &s.path("repaired.csv"),
+            &retired,
+            "4",
+        ];
+        // Rejected before any connection is attempted.
+        let client = [
+            "client",
+            "repair",
+            "--unix",
+            &s.path("no-daemon.sock"),
+            "--name",
+            "d",
+            "--out",
+            &s.path("client.csv"),
+            &retired,
+            "4",
+        ];
+        let expected = format!("unknown flag {retired}");
+        for argv in [&repair[..], &client[..]] {
+            let err = run(argv).unwrap_err();
+            assert!(err.contains(&expected), "{err}");
+            let status = std::process::Command::new(env!("CARGO_BIN_EXE_cfdclean"))
+                .args(argv)
+                .output()
+                .unwrap();
+            assert!(!status.status.success(), "{argv:?} must exit non-zero");
+            let stderr = String::from_utf8_lossy(&status.stderr);
+            assert!(stderr.contains(&expected), "{stderr}");
+        }
+        for command in ["repair", "client"] {
+            let usage = run(&[command]).unwrap_err();
+            assert!(!usage.contains(flag), "{command} help: {usage}");
+        }
     }
     assert!(!std::path::Path::new(&s.path("repaired.csv")).exists());
 }
@@ -213,7 +188,7 @@ fn no_simd_is_a_switch_and_composes_with_later_flags() {
         run(&argv).unwrap()
     };
     repair_with("default.csv", &[]);
-    let out = repair_with("scalar.csv", &["--no-simd", "--threads", "4", "--stats"]);
+    let out = repair_with("scalar.csv", &["--no-simd", "--stats"]);
     assert!(
         out.contains("steps") && out.contains("merges"),
         "--stats after --no-simd should print counters: {out}"

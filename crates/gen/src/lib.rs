@@ -1,8 +1,9 @@
 //! # cfd-gen — the evaluation workload of §7.1
 //!
 //! The paper evaluates on sales data scraped from AMAZON and other
-//! websites; this crate substitutes a deterministic synthetic equivalent
-//! (DESIGN.md records the substitution):
+//! websites (§7.1), which is not available; this crate substitutes a
+//! deterministic synthetic equivalent with the same schema, Σ shape and
+//! noise model:
 //!
 //! * [`order_schema`](mod@order_schema) — the 13-attribute `order` relation (Fig. 1 plus
 //!   CTY, VAT, TT, QTT);

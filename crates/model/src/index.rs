@@ -9,11 +9,6 @@
 //! ([`NULL_ID`](crate::pool::NULL_ID)) only groups with identical keys,
 //! which is correct because pattern matching excludes nulls anyway and the
 //! callers that need SQL-null semantics handle them explicitly.
-//!
-//! [`HashIndex::build_with_threads`] shards large relations across
-//! `std::thread::scope` workers, each building a local map that is merged
-//! at the end; keys are `Copy`-cheap ids, so the merge moves integers,
-//! never strings. The caller chooses the worker count.
 
 use std::collections::HashMap;
 
@@ -23,10 +18,6 @@ use crate::relation::{Relation, TupleId};
 use crate::schema::AttrId;
 use crate::tuple::TupleView;
 
-/// Relation size below which a parallel build is not worth the thread
-/// spawn overhead.
-const PARALLEL_THRESHOLD: usize = 8_192;
-
 /// A hash index on a fixed attribute list `X`.
 #[derive(Clone, Debug)]
 pub struct HashIndex {
@@ -35,9 +26,10 @@ pub struct HashIndex {
 }
 
 impl HashIndex {
-    /// Build an index on `attrs` over all live tuples of `rel`, on the
-    /// calling thread (see [`HashIndex::build_with_threads`] for a
-    /// sharded build).
+    /// Build an index on `attrs` over all live tuples of `rel`. Each
+    /// group lists its ids in ascending order — repair-layer consumers
+    /// truncate group walks, so that order is part of the determinism
+    /// contract, not an implementation detail.
     ///
     /// On a columnar relation the build walks the indexed attributes'
     /// column slices directly — one contiguous `u32` read per (attribute,
@@ -59,54 +51,6 @@ impl HashIndex {
             idx.insert(id, &t);
         }
         idx
-    }
-
-    /// Sharded build with an explicit worker count: each worker indexes a
-    /// contiguous chunk of the ascending id space into a local map, and
-    /// chunks are merged in id order. The result is **identical to
-    /// [`HashIndex::build`] including the order of ids within each
-    /// group** (ascending) — repair-layer consumers truncate group walks,
-    /// so group order is part of the determinism contract, not an
-    /// implementation detail. Small relations and `threads <= 1` fall
-    /// back to the serial build.
-    pub fn build_with_threads(rel: &Relation, attrs: &[AttrId], threads: usize) -> Self {
-        if threads <= 1 || rel.len() < PARALLEL_THRESHOLD {
-            return Self::build(rel, attrs);
-        }
-        let ids: Vec<TupleId> = rel.ids().collect();
-        let chunk = ids.len().div_ceil(threads);
-        let maps: Vec<HashMap<IdKey, Vec<TupleId>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = ids
-                .chunks(chunk.max(1))
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut local: HashMap<IdKey, Vec<TupleId>> = HashMap::new();
-                        for id in part {
-                            let t = rel.tuple(*id).expect("listed id is live");
-                            local.entry(t.project_key(attrs)).or_default().push(*id);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("index shard panicked"))
-                .collect()
-        });
-        // Chunks hold disjoint ascending id ranges; appending the shard
-        // maps in chunk order therefore leaves every group's id list in
-        // ascending order, exactly as the serial build produces it.
-        let mut map: HashMap<IdKey, Vec<TupleId>> = HashMap::new();
-        for local in maps {
-            for (k, mut v) in local {
-                map.entry(k).or_default().append(&mut v);
-            }
-        }
-        HashIndex {
-            attrs: attrs.to_vec(),
-            map,
-        }
     }
 
     /// An empty index on `attrs`.
@@ -285,8 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_preserves_group_order() {
-        // Not just the same sets: FINDV truncates group walks, so the
+    fn build_lists_each_group_ascending() {
+        // Not just the right sets: FINDV truncates group walks, so the
         // ascending id order inside each group is part of the contract.
         let schema = Schema::new("r", &["k", "v"]).unwrap();
         let mut r = Relation::new(schema);
@@ -294,13 +238,14 @@ mod tests {
             r.insert(Tuple::from_iter([format!("k{}", i % 257), format!("v{i}")]))
                 .unwrap();
         }
-        let ser = HashIndex::build(&r, &[AttrId(0)]);
-        for threads in [2, 3, 8] {
-            let par = HashIndex::build_with_threads(&r, &[AttrId(0)], threads);
-            assert_eq!(par.group_count(), ser.group_count(), "threads={threads}");
-            for (k, ids) in ser.groups() {
-                assert_eq!(par.get(k.as_slice()), ids, "threads={threads}");
-            }
+        let idx = HashIndex::build(&r, &[AttrId(0)]);
+        assert_eq!(idx.group_count(), 257);
+        assert_eq!(
+            idx.groups().map(|(_, ids)| ids.len()).sum::<usize>(),
+            20_000
+        );
+        for (_, ids) in idx.groups() {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
         }
     }
 }

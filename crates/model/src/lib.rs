@@ -48,7 +48,7 @@
 //!   repairs draw new values from (the algorithms never invent values).
 //! * [`index::HashIndex`] — hash indexes over attribute lists keyed on
 //!   [`IdKey`], the lookup primitive behind violation detection and the
-//!   LHS-indices of §5.2; sharded builds take an explicit thread count.
+//!   LHS-indices of §5.2.
 //! * [`query`] — a small selection engine (conjunctive predicates) used by
 //!   the SQL-style violation detection.
 //! * [`diff`] — `dif(D1, D2)`, the attribute-level difference measure used

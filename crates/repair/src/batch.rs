@@ -6,10 +6,11 @@
 //!   null`), which is what makes the algorithm terminate on CFDs where the
 //!   FD-only repair of Bohannon et al. would oscillate (Example 4.1);
 //! * `PICKNEXT`: among all (CFD, dirty tuple) pairs, pick the least-cost
-//!   resolution ([`PickStrategy::GlobalBest`]), or the dependency-graph
-//!   optimized variant that drains one CFD at a time in topological order
-//!   ([`PickStrategy::DependencyOrdered`], the default — §7.2 reports the
-//!   unoptimized picker "runs very slow");
+//!   resolution ([`PickStrategy::GlobalBest`], the default), or the
+//!   dependency-graph optimized variant that drains one CFD at a time in
+//!   topological order ([`PickStrategy::DependencyOrdered`] — §7.2 reports
+//!   the unoptimized picker "runs very slow"; here a lazy priority queue
+//!   keeps the default fast);
 //! * `CFD-RESOLVE` (§4.1): constant violations resolved by RHS target
 //!   assignment (case 1.1) or LHS change (case 1.2); variable violations by
 //!   class merging (case 2.1), LHS change on conflicting constants (case
@@ -24,30 +25,27 @@
 //! values (targets materialized as they are fixed), with the original
 //! relation kept aside for cost computation.
 //!
-//! Parallelism: the group census and the initial `PICKNEXT` frontier are
-//! built sharded by LHS-key hash range ([`crate::shard`]) under the
-//! [`Parallelism`] carried in [`BatchConfig`]. The resolution loop itself
-//! is the paper's serial greedy loop — every fix mutates shared state —
-//! so repairs are byte-identical at every thread count.
+//! Everything runs on the calling thread: the group census, one scoring
+//! pass over the initial `PICKNEXT` frontier, and the paper's serial
+//! greedy resolution loop.
 //!
 //! Frontier scoring prices every dirty pair against the frozen t=0 state,
 //! where every equivalence class is still a singleton and no fix has been
 //! applied. There the group level of a variable-CFD merge price (bucket
 //! census, winner, sampled minority-carrier cost) depends only on the
-//! (CFD, LHS group key), so each scoring worker computes it once per
-//! group and memoizes it, together with per-cell residuals
-//! ([`FrozenMemo`]). Per-tuple suspect scores need no memo: at t=0 they
-//! follow from detection's own dirty sets, so `seed_frontier` computes them
-//! once for all workers. The memo and the scores live in the frozen
-//! planning view only; the loop, whose fixes change classes and values,
-//! plans through a view without them. Seeded keys are therefore the bits
-//! an unmemoized planner computes.
+//! (CFD, LHS group key), so the pass computes it once per group and
+//! memoizes it, together with per-cell residuals ([`FrozenMemo`]).
+//! Per-tuple suspect scores need no memo: at t=0 they follow from
+//! detection's own dirty sets. The memo and the scores live in the
+//! scoring pass's [`Frozen`] extras only; the loop, whose fixes change
+//! classes and values, plans without them. Seeded keys are therefore the
+//! bits an unmemoized planner computes.
 //!
-//! The seeded frontier arrives sorted from the shard merge, and
-//! [`Frontier`] keeps it that way: a cursor reads it as one sorted run,
-//! and only entries queued by the loop go through a binary heap. On
-//! low-cardinality FDs most seeded pairs are stale by the time they pop,
-//! so reading them off the run saves a heap pop per pair.
+//! The seeded frontier is sorted once under the total, seed-independent
+//! [`HeapKey`] order, and [`Frontier`] keeps it that way: a cursor reads
+//! it as one sorted run, and only entries queued by the loop go through a
+//! binary heap. On low-cardinality FDs most seeded pairs are stale by the
+//! time they pop, so reading them off the run saves a heap pop per pair.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -63,7 +61,7 @@ use crate::cost::{class_assign_cost_ids, class_assign_cost_ids_batch, repair_cos
 use crate::depgraph::DepGraph;
 use crate::distance::DistanceCache;
 use crate::equivalence::{Cell, EqClasses, Target};
-use crate::shard::{self, Candidate, GroupCensus, Parallelism};
+use crate::shard::{self, GroupCensus};
 use crate::RepairError;
 
 /// How `PICKNEXT` chooses the next violation to resolve.
@@ -91,8 +89,9 @@ pub enum PickStrategy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergePricing {
     /// Price over the whole agreeing group: the winner is the value with
-    /// the largest weighted carrier support (DESIGN.md §7 item 3). The
-    /// default — immune to the pairwise snowball.
+    /// the largest weighted carrier support. The default — immune to the
+    /// pairwise snowball, where each two-cell merge drags one more cell
+    /// to a wrong value and the next merge inherits it.
     GroupMajority,
     /// The literal two-cell reading of §4.1: compare only the two classes
     /// being merged. Kept for the `repair_ablations` benchmark, which
@@ -111,10 +110,6 @@ pub struct BatchConfig {
     pub findv_candidates: usize,
     /// Free/free merge winner selection; defaults to group majority.
     pub merge_pricing: MergePricing,
-    /// Worker threads for census construction and initial `PICKNEXT`
-    /// scoring. Repairs are byte-identical at every thread count; the
-    /// default resolves `CFD_THREADS` (1 when unset).
-    pub parallelism: Parallelism,
     /// Kernel selection for distance pricing: `Some(true)` forces the
     /// bit-parallel kernel, `Some(false)` the scalar reference, `None`
     /// (the default) follows the process-wide [`cfd_model::simd_enabled`]
@@ -129,7 +124,6 @@ impl Default for BatchConfig {
             pick: PickStrategy::GlobalBest,
             findv_candidates: 32,
             merge_pricing: MergePricing::GroupMajority,
-            parallelism: Parallelism::default(),
             simd: None,
         }
     }
@@ -165,8 +159,7 @@ pub struct BatchStats {
 pub struct BatchOutcome {
     /// The repair `Repr` (same tuple ids as the input).
     pub repair: Relation,
-    /// Counters and the final repair cost. Identical at every thread
-    /// count.
+    /// Counters and the final repair cost.
     pub stats: BatchStats,
 }
 
@@ -227,7 +220,7 @@ struct BatchState<'a> {
     initial_vio: Vec<usize>,
     /// Lazy priority queue for [`PickStrategy::GlobalBest`]: entries carry
     /// the last-known [`HeapKey`] and are re-verified and re-priced when
-    /// popped. Seeded by the sharded frontier scoring (`seed_frontier`).
+    /// popped. Seeded by the t=0 frontier scoring (`seed_frontier`).
     frontier: Frontier,
     /// Memoized `dis(v, v')` over id pairs.
     dcache: DistanceCache,
@@ -235,10 +228,14 @@ struct BatchState<'a> {
     config: BatchConfig,
 }
 
-/// The total order `PICKNEXT` resolves under — [`Candidate::key`]'s
-/// `(cost, value frequency, value id, CFD, tuple)` — shared by the
-/// frontier merge and the lazy queue so serial and sharded runs pop fixes
-/// in exactly the same sequence.
+/// The total order `PICKNEXT` resolves under: `(cost, value frequency,
+/// value id, CFD, tuple)`. Cost is [`cost_key`]'s order-preserving bits;
+/// frequency is `u64::MAX − use_count(value)`, so globally corroborated
+/// values sort first among equal costs ([`fix_meta`]); then the planned
+/// [`ValueId`], then (CFD, tuple) for totality — keys are distinct per
+/// dirty pair. Every component is a pure function of relation content,
+/// never of hash iteration order or process history, in the spirit of
+/// stable conflict resolution (Gatterbauer & Suciu).
 type HeapKey = (u64, u64, u32, u32, u32);
 
 /// `PICKNEXT`'s lazy priority queue: the seeded t=0 frontier as one
@@ -310,42 +307,24 @@ fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
     }
 }
 
-/// The S-set index view `PICKNEXT`/`CFD-RESOLVE` planning reads through.
-///
-/// The sequential loop drives lazy `ensure` builds straight into the main
-/// state ([`PlanIndexes::Main`]) — build order is resolution order, the
-/// contract. Frontier scoring workers must not touch the main state
-/// (group order inside a [`HashIndex`] is history-dependent and FINDV
-/// truncates group walks), so they read through a frozen borrow and build
-/// misses into a worker-private overlay ([`PlanIndexes::Snapshot`]);
-/// `seed_frontier` then replays those `ensure`s on the main state in sorted
-/// order. The frozen view also carries the scoring worker's
-/// [`FrozenMemo`] and the shared t=0 suspect scores; the sequential loop
-/// has neither, so no memoized price can outlive the t=0 state it was
-/// computed on.
-enum PlanIndexes<'p> {
-    /// The sequential loop: lazy builds mutate the main state directly.
-    Main(&'p mut GroupIndexes),
-    /// A frontier scoring worker: base hits read the frozen main state,
-    /// misses build into the private overlay.
-    Snapshot {
-        base: &'p GroupIndexes,
-        local: GroupIndexes,
-        memo: FrozenMemo,
-        /// `suspicion` per tuple slot at t=0 (`BatchState::seed_frontier`).
-        suspects: &'p [usize],
-    },
+/// The t=0 extras of the frontier scoring pass (`seed_frontier`): its
+/// pricing memo and the suspect scores it derives from detection. The
+/// loop plans without them, so no memoized price can outlive the t=0
+/// state it was computed on.
+struct Frozen {
+    memo: FrozenMemo,
+    /// `suspicion` per tuple slot at t=0.
+    suspects: Vec<usize>,
 }
 
-/// Pricing memo tables of one frontier scoring worker.
+/// Pricing memo tables of the frontier scoring pass.
 ///
 /// Exact because scoring plans against the frozen t=0 state: no fix has
 /// been applied, every equivalence class is a singleton, and nothing
-/// mutates `work`, the census or the classes while the worker runs. Each
+/// mutates `work`, the census or the classes during the pass. Each
 /// memoized quantity is then a pure function of its key, so a hit
 /// returns the bits a fresh computation would. The loop mutates that
-/// state with every fix and plans through [`PlanIndexes::Main`], which
-/// has no memo.
+/// state with every fix and plans without a memo.
 #[derive(Default)]
 struct FrozenMemo {
     /// Group level of free/free merge pricing (`group_merge_price`) per
@@ -356,14 +335,12 @@ struct FrozenMemo {
     residuals: FnvMap<(Cell, ValueId), usize>,
 }
 
-/// The read-mostly planning context `PICKNEXT`/`CFD-RESOLVE` run against:
-/// shared references to the frozen inputs — equivalence classes included,
-/// all class lookups are non-mutating — plus per-planner memo caches.
-/// [`BatchState`] materializes one over its own fields for the sequential
-/// loop; the sharded frontier scoring gives each worker a private one
-/// (snapshot index overlay, empty distance memo) over the same shared
-/// state — the caches are semantically transparent, so worker plans
-/// equal serial plans bit for bit.
+/// The planning context `PICKNEXT`/`CFD-RESOLVE` run against: shared
+/// references to the repair state — equivalence classes included, all
+/// class lookups are non-mutating — plus the main S-set indexes, which
+/// `FINDV` extends lazily, and the distance memo. [`BatchState::planner`]
+/// materializes one over its own fields; the frontier scoring pass adds
+/// its [`Frozen`] extras.
 struct Planner<'p> {
     orig: &'p Relation,
     work: &'p Relation,
@@ -372,89 +349,19 @@ struct Planner<'p> {
     initial_vio: &'p [usize],
     config: &'p BatchConfig,
     eq: &'p EqClasses,
-    indexes: PlanIndexes<'p>,
+    indexes: &'p mut GroupIndexes,
+    /// Set only while scoring the t=0 frontier.
+    frozen: Option<Frozen>,
     dcache: &'p mut DistanceCache,
-}
-
-/// Score one shard of the initial frontier: verify and price every dirty
-/// `(CFD, tuple)` pair assigned to this shard against the frozen t=0
-/// `state`, shared read-only across workers (class lookups never mutate);
-/// S-set indexes missing from the main set build into a worker-private
-/// overlay. Because that state cannot change while the worker runs, the
-/// worker also memoizes group-level merge prices and residuals in a
-/// private [`FrozenMemo`] — shards split by LHS-key hash, so a group's
-/// tuples all land in one worker's memo — and reads suspect scores off
-/// the shared t=0 `suspects`. Returns the priced candidates plus the
-/// attribute lists the overlay materialized (the caller replays those
-/// `ensure`s on the main state so later lazy builds are
-/// thread-count-independent).
-fn score_shard(
-    state: &BatchState<'_>,
-    suspects: &[usize],
-    pairs: &[(u32, u32)],
-) -> (Vec<Candidate>, Vec<Vec<AttrId>>) {
-    let orig = state.orig;
-    let mut dcache = DistanceCache::for_pool(orig.pool().clone(), state.config.bitparallel());
-    let mut planner = Planner {
-        orig,
-        work: &state.work,
-        rules: &state.rules,
-        census: &state.census,
-        initial_vio: &state.initial_vio,
-        config: &state.config,
-        eq: &state.eq,
-        indexes: PlanIndexes::Snapshot {
-            base: &state.indexes,
-            local: GroupIndexes::empty(),
-            memo: FrozenMemo::default(),
-            suspects,
-        },
-        dcache: &mut dcache,
-    };
-    let mut out = Vec::with_capacity(pairs.len());
-    for &(cfd, tid) in pairs {
-        let n = state.sigma.get(CfdId(cfd));
-        let planned = planner
-            .violates(n, TupleId(tid))
-            .and_then(|v| planner.plan_fix(n, TupleId(tid), &v));
-        let cand = match planned {
-            Some((fix, cost)) => {
-                let (freq, value) = fix_meta(&fix, orig.pool());
-                Candidate {
-                    cost: cost_key(cost),
-                    freq,
-                    value,
-                    cfd,
-                    tid,
-                }
-            }
-            // Defensive: a pair with no verified plan (impossible at t=0
-            // by the violation definitions) pops last, re-verifies, and is
-            // dropped — exactly what the lazy loop would do.
-            None => Candidate {
-                cost: u64::MAX,
-                freq: u64::MAX,
-                value: u32::MAX,
-                cfd,
-                tid,
-            },
-        };
-        out.push(cand);
-    }
-    let ensured = match planner.indexes {
-        PlanIndexes::Snapshot { local, .. } => local.attr_lists(),
-        PlanIndexes::Main(_) => unreachable!("score_shard plans on a snapshot"),
-    };
-    (out, ensured)
 }
 
 impl<'a> BatchState<'a> {
     fn new(orig: &'a Relation, sigma: &'a Sigma, config: BatchConfig) -> Self {
-        // Index contents are identical at any thread count, and `work`
-        // below is an id-stable clone of `orig`, so building against the
-        // original here equals building against the working copy — which
-        // is what lets a resident dataset hand in prebuilt parts.
-        let parts = Engine::build_with_threads(orig, sigma, config.parallelism.get()).to_parts();
+        // `work` below is an id-stable clone of `orig`, so building
+        // against the original here equals building against the working
+        // copy — which is what lets a resident dataset hand in prebuilt
+        // parts.
+        let parts = Engine::build(orig, sigma).to_parts();
         Self::new_with_parts(orig, sigma, config, parts)
     }
 
@@ -492,7 +399,7 @@ impl<'a> BatchState<'a> {
             variable_ids,
         } = parts;
         let shapes = shard::variable_shapes(sigma);
-        let census = GroupCensus::build(&work, &shapes, &config.parallelism);
+        let census = GroupCensus::new(&work, &shapes);
         let mut state = BatchState {
             sigma,
             orig,
@@ -515,8 +422,8 @@ impl<'a> BatchState<'a> {
         state
     }
 
-    /// The planning view over this state's own fields (the sequential
-    /// loop).
+    /// The planning view over this state's own fields, without the t=0
+    /// extras.
     fn planner(&mut self) -> Planner<'_> {
         Planner {
             orig: self.orig,
@@ -526,24 +433,21 @@ impl<'a> BatchState<'a> {
             initial_vio: &self.initial_vio,
             config: &self.config,
             eq: &self.eq,
-            indexes: PlanIndexes::Main(&mut self.indexes),
+            indexes: &mut self.indexes,
+            frozen: None,
             dcache: &mut self.dcache,
         }
     }
 
     /// Seed the `PICKNEXT` queue with the fully priced initial frontier.
     ///
-    /// Dirty `(CFD, tuple)` pairs are partitioned by hashing the tuple's
-    /// LHS key under the CFD's shape ([`shard::shard_of`]) into
-    /// `parallelism` ranges; each range is scored by a `std::thread::scope`
-    /// worker against the frozen t=0 state, and the shard frontiers merge
-    /// under [`Candidate::key`]'s total order into the queue's sorted run.
-    /// Scoring is a pure function of relation content, so the queue starts
-    /// identical at every thread count — and the resolution loop after it
-    /// is sequential, making the whole repair byte-identical to a serial
-    /// run. The workers' memo tables and the t=0 suspect scores are
-    /// dropped with the scoring: nothing computed for t=0 reaches the
-    /// loop.
+    /// One pass verifies and prices every dirty `(CFD, tuple)` pair
+    /// against the frozen t=0 state and sorts the keys once into the
+    /// queue's run. The pass's memo tables and t=0 suspect scores are
+    /// dropped with it: nothing computed for t=0 reaches the loop. The
+    /// S-set indexes and distances it computes stay in the main state;
+    /// `work` equals `orig` throughout the pass, so each index is exactly
+    /// the one a t=0 `ensure` builds.
     fn seed_frontier(&mut self) {
         let pairs: Vec<(u32, u32)> = self
             .dirty
@@ -554,22 +458,6 @@ impl<'a> BatchState<'a> {
         if pairs.is_empty() {
             return;
         }
-        let threads = self.config.parallelism.get().min(pairs.len());
-        let shards: Vec<Vec<(u32, u32)>> = if threads <= 1 {
-            vec![pairs]
-        } else {
-            let mut shards = vec![Vec::new(); threads];
-            for (cfd, tid) in pairs {
-                let n = self.sigma.get(CfdId(cfd));
-                let key = self
-                    .work
-                    .tuple(TupleId(tid))
-                    .expect("dirty tuple is live")
-                    .project_key(n.lhs());
-                shards[shard::shard_of(key.as_slice(), threads)].push((cfd, tid));
-            }
-            shards
-        };
         // `suspicion` at t=0, where `work` is the input: the constant
         // rules `violations_of` counts are exactly the constant CFDs whose
         // detected dirty set holds the tuple.
@@ -583,44 +471,34 @@ impl<'a> BatchState<'a> {
                 suspects[tid.index()] += 1;
             }
         }
-        let (state, suspects): (&Self, &[usize]) = (self, &suspects);
-        // Workers share the main indexes read-only; arm the tripwire so a
-        // stray lazy build inside the scoring fan-out fails loudly.
-        state.indexes.freeze();
-        let scored: Vec<(Vec<Candidate>, Vec<Vec<AttrId>>)> = if threads <= 1 {
-            vec![score_shard(state, suspects, &shards[0])]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .filter(|pairs| !pairs.is_empty())
-                    .map(|pairs| s.spawn(move || score_shard(state, suspects, pairs)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("frontier shard panicked"))
-                    .collect()
+        let (sigma, orig) = (self.sigma, self.orig);
+        let mut planner = self.planner();
+        planner.frozen = Some(Frozen {
+            memo: FrozenMemo::default(),
+            suspects,
+        });
+        let mut run: Vec<HeapKey> = pairs
+            .into_iter()
+            .map(|(cfd, tid)| {
+                let n = sigma.get(CfdId(cfd));
+                let planned = planner
+                    .violates(n, TupleId(tid))
+                    .and_then(|v| planner.plan_fix(n, TupleId(tid), &v));
+                match planned {
+                    Some((fix, cost)) => {
+                        let (freq, value) = fix_meta(&fix, orig.pool());
+                        (cost_key(cost), freq, value, cfd, tid)
+                    }
+                    // Defensive: a pair with no verified plan (impossible
+                    // at t=0 by the violation definitions) pops last,
+                    // re-verifies, and is dropped — exactly what the lazy
+                    // loop would do.
+                    None => (u64::MAX, u64::MAX, u32::MAX, cfd, tid),
+                }
             })
-        };
-        self.indexes.thaw();
-        let mut frontiers = Vec::with_capacity(scored.len());
-        let mut ensured: BTreeSet<Vec<AttrId>> = BTreeSet::new();
-        for (candidates, attr_lists) in scored {
-            frontiers.push(candidates);
-            ensured.extend(attr_lists);
-        }
-        // Replay the S-set index builds the scoring touched on the main
-        // state, at t=0: later lazy `ensure` calls must see identical
-        // group orders no matter how many workers scored the frontier.
-        for attrs in &ensured {
-            self.indexes.ensure(&self.work, attrs);
-        }
-        self.frontier = Frontier::seeded(
-            shard::merge_frontiers(frontiers)
-                .into_iter()
-                .map(Candidate::key)
-                .collect(),
-        );
+            .collect();
+        run.sort_unstable();
+        self.frontier = Frontier::seeded(run);
     }
 
     /// Effective value of a cell (target materialized into `work`).
@@ -630,41 +508,29 @@ impl<'a> BatchState<'a> {
 }
 
 impl<'p> Planner<'p> {
-    /// The S-set index on `attrs`, lazily built according to the planning
-    /// mode: straight on the main state (sequential loop), or into the
-    /// worker-private overlay when the main state lacks it (frontier
-    /// scoring).
+    /// The S-set index on `attrs`, built on the main state on first use.
     fn s_index(&mut self, attrs: &[AttrId]) -> &HashIndex {
-        match &mut self.indexes {
-            PlanIndexes::Main(ix) => ix.ensure(self.work, attrs),
-            PlanIndexes::Snapshot { base, local, .. } => {
-                let base: &'p GroupIndexes = base;
-                match base.get(attrs) {
-                    Some(ix) => ix,
-                    None => local.ensure(self.work, attrs),
-                }
-            }
-        }
+        self.indexes.ensure(self.work, attrs)
     }
 
-    /// `compute()`, memoized in the frozen view's `table` under `key()`;
-    /// the sequential loop has no memo and always computes afresh.
+    /// `compute()`, memoized in the scoring pass's `table` under `key()`;
+    /// the loop has no memo and always computes afresh.
     fn memoized<K: Hash + Eq, V: Copy>(
         &mut self,
         table: fn(&mut FrozenMemo) -> &mut FnvMap<K, V>,
         key: impl FnOnce() -> K,
         compute: impl FnOnce(&mut Self) -> V,
     ) -> V {
-        let PlanIndexes::Snapshot { memo, .. } = &mut self.indexes else {
+        let Some(frozen) = &mut self.frozen else {
             return compute(self);
         };
         let key = key();
-        if let Some(&hit) = table(memo).get(&key) {
+        if let Some(&hit) = table(&mut frozen.memo).get(&key) {
             return hit;
         }
         let value = compute(self);
-        if let PlanIndexes::Snapshot { memo, .. } = &mut self.indexes {
-            table(memo).insert(key, value);
+        if let Some(frozen) = &mut self.frozen {
+            table(&mut frozen.memo).insert(key, value);
         }
         value
     }
@@ -694,11 +560,11 @@ impl<'p> Planner<'p> {
 
     /// Suspect score of `tid` for the variable-CFD deferral penalty: its
     /// current constant-rule violations, plus one when its initial
-    /// `vio(t)` exceeds `SUSPECT_VIO`. The frozen view reads the t=0
+    /// `vio(t)` exceeds `SUSPECT_VIO`. The scoring pass reads the t=0
     /// score `seed_frontier` derived from detection.
     fn suspicion(&self, tid: TupleId) -> usize {
-        if let PlanIndexes::Snapshot { suspects, .. } = &self.indexes {
-            return suspects[tid.index()];
+        if let Some(frozen) = &self.frozen {
+            return frozen.suspects[tid.index()];
         }
         self.rules
             .violations_of(&self.work.tuple(tid).expect("live"), None)
@@ -1151,7 +1017,7 @@ impl<'p> Planner<'p> {
     /// the winner of `tid`'s LHS group under `n` and the cost of moving
     /// every minority carrier to it, or `None` when the census holds
     /// fewer than two value buckets for the group. Depends on the group,
-    /// never on which of its tuples is being planned, so the frozen view
+    /// never on which of its tuples is being planned, so the scoring pass
     /// memoizes it per (CFD, group key).
     fn group_merge_price(&mut self, n: &NormalCfd, tid: TupleId) -> Option<(ValueId, f64)> {
         let t = self.work.tuple(tid).expect("live");
@@ -1583,8 +1449,8 @@ pub fn batch_repair(
 /// [`batch_repair`] reusing prebuilt detection [`EngineParts`] — the
 /// resident-dataset entry point. A warm handle keeps the parts built at
 /// rule-bind time and clones them per repair, skipping the index
-/// rebuild. Parts contents are thread-count-independent, so the result
-/// is byte-identical to [`batch_repair`] with the same config.
+/// rebuild. Parts built over `d` equal the ones [`batch_repair`] builds,
+/// so the result is byte-identical to it with the same config.
 pub fn batch_repair_with_parts(
     d: &Relation,
     sigma: &Sigma,
@@ -1989,17 +1855,8 @@ mod tests {
     /// `plan_fix` → `fix_meta` → `cost_key`), and require the seeded key
     /// bit for bit. Returns the number of entries checked and how many
     /// belong to variable CFDs.
-    fn assert_seeded_keys_unmemoized(
-        rel: &Relation,
-        sigma: &Sigma,
-        threads: usize,
-        label: &str,
-    ) -> (usize, usize) {
-        let config = BatchConfig {
-            parallelism: Parallelism::threads(threads),
-            ..Default::default()
-        };
-        let mut state = BatchState::new(rel, sigma, config);
+    fn assert_seeded_keys_unmemoized(rel: &Relation, sigma: &Sigma, label: &str) -> (usize, usize) {
+        let mut state = BatchState::new(rel, sigma, BatchConfig::default());
         assert!(
             state.frontier.heap.is_empty(),
             "{label}: seeding fills the run"
@@ -2032,18 +1889,17 @@ mod tests {
         (pairs, variable)
     }
 
-    #[test]
-    fn seeded_frontier_matches_unmemoized_pricing() {
-        // Each trial interns into a pool of its own, so concurrently
-        // running tests cannot move the use counts the keys break ties on
-        // between seeding and re-pricing.
+    /// Fig. 1 and the 2k-tuple §7.1 workloads at generator seeds 1, 7
+    /// and 13, labelled. Each interns into a pool of its own, so
+    /// concurrently running tests cannot move the use counts the frontier
+    /// keys break ties on.
+    fn scoring_workloads() -> Vec<(String, Relation, Sigma)> {
         let (rel, sigma) = fig1();
         let pool = ValuePool::new_handle();
         let rel = rel.rekey_into(&pool);
         let sigma =
             Sigma::normalize_in(sigma.schema().clone(), sigma.sources().to_vec(), &pool).unwrap();
-        let (pairs, _) = assert_seeded_keys_unmemoized(&rel, &sigma, 1, "fig1");
-        assert!(pairs > 0, "Fig. 1 is dirty");
+        let mut out = vec![("fig1".to_string(), rel, sigma)];
         for seed in [1, 7, 13] {
             let w = cfd_gen::generate(&cfd_gen::GenConfig::sized(2_000, seed));
             let noise = cfd_gen::inject(
@@ -2060,15 +1916,54 @@ mod tests {
             let sigma =
                 Sigma::normalize_in(w.sigma.schema().clone(), w.sigma.sources().to_vec(), &pool)
                     .unwrap();
-            for threads in [1, 2] {
-                let label = format!("generator seed {seed} threads {threads}");
-                let (pairs, variable) =
-                    assert_seeded_keys_unmemoized(&rel, &sigma, threads, &label);
+            out.push((format!("generator seed {seed}"), rel, sigma));
+        }
+        out
+    }
+
+    #[test]
+    fn seeded_frontier_matches_unmemoized_pricing() {
+        for (label, rel, sigma) in scoring_workloads() {
+            let (pairs, variable) = assert_seeded_keys_unmemoized(&rel, &sigma, &label);
+            assert!(pairs > 0, "{label} is dirty");
+            if label != "fig1" {
                 // Variable pairs share groups, so the memo is exercised.
                 assert!(
                     variable > 0 && variable < pairs,
                     "{label}: {variable}/{pairs}"
                 );
+            }
+        }
+    }
+
+    /// Frontier scoring builds the S-set indexes it needs straight on the
+    /// main state. Each must equal a fresh t=0 build, group order
+    /// included: FINDV truncates group walks, so a different order would
+    /// change later repairs.
+    #[test]
+    fn scoring_builds_s_set_indexes_on_the_main_state() {
+        for (label, rel, sigma) in scoring_workloads() {
+            let state = BatchState::new(&rel, &sigma, BatchConfig::default());
+            let lhs_lists = GroupIndexes::build(&rel, &sigma).attr_lists();
+            let lists = state.indexes.attr_lists();
+            assert!(lhs_lists.iter().all(|l| lists.contains(l)), "{label}");
+            if label != "fig1" {
+                assert!(
+                    lists.len() > lhs_lists.len(),
+                    "{label}: scoring built no S-set index"
+                );
+            }
+            for attrs in &lists {
+                let built = state.indexes.get(attrs).expect("listed");
+                let fresh = HashIndex::build(&rel, attrs);
+                assert_eq!(
+                    built.group_count(),
+                    fresh.group_count(),
+                    "{label} {attrs:?}"
+                );
+                for (key, ids) in fresh.groups() {
+                    assert_eq!(built.get(key.as_slice()), ids, "{label} {attrs:?}");
+                }
             }
         }
     }

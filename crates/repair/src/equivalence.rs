@@ -155,11 +155,11 @@ impl EqClasses {
     }
 
     /// Non-compressing root lookup. Union-by-size keeps chains `O(log n)`
-    /// without compression, and a `&self` walk is what lets the sharded
-    /// frontier scoring workers share one `EqClasses` immutably across
-    /// threads —
-    /// every read accessor below goes through this. (Compression still
-    /// happens inside the mutating ops, which walk via `find_idx`.)
+    /// without compression, and a `&self` walk is what lets `PICKNEXT`
+    /// planning read classes through a shared reference while it
+    /// borrows the rest of the repair state mutably — every read accessor
+    /// below goes through this. (Compression still happens inside the
+    /// mutating ops, which walk via `find_idx`.)
     fn find_idx_ro(&self, mut i: usize) -> usize {
         while self.parent[i] as usize != i {
             i = self.parent[i] as usize;
@@ -439,9 +439,8 @@ mod tests {
 
     #[test]
     fn read_only_lookups_need_no_mut() {
-        // Frontier scoring shares one EqClasses across worker threads
-        // through `&`: every read accessor must answer correctly
-        // on deep, uncompressed chains.
+        // Planning reads EqClasses through `&`: every read accessor must
+        // answer correctly on deep, uncompressed chains.
         let mut eq = EqClasses::new(6, 1, |_, _| 1.0);
         for t in 1..6 {
             eq.merge(c(t - 1, 0), c(t, 0)).unwrap();

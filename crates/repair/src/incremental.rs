@@ -40,7 +40,6 @@ use crate::cost::change_cost_ids;
 use crate::distance::DistanceCache;
 use crate::lhs_index::LhsIndexes;
 use crate::resident::InsertRepairer;
-use crate::shard::Parallelism;
 use crate::RepairError;
 
 /// Tuple-processing order for `INCREPAIR` (§5.2).
@@ -90,10 +89,6 @@ pub struct IncConfig {
     /// of applying certain fixes of equal edit distance. 2.0 makes certain
     /// values strictly preferred whenever one exists at comparable cost.
     pub null_cost_factor: f64,
-    /// Worker threads for index construction. Repairs are byte-identical
-    /// at every thread count; the default resolves `CFD_THREADS` (1 when
-    /// unset).
-    pub parallelism: Parallelism,
     /// Distance-kernel override, mirroring [`crate::BatchConfig::simd`]:
     /// `None` follows the process-wide `CFD_SIMD` switch. Repairs are
     /// byte-identical either way.
@@ -110,7 +105,6 @@ impl Default for IncConfig {
             restrict_to_failing: true,
             vio_penalty: 0.5,
             null_cost_factor: 2.0,
-            parallelism: Parallelism::default(),
             simd: None,
         }
     }
@@ -184,10 +178,9 @@ impl<'a> IncState<'a> {
         for id in pending {
             active_view.delete(*id)?;
         }
-        let threads = config.parallelism.get();
         let parts = ResidentParts {
-            engine: Engine::build_with_threads(&active_view, sigma, threads).to_parts(),
-            lhs: LhsIndexes::build_with(&active_view, sigma, &config.parallelism),
+            engine: Engine::build(&active_view, sigma).to_parts(),
+            lhs: LhsIndexes::build(&active_view, sigma),
             adom: ActiveDomain::of_relation(&active_view),
             vidx: vec![None; work.schema().arity()],
             dcache: fresh_dcache(&work, &config),
@@ -738,7 +731,7 @@ pub fn inc_repair(
     sigma: &Sigma,
     config: IncConfig,
 ) -> Result<IncOutcome, RepairError> {
-    let outcome = InsertRepairer::new(d, sigma, &config).repair_once(d, delta, sigma, config)?;
+    let outcome = InsertRepairer::new(d, sigma).repair_once(d, delta, sigma, config)?;
     debug_assert!(cfd_cfd::check(&outcome.repair, sigma));
     Ok(outcome)
 }

@@ -20,8 +20,6 @@ use cfd_model::{IdKey, Relation, TupleView, ValueId};
 
 use cfd_cfd::{NormalCfd, Sigma};
 
-use crate::shard::{shard_of, Parallelism};
-
 /// Per-key state of one variable CFD's group.
 #[derive(Clone, Copy, Debug, Default)]
 struct GroupState {
@@ -110,15 +108,7 @@ impl LhsIndex {
     }
 }
 
-/// Relation size below which a sharded build is not worth the thread
-/// spawn overhead.
-const PARALLEL_BUILD_THRESHOLD: usize = 4_096;
-
 impl LhsIndexes {
-    fn with_shapes(shapes: FnvMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>) -> Self {
-        LhsIndexes { shapes }
-    }
-
     /// Group entries across every shape — the footprint a resident
     /// repairer must return to after rolling a request back.
     pub fn entry_count(&self) -> usize {
@@ -127,131 +117,21 @@ impl LhsIndexes {
 
     /// Build indices for every variable-CFD shape in `sigma` over `rel`.
     pub fn build(rel: &Relation, sigma: &Sigma) -> Self {
-        Self::build_with(rel, sigma, &Parallelism::serial())
-    }
-
-    /// [`LhsIndexes::build`] sharded by LHS-key hash range across `par`
-    /// worker threads, in two phases: contiguous id chunks fan out to
-    /// extract `(shard, key, rhs)` entries (each key projected and hashed
-    /// exactly once), then shard ranges fan out to fold exactly their own
-    /// entries. Each group key lands wholly
-    /// inside one shard and entries stay in ascending id order, so the
-    /// disjoint-map union is bit-identical to a serial build at every
-    /// thread count.
-    pub fn build_with(rel: &Relation, sigma: &Sigma, par: &Parallelism) -> Self {
-        let shape_list: Vec<(Vec<cfd_model::AttrId>, cfd_model::AttrId)> = {
-            let mut seen = Vec::new();
-            for n in sigma.iter().filter(|n| !n.is_constant()) {
-                let shape = (n.lhs().to_vec(), n.rhs_attr());
-                if !seen.contains(&shape) {
-                    seen.push(shape);
-                }
-            }
-            seen
-        };
-        let threads = par.get();
-        if threads <= 1 || rel.len() < PARALLEL_BUILD_THRESHOLD {
-            let shapes = shape_list
-                .into_iter()
-                .map(|(lhs, rhs)| {
-                    let idx = LhsIndex::build(rel, &lhs, rhs);
-                    ((lhs, rhs), idx)
-                })
-                .collect();
-            return LhsIndexes::with_shapes(shapes);
-        }
-        // Phase 1: extract `[shape][shard]` entry lists over id chunks.
-        type EntryLists = Vec<Vec<Vec<(IdKey, ValueId)>>>;
-        let ids: Vec<cfd_model::TupleId> = rel.ids().collect();
-        let chunk = ids.len().div_ceil(threads).max(1);
-        let chunked: Vec<EntryLists> = std::thread::scope(|s| {
-            let shape_list = &shape_list;
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut out: EntryLists = (0..shape_list.len())
-                            .map(|_| {
-                                (0..threads)
-                                    .map(|_| Vec::with_capacity(part.len() / threads + 1))
-                                    .collect()
-                            })
-                            .collect();
-                        for id in part {
-                            let t = rel.tuple(*id).expect("listed id is live");
-                            for ((lhs, rhs_attr), entries) in shape_list.iter().zip(out.iter_mut())
-                            {
-                                let key = t.project_key(lhs);
-                                let shard = shard_of(key.as_slice(), threads);
-                                entries[shard].push((key, t.id(*rhs_attr)));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lhs-index extract shard panicked"))
-                .collect()
-        });
-        // Regroup into per-shard work lists (chunk order keeps each list
-        // id-ascending, matching the serial accounting order).
-        let mut per_shard: Vec<Vec<Vec<(IdKey, ValueId)>>> = (0..threads)
-            .map(|_| (0..shape_list.len()).map(|_| Vec::new()).collect())
-            .collect();
-        for mut part in chunked {
-            for (si, shard_lists) in part.iter_mut().enumerate() {
-                for (shard, from) in shard_lists.iter_mut().enumerate() {
-                    per_shard[shard][si].append(from);
-                }
+        let mut shape_list = Vec::new();
+        for n in sigma.iter().filter(|n| !n.is_constant()) {
+            let shape = (n.lhs().to_vec(), n.rhs_attr());
+            if !shape_list.contains(&shape) {
+                shape_list.push(shape);
             }
         }
-        // Phase 2: fold each shard's entries into its own maps.
-        let parts: Vec<Vec<FnvMap<IdKey, GroupState>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = per_shard
-                .into_iter()
-                .map(|mine| {
-                    s.spawn(move || {
-                        mine.into_iter()
-                            .map(|entries| {
-                                let mut map: FnvMap<IdKey, GroupState> = FnvMap::default();
-                                for (key, v) in entries {
-                                    LhsIndex::account(map.entry(key).or_default(), v, 1);
-                                }
-                                map
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lhs-index insert shard panicked"))
-                .collect()
-        });
-        // Disjoint-key union per shape: a key lives wholly inside the
-        // shard its hash selects.
-        let mut shapes: FnvMap<_, LhsIndex> = shape_list
-            .iter()
-            .cloned()
-            .map(|shape| {
-                (
-                    shape,
-                    LhsIndex {
-                        map: FnvMap::default(),
-                    },
-                )
+        let shapes = shape_list
+            .into_iter()
+            .map(|(lhs, rhs)| {
+                let idx = LhsIndex::build(rel, &lhs, rhs);
+                ((lhs, rhs), idx)
             })
             .collect();
-        for part in parts {
-            for (shape, from) in shape_list.iter().zip(part) {
-                let idx = shapes.get_mut(shape).expect("shape registered above");
-                debug_assert!(from.keys().all(|k| !idx.map.contains_key(k)));
-                idx.map.extend(from);
-            }
-        }
-        LhsIndexes::with_shapes(shapes)
+        LhsIndexes { shapes }
     }
 
     /// Register a tuple newly inserted into the clean repair.
@@ -447,46 +327,6 @@ mod tests {
         idx.insert(&sigma, &Tuple::from_iter(["415", "3", "LA"]));
         idx.remove(&sigma, &probe);
         assert_eq!(idx.pinned_id(var, &fresh), Some(vid("LA")));
-    }
-
-    #[test]
-    fn sharded_build_matches_serial() {
-        // Enough tuples to cross the sharded-build threshold; every pin
-        // and verdict must agree with the serial build at any count.
-        let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        for i in 0..5_000u32 {
-            let v = if i % 17 == 0 {
-                Value::Null
-            } else {
-                Value::str(format!("v{}", i % 97))
-            };
-            rel.insert(Tuple::new(vec![Value::str(format!("k{}", i % 97)), v]))
-                .unwrap();
-        }
-        let fd = Cfd::standard_fd(
-            "kv",
-            vec![schema.attr("k").unwrap()],
-            vec![schema.attr("v").unwrap()],
-        );
-        let sigma = Sigma::normalize(schema, vec![fd]).unwrap();
-        let serial = LhsIndexes::build(&rel, &sigma);
-        let var = sigma.get(cfd_cfd::CfdId(0));
-        for threads in [2, 3, 8] {
-            let sharded = LhsIndexes::build_with(&rel, &sigma, &Parallelism::threads(threads));
-            for (_, t) in rel.iter() {
-                assert_eq!(
-                    serial.pinned_id(var, &t),
-                    sharded.pinned_id(var, &t),
-                    "threads={threads}"
-                );
-                assert_eq!(
-                    serial.satisfies(var, &t),
-                    sharded.satisfies(var, &t),
-                    "threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

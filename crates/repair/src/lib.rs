@@ -19,15 +19,13 @@
 //! §3.2 [`cost`] model, [`equivalence`] classes with monotone targets,
 //! [`lhs_index`] for O(1) constraint validation against a clean repair,
 //! [`cluster`] for nearest-value enumeration, the CFD [`depgraph`], and
-//! the [`shard`] module — LHS-key-hash partitioning, per-shard group
-//! censuses, and the deterministic frontier merge that let `BATCHREPAIR`'s
-//! setup fan out across threads ([`Parallelism`]) while staying
-//! byte-identical to a serial run.
+//! the per-shape group census in [`shard`].
 //!
-//! The resolution loop itself is the paper's serial greedy loop:
-//! `PICKNEXT` picks the cheapest fix, `CFD-RESOLVE`/`FINDV` applies it,
-//! and the loop repeats. The one runtime thread knob is `CFD_THREADS`
-//! (default 1), resolved in [`options`].
+//! Both algorithms are the paper's serial greedy loops — for
+//! `BATCHREPAIR`, `PICKNEXT` picks the cheapest fix, `CFD-RESOLVE`/`FINDV`
+//! applies it, and the loop repeats — and their setup (index builds,
+//! census, t=0 frontier scoring) runs on the calling thread too. No
+//! repair setting takes a thread count.
 //!
 //! Both repair problems are NP-complete (the paper's Corollaries 4.1/5.1,
 //! via Bohannon et al. 2005 and distance-SAT); the algorithms here are the
@@ -55,9 +53,10 @@ pub use batch::{
 };
 pub use incremental::{inc_repair, IncConfig, IncOutcome, IncStats, Ordering};
 pub use ind_repair::{repair_ind, repair_inds, IndRepairConfig, IndRepairStats};
+#[doc(hidden)]
+pub use options::Parallelism;
 pub use options::{Algorithm, RepairOptions};
 pub use resident::{DeltaRepair, InsertFootprint, InsertRepairer, StreamRepairer};
-pub use shard::Parallelism;
 pub use subset::{consistent_subset, repair_via_incremental};
 
 /// Errors surfaced by the repair algorithms.

@@ -2,14 +2,13 @@
 //!
 //! Callers that expose both algorithms behind one switch (the CLI
 //! `repair` command, the `cfd-server` daemon) map user-facing flags onto
-//! the *shared* determinism axes — algorithm, picker, `k`, threads,
+//! the *shared* determinism axes — algorithm, picker, `k`,
 //! distance-kernel override — once, here, and lower them to either
 //! algorithm's config via [`RepairOptions::batch_config`] /
-//! [`RepairOptions::inc_config`]. An unset thread count defers to
-//! `CFD_THREADS`, and the environment is parsed **here and only here**
-//! (`env_threads`). (`CFD_SIMD` is process-wide kernel selection and
-//! stays with [`cfd_model::simd_enabled`]; `simd(bool)` here is the
-//! per-call override threaded into the configs.)
+//! [`RepairOptions::inc_config`]. Both algorithms are serial, so no
+//! setting takes a thread count. (`CFD_SIMD` is process-wide kernel
+//! selection and stays with [`cfd_model::simd_enabled`]; `simd(bool)`
+//! here is the per-call override threaded into the configs.)
 //!
 //! [`BatchConfig`] and [`IncConfig`] stay public — construct them
 //! directly only when poking fields `RepairOptions` deliberately does
@@ -17,18 +16,17 @@
 
 use crate::batch::{BatchConfig, PickStrategy};
 use crate::incremental::{IncConfig, Ordering};
-use crate::shard::{Parallelism, MAX_THREADS};
 
-/// Resolved `CFD_THREADS`: the variable when set (clamped to `1..=64`),
-/// else 1. Parsed once per process — the sole reader of the variable.
-pub(crate) fn env_threads() -> usize {
-    static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *RESOLVED.get_or_init(|| {
-        std::env::var("CFD_THREADS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .map_or(1, |n| n.clamp(1, MAX_THREADS))
-    })
+/// The repair thread count, always 1: `perfbench` still records it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Parallelism;
+
+impl Parallelism {
+    /// Always 1.
+    pub fn get(&self) -> usize {
+        1
+    }
 }
 
 /// Which repair algorithm to run — the paper's two flavors, with the
@@ -70,6 +68,19 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
+impl std::str::FromStr for PickStrategy {
+    type Err = String;
+
+    /// The CLI spelling: `global` or `dependency`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "global" => Ok(PickStrategy::GlobalBest),
+            "dependency" => Ok(PickStrategy::DependencyOrdered),
+            other => Err(format!("unknown pick {other:?}")),
+        }
+    }
+}
+
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
@@ -77,17 +88,14 @@ impl std::fmt::Display for Algorithm {
 }
 
 /// Builder over the shared repair knobs, lowering to [`BatchConfig`] or
-/// [`IncConfig`]. An unset thread count resolves from the environment
-/// exactly once per process; two `RepairOptions` that compare equal
-/// produce byte-identical repairs on the same dataset, whatever the
-/// thread setting — that is the determinism contract the differential
-/// suites pin.
+/// [`IncConfig`]. Two `RepairOptions` that compare equal produce
+/// byte-identical repairs on the same dataset — that is the determinism
+/// contract the differential suites pin.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RepairOptions {
     algorithm: Algorithm,
     pick: PickStrategy,
     k: usize,
-    threads: Option<usize>,
     simd: Option<bool>,
 }
 
@@ -97,7 +105,6 @@ impl Default for RepairOptions {
             algorithm: Algorithm::Batch,
             pick: PickStrategy::GlobalBest,
             k: 1,
-            threads: None,
             simd: None,
         }
     }
@@ -128,13 +135,6 @@ impl RepairOptions {
         self
     }
 
-    /// Explicit worker-thread count (clamped to `1..=64`), overriding
-    /// `CFD_THREADS`. Repairs are byte-identical at every count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.clamp(1, MAX_THREADS));
-        self
-    }
-
     /// Distance-kernel override: `true` forces the bit-parallel kernel,
     /// `false` the scalar reference. Unset follows the process-wide
     /// [`cfd_model::simd_enabled`] switch. Byte-identical either way.
@@ -158,19 +158,16 @@ impl RepairOptions {
         self.k
     }
 
-    /// The explicit thread override, if any.
-    pub fn threads_override(&self) -> Option<usize> {
-        self.threads
-    }
-
     /// The explicit kernel override, if any.
     pub fn simd_override(&self) -> Option<bool> {
         self.simd
     }
 
-    /// The effective thread count: the override, or `CFD_THREADS`.
+    /// Always [`Parallelism`]'s single thread: `perfbench` still records
+    /// it.
+    #[doc(hidden)]
     pub fn parallelism(&self) -> Parallelism {
-        Parallelism::threads(self.threads.unwrap_or_else(env_threads))
+        Parallelism
     }
 
     /// Speculation depth of the resolution loop: always `0`. The loop is
@@ -184,7 +181,6 @@ impl RepairOptions {
     pub fn batch_config(&self) -> BatchConfig {
         BatchConfig {
             pick: self.pick,
-            parallelism: self.parallelism(),
             simd: self.simd,
             ..BatchConfig::default()
         }
@@ -200,7 +196,6 @@ impl RepairOptions {
         IncConfig {
             k: self.k,
             ordering,
-            parallelism: self.parallelism(),
             simd: self.simd,
             ..IncConfig::default()
         }
@@ -218,43 +213,36 @@ mod tests {
             assert_eq!(a.as_str(), name);
         }
         assert!("bogus".parse::<Algorithm>().is_err());
+        assert_eq!("global".parse(), Ok(PickStrategy::GlobalBest));
+        assert_eq!("dependency".parse(), Ok(PickStrategy::DependencyOrdered));
+        assert_eq!(
+            "Global".parse::<PickStrategy>(),
+            Err("unknown pick \"Global\"".to_string())
+        );
     }
 
     #[test]
     fn overrides_lower_into_both_configs() {
         let opts = RepairOptions::new()
             .algorithm(Algorithm::Incremental(Ordering::Weight))
+            .pick(PickStrategy::DependencyOrdered)
             .k(3)
-            .threads(2)
             .simd(false);
         let b = opts.batch_config();
-        assert_eq!(b.parallelism.get(), 2);
+        assert_eq!(b.pick, PickStrategy::DependencyOrdered);
         assert_eq!(b.simd, Some(false));
         let i = opts.inc_config();
         assert_eq!(i.k, 3);
         assert_eq!(i.ordering, Ordering::Weight);
-        assert_eq!(i.parallelism.get(), 2);
         assert_eq!(i.simd, Some(false));
     }
 
     #[test]
-    fn unset_threads_follow_the_environment() {
+    fn defaults_and_clamps() {
         let opts = RepairOptions::new();
-        assert_eq!(opts.parallelism(), Parallelism::default());
-        assert_eq!(opts.parallelism().get(), env_threads());
-        assert_eq!(
-            opts.batch_config().parallelism,
-            BatchConfig::default().parallelism
-        );
         assert_eq!(opts.speculation(), 0);
-    }
-
-    #[test]
-    fn clamps_match_the_legacy_structs() {
-        assert_eq!(
-            RepairOptions::new().threads(10_000).parallelism(),
-            Parallelism::threads(10_000)
-        );
+        assert_eq!(opts.parallelism().get(), 1);
+        assert_eq!(opts.simd_override(), None);
         assert_eq!(RepairOptions::new().k(0).k_choice(), 1);
     }
 }

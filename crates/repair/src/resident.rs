@@ -103,9 +103,9 @@ pub struct InsertFootprint {
 impl InsertRepairer {
     /// Build the state over a clean `base`. The value indexes start empty
     /// and are built on first use.
-    pub fn new(base: &Relation, sigma: &Sigma, config: &IncConfig) -> Self {
+    pub fn new(base: &Relation, sigma: &Sigma) -> Self {
         InsertRepairer {
-            lhs: LhsIndexes::build_with(base, sigma, &config.parallelism),
+            lhs: LhsIndexes::build(base, sigma),
             adom: ActiveDomain::of_relation(base),
             vidx: vec![None; base.schema().arity()],
         }
@@ -160,8 +160,7 @@ impl InsertRepairer {
         sigma: &Sigma,
         config: IncConfig,
     ) -> Result<IncOutcome, RepairError> {
-        let threads = config.parallelism.get();
-        let engine = Engine::build_with_threads(base, sigma, threads).to_parts();
+        let engine = Engine::build(base, sigma).to_parts();
         let run = Run::start(self.lend(base, engine, &config), delta, sigma, config);
         match run.failed {
             Some(e) => Err(e),

@@ -9,7 +9,7 @@
 //! drawn from each stratum, with larger shares for more suspicious strata
 //! (`ξ_i ≤ ξ_{i+1}`).
 //!
-//! Two pragmatic adjustments, recorded in DESIGN.md:
+//! Two pragmatic adjustments to the paper's scheme:
 //!
 //! 1. **Budget redistribution.** When a stratum's population is smaller
 //!    than its share of the budget, the spare budget flows to the other

@@ -17,11 +17,10 @@
 //! ## Determinism
 //!
 //! A sequence of requests against a daemon produces **byte-identical**
-//! results to the equivalent sequence of one-shot CLI invocations, at
-//! every `CFD_THREADS` × `CFD_SIMD` setting — repair CSVs, edit logs,
-//! violation reports, all of it (`tests/server_integration.rs` pins the
-//! matrix). Two properties
-//! carry the contract:
+//! results to the equivalent sequence of one-shot CLI invocations, with
+//! the distance kernels on or off — repair CSVs, edit logs, violation
+//! reports, all of it (`tests/server_integration.rs` pins this). Two
+//! properties carry the contract:
 //!
 //! * repairs never mutate the resident relation (they return fresh
 //!   output), so a dataset's state is a function of its open + insert
@@ -86,8 +85,7 @@
 //! 0x03 OpenSnapshot  name:str
 //! 0x04 Detect        dataset:str limit:u32
 //! 0x05 Repair        dataset:str algorithm:str pick:str k:u32
-//!                    threads:opt<u32> simd:opt<bool>
-//!                    want_edits:bool want_stats:bool
+//!                    simd:opt<bool> want_edits:bool want_stats:bool
 //! 0x06 Insert        dataset:str csv:bytes weights:opt<bytes>
 //!                    ordering:u8 ('v'|'w'|'l') k:u32
 //! 0x07 SnapshotSave  dataset:str as_name:str
@@ -104,10 +102,13 @@
 //! ```
 //!
 //! `algorithm` is the CLI spelling (`batch`, `v-inc`, `w-inc`,
-//! `l-inc`); `pick` is `global` or `dependency`; unset `threads` /
-//! `simd` defer to the daemon's environment exactly as the CLI's unset
-//! flags do. A `Repair` frame in the older layout — an extra
-//! `opt<u32>` between `threads` and `simd` — is rejected with a
+//! `l-inc`); `pick` is `global` or `dependency`; an unset `simd`
+//! defers to the daemon's environment exactly as the CLI's unset
+//! `--no-simd` does. Repair is serial, so the frame carries no thread
+//! count. `Repair` frames in either retired layout — with a
+//! `threads:opt<u32>` between `k` and `simd`, or with that field plus a
+//! speculation-depth `opt<u32>` after it — are at least one byte longer
+//! than the current decoder reads, so they are rejected with a
 //! `Protocol` error (trailing bytes or a bad tag), never misread.
 //!
 //! The stream opcodes drive a windowed repair session

@@ -160,16 +160,6 @@ impl Enc {
         self.bytes(v.as_bytes());
     }
 
-    fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            Some(n) => {
-                self.u8(1);
-                self.u32(n);
-            }
-            None => self.u8(0),
-        }
-    }
-
     fn opt_bool(&mut self, v: Option<bool>) {
         match v {
             Some(b) => {
@@ -245,14 +235,6 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| ProtoError::BadUtf8)
     }
 
-    fn opt_u32(&mut self) -> Result<Option<u32>, ProtoError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            t => Err(ProtoError::BadTag(t)),
-        }
-    }
-
     fn opt_bool(&mut self) -> Result<Option<bool>, ProtoError> {
         match self.u8()? {
             0 => Ok(None),
@@ -301,8 +283,6 @@ pub struct RepairSpec {
     pub pick: String,
     /// TUPLERESOLVE attribute-set size.
     pub k: u32,
-    /// Explicit worker-thread override.
-    pub threads: Option<u32>,
     /// Explicit distance-kernel override.
     pub simd: Option<bool>,
 }
@@ -313,7 +293,6 @@ impl Default for RepairSpec {
             algorithm: "batch".to_string(),
             pick: "global".to_string(),
             k: 2,
-            threads: None,
             simd: None,
         }
     }
@@ -447,7 +426,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.str(&spec.algorithm);
             e.str(&spec.pick);
             e.u32(spec.k);
-            e.opt_u32(spec.threads);
             e.opt_bool(spec.simd);
             e.bool(*want_edits);
             e.bool(*want_stats);
@@ -549,7 +527,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
                 algorithm: d.str()?.to_string(),
                 pick: d.str()?.to_string(),
                 k: d.u32()?,
-                threads: d.opt_u32()?,
                 simd: d.opt_bool()?,
             },
             want_edits: d.bool()?,
@@ -788,7 +765,6 @@ mod tests {
                 algorithm: "v-inc".into(),
                 pick: "dependency".into(),
                 k: 3,
-                threads: Some(2),
                 simd: Some(false),
             },
             want_edits: true,
@@ -885,42 +861,58 @@ mod tests {
 
     #[test]
     fn retired_repair_layout_is_a_typed_error() {
-        // Before the resolution loop lost its speculation depth, a Repair
-        // frame carried an extra `opt<u32>` between `threads` and `simd`.
-        // A stale client's frame must fail to decode — never decode to a
+        // Two retired Repair layouts carry fields the current frame lacks
+        // between `k` and `simd`: a `threads:opt<u32>` override, and
+        // before that also a speculation-depth `opt<u32>` after it. A
+        // stale client's frame must fail to decode — never decode to a
         // different request.
-        let legacy = |spec: &RepairSpec, depth: Option<u32>, edits: bool, stats: bool| {
+        let opt_u32 = |e: &mut Enc, v: Option<u32>| match v {
+            Some(n) => {
+                e.u8(1);
+                e.u32(n);
+            }
+            None => e.u8(0),
+        };
+        let legacy = |threads: Option<u32>,
+                      depth: Option<Option<u32>>,
+                      simd: Option<bool>,
+                      edits: bool,
+                      stats: bool| {
+            let spec = RepairSpec::default();
             let mut e = Enc::new(OP_REPAIR);
             e.str("cust");
             e.str(&spec.algorithm);
             e.str(&spec.pick);
             e.u32(spec.k);
-            e.opt_u32(spec.threads);
-            e.opt_u32(depth);
-            e.opt_bool(spec.simd);
+            opt_u32(&mut e, threads);
+            if let Some(depth) = depth {
+                opt_u32(&mut e, depth);
+            }
+            e.opt_bool(simd);
             e.bool(edits);
             e.bool(stats);
             e.0
         };
-        for depth in [None, Some(8)] {
-            for threads in [None, Some(2)] {
+        let mut frames = 0;
+        for depth in [None, Some(None), Some(Some(8))] {
+            for threads in [None, Some(1), Some(2)] {
                 for simd in [None, Some(false), Some(true)] {
-                    for (edits, stats) in [(false, false), (true, false), (true, true)] {
-                        let spec = RepairSpec {
-                            threads,
-                            simd,
-                            ..RepairSpec::default()
-                        };
-                        let frame = legacy(&spec, depth, edits, stats);
-                        let got = decode_request(&frame);
-                        assert!(
-                            matches!(got, Err(ProtoError::Trailing(_) | ProtoError::BadTag(_))),
-                            "depth={depth:?} threads={threads:?} simd={simd:?}: {got:?}"
-                        );
+                    for edits in [false, true] {
+                        for stats in [false, true] {
+                            let frame = legacy(threads, depth, simd, edits, stats);
+                            let got = decode_request(&frame);
+                            assert!(
+                                matches!(got, Err(ProtoError::Trailing(_) | ProtoError::BadTag(_))),
+                                "depth={depth:?} threads={threads:?} simd={simd:?} \
+                                 edits={edits} stats={stats}: {got:?}"
+                            );
+                            frames += 1;
+                        }
                     }
                 }
             }
         }
+        assert_eq!(frames, 108);
     }
 
     #[test]

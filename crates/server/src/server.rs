@@ -377,18 +377,11 @@ fn spec_to_options(spec: &RepairSpec) -> Result<RepairOptions, SessionError> {
             spec.algorithm
         ))
     })?;
-    let pick = match spec.pick.as_str() {
-        "global" => PickStrategy::GlobalBest,
-        "dependency" => PickStrategy::DependencyOrdered,
-        other => return Err(SessionError::Data(format!("unknown pick {other:?}"))),
-    };
+    let pick: PickStrategy = spec.pick.parse().map_err(SessionError::Data)?;
     let mut opts = RepairOptions::new()
         .algorithm(algorithm)
         .pick(pick)
         .k(spec.k as usize);
-    if let Some(n) = spec.threads {
-        opts = opts.threads(n as usize);
-    }
     if let Some(simd) = spec.simd {
         opts = opts.simd(simd);
     }

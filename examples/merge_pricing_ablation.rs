@@ -1,5 +1,5 @@
 //! Demonstrates why free/free merges are priced by *group majority*
-//! rather than pairwise (DESIGN.md §7 item 3).
+//! rather than by the literal two-cell reading of §4.1.
 //!
 //! The workload seeds below contain "bridge" corruptions: a tuple whose
 //! corrupted group key (street) parks it in a foreign group of the

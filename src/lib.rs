@@ -70,8 +70,9 @@
 //! [`SessionError::Poisoned`] instead of a wedged session, siblings
 //! proceed untouched, and eviction still succeeds and reclaims the
 //! memory. The server integration suite pins daemon answers against
-//! the one-shot facade across the thread-count × SIMD corner matrix, and a CI smoke job diffs a real daemon's output
-//! against the committed golden fixtures.
+//! the one-shot facade with the SIMD kernels on and off, and a CI smoke
+//! job diffs a real daemon's output against the committed golden
+//! fixtures.
 //!
 //! ## Streaming repair sessions
 //!
@@ -135,18 +136,13 @@
 //! client over CSV and rule files, and a dependency-free seedable PRNG
 //! (`cfd-prng`) backing the generator and the randomized test suites.
 //!
-//! One runtime knob controls threading: `CFD_THREADS` (default 1; CLI
-//! `--threads`, [`repair::RepairOptions::threads`]). It shards the
-//! detection index builds and the repair layer's setup —
-//! `BATCHREPAIR`'s group census and initial `PICKNEXT` frontier,
-//! `INCREPAIR`'s ordering scan — across `std::thread::scope` workers,
-//! cheap to fan out now that keys are `Copy` ids over `Sync` column
-//! slices. Sharding partitions by LHS-key hash range and merges under a
-//! total, seed-independent order ([`repair::shard`]), so repairs are
-//! **byte-identical at every thread count** ([`repair::Parallelism`]);
-//! a 300-trial differential suite and a CI thread-count matrix pin the
-//! guarantee. The resolution loop itself is the paper's serial greedy
-//! `BATCHREPAIR` loop.
+//! Detection, `BATCHREPAIR` and `INCREPAIR` run on the calling thread,
+//! as the paper's serial greedy algorithms do; no repair setting takes a
+//! thread count. `PICKNEXT` resolves under a total, seed-independent key
+//! order, so the same (dataset, Σ, options) always gives byte-identical
+//! repairs, cost bits and edit logs. Concurrency lives in the daemon
+//! (one thread per connection over a thread-safe, dataset-scoped value
+//! pool), never inside one repair.
 //!
 //! ## Example
 //!

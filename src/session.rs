@@ -29,9 +29,9 @@
 //! a dataset interns into a brand-new pool in the same order the CLI
 //! does (CSV column-major, then the rules' pattern constants, uncounted),
 //! so every detect/repair answer is byte-identical to running the
-//! equivalent `cfdclean` command — at every `CFD_THREADS` and
-//! `CFD_SIMD` setting, per the workspace-wide
-//! thread-determinism contract. Insert requests keep the contract over
+//! equivalent `cfdclean` command — at either `CFD_SIMD` setting, per
+//! the workspace-wide determinism contract. Insert requests keep the
+//! contract over
 //! time: ΔD's values are interned, repaired, and then retired **and
 //! sealed** ([`ValuePool::seal_ids`]) — released without free-list
 //! reuse — so a later request's interns still get append-order ids,
@@ -82,7 +82,7 @@ use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
 use cfd_model::{csv, Catalog, Mapping, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
     batch_repair_with_parts, repair_via_incremental, Algorithm, IncConfig, InsertFootprint,
-    InsertRepairer, Ordering, Parallelism, RepairError, RepairOptions,
+    InsertRepairer, Ordering, RepairError, RepairOptions,
 };
 
 use crate::stream::{RepairSession, StreamCloseReport, StreamConfig, StreamInfo, WindowResult};
@@ -647,7 +647,7 @@ impl DatasetHandle {
         let mut base_csv = Vec::new();
         csv::write_relation(&self.relation, &mut base_csv)
             .map_err(|e| SessionError::Internal(format!("cannot render base: {e}")))?;
-        let repairer = InsertRepairer::new(&self.relation, &bound.sigma, &IncConfig::default());
+        let repairer = InsertRepairer::new(&self.relation, &bound.sigma);
         self.resident = Some(ResidentInsert { repairer, base_csv });
         Ok(())
     }
@@ -783,11 +783,9 @@ impl DatasetHandle {
     }
 }
 
-/// The resident detection index of `rel` under `sigma`. Index contents
-/// are thread-count-independent (pinned by the engine's differential
-/// suite), so the build fan-out never leaks into results.
+/// The resident detection index of `rel` under `sigma`.
 fn detection_parts(rel: &Relation, sigma: &Sigma) -> EngineParts {
-    Engine::build_with_threads(rel, sigma, Parallelism::default().get()).to_parts()
+    Engine::build(rel, sigma).to_parts()
 }
 
 /// Every non-null cell id of `rel`'s live tuples, one entry per

@@ -7,9 +7,9 @@
 //! each window closes into one incremental repair round over a resident
 //! [`StreamRepairer`] (no index is ever rebuilt), and the durable output
 //! per closed window is one id-stable `.cfde` edit log — the repair of
-//! exactly that window's arrivals, byte-identical at every
-//! `CFD_THREADS` × `CFD_SIMD` corner and identical
-//! whether the events were fed in-process or through the daemon.
+//! exactly that window's arrivals, byte-identical at either `CFD_SIMD`
+//! setting and identical whether the events were fed in-process or
+//! through the daemon.
 //!
 //! ## Window semantics
 //!

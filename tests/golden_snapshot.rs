@@ -5,8 +5,8 @@
 //! embedded rules) and the batch repair's id-level edit log are
 //! committed as binary fixtures under `tests/fixtures/`. The snapshot
 //! encoding is canonical — independent of pool history — so these files
-//! must reproduce byte for byte in every process, at every thread count
-//! and SIMD setting of the CI matrix. The test also pins the
+//! must reproduce byte for byte in every process, at every SIMD setting
+//! of the CI matrix. The test also pins the
 //! end-to-end persistence contract: snapshot load → repair equals the
 //! committed `cust_repaired.csv`, and snapshot + edit log replays to the
 //! same bytes without running the repair at all.

@@ -349,7 +349,7 @@ fn verification_covers_every_delta_tuple() {
     let conflicting = Tuple::from_iter(["k1", "x"]);
     let clean = Tuple::from_iter(["k3", "w"]);
     let mut parts = Engine::build(&base, &sigma).to_parts();
-    let mut repairer = InsertRepairer::new(&base, &sigma, &config);
+    let mut repairer = InsertRepairer::new(&base, &sigma);
     let before = repairer.footprint();
     for delta in [
         vec![conflicting.clone(), clean.clone()],

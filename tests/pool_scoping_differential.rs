@@ -17,8 +17,8 @@
 //!   both orders (detecting and repairing B in between, the realistic
 //!   interference), and assert A's detect report, `BATCHREPAIR` output
 //!   and `INCREPAIR` output are byte-identical (stats and exact cost
-//!   bits included) to the single-dataset run, across the full
-//!   threads × SIMD-kernel corner matrix.
+//!   bits included) to the single-dataset run, with the SIMD kernels on
+//!   and off.
 //! * **Repeat-repair regression** — repairing the same loaded dataset
 //!   twice in one process, re-normalizing Σ each time as the CLI does,
 //!   must be byte-identical run to run.
@@ -36,9 +36,8 @@ use cfdclean::cfd::{violation, Cfd, Sigma, ViolationReport};
 use cfdclean::model::csv::{read_relation_in, write_relation};
 use cfdclean::model::{AttrId, Relation, Tuple, TupleId, Value, ValueId, ValuePool};
 use cfdclean::repair::incremental::IncStats;
-use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, BatchStats, IncConfig, Parallelism};
+use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, BatchStats, IncConfig};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const SIMD_KERNELS: [bool; 2] = [false, true];
 
 /// Dataset A. Under `fd: [a] -> [b]`, group `k1` conflicts with `b`
@@ -132,45 +131,41 @@ struct DatasetOutputs {
 }
 
 /// Detect, then run `BATCHREPAIR` and (over the repaired base)
-/// `INCREPAIR` across the threads × kernel matrix.
+/// `INCREPAIR` with each distance kernel.
 fn dataset_outputs(rel: &Relation, delta: &[Tuple]) -> DatasetOutputs {
     let sigma = sigma_for(rel);
     let detect = violation::detect(rel, &sigma);
     let mut corners = Vec::new();
-    for threads in THREAD_COUNTS {
-        for simd in SIMD_KERNELS {
-            let batch = batch_repair(
-                rel,
-                &sigma,
-                BatchConfig {
-                    parallelism: Parallelism::threads(threads),
-                    simd: Some(simd),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let inc = inc_repair(
-                &batch.repair,
-                delta,
-                &sigma,
-                IncConfig {
-                    parallelism: Parallelism::threads(threads),
-                    simd: Some(simd),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            corners.push(CornerOutput {
-                label: format!("threads={threads} simd={simd}"),
-                batch_csv: render(&batch.repair),
-                batch_stats: batch.stats,
-                batch_cost_bits: batch.stats.cost.to_bits(),
-                inc_csv: render(&inc.repair),
-                inc_delta_ids: inc.delta_ids,
-                inc_stats: inc.stats,
-                inc_cost_bits: inc.stats.cost.to_bits(),
-            });
-        }
+    for simd in SIMD_KERNELS {
+        let batch = batch_repair(
+            rel,
+            &sigma,
+            BatchConfig {
+                simd: Some(simd),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let inc = inc_repair(
+            &batch.repair,
+            delta,
+            &sigma,
+            IncConfig {
+                simd: Some(simd),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        corners.push(CornerOutput {
+            label: format!("simd={simd}"),
+            batch_csv: render(&batch.repair),
+            batch_stats: batch.stats,
+            batch_cost_bits: batch.stats.cost.to_bits(),
+            inc_csv: render(&inc.repair),
+            inc_delta_ids: inc.delta_ids,
+            inc_stats: inc.stats,
+            inc_cost_bits: inc.stats.cost.to_bits(),
+        });
     }
     DatasetOutputs { detect, corners }
 }

@@ -10,8 +10,8 @@
 //!   empty, >64-char values crossing the u64 word boundary, and
 //!   transposition-heavy typo strings — for both the exact and the
 //!   bounded (cutoff) form;
-//! * 300 seeded repair trials (200 `BATCHREPAIR` across thread-count
-//!   corners + 100 `INCREPAIR`) produce byte-identical
+//! * 300 seeded repair trials (200 `BATCHREPAIR` under both pickers +
+//!   100 `INCREPAIR`) produce byte-identical
 //!   repairs and exact `f64` cost bits with the kernels forced on vs
 //!   forced off (`BatchConfig::simd` / `IncConfig::simd`, the in-process
 //!   form of `CFD_SIMD`); the CI determinism matrix additionally runs a
@@ -29,9 +29,7 @@ use cfdclean::cfd::{Cfd, Sigma};
 use cfdclean::model::{AttrId, Relation, Schema, Tuple, TupleId, Value, ValuePool};
 use cfdclean::repair::distance::{dl_distance_bounded, dl_distance_reference};
 use cfdclean::repair::pricing::TargetPricer;
-use cfdclean::repair::{
-    batch_repair, inc_repair, BatchConfig, IncConfig, Parallelism, PickStrategy,
-};
+use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, IncConfig, PickStrategy};
 
 const ARITY: usize = 4;
 
@@ -270,8 +268,7 @@ fn assert_same_contents(reference: &Relation, got: &Relation, ctx: &str) {
 
 /// 200 trials: `BATCHREPAIR` with the scalar kernels (simd off) is the
 /// reference; the bit-parallel kernels must reproduce it byte-for-byte —
-/// repairs, stats, and exact cost bits — at serial and sharded corners
-/// and under both pickers.
+/// repairs, stats, and exact cost bits — under both pickers.
 #[test]
 fn differential_batch_simd_on_off() {
     trials(200, 0x51AD_BA7C, |rng| {
@@ -287,33 +284,29 @@ fn differential_batch_simd_on_off() {
             &sigma,
             BatchConfig {
                 pick,
-                parallelism: Parallelism::serial(),
                 simd: Some(false),
                 ..Default::default()
             },
         )
         .unwrap();
-        for threads in [1usize, 2, 8] {
-            let fast = batch_repair(
-                &rel,
-                &sigma,
-                BatchConfig {
-                    pick,
-                    parallelism: Parallelism::threads(threads),
-                    simd: Some(true),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let ctx = format!("batch {pick:?} simd-on threads={threads}");
-            assert_same_contents(&reference.repair, &fast.repair, &ctx);
-            assert_eq!(reference.stats, fast.stats, "{ctx}: stats");
-            assert_eq!(
-                reference.stats.cost.to_bits(),
-                fast.stats.cost.to_bits(),
-                "{ctx}: cost bits"
-            );
-        }
+        let fast = batch_repair(
+            &rel,
+            &sigma,
+            BatchConfig {
+                pick,
+                simd: Some(true),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let ctx = format!("batch {pick:?} simd-on");
+        assert_same_contents(&reference.repair, &fast.repair, &ctx);
+        assert_eq!(reference.stats, fast.stats, "{ctx}: stats");
+        assert_eq!(
+            reference.stats.cost.to_bits(),
+            fast.stats.cost.to_bits(),
+            "{ctx}: cost bits"
+        );
     });
 }
 

@@ -264,8 +264,8 @@ fn differential_csv_vs_snapshot_ingest() {
 /// seeded trials where the same snapshot bytes are opened through both
 /// paths. The mapped relation must be cell-, weight-, and
 /// liveness-identical, produce bit-identical repairs (stats and cost
-/// bits included, at whatever `CFD_THREADS`/`CFD_SIMD`
-/// corner the suite runs under), re-save byte-identically, and honor
+/// bits included, at whatever `CFD_SIMD` setting the suite runs
+/// under), re-save byte-identically, and honor
 /// copy-on-write: a cell write to one mapped dataset must not leak into
 /// a sibling opened over the very same mapping.
 #[test]

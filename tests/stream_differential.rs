@@ -10,10 +10,9 @@
 //!   produces byte-identical edit-log bytes to a one-shot `inc_repair`
 //!   of the same batch; a multi-window stream (no deletes) equals the
 //!   sequence of one-shot repairs on the evolved bases. One-shot repairs
-//!   are already pinned byte-identical across the `CFD_THREADS` ×
-//!   `CFD_SIMD` matrix, so running this suite under
-//!   the CI determinism matrix extends that guarantee to streams by
-//!   transitivity.
+//!   are already pinned byte-identical with `CFD_SIMD` on and off, so
+//!   running this suite under the CI determinism matrix extends that
+//!   guarantee to streams by transitivity.
 //! * **Sliding ≡ tumbling at S = W**, and window-commit arithmetic.
 //! * **Pool hygiene** — closing a stream returns the dictionary's slot
 //!   count to its pre-stream value, every round; evicting a dataset
@@ -23,7 +22,7 @@
 use cfdclean::model::diff::EditLog;
 use cfdclean::model::snapshot::read_edit_log_in;
 use cfdclean::model::{csv, Relation, TupleId};
-use cfdclean::repair::{inc_repair, IncConfig, Ordering, Parallelism};
+use cfdclean::repair::{inc_repair, IncConfig, Ordering};
 use cfdclean::{Session, SessionError, StreamConfig, WindowResult};
 
 const CSV_DATA: &str = "AC,PN,CT,ST,zip\n\
@@ -99,7 +98,6 @@ fn oneshot_window(
     let cfg = IncConfig {
         k: 1,
         ordering: Ordering::Violations,
-        parallelism: Parallelism::default(),
         ..IncConfig::default()
     };
     let out = inc_repair(base, &delta, sigma, cfg).expect("one-shot repair");
