@@ -265,17 +265,9 @@ fn variable_group_conflicts(
     rel: &Relation,
     group: &[TupleId],
 ) -> Vec<(TupleId, usize)> {
-    // One RHS read per member: straight off the column slice on columnar
-    // storage, through the row view otherwise.
+    // One RHS read per member, straight off the column slice.
     let rhs_col = rel.column(n.rhs_attr());
-    let rhs_of = |id: TupleId| -> ValueId {
-        match rhs_col {
-            Some(col) => col[id.index()],
-            None => rel
-                .value_id(id, n.rhs_attr())
-                .expect("index holds live ids"),
-        }
-    };
+    let rhs_of = |id: TupleId| -> ValueId { rhs_col[id.index()] };
     // Tally non-null RHS ids in the group — a u32-keyed histogram.
     let mut counts: HashMap<ValueId, usize> = HashMap::new();
     let mut non_null_total = 0usize;
@@ -470,10 +462,7 @@ impl<'a> Engine<'a> {
                 if exclude == Some(*other) {
                     continue;
                 }
-                let ov = match rhs_col {
-                    Some(col) => col[other.index()],
-                    None => rel.value_id(*other, n.rhs_attr()).expect("live"),
-                };
+                let ov = rhs_col[other.index()];
                 if !ov.is_null() && ov != v {
                     vio += 1;
                 }
@@ -486,53 +475,20 @@ impl<'a> Engine<'a> {
 /// The constant-rule pass of full detection: for every live tuple, count
 /// the fired-but-unsatisfied constant rules into `report`.
 fn constant_scan(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) {
-    if cfd_model::simd_enabled() && constant_scan_simd(rel, rules, report) {
-        return;
-    }
-    if constant_scan_columnar(rel, rules, report) {
-        return;
-    }
-    constant_scan_rows(rel, rules, report);
-}
-
-/// Row-major reference scan — the fallback for relations without columns,
-/// and the baseline every other constant-scan path must agree with.
-fn constant_scan_rows(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) {
-    for (id, t) in rel.iter() {
-        rules.for_each_fired(&t, |_, r| {
-            if !r.rhs.satisfied_by_id(t.id(r.rhs_attr)) {
-                *report.per_tuple.entry(id).or_insert(0) += 1;
-                report.per_cfd[r.id.index()].push(id);
-                report.total += 1;
-            }
-        });
+    if !(cfd_model::simd_enabled() && constant_scan_simd(rel, rules, report)) {
+        constant_scan_columnar(rel, rules, report);
     }
 }
 
-/// Columnar constant scan: rule groups in the outer loop, tuples inner,
-/// so each pass reads only the group's LHS/RHS **column slices** —
-/// contiguous `u32` runs — instead of materializing row views. Returns
-/// false when `rel` has no columns (row-major layout).
-fn constant_scan_columnar(
-    rel: &Relation,
-    rules: &ConstantRules,
-    report: &mut ViolationReport,
-) -> bool {
-    if rel.schema().arity() > 0 && rel.column(AttrId(0)).is_none() {
-        return false;
-    }
+/// Scalar constant scan — the reference every other constant-scan path
+/// must agree with. Rule groups in the outer loop, tuples inner, so each
+/// pass reads only the group's LHS/RHS **column slices** — contiguous
+/// `u32` runs — instead of materializing row views.
+fn constant_scan_columnar(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) {
     let live: Vec<TupleId> = rel.ids().collect();
     for g in &rules.groups {
-        let lhs_cols: Vec<&[ValueId]> = g
-            .lhs
-            .iter()
-            .map(|a| rel.column(*a).expect("columnar layout"))
-            .collect();
-        let key_cols: Vec<&[ValueId]> = g
-            .const_attrs
-            .iter()
-            .map(|a| rel.column(*a).expect("columnar layout"))
-            .collect();
+        let lhs_cols: Vec<&[ValueId]> = g.lhs.iter().map(|a| rel.column(*a)).collect();
+        let key_cols: Vec<&[ValueId]> = g.const_attrs.iter().map(|a| rel.column(*a)).collect();
         for id in &live {
             let slot = id.index();
             if lhs_cols.iter().any(|c| c[slot].is_null()) {
@@ -541,7 +497,7 @@ fn constant_scan_columnar(
             let key: IdKey = key_cols.iter().map(|c| c[slot]).collect();
             if let Some(rules) = g.map.get(&key) {
                 for r in rules {
-                    let rhs = rel.column(r.rhs_attr).expect("columnar layout");
+                    let rhs = rel.column(r.rhs_attr);
                     if !r.rhs.satisfied_by_id(rhs[slot]) {
                         *report.per_tuple.entry(*id).or_insert(0) += 1;
                         report.per_cfd[r.id.index()].push(*id);
@@ -551,7 +507,6 @@ fn constant_scan_columnar(
             }
         }
     }
-    true
 }
 
 /// Vectorized constant scan: **key-major** over contiguous `ValueId(u32)`
@@ -570,10 +525,10 @@ fn constant_scan_columnar(
 /// The hit *multiset* is identical to the scalar scan's (each live tuple
 /// matches at most one key per group — map keys are distinct).
 ///
-/// Returns false (nothing recorded) when the relation has no columns or
-/// a key column is too sparse to pay off, letting the scalar paths run.
+/// Returns false (nothing recorded) when the relation has no attributes
+/// or a group has too many keys to pay off, letting the scalar scan run.
 fn constant_scan_simd(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) -> bool {
-    if rel.schema().arity() == 0 || rel.column(AttrId(0)).is_none() {
+    if rel.schema().arity() == 0 {
         return false;
     }
     // Key-major is a win when keys are few (constant tableaux are small in
@@ -586,7 +541,7 @@ fn constant_scan_simd(rel: &Relation, rules: &ConstantRules, report: &mut Violat
     {
         return false;
     }
-    let slots = rel.column(AttrId(0)).expect("checked above").len();
+    let slots = rel.slot_count();
     let words = slots.div_ceil(64);
     // Live bitmask: dead slots keep stale ids and must never match.
     let mut live = vec![0u64; words];
@@ -597,17 +552,12 @@ fn constant_scan_simd(rel: &Relation, rules: &ConstantRules, report: &mut Violat
         if g.map.is_empty() {
             continue;
         }
-        let key_cols: Vec<&[ValueId]> = g
-            .const_attrs
-            .iter()
-            .map(|a| rel.column(*a).expect("columnar layout"))
-            .collect();
+        let key_cols: Vec<&[ValueId]> = g.const_attrs.iter().map(|a| rel.column(*a)).collect();
         // Eligibility: live ∧ every LHS column non-null (`NULL_ID` is slot
         // 0 of the pool, so the null test is an integer compare with 0).
         let mut eligible = live.clone();
         for a in &g.lhs {
-            let col = rel.column(*a).expect("columnar layout");
-            and_nonnull(col, &mut eligible);
+            and_nonnull(rel.column(*a), &mut eligible);
         }
         // Sorted keys: map iteration order is seeded per process and must
         // not reach the scan order.
@@ -636,7 +586,7 @@ fn constant_scan_simd(rel: &Relation, rules: &ConstantRules, report: &mut Violat
                 continue;
             }
             for r in &g.map[key] {
-                let rhs = rel.column(r.rhs_attr).expect("columnar layout");
+                let rhs = rel.column(r.rhs_attr);
                 for &s in &hits {
                     if !r.rhs.satisfied_by_id(rhs[s as usize]) {
                         let id = TupleId(s);
@@ -796,9 +746,8 @@ fn detect_inner(
 
 /// The constant-rule pass alone, with an explicit kernel choice — the
 /// bench and differential-test entry point. `simd == true` runs the
-/// vectorized key-major scan (falling back to scalar where the layout or
-/// key cardinality rules it out); `false` forces the scalar columnar/row
-/// reference. `per_cfd` comes back sorted + deduped like
+/// vectorized key-major scan (falling back to scalar where the arity or
+/// key cardinality rules it out); `false` forces the scalar reference. `per_cfd` comes back sorted + deduped like
 /// [`detect_with_engine`] leaves it, so reports compare with `==`.
 pub fn constant_scan_with_kernel(
     rel: &Relation,
@@ -810,9 +759,8 @@ pub fn constant_scan_with_kernel(
         per_cfd: vec![Vec::new(); sigma.len()],
         ..Default::default()
     };
-    let done = simd && constant_scan_simd(rel, &engine.rules, &mut report);
-    if !done && !constant_scan_columnar(rel, &engine.rules, &mut report) {
-        constant_scan_rows(rel, &engine.rules, &mut report);
+    if !(simd && constant_scan_simd(rel, &engine.rules, &mut report)) {
+        constant_scan_columnar(rel, &engine.rules, &mut report);
     }
     for ids in &mut report.per_cfd {
         ids.sort();
@@ -865,10 +813,7 @@ pub fn check(rel: &Relation, sigma: &Sigma) -> bool {
             }
             let mut seen: Option<ValueId> = None;
             for id in group {
-                let v = match rhs_col {
-                    Some(col) => col[id.index()],
-                    None => rel.value_id(*id, n.rhs_attr()).expect("live"),
-                };
+                let v = rhs_col[id.index()];
                 if v.is_null() {
                     continue;
                 }

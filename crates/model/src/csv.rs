@@ -851,7 +851,7 @@ mod tests {
             match (got, reference_read(&input, &ref_pool)) {
                 (Ok(rel), Ok(want)) => {
                     for (a, col) in want.iter().enumerate() {
-                        assert_eq!(rel.column(AttrId(a as u16)).unwrap(), col, "{ctx}");
+                        assert_eq!(rel.column(AttrId(a as u16)), col, "{ctx}");
                     }
                     assert_eq!(pool.len(), ref_pool.len(), "{ctx}");
                     for id in (0..ref_pool.len() as u32).map(ValueId) {
@@ -874,7 +874,7 @@ mod tests {
         let input = "a\n#i:7\n#i:07\n\"#i:7\"\n\\N\n\"\\N\"\n#i:7\n";
         let pool = ValuePool::new_handle();
         let rel = read_relation_in("r", &mut input.as_bytes(), pool.clone()).unwrap();
-        let col = rel.column(AttrId(0)).unwrap();
+        let col = rel.column(AttrId(0));
         // `#i:7` and `#i:07` are one value; the quoted forms are strings.
         assert_eq!(col[0], col[1]);
         assert_eq!(col[0], col[5]);

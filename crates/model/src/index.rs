@@ -31,26 +31,21 @@ impl HashIndex {
     /// truncate group walks, so that order is part of the determinism
     /// contract, not an implementation detail.
     ///
-    /// On a columnar relation the build walks the indexed attributes'
-    /// column slices directly — one contiguous `u32` read per (attribute,
-    /// tuple) — instead of dereferencing row objects.
+    /// The build walks the indexed attributes' column slices directly —
+    /// one contiguous `u32` read per (attribute, tuple) — instead of
+    /// materializing rows.
     pub fn build(rel: &Relation, attrs: &[AttrId]) -> Self {
-        let mut idx = HashIndex {
+        let cols: Vec<&[ValueId]> = attrs.iter().map(|a| rel.column(*a)).collect();
+        let mut map: HashMap<IdKey, Vec<TupleId>> = HashMap::new();
+        for id in rel.ids() {
+            let slot = id.index();
+            let key: IdKey = cols.iter().map(|c| c[slot]).collect();
+            map.entry(key).or_default().push(id);
+        }
+        HashIndex {
             attrs: attrs.to_vec(),
-            map: HashMap::new(),
-        };
-        if let Some(cols) = columns_of(rel, attrs) {
-            for id in rel.ids() {
-                let slot = id.index();
-                let key: IdKey = cols.iter().map(|c| c[slot]).collect();
-                idx.map.entry(key).or_default().push(id);
-            }
-            return idx;
+            map,
         }
-        for (id, t) in rel.iter() {
-            idx.insert(id, &t);
-        }
-        idx
     }
 
     /// An empty index on `attrs`.
@@ -131,11 +126,6 @@ impl HashIndex {
     pub fn group_count(&self) -> usize {
         self.map.len()
     }
-}
-
-/// The column slices for `attrs`, when `rel` stores columns.
-fn columns_of<'a>(rel: &'a Relation, attrs: &[AttrId]) -> Option<Vec<&'a [ValueId]>> {
-    attrs.iter().map(|a| rel.column(*a)).collect()
 }
 
 #[cfg(test)]

@@ -32,16 +32,14 @@
 //!   [`TupleView`] abstracts its read API so scans and pattern matching
 //!   run identically on owned tuples and storage views.
 //! * [`storage`] — the physical layer: [`ColumnStore`] keeps the relation
-//!   as per-attribute `ValueId`/weight columns plus a validity bitmap
-//!   (the default), with a row-major reference store selectable behind
-//!   the same abstraction; [`RowRef`] is the zero-copy per-tuple view
-//!   over either. Hot scans (violation detection, census walks, index
-//!   builds, discovery partitions) read contiguous column slices;
-//!   [`Tuple`]s materialize on demand at the edges.
+//!   as per-attribute `ValueId`/weight columns plus a validity bitmap;
+//!   [`RowRef`] is the zero-copy per-tuple view over one of its slots.
+//!   Hot scans (violation detection, census walks, index builds,
+//!   discovery partitions) read contiguous column slices; [`Tuple`]s
+//!   materialize on demand at the edges.
 //! * [`Relation`] — a multiset of tuples with *stable* [`TupleId`]s, so a
 //!   tuple can be tracked through repairs even as its values change (the
-//!   "temporary unique tuple id" of §3.1); layout-selectable via
-//!   [`StorageLayout`] and pivotable with `Relation::to_layout`.
+//!   "temporary unique tuple id" of §3.1), stored in one [`ColumnStore`].
 //! * [`Database`] — named relations sharing one database-owned pool
 //!   (exposed via [`Database::pool`]).
 //! * [`ActiveDomain`] — `adom(A, D)` as an id multiset, the candidate pool
@@ -95,6 +93,6 @@ pub use relation::{Relation, TupleId};
 pub use schema::{AttrId, Schema};
 pub use simd::{force_simd, simd_enabled};
 pub use snapshot::{Catalog, LoadedSnapshot, SegmentInfo, SnapshotError, SnapshotInfo};
-pub use storage::{ColumnStore, IdColumn, RowRef, StorageLayout};
+pub use storage::{ColumnStore, IdColumn, RowRef};
 pub use tuple::{Tuple, TupleView};
 pub use value::Value;

@@ -523,7 +523,7 @@ impl DictBuilder {
 // ---------------------------------------------------------------------------
 // snapshot write
 
-/// Serialize `rel` (any layout) plus optional rule text into `w` in the
+/// Serialize `rel` plus optional rule text into `w` in the
 /// version-1 snapshot format. The bytes are canonical: independent of
 /// the process's pool history and of whether slots were tombstoned
 /// before or after their neighbours.
@@ -546,8 +546,7 @@ pub fn snapshot_to_vec(rel: &Relation, rules: Option<&str>) -> Vec<u8> {
     // Dictionary + local-id columns, attribute-major in slot order — the
     // same order a fresh pool meets the values in when bulk-importing the
     // CSV rendering of this relation, so local ids are canonical. Dead
-    // slots keep their cell contents when the layout still has them
-    // (columnar tombstones), else serialize as null; their occurrence
+    // slots keep their stale cell contents and weights; their occurrence
     // counts are never accumulated.
     let mut dict = DictBuilder::new();
     let mut local_cols: Vec<Vec<u32>> = Vec::with_capacity(arity);
@@ -555,19 +554,15 @@ pub fn snapshot_to_vec(rel: &Relation, rules: Option<&str>) -> Vec<u8> {
     for a in schema.attr_ids() {
         let mut locals = Vec::with_capacity(slots);
         let mut weights = Vec::with_capacity(slots);
-        let raw_col = rel.column(a);
-        let raw_weights = rel.weight_column(a);
-        for slot in 0..slots {
-            let id = TupleId(slot as u32);
-            if rel.is_live(id) {
-                let v = rel.value_id(id, a).expect("live slot");
-                locals.push(dict.observe_live(v));
-                weights.push(rel.cell_weight(id, a).expect("live slot"));
+        let col = rel.column(a);
+        for (slot, &v) in col.iter().enumerate() {
+            locals.push(if rel.is_live(TupleId(slot as u32)) {
+                dict.observe_live(v)
             } else {
-                locals.push(raw_col.map(|c| dict.local_of(c[slot])).unwrap_or(0));
-                weights.push(raw_weights.map(|c| c[slot]).unwrap_or(1.0));
-            }
+                dict.local_of(v)
+            });
         }
+        weights.extend_from_slice(rel.weight_column(a));
         local_cols.push(locals);
         weight_cols.push(weights);
     }

@@ -1,35 +1,29 @@
-//! Columnar relation storage: [`ColumnStore`], the row-major reference
-//! store, and the [`RowRef`] view that lets the pipeline read either.
+//! Relation storage: [`ColumnStore`] and the [`RowRef`] view over one of
+//! its tuples.
 //!
-//! With every value dictionary-encoded (PR 1), a relation no longer needs
-//! to be a vector of row objects: the paper's hot loops read one or two
-//! attributes of *every* tuple — violation detection projects `t[X]` and
-//! `t[A]`, `BATCHREPAIR`'s census walks one RHS column per variable-CFD
-//! shape, discovery partitions group a single attribute. [`ColumnStore`]
-//! stores the relation as per-attribute `Vec<ValueId>` columns (plus
+//! With every value dictionary-encoded, a relation need not be a vector
+//! of row objects: the paper's hot loops read one or two attributes of
+//! *every* tuple — violation detection projects `t[X]` and `t[A]`,
+//! `BATCHREPAIR`'s census walks one RHS column per variable-CFD shape,
+//! discovery partitions group a single attribute. [`ColumnStore`] stores
+//! the relation as per-attribute `Vec<ValueId>` columns (plus
 //! per-attribute weight columns and a validity/tombstone bitmap), so those
 //! scans touch contiguous `u32` slices instead of hopping between
-//! heap-allocated rows.
-//!
-//! The row-major layout ([`RowStore`], a `Vec<Option<Tuple>>`) is kept as
-//! a selectable reference implementation behind the same [`Storage`]
-//! abstraction: the differential conformance suite runs every pipeline
-//! stage against both layouts and asserts identical results, and the
-//! kernels benchmark records the row-vs-column deltas.
+//! heap-allocated rows. It is the only layout.
 //!
 //! ## Reading without materializing
 //!
-//! [`RowRef`] is a `Copy` view of one live tuple in either layout. It
+//! [`RowRef`] is a `Copy` view of one live tuple: a store and a slot. It
 //! exposes the read API of [`Tuple`] (`id`, `value`, `weight`,
-//! `project_key`, …) without allocating; columnar reads are two slice
-//! index operations. Code that must *hold* a tuple across mutations of
-//! the relation materializes with [`RowRef::to_tuple`] — the
+//! `project_key`, …) without allocating; each read is two slice index
+//! operations. Code that must *hold* a tuple across mutations of the
+//! relation materializes with [`RowRef::to_tuple`] — the
 //! materialize-on-demand path the CLI and repair-edit code use.
 //!
 //! ## Tombstones
 //!
 //! Deletion clears a validity bit; column slots keep their stale values
-//! until [`Storage::compact`] squeezes them out. Raw column slices
+//! until [`ColumnStore::compact`] squeezes them out. Raw column slices
 //! (`Relation::column`) therefore cover *all* slots, dead ones included —
 //! scans must either iterate live ids or consult the validity bitmap.
 
@@ -51,22 +45,6 @@ fn full_validity(slots: usize) -> Vec<u64> {
         }
     }
     validity
-}
-
-/// Which physical layout a [`Relation`](crate::Relation) uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum StorageLayout {
-    /// One `Tuple` object per live slot — the pre-columnar layout, kept
-    /// as the differential-testing and benchmarking reference.
-    RowMajor,
-    /// Per-attribute `ValueId` and weight columns plus a validity bitmap.
-    Columnar,
-}
-
-/// Row-major storage: a vector of optional row objects.
-#[derive(Clone, Debug, Default)]
-pub struct RowStore {
-    slots: Vec<Option<Tuple>>,
 }
 
 /// One attribute's `ValueId` column: owned, or borrowed zero-copy from a
@@ -179,13 +157,6 @@ pub struct ColumnStore {
 }
 
 impl ColumnStore {
-    /// An empty store of the given arity over the process-default shared
-    /// pool (compatibility shim — dataset paths use
-    /// [`ColumnStore::new_in`]).
-    pub fn new(arity: usize) -> Self {
-        ColumnStore::new_in(arity, ValuePool::shared())
-    }
-
     /// An empty store of the given arity whose cell ids live in `pool`.
     pub fn new_in(arity: usize, pool: Arc<ValuePool>) -> Self {
         ColumnStore {
@@ -196,13 +167,6 @@ impl ColumnStore {
             validity: Vec::new(),
             pool,
         }
-    }
-
-    /// Build a store directly from pre-interned value columns over the
-    /// process-default shared pool (compatibility shim — the ids must
-    /// have been interned there).
-    pub fn from_columns(cols: Vec<Vec<ValueId>>, weights: Option<Vec<Vec<f64>>>) -> Self {
-        ColumnStore::from_columns_in(cols, weights, ValuePool::shared())
     }
 
     /// Build a store directly from value columns pre-interned in `pool`
@@ -240,7 +204,7 @@ impl ColumnStore {
     /// Install a store from fully materialized parts — value columns,
     /// weight columns, and a validity bitmap — without touching the value
     /// pool. This is the snapshot bulk-install hook: the caller (snapshot
-    /// load, layout pivots) has already produced ids in `pool` and
+    /// load) has already produced ids in `pool` and
     /// validated weights, and tombstoned slots are preserved exactly as
     /// given.
     ///
@@ -392,7 +356,8 @@ impl ColumnStore {
         self.wcols[a.index()][slot]
     }
 
-    fn push(&mut self, t: &Tuple) -> usize {
+    /// Append `t` as a new live slot, returning the slot.
+    pub(crate) fn push(&mut self, t: &Tuple) -> usize {
         debug_assert_eq!(t.arity(), self.arity);
         let slot = self.slots;
         for (a, col) in self.cols.iter_mut().enumerate() {
@@ -419,10 +384,46 @@ impl ColumnStore {
         t
     }
 
-    fn kill(&mut self, slot: usize) -> Tuple {
+    /// Tombstone a live slot, returning the removed tuple. The caller
+    /// checks liveness.
+    pub(crate) fn kill(&mut self, slot: usize) -> Tuple {
         let t = self.materialize(slot);
         self.validity[slot >> 6] &= !(1u64 << (slot & 63));
         t
+    }
+
+    /// A view of the slot, when it is live.
+    #[inline]
+    pub(crate) fn view(&self, slot: usize) -> Option<RowRef<'_>> {
+        self.is_live(slot).then_some(RowRef { store: self, slot })
+    }
+
+    /// Overwrite one cell id. The caller checks liveness and arity.
+    pub(crate) fn set_cell(&mut self, slot: usize, a: AttrId, v: ValueId) {
+        self.cols[a.index()].make_mut()[slot] = v;
+    }
+
+    /// Overwrite one cell weight, clamped into `[0, 1]`. The caller
+    /// checks liveness and arity.
+    pub(crate) fn set_weight(&mut self, slot: usize, a: AttrId, w: f64) {
+        self.wcols[a.index()][slot] = w.clamp(0.0, 1.0);
+    }
+
+    /// Drop tombstones in place; returns (old slot, new slot) pairs.
+    pub(crate) fn compact(&mut self) -> Vec<(usize, usize)> {
+        let live: Vec<usize> = self.live_slots().collect();
+        let mapping: Vec<(usize, usize)> = live.iter().enumerate().map(|(n, o)| (*o, n)).collect();
+        for col in &mut self.cols {
+            let kept: Vec<ValueId> = live.iter().map(|&i| col.as_slice()[i]).collect();
+            *col = IdColumn::Owned(kept);
+        }
+        for col in &mut self.wcols {
+            let kept: Vec<f64> = live.iter().map(|&i| col[i]).collect();
+            *col = kept;
+        }
+        self.slots = live.len();
+        self.validity = full_validity(self.slots);
+        mapping
     }
 
     /// Iterate over live slots in ascending order.
@@ -431,238 +432,36 @@ impl ColumnStore {
     }
 }
 
-/// The storage behind a [`Relation`](crate::Relation): either layout,
-/// behind one slot-addressed interface.
-#[derive(Clone, Debug)]
-pub enum Storage {
-    /// Row-major reference layout.
-    Row(RowStore),
-    /// Columnar layout.
-    Col(ColumnStore),
-}
-
-impl Storage {
-    pub(crate) fn new(layout: StorageLayout, arity: usize, pool: Arc<ValuePool>) -> Self {
-        match layout {
-            StorageLayout::RowMajor => Storage::Row(RowStore::default()),
-            StorageLayout::Columnar => Storage::Col(ColumnStore::new_in(arity, pool)),
-        }
-    }
-
-    pub(crate) fn layout(&self) -> StorageLayout {
-        match self {
-            Storage::Row(_) => StorageLayout::RowMajor,
-            Storage::Col(_) => StorageLayout::Columnar,
-        }
-    }
-
-    pub(crate) fn slot_count(&self) -> usize {
-        match self {
-            Storage::Row(s) => s.slots.len(),
-            Storage::Col(s) => s.slot_count(),
-        }
-    }
-
-    pub(crate) fn is_live(&self, slot: usize) -> bool {
-        match self {
-            Storage::Row(s) => s.slots.get(slot).map(Option::is_some).unwrap_or(false),
-            Storage::Col(s) => s.is_live(slot),
-        }
-    }
-
-    pub(crate) fn push(&mut self, t: Tuple) -> usize {
-        match self {
-            Storage::Row(s) => {
-                s.slots.push(Some(t));
-                s.slots.len() - 1
-            }
-            Storage::Col(s) => s.push(&t),
-        }
-    }
-
-    /// Tombstone a live slot, returning the removed tuple. The caller
-    /// checks liveness.
-    pub(crate) fn kill(&mut self, slot: usize) -> Tuple {
-        match self {
-            Storage::Row(s) => s.slots[slot].take().expect("caller checked liveness"),
-            Storage::Col(s) => s.kill(slot),
-        }
-    }
-
-    pub(crate) fn view<'a>(&'a self, slot: usize, pool: &'a ValuePool) -> Option<RowRef<'a>> {
-        if !self.is_live(slot) {
-            return None;
-        }
-        Some(match self {
-            Storage::Row(s) => RowRef::Row {
-                tuple: s.slots[slot].as_ref().expect("checked live"),
-                pool,
-            },
-            Storage::Col(s) => RowRef::Col { store: s, slot },
-        })
-    }
-
-    pub(crate) fn cell(&self, slot: usize, a: AttrId) -> ValueId {
-        match self {
-            Storage::Row(s) => s.slots[slot]
-                .as_ref()
-                .expect("caller checked liveness")
-                .id(a),
-            Storage::Col(s) => s.cell(slot, a),
-        }
-    }
-
-    pub(crate) fn set_cell(&mut self, slot: usize, a: AttrId, v: ValueId) {
-        match self {
-            Storage::Row(s) => s.slots[slot]
-                .as_mut()
-                .expect("caller checked liveness")
-                .set_id(a, v),
-            Storage::Col(s) => s.cols[a.index()].make_mut()[slot] = v,
-        }
-    }
-
-    pub(crate) fn weight(&self, slot: usize, a: AttrId) -> f64 {
-        match self {
-            Storage::Row(s) => s.slots[slot]
-                .as_ref()
-                .expect("caller checked liveness")
-                .weight(a),
-            Storage::Col(s) => s.weight(slot, a),
-        }
-    }
-
-    pub(crate) fn set_weight(&mut self, slot: usize, a: AttrId, w: f64) {
-        match self {
-            Storage::Row(s) => s.slots[slot]
-                .as_mut()
-                .expect("caller checked liveness")
-                .set_weight(a, w),
-            Storage::Col(s) => s.wcols[a.index()][slot] = w.clamp(0.0, 1.0),
-        }
-    }
-
-    /// The contiguous value column of `a`, when the layout has one.
-    /// `None` for row-major storage *and* for attributes outside the
-    /// arity, so probing `AttrId(0)` on an arity-0 relation is safe.
-    pub(crate) fn column(&self, a: AttrId) -> Option<&[ValueId]> {
-        match self {
-            Storage::Row(_) => None,
-            Storage::Col(s) => s.cols.get(a.index()).map(IdColumn::as_slice),
-        }
-    }
-
-    /// The contiguous weight column of `a`, when the layout has one; same
-    /// bounds behaviour as [`Storage::column`].
-    pub(crate) fn weight_column(&self, a: AttrId) -> Option<&[f64]> {
-        match self {
-            Storage::Row(_) => None,
-            Storage::Col(s) => s.wcols.get(a.index()).map(Vec::as_slice),
-        }
-    }
-
-    /// Value-column bytes still borrowed from a snapshot mapping (0 for
-    /// row-major storage, which never maps).
-    pub(crate) fn mapped_bytes(&self) -> usize {
-        match self {
-            Storage::Row(_) => 0,
-            Storage::Col(s) => s.mapped_bytes(),
-        }
-    }
-
-    /// Owned column bytes ([`ColumnStore::owned_bytes`]; 0 for row-major
-    /// storage, whose per-row accounting lives with the tuples).
-    pub(crate) fn owned_bytes(&self) -> usize {
-        match self {
-            Storage::Row(_) => 0,
-            Storage::Col(s) => s.owned_bytes(),
-        }
-    }
-
-    /// Drop tombstones in place; returns (old slot, new slot) pairs.
-    pub(crate) fn compact(&mut self) -> Vec<(usize, usize)> {
-        match self {
-            Storage::Row(s) => {
-                let mut mapping = Vec::new();
-                let mut next = Vec::new();
-                for (i, slot) in s.slots.drain(..).enumerate() {
-                    if let Some(t) = slot {
-                        mapping.push((i, next.len()));
-                        next.push(Some(t));
-                    }
-                }
-                s.slots = next;
-                mapping
-            }
-            Storage::Col(s) => {
-                let live: Vec<usize> = s.live_slots().collect();
-                let mapping: Vec<(usize, usize)> =
-                    live.iter().enumerate().map(|(n, o)| (*o, n)).collect();
-                for col in &mut s.cols {
-                    let kept: Vec<ValueId> = live.iter().map(|&i| col.as_slice()[i]).collect();
-                    *col = IdColumn::Owned(kept);
-                }
-                for col in &mut s.wcols {
-                    let kept: Vec<f64> = live.iter().map(|&i| col[i]).collect();
-                    *col = kept;
-                }
-                s.slots = live.len();
-                s.validity = full_validity(s.slots);
-                mapping
-            }
-        }
-    }
-}
-
-/// A zero-copy view of one live tuple in either storage layout.
+/// A zero-copy view of one live tuple: a slot of a [`ColumnStore`].
 ///
 /// `Copy`, borrows the relation immutably. Mirrors [`Tuple`]'s read API;
 /// materialize with [`RowRef::to_tuple`] when the tuple must outlive a
 /// mutation of the relation.
 #[derive(Clone, Copy)]
-pub enum RowRef<'a> {
-    /// A view into row-major storage, paired with the relation's pool.
-    Row {
-        /// The backing row object.
-        tuple: &'a Tuple,
-        /// The pool the tuple's ids belong to.
-        pool: &'a ValuePool,
-    },
-    /// A view into one slot of a column store (which carries its pool).
-    Col {
-        /// The backing store.
-        store: &'a ColumnStore,
-        /// The tuple's slot (= its id's index).
-        slot: usize,
-    },
+pub struct RowRef<'a> {
+    /// The backing store (which carries the pool).
+    store: &'a ColumnStore,
+    /// The tuple's slot (= its id's index).
+    slot: usize,
 }
 
 impl<'a> RowRef<'a> {
     /// The pool this row's ids resolve in.
     #[inline]
     pub fn pool(&self) -> &'a ValuePool {
-        match self {
-            RowRef::Row { pool, .. } => pool,
-            RowRef::Col { store, .. } => &store.pool,
-        }
+        &self.store.pool
     }
 
     /// Tuple arity.
     #[inline]
     pub fn arity(&self) -> usize {
-        match self {
-            RowRef::Row { tuple, .. } => tuple.arity(),
-            RowRef::Col { store, .. } => store.arity,
-        }
+        self.store.arity
     }
 
     /// The interned id of attribute `a` — the hot-path form of `t[A]`.
     #[inline]
     pub fn id(&self, a: AttrId) -> ValueId {
-        match self {
-            RowRef::Row { tuple, .. } => tuple.id(a),
-            RowRef::Col { store, slot } => store.cell(*slot, a),
-        }
+        self.store.cell(self.slot, a)
     }
 
     /// The value of attribute `a`, resolved from the owning pool.
@@ -680,10 +479,7 @@ impl<'a> RowRef<'a> {
     /// The confidence weight `w(t, A)`.
     #[inline]
     pub fn weight(&self, a: AttrId) -> f64 {
-        match self {
-            RowRef::Row { tuple, .. } => tuple.weight(a),
-            RowRef::Col { store, slot } => store.weight(*slot, a),
-        }
+        self.store.weight(self.slot, a)
     }
 
     /// The total weight `wt(t) = Σ_A w(t, A)`.
@@ -746,10 +542,7 @@ impl<'a> RowRef<'a> {
     /// Materialize into an owned [`Tuple`] — the view's escape hatch for
     /// code that must hold the row across relation mutations.
     pub fn to_tuple(&self) -> Tuple {
-        match self {
-            RowRef::Row { tuple, .. } => (*tuple).clone(),
-            RowRef::Col { store, slot } => store.materialize(*slot),
-        }
+        self.store.materialize(self.slot)
     }
 }
 
@@ -827,31 +620,37 @@ impl TupleView for RowRef<'_> {
 mod tests {
     use super::*;
 
-    fn t2(a: &str, b: &str) -> Tuple {
-        Tuple::from_iter([a, b])
+    /// A tuple whose ids are interned in `pool`.
+    fn t2(pool: &ValuePool, a: &str, b: &str) -> Tuple {
+        Tuple::from_ids(vec![
+            pool.intern(&Value::str(a)),
+            pool.intern(&Value::str(b)),
+        ])
     }
 
     #[test]
     fn column_store_push_and_read() {
-        let mut s = ColumnStore::new(2);
-        let s0 = s.push(&t2("x", "y"));
-        let s1 = s.push(&t2("u", "v"));
+        let pool = ValuePool::new_handle();
+        let mut s = ColumnStore::new_in(2, pool.clone());
+        let s0 = s.push(&t2(&pool, "x", "y"));
+        let s1 = s.push(&t2(&pool, "u", "v"));
         assert_eq!(s0, 0);
         assert_eq!(s1, 1);
         assert!(s.is_live(0) && s.is_live(1));
         assert_eq!(s.column(AttrId(0)).len(), 2);
-        assert_eq!(s.cell(0, AttrId(0)), ValueId::of(&Value::str("x")));
-        assert_eq!(s.cell(1, AttrId(1)), ValueId::of(&Value::str("v")));
+        assert_eq!(s.cell(0, AttrId(0)), pool.intern(&Value::str("x")));
+        assert_eq!(s.cell(1, AttrId(1)), pool.intern(&Value::str("v")));
         assert_eq!(s.weight(0, AttrId(0)), 1.0);
     }
 
     #[test]
     fn kill_tombstones_without_shifting() {
-        let mut s = ColumnStore::new(2);
-        s.push(&t2("a", "b"));
-        s.push(&t2("c", "d"));
+        let pool = ValuePool::new_handle();
+        let mut s = ColumnStore::new_in(2, pool.clone());
+        s.push(&t2(&pool, "a", "b"));
+        s.push(&t2(&pool, "c", "d"));
         let removed = s.kill(0);
-        assert_eq!(removed.value(AttrId(0)), Value::str("a"));
+        assert_eq!(removed.id(AttrId(0)), pool.intern(&Value::str("a")));
         assert!(!s.is_live(0));
         assert!(s.is_live(1));
         assert_eq!(s.live_slots().collect::<Vec<_>>(), vec![1]);
@@ -861,9 +660,12 @@ mod tests {
 
     #[test]
     fn validity_bitmap_crosses_word_boundaries() {
-        let mut s = ColumnStore::new(1);
+        let pool = ValuePool::new_handle();
+        let mut s = ColumnStore::new_in(1, pool.clone());
         for i in 0..130 {
-            s.push(&Tuple::from_iter([format!("v{i}")]));
+            s.push(&Tuple::from_ids(vec![
+                pool.intern(&Value::str(format!("v{i}")))
+            ]));
         }
         s.kill(63);
         s.kill(64);
@@ -875,29 +677,34 @@ mod tests {
 
     #[test]
     fn from_columns_marks_all_live() {
-        // `materialize` hands back owned `Tuple`s, which resolve through
-        // the process-default shared pool — intern there.
+        let pool = ValuePool::new_handle();
         let cols = [
             [Value::str("a"), Value::str("b")],
             [Value::int(1), Value::int(2)],
         ]
         .iter()
-        .map(|col| col.iter().map(ValueId::of).collect())
+        .map(|col| col.iter().map(|v| pool.intern(v)).collect())
         .collect();
-        let s = ColumnStore::from_columns(cols, None);
+        let s = ColumnStore::from_columns_in(cols, None, pool.clone());
         assert_eq!(s.slot_count(), 2);
         assert!(s.is_live(0) && s.is_live(1));
         assert!(!s.is_live(2));
-        assert_eq!(s.materialize(1).value(AttrId(0)), Value::str("b"));
+        // A materialized `Tuple` resolves through the shared pool, so
+        // compare ids, not values.
+        assert_eq!(
+            s.materialize(1).id(AttrId(0)),
+            pool.intern(&Value::str("b"))
+        );
     }
 
     #[test]
     fn row_ref_matches_tuple_api() {
-        let mut s = ColumnStore::new(2);
-        let mut t = t2("x", "y");
+        let pool = ValuePool::new_handle();
+        let mut s = ColumnStore::new_in(2, pool.clone());
+        let mut t = t2(&pool, "x", "y");
         t.set_weight(AttrId(1), 0.25);
         s.push(&t);
-        let v = RowRef::Col { store: &s, slot: 0 };
+        let v = s.view(0).expect("live slot");
         assert_eq!(v.arity(), 2);
         assert_eq!(v.id(AttrId(0)), t.id(AttrId(0)));
         assert_eq!(v.value(AttrId(1)), Value::str("y"));
@@ -910,6 +717,7 @@ mod tests {
         assert_eq!(v.to_tuple(), t);
         assert!(v == t);
         assert!(v.agrees_on(&t, &[AttrId(0), AttrId(1)]));
-        assert_eq!(v.attr_diff(&t2("x", "z")), 1);
+        assert_eq!(v.attr_diff(&t2(&pool, "x", "z")), 1);
+        assert!(s.view(1).is_none());
     }
 }

@@ -27,7 +27,7 @@ use crate::value::Value;
 /// stored.
 ///
 /// Implemented by the owned [`Tuple`] and by the zero-copy
-/// [`RowRef`](crate::storage::RowRef) views into either storage layout.
+/// [`RowRef`](crate::storage::RowRef) views into relation storage.
 /// Pattern matching, index keying, and LHS-index probes are generic over
 /// this trait so they run identically on materialized tuples (repair
 /// candidates) and on storage views (scans).

@@ -9,7 +9,7 @@
 //! own round trip.
 
 use cfd_model::csv::{read_relation, read_weights, write_relation, write_weights};
-use cfd_model::{AttrId, Relation, Schema, StorageLayout, Tuple, TupleId, Value};
+use cfd_model::{AttrId, Relation, Schema, Tuple, TupleId, Value};
 
 fn round_trip(rel: &Relation) -> Relation {
     let mut buf = Vec::new();
@@ -32,9 +32,8 @@ fn assert_identical(a: &Relation, b: &Relation) {
 fn import_is_columnar_with_bulk_interned_columns() {
     let input = "a,b\nx,1\ny,2\n";
     let rel = read_relation("r", &mut input.as_bytes()).unwrap();
-    assert_eq!(rel.layout(), StorageLayout::Columnar);
     // Columns are directly addressable after import.
-    let col = rel.column(AttrId(0)).expect("columnar import");
+    let col = rel.column(AttrId(0));
     assert_eq!(col.len(), 2);
     assert_eq!(col[0].value(), Value::str("x"));
     assert_eq!(col[1].value(), Value::str("y"));
@@ -143,12 +142,9 @@ fn weight_columns_round_trip_alongside_values() {
 
     let mut back = read_relation("w", &mut values.as_slice()).unwrap();
     read_weights(&mut back, &mut weights.as_slice()).unwrap();
-    assert_eq!(back.layout(), StorageLayout::Columnar);
     assert_identical(&rel, &back);
-    let wcol0 = back.weight_column(AttrId(0)).expect("columnar weights");
-    let wcol1 = back.weight_column(AttrId(1)).expect("columnar weights");
-    assert_eq!(wcol0, &[0.25, 0.0]);
-    assert_eq!(wcol1, &[1.0, 0.125]);
+    assert_eq!(back.weight_column(AttrId(0)), &[0.25, 0.0]);
+    assert_eq!(back.weight_column(AttrId(1)), &[1.0, 0.125]);
 
     // ... and the whole pair survives a second export unchanged.
     let (mut v2, mut w2) = (Vec::new(), Vec::new());

@@ -68,41 +68,22 @@ pub(crate) type GroupMap = FnvMap<IdKey, BTreeMap<ValueId, ValueBucket>>;
 
 /// The census of one shape: every live tuple with a non-null RHS, pushed
 /// in ascending id order. Reads exactly the shape's LHS/RHS/weight column
-/// slices on columnar storage, row views otherwise.
+/// slices.
 fn build_shape(rel: &Relation, lhs: &[AttrId], rhs: AttrId) -> GroupMap {
     let mut map = GroupMap::default();
-    if rel.schema().arity() == 0 || rel.column(AttrId(0)).is_some() {
-        let lhs_cols: Vec<&[ValueId]> = lhs
-            .iter()
-            .map(|a| rel.column(*a).expect("columnar layout"))
-            .collect();
-        let rhs_col = rel.column(rhs).expect("columnar layout");
-        let w_col = rel.weight_column(rhs).expect("columnar layout");
-        for id in rel.ids() {
-            let slot = id.index();
-            let v = rhs_col[slot];
-            if v.is_null() {
-                continue;
-            }
-            let key: IdKey = lhs_cols.iter().map(|c| c[slot]).collect();
-            let bucket = map.entry(key).or_default().entry(v).or_default();
-            bucket.ids.push(id);
-            bucket.weight += w_col[slot];
-        }
-        return map;
-    }
-    for (id, t) in rel.iter() {
-        let v = t.id(rhs);
+    let lhs_cols: Vec<&[ValueId]> = lhs.iter().map(|a| rel.column(*a)).collect();
+    let rhs_col = rel.column(rhs);
+    let w_col = rel.weight_column(rhs);
+    for id in rel.ids() {
+        let slot = id.index();
+        let v = rhs_col[slot];
         if v.is_null() {
             continue;
         }
-        let bucket = map
-            .entry(t.project_key(lhs))
-            .or_default()
-            .entry(v)
-            .or_default();
+        let key: IdKey = lhs_cols.iter().map(|c| c[slot]).collect();
+        let bucket = map.entry(key).or_default().entry(v).or_default();
         bucket.ids.push(id);
-        bucket.weight += t.weight(rhs);
+        bucket.weight += w_col[slot];
     }
     map
 }

@@ -2,10 +2,9 @@
 //!
 //! The `cust`/`order` relation of Fig. 1, its CFDs, the detected
 //! violations, and the `BATCHREPAIR` output are committed as fixture
-//! files under `tests/fixtures/`. Storage refactors (like the columnar
-//! pivot this suite rode in on) must reproduce the fixtures **byte for
-//! byte on both layouts** — any silent semantic drift in the pipeline
-//! shows up as a fixture diff.
+//! files under `tests/fixtures/`. Storage and pipeline refactors must
+//! reproduce the fixtures **byte for byte** — any silent semantic drift
+//! in the pipeline shows up as a fixture diff.
 //!
 //! Regenerate deliberately with:
 //!
@@ -20,7 +19,7 @@ use cfdclean::cfd::parser::parse_rules;
 use cfdclean::cfd::violation::{detect, ViolationReport};
 use cfdclean::cfd::{CfdId, Sigma};
 use cfdclean::model::csv::{read_relation, read_weights, write_relation};
-use cfdclean::model::{Relation, Schema, StorageLayout};
+use cfdclean::model::{Relation, Schema};
 use cfdclean::repair::{batch_repair, BatchConfig};
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
@@ -41,16 +40,15 @@ fn sigma() -> Sigma {
     Sigma::normalize(s, cfds).expect("fixture rules normalize")
 }
 
-/// The dirty `cust` relation, loaded from the committed CSV fixtures in
-/// the requested layout.
-fn load_dirty(layout: StorageLayout) -> Relation {
+/// The dirty `cust` relation, loaded from the committed CSV fixtures.
+fn load_dirty() -> Relation {
     let data =
         std::fs::read(Path::new(FIXTURES).join("cust_dirty.csv")).expect("fixture cust_dirty.csv");
     let mut rel = read_relation("cust", &mut data.as_slice()).expect("fixture parses");
     let weights = std::fs::read(Path::new(FIXTURES).join("cust_weights.csv"))
         .expect("fixture cust_weights.csv");
     read_weights(&mut rel, &mut weights.as_slice()).expect("fixture weights parse");
-    rel.to_layout(layout)
+    rel
 }
 
 /// Stable text rendering of a violation report.
@@ -94,30 +92,27 @@ fn check_or_update(name: &str, actual: &str) {
 }
 
 #[test]
-fn golden_cust_pipeline_is_pinned_on_both_layouts() {
+fn golden_cust_pipeline_is_pinned() {
     let sigma = sigma();
-    for layout in [StorageLayout::Columnar, StorageLayout::RowMajor] {
-        let dirty = load_dirty(layout);
-        assert_eq!(dirty.layout(), layout);
+    let dirty = load_dirty();
 
-        // Stage 1: the dirty relation itself round-trips the fixture.
-        let mut dirty_csv = Vec::new();
-        write_relation(&dirty, &mut dirty_csv).unwrap();
-        check_or_update("cust_dirty.csv", std::str::from_utf8(&dirty_csv).unwrap());
+    // Stage 1: the dirty relation itself round-trips the fixture.
+    let mut dirty_csv = Vec::new();
+    write_relation(&dirty, &mut dirty_csv).unwrap();
+    check_or_update("cust_dirty.csv", std::str::from_utf8(&dirty_csv).unwrap());
 
-        // Stage 2: detected violations.
-        let report = detect(&dirty, &sigma);
-        assert!(!report.is_clean(), "fixture data must be dirty");
-        check_or_update("cust_violations.txt", &render_report(&report, &sigma));
+    // Stage 2: detected violations.
+    let report = detect(&dirty, &sigma);
+    assert!(!report.is_clean(), "fixture data must be dirty");
+    check_or_update("cust_violations.txt", &render_report(&report, &sigma));
 
-        // Stage 3: the batch repair.
-        let out = batch_repair(&dirty, &sigma, BatchConfig::default()).unwrap();
-        assert!(cfdclean::cfd::check(&out.repair, &sigma));
-        let mut repaired_csv = Vec::new();
-        write_relation(&out.repair, &mut repaired_csv).unwrap();
-        check_or_update(
-            "cust_repaired.csv",
-            std::str::from_utf8(&repaired_csv).unwrap(),
-        );
-    }
+    // Stage 3: the batch repair.
+    let out = batch_repair(&dirty, &sigma, BatchConfig::default()).unwrap();
+    assert!(cfdclean::cfd::check(&out.repair, &sigma));
+    let mut repaired_csv = Vec::new();
+    write_relation(&out.repair, &mut repaired_csv).unwrap();
+    check_or_update(
+        "cust_repaired.csv",
+        std::str::from_utf8(&repaired_csv).unwrap(),
+    );
 }
