@@ -12,7 +12,7 @@
 //! semantics), so nulling the referencing attributes is always a legal
 //! last-resort repair.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use cfd_model::{AttrId, Database, ModelError, Relation, TupleId, Value};
 
@@ -80,8 +80,9 @@ impl Ind {
     }
 
     /// The set of `Y`-projections present in the parent relation
-    /// (null-free keys only — a null parent key cannot be referenced).
-    pub fn parent_keys(&self, parent: &Relation) -> HashSet<Vec<Value>> {
+    /// (null-free keys only — a null parent key cannot be referenced),
+    /// in sorted order.
+    pub fn parent_keys(&self, parent: &Relation) -> BTreeSet<Vec<Value>> {
         parent
             .iter()
             .map(|(_, t)| t.project(&self.parent_attrs))

@@ -41,6 +41,6 @@ pub use cfd::{Cfd, CfdId, NormalCfd, Sigma};
 pub use ind::Ind;
 pub use pattern::{PatternRow, PatternValue};
 pub use violation::{
-    check, constant_scan_with_kernel, detect, detect_with_parts, vio_of_tuple, Engine, EngineParts,
+    check, constant_scan_with_kernel, detect, detect_with_parts, Engine, EngineParts,
     ViolationReport,
 };

@@ -17,10 +17,11 @@
 //! V-INCREPAIR ordering, the stratified sampler, and the repair loop's
 //! progress accounting.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use cfd_model::hash::FnvMap;
 use cfd_model::index::HashIndex;
-use cfd_model::{AttrId, IdKey, Relation, Tuple, TupleId, TupleView, ValueId};
+use cfd_model::{AttrId, IdKey, Relation, TupleId, TupleView, ValueId};
 
 use crate::cfd::{CfdId, NormalCfd, Sigma};
 use crate::pattern::{ids_match, PatternId};
@@ -29,7 +30,7 @@ use crate::pattern::{ids_match, PatternId};
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ViolationReport {
     /// `vio(t)` for every tuple with at least one violation.
-    pub per_tuple: HashMap<TupleId, usize>,
+    pub per_tuple: FnvMap<TupleId, usize>,
     /// For each normal CFD (indexed by `CfdId`), the tuples violating it.
     pub per_cfd: Vec<Vec<TupleId>>,
     /// Total violation count `vio(D) = Σ_t vio(t)`.
@@ -155,7 +156,7 @@ struct ConstGroup {
     const_attrs: Vec<AttrId>,
     /// key = interned projection onto `const_attrs` → the rules with that
     /// key. Probed with a stack-built id slice; no allocation per tuple.
-    map: HashMap<IdKey, Vec<ConstRule>>,
+    map: FnvMap<IdKey, Vec<ConstRule>>,
 }
 
 /// One constant rule: `CfdId` plus its RHS obligation (interned).
@@ -179,7 +180,7 @@ impl ConstantRules {
     /// Index all constant normal CFDs of `sigma`.
     pub fn build(sigma: &Sigma) -> Self {
         // group key: (lhs attrs, const-position mask)
-        let mut grouping: HashMap<(Vec<AttrId>, Vec<bool>), usize> = HashMap::new();
+        let mut grouping: FnvMap<(Vec<AttrId>, Vec<bool>), usize> = FnvMap::default();
         let mut groups: Vec<ConstGroup> = Vec::new();
         for n in sigma.iter().filter(|n| n.is_constant()) {
             let mask: Vec<bool> = n.lhs_pattern().iter().map(|p| !p.is_wildcard()).collect();
@@ -196,7 +197,7 @@ impl ConstantRules {
                     groups.push(ConstGroup {
                         lhs: n.lhs().to_vec(),
                         const_attrs,
-                        map: HashMap::new(),
+                        map: FnvMap::default(),
                     });
                     groups.len() - 1
                 });
@@ -255,42 +256,6 @@ impl ConstantRules {
         });
         count
     }
-}
-
-/// For a variable CFD and a group of tuples sharing the LHS key (which
-/// matches the pattern), count per-tuple conflicts and report the group's
-/// dirty members. Returns (tuple, partner-count) pairs.
-fn variable_group_conflicts(
-    n: &NormalCfd,
-    rel: &Relation,
-    group: &[TupleId],
-) -> Vec<(TupleId, usize)> {
-    // One RHS read per member, straight off the column slice.
-    let rhs_col = rel.column(n.rhs_attr());
-    let rhs_of = |id: TupleId| -> ValueId { rhs_col[id.index()] };
-    // Tally non-null RHS ids in the group — a u32-keyed histogram.
-    let mut counts: HashMap<ValueId, usize> = HashMap::new();
-    let mut non_null_total = 0usize;
-    for id in group {
-        let v = rhs_of(*id);
-        if !v.is_null() {
-            *counts.entry(v).or_insert(0) += 1;
-            non_null_total += 1;
-        }
-    }
-    if counts.len() <= 1 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for id in group {
-        let v = rhs_of(*id);
-        if v.is_null() {
-            continue; // null equals everything: no conflict for this tuple
-        }
-        let same = counts[&v];
-        out.push((*id, non_null_total - same));
-    }
-    out
 }
 
 /// The owned, Σ-independent detection state of an [`Engine`]: group
@@ -710,6 +675,64 @@ pub fn detect_with_parts(rel: &Relation, sigma: &Sigma, parts: &EngineParts) -> 
     )
 }
 
+/// The variable-CFD pass of full detection. In a group that matches a
+/// variable CFD's LHS pattern, every non-null RHS member conflicts with
+/// each member holding a different non-null RHS value (null equals
+/// everything, §3.1). Per group, the non-null RHS ids go into one reused
+/// buffer; a group with a single distinct value is clean and skipped,
+/// otherwise the sorted buffer gives each member's equal run by binary
+/// search. `vio` accumulates densely by slot and reaches `per_tuple` once.
+fn variable_scan(
+    rel: &Relation,
+    sigma: &Sigma,
+    indexes: &GroupIndexes,
+    variable_ids: &[CfdId],
+    report: &mut ViolationReport,
+) {
+    let mut vio = vec![0usize; rel.slot_count()];
+    let mut rhs: Vec<ValueId> = Vec::new();
+    for n in variable_ids.iter().map(|id| sigma.get(*id)) {
+        let rhs_col = rel.column(n.rhs_attr());
+        let dirty = &mut report.per_cfd[n.id().index()];
+        for (key, group) in indexes.for_lhs(n.lhs()).groups() {
+            if group.len() < 2 || !ids_match(key.as_slice(), n.lhs_pattern_ids()) {
+                continue;
+            }
+            rhs.clear();
+            rhs.extend(
+                group
+                    .iter()
+                    .map(|id| rhs_col[id.index()])
+                    .filter(|v| !v.is_null()),
+            );
+            let Some((&first, rest)) = rhs.split_first() else {
+                continue;
+            };
+            if rest.iter().all(|&v| v == first) {
+                continue;
+            }
+            rhs.sort_unstable();
+            for id in group {
+                let v = rhs_col[id.index()];
+                if v.is_null() {
+                    continue;
+                }
+                let lo = rhs.partition_point(|&x| x < v);
+                let same = rhs[lo..].partition_point(|&x| x == v);
+                let partners = rhs.len() - same;
+                vio[id.index()] += partners;
+                dirty.push(*id);
+                report.total += partners;
+            }
+        }
+    }
+    for (slot, &v) in vio.iter().enumerate() {
+        if v > 0 {
+            *report.per_tuple.entry(TupleId(slot as u32)).or_insert(0) += v;
+        }
+    }
+}
+
 fn detect_inner(
     rel: &Relation,
     sigma: &Sigma,
@@ -723,20 +746,7 @@ fn detect_inner(
     };
     // Constant rules: one indexed pass over the tuples.
     constant_scan(rel, rules, &mut report);
-    // Variable CFDs: group analysis.
-    for n in variable_ids.iter().map(|id| sigma.get(*id)) {
-        let idx = indexes.for_lhs(n.lhs());
-        for (key, group) in idx.groups() {
-            if group.len() < 2 || !ids_match(key.as_slice(), n.lhs_pattern_ids()) {
-                continue;
-            }
-            for (id, partners) in variable_group_conflicts(n, rel, group) {
-                *report.per_tuple.entry(id).or_insert(0) += partners;
-                report.per_cfd[n.id().index()].push(id);
-                report.total += partners;
-            }
-        }
-    }
+    variable_scan(rel, sigma, indexes, variable_ids, &mut report);
     for ids in &mut report.per_cfd {
         ids.sort();
         ids.dedup();
@@ -828,77 +838,12 @@ pub fn check(rel: &Relation, sigma: &Sigma) -> bool {
     true
 }
 
-/// `vio(t)` for a single tuple already in the relation.
-pub fn vio_of_tuple(rel: &Relation, sigma: &Sigma, indexes: &GroupIndexes, id: TupleId) -> usize {
-    let t = match rel.tuple(id) {
-        Some(t) => t,
-        None => return 0,
-    };
-    let mut vio = 0;
-    for n in sigma.iter() {
-        if !n.applies_to(&t) {
-            continue;
-        }
-        if n.is_constant() {
-            if !n.rhs_pattern_id().satisfied_by_id(t.id(n.rhs_attr())) {
-                vio += 1;
-            }
-        } else {
-            let v = t.id(n.rhs_attr());
-            if v.is_null() {
-                continue;
-            }
-            let group = indexes.for_lhs(n.lhs()).group_of(&t);
-            for other in group {
-                if *other == id {
-                    continue;
-                }
-                let ov = rel.value_id(*other, n.rhs_attr()).expect("live");
-                if !ov.is_null() && ov != v {
-                    vio += 1;
-                }
-            }
-        }
-    }
-    vio
-}
-
-/// Violations a *candidate* tuple `t` (not in `rel`) would incur against
-/// `rel ∪ {t}`. Prefer [`Engine::vio_of`] in hot paths; this variant keeps
-/// a simple signature for tests and examples.
-pub fn vio_of_candidate(rel: &Relation, sigma: &Sigma, indexes: &GroupIndexes, t: &Tuple) -> usize {
-    let mut vio = 0;
-    for n in sigma.iter() {
-        if !n.applies_to(t) {
-            continue;
-        }
-        if n.is_constant() {
-            if !n.rhs_pattern_id().satisfied_by_id(t.id(n.rhs_attr())) {
-                vio += 1;
-            }
-        } else {
-            let v = t.id(n.rhs_attr());
-            if v.is_null() {
-                continue;
-            }
-            let group = indexes.for_lhs(n.lhs()).group_of(t);
-            for other in group {
-                let ov = rel.value_id(*other, n.rhs_attr()).expect("live");
-                if !ov.is_null() && ov != v {
-                    vio += 1;
-                }
-            }
-        }
-    }
-    vio
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cfd::Cfd;
     use crate::pattern::{PatternRow, PatternValue};
-    use cfd_model::{Schema, Value};
+    use cfd_model::{Schema, Tuple, Value};
 
     /// The paper's Fig. 1 running example: schema, data, ϕ1 and ϕ2.
     fn fig1() -> (Relation, Sigma) {
@@ -1132,13 +1077,13 @@ mod tests {
     }
 
     #[test]
-    fn vio_of_tuple_matches_detect() {
+    fn vio_of_matches_detect() {
         let (rel, sigma) = fig1();
-        let indexes = GroupIndexes::build(&rel, &sigma);
+        let engine = Engine::build(&rel, &sigma);
         let report = detect(&rel, &sigma);
-        for (id, _) in rel.iter() {
+        for (id, t) in rel.iter() {
             assert_eq!(
-                vio_of_tuple(&rel, &sigma, &indexes, id),
+                engine.vio_of(&rel, &t, Some(id)),
                 report.vio(id),
                 "mismatch at {id}"
             );
@@ -1146,7 +1091,7 @@ mod tests {
     }
 
     #[test]
-    fn vio_of_candidate_counts_future_conflicts() {
+    fn vio_of_counts_future_conflicts() {
         let (mut rel, sigma) = fig1();
         let schema = rel.schema().clone();
         let ct = schema.attr("CT").unwrap();
@@ -1155,7 +1100,7 @@ mod tests {
             rel.set_value(id, ct, Value::str("NYC")).unwrap();
             rel.set_value(id, st, Value::str("NY")).unwrap();
         }
-        let indexes = GroupIndexes::build(&rel, &sigma);
+        let engine = Engine::build(&rel, &sigma);
         // candidate t5 of Example 1.1
         let t5 = Tuple::from_iter([
             "a55", "X", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
@@ -1163,12 +1108,46 @@ mod tests {
         // matches 215-row of ϕ1: CT=NYC≠PHI, ST=NY≠PA → 2 constant
         // violations; STR agrees with t1 so no variable conflict; ϕ2
         // 10012-row is satisfied (NYC, NY).
-        assert_eq!(vio_of_candidate(&rel, &sigma, &indexes, &t5), 2);
+        assert_eq!(engine.vio_of(&rel, &t5, None), 2);
         // the same tuple with CT/ST nulled incurs none
         let mut t5n = t5.clone();
         t5n.set_value(ct, Value::Null);
         t5n.set_value(st, Value::Null);
-        assert_eq!(vio_of_candidate(&rel, &sigma, &indexes, &t5n), 0);
+        assert_eq!(engine.vio_of(&rel, &t5n, None), 0);
+    }
+
+    /// A mixed tableau's constant-LHS, wildcard-RHS row is subsumed by its
+    /// FD row: the conflicting `212` pair counts once per tuple, not twice.
+    #[test]
+    fn vio_of_skips_subsumed_variable_rows() {
+        let schema = Schema::new("r", &["AC", "PN", "STR"]).unwrap();
+        let mut rel = Relation::new(schema.clone());
+        rel.insert(Tuple::from_iter(["212", "555", "Elm"])).unwrap();
+        rel.insert(Tuple::from_iter(["212", "555", "Oak"])).unwrap();
+        let cfd = Cfd::new(
+            "phi",
+            schema.attrs_named(&["AC", "PN"]).unwrap(),
+            schema.attrs_named(&["STR"]).unwrap(),
+            vec![
+                PatternRow::new(
+                    vec![PatternValue::Wildcard, PatternValue::Wildcard],
+                    vec![PatternValue::Wildcard],
+                ),
+                PatternRow::new(
+                    vec![PatternValue::constant("212"), PatternValue::Wildcard],
+                    vec![PatternValue::Wildcard],
+                ),
+            ],
+        )
+        .unwrap();
+        let sigma = Sigma::normalize(schema, vec![cfd]).unwrap();
+        let engine = Engine::build(&rel, &sigma);
+        let report = detect(&rel, &sigma);
+        assert_eq!(report.total, 2);
+        for (id, t) in rel.iter() {
+            assert_eq!(report.vio(id), 1, "one partner under one constraint");
+            assert_eq!(engine.vio_of(&rel, &t, Some(id)), report.vio(id), "{id}");
+        }
     }
 
     #[test]

@@ -66,12 +66,10 @@ pub fn repair_ind(
     }
     // Candidate pool: the parent's key set (null-free), sorted for
     // deterministic tie-breaks.
-    let keys: Vec<Vec<Value>> = {
-        let parent = db.relation(ind.parent())?;
-        let mut keys: Vec<Vec<Value>> = ind.parent_keys(parent).into_iter().collect();
-        keys.sort();
-        keys
-    };
+    let keys: Vec<Vec<Value>> = ind
+        .parent_keys(db.relation(ind.parent())?)
+        .into_iter()
+        .collect();
     let child = db.relation_mut(ind.child())?;
     for id in dangling {
         let t = child.require(id)?.to_tuple();

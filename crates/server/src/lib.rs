@@ -2,13 +2,14 @@
 //!
 //! A resident repair daemon over the [`cfdclean::Session`] facade: it
 //! keeps datasets' relations, their dataset-scoped value-pool
-//! dictionaries, and their built detection indexes warm in memory, and
-//! serves detect / repair / insert / snapshot / evict operations over a
-//! framed socket protocol — TCP or (on Unix) Unix-domain. One-shot CLI
-//! runs re-parse the CSV, re-intern the dictionary, and rebuild the
-//! violation-detection index on every invocation; the daemon pays those
-//! costs once per `open` and amortizes them across every subsequent
-//! request.
+//! dictionaries, their built detection indexes and their violation
+//! reports in memory, and serves detect / repair / insert / snapshot /
+//! evict operations over a framed socket protocol — TCP or (on Unix)
+//! Unix-domain. One-shot CLI runs re-parse the CSV, re-intern the
+//! dictionary, rebuild the violation-detection index and re-detect on
+//! every invocation; the daemon builds the index once per `open`,
+//! detects once per bound dataset, and answers every later detect
+//! request by rendering the stored report.
 //!
 //! Everything is hand-rolled over `std` — `std::net` listeners, one
 //! thread per connection, `mpsc` channels for the timeout plumbing — so
@@ -35,7 +36,8 @@
 //!
 //! Datasets live behind per-dataset reader/writer locks inside the
 //! shared [`Session`](cfdclean::Session): detects and repairs on the
-//! same dataset share its warm engine concurrently; inserts and evicts
+//! same dataset run concurrently, detects reading its one violation
+//! report and repairs cloning its warm engine; inserts and evicts
 //! take the write side and serialize. Requests on one connection run in
 //! order; parallelism across datasets comes from opening multiple
 //! connections. An optional LRU capacity bound auto-evicts the

@@ -40,9 +40,11 @@
 //! [`session`] is the single owner of the dataset lifecycle. A
 //! [`DatasetHandle`] packages one dataset — a relation over its own
 //! pool, optionally bound rules, and the **resident detection index**
-//! ([`cfd::violation::EngineParts`]), built exactly once at bind time:
-//! detect requests run against the warm parts with zero rebuild, and
-//! each `BATCHREPAIR` seeds its state from a clone of them. A
+//! ([`cfd::violation::EngineParts`]), built exactly once at bind time.
+//! The first detect after a bind computes the violation report from
+//! those parts and the handle keeps it: every later detect request
+//! renders the same report. Each `BATCHREPAIR` seeds its state from a
+//! clone of the parts. A
 //! [`Session`] is a named collection of handles behind per-dataset
 //! reader/writer locks, optionally backed by a snapshot catalog and
 //! bounded by an LRU capacity whose evictions provably return pool

@@ -13,9 +13,11 @@
 //! * [`DatasetHandle`] — one dataset: a [`Relation`] over its own
 //!   dataset-scoped pool, optional bound rules, and the **resident
 //!   detection index** ([`EngineParts`]) built exactly once at bind
-//!   time. Detect requests run against the warm parts with zero rebuild
-//!   ([`cfd_cfd::detect_with_parts`]); `BATCHREPAIR` seeds its state
-//!   from a clone of them ([`cfd_repair::batch_repair_with_parts`]).
+//!   time. The **resident violation report** is computed from those
+//!   parts ([`cfd_cfd::detect_with_parts`]) by the first detect after a
+//!   bind; every later detect request, and the insert path's clean-base
+//!   check, reads that one report. `BATCHREPAIR` seeds its state from a
+//!   clone of the parts ([`cfd_repair::batch_repair_with_parts`]).
 //!   Insert requests lend the same parts to a **resident `INCREPAIR`
 //!   state** (see below).
 //! * [`Session`] — a named collection of handles behind per-dataset
@@ -40,7 +42,7 @@
 //! ## The insert path
 //!
 //! The first insert request on a handle checks the base clean once (the
-//! §5 precondition `D |= Σ`, answered by the warm detection index) and
+//! §5 precondition `D |= Σ`, answered by the resident violation report) and
 //! only then builds the resident state: an
 //! [`InsertRepairer`](cfd_repair::InsertRepairer) holding the LHS-indices,
 //! active domain and nearest-value indexes over the base, plus the base's
@@ -72,7 +74,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use cfd_cfd::parser::parse_rules;
 use cfd_cfd::violation::{self, EngineParts, ViolationReport};
@@ -152,11 +154,21 @@ impl From<RepairError> for SessionError {
 }
 
 /// Rules bound to a dataset: the normalized Σ (pattern constants
-/// interned, uncounted, into the dataset's pool) and the detection
-/// index built over the relation — the daemon's warm state.
+/// interned, uncounted, into the dataset's pool), the detection index
+/// built over the relation, and the violation report — the daemon's
+/// warm state.
 struct BoundRules {
     sigma: Sigma,
     parts: EngineParts,
+    /// `detect(D, Σ)`, computed by the first detect and read by every
+    /// later one. It needs no invalidation while the handle's methods
+    /// leave the relation's cells alone: rebinding replaces the whole
+    /// `BoundRules`, weights are never read by detection, inserts,
+    /// repairs and streams work on copies, and eviction drops it with
+    /// the rules (it holds no `ValueId`s, so pool reclamation is
+    /// unaffected). A method that changes the resident relation's
+    /// values must reset it.
+    report: OnceLock<ViolationReport>,
 }
 
 /// The resident `INCREPAIR` state of a handle whose base is clean (see
@@ -352,7 +364,11 @@ impl DatasetHandle {
             .map_err(|e| SessionError::Rules(format!("cannot normalize rules in {origin}: {e}")))?;
         let parts = detection_parts(&self.relation, &sigma);
         self.rules_text = Some(text.to_string());
-        self.bound = Some(BoundRules { sigma, parts });
+        self.bound = Some(BoundRules {
+            sigma,
+            parts,
+            report: OnceLock::new(),
+        });
         self.resident = None;
         Ok(())
     }
@@ -386,15 +402,14 @@ impl DatasetHandle {
             .ok_or_else(|| SessionError::NoRules(self.name.clone()))
     }
 
-    /// Detect violations against the warm index — no rebuild, identical
-    /// report to a cold [`cfd_cfd::detect`] run.
-    pub fn detect(&self) -> Result<ViolationReport, SessionError> {
+    /// The resident violation report: computed against the warm index by
+    /// the first call after a bind, then returned as is. Identical to a
+    /// cold [`cfd_cfd::detect`] run.
+    pub fn detect(&self) -> Result<&ViolationReport, SessionError> {
         let bound = self.bound()?;
-        Ok(violation::detect_with_parts(
-            &self.relation,
-            &bound.sigma,
-            &bound.parts,
-        ))
+        Ok(bound.report.get_or_init(|| {
+            violation::detect_with_parts(&self.relation, &bound.sigma, &bound.parts)
+        }))
     }
 
     /// The human-readable violation report — byte-identical to the body
@@ -630,20 +645,19 @@ impl DatasetHandle {
     }
 
     /// Build the resident insert state unless it exists, after checking
-    /// the paper's contract `D |= Σ` with the warm index. A dirty base
+    /// the paper's contract `D |= Σ` with the resident report. A dirty base
     /// builds nothing and answers the same error on every request.
     fn ensure_resident(&mut self) -> Result<(), SessionError> {
         if self.resident.is_some() {
             return Ok(());
         }
-        let bound = self.bound()?;
-        let base_report = violation::detect_with_parts(&self.relation, &bound.sigma, &bound.parts);
-        if base_report.total > 0 {
+        let violations = self.detect()?.total;
+        if violations > 0 {
             return Err(SessionError::Data(format!(
-                "base is not clean: {} violation(s); run `cfdclean repair` on it first",
-                base_report.total
+                "base is not clean: {violations} violation(s); run `cfdclean repair` on it first"
             )));
         }
+        let bound = self.bound()?;
         let mut base_csv = Vec::new();
         csv::write_relation(&self.relation, &mut base_csv)
             .map_err(|e| SessionError::Internal(format!("cannot render base: {e}")))?;
@@ -1391,6 +1405,111 @@ mod tests {
             report.summary()
         );
         open(&session, "orders");
+    }
+
+    /// Every detect reads the one report computed after the bind.
+    #[test]
+    fn detect_serves_one_resident_report() {
+        let session = Session::new();
+        let entry = open(&session, "orders");
+        let cell = entry.read().unwrap();
+        let handle = cell.handle().unwrap();
+        let first = handle.detect().unwrap();
+        assert!(std::ptr::eq(first, handle.detect().unwrap()));
+        handle.detect_report(5).unwrap();
+        assert!(std::ptr::eq(first, handle.detect().unwrap()));
+    }
+
+    fn cold_detect(handle: &DatasetHandle) -> ViolationReport {
+        violation::detect(handle.relation(), handle.sigma().unwrap())
+    }
+
+    /// Rebinding replaces the report; reweighting keeps a report that
+    /// still equals a cold detection.
+    #[test]
+    fn rebinding_and_reweighting_keep_the_report_exact() {
+        let session = Session::new();
+        let entry = open(&session, "orders");
+        let mut cell = entry.write().unwrap();
+        let handle = cell.handle_mut().unwrap();
+        let before = handle.detect().unwrap().clone();
+        assert_eq!(before, cold_detect(handle));
+
+        handle
+            .bind_rules("fd: [AC] -> [PN] { (_ || _) }", "rules")
+            .unwrap();
+        let rebound = handle.detect().unwrap().clone();
+        assert_eq!(rebound, cold_detect(handle));
+        assert_ne!(rebound, before, "the new Σ has different violations");
+
+        handle
+            .apply_weights(b"AC,PN,CT,ST,zip\n1,1,0.5,0.5,1\n1,1,0.2,0.2,1\n")
+            .unwrap();
+        assert_eq!(handle.detect().unwrap(), &cold_detect(handle));
+        assert_eq!(handle.detect().unwrap(), &rebound);
+    }
+
+    /// Inserts, failed or not, and streams never change what a detect
+    /// request renders.
+    #[test]
+    fn inserts_and_streams_leave_the_report_unchanged() {
+        let clean = "AC,PN,CT,ST,zip\n212,5556611,NYC,NY,10012\n";
+        let session = Session::new();
+        let entry = session
+            .open_csv("base", clean.as_bytes(), Some(RULES), None)
+            .unwrap()
+            .entry;
+        let mut cell = entry.write().unwrap();
+        let handle = cell.handle_mut().unwrap();
+        let before = handle.detect_report(5).unwrap();
+        let updates = "AC,PN,CT,ST,zip\n215,8883425,PHI,PA,10012\n";
+        handle
+            .insert(updates.as_bytes(), None, Ordering::Violations, 2)
+            .unwrap();
+        assert_eq!(handle.detect_report(5).unwrap(), before, "after an insert");
+        let narrow = "AC,PN\n999,1112223\n";
+        handle
+            .insert(narrow.as_bytes(), None, Ordering::Violations, 1)
+            .err()
+            .expect("arity mismatch must be rejected");
+        assert_eq!(
+            handle.detect_report(5).unwrap(),
+            before,
+            "after an arity error"
+        );
+        handle.open_stream(StreamConfig::tumbling(10)).unwrap();
+        handle
+            .stream_feed("i 1 212,5550001,PHI,PA,10012\n")
+            .unwrap();
+        handle.stream_advance(10).unwrap();
+        handle.stream_close().unwrap();
+        assert_eq!(handle.detect_report(5).unwrap(), before, "after a stream");
+        assert_eq!(handle.detect().unwrap(), &cold_detect(handle));
+        drop(cell);
+
+        let dirty = open(&session, "orders");
+        let mut cell = dirty.write().unwrap();
+        let handle = cell.handle_mut().unwrap();
+        let before = handle.detect_report(5).unwrap();
+        handle
+            .insert(updates.as_bytes(), None, Ordering::Violations, 1)
+            .err()
+            .expect("dirty base must be rejected");
+        assert_eq!(
+            handle.detect_report(5).unwrap(),
+            before,
+            "after a dirty-base error"
+        );
+        handle
+            .insert(narrow.as_bytes(), None, Ordering::Violations, 1)
+            .err()
+            .expect("arity mismatch must be rejected");
+        assert_eq!(
+            handle.detect_report(5).unwrap(),
+            before,
+            "after an arity error"
+        );
+        assert_eq!(handle.detect().unwrap(), &cold_detect(handle));
     }
 
     #[test]
