@@ -19,8 +19,7 @@
 //! [`ValueId::of`] / [`ValueId::value`]; for a relation on a
 //! dataset-scoped pool, use the `_id` variants with ids from that pool.
 
-use std::collections::HashMap;
-
+use crate::hash::FnvMap;
 use crate::pool::ValueId;
 use crate::relation::Relation;
 use crate::schema::AttrId;
@@ -30,13 +29,14 @@ use crate::value::Value;
 /// relation, keyed by interned id.
 #[derive(Clone, Debug, Default)]
 pub struct ActiveDomain {
-    per_attr: Vec<HashMap<ValueId, usize>>,
+    per_attr: Vec<FnvMap<ValueId, usize>>,
 }
 
 impl ActiveDomain {
     /// Build the active domain of every attribute of `rel` in one scan.
     pub fn of_relation(rel: &Relation) -> Self {
-        let mut per_attr: Vec<HashMap<ValueId, usize>> = vec![HashMap::new(); rel.schema().arity()];
+        let mut per_attr: Vec<FnvMap<ValueId, usize>> =
+            vec![FnvMap::default(); rel.schema().arity()];
         for (_, t) in rel.iter() {
             for a in rel.schema().attr_ids() {
                 let id = t.id(a);
@@ -51,7 +51,7 @@ impl ActiveDomain {
     /// An empty domain for a relation of the given arity.
     pub fn with_arity(arity: usize) -> Self {
         ActiveDomain {
-            per_attr: vec![HashMap::new(); arity],
+            per_attr: vec![FnvMap::default(); arity],
         }
     }
 

@@ -28,11 +28,10 @@
 //! writer in bounded chunks.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 
 use crate::error::ModelError;
-use crate::hash::FnvBuildHasher;
+use crate::hash::FnvMap;
 use crate::pool::{ValueId, ValuePool};
 use crate::relation::{Relation, TupleId};
 use crate::schema::{AttrId, Schema};
@@ -327,7 +326,7 @@ pub fn read_relation<R: BufRead>(name: &str, r: &mut R) -> Result<Relation, Mode
 /// a pool id).
 #[derive(Default)]
 struct ColumnDict<'a> {
-    index: HashMap<Field<'a>, u32, FnvBuildHasher>,
+    index: FnvMap<Field<'a>, u32>,
     values: Vec<Value>,
     counts: Vec<u64>,
     cells: Vec<ValueId>,

@@ -34,7 +34,9 @@ impl std::hash::Hasher for Fnv64 {
 pub type FnvBuildHasher = std::hash::BuildHasherDefault<Fnv64>;
 
 /// A `HashMap` under [`FnvBuildHasher`]: no per-process seed.
+#[allow(clippy::disallowed_types)]
 pub type FnvMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;
 
 /// A `HashSet` under [`FnvBuildHasher`]: no per-process seed.
+#[allow(clippy::disallowed_types)]
 pub type FnvSet<T> = std::collections::HashSet<T, FnvBuildHasher>;

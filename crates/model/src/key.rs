@@ -152,8 +152,8 @@ impl fmt::Debug for IdKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FnvMap;
     use std::collections::hash_map::DefaultHasher;
-    use std::collections::HashMap;
 
     fn ids(raw: &[u32]) -> Vec<ValueId> {
         raw.iter().map(|i| ValueId(*i)).collect()
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn borrowed_slice_lookup_works() {
-        let mut m: HashMap<IdKey, &str> = HashMap::new();
+        let mut m: FnvMap<IdKey, &str> = FnvMap::default();
         m.insert(IdKey::from_slice(&ids(&[7, 8])), "short");
         m.insert(IdKey::from_slice(&ids(&[1, 2, 3, 4, 5])), "long");
         assert_eq!(m.get(ids(&[7, 8]).as_slice()), Some(&"short"));

@@ -20,11 +20,12 @@
 //! old bytes keep them alive through their `Arc`. Entries are weak —
 //! dropping the last dataset unmaps the file.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 use std::sync::{Arc, Mutex, Weak};
+
+use crate::hash::FnvMap;
 
 #[cfg(unix)]
 mod sys {
@@ -216,7 +217,7 @@ fn file_key(path: &Path) -> io::Result<FileKey> {
 /// mapped past its last dataset.
 #[derive(Debug, Default)]
 pub struct MappingCache {
-    entries: Mutex<HashMap<FileKey, Weak<Mapping>>>,
+    entries: Mutex<FnvMap<FileKey, Weak<Mapping>>>,
 }
 
 impl MappingCache {

@@ -80,11 +80,11 @@
 //! (snapshots make that safe — any evicted value is re-installable from
 //! its dataset's dictionary segment).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
+use crate::hash::{FnvMap, FnvSet};
 use crate::value::Value;
 
 /// Dense identifier of an interned [`Value`] within one pool.
@@ -190,8 +190,11 @@ impl Rendered {
 struct PoolInner {
     /// id → value. Slot 0 is always `Value::Null`.
     values: Vec<Value>,
-    /// value → id.
-    ids: HashMap<Value, u32>,
+    /// value → id. Keyed by value text, which comes from outside input:
+    /// FNV is not DoS-resistant, so keys crafted to collide degrade
+    /// lookups to linear scans. That costs time, never results — no
+    /// caller lets this map's iteration order reach its output.
+    ids: FnvMap<Value, u32>,
     /// id → number of counted occurrences: every `intern` call bumps the
     /// hit's counter and `install_column` adds its counts, so for loaded
     /// data (tuples, CSV columns, snapshots) the counter approximates the
@@ -252,7 +255,7 @@ pub struct ValuePool {
 impl ValuePool {
     /// A fresh pool with `null` pre-interned at [`NULL_ID`].
     pub fn new() -> Self {
-        let mut ids = HashMap::new();
+        let mut ids = FnvMap::default();
         ids.insert(Value::Null, 0);
         ValuePool {
             inner: RwLock::new(PoolInner {
@@ -411,7 +414,7 @@ impl ValuePool {
     /// relation being dropped). Occurrences are coalesced first so the
     /// counters are touched once per distinct id.
     pub fn retire_ids<I: IntoIterator<Item = ValueId>>(&self, ids: I) {
-        let mut occ: HashMap<u32, u64> = HashMap::new();
+        let mut occ: FnvMap<u32, u64> = FnvMap::default();
         for id in ids {
             if !id.is_null() {
                 *occ.entry(id.0).or_default() += 1;
@@ -441,7 +444,7 @@ impl ValuePool {
     /// passed here, so filter them out first.
     pub fn seal_ids<I: IntoIterator<Item = ValueId>>(&self, ids: I) -> usize {
         let mut inner = self.inner.write().expect("pool lock poisoned");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FnvSet::default();
         let mut sealed = 0;
         for id in ids {
             let i = id.index();

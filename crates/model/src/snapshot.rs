@@ -8,16 +8,15 @@
 //! sees exactly the state a cell-by-cell load would have produced), the
 //! per-attribute `ValueId` and weight column segments straight out of the
 //! [`ColumnStore`], the validity bitmap, and (optionally) the CFD rule
-//! text the dataset is governed by. Loading bulk-installs the dictionary
-//! (one hash operation per *distinct* value instead of per cell) into a
-//! **fresh pool scoped to the dataset** — or an explicit pool via
-//! [`read_snapshot_in`] — and then installs the columns by a flat
-//! local-id → pool-id remap — no parsing, no per-cell hashing. A
-//! [`Catalog`] therefore gives every loaded dataset its own dictionary:
-//! nothing about a load depends on, or leaks into, the rest of the
-//! process.
+//! text the dataset is governed by. Loading validates the whole file,
+//! bulk-installs the dictionary (one hash operation per *distinct* value
+//! instead of per cell) into a **fresh pool scoped to the dataset**, and
+//! then borrows the id columns straight from the file bytes — no
+//! parsing, no per-cell hashing. A [`Catalog`] therefore gives every
+//! loaded dataset its own dictionary: nothing about a load depends on,
+//! or leaks into, the rest of the process.
 //!
-//! [`write_edit_log`] / [`read_edit_log`] persist a repair as an
+//! [`write_edit_log`] / [`read_edit_log_in`] persist a repair as an
 //! [`EditLog`] in the same framing: each edit names a tuple, an
 //! attribute, and the old and new value through the file's own embedded
 //! dictionary, so the log is self-contained and replayable in any
@@ -84,17 +83,25 @@
 //! [`SnapshotError::NotAnEditLog`] rather than a confusing checksum
 //! error.
 //!
-//! # Mapped reader
+//! # Reader
 //!
-//! [`read_snapshot_mapped`] opens the *same* version-1 format in place
-//! over a file [`Mapping`](crate::mapping::Mapping) (mmap-backed on
-//! unix, owned-buffer elsewhere and under `CFD_MMAP=0` — see
-//! [`crate::mapping`]). Nothing about the bytes changes: checksums are
-//! verified against the mapped bytes and every length/id/weight is
-//! validated exactly as the eager reader does *before* any segment is
-//! trusted; every corrupt or truncated file surfaces as the same typed
-//! [`SnapshotError`], and a rejected file installs nothing. What changes
-//! is what gets copied:
+//! One private `parse` defines a valid version-1 file: magic and
+//! version, every segment checksum, and every content rule of the table
+//! above (META counts and flags, DICT nulls, each COLS local id and
+//! weight, the VALIDITY popcount and tail, the exact end, and a valid
+//! schema). It installs nothing, and every entry point goes through it:
+//!
+//! * [`read_snapshot_mapped`] opens a file [`Mapping`] (mmap-backed on
+//!   unix, owned-buffer elsewhere and under `CFD_MMAP=0` — see
+//!   [`crate::mapping`]) and installs in place;
+//! * [`read_snapshot`] is the same reader over an owned copy of bytes
+//!   already in memory;
+//! * [`snapshot_info`] is `parse` alone, so `info` never describes a
+//!   file that will not load;
+//! * [`Catalog::load`] and [`Catalog::load_mapped`] read through the
+//!   catalog's mapping cache.
+//!
+//! What the install copies:
 //!
 //! * **Column segments borrow.** Each attribute's `slots × u32` local-id
 //!   run inside COLS becomes a borrowed slice over the mapping
@@ -104,8 +111,8 @@
 //!   bulk install produces, so the on-disk ids *are* the pool ids (the
 //!   reader verifies this identity after the install and falls back to
 //!   an owned remap for checksum-valid but non-canonical files, e.g.
-//!   duplicate dictionary entries). The mapped reader therefore always
-//!   installs into a fresh pool of its own.
+//!   duplicate dictionary entries). The reader therefore always installs
+//!   into a fresh pool of its own.
 //! * **Alignment.** The segment framing is unpadded, so a run's 4-byte
 //!   alignment depends on the preceding variable-length segments; each
 //!   column borrows only when its actual mapped pointer is aligned (and
@@ -125,13 +132,10 @@
 //!   snapshot does not pay for strings no repair ever looks at.
 //!
 //! A [`Catalog`] deduplicates concurrent opens through a
-//! [`MappingCache`](crate::mapping::MappingCache): two datasets opened
-//! from the same snapshot file share one `Arc<Mapping>` — one physical
-//! copy of the column bytes across workers. The compatibility policy is
-//! unchanged: the mapped reader reads exactly `FORMAT_VERSION` 1, the
-//! writer is untouched, and snapshot bytes stay canonical.
+//! [`MappingCache`]: two datasets opened from the same snapshot file
+//! share one `Arc<Mapping>` — one physical copy of the column bytes
+//! across workers.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -139,6 +143,7 @@ use std::path::{Path, PathBuf};
 
 use crate::diff::{Edit, EditLog};
 use crate::error::ModelError;
+use crate::hash::FnvMap;
 use crate::mapping::{Mapping, MappingCache};
 use crate::pool::{ValueId, ValuePool, NULL_ID};
 use crate::relation::{Relation, TupleId};
@@ -474,7 +479,7 @@ fn check_magic(
 /// Pool-id → local-id assignment in first-occurrence order, null pinned
 /// at local 0. `count` accumulates live-cell occurrences (never null).
 struct DictBuilder {
-    locals: HashMap<ValueId, u32>,
+    locals: FnvMap<ValueId, u32>,
     order: Vec<ValueId>,
     counts: Vec<u64>,
 }
@@ -482,7 +487,7 @@ struct DictBuilder {
 impl DictBuilder {
     fn new() -> Self {
         DictBuilder {
-            locals: HashMap::from([(NULL_ID, 0)]),
+            locals: FnvMap::from_iter([(NULL_ID, 0)]),
             order: vec![NULL_ID],
             counts: vec![0],
         }
@@ -714,29 +719,29 @@ fn read_dict(file: &mut Cur<'_>) -> Result<(Vec<Value>, Vec<u64>), SnapshotError
     Ok((values, counts))
 }
 
-/// Parse and install a version-1 snapshot from `bytes` into a **fresh
-/// pool of its own** — the dataset-scoped default: nothing the process
-/// loaded before can influence the relation's ids or frequency counters,
-/// and evicting the dataset (dropping the relation) frees its whole
-/// dictionary.
-pub fn read_snapshot(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
-    read_snapshot_in(bytes, ValuePool::new_handle())
+/// A version-1 snapshot that passed every check of the format, with
+/// nothing installed yet. The local-id runs stay in the file: attribute
+/// `a`'s `slots × u32` ids start at byte `cols + a·slots·12`.
+struct Parsed {
+    meta: Meta,
+    schema: Schema,
+    rules: Option<String>,
+    values: Vec<Value>,
+    counts: Vec<u64>,
+    cols: usize,
+    weights: Vec<Vec<f64>>,
+    validity: Vec<u64>,
 }
 
-/// Parse and install a version-1 snapshot from `bytes` into `pool`.
-///
-/// The dictionary is installed into `pool` (occurrence counts included —
-/// see [`ValuePool::install_column`]), columns are remapped local→pool
-/// id, and the relation comes back columnar with tombstones, weights,
-/// and the stored schema intact.
-pub fn read_snapshot_in(
-    bytes: &[u8],
-    pool: std::sync::Arc<ValuePool>,
-) -> Result<LoadedSnapshot, SnapshotError> {
+/// The one definition of a valid version-1 snapshot: magic and version,
+/// every segment checksum, META's counts and flags, DICT's nulls, every
+/// COLS local id and weight, the VALIDITY popcount and tail bits, the
+/// exact end of the file, and the stored schema. Installs nothing.
+fn parse(bytes: &[u8]) -> Result<Parsed, SnapshotError> {
     let mut file = Cur::new(bytes, "FILE");
     check_magic(&mut file, SNAPSHOT_MAGIC, || SnapshotError::NotASnapshot)?;
     let meta = read_meta(&mut file)?;
-    let arity = meta.attrs.len();
+    let (arity, slots) = (meta.attrs.len(), meta.slots);
 
     let rules = if meta.has_rules {
         let mut seg = read_segment(&mut file, SEG_RULES, "RULES")?;
@@ -750,124 +755,11 @@ pub fn read_snapshot_in(
     let (values, counts) = read_dict(&mut file)?;
     let dict_len = values.len();
 
-    let mut cols_seg = read_segment(&mut file, SEG_COLS, "COLS")?;
-    let expected = arity
-        .checked_mul(meta.slots)
-        .and_then(|n| n.checked_mul(12))
-        .ok_or_else(|| cols_seg.corrupt("column extent overflows".into()))?;
-    if cols_seg.bytes.len() != expected {
-        return Err(cols_seg.corrupt(format!(
-            "column payload is {} bytes, expected {expected}",
-            cols_seg.bytes.len()
-        )));
-    }
-    let mut local_cols: Vec<Vec<u32>> = Vec::with_capacity(arity);
-    let mut weight_cols: Vec<Vec<f64>> = Vec::with_capacity(arity);
-    for a in 0..arity {
-        let mut locals = Vec::with_capacity(meta.slots);
-        for slot in 0..meta.slots {
-            let l = cols_seg.u32()?;
-            if l as usize >= dict_len {
-                return Err(cols_seg.corrupt(format!(
-                    "attribute {a} slot {slot} references dictionary entry {l} of {dict_len}"
-                )));
-            }
-            locals.push(l);
-        }
-        let mut weights = Vec::with_capacity(meta.slots);
-        for slot in 0..meta.slots {
-            let wt = f64::from_bits(cols_seg.u64()?);
-            if !wt.is_finite() || !(0.0..=1.0).contains(&wt) {
-                return Err(cols_seg.corrupt(format!(
-                    "attribute {a} slot {slot} weight {wt} outside [0, 1]"
-                )));
-            }
-            weights.push(wt);
-        }
-        local_cols.push(locals);
-        weight_cols.push(weights);
-    }
-    cols_seg.finish()?;
-
-    let mut validity_seg = read_segment(&mut file, SEG_VALIDITY, "VALIDITY")?;
-    let words = meta.slots.div_ceil(64);
-    let mut validity = Vec::with_capacity(words);
-    for _ in 0..words {
-        validity.push(validity_seg.u64()?);
-    }
-    validity_seg.finish()?;
-    let live: usize = validity.iter().map(|w| w.count_ones() as usize).sum();
-    if live != meta.live {
-        return Err(SnapshotError::Corrupt {
-            segment: "VALIDITY",
-            detail: format!("bitmap has {live} live slots, META declares {}", meta.live),
-        });
-    }
-    if !meta.slots.is_multiple_of(64) {
-        if let Some(last) = validity.last() {
-            if last & !((1u64 << (meta.slots % 64)) - 1) != 0 {
-                return Err(SnapshotError::Corrupt {
-                    segment: "VALIDITY",
-                    detail: "bits set beyond the last slot".into(),
-                });
-            }
-        }
-    }
-    file.finish().map_err(|_| SnapshotError::Corrupt {
-        segment: "FILE",
-        detail: "trailing bytes after the last segment".into(),
-    })?;
-
-    // Everything validated — including the schema, which must come
-    // before the dictionary install: a rejected snapshot must leave the
-    // target pool's contents and frequency counters untouched.
-    let schema = Schema::new(&meta.name, &meta.attrs)?;
-
-    // Install: one pool pass for the dictionary, then flat remaps for
-    // the columns.
-    let pool_ids = pool.install_column(&values, &counts);
-    let cols: Vec<Vec<ValueId>> = local_cols
-        .into_iter()
-        .map(|locals| locals.into_iter().map(|l| pool_ids[l as usize]).collect())
-        .collect();
-    let store = ColumnStore::from_parts(meta.slots, cols, weight_cols, validity, pool);
-    let relation = Relation::from_store(schema, store)?;
-    Ok(LoadedSnapshot { relation, rules })
-}
-
-/// Parse and install a version-1 snapshot **in place** over `map` — the
-/// zero-copy open. Validation is byte-for-byte the eager reader's
-/// (checksums against the mapped bytes, every id/weight/bitmap bound
-/// checked, typed errors, nothing installed on rejection); the column
-/// segments then borrow from the mapping instead of being copied, COW on
-/// first write. Always installs into a fresh pool of its own — the
-/// identity between on-disk local ids and fresh-pool ids is what makes
-/// the borrow sound (see the module docs' *Mapped reader* section).
-pub fn read_snapshot_mapped(
-    map: &std::sync::Arc<Mapping>,
-) -> Result<LoadedSnapshot, SnapshotError> {
-    let bytes = map.bytes();
-    let base = bytes.as_ptr() as usize;
-    let mut file = Cur::new(bytes, "FILE");
-    check_magic(&mut file, SNAPSHOT_MAGIC, || SnapshotError::NotASnapshot)?;
-    let meta = read_meta(&mut file)?;
-    let arity = meta.attrs.len();
-
-    let rules = if meta.has_rules {
-        let mut seg = read_segment(&mut file, SEG_RULES, "RULES")?;
-        let text = seg.string()?;
-        seg.finish()?;
-        Some(text)
-    } else {
-        None
-    };
-
-    let (values, counts) = read_dict(&mut file)?;
-    let dict_len = values.len();
-
+    // The payload starts past the segment's tag and length.
+    let cols = file.pos + 1 + 8;
     let cols_seg = read_segment(&mut file, SEG_COLS, "COLS")?;
     let expected = arity
-        .checked_mul(meta.slots)
+        .checked_mul(slots)
         .and_then(|n| n.checked_mul(12))
         .ok_or_else(|| cols_seg.corrupt("column extent overflows".into()))?;
     if cols_seg.bytes.len() != expected {
@@ -876,15 +768,10 @@ pub fn read_snapshot_mapped(
             cols_seg.bytes.len()
         )));
     }
-    // Where the COLS payload sits in the file: attribute `a`'s id run is
-    // `cols_offset + a·slots·12`, its weight run 4·slots bytes later.
-    let cols_offset = cols_seg.bytes.as_ptr() as usize - base;
-    // Validate every local id and weight against the mapped bytes — the
-    // same domain checks as the eager reader, minus its copies.
-    let mut weight_cols: Vec<Vec<f64>> = Vec::with_capacity(arity);
+    let mut weights = Vec::with_capacity(arity);
     for a in 0..arity {
-        let run = a * meta.slots * 12;
-        let ids = &cols_seg.bytes[run..run + meta.slots * 4];
+        let run = &cols_seg.bytes[a * slots * 12..(a + 1) * slots * 12];
+        let (ids, wbytes) = run.split_at(slots * 4);
         for (slot, chunk) in ids.chunks_exact(4).enumerate() {
             let l = u32::from_le_bytes(chunk.try_into().unwrap());
             if l as usize >= dict_len {
@@ -893,8 +780,7 @@ pub fn read_snapshot_mapped(
                 )));
             }
         }
-        let wbytes = &cols_seg.bytes[run + meta.slots * 4..run + meta.slots * 12];
-        let mut weights = Vec::with_capacity(meta.slots);
+        let mut col = Vec::with_capacity(slots);
         for (slot, chunk) in wbytes.chunks_exact(8).enumerate() {
             let wt = f64::from_bits(u64::from_le_bytes(chunk.try_into().unwrap()));
             if !wt.is_finite() || !(0.0..=1.0).contains(&wt) {
@@ -902,13 +788,13 @@ pub fn read_snapshot_mapped(
                     "attribute {a} slot {slot} weight {wt} outside [0, 1]"
                 )));
             }
-            weights.push(wt);
+            col.push(wt);
         }
-        weight_cols.push(weights);
+        weights.push(col);
     }
 
     let mut validity_seg = read_segment(&mut file, SEG_VALIDITY, "VALIDITY")?;
-    let words = meta.slots.div_ceil(64);
+    let words = slots.div_ceil(64);
     let mut validity = Vec::with_capacity(words);
     for _ in 0..words {
         validity.push(validity_seg.u64()?);
@@ -916,20 +802,13 @@ pub fn read_snapshot_mapped(
     validity_seg.finish()?;
     let live: usize = validity.iter().map(|w| w.count_ones() as usize).sum();
     if live != meta.live {
-        return Err(SnapshotError::Corrupt {
-            segment: "VALIDITY",
-            detail: format!("bitmap has {live} live slots, META declares {}", meta.live),
-        });
+        return Err(validity_seg.corrupt(format!(
+            "bitmap has {live} live slots, META declares {}",
+            meta.live
+        )));
     }
-    if !meta.slots.is_multiple_of(64) {
-        if let Some(last) = validity.last() {
-            if last & !((1u64 << (meta.slots % 64)) - 1) != 0 {
-                return Err(SnapshotError::Corrupt {
-                    segment: "VALIDITY",
-                    detail: "bits set beyond the last slot".into(),
-                });
-            }
-        }
+    if !slots.is_multiple_of(64) && validity.last().is_some_and(|w| w >> (slots % 64) != 0) {
+        return Err(validity_seg.corrupt("bits set beyond the last slot".into()));
     }
     file.finish().map_err(|_| SnapshotError::Corrupt {
         segment: "FILE",
@@ -937,29 +816,59 @@ pub fn read_snapshot_mapped(
     })?;
 
     let schema = Schema::new(&meta.name, &meta.attrs)?;
+    Ok(Parsed {
+        meta,
+        schema,
+        rules,
+        values,
+        counts,
+        cols,
+        weights,
+        validity,
+    })
+}
+
+/// Parse and install a version-1 snapshot held in memory: the mapped
+/// reader over an owned copy of `bytes`.
+pub fn read_snapshot(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
+    read_snapshot_mapped(&Mapping::from_bytes(bytes.to_vec()))
+}
+
+/// Parse and install a version-1 snapshot **in place** over `map`: the
+/// file is validated in full first (a rejected file installs nothing),
+/// then the dictionary goes into a **fresh pool of its own** and the id
+/// columns borrow from the mapping, copy-on-write (see the module docs'
+/// *Reader* section). Nothing the process loaded before can influence
+/// the relation's ids or frequency counters, and evicting the dataset
+/// frees its whole dictionary.
+pub fn read_snapshot_mapped(
+    map: &std::sync::Arc<Mapping>,
+) -> Result<LoadedSnapshot, SnapshotError> {
+    let bytes = map.bytes();
+    let p = parse(bytes)?;
+    let slots = p.meta.slots;
 
     let pool = ValuePool::new_handle();
-    let pool_ids = pool.install_column(&values, &counts);
+    let pool_ids = pool.install_column(&p.values, &p.counts);
     // The writer assigns local ids in first-occurrence order — exactly
     // the order a fresh pool's install interns, so on a canonical file
     // the install is the identity map and the on-disk u32 runs *are*
     // valid pool-id columns. Verified, not assumed: a checksum-valid but
     // hand-crafted file can carry duplicate dictionary entries, which
     // the install dedupes into a non-identity map — those fall back to
-    // the eager owned remap.
+    // an owned remap.
     let identity = pool_ids.iter().enumerate().all(|(i, id)| id.index() == i);
-    let cols: Vec<IdColumn> = (0..arity)
+    let cols: Vec<IdColumn> = (0..p.schema.arity())
         .map(|a| {
-            let offset = cols_offset + a * meta.slots * 12;
+            let offset = p.cols + a * slots * 12;
             if identity {
                 // Borrow when aligned (and little-endian); per-column
                 // owned fallback otherwise.
-                if let Some(col) = IdColumn::mapped(std::sync::Arc::clone(map), offset, meta.slots)
-                {
+                if let Some(col) = IdColumn::mapped(std::sync::Arc::clone(map), offset, slots) {
                     return col;
                 }
             }
-            let run = &bytes[offset..offset + meta.slots * 4];
+            let run = &bytes[offset..offset + slots * 4];
             IdColumn::Owned(
                 run.chunks_exact(4)
                     .map(|c| pool_ids[u32::from_le_bytes(c.try_into().unwrap()) as usize])
@@ -967,30 +876,20 @@ pub fn read_snapshot_mapped(
             )
         })
         .collect();
-    let store = ColumnStore::from_id_columns(meta.slots, cols, weight_cols, validity, pool);
-    let relation = Relation::from_store(schema, store)?;
-    Ok(LoadedSnapshot { relation, rules })
+    let store = ColumnStore::from_id_columns(slots, cols, p.weights, p.validity, pool);
+    let relation = Relation::from_store(p.schema, store)?;
+    Ok(LoadedSnapshot {
+        relation,
+        rules: p.rules,
+    })
 }
 
 /// Read a snapshot's self-description without installing anything.
 ///
-/// The whole file is still frame-walked — every segment checksum is
-/// verified and the exact-end rule enforced — so `info` on a corrupt
-/// file errors rather than describing a file that will not load.
+/// The file goes through the same validation as a load, so `info` on a
+/// file that will not load errors rather than describing it.
 pub fn snapshot_info(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let mut file = Cur::new(bytes, "FILE");
-    check_magic(&mut file, SNAPSHOT_MAGIC, || SnapshotError::NotASnapshot)?;
-    let meta = read_meta(&mut file)?;
-    if meta.has_rules {
-        read_segment(&mut file, SEG_RULES, "RULES")?;
-    }
-    let (values, _) = read_dict(&mut file)?;
-    read_segment(&mut file, SEG_COLS, "COLS")?;
-    read_segment(&mut file, SEG_VALIDITY, "VALIDITY")?;
-    file.finish().map_err(|_| SnapshotError::Corrupt {
-        segment: "FILE",
-        detail: "trailing bytes after the last segment".into(),
-    })?;
+    let Parsed { meta, values, .. } = parse(bytes)?;
     Ok(SnapshotInfo {
         relation: meta.name,
         attrs: meta.attrs,
@@ -1110,13 +1009,6 @@ pub struct LoadedEditLog {
     pub relation: String,
     /// The arity the log was derived for.
     pub arity: usize,
-}
-
-/// [`read_edit_log_in`] on the process-default shared pool
-/// (compatibility shim — pass the pool of the relation the log will be
-/// applied to, or the remapped ids will belong to the wrong dictionary).
-pub fn read_edit_log(bytes: &[u8]) -> Result<LoadedEditLog, SnapshotError> {
-    read_edit_log_in(bytes, &ValuePool::shared())
 }
 
 /// Parse a version-1 edit-log file, remapping its dictionary into
@@ -1300,10 +1192,11 @@ impl Catalog {
         Ok(path)
     }
 
-    /// Load the dataset `name` through the eager (copying) reader — the
-    /// differential baseline for [`Catalog::load_mapped`].
+    /// Load the dataset `name`: [`Catalog::load_mapped`] without the
+    /// mapping handle. The relation's borrowed columns keep the mapping
+    /// alive on their own.
     pub fn load(&self, name: &str) -> Result<LoadedSnapshot, SnapshotError> {
-        read_snapshot(&self.read_file(name)?)
+        self.load_mapped(name).map(|(loaded, _)| loaded)
     }
 
     /// Load the dataset `name` zero-copy: the snapshot file is mapped
@@ -1489,7 +1382,7 @@ mod tests {
             Err(SnapshotError::NotASnapshot)
         ));
         assert!(matches!(
-            read_edit_log(&bytes),
+            read_edit_log_in(&bytes, &ValuePool::new()),
             Err(SnapshotError::NotAnEditLog)
         ));
         bytes[9] = 0xFF; // version byte
@@ -1537,7 +1430,7 @@ mod tests {
             .unwrap();
         let log = EditLog::between(&r, &repaired).unwrap();
         let bytes = edit_log_to_vec(&log, "order", 3, r.pool());
-        let loaded = read_edit_log(&bytes).unwrap();
+        let loaded = read_edit_log_in(&bytes, r.pool()).unwrap();
         assert_eq!(loaded.relation, "order");
         assert_eq!(loaded.arity, 3);
         assert_eq!(loaded.log, log);
@@ -1569,7 +1462,7 @@ mod tests {
         put_segment(&mut bytes, SEG_META, &meta);
         put_segment(&mut bytes, SEG_DICT, &dict);
         put_segment(&mut bytes, SEG_EDITS, &[]);
-        match read_edit_log(&bytes) {
+        match read_edit_log_in(&bytes, &ValuePool::new()) {
             Err(SnapshotError::Corrupt { segment, detail }) => {
                 assert_eq!(segment, "DICT");
                 assert!(detail.contains("occurrence count 7"), "{detail}");

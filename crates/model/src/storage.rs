@@ -313,7 +313,7 @@ impl ColumnStore {
     }
 
     /// Value-column bytes still borrowed zero-copy from a snapshot
-    /// mapping (0 for eager and fully written-to stores).
+    /// mapping (0 for owned and fully written-to stores).
     pub fn mapped_bytes(&self) -> usize {
         self.cols
             .iter()

@@ -9,6 +9,10 @@
 //! exhaustive single-bit flips over small files plus randomized flip,
 //! multi-byte-scramble, and truncation trials over larger ones.
 //!
+//! A second suite keeps every checksum valid and breaks one content rule
+//! at a time, so the content checks themselves are exercised — through
+//! the reader and through `snapshot_info`.
+//!
 //! (A flip in the magic or version bytes is caught by the direct
 //! magic/version check; everything else lands in a checksummed region.
 //! FNV-1a is not a formal error-detecting code, but these trials are
@@ -16,10 +20,10 @@
 //! loudly here, not intermittently in production.)
 
 use cfd_model::snapshot::{
-    edit_log_to_vec, read_edit_log, read_snapshot, read_snapshot_mapped, snapshot_info,
-    snapshot_segments, snapshot_to_vec, SnapshotError,
+    edit_log_to_vec, read_edit_log_in, read_snapshot, read_snapshot_mapped, snapshot_info,
+    snapshot_segments, snapshot_to_vec, LoadedEditLog, SnapshotError,
 };
-use cfd_model::{EditLog, Mapping, Relation, Schema, Tuple, TupleId, Value};
+use cfd_model::{EditLog, Mapping, Relation, Schema, Tuple, TupleId, Value, ValuePool};
 use cfd_prng::{trials, Rng};
 
 fn sample(rows: usize) -> Relation {
@@ -89,6 +93,10 @@ fn assert_snapshot_rejected(bytes: &[u8], ctx: &str) {
     // to *report* them) but must never panic, and structural damage
     // (truncation, bad magic, bad lengths) stays a typed error.
     let _ = snapshot_segments(bytes);
+}
+
+fn read_edit_log(bytes: &[u8]) -> Result<LoadedEditLog, SnapshotError> {
+    read_edit_log_in(bytes, &ValuePool::new())
 }
 
 fn assert_edit_log_rejected(bytes: &[u8], ctx: &str) {
@@ -199,4 +207,381 @@ fn cross_family_files_are_rejected_by_magic() {
         read_snapshot(b"short"),
         Err(SnapshotError::NotASnapshot)
     ));
+}
+
+// ---------------------------------------------------------------------------
+// Content checks
+//
+// The trials above break a checksum before they break a format rule, so
+// they never reach the readers' content validation. The cases below
+// rewrite one segment's payload *and recompute its checksum*: every
+// frame verifies, and only the rule the case breaks can reject the file.
+
+const SEG_META: u8 = 1;
+const SEG_DICT: u8 = 3;
+const SEG_COLS: u8 = 4;
+const SEG_VALIDITY: u8 = 5;
+
+/// Magic + version.
+const PREFIX: usize = 12;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// A snapshot's framed segments as `(tag, payload)` pairs, in file order.
+fn frames(bytes: &[u8]) -> Vec<(u8, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut pos = PREFIX;
+    while pos < bytes.len() {
+        let tag = bytes[pos];
+        let len = u64_at(bytes, pos + 1) as usize;
+        out.push((tag, bytes[pos + 9..pos + 9 + len].to_vec()));
+        pos += 1 + 8 + len + 8;
+    }
+    out
+}
+
+/// `bytes` with the payload of segment `tag` replaced by `edit(payload)`
+/// and that segment's length and checksum recomputed.
+fn rewrite(bytes: &[u8], tag: u8, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frames = frames(bytes);
+    let (_, payload) = frames
+        .iter_mut()
+        .find(|(t, _)| *t == tag)
+        .expect("segment present");
+    edit(payload);
+    let mut out = bytes[..PREFIX].to_vec();
+    for (tag, payload) in &frames {
+        let len = (payload.len() as u64).to_le_bytes();
+        let mut framed = vec![*tag];
+        framed.extend_from_slice(&len);
+        framed.extend_from_slice(payload);
+        let checksum = fnv1a(&framed);
+        out.extend_from_slice(&framed);
+        out.extend_from_slice(&checksum.to_le_bytes());
+    }
+    out
+}
+
+fn put_string(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u64).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// The fields of a snapshot META payload, decoded so a case can change
+/// one and re-encode the rest unchanged.
+struct Meta {
+    name: String,
+    slots: u64,
+    live: u64,
+    flags: u32,
+    attrs: Vec<String>,
+}
+
+impl Meta {
+    fn decode(p: &[u8]) -> Meta {
+        let mut pos = 0;
+        let string = |pos: &mut usize| {
+            let n = u64_at(p, *pos) as usize;
+            let s = String::from_utf8(p[*pos + 8..*pos + 8 + n].to_vec()).unwrap();
+            *pos += 8 + n;
+            s
+        };
+        let name = string(&mut pos);
+        let arity = u16::from_le_bytes([p[pos], p[pos + 1]]);
+        let slots = u64_at(p, pos + 2);
+        let live = u64_at(p, pos + 10);
+        let flags = u32_at(p, pos + 18);
+        pos += 22;
+        let attrs = (0..arity).map(|_| string(&mut pos)).collect();
+        Meta {
+            name,
+            slots,
+            live,
+            flags,
+            attrs,
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_string(&mut out, &self.name);
+        out.extend_from_slice(&(self.attrs.len() as u16).to_le_bytes());
+        out.extend_from_slice(&self.slots.to_le_bytes());
+        out.extend_from_slice(&self.live.to_le_bytes());
+        out.extend_from_slice(&self.flags.to_le_bytes());
+        for a in &self.attrs {
+            put_string(&mut out, a);
+        }
+        out
+    }
+}
+
+fn rewrite_meta(bytes: &[u8], edit: impl FnOnce(&mut Meta)) -> Vec<u8> {
+    rewrite(bytes, SEG_META, |p| {
+        let mut meta = Meta::decode(p);
+        edit(&mut meta);
+        *p = meta.encode();
+    })
+}
+
+/// Byte ranges of each DICT entry (value ‖ occurrences) in its payload.
+fn dict_entries(p: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut pos = 4;
+    (0..u32_at(p, 0))
+        .map(|_| {
+            let start = pos;
+            pos += match p[pos] {
+                0 => 1,
+                1 => 9,
+                _ => 9 + u64_at(p, pos + 1) as usize,
+            };
+            pos += 8;
+            start..pos
+        })
+        .collect()
+}
+
+/// The content-check fixture: 70 slots (so the last VALIDITY word has a
+/// tail), slot 1 tombstoned, three attributes, embedded rules.
+fn content_fixture() -> (Relation, Vec<u8>) {
+    let r = sample(70);
+    let bytes = snapshot_to_vec(&r, Some("phi: [id] -> [city]"));
+    (r, bytes)
+}
+
+/// Where a content case must be rejected.
+#[derive(Clone, Copy, Debug)]
+enum Expect {
+    /// `SnapshotError::Corrupt` naming this segment.
+    Corrupt(&'static str),
+    /// `SnapshotError::Model` (the schema rejected the stored names).
+    Model,
+}
+
+fn check_error(got: Result<(), SnapshotError>, expect: Expect, ctx: &str) {
+    match (got, expect) {
+        (Err(SnapshotError::Corrupt { segment, .. }), Expect::Corrupt(want)) => {
+            assert_eq!(segment, want, "{ctx}: rejected in the wrong segment")
+        }
+        (Err(SnapshotError::Model(_)), Expect::Model) => {}
+        (Err(other), _) => panic!("{ctx}: expected {expect:?}, got {other:?}"),
+        (Ok(()), _) => panic!("{ctx}: a file that breaks a content rule was accepted"),
+    }
+}
+
+fn assert_content_rejected(bytes: &[u8], expect: Expect, ctx: &str) {
+    let segs = snapshot_segments(bytes).expect("frames walk");
+    assert!(
+        segs.iter().all(|s| s.checksum_ok),
+        "{ctx}: every checksum must verify, so only the content check can reject"
+    );
+    check_error(read_snapshot(bytes).map(drop), expect, ctx);
+    check_error(
+        read_snapshot_mapped(&Mapping::from_bytes(bytes.to_vec())).map(drop),
+        expect,
+        &format!("{ctx} (mapped)"),
+    );
+    // `info` runs the same validation: it must not describe a file
+    // that will not load.
+    check_error(
+        snapshot_info(bytes).map(drop),
+        expect,
+        &format!("{ctx} (info)"),
+    );
+}
+
+#[test]
+fn checksum_valid_files_that_break_a_content_rule_are_rejected() {
+    let (r, bytes) = content_fixture();
+    let slots = r.slot_count();
+    assert!(slots % 64 != 0, "fixture needs a VALIDITY tail");
+    let frames = frames(&bytes);
+    let dict = &frames.iter().find(|(t, _)| *t == SEG_DICT).unwrap().1;
+    let dict_len = u32_at(dict, 0);
+    let validity = &frames.iter().find(|(t, _)| *t == SEG_VALIDITY).unwrap().1;
+    assert_eq!(validity.len(), 16);
+    assert_eq!(validity[0] & 1, 1, "slot 0 is live");
+
+    let mut cases: Vec<(String, Vec<u8>, Expect)> = Vec::new();
+
+    // COLS: a local id past the dictionary, first and last attribute.
+    for (attr, slot, id) in [(0, 0, dict_len), (2, slots - 1, u32::MAX)] {
+        let at = attr * slots * 12 + slot * 4;
+        cases.push((
+            format!("local id {id} at attribute {attr} slot {slot}"),
+            rewrite(&bytes, SEG_COLS, |p| {
+                p[at..at + 4].copy_from_slice(&id.to_le_bytes())
+            }),
+            Expect::Corrupt("COLS"),
+        ));
+    }
+    // COLS: weights outside [0, 1] or not finite.
+    for w in [f64::NAN, -0.5, 1.5, f64::INFINITY] {
+        let at = slots * 12 + slots * 4 + 3 * 8;
+        cases.push((
+            format!("weight {w}"),
+            rewrite(&bytes, SEG_COLS, |p| {
+                p[at..at + 8].copy_from_slice(&w.to_bits().to_le_bytes())
+            }),
+            Expect::Corrupt("COLS"),
+        ));
+    }
+    // META: counts and flags.
+    cases.push((
+        "live > slots".into(),
+        rewrite_meta(&bytes, |m| m.live = m.slots + 1),
+        Expect::Corrupt("META"),
+    ));
+    cases.push((
+        "unknown flag bits".into(),
+        rewrite_meta(&bytes, |m| m.flags |= 0b10),
+        Expect::Corrupt("META"),
+    ));
+    cases.push((
+        "slots > u32::MAX".into(),
+        rewrite_meta(&bytes, |m| m.slots = u64::from(u32::MAX) + 1),
+        Expect::Corrupt("META"),
+    ));
+    // DICT: entry 0 must be null, and no other entry may be.
+    cases.push((
+        "DICT entry 0 not null".into(),
+        rewrite(&bytes, SEG_DICT, |p| {
+            let mut int0 = vec![1u8];
+            int0.extend_from_slice(&0i64.to_le_bytes());
+            p.splice(4..5, int0);
+        }),
+        Expect::Corrupt("DICT"),
+    ));
+    cases.push((
+        "second null in DICT".into(),
+        rewrite(&bytes, SEG_DICT, |p| {
+            let n = u32_at(p, 0) + 1;
+            p[..4].copy_from_slice(&n.to_le_bytes());
+            p.push(0);
+            p.extend_from_slice(&0u64.to_le_bytes());
+        }),
+        Expect::Corrupt("DICT"),
+    ));
+    // VALIDITY: popcount must equal META's live count; the tail is zero.
+    cases.push((
+        "validity popcount mismatch".into(),
+        rewrite(&bytes, SEG_VALIDITY, |p| p[0] &= !1),
+        Expect::Corrupt("VALIDITY"),
+    ));
+    cases.push((
+        "validity bit past the last slot".into(),
+        // Move a live bit into the tail: the popcount still matches.
+        rewrite(&bytes, SEG_VALIDITY, |p| {
+            p[0] &= !1;
+            p[15] |= 0x80;
+        }),
+        Expect::Corrupt("VALIDITY"),
+    ));
+    // META: the stored schema must be a valid schema.
+    cases.push((
+        "duplicate attribute names".into(),
+        rewrite_meta(&bytes, |m| m.attrs[2] = m.attrs[0].clone()),
+        Expect::Model,
+    ));
+
+    for (ctx, corrupt, expect) in &cases {
+        assert_content_rejected(corrupt, *expect, ctx);
+    }
+}
+
+/// A checksum-valid but non-canonical file: one cell references a second
+/// DICT entry holding the same value as an earlier one. The fresh pool's
+/// install folds the duplicate, so on-disk ids are not pool ids and the
+/// reader must take the owned remap instead of borrowing the id runs.
+#[test]
+fn a_duplicated_dictionary_entry_loads_through_the_owned_remap() {
+    let (r, bytes) = content_fixture();
+    let slots = r.slot_count();
+    let city = 1;
+    let slot = 2; // live, city "PHI"
+    assert!(r.is_live(TupleId(slot as u32)));
+    let at = city * slots * 12 + slot * 4;
+    let cols = &frames(&bytes)
+        .into_iter()
+        .find(|(t, _)| *t == SEG_COLS)
+        .unwrap()
+        .1;
+    let local = u32_at(cols, at) as usize;
+
+    // Split the value's occurrence count between the entry and its copy,
+    // so the pool's summed count stays the canonical one.
+    let mut dict_len = 0;
+    let dup = rewrite(&bytes, SEG_DICT, |p| {
+        let entries = dict_entries(p);
+        let entry = p[entries[local].clone()].to_vec();
+        let count_at = entries[local].end - 8;
+        let n = u64_at(p, count_at);
+        assert!(n >= 2, "the split needs a value with two live cells");
+        p[count_at..count_at + 8].copy_from_slice(&(n - 1).to_le_bytes());
+        let mut copy = entry[..entry.len() - 8].to_vec();
+        copy.extend_from_slice(&1u64.to_le_bytes());
+        p.extend_from_slice(&copy);
+        dict_len = u32_at(p, 0);
+        p[..4].copy_from_slice(&(dict_len + 1).to_le_bytes());
+    });
+    let dup = rewrite(&dup, SEG_COLS, |p| {
+        p[at..at + 4].copy_from_slice(&dict_len.to_le_bytes())
+    });
+    assert_ne!(dup, bytes);
+
+    let canonical = read_snapshot(&bytes).unwrap();
+    for (path, loaded) in [
+        ("in-memory", read_snapshot(&dup).unwrap()),
+        (
+            "mapped",
+            read_snapshot_mapped(&Mapping::from_bytes(dup.clone())).unwrap(),
+        ),
+    ] {
+        let rel = &loaded.relation;
+        assert_eq!(loaded.rules, canonical.rules, "{path}: rules");
+        assert_eq!(
+            rel.mapped_bytes(),
+            0,
+            "{path}: non-identity ids must not be borrowed"
+        );
+        assert_eq!(rel.slot_count(), r.slot_count(), "{path}: slots");
+        for s in 0..rel.slot_count() {
+            let id = TupleId(s as u32);
+            assert_eq!(rel.is_live(id), r.is_live(id), "{path}: liveness {id}");
+        }
+        for id in r.ids() {
+            for a in r.schema().attr_ids() {
+                assert_eq!(
+                    rel.tuple(id).unwrap().value(a),
+                    r.tuple(id).unwrap().value(a),
+                    "{path}: {id} {a}"
+                );
+                assert_eq!(
+                    rel.cell_weight(id, a).unwrap().to_bits(),
+                    r.cell_weight(id, a).unwrap().to_bits(),
+                    "{path}: {id} {a} weight"
+                );
+            }
+        }
+        let phi = Value::str("PHI");
+        let count = |rel: &Relation| rel.pool().use_count(rel.pool().lookup(&phi).unwrap());
+        assert_eq!(count(rel), count(&canonical.relation), "{path}: use count");
+        assert_eq!(
+            snapshot_to_vec(rel, loaded.rules.as_deref()),
+            bytes,
+            "{path}: re-saving yields the canonical file"
+        );
+    }
 }

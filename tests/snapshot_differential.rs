@@ -260,16 +260,16 @@ fn differential_csv_vs_snapshot_ingest() {
     });
 }
 
-/// The zero-copy reader is indistinguishable from the eager one: 300
-/// seeded trials where the same snapshot bytes are opened through both
-/// paths. The mapped relation must be cell-, weight-, and
-/// liveness-identical, produce bit-identical repairs (stats and cost
-/// bits included, at whatever `CFD_SIMD` setting the suite runs
-/// under), re-save byte-identically, and honor
-/// copy-on-write: a cell write to one mapped dataset must not leak into
-/// a sibling opened over the very same mapping.
+/// The zero-copy open reproduces the relation that was saved: 300
+/// seeded trials where a random weighted, tombstoned relation is saved
+/// and opened in place over a [`Mapping`]. The opened relation must be
+/// cell-, weight-, and liveness-identical to the saved one, re-save
+/// byte-identically, produce bit-identical repairs (stats and cost bits
+/// included, at whatever `CFD_SIMD` setting the suite runs under), and
+/// honor copy-on-write: a cell write to one mapped dataset must not leak
+/// into a sibling opened over the very same mapping.
 #[test]
-fn differential_mapped_vs_eager_open() {
+fn differential_mapped_open_vs_saved_relation() {
     trials(300, 0x3A99_ED0F, |rng| {
         let mut rel = Relation::new(schema());
         for _ in 0..rng.gen_range(2..14usize) {
@@ -284,10 +284,9 @@ fn differential_mapped_vs_eager_open() {
         let cfds = rand_cfds(rng);
         let bytes = snapshot_to_vec(&rel, None);
 
-        let eager = read_snapshot(&bytes).expect("eager load").relation;
         let map = Mapping::from_bytes(bytes.clone());
         let mapped = read_snapshot_mapped(&map).expect("mapped load").relation;
-        assert_same_contents(&eager, &mapped, "mapped vs eager contents");
+        assert_same_contents(&rel, &mapped, "mapped vs saved contents");
 
         // Re-saving the mapped relation must reproduce the input bytes —
         // the canonical-encoding proof, through borrowed columns.
@@ -297,17 +296,17 @@ fn differential_mapped_vs_eager_open() {
             "re-saving the mapped relation must be byte-identical"
         );
 
-        // Bit-identical repairs across the two ingest paths.
+        // Bit-identical repairs of the saved relation and the opened one.
         let config = BatchConfig {
             pick: rand_pick(rng),
             ..Default::default()
         };
-        let out_eager = batch_repair(&eager, &sigma_for(&eager, &cfds), config.clone()).unwrap();
+        let out_saved = batch_repair(&rel, &sigma_for(&rel, &cfds), config.clone()).unwrap();
         let out_mapped = batch_repair(&mapped, &sigma_for(&mapped, &cfds), config).unwrap();
-        assert_same_contents(&out_eager.repair, &out_mapped.repair, "mapped batch repair");
-        assert_eq!(out_eager.stats, out_mapped.stats, "mapped batch stats");
+        assert_same_contents(&out_saved.repair, &out_mapped.repair, "mapped batch repair");
+        assert_eq!(out_saved.stats, out_mapped.stats, "mapped batch stats");
         assert_eq!(
-            out_eager.stats.cost.to_bits(),
+            out_saved.stats.cost.to_bits(),
             out_mapped.stats.cost.to_bits(),
             "mapped cost bits"
         );
@@ -335,7 +334,7 @@ fn differential_mapped_vs_eager_open() {
 
 /// File-backed mapped opens through the [`MappingCache`]: two opens of
 /// the same snapshot file share one mapping (`Arc::ptr_eq`), both read
-/// identically to the eager path, and a COW write to one dataset leaves
+/// identically to the saved relation, and a COW write to one dataset leaves
 /// the other — borrowing the very same file bytes — unchanged.
 #[test]
 fn mapped_open_shares_one_file_mapping() {
@@ -363,15 +362,14 @@ fn mapped_open_shares_one_file_mapping() {
         "cache must hand out one shared mapping per file"
     );
 
-    let eager = read_snapshot(&bytes).unwrap().relation;
     let mut a = read_snapshot_mapped(&m1).unwrap().relation;
     let b = read_snapshot_mapped(&m2).unwrap().relation;
-    assert_same_contents(&eager, &a, "file-mapped a");
-    assert_same_contents(&eager, &b, "file-mapped b");
+    assert_same_contents(&rel, &a, "file-mapped a");
+    assert_same_contents(&rel, &b, "file-mapped b");
 
     a.set_value(TupleId(0), AttrId(1), Value::str("MUT"))
         .unwrap();
-    assert_same_contents(&eager, &b, "b unchanged after a's COW write");
+    assert_same_contents(&rel, &b, "b unchanged after a's COW write");
     assert_eq!(
         a.tuple(TupleId(0)).unwrap().value(AttrId(1)),
         Value::str("MUT")
