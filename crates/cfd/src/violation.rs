@@ -113,24 +113,6 @@ impl GroupIndexes {
             idx.update(id, before, after);
         }
     }
-
-    /// Register a fresh tuple in every index.
-    pub fn insert<V: TupleView + ?Sized>(&mut self, id: TupleId, t: &V) {
-        for idx in self.by_lhs.values_mut() {
-            idx.insert(id, t);
-        }
-    }
-
-    /// Drop a tuple from every index, given its *current* contents (the
-    /// caller must remove before mutating or deleting the tuple). The
-    /// inverse of [`GroupIndexes::insert`] — streaming deletions use this
-    /// to keep a resident index in step with the relation without a
-    /// rebuild.
-    pub fn remove<V: TupleView + ?Sized>(&mut self, id: TupleId, t: &V) {
-        for idx in self.by_lhs.values_mut() {
-            idx.remove(id, t);
-        }
-    }
 }
 
 /// A hash index over the *constant* normal CFDs of a Σ.
@@ -264,8 +246,9 @@ impl ConstantRules {
 /// resident dataset handle, `BATCHREPAIR`'s working state) hold an
 /// `EngineParts` next to their owned `Sigma` and reconstitute a borrowed
 /// [`Engine`] — or call [`detect_with_parts`] directly — per operation.
-/// The default is empty: a placeholder while the real parts are lent out.
-#[derive(Clone, Default)]
+/// Resident `INCREPAIR` reads only the constant rules and the variable
+/// ids.
+#[derive(Clone)]
 pub struct EngineParts {
     /// Group indexes for every LHS attribute list.
     pub indexes: GroupIndexes,
@@ -377,19 +360,6 @@ impl<'a> Engine<'a> {
     /// The variable normal CFDs of Σ.
     pub fn variable_cfds(&self) -> impl Iterator<Item = &NormalCfd> + '_ {
         self.variable_ids.iter().map(|id| self.sigma.get(*id))
-    }
-
-    /// Register a tuple newly inserted into the underlying relation.
-    pub fn insert<V: TupleView + ?Sized>(&mut self, id: TupleId, t: &V) {
-        self.indexes.insert(id, t);
-    }
-
-    /// Drop a tuple from the group indexes, given its current contents
-    /// (call before the relation deletes it). Deletions never violate
-    /// CFDs (§3.3), so this is pure index maintenance — no re-detection
-    /// is needed afterwards.
-    pub fn remove<V: TupleView + ?Sized>(&mut self, id: TupleId, t: &V) {
-        self.indexes.remove(id, t);
     }
 
     /// Propagate an in-place tuple update to the group indexes.

@@ -1,32 +1,140 @@
 //! LHS-indices (§5.2, "LHS-indices").
 //!
-//! For each normal CFD `(R: X → A, tp)` over a *clean* repair `Repr`, the
-//! index maps the key `t[X]` to the (unique, because `Repr |= Σ`) non-null
-//! `A` value of the tuples carrying that key. A candidate tuple `t'` is
-//! then validated in O(|X|) per CFD: look up `t'[X]`, compare `t'[A]`.
-//! Keys are [`IdKey`]s and pins are [`ValueId`]s — every probe hashes and
-//! compares a handful of integers.
+//! For each variable normal CFD `(R: X → A, tp)`, the index maps the key
+//! `t[X]` to a histogram of the non-null `A` ids among the tuples carrying
+//! that key, plus the number of null `A` cells. Keys are [`IdKey`]s and
+//! histogram entries are [`ValueId`]s — every probe hashes and compares a
+//! handful of integers. Two questions are answered per probe, in O(|X|):
 //!
-//! * Constant CFDs need no table at all — the pattern itself decides — so
-//!   the index stores tables only for variable CFDs.
-//! * Group bookkeeping keeps per-key counts so tuples can be added as the
-//!   incremental repair grows `Repr` one repaired tuple at a time, and
-//!   removed again exactly: a group left with no pin and no nulls drops
-//!   its entry, so an add/remove sequence leaves the same map a fresh
-//!   build over the surviving tuples would.
+//! * **The pin.** Over a clean repair `Repr` a group that some pattern
+//!   row constrains holds one non-null value. A candidate `t'` is then
+//!   validated by looking up `t'[X]` and comparing `t'[A]` with it, and
+//!   FINDV reaches for that value first.
+//! * **The conflicts.** The `vio(t[C/v̄])` term of `TUPLERESOLVE`'s
+//!   `costfix` (§5.1) counts, per variable CFD, the group members with a
+//!   different non-null `A` value: the group's non-null total minus the
+//!   count of `t[A]`. That is the same integer a walk over the members
+//!   gives, for any relation, clean or not.
+//!
+//! Constant CFDs need no table at all — the pattern itself decides — so
+//! the index stores tables only for variable CFDs. Each normal CFD is
+//! resolved to its shape once, at build time, so a probe allocates
+//! nothing.
+//!
+//! Tuples are added as the incremental repair grows `Repr` one repaired
+//! tuple at a time and removed again exactly, whatever their values: the
+//! histogram counts every value, a value whose count reaches zero leaves
+//! it, and a group left with no members drops its entry, so an add/remove
+//! sequence leaves the same counts a fresh build over the surviving tuples
+//! would.
 
 use cfd_model::hash::FnvMap;
-use cfd_model::{IdKey, Relation, TupleView, ValueId};
+use cfd_model::{AttrId, IdKey, Relation, TupleView, ValueId, NULL_ID};
 
 use cfd_cfd::{NormalCfd, Sigma};
 
-/// Per-key state of one variable CFD's group.
-#[derive(Clone, Copy, Debug, Default)]
+/// Per-key state of one variable CFD's group: how many members carry
+/// each RHS id. The first value to arrive sits inline, so a group with
+/// one value — almost every group of a clean relation — allocates
+/// nothing; only a second distinct value spills.
+#[derive(Clone, Debug)]
 struct GroupState {
-    /// The unique non-null RHS id seen in the group, with its count.
-    value: Option<(ValueId, usize)>,
-    /// Number of group members whose RHS is null.
-    nulls: usize,
+    /// The earliest-added non-null RHS id still present; meaningless
+    /// while `first_count` is zero.
+    first: ValueId,
+    first_count: u32,
+    /// Every other non-null RHS id with its count, in order of arrival.
+    /// Counts are never zero; empty (and unallocated) while the group
+    /// holds one value.
+    rest: Vec<(ValueId, u32)>,
+    /// Members with a non-null RHS: `first_count` plus every `rest` count.
+    nonnull: u32,
+    /// Members whose RHS is null.
+    nulls: u32,
+}
+
+impl Default for GroupState {
+    fn default() -> Self {
+        GroupState {
+            first: NULL_ID,
+            first_count: 0,
+            rest: Vec::new(),
+            nonnull: 0,
+            nulls: 0,
+        }
+    }
+}
+
+impl GroupState {
+    fn add(&mut self, v: ValueId) {
+        if v.is_null() {
+            self.nulls += 1;
+            return;
+        }
+        self.nonnull += 1;
+        if self.first_count == 0 {
+            debug_assert!(self.rest.is_empty());
+            (self.first, self.first_count) = (v, 1);
+        } else if self.first == v {
+            self.first_count += 1;
+        } else if let Some((_, c)) = self.rest.iter_mut().find(|(x, _)| *x == v) {
+            *c += 1;
+        } else {
+            self.rest.push((v, 1));
+        }
+    }
+
+    /// The exact inverse of [`GroupState::add`] for a value the group
+    /// holds. When the inline value runs out, the next value in arrival
+    /// order takes its place.
+    fn remove(&mut self, v: ValueId) {
+        if v.is_null() {
+            debug_assert!(self.nulls > 0, "removing a null the group does not hold");
+            self.nulls -= 1;
+            return;
+        }
+        if self.first_count > 0 && self.first == v {
+            self.first_count -= 1;
+            if self.first_count == 0 && !self.rest.is_empty() {
+                (self.first, self.first_count) = self.rest.remove(0);
+            }
+        } else if let Some(i) = self.rest.iter().position(|(x, _)| *x == v) {
+            self.rest[i].1 -= 1;
+            if self.rest[i].1 == 0 {
+                self.rest.remove(i);
+            }
+        } else {
+            debug_assert!(false, "removing a value the group does not hold");
+            return;
+        }
+        if self.rest.is_empty() {
+            // Free the spill once the group is back to one value.
+            self.rest = Vec::new();
+        }
+        self.nonnull -= 1;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.nonnull == 0 && self.nulls == 0
+    }
+
+    /// Members carrying the non-null id `v`.
+    fn count(&self, v: ValueId) -> u32 {
+        if self.first_count > 0 && self.first == v {
+            return self.first_count;
+        }
+        self.rest
+            .iter()
+            .find(|(x, _)| *x == v)
+            .map_or(0, |(_, c)| *c)
+    }
+
+    /// The value the group requires: its earliest-added non-null value.
+    /// In a clean relation a group a pattern row constrains has exactly
+    /// one.
+    fn pin(&self) -> Option<ValueId> {
+        (self.first_count > 0).then_some(self.first)
+    }
 }
 
 /// The LHS-index of one `(X, A)` shape shared by every variable normal
@@ -40,126 +148,133 @@ struct GroupState {
 /// Sharing collapses the hundreds of tableau rows of the experiment Σ into
 /// one table per structural shape.
 #[derive(Clone, Debug)]
-pub struct LhsIndex {
+struct LhsIndex {
+    lhs: Vec<AttrId>,
+    rhs: AttrId,
     map: FnvMap<IdKey, GroupState>,
 }
 
 /// The LHS-indices for the variable CFDs in Σ, shared by shape.
 #[derive(Clone, Debug, Default)]
 pub struct LhsIndexes {
-    /// One index per distinct `(lhs attrs, rhs attr)` among variable CFDs.
-    shapes: FnvMap<(Vec<cfd_model::AttrId>, cfd_model::AttrId), LhsIndex>,
+    /// One index per distinct `(lhs attrs, rhs attr)` among variable
+    /// CFDs, in order of first appearance in Σ.
+    shapes: Vec<LhsIndex>,
+    /// The position in `shapes` of each normal CFD, by [`cfd_cfd::CfdId`];
+    /// [`NO_SHAPE`] for constant CFDs.
+    shape_of: Vec<u32>,
 }
 
-/// Outcome of validating a candidate RHS value against a group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GroupVerdict {
-    /// No tuple with this key (or only null RHS values): any value works.
-    Unconstrained,
-    /// The group pins the RHS to this id; candidates must equal it (or be
-    /// null).
-    Pinned(ValueId),
-}
+const NO_SHAPE: u32 = u32::MAX;
 
-impl LhsIndex {
-    fn build(rel: &Relation, lhs: &[cfd_model::AttrId], rhs_attr: cfd_model::AttrId) -> Self {
-        let mut map: FnvMap<IdKey, GroupState> = FnvMap::default();
-        for (_, t) in rel.iter() {
-            let key = t.project_key(lhs);
-            let state = map.entry(key).or_default();
-            Self::account(state, t.id(rhs_attr), 1);
-        }
-        LhsIndex { map }
-    }
-
-    fn account(state: &mut GroupState, v: ValueId, delta: i64) {
-        if v.is_null() {
-            state.nulls = (state.nulls as i64 + delta) as usize;
-            return;
-        }
-        match &mut state.value {
-            Some((existing, count)) if *existing == v => {
-                *count = (*count as i64 + delta) as usize;
-                if *count == 0 {
-                    state.value = None;
-                }
-            }
-            Some(_) => {
-                // Only the pin is counted. A second value can meet it in a
-                // group whose key matches no pattern row of the shape (no
-                // CFD constrains it), or in a relation about to be
-                // repaired; adding and removing such a value are both
-                // no-ops, so the pair stays an exact inverse.
-            }
-            None if delta > 0 => state.value = Some((v, delta as usize)),
-            None => {}
-        }
-    }
-
-    /// What does the group of `t` (by its `X` projection) require?
-    fn verdict<V: TupleView + ?Sized>(&self, n: &NormalCfd, t: &V) -> GroupVerdict {
-        match self.map.get(&t.project_key(n.lhs())) {
-            Some(GroupState {
-                value: Some((v, _)),
-                ..
-            }) => GroupVerdict::Pinned(*v),
-            _ => GroupVerdict::Unconstrained,
-        }
-    }
+/// One group's counts as [`LhsIndexes::group_counts`] reports them.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct GroupCounts {
+    /// Position of the shape (in order of first appearance in Σ).
+    pub shape: usize,
+    /// The group key `t[X]`.
+    pub key: Vec<ValueId>,
+    /// Members whose RHS is null.
+    pub nulls: u32,
+    /// Each non-null RHS id with its member count, ascending by id.
+    pub values: Vec<(ValueId, u32)>,
 }
 
 impl LhsIndexes {
     /// Group entries across every shape — the footprint a resident
     /// repairer must return to after rolling a request back.
     pub fn entry_count(&self) -> usize {
-        self.shapes.values().map(|idx| idx.map.len()).sum()
+        self.shapes.iter().map(|idx| idx.map.len()).sum()
+    }
+
+    /// Every group's counts, sorted, for comparing two indexes over the
+    /// same Σ: equal lists mean equal entries, histograms and null counts.
+    pub fn group_counts(&self) -> Vec<GroupCounts> {
+        let mut out: Vec<GroupCounts> = self
+            .shapes
+            .iter()
+            .enumerate()
+            .flat_map(|(shape, idx)| {
+                idx.map.iter().map(move |(key, g)| {
+                    let mut values = g.rest.clone();
+                    if g.first_count > 0 {
+                        values.push((g.first, g.first_count));
+                    }
+                    values.sort_unstable();
+                    GroupCounts {
+                        shape,
+                        key: key.as_slice().to_vec(),
+                        nulls: g.nulls,
+                        values,
+                    }
+                })
+            })
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Build indices for every variable-CFD shape in `sigma` over `rel`.
     pub fn build(rel: &Relation, sigma: &Sigma) -> Self {
-        let mut shape_list = Vec::new();
+        let mut out = LhsIndexes {
+            shapes: Vec::new(),
+            shape_of: vec![NO_SHAPE; sigma.len()],
+        };
         for n in sigma.iter().filter(|n| !n.is_constant()) {
-            let shape = (n.lhs().to_vec(), n.rhs_attr());
-            if !shape_list.contains(&shape) {
-                shape_list.push(shape);
-            }
+            let pos = match out
+                .shapes
+                .iter()
+                .position(|s| s.lhs == n.lhs() && s.rhs == n.rhs_attr())
+            {
+                Some(pos) => pos,
+                None => {
+                    out.shapes.push(LhsIndex {
+                        lhs: n.lhs().to_vec(),
+                        rhs: n.rhs_attr(),
+                        map: FnvMap::default(),
+                    });
+                    out.shapes.len() - 1
+                }
+            };
+            out.shape_of[n.id().index()] = pos as u32;
         }
-        let shapes = shape_list
-            .into_iter()
-            .map(|(lhs, rhs)| {
-                let idx = LhsIndex::build(rel, &lhs, rhs);
-                ((lhs, rhs), idx)
-            })
-            .collect();
-        LhsIndexes { shapes }
+        for (_, t) in rel.iter() {
+            out.insert(&t);
+        }
+        out
     }
 
-    /// Register a tuple newly inserted into the clean repair.
-    pub fn insert<V: TupleView + ?Sized>(&mut self, _sigma: &Sigma, t: &V) {
-        for ((lhs, rhs_attr), idx) in self.shapes.iter_mut() {
-            let key = t.project_key(lhs);
-            let state = idx.map.entry(key).or_default();
-            LhsIndex::account(state, t.id(*rhs_attr), 1);
+    /// Add a tuple to every shape's group.
+    pub fn insert<V: TupleView + ?Sized>(&mut self, t: &V) {
+        for idx in &mut self.shapes {
+            let key = t.project_key(&idx.lhs);
+            idx.map.entry(key).or_default().add(t.id(idx.rhs));
         }
     }
 
-    /// Drop a tuple from every shape's group, given its *current*
-    /// contents (call before the relation deletes it). The inverse of
-    /// [`LhsIndexes::insert`]: group counts decrement, a pin whose count
-    /// reaches zero clears (so a later insert can re-pin the group to a
-    /// different value), and a group left with no pin and no nulls drops
-    /// its entry. Sound only for tuples of the indexed clean portion —
-    /// every non-null RHS in a constrained group equals the pin there.
-    pub fn remove<V: TupleView + ?Sized>(&mut self, _sigma: &Sigma, t: &V) {
-        for ((lhs, rhs_attr), idx) in self.shapes.iter_mut() {
-            let key = t.project_key(lhs);
-            if let Some(state) = idx.map.get_mut(&key) {
-                LhsIndex::account(state, t.id(*rhs_attr), -1);
-                if state.value.is_none() && state.nulls == 0 {
+    /// Drop a tuple from every shape's group, given the contents it was
+    /// added with (call before the relation deletes or changes it). The
+    /// exact inverse of [`LhsIndexes::insert`] for any tuple: its RHS
+    /// count decrements, a value whose count reaches zero leaves the
+    /// histogram, and a group left with no members drops its entry.
+    pub fn remove<V: TupleView + ?Sized>(&mut self, t: &V) {
+        for idx in &mut self.shapes {
+            let key = t.project_key(&idx.lhs);
+            if let Some(g) = idx.map.get_mut(&key) {
+                g.remove(t.id(idx.rhs));
+                if g.is_empty() {
                     idx.map.remove(&key);
                 }
+            } else {
+                debug_assert!(false, "removing a tuple the index does not hold");
             }
         }
+    }
+
+    /// The group of `t` under the variable CFD `n`, if it has members.
+    fn group<V: TupleView + ?Sized>(&self, n: &NormalCfd, t: &V) -> Option<&GroupState> {
+        let idx = &self.shapes[self.shape_of[n.id().index()] as usize];
+        idx.map.get(&t.project_key(&idx.lhs))
     }
 
     /// Does the candidate tuple `t` satisfy normal CFD `n` against the
@@ -177,15 +292,9 @@ impl LhsIndexes {
         if v.is_null() {
             return true;
         }
-        match self
-            .shapes
-            .get(&(n.lhs().to_vec(), n.rhs_attr()))
-            .expect("variable CFD has a shape index")
-            .verdict(n, t)
-        {
-            GroupVerdict::Unconstrained => true,
-            GroupVerdict::Pinned(pin) => v == pin,
-        }
+        self.group(n, t)
+            .and_then(GroupState::pin)
+            .is_none_or(|pin| v == pin)
     }
 
     /// The id (if any) a variable CFD's group pins for `t`'s key — the
@@ -194,14 +303,24 @@ impl LhsIndexes {
         if n.is_constant() || !n.applies_to(t) {
             return None;
         }
-        match self
-            .shapes
-            .get(&(n.lhs().to_vec(), n.rhs_attr()))?
-            .verdict(n, t)
-        {
-            GroupVerdict::Pinned(v) => Some(v),
-            GroupVerdict::Unconstrained => None,
+        self.group(n, t).and_then(GroupState::pin)
+    }
+
+    /// The variable violations of `t` under `n` against the indexed
+    /// tuples: the members of `t`'s group whose RHS is non-null and
+    /// differs from `t[A]`. Zero when `n` is constant, when it does not
+    /// apply to `t`, or when `t[A]` is null. A stored `t` is its own
+    /// group's member with an equal value, so it never counts itself.
+    pub fn conflicts<V: TupleView + ?Sized>(&self, n: &NormalCfd, t: &V) -> usize {
+        if n.is_constant() || !n.applies_to(t) {
+            return 0;
         }
+        let v = t.id(n.rhs_attr());
+        if v.is_null() {
+            return 0;
+        }
+        self.group(n, t)
+            .map_or(0, |g| (g.nonnull - g.count(v)) as usize)
     }
 }
 
@@ -301,7 +420,7 @@ mod tests {
         let var = sigma.get(cfd_cfd::CfdId(0));
         let fresh = Tuple::from_iter(["415", "1", "SF"]);
         assert_eq!(idx.pinned_id(var, &fresh), None);
-        idx.insert(&sigma, &fresh);
+        idx.insert(&fresh);
         let probe = Tuple::from_iter(["415", "2", "LA"]);
         assert_eq!(idx.pinned_id(var, &probe), Some(vid("SF")));
         assert!(!idx.satisfies(var, &probe));
@@ -313,19 +432,19 @@ mod tests {
         let mut idx = LhsIndexes::build(&rel, &sigma);
         let var = sigma.get(cfd_cfd::CfdId(0));
         let fresh = Tuple::from_iter(["415", "1", "SF"]);
-        idx.insert(&sigma, &fresh);
+        idx.insert(&fresh);
         let probe = Tuple::from_iter(["415", "2", "LA"]);
         assert_eq!(idx.pinned_id(var, &probe), Some(vid("SF")));
         // Removing the only member clears the pin entirely.
-        idx.remove(&sigma, &fresh);
+        idx.remove(&fresh);
         assert_eq!(idx.pinned_id(var, &probe), None);
         assert!(idx.satisfies(var, &probe));
         // A later insert re-pins the group to the new value.
-        idx.insert(&sigma, &probe);
+        idx.insert(&probe);
         assert_eq!(idx.pinned_id(var, &fresh), Some(vid("LA")));
         // Counts are per-member: with two members, one removal keeps the pin.
-        idx.insert(&sigma, &Tuple::from_iter(["415", "3", "LA"]));
-        idx.remove(&sigma, &probe);
+        idx.insert(&Tuple::from_iter(["415", "3", "LA"]));
+        idx.remove(&probe);
         assert_eq!(idx.pinned_id(var, &fresh), Some(vid("LA")));
     }
 
@@ -369,11 +488,11 @@ mod tests {
             for _ in 0..rng.gen_range(1..120usize) {
                 if live.is_empty() || rng.gen_range(0..3u32) > 0 {
                     let t = row(rng.gen_range(0..8u32), rng.gen_range(0..4u32) == 0);
-                    idx.insert(&sigma, &t);
+                    idx.insert(&t);
                     live.push(t);
                 } else {
                     let t = live.swap_remove(rng.gen_range(0..live.len()));
-                    idx.remove(&sigma, &t);
+                    idx.remove(&t);
                 }
                 let mut rel = Relation::new(schema.clone());
                 for t in &live {

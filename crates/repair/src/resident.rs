@@ -9,30 +9,32 @@
 //!
 //! * [`InsertRepairer`] serves repeated insert requests against one
 //!   **fixed** clean base. It keeps the LHS-indices, the active domain and
-//!   the lazily built nearest-value indexes; the caller keeps the group
-//!   indexes (a resident dataset already holds them for detection) and
-//!   lends them per request. Each request clones the base copy-on-write,
-//!   stages ΔD, orders and resolves it, verifies only the ΔD tuples, and
-//!   then **rolls every index back** to the base. One-shot
+//!   the lazily built nearest-value indexes. The caller passes, read-only,
+//!   the constant rules and variable-CFD ids of its detection parts; no
+//!   detection index is read or written. Each request clones the base
+//!   copy-on-write, stages ΔD, orders and resolves it, verifies only the
+//!   ΔD tuples, and then **rolls every index back** to the base. One-shot
 //!   [`crate::inc_repair`] is the same driver built over `d`, run once,
 //!   and consumed without rollback.
 //! * [`StreamRepairer`] serves a stream whose base **evolves**: each
 //!   round's repaired tuples stay active, and deletions remove active
-//!   tuples. It owns every index, the group indexes included.
+//!   tuples. It owns every index and its own copy of the rules.
 //!
 //! ## The rollback contract
 //!
 //! After [`InsertRepairer::repair`] returns — success or error — every
-//! index it touched holds exactly what it held before: the same group
-//! members in the same order, the same LHS-index entries, the same
+//! index it touched holds exactly what it held before: the same
+//! LHS-index entries with the same RHS counts and pins, the same
 //! active-domain counts and the same value-index contents. Three facts
 //! make this exact rather than approximate:
 //!
-//! * a ΔD id joins the end of every group it enters, after all base
-//!   members, and removal only ever moves ids within that tail, so the
-//!   base members keep their order (which FINDV truncates). ΔD tuples are
-//!   undone newest first, which makes each removal a pop;
-//! * an LHS-index group with no pin and no nulls left drops its entry;
+//! * removing a tuple from the LHS-indices is the exact inverse of adding
+//!   it, for any tuple: its RHS count decrements, a value whose count
+//!   reaches zero leaves the histogram, and a group left with no members
+//!   drops its entry;
+//! * ΔD tuples are undone newest first, so a group's earliest value — the
+//!   pin FINDV and feasibility read — is never removed while a later
+//!   value remains;
 //! * a ΔD value whose domain count returns to zero leaves the value
 //!   index. ΔD values never persist, so every request sees the base's
 //!   domain and nothing else.
@@ -47,20 +49,22 @@
 //!
 //! * **Deletions are index maintenance only.** Deletions never violate
 //!   CFDs (§3.3), so [`StreamRepairer::remove_active`] drops the tuple
-//!   from the relation, the group indexes and the LHS-indices and stops
-//!   there — no re-repair of tuples that conflicted with the departed one.
+//!   from the relation and the LHS-indices and stops there — no
+//!   re-repair of tuples that conflicted with the departed one.
 //! * **The stream's active domain is append-only.** Values contributed
 //!   solely by since-deleted tuples remain repair *candidates*.
 //!   Candidates are suggestions, never obligations (feasibility always
 //!   re-checks against live indexes), so this is sound; it keeps removal
 //!   cheap and the nearest-value indexes incremental.
 
-use cfd_cfd::violation::{Engine, EngineParts};
+use cfd_cfd::violation::EngineParts;
 use cfd_cfd::Sigma;
 use cfd_model::{ActiveDomain, Relation, Tuple, TupleId};
 
 use crate::cluster::ValueIndex;
-use crate::incremental::{fresh_dcache, IncConfig, IncOutcome, IncState, IncStats, ResidentParts};
+use crate::incremental::{
+    fresh_dcache, IncConfig, IncOutcome, IncState, IncStats, OwnedRules, ResidentParts, Rules,
+};
 use crate::lhs_index::LhsIndexes;
 use crate::RepairError;
 
@@ -68,9 +72,9 @@ use crate::RepairError;
 /// the LHS-indices, the active domain and the nearest-value index slots,
 /// built once and rolled back after every request (see the module docs).
 ///
-/// Holds no borrow of Σ, the base or its group indexes — each request
-/// passes them in, so a dataset handle can keep this next to the relation
-/// and the detection index it already owns.
+/// Holds no borrow of Σ, the base or its rules — each request passes them
+/// in, so a dataset handle can keep this next to the relation and the
+/// detection parts it already owns.
 pub struct InsertRepairer {
     lhs: LhsIndexes,
     adom: ActiveDomain,
@@ -111,28 +115,27 @@ impl InsertRepairer {
         }
     }
 
-    /// Repair `delta` against `base`, whose group indexes `parts` must
-    /// cover exactly `base` (a resident dataset's detection index does).
-    /// The parts are lent to the run and handed back rolled back, as is
-    /// every index of `self`; `base` is never modified.
+    /// Repair `delta` against `base`. Of `parts` — detection parts built
+    /// for `sigma` — only the constant rules and the variable-CFD ids are
+    /// read. Every index of `self` is rolled back before this returns;
+    /// `base` is never modified.
     pub fn repair(
         &mut self,
         base: &Relation,
         delta: &[Tuple],
         sigma: &Sigma,
-        parts: &mut EngineParts,
+        parts: &EngineParts,
         config: IncConfig,
     ) -> Result<DeltaRepair, RepairError> {
-        let lent = self.lend(base, std::mem::take(parts), &config);
-        let run = Run::start(lent, delta, sigma, config);
+        let rules = Rules::new(sigma, &parts.rules, &parts.variable_ids);
+        let run = Run::start(self.take_parts(base, &config), delta, rules, config);
         let clean = run.failed.is_none() && run.state.all_clean(&run.delta_ids);
         debug_assert!(
             run.failed.is_some() || clean == cfd_cfd::check(&run.state.work, sigma),
             "ΔD-only verification disagrees with a full check"
         );
         let (mut back, stats) = run.state.suspend();
-        back.roll_back(sigma, &run.order[..run.activated]);
-        *parts = back.engine;
+        back.roll_back(&run.order[..run.activated]);
         self.lhs = back.lhs;
         self.adom = back.adom;
         self.vidx = back.vidx;
@@ -150,8 +153,8 @@ impl InsertRepairer {
     }
 
     /// Repair `delta` once and keep the result: the one-shot
-    /// [`crate::inc_repair`]. Builds the group indexes over `base` (the
-    /// state must have been built over it too) and consumes the state, so
+    /// [`crate::inc_repair`]. Builds the rules from `sigma` (the state
+    /// must have been built over `base`) and consumes the state, so
     /// nothing is rolled back.
     pub(crate) fn repair_once(
         mut self,
@@ -160,8 +163,13 @@ impl InsertRepairer {
         sigma: &Sigma,
         config: IncConfig,
     ) -> Result<IncOutcome, RepairError> {
-        let engine = Engine::build(base, sigma).to_parts();
-        let run = Run::start(self.lend(base, engine, &config), delta, sigma, config);
+        let rules = OwnedRules::build(sigma);
+        let run = Run::start(
+            self.take_parts(base, &config),
+            delta,
+            rules.view(sigma),
+            config,
+        );
         match run.failed {
             Some(e) => Err(e),
             None => Ok(IncOutcome {
@@ -187,13 +195,12 @@ impl InsertRepairer {
         }
     }
 
-    /// Move this state, `engine` and a copy-on-write clone of `base` into
-    /// one `ResidentParts`, with a fresh distance memo.
-    fn lend(&mut self, base: &Relation, engine: EngineParts, config: &IncConfig) -> ResidentParts {
+    /// Move this state and a copy-on-write clone of `base` into one
+    /// `ResidentParts`, with a fresh distance memo.
+    fn take_parts(&mut self, base: &Relation, config: &IncConfig) -> ResidentParts {
         ResidentParts {
             dcache: fresh_dcache(base, config),
             work: base.clone(),
-            engine,
             lhs: std::mem::take(&mut self.lhs),
             adom: std::mem::take(&mut self.adom),
             vidx: std::mem::take(&mut self.vidx),
@@ -216,8 +223,8 @@ struct Run<'s> {
 }
 
 impl<'s> Run<'s> {
-    fn start(parts: ResidentParts, delta: &[Tuple], sigma: &'s Sigma, config: IncConfig) -> Self {
-        let mut state = IncState::resume(parts, sigma, config);
+    fn start(parts: ResidentParts, delta: &[Tuple], rules: Rules<'s>, config: IncConfig) -> Self {
+        let mut state = IncState::resume(parts, rules, config);
         let mut delta_ids = Vec::with_capacity(delta.len());
         let mut failed = None;
         for t in delta {
@@ -247,9 +254,11 @@ impl<'s> Run<'s> {
 /// A resident incremental repairer: owns a working relation plus every
 /// index `INCREPAIR` needs, across an unbounded sequence of repair rounds.
 ///
-/// Holds no borrow of Σ — each method takes it fresh, so the owner (a
-/// session, a daemon) can store the repairer and the [`Sigma`] side by
-/// side without self-reference.
+/// Holds no borrow of Σ — the methods that resolve take it fresh, so the
+/// owner (a session, a daemon) can store the repairer and the [`Sigma`]
+/// side by side without self-reference. It keeps its own constant rules
+/// and variable-CFD ids, built from the Σ it was created with; every call
+/// must pass that same Σ.
 ///
 /// Tuples are in one of two states: **active** (part of the clean
 /// portion, visible to every index) or **staged** (inserted into the
@@ -261,6 +270,7 @@ pub struct StreamRepairer {
     /// leaves the repairer unusable, which the session layer surfaces as
     /// a poisoned dataset.
     parts: Option<ResidentParts>,
+    rules: OwnedRules,
     config: IncConfig,
 }
 
@@ -268,10 +278,11 @@ impl StreamRepairer {
     /// Build a repairer over a clean base (`D |= Σ`). Cost mirrors one
     /// `IncState::new`: every later round is index-rebuild-free.
     pub fn new(base: Relation, sigma: &Sigma, config: IncConfig) -> Result<Self, RepairError> {
-        let state = IncState::new(base, &[], sigma, config.clone())?;
-        let (parts, _) = state.suspend();
+        let rules = OwnedRules::build(sigma);
+        let (parts, _) = IncState::new(base, &[], rules.view(sigma), config.clone())?.suspend();
         Ok(StreamRepairer {
             parts: Some(parts),
+            rules,
             config,
         })
     }
@@ -311,8 +322,8 @@ impl StreamRepairer {
 
     /// Drop an *active* tuple from the relation and every index. See the
     /// module docs for the deletion semantics.
-    pub fn remove_active(&mut self, sigma: &Sigma, id: TupleId) -> Result<Tuple, RepairError> {
-        self.parts_mut().remove_active(sigma, id)
+    pub fn remove_active(&mut self, id: TupleId) -> Result<Tuple, RepairError> {
+        self.parts_mut().remove_active(id)
     }
 
     /// One repair round: order `pending` (staged ids) per the configured
@@ -326,7 +337,7 @@ impl StreamRepairer {
         pending: &mut [TupleId],
     ) -> Result<IncStats, RepairError> {
         let parts = self.parts.take().expect("repairer lost in a failed round");
-        let mut state = IncState::resume(parts, sigma, self.config.clone());
+        let mut state = IncState::resume(parts, self.rules.view(sigma), self.config.clone());
         let (_, failed) = state.resolve_all(pending);
         let (parts, stats) = state.suspend();
         self.parts = Some(parts);
@@ -414,8 +425,8 @@ mod tests {
         );
 
         // Remove both members; the group is empty, so the pin must clear.
-        r.remove_active(&sigma, pinner).unwrap();
-        r.remove_active(&sigma, ids[0]).unwrap();
+        r.remove_active(pinner).unwrap();
+        r.remove_active(ids[0]).unwrap();
         let mut ids = vec![r.stage(Tuple::from_iter(["k9", "epsilon"])).unwrap()];
         r.resolve_pending(&sigma, &mut ids).unwrap();
         assert_eq!(

@@ -14,7 +14,7 @@ use cfd_cfd::violation::detect;
 use cfd_cfd::Sigma;
 use cfd_model::{Relation, TupleId};
 
-use crate::incremental::{IncConfig, IncState, IncStats};
+use crate::incremental::{IncConfig, IncState, IncStats, OwnedRules};
 use crate::RepairError;
 
 /// Split `d` into (clean tuple ids, dirty tuple ids) using the paper's
@@ -88,7 +88,8 @@ pub fn repair_via_incremental(
     config: IncConfig,
 ) -> Result<SubsetRepairOutcome, RepairError> {
     let (clean_base, mut pending) = consistent_subset(d, sigma);
-    let mut state = IncState::new(d.clone(), &pending, sigma, config)?;
+    let rules = OwnedRules::build(sigma);
+    let mut state = IncState::new(d.clone(), &pending, rules.view(sigma), config)?;
     if let (_, Some(e)) = state.resolve_all(&mut pending) {
         return Err(e);
     }

@@ -91,10 +91,10 @@
 //! Advancing the watermark closes due windows in order. Each close
 //! stages that window's arrivals against the evolved base (base +
 //! every previously committed window), runs `INCREPAIR` over the warm
-//! [`cfd::violation::EngineParts`] — the resident index is *updated*,
-//! never rebuilt, as tuples arrive and leave — and emits one id-stable
-//! `.cfde` edit log, so replaying the per-window logs onto the initial
-//! snapshot reconstructs the live relation exactly
+//! LHS-indices of a [`repair::StreamRepairer`] — the resident index is
+//! *updated*, never rebuilt, as tuples arrive and leave — and emits one
+//! id-stable `.cfde` edit log, so replaying the per-window logs onto
+//! the initial snapshot reconstructs the live relation exactly
 //! (`tests/stream_differential.rs` pins this, plus
 //! stream-vs-one-shot-`INCREPAIR` byte equality per window and
 //! sliding-with-`slide == size` ≡ tumbling). Pool hygiene follows the

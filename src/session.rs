@@ -18,8 +18,10 @@
 //!   bind; every later detect request, and the insert path's clean-base
 //!   check, reads that one report. `BATCHREPAIR` seeds its state from a
 //!   clone of the parts ([`cfd_repair::batch_repair_with_parts`]).
-//!   Insert requests lend the same parts to a **resident `INCREPAIR`
-//!   state** (see below).
+//!   Insert requests go through a **resident `INCREPAIR` state** (see
+//!   below), which reads only the parts' constant rules and variable-CFD
+//!   ids, never their group indexes. The set of Σ's pattern-constant ids,
+//!   which pool hygiene must never seal, is also computed once per bind.
 //! * [`Session`] — a named collection of handles behind per-dataset
 //!   reader/writer locks, optionally backed by a snapshot [`Catalog`]
 //!   and bounded by an LRU capacity whose evictions provably return
@@ -50,16 +52,18 @@
 //! answer; a dirty base builds nothing and every insert keeps failing with
 //! the same error. Each request then costs O(|ΔD|) index work: ΔD is
 //! staged into a copy-on-write clone of the base, resolved against the
-//! warm indexes (the detection parts are lent for the run), verified by
-//! checking only the ΔD tuples, rendered as the cached base bytes plus
-//! the ΔD rows, and rolled back — every index returns exactly to the base
-//! before the request returns. Replies are byte-identical to a one-shot
-//! [`inc_repair`] over the same base. Anything that changes the base or
-//! its rules drops the state: [`DatasetHandle::bind_rules`],
-//! [`DatasetHandle::apply_weights`], and eviction (before the pool is
-//! compacted). A request that fails after staging also drops it and
-//! rebuilds the detection parts from the relation, so no failure can
-//! leave a half-rolled-back index behind.
+//! warm LHS-indices (which also price every candidate's `vio` from their
+//! per-group RHS counts), verified by checking only the ΔD tuples,
+//! rendered as the cached base bytes plus the ΔD rows, and rolled back —
+//! every index of the state returns exactly to the base before the
+//! request returns. The detection parts are only read, so detect and
+//! repair answers never depend on insert history. Replies are
+//! byte-identical to a one-shot [`inc_repair`] over the same base.
+//! Anything that changes the base or its rules drops the state:
+//! [`DatasetHandle::bind_rules`], [`DatasetHandle::apply_weights`], and
+//! eviction (before the pool is compacted). A request that fails after
+//! staging also drops it, so the next insert re-checks the base and
+//! rebuilds the state from the relation.
 //!
 //! ## Locking
 //!
@@ -80,6 +84,7 @@ use cfd_cfd::parser::parse_rules;
 use cfd_cfd::violation::{self, EngineParts, ViolationReport};
 use cfd_cfd::{CfdId, Engine, Sigma};
 use cfd_model::diff::{dif, EditLog};
+use cfd_model::hash::FnvSet;
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
 use cfd_model::{csv, Catalog, Mapping, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
@@ -160,6 +165,9 @@ impl From<RepairError> for SessionError {
 struct BoundRules {
     sigma: Sigma,
     parts: EngineParts,
+    /// Σ's pattern-constant ids ([`constant_ids`]): shielded from sealing
+    /// by every insert and stream while the rules stay bound.
+    constant_ids: FnvSet<ValueId>,
     /// `detect(D, Σ)`, computed by the first detect and read by every
     /// later one. It needs no invalidation while the handle's methods
     /// leave the relation's cells alone: rebinding replaces the whole
@@ -181,8 +189,9 @@ struct ResidentInsert {
 }
 
 /// The resident insert state's index sizes, and the group count of every
-/// detection index it borrows — what each insert request must leave
-/// unchanged.
+/// detection index of the handle — what each insert request must leave
+/// unchanged. Inserts only read the detection parts, so their group
+/// counts move only with a rebind.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResidentFootprint {
     /// The [`InsertRepairer`]'s own indexes.
@@ -362,9 +371,10 @@ impl DatasetHandle {
         }
         let sigma = Sigma::normalize_in(self.relation.schema().clone(), cfds, self.relation.pool())
             .map_err(|e| SessionError::Rules(format!("cannot normalize rules in {origin}: {e}")))?;
-        let parts = detection_parts(&self.relation, &sigma);
+        let parts = Engine::build(&self.relation, &sigma).to_parts();
         self.rules_text = Some(text.to_string());
         self.bound = Some(BoundRules {
+            constant_ids: constant_ids(&sigma),
             sigma,
             parts,
             report: OnceLock::new(),
@@ -567,12 +577,10 @@ impl DatasetHandle {
         let delta_ids = live_cell_ids(&updates);
         let result = self.insert_inner(&mut updates, weights_csv, ordering, k);
         drop(updates);
-        let protect = match &self.bound {
-            Some(b) => constant_ids(&b.sigma),
-            None => HashSet::new(),
-        };
         let pool = self.relation.pool();
         pool.retire_ids(delta_ids.iter().copied());
+        let unbound = FnvSet::default();
+        let protect = self.bound.as_ref().map_or(&unbound, |b| &b.constant_ids);
         pool.seal_ids(delta_ids.into_iter().filter(|id| !protect.contains(id)));
         result
     }
@@ -604,20 +612,20 @@ impl DatasetHandle {
         };
         let bound = self
             .bound
-            .as_mut()
+            .as_ref()
             .expect("ensure_resident checked the rules");
         let resident = self.resident.as_mut().expect("built by ensure_resident");
-        let result = resident.repairer.repair(
-            &self.relation,
-            &delta,
-            &bound.sigma,
-            &mut bound.parts,
-            config,
-        );
+        let result =
+            resident
+                .repairer
+                .repair(&self.relation, &delta, &bound.sigma, &bound.parts, config);
         let run = match result {
             Ok(run) if run.clean => run.outcome,
             failed => {
-                bound.parts = detection_parts(&self.relation, &bound.sigma);
+                // The repairer rolled its indexes back and the detection
+                // parts were only read, so nothing here is stale; the
+                // state is dropped anyway, so the next insert re-checks
+                // the base and rebuilds it from the relation.
                 self.resident = None;
                 return Err(match failed {
                     Err(e) => e.into(),
@@ -699,7 +707,7 @@ impl DatasetHandle {
             self.name.clone(),
             self.relation.clone(),
             bound.sigma.clone(),
-            constant_ids(&bound.sigma),
+            bound.constant_ids.clone(),
             config,
         )?;
         let info = session.info();
@@ -797,11 +805,6 @@ impl DatasetHandle {
     }
 }
 
-/// The resident detection index of `rel` under `sigma`.
-fn detection_parts(rel: &Relation, sigma: &Sigma) -> EngineParts {
-    Engine::build(rel, sigma).to_parts()
-}
-
 /// Every non-null cell id of `rel`'s live tuples, one entry per
 /// occurrence — the unit [`ValuePool::retire_ids`] coalesces.
 fn live_cell_ids(rel: &Relation) -> Vec<ValueId> {
@@ -820,8 +823,8 @@ fn live_cell_ids(rel: &Relation) -> Vec<ValueId> {
 /// The pattern-constant ids a normalized Σ holds — count-zero by design
 /// (uncounted interns), so they must be shielded from sealing while the
 /// rules stay bound.
-fn constant_ids(sigma: &Sigma) -> HashSet<ValueId> {
-    let mut out = HashSet::new();
+fn constant_ids(sigma: &Sigma) -> FnvSet<ValueId> {
+    let mut out = FnvSet::default();
     for cfd in sigma.iter() {
         for p in cfd.lhs_pattern_ids() {
             if let Some(id) = p.as_const_id() {

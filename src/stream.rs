@@ -68,6 +68,7 @@ use std::collections::{BTreeMap, HashSet};
 
 use cfd_cfd::Sigma;
 use cfd_model::diff::{Edit, EditLog};
+use cfd_model::hash::FnvSet;
 use cfd_model::snapshot::edit_log_to_vec;
 use cfd_model::{csv, AttrId, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{IncConfig, IncStats, Ordering, StreamRepairer};
@@ -234,7 +235,7 @@ pub struct RepairSession {
     total: IncStats,
     /// Σ's pattern constants — uncounted interns that must never seal
     /// while the rules stay bound.
-    protect: HashSet<ValueId>,
+    protect: FnvSet<ValueId>,
     /// Ids that entered the live indexes (activated finals): the
     /// append-only active domain and the distance memo may reference
     /// them, so they seal only at stream close.
@@ -252,7 +253,7 @@ impl RepairSession {
         name: String,
         relation: Relation,
         sigma: Sigma,
-        protect: HashSet<ValueId>,
+        protect: FnvSet<ValueId>,
         config: StreamConfig,
     ) -> Result<RepairSession, SessionError> {
         if config.size == 0 || config.slide == 0 || config.slide > config.size {
@@ -583,7 +584,7 @@ impl RepairSession {
                 }
                 cancelled += 1;
             } else {
-                let t = self.repairer.remove_active(&self.sigma, d)?;
+                let t = self.repairer.remove_active(d)?;
                 if d >= self.base_bound {
                     for a in &attrs {
                         let v = t.id(*a);

@@ -348,7 +348,7 @@ fn verification_covers_every_delta_tuple() {
     };
     let conflicting = Tuple::from_iter(["k1", "x"]);
     let clean = Tuple::from_iter(["k3", "w"]);
-    let mut parts = Engine::build(&base, &sigma).to_parts();
+    let parts = Engine::build(&base, &sigma).to_parts();
     let mut repairer = InsertRepairer::new(&base, &sigma);
     let before = repairer.footprint();
     for delta in [
@@ -356,7 +356,7 @@ fn verification_covers_every_delta_tuple() {
         vec![clean.clone(), conflicting.clone()],
     ] {
         let run = repairer
-            .repair(&base, &delta, &sigma, &mut parts, config.clone())
+            .repair(&base, &delta, &sigma, &parts, config.clone())
             .unwrap();
         assert!(!run.clean, "{delta:?}: the conflict went unseen");
         assert_eq!(repairer.footprint(), before, "{delta:?}");
