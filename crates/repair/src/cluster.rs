@@ -1,18 +1,34 @@
 //! Cost-based candidate-value index (§5.2, "Cost-based indices").
 //!
 //! The paper arranges `adom(Repr, A)` in a hierarchical-agglomerative-
-//! clustering tree over the DL metric so that `TUPLERESOLVE` can iterate
-//! candidate values in decreasing similarity to the value being repaired.
-//! We keep the *contract* — enumerate active-domain values in (approximately)
-//! increasing DL distance from a probe, cheaply — but implement it as a
-//! **length-banded exact search**: values are bucketed by rendered length,
-//! and a query expands outward from the probe's length band, scoring values
-//! with the cutoff-aware DL kernel and abandoning candidates whose distance
-//! provably exceeds the current `limit`-th best. Because
-//! `dis(a, b) ≥ ||a| − |b||`, bands farther than the current worst bound can
-//! be skipped wholesale; the search is exact, needs no O(n²) build, and
-//! degrades gracefully on large domains. The `repair_ablations` bench
-//! compares it against the naive full scan.
+//! clustering tree over the DL metric, built once, so that `TUPLERESOLVE`
+//! can iterate candidate values in decreasing similarity to the value
+//! being repaired. We keep the *contract* — the `limit` active-domain
+//! values nearest a probe, exactly, ordered by `(distance, value)` — and
+//! implement it in two layers:
+//!
+//! * **Length bands.** Values are bucketed by rendered length, and a
+//!   query expands outward from the probe's band, scoring values with the
+//!   cutoff-aware DL kernel and abandoning candidates whose distance
+//!   provably exceeds the current `limit`-th best. Because
+//!   `dis(a, b) ≥ ||a| − |b||`, bands farther than that bound are skipped
+//!   wholesale; the search is exact and needs no O(n²) build.
+//! * **A memo of base answers.** The index keeps its contents in two band
+//!   sets: the *base* it was built over and the ids *added* since (the ΔD
+//!   values a request activates). For a probe that is itself a base value
+//!   it keeps the top-`limit` list over the base, computed on first use,
+//!   and answers by merging that list with a bounded scan of the added
+//!   bands. The merge is exact: under one total order,
+//!   `top-k(B ∪ A) = top-k(top-k(B) ∪ A)`, since an element of `B` outside
+//!   `top-k(B)` already has `k` better elements in `B`. So only a probe
+//!   asked for the first time, or one outside the base, scans the base
+//!   bands. Keys are base values only: the memo is bounded by the base
+//!   domain and never keeps an id that only a sealed ΔD holds. Removing
+//!   an added id leaves the memo as it is; removing a base value clears
+//!   it.
+//!
+//! The `kernels` bench (`value_index/*`) compares the banded scan with
+//! the naive full scan, and a memo hit with a miss.
 //!
 //! Entries carry `(Value, ValueId)` pairs: the resolved value keeps
 //! enumeration order deterministic (ties break by *value* order, which is
@@ -22,15 +38,134 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use cfd_model::hash::FnvMap;
 use cfd_model::{ActiveDomain, AttrId, Value, ValueId, ValuePool};
+
+use crate::pricing::TargetPricer;
+
+/// One scored candidate: `(distance, value, id)`, ordered that way.
+type Near = (usize, Value, ValueId);
+
+/// Distinct values bucketed by rendered length, each bucket sorted by
+/// value for determinism. A bucket that empties is dropped.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Bands(BTreeMap<usize, Vec<(Value, ValueId)>>);
+
+impl Bands {
+    /// Insert `(v, id)`; false when it was already present.
+    fn insert(&mut self, v: Value, id: ValueId) -> bool {
+        let bucket = self.0.entry(v.render_len()).or_default();
+        let entry = (v, id);
+        match bucket.binary_search(&entry) {
+            Ok(_) => false,
+            Err(pos) => {
+                bucket.insert(pos, entry);
+                true
+            }
+        }
+    }
+
+    /// Remove `(v, id)`; false when it was absent.
+    fn remove(&mut self, v: &Value, id: ValueId) -> bool {
+        let band = v.render_len();
+        let Some(bucket) = self.0.get_mut(&band) else {
+            return false;
+        };
+        let Ok(pos) = bucket.binary_search_by(|(bv, bid)| (bv, *bid).cmp(&(v, id))) else {
+            return false;
+        };
+        bucket.remove(pos);
+        if bucket.is_empty() {
+            self.0.remove(&band);
+        }
+        true
+    }
+
+    fn contains(&self, v: &Value, id: ValueId) -> bool {
+        self.0.get(&v.render_len()).is_some_and(|bucket| {
+            bucket
+                .binary_search_by(|(bv, bid)| (bv, *bid).cmp(&(v, id)))
+                .is_ok()
+        })
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &(Value, ValueId)> {
+        self.0.values().flatten()
+    }
+
+    /// Fold these bands into `best`, the (sorted) `limit` nearest entries
+    /// found so far, expanding outward from the probe's length band.
+    fn scan(&self, probe: &Probe, limit: usize, best: &mut Vec<Near>) {
+        let max_len = self.0.keys().next_back().copied().unwrap_or(0);
+        for gap in 0..=max_len.max(probe.len) {
+            let below = (gap > 0).then(|| probe.len.checked_sub(gap)).flatten();
+            for band in std::iter::once(probe.len + gap).chain(below) {
+                // Length difference is a lower bound on the distance: once
+                // the gap alone exceeds the worst kept distance, no farther
+                // band can contribute.
+                if best.len() >= limit && gap > best[limit - 1].0 {
+                    return;
+                }
+                let Some(bucket) = self.0.get(&band) else {
+                    continue;
+                };
+                for (v, id) in bucket {
+                    let cutoff = if best.len() >= limit {
+                        best[limit - 1].0
+                    } else {
+                        usize::MAX - 1
+                    };
+                    let Some(d) = probe.pricer.distance_bounded(&v.render(), cutoff) else {
+                        continue;
+                    };
+                    let entry = (d, v.clone(), *id);
+                    let pos = best.partition_point(|e| *e <= entry);
+                    if pos < limit {
+                        best.insert(pos, entry);
+                        best.truncate(limit);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A probe prepared for scoring: its rendered length and one prepared
+/// kernel whose pattern bitmasks are reused against every entry.
+struct Probe {
+    value: Value,
+    len: usize,
+    pricer: TargetPricer,
+}
+
+impl Probe {
+    fn new(pool: &ValuePool, id: ValueId) -> Self {
+        let value = pool.resolve(id);
+        Probe {
+            len: value.render_len(),
+            pricer: TargetPricer::new(&value.render()),
+            value,
+        }
+    }
+}
+
+/// A memoized base answer: the top-`limit` list over the base contents.
+#[derive(Clone, Debug)]
+struct Memo {
+    limit: usize,
+    best: Box<[Near]>,
+}
 
 /// A queryable view of one attribute's active domain.
 #[derive(Clone, Debug)]
 pub struct ValueIndex {
-    /// Distinct values bucketed by rendered length, each bucket sorted by
-    /// value for determinism.
-    by_len: BTreeMap<usize, Vec<(Value, ValueId)>>,
+    /// The values the index was built over.
+    base: Bands,
+    /// Values [`ValueIndex::add`]ed since, none of them in `base`.
+    added: Bands,
     len: usize,
+    /// Base answers keyed by probe; every key is a base value.
+    memo: FnvMap<ValueId, Memo>,
     /// The pool probe ids and [`ValueIndex::add`]ed ids resolve through —
     /// the pool of the relation whose active domain this indexes.
     pool: Arc<ValuePool>,
@@ -38,32 +173,15 @@ pub struct ValueIndex {
 
 impl Default for ValueIndex {
     fn default() -> Self {
-        ValueIndex {
-            by_len: BTreeMap::new(),
-            len: 0,
-            pool: ValuePool::shared(),
-        }
+        Self::from_ids_in([], ValuePool::shared())
     }
 }
 
 impl ValueIndex {
     /// Build from the distinct values of `adom(a, D)`, resolving through
-    /// the process-default shared pool (compatibility shim; see
-    /// [`ValueIndex::build_in`]).
-    pub fn build(adom: &ActiveDomain, a: AttrId) -> Self {
-        Self::build_in(adom, a, ValuePool::shared())
-    }
-
-    /// Build from the distinct values of `adom(a, D)`, resolving through
     /// the owning relation's pool.
     pub fn build_in(adom: &ActiveDomain, a: AttrId, pool: Arc<ValuePool>) -> Self {
         Self::from_ids_in(adom.ids(a).map(|(id, _)| id), pool)
-    }
-
-    /// Build directly from interned ids in the process-default shared
-    /// pool (compatibility shim; see [`ValueIndex::from_ids_in`]).
-    pub fn from_ids<I: IntoIterator<Item = ValueId>>(ids: I) -> Self {
-        Self::from_ids_in(ids, ValuePool::shared())
     }
 
     /// Build directly from ids interned in `pool`.
@@ -72,18 +190,27 @@ impl ValueIndex {
             ids.into_iter().map(|id| (pool.resolve(id), id)).collect();
         distinct.sort();
         distinct.dedup();
-        let mut by_len: BTreeMap<usize, Vec<(Value, ValueId)>> = BTreeMap::new();
         let len = distinct.len();
+        let mut base = Bands::default();
         for (v, id) in distinct {
-            by_len.entry(v.render_len()).or_default().push((v, id));
+            base.0.entry(v.render_len()).or_default().push((v, id));
         }
-        ValueIndex { by_len, len, pool }
+        ValueIndex {
+            base,
+            added: Bands::default(),
+            len,
+            memo: FnvMap::default(),
+            pool,
+        }
     }
 
     /// Build directly from values (tests, ad-hoc pools), interning into
     /// the process-default shared pool.
     pub fn from_values<I: IntoIterator<Item = Value>>(values: I) -> Self {
-        Self::from_ids(values.into_iter().map(|v| ValueId::of(&v)))
+        Self::from_ids_in(
+            values.into_iter().map(|v| ValueId::of(&v)),
+            ValuePool::shared(),
+        )
     }
 
     /// Number of distinct values indexed.
@@ -96,130 +223,82 @@ impl ValueIndex {
         self.len == 0
     }
 
-    /// Record a value newly added to the domain.
+    /// The probes whose base answers are memoized, ascending. Every one
+    /// is a base value.
+    pub(crate) fn memo_keys(&self) -> Vec<ValueId> {
+        let mut keys: Vec<ValueId> = self.memo.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Record a value newly added to the domain. A base value is already
+    /// indexed; any other joins the added bands.
     pub fn add(&mut self, id: ValueId) {
         if id.is_null() {
             return;
         }
         let v = self.pool.resolve(id);
-        let bucket = self.by_len.entry(v.render_len()).or_default();
-        let entry = (v, id);
-        if let Err(pos) = bucket.binary_search(&entry) {
-            bucket.insert(pos, entry);
+        if !self.base.contains(&v, id) && self.added.insert(v, id) {
             self.len += 1;
         }
     }
 
     /// Forget a value that left the domain — the inverse of
-    /// [`ValueIndex::add`]. A length bucket that empties is dropped, so an
-    /// add/remove sequence leaves exactly the index a fresh build over the
-    /// surviving values would. Absent ids and null are no-ops.
+    /// [`ValueIndex::add`]. Removing a base value clears the memo, whose
+    /// answers may name it. Absent ids and null are no-ops.
     pub fn remove(&mut self, id: ValueId) {
         if id.is_null() {
             return;
         }
         let v = self.pool.resolve(id);
-        let band = v.render_len();
-        let Some(bucket) = self.by_len.get_mut(&band) else {
-            return;
-        };
-        if let Ok(pos) = bucket.binary_search(&(v, id)) {
-            bucket.remove(pos);
+        if self.added.remove(&v, id) {
             self.len -= 1;
-            if bucket.is_empty() {
-                self.by_len.remove(&band);
-            }
+        } else if self.base.remove(&v, id) {
+            self.len -= 1;
+            self.memo.clear();
         }
     }
 
     /// The `limit` ids nearest to `probe` in DL distance, ascending (ties
-    /// broken by value order). `probe` itself is excluded when
-    /// `exclude_probe` — repairs must pick a *different* value.
-    pub fn nearest(
-        &self,
-        probe: ValueId,
-        limit: usize,
-        exclude_probe: bool,
-    ) -> Vec<(ValueId, usize)> {
+    /// broken by value order). The probe itself is included when indexed.
+    /// A base probe's answer over the base is memoized on first use (see
+    /// the module docs).
+    pub fn nearest(&mut self, probe: ValueId, limit: usize) -> Vec<(ValueId, usize)> {
         if limit == 0 || self.len == 0 {
             return Vec::new();
         }
-        let probe_value = self.pool.resolve(probe);
-        let probe_text = probe_value.render().into_owned();
-        let probe_len = probe_value.render_len();
-        // One prepared kernel for the probe: its pattern bitmasks are
-        // built once and reused against every bucket entry, instead of a
-        // fresh DP matrix per pair.
-        let pricer = crate::pricing::TargetPricer::new(&probe_text);
-        // Max-heap by (distance, value) capped at `limit`; implemented as a
-        // sorted Vec because `limit` is small (≤ a few dozen).
-        let mut best: Vec<(usize, &Value, ValueId)> = Vec::with_capacity(limit + 1);
-        let mut worst_bound = usize::MAX;
-        // Expand outward from the probe's length band.
-        let mut offsets: Vec<i64> = Vec::new();
-        let max_len = self.by_len.keys().next_back().copied().unwrap_or(0) as i64;
-        for d in 0..=max_len.max(probe_len as i64) {
-            if d == 0 {
-                offsets.push(0);
-            } else {
-                offsets.push(d);
-                offsets.push(-d);
-            }
-        }
-        for off in offsets {
-            let band = probe_len as i64 + off;
-            if band < 0 {
-                continue;
-            }
-            // Length difference is a lower bound on the distance: once the
-            // band gap alone exceeds the worst kept distance, no farther
-            // band can contribute.
-            if best.len() >= limit && off.unsigned_abs() as usize > worst_bound {
-                break;
-            }
-            let Some(bucket) = self.by_len.get(&(band as usize)) else {
-                continue;
-            };
-            for (v, id) in bucket {
-                if exclude_probe && *id == probe {
-                    continue;
+        let mut prepared = None;
+        let mut best: Vec<Near> = match self.memo.get(&probe) {
+            Some(memo) if memo.limit >= limit => memo.best.iter().take(limit).cloned().collect(),
+            _ => {
+                let p = prepared.insert(Probe::new(&self.pool, probe));
+                let mut best = Vec::with_capacity(limit + 1);
+                self.base.scan(p, limit, &mut best);
+                if self.base.contains(&p.value, probe) {
+                    let memo = Memo {
+                        limit,
+                        best: best.clone().into_boxed_slice(),
+                    };
+                    self.memo.insert(probe, memo);
                 }
-                let cutoff = if best.len() >= limit {
-                    worst_bound
-                } else {
-                    usize::MAX - 1
-                };
-                let Some(d) = pricer.distance_bounded(&v.render(), cutoff) else {
-                    continue;
-                };
-                let entry = (d, v, *id);
-                let pos = best.partition_point(|e| *e <= entry);
-                best.insert(pos, entry);
-                if best.len() > limit {
-                    best.pop();
-                }
-                if best.len() >= limit {
-                    worst_bound = best.last().expect("non-empty").0;
-                }
+                best
             }
+        };
+        if !self.added.0.is_empty() {
+            let p = prepared.get_or_insert_with(|| Probe::new(&self.pool, probe));
+            self.added.scan(p, limit, &mut best);
         }
         best.into_iter().map(|(d, _, id)| (id, d)).collect()
     }
 
-    /// Naive full-scan nearest (no banding, no cutoff). Kept for the
-    /// ablation benchmark and as a correctness oracle in tests.
-    pub fn nearest_naive(
-        &self,
-        probe: ValueId,
-        limit: usize,
-        exclude_probe: bool,
-    ) -> Vec<(ValueId, usize)> {
+    /// Naive full-scan nearest (no banding, no cutoff, no memo). Kept for
+    /// the kernels benchmark and as a correctness oracle in tests.
+    pub fn nearest_naive(&self, probe: ValueId, limit: usize) -> Vec<(ValueId, usize)> {
         let probe_text = self.pool.resolve(probe).render().into_owned();
         let mut all: Vec<(usize, &Value, ValueId)> = self
-            .by_len
-            .values()
-            .flatten()
-            .filter(|(_, id)| !(exclude_probe && *id == probe))
+            .base
+            .entries()
+            .chain(self.added.entries())
             .map(|(v, id)| {
                 (
                     crate::distance::dl_distance(&probe_text, &v.render()),
@@ -246,20 +325,22 @@ mod tests {
         ValueIndex::from_values(values.iter().map(|s| Value::str(*s)))
     }
 
-    #[test]
-    fn nearest_orders_by_distance() {
-        let i = idx(&["walnut", "walnot", "spruce", "broad", "walnuts"]);
-        let got = i.nearest(vid("walnut"), 3, false);
-        assert_eq!(got[0], (vid("walnut"), 0));
-        assert_eq!(got[1].1, 1); // walnot or walnuts
-        assert_eq!(got[2].1, 1);
+    /// Every value indexed, base and added alike, in one band set.
+    fn contents(i: &ValueIndex) -> Bands {
+        let mut all = i.base.clone();
+        for (v, id) in i.added.entries() {
+            all.insert(v.clone(), *id);
+        }
+        all
     }
 
     #[test]
-    fn exclude_probe_skips_exact_match() {
-        let i = idx(&["walnut", "walnot"]);
-        let got = i.nearest(vid("walnut"), 2, true);
-        assert_eq!(got, vec![(vid("walnot"), 1)]);
+    fn nearest_orders_by_distance() {
+        let mut i = idx(&["walnut", "walnot", "spruce", "broad", "walnuts"]);
+        let got = i.nearest(vid("walnut"), 3);
+        assert_eq!(got[0], (vid("walnut"), 0));
+        assert_eq!(got[1].1, 1); // walnot or walnuts
+        assert_eq!(got[2].1, 1);
     }
 
     #[test]
@@ -268,10 +349,10 @@ mod tests {
             "19014", "10012", "19103", "10013", "60601", "94105", "2146", "215", "212", "610",
             "null-ish", "walnut", "spruce",
         ];
-        let i = idx(&words);
+        let mut i = idx(&words);
         for probe in ["19014", "212", "walnut", "zzz", ""] {
-            let fast = i.nearest(vid(probe), 5, false);
-            let slow = i.nearest_naive(vid(probe), 5, false);
+            let fast = i.nearest(vid(probe), 5);
+            let slow = i.nearest_naive(vid(probe), 5);
             let fast_d: Vec<usize> = fast.iter().map(|(_, d)| *d).collect();
             let slow_d: Vec<usize> = slow.iter().map(|(_, d)| *d).collect();
             assert_eq!(fast_d, slow_d, "probe {probe}");
@@ -283,23 +364,24 @@ mod tests {
         let mut i = idx(&["abc"]);
         i.add(vid("abd"));
         i.add(vid("abd")); // duplicate ignored
+        i.add(vid("abc")); // base value ignored
         i.add(cfd_model::NULL_ID); // nulls ignored
         assert_eq!(i.len(), 2);
-        let got = i.nearest(vid("abd"), 1, false);
+        let got = i.nearest(vid("abd"), 1);
         assert_eq!(got[0], (vid("abd"), 0));
     }
 
     #[test]
     fn empty_index_returns_nothing() {
-        let i = ValueIndex::default();
-        assert!(i.nearest(vid("x"), 3, false).is_empty());
+        let mut i = ValueIndex::default();
+        assert!(i.nearest(vid("x"), 3).is_empty());
         assert!(i.is_empty());
     }
 
     #[test]
     fn limit_zero_returns_nothing() {
-        let i = idx(&["a"]);
-        assert!(i.nearest(vid("a"), 0, false).is_empty());
+        let mut i = idx(&["a"]);
+        assert!(i.nearest(vid("a"), 0).is_empty());
     }
 
     #[test]
@@ -311,27 +393,29 @@ mod tests {
             rel.insert(Tuple::from_iter([city])).unwrap();
         }
         let adom = ActiveDomain::of_relation(&rel);
-        let i = ValueIndex::build(&adom, AttrId(0));
-        let got = i.nearest(vid("PHI"), 2, true);
-        assert_eq!(got[0], (vid("PHX"), 1));
-        assert_eq!(got[1], (vid("NYC"), 3));
+        let pool = rel.pool().clone();
+        let mut i = ValueIndex::build_in(&adom, AttrId(0), pool.clone());
+        let phi = pool.intern(&Value::str("PHI"));
+        let got = i.nearest(phi, 3);
+        assert_eq!(got[0], (phi, 0));
+        assert_eq!(got[1], (pool.intern(&Value::str("PHX")), 1));
+        assert_eq!(got[2], (pool.intern(&Value::str("NYC")), 3));
     }
 
     #[test]
     fn int_values_searchable_by_rendering() {
-        let i = ValueIndex::from_values([Value::int(19014), Value::int(10012)]);
-        let got = i.nearest(vid("19013"), 1, false);
+        let mut i = ValueIndex::from_values([Value::int(19014), Value::int(10012)]);
+        let got = i.nearest(vid("19013"), 1);
         assert_eq!(got[0].0, ValueId::of(&Value::int(19014)));
     }
 
     /// Seeded random add/remove sequences, removing a value when its last
-    /// occurrence goes (as the active domain reports it), leave the same
-    /// index a fresh build over the surviving values gives: the same
-    /// buckets, the same `len` and the same `nearest` answers.
+    /// occurrence goes (as the active domain reports it), leave an index
+    /// with the contents, `len` and `nearest` answers of a fresh build
+    /// over the surviving values.
     #[test]
     fn add_remove_sequences_match_a_fresh_build() {
         use cfd_prng::{trials, Rng};
-        use std::collections::BTreeMap;
         let words = [
             "a", "b", "ab", "ba", "abc", "abd", "bcd", "abcd", "dcba", "abcde", "z",
         ];
@@ -350,17 +434,93 @@ mod tests {
                         i.remove(vid(w));
                     }
                 }
-                let fresh = idx(&counts.keys().copied().collect::<Vec<_>>());
-                assert_eq!(i.by_len, fresh.by_len);
+                let mut fresh = idx(&counts.keys().copied().collect::<Vec<_>>());
+                assert_eq!(contents(&i), fresh.base);
                 assert_eq!(i.len(), fresh.len());
                 for probe in ["ab", "abcd", "q"] {
-                    assert_eq!(
-                        i.nearest(vid(probe), 3, false),
-                        fresh.nearest(vid(probe), 3, false)
-                    );
+                    assert_eq!(i.nearest(vid(probe), 3), fresh.nearest(vid(probe), 3));
                 }
             }
         });
+    }
+
+    /// Seeded trials over a base of 4–6 character words mixing adds,
+    /// removals (base ones included) and queries at several limits, base
+    /// probes asked again and again: every answer equals the naive scan
+    /// over the current contents, and every memo key is a base value.
+    #[test]
+    fn memoized_answers_match_the_naive_scan() {
+        use cfd_prng::{trials, Rng};
+        let letters = b"abcde";
+        let word = |rng: &mut cfd_prng::ChaCha8Rng| -> String {
+            let n = rng.gen_range(4..7usize);
+            (0..n)
+                .map(|_| letters[rng.gen_range(0..letters.len())] as char)
+                .collect()
+        };
+        trials(24, 0x3E30, |rng| {
+            let base: Vec<String> = (0..rng.gen_range(1..60usize)).map(|_| word(rng)).collect();
+            let mut i = idx(&base.iter().map(String::as_str).collect::<Vec<_>>());
+            let mut hits = 0;
+            for _ in 0..200 {
+                match rng.gen_range(0..10u32) {
+                    0..=2 => i.add(vid(&word(rng))),
+                    3 => {
+                        let nth = rng.gen_range(0..i.len().max(1));
+                        let pick = contents(&i).entries().nth(nth).map(|(_, id)| *id);
+                        if let Some(id) = pick {
+                            i.remove(id);
+                        }
+                    }
+                    _ => {
+                        let probe = if rng.gen_range(0..4u32) > 0 {
+                            vid(&base[rng.gen_range(0..base.len())])
+                        } else {
+                            vid(&word(rng))
+                        };
+                        let limit = [1, 3, 6, 9][rng.gen_range(0..4usize)];
+                        hits += usize::from(i.memo.contains_key(&probe));
+                        assert_eq!(i.nearest(probe, limit), i.nearest_naive(probe, limit));
+                    }
+                }
+                for key in i.memo_keys() {
+                    let v = ValuePool::shared().resolve(key);
+                    assert!(i.base.contains(&v, key), "memo key {v} is not a base value");
+                }
+            }
+            assert!(hits > 0, "no query was answered from the memo");
+        });
+    }
+
+    #[test]
+    fn removing_a_base_value_clears_the_memo() {
+        let mut i = idx(&["abc", "abd", "xyz"]);
+        i.add(vid("abe"));
+        assert_eq!(
+            i.nearest(vid("abc"), 2),
+            vec![(vid("abc"), 0), (vid("abd"), 1)]
+        );
+        assert_eq!(i.memo_keys(), vec![vid("abc")]);
+        i.remove(vid("abe")); // an added value: the memo stays
+        assert_eq!(i.memo_keys(), vec![vid("abc")]);
+        i.remove(vid("abd"));
+        assert!(i.memo_keys().is_empty());
+        assert_eq!(
+            i.nearest(vid("abc"), 2),
+            vec![(vid("abc"), 0), (vid("xyz"), 3)]
+        );
+    }
+
+    #[test]
+    fn probes_outside_the_base_are_not_memoized() {
+        let mut i = idx(&["abc"]);
+        i.add(vid("abd"));
+        assert_eq!(
+            i.nearest(vid("abd"), 2),
+            vec![(vid("abd"), 0), (vid("abc"), 1)]
+        );
+        assert_eq!(i.nearest(vid("zzz"), 1), vec![(vid("abc"), 3)]);
+        assert!(i.memo_keys().is_empty());
     }
 
     #[test]
@@ -371,7 +531,7 @@ mod tests {
         assert_eq!(i.len(), 2);
         i.remove(vid("x"));
         assert_eq!(i.len(), 1);
-        assert!(!i.by_len.contains_key(&1));
-        assert_eq!(i.nearest(vid("x"), 2, false), vec![(vid("abc"), 3)]);
+        assert!(!i.base.0.contains_key(&1));
+        assert_eq!(i.nearest(vid("x"), 2), vec![(vid("abc"), 3)]);
     }
 }

@@ -206,6 +206,10 @@ pub(crate) struct IncState<'a> {
     adom: ActiveDomain,
     /// Lazily-built per-attribute nearest-value indexes.
     vidx: Vec<Option<ValueIndex>>,
+    /// Per attribute whose value index is not built yet: the values this
+    /// round activated that were new to the domain. A build mid-round
+    /// records them as added, not as base (see [`Self::value_index`]).
+    fresh: Vec<Vec<ValueId>>,
     /// Memoized `dis(v, v')` over id pairs — the only place candidate
     /// pricing resolves ids back to strings.
     dcache: DistanceCache,
@@ -237,16 +241,25 @@ impl<'a> IncState<'a> {
         Ok(IncState::resume(parts, rules, config))
     }
 
-    fn value_index(&mut self, a: AttrId) -> &ValueIndex {
-        let slot = &mut self.vidx[a.index()];
-        if slot.is_none() {
-            *slot = Some(ValueIndex::build_in(
-                &self.adom,
-                a,
-                self.work.pool().clone(),
-            ));
-        }
-        slot.as_ref().expect("just built")
+    /// The value index of `a`, built on first use. Its base is the
+    /// active domain without this round's fresh values, which join as
+    /// added values: the index memoizes answers over its base, and for a
+    /// resident insert driver that base must be the clean base alone.
+    fn value_index(&mut self, a: AttrId) -> &mut ValueIndex {
+        let (adom, pool) = (&self.adom, self.work.pool());
+        let fresh = &mut self.fresh[a.index()];
+        self.vidx[a.index()].get_or_insert_with(|| {
+            fresh.sort_unstable();
+            let base = adom
+                .ids(a)
+                .map(|(id, _)| id)
+                .filter(|id| fresh.binary_search(id).is_err());
+            let mut idx = ValueIndex::from_ids_in(base, pool.clone());
+            for v in fresh.drain(..) {
+                idx.add(v);
+            }
+            idx
+        })
     }
 
     /// Does `t` satisfy the *entire* Σ against the active tuples?
@@ -286,8 +299,11 @@ impl<'a> IncState<'a> {
     /// Candidate values for attribute `a` while resolving `cur` with the
     /// attribute set `C` (as a mask). Sources, in order: the current value,
     /// values pinned by CFDs whose LHS avoids `C`, nearest active-domain
-    /// values, and `null`. `nearest` memoizes the value-index answer per
-    /// attribute for the tuple being resolved (see [`Self::tuple_resolve`]).
+    /// values, and `null`. The nearest values come from the value index,
+    /// which answers a base probe from its resident memo merged with the
+    /// values activated since (see [`crate::cluster`]); `nearest` keeps
+    /// that answer per attribute for the tuple being resolved (see
+    /// [`Self::tuple_resolve`]).
     fn candidates_for(
         &mut self,
         cur: &Tuple,
@@ -331,7 +347,7 @@ impl<'a> IncState<'a> {
         let slot = &mut nearest[a.index()];
         if !matches!(slot, Some((p, _)) if *p == probe) {
             let limit = self.config.candidates_per_attr;
-            let ids = self.value_index(a).nearest(probe, limit, false);
+            let ids = self.value_index(a).nearest(probe, limit);
             *slot = Some((probe, ids.into_iter().map(|(v, _)| v).collect()));
         }
         for v in &slot.as_ref().expect("filled above").1 {
@@ -539,10 +555,14 @@ impl<'a> IncState<'a> {
         self.lhs.insert(&stored);
         for a in self.work.schema().attr_ids().collect::<Vec<_>>() {
             let v = stored.id(a);
-            self.adom.add_id(a, v);
-            if let Some(idx) = &mut self.vidx[a.index()] {
-                idx.add(v);
+            match &mut self.vidx[a.index()] {
+                Some(idx) => idx.add(v),
+                None if !v.is_null() && !self.adom.contains_id(a, v) => {
+                    self.fresh[a.index()].push(v)
+                }
+                None => {}
             }
+            self.adom.add_id(a, v);
         }
         Ok(())
     }
@@ -700,6 +720,7 @@ impl<'a> IncState<'a> {
         IncState {
             rules,
             config,
+            fresh: vec![Vec::new(); parts.vidx.len()],
             work: parts.work,
             lhs: parts.lhs,
             adom: parts.adom,

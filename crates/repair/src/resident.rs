@@ -39,6 +39,14 @@
 //!   index. ΔD values never persist, so every request sees the base's
 //!   domain and nothing else.
 //!
+//! One thing a request leaves behind on purpose: each value index's memo
+//! of base answers ([`crate::cluster`]). It holds, per base value asked
+//! about, the nearest values over the base alone, so it depends on the
+//! fixed base and on nothing a request did, and it survives requests.
+//! A ΔD value joins the index as an added value, never as base (an index
+//! built mid-request records the values ΔD already activated as added),
+//! and only base values become keys, so no ΔD id stays in it.
+//!
 //! The distance memo is fresh per request: ΔD ids are sealed after each
 //! request and never reused, so a memo kept across requests would only
 //! collect dead keys.
@@ -59,7 +67,7 @@
 
 use cfd_cfd::violation::EngineParts;
 use cfd_cfd::Sigma;
-use cfd_model::{ActiveDomain, Relation, Tuple, TupleId};
+use cfd_model::{ActiveDomain, Relation, Tuple, TupleId, ValueId};
 
 use crate::cluster::ValueIndex;
 use crate::incremental::{
@@ -93,7 +101,8 @@ pub struct DeltaRepair {
 }
 
 /// The size of each index an [`InsertRepairer`] keeps — what a rollback
-/// must return to. Value-index lengths are `None` for slots not built yet.
+/// must return to — and the value-index memo keys, which persist across
+/// requests. Value-index lengths are `None` for slots not built yet.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InsertFootprint {
     /// Group entries across every LHS-index shape.
@@ -102,11 +111,14 @@ pub struct InsertFootprint {
     pub adom_distinct: Vec<usize>,
     /// `ValueIndex::len` per attribute.
     pub value_index_len: Vec<Option<usize>>,
+    /// `ValueIndex::memo_keys` per attribute (empty for slots not built
+    /// yet): the base probes whose answers are memoized.
+    pub memo_keys: Vec<Vec<ValueId>>,
 }
 
 impl InsertRepairer {
-    /// Build the state over a clean `base`. The value indexes start empty
-    /// and are built on first use.
+    /// Build the state over a clean `base`. The value indexes are built on
+    /// first use and keep their memo of base answers from then on.
     pub fn new(base: &Relation, sigma: &Sigma) -> Self {
         InsertRepairer {
             lhs: LhsIndexes::build(base, sigma),
@@ -191,6 +203,11 @@ impl InsertRepairer {
                 .vidx
                 .iter()
                 .map(|slot| slot.as_ref().map(ValueIndex::len))
+                .collect(),
+            memo_keys: self
+                .vidx
+                .iter()
+                .map(|slot| slot.as_ref().map(ValueIndex::memo_keys).unwrap_or_default())
                 .collect(),
         }
     }
@@ -449,6 +466,33 @@ mod tests {
         // An empty round is a no-op.
         let stats = r.resolve_pending(&sigma, &mut []).unwrap();
         assert_eq!(stats.processed, 0);
+    }
+
+    /// A value index first built mid-request takes the values ΔD already
+    /// activated as added, not as base: rolling them back leaves its memo
+    /// of base answers in place for the next request.
+    #[test]
+    fn lazy_index_mid_request_keeps_delta_values_out_of_the_base() {
+        let (rel, sigma) = base();
+        let parts = cfd_cfd::violation::Engine::build(&rel, &sigma).to_parts();
+        let config = IncConfig {
+            ordering: crate::Ordering::Linear,
+            ..IncConfig::default()
+        };
+        let mut r = InsertRepairer::new(&rel, &sigma);
+        // (k2, gamma) is clean and activates first, bringing the new
+        // values k2 and gamma; (k0, alphb) then conflicts with the base
+        // pin and builds both value indexes.
+        let delta = [
+            Tuple::from_iter(["k2", "gamma"]),
+            Tuple::from_iter(["k0", "alphb"]),
+        ];
+        let run = r.repair(&rel, &delta, &sigma, &parts, config).unwrap();
+        assert_eq!(run.outcome.stats.modified, 1);
+        let k0 = rel.pool().intern(&Value::str("k0"));
+        let after = r.footprint();
+        assert_eq!(after.value_index_len, vec![Some(2), Some(2)]);
+        assert_eq!(after.memo_keys, vec![vec![k0], vec![]]);
     }
 
     fn rel_attr(r: &StreamRepairer, name: &str) -> cfd_model::AttrId {

@@ -123,11 +123,11 @@ fn value_index_matches_naive_nearest() {
             values.insert(w);
         }
         let vals: Vec<Value> = values.iter().map(Value::str).collect();
-        let index = ValueIndex::from_values(vals.clone());
+        let mut index = ValueIndex::from_values(vals.clone());
         let probe = ValueId::of(&Value::str(word(rng, 5)));
         let limit = rng.gen_range(1..6usize);
-        let fast = index.nearest(probe, limit, false);
-        let naive = index.nearest_naive(probe, limit, false);
+        let fast = index.nearest(probe, limit);
+        let naive = index.nearest_naive(probe, limit);
         let fd: Vec<usize> = fast.iter().map(|(_, d)| *d).collect();
         let nd: Vec<usize> = naive.iter().map(|(_, d)| *d).collect();
         assert_eq!(fd, nd, "fast {fast:?} vs naive {naive:?}");

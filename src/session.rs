@@ -56,7 +56,9 @@
 //! per-group RHS counts), verified by checking only the ΔD tuples,
 //! rendered as the cached base bytes plus the ΔD rows, and rolled back —
 //! every index of the state returns exactly to the base before the
-//! request returns. The detection parts are only read, so detect and
+//! request returns. What stays warm is each value index's memo of
+//! nearest values over the base, which depends on the base alone. The
+//! detection parts are only read, so detect and
 //! repair answers never depend on insert history. Replies are
 //! byte-identical to a one-shot [`inc_repair`] over the same base.
 //! Anything that changes the base or its rules drops the state:

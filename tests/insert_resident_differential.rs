@@ -14,6 +14,11 @@
 //!   at its post-build baseline: LHS-index entries, the group count of
 //!   every detection index, the active domain's distinct count and each
 //!   built value index's length per attribute.
+//! * **A base-only memo that stays warm** — after every request each value
+//!   index's memo keys are values of the base's own active domain, the
+//!   memo is non-empty, and it keeps every key of the request before.
+//! * **No dependence on history** — the same requests replayed in a
+//!   shuffled order on a fresh session get byte-identical replies.
 //! * **No side effects** — the handle's detect report and BATCHREPAIR
 //!   bytes are the same before and after the sequence, on the clean base
 //!   and on a dirty one whose inserts keep failing.
@@ -22,7 +27,7 @@
 
 use cfdclean::cfd::{check, Cfd, Engine, Sigma};
 use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig};
-use cfdclean::model::{csv, AttrId, Relation, Schema, Tuple};
+use cfdclean::model::{csv, ActiveDomain, AttrId, Relation, Schema, Tuple};
 use cfdclean::repair::{inc_repair, IncConfig, InsertRepairer, Ordering, RepairOptions};
 use cfdclean::{DatasetRef, InsertRun, ResidentFootprint, Session};
 
@@ -221,9 +226,24 @@ fn footprint(entry: &DatasetRef) -> Option<ResidentFootprint> {
 }
 
 /// The resident state equals `baseline` in every count that cannot grow
-/// legitimately; a value index built since is as long as its domain.
-fn assert_at_baseline(entry: &DatasetRef, baseline: &ResidentFootprint, what: &str) {
+/// legitimately; a value index built since is as long as its domain, and
+/// every memo key is a value of the base's own active domain. Returns
+/// the footprint.
+fn assert_at_baseline(
+    entry: &DatasetRef,
+    baseline: &ResidentFootprint,
+    what: &str,
+) -> ResidentFootprint {
     let now = footprint(entry).unwrap_or_else(|| panic!("{what}: resident state dropped"));
+    let base_domain = ActiveDomain::of_relation(entry.read().unwrap().handle().unwrap().relation());
+    for (a, keys) in now.repairer.memo_keys.iter().enumerate() {
+        for key in keys {
+            assert!(
+                base_domain.contains_id(AttrId(a as u16), *key),
+                "{what}: memo key {key:?} of attribute {a} is not a base value"
+            );
+        }
+    }
     assert_eq!(now.groups, baseline.groups, "{what}: detection groups");
     assert_eq!(
         now.repairer.lhs_entries, baseline.repairer.lhs_entries,
@@ -241,6 +261,22 @@ fn assert_at_baseline(entry: &DatasetRef, baseline: &ResidentFootprint, what: &s
             );
         }
     }
+    now
+}
+
+/// Every memo key of `before` is still one in `after`.
+fn assert_memo_kept(before: &ResidentFootprint, after: &ResidentFootprint, what: &str) {
+    let (before, after) = (&before.repairer.memo_keys, &after.repairer.memo_keys);
+    assert!(
+        after.iter().any(|keys| !keys.is_empty()),
+        "{what}: memo empty"
+    );
+    for (a, (was, now)) in before.iter().zip(after).enumerate() {
+        assert!(
+            was.iter().all(|k| now.binary_search(k).is_ok()),
+            "{what}: memo of attribute {a} lost keys"
+        );
+    }
 }
 
 /// One long interleaved sequence on one session per seed, every reply
@@ -257,6 +293,7 @@ fn resident_inserts_equal_one_shot_and_roll_back_exactly() {
         assert!(footprint(&base).is_none(), "state is built lazily");
 
         let mut baseline: Option<ResidentFootprint> = None;
+        let mut previous: Option<ResidentFootprint> = None;
         let mut base_weighted = false;
         for i in 0..24 {
             let what = format!("seed {seed} request {i}");
@@ -271,6 +308,7 @@ fn resident_inserts_equal_one_shot_and_roll_back_exactly() {
                     "{what}: state survived weights"
                 );
                 base_weighted = true;
+                previous = None;
             }
             let req = inputs.request(
                 i * 17,
@@ -287,7 +325,11 @@ fn resident_inserts_equal_one_shot_and_roll_back_exactly() {
                 "{what}"
             );
             let base_line = baseline.get_or_insert_with(|| footprint(&base).unwrap());
-            assert_at_baseline(&base, base_line, &what);
+            let now = assert_at_baseline(&base, base_line, &what);
+            if let Some(before) = &previous {
+                assert_memo_kept(before, &now, &what);
+            }
+            previous = Some(now);
 
             if i % 5 == 2 {
                 // Error requests between the good ones: a narrow ΔD,
@@ -359,7 +401,50 @@ fn verification_covers_every_delta_tuple() {
             .repair(&base, &delta, &sigma, &parts, config.clone())
             .unwrap();
         assert!(!run.clean, "{delta:?}: the conflict went unseen");
-        assert_eq!(repairer.footprint(), before, "{delta:?}");
+        let after = repairer.footprint();
+        assert_eq!(after.lhs_entries, before.lhs_entries, "{delta:?}");
+        assert_eq!(after.adom_distinct, before.adom_distinct, "{delta:?}");
+        assert_eq!(after.value_index_len, before.value_index_len, "{delta:?}");
         assert_eq!(parts.indexes.for_lhs(&[AttrId(0)]).group_count(), 2);
+    }
+}
+
+/// Replies depend on the request alone: the same requests, answered in
+/// input order by one handle and in a shuffled order by a fresh
+/// session's handle, get byte-identical replies — so nothing a request
+/// leaves warm, the value-index memo included, can change a later one.
+#[test]
+fn replies_do_not_depend_on_request_order() {
+    use cfd_prng::{ChaCha8Rng, SeedableRng, SliceRandom};
+    let inputs = inputs(17);
+    let requests: Vec<Request> = (0..16)
+        .map(|i| {
+            inputs.request(
+                i * 13,
+                SIZES[i % SIZES.len()],
+                i % 4 == 1,
+                ORDERINGS[i % 3],
+                1 + i % 2,
+            )
+        })
+        .collect();
+    let replay = |order: &[usize]| -> Vec<Reply> {
+        let session = Session::new();
+        let base = open(&session, "base", &inputs.clean_csv, &inputs, false);
+        let mut replies = vec![None; requests.len()];
+        for &i in order {
+            replies[i] = Some(insert(&base, &requests[i]));
+        }
+        replies.into_iter().map(Option::unwrap).collect()
+    };
+    let in_order: Vec<usize> = (0..requests.len()).collect();
+    let mut shuffled = in_order.clone();
+    shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(17));
+    assert_ne!(shuffled, in_order);
+    let want = replay(&in_order);
+    assert!(want.iter().all(Result::is_ok), "{want:?}");
+    let got = replay(&shuffled);
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "request {i}");
     }
 }
