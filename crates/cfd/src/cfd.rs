@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use cfd_model::{AttrId, ModelError, Schema, TupleView, ValuePool};
 
-use crate::pattern::{
-    intern_patterns, intern_patterns_in, tuple_matches, PatternId, PatternRow, PatternValue,
-};
+use crate::pattern::{intern_patterns_in, tuple_matches, PatternId, PatternRow, PatternValue};
 
 /// A CFD in the paper's general form `(R: X → Y, Tp)`.
 #[derive(Clone, Debug)]
@@ -192,27 +190,6 @@ pub struct NormalCfd {
 }
 
 impl NormalCfd {
-    /// Construct a standalone normal CFD (tests, implication queries).
-    pub fn standalone(
-        lhs: Vec<AttrId>,
-        lhs_pat: Vec<PatternValue>,
-        rhs_attr: AttrId,
-        rhs_pat: PatternValue,
-    ) -> Self {
-        assert_eq!(lhs.len(), lhs_pat.len(), "lhs/pattern arity mismatch");
-        NormalCfd {
-            id: CfdId(u32::MAX),
-            source: Arc::from("<standalone>"),
-            source_row: 0,
-            lhs_pat_ids: intern_patterns(&lhs_pat),
-            rhs_pat_id: rhs_pat.to_id(),
-            lhs,
-            lhs_pat,
-            rhs_attr,
-            rhs_pat,
-        }
-    }
-
     /// This normal CFD's id within its [`Sigma`].
     pub fn id(&self) -> CfdId {
         self.id
@@ -431,7 +408,7 @@ impl Sigma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_model::{Tuple, Value};
+    use cfd_model::Tuple;
 
     fn schema() -> Schema {
         Schema::new(
@@ -586,18 +563,26 @@ mod tests {
     }
 
     #[test]
-    fn standalone_display() {
-        let n = NormalCfd::standalone(
-            vec![AttrId(0)],
-            vec![PatternValue::constant("212")],
-            AttrId(1),
-            PatternValue::constant("NYC"),
-        );
+    fn normal_cfd_display() {
+        let s = schema();
+        let ac = s.attr("AC").unwrap();
+        let ct = s.attr("CT").unwrap();
+        let cfd = Cfd::new(
+            "phi",
+            vec![ac],
+            vec![ct],
+            vec![PatternRow::new(
+                vec![PatternValue::constant("212")],
+                vec![PatternValue::constant("NYC")],
+            )],
+        )
+        .unwrap();
+        let sigma = Sigma::normalize(s.clone(), vec![cfd]).unwrap();
+        let n = sigma.iter().next().unwrap();
         let shown = n.to_string();
         assert!(shown.contains("212") && shown.contains("NYC"), "{shown}");
-        assert!(n.mentions(AttrId(0)));
-        assert!(n.mentions(AttrId(1)));
-        assert!(!n.mentions(AttrId(2)));
-        assert_eq!(Value::str("x"), Value::str("x")); // keep import used
+        assert!(n.mentions(ac));
+        assert!(n.mentions(ct));
+        assert!(!n.mentions(s.attr("zip").unwrap()));
     }
 }

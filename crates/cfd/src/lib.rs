@@ -17,8 +17,6 @@
 //! * [`satisfiability`] — the satisfiability analysis the framework assumes
 //!   (§2, "in the sequel we consider satisfiable CFDs only"), via the
 //!   single-tuple witness characterization;
-//! * [`implication`] — implication analysis `Σ |= φ` via a two-tuple
-//!   counter-witness search;
 //! * [`parser`] — a compact text syntax for rule files, used by examples.
 //!
 //! ## Null semantics (important)
@@ -30,15 +28,12 @@
 //! repair and guarantees termination.
 
 pub mod cfd;
-pub mod implication;
-pub mod ind;
 pub mod parser;
 pub mod pattern;
 pub mod satisfiability;
 pub mod violation;
 
 pub use cfd::{Cfd, CfdId, NormalCfd, Sigma};
-pub use ind::Ind;
 pub use pattern::{PatternRow, PatternValue};
 pub use violation::{
     check, constant_scan_with_kernel, detect, detect_with_parts, Engine, EngineParts,

@@ -9,11 +9,11 @@
 //! Two representations exist side by side:
 //!
 //! * [`PatternValue`] carries the constant as a [`Value`] — the parse-time
-//!   and analysis form (display, implication, satisfiability).
+//!   and analysis form (display, satisfiability).
 //! * [`PatternId`] carries the constant as an interned [`ValueId`] — the
 //!   match-time form. Constants are interned once when a CFD is loaded
-//!   into a [`Sigma`](crate::Sigma) (or a [`NormalCfd`](crate::NormalCfd)
-//!   is built), so the hot detection loop compares plain `u32`s.
+//!   into a [`Sigma`](crate::Sigma), so the hot detection loop compares
+//!   plain `u32`s.
 
 use std::fmt;
 
@@ -56,18 +56,11 @@ impl PatternValue {
         }
     }
 
-    /// Intern the constant (if any) into the process-default shared pool.
-    /// Compatibility shim for pool-less tests; rule loading against a
-    /// dataset uses [`PatternValue::to_id_in`] with the dataset's pool.
-    pub fn to_id(&self) -> PatternId {
-        self.to_id_in(&ValuePool::shared())
-    }
-
     /// Intern the constant (if any) into `pool`, producing the match-time
     /// form. Pattern constants are rule metadata, not data: they intern
     /// *uncounted* ([`ValuePool::intern_uncounted`]) so loading or
     /// re-loading rules can never perturb the occurrence counts that
-    /// drive FINDV tie-breaks and discovery support.
+    /// drive FINDV tie-breaks.
     pub fn to_id_in(&self, pool: &ValuePool) -> PatternId {
         match self {
             PatternValue::Wildcard => PatternId::Wildcard,
@@ -99,8 +92,9 @@ impl PatternValue {
     }
 
     /// Pattern-to-pattern order: `self ≼ other` (a constant is below the
-    /// same constant and below `_`; `_` is below `_` only). Used by the
-    /// implication analysis.
+    /// same constant and below `_`; `_` is below `_` only). Used to drop
+    /// variable rows that a more general row of the same embedded FD
+    /// already covers during detection.
     pub fn subsumed_by(&self, other: &PatternValue) -> bool {
         match (self, other) {
             (_, PatternValue::Wildcard) => true,
@@ -207,12 +201,6 @@ pub fn values_match(vals: &[Value], pats: &[PatternValue]) -> bool {
     vals.iter().zip(pats.iter()).all(|(v, p)| p.matches(v))
 }
 
-/// Intern a pattern slice into the process-default shared pool
-/// (compatibility shim; see [`intern_patterns_in`]).
-pub fn intern_patterns(pats: &[PatternValue]) -> Vec<PatternId> {
-    intern_patterns_in(pats, &ValuePool::shared())
-}
-
 /// Intern a pattern slice into `pool`, uncounted.
 pub fn intern_patterns_in(pats: &[PatternValue], pool: &ValuePool) -> Vec<PatternId> {
     pats.iter().map(|p| p.to_id_in(pool)).collect()
@@ -222,6 +210,10 @@ pub fn intern_patterns_in(pats: &[PatternValue], pool: &ValuePool) -> Vec<Patter
 mod tests {
     use super::*;
     use cfd_model::Tuple;
+
+    fn intern_patterns(pats: &[PatternValue]) -> Vec<PatternId> {
+        intern_patterns_in(pats, &ValuePool::shared())
+    }
 
     #[test]
     fn wildcard_matches_constants_not_null() {
@@ -254,7 +246,7 @@ mod tests {
             Value::str("NYC"),
         ];
         for p in &pats {
-            let pid = p.to_id();
+            let pid = p.to_id_in(&ValuePool::shared());
             for v in &vals {
                 let id = ValueId::of(v);
                 assert_eq!(pid.matches_id(id), p.matches(v), "{p} vs {v}");

@@ -1,11 +1,9 @@
-//! Randomized property tests for the two static analyses: satisfiability
-//! (checked against a brute-force model search over a small domain) and
-//! implication (checked against its definition — every satisfying
-//! relation of Σ also satisfies φ). Seeded trials via `cfd_prng`.
+//! Randomized property tests for the satisfiability analysis, checked
+//! against a brute-force model search over a small domain. Seeded trials
+//! via `cfd_prng`.
 
 use cfd_prng::{trials, ChaCha8Rng, Rng};
 
-use cfd_cfd::implication::implies;
 use cfd_cfd::pattern::{PatternRow, PatternValue};
 use cfd_cfd::satisfiability::satisfiable;
 use cfd_cfd::violation::check;
@@ -86,32 +84,6 @@ fn brute_force_satisfiable(sigma: &Sigma) -> bool {
     }
 }
 
-/// All two-tuple relations over the closed domain. Enough to refute
-/// implication of single-LHS CFDs (a counter-witness needs at most two
-/// tuples).
-fn two_tuple_relations() -> impl Iterator<Item = Relation> {
-    let values: Vec<Value> = (0..DOM).map(|i| Value::str(format!("v{i}"))).collect();
-    let n = values.len();
-    let total = n.pow(ARITY as u32);
-    (0..total).flat_map(move |x| {
-        let values = values.clone();
-        (x..total).map(move |y| {
-            let decode = |mut code: usize| -> Tuple {
-                let mut vals = Vec::with_capacity(ARITY);
-                for _ in 0..ARITY {
-                    vals.push(values[code % n].clone());
-                    code /= n;
-                }
-                Tuple::new(vals)
-            };
-            let mut rel = Relation::new(schema());
-            rel.insert(decode(x)).unwrap();
-            rel.insert(decode(y)).unwrap();
-            rel
-        })
-    })
-}
-
 /// The satisfiability analysis agrees with brute-force model search over
 /// single tuples.
 #[test]
@@ -134,84 +106,5 @@ fn satisfiability_witness_is_genuine() {
             rel.insert(w).unwrap();
             assert!(check(&rel, &sigma), "witness must satisfy sigma");
         }
-    });
-}
-
-/// Soundness of implication: if `Σ |= φ`, then every two-tuple model of Σ
-/// over the closed domain satisfies φ. (Completeness — finding a
-/// counter-witness when not implied — is exercised by the reflexive and
-/// trivial cases below and by unit tests in the module.)
-#[test]
-fn implication_sound_on_small_models() {
-    trials(24, 0x1311C, |rng| {
-        let sigma = rand_sigma(rng);
-        let phi = rand_cfd(rng);
-        let phi_sigma = Sigma::normalize(schema(), vec![phi]).unwrap();
-        let phi_n = phi_sigma.iter().next().unwrap().clone();
-        if implies(&sigma, &phi_n) {
-            for rel in two_tuple_relations() {
-                if check(&rel, &sigma) {
-                    assert!(
-                        check(&rel, &phi_sigma),
-                        "claimed implication refuted by {:?}",
-                        rel.iter().map(|(_, t)| t.values()).collect::<Vec<_>>()
-                    );
-                }
-            }
-        }
-    });
-}
-
-/// Reflexivity: every CFD of Σ is implied by Σ.
-#[test]
-fn implication_is_reflexive() {
-    trials(48, 0x4EF1E, |rng| {
-        let sigma = rand_sigma(rng);
-        for n in sigma.iter() {
-            assert!(
-                implies(&sigma, n),
-                "{:?} not implied by its own sigma",
-                n.source_name()
-            );
-        }
-    });
-}
-
-/// An unsatisfiable Σ implies everything (ex falso).
-#[test]
-fn unsatisfiable_sigma_implies_everything() {
-    trials(48, 0xEF0, |rng| {
-        let phi = rand_cfd(rng);
-        let a = AttrId(0);
-        let b = AttrId(1);
-        let clash = vec![
-            Cfd::new(
-                "c1",
-                vec![a],
-                vec![b],
-                vec![PatternRow::new(
-                    vec![PatternValue::Wildcard],
-                    vec![PatternValue::constant("x")],
-                )],
-            )
-            .unwrap(),
-            Cfd::new(
-                "c2",
-                vec![a],
-                vec![b],
-                vec![PatternRow::new(
-                    vec![PatternValue::Wildcard],
-                    vec![PatternValue::constant("y")],
-                )],
-            )
-            .unwrap(),
-        ];
-        let sigma = Sigma::normalize(schema(), clash).unwrap();
-        if satisfiable(&sigma).is_satisfiable() {
-            return;
-        }
-        let phi_sigma = Sigma::normalize(schema(), vec![phi]).unwrap();
-        let phi_n = phi_sigma.iter().next().unwrap().clone();
-        assert!(implies(&sigma, &phi_n));
     });
 }

@@ -11,7 +11,7 @@ use cfd_cfd::parser::{parse_rules, render_cfd};
 use cfd_cfd::pattern::{values_match, PatternRow, PatternValue};
 use cfd_cfd::violation::check;
 use cfd_cfd::{Cfd, Sigma};
-use cfd_model::{Relation, Schema, Tuple, Value, ValueId};
+use cfd_model::{Relation, Schema, Tuple, Value, ValueId, ValuePool};
 
 const ARITY: usize = 4;
 
@@ -67,7 +67,7 @@ fn pattern_id_form_agrees_with_value_form() {
     trials(500, 0x9A77E12, |rng| {
         let p = rand_pattern(rng);
         let v = rand_value(rng);
-        let pid = p.to_id();
+        let pid = p.to_id_in(&ValuePool::shared());
         let vid = ValueId::of(&v);
         assert_eq!(pid.matches_id(vid), p.matches(&v), "{p} vs {v}");
         assert_eq!(pid.satisfied_by_id(vid), p.satisfied_by(&v), "{p} vs {v}");
@@ -94,7 +94,10 @@ fn wildcards_match_everything_constants_match_themselves() {
         assert!(values_match(&selfie, &pats));
         // and the interned forms agree
         let ids: Vec<ValueId> = selfie.iter().map(ValueId::of).collect();
-        let pids: Vec<_> = pats.iter().map(PatternValue::to_id).collect();
+        let pids: Vec<_> = pats
+            .iter()
+            .map(|p| p.to_id_in(&ValuePool::shared()))
+            .collect();
         assert!(cfd_cfd::pattern::ids_match(&ids, &pids));
     });
 }
@@ -106,7 +109,9 @@ fn null_matches_no_pattern() {
     trials(128, 0x9017, |rng| {
         let p = rand_pattern(rng);
         assert!(!p.matches(&Value::Null));
-        assert!(!p.to_id().matches_id(cfd_model::NULL_ID));
+        assert!(!p
+            .to_id_in(&ValuePool::shared())
+            .matches_id(cfd_model::NULL_ID));
     });
 }
 

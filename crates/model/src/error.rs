@@ -25,8 +25,6 @@ pub enum ModelError {
     },
     /// A weight outside `[0, 1]` was supplied.
     WeightOutOfRange(f64),
-    /// A relation name was not found in the database.
-    UnknownRelation(String),
     /// A stable tuple id did not resolve (e.g. the tuple was deleted).
     UnknownTuple(u32),
     /// An id-level edit log could not be derived or replayed: the
@@ -70,7 +68,6 @@ impl fmt::Display for ModelError {
             ModelError::WeightOutOfRange(w) => {
                 write!(f, "attribute weight {w} outside [0, 1]")
             }
-            ModelError::UnknownRelation(r) => write!(f, "unknown relation `{r}`"),
             ModelError::UnknownTuple(t) => write!(f, "no live tuple with id {t}"),
             ModelError::EditConflict(m) => write!(f, "edit log conflict: {m}"),
             ModelError::Csv { line, message } => {

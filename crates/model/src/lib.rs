@@ -25,8 +25,7 @@
 //!   (no allocation), longer keys boxed. Every `HashMap` on a hot path
 //!   keys on `IdKey` or `ValueId`, never on `Vec<Value>`.
 //! * [`Schema`] / [`AttrId`] — single-relation schemas (CFDs address a
-//!   single relation; multi-relation databases are repaired relation by
-//!   relation).
+//!   single relation).
 //! * [`Tuple`] — a row of [`ValueId`]s plus the per-attribute confidence
 //!   weights `w(t, A) ∈ [0, 1]` of the paper's cost model (§3.2);
 //!   [`TupleView`] abstracts its read API so scans and pattern matching
@@ -40,15 +39,11 @@
 //! * [`Relation`] — a multiset of tuples with *stable* [`TupleId`]s, so a
 //!   tuple can be tracked through repairs even as its values change (the
 //!   "temporary unique tuple id" of §3.1), stored in one [`ColumnStore`].
-//! * [`Database`] — named relations sharing one database-owned pool
-//!   (exposed via [`Database::pool`]).
 //! * [`ActiveDomain`] — `adom(A, D)` as an id multiset, the candidate pool
 //!   repairs draw new values from (the algorithms never invent values).
 //! * [`index::HashIndex`] — hash indexes over attribute lists keyed on
 //!   [`IdKey`], the lookup primitive behind violation detection and the
 //!   LHS-indices of §5.2.
-//! * [`query`] — a small selection engine (conjunctive predicates) used by
-//!   the SQL-style violation detection.
 //! * [`diff`] — `dif(D1, D2)`, the attribute-level difference measure used
 //!   for accuracy accounting, precision and recall (§7.1), and
 //!   [`EditLog`] — a repair expressed as id-level cell edits.
@@ -65,7 +60,6 @@
 
 pub mod active_domain;
 pub mod csv;
-pub mod database;
 pub mod diff;
 pub mod error;
 pub mod hash;
@@ -73,7 +67,6 @@ pub mod index;
 pub mod key;
 pub mod mapping;
 pub mod pool;
-pub mod query;
 pub mod relation;
 pub mod schema;
 pub mod simd;
@@ -83,7 +76,6 @@ pub mod tuple;
 pub mod value;
 
 pub use active_domain::ActiveDomain;
-pub use database::Database;
 pub use diff::{Edit, EditLog};
 pub use error::ModelError;
 pub use key::IdKey;

@@ -28,10 +28,8 @@
 //!
 //! Pools are **per-dataset**, held behind [`Arc<ValuePool>`] handles: every
 //! [`Relation`](crate::Relation) and [`ColumnStore`](crate::ColumnStore)
-//! carries the pool its cell ids live in, a
-//! [`Database`](crate::Database) owns one pool shared by its relations,
-//! and each dataset a [`Catalog`](crate::Catalog) loads gets a fresh pool
-//! of its own. Within one dataset, a single pool is what makes ids stable
+//! carries the pool its cell ids live in, and each dataset a
+//! [`Catalog`](crate::Catalog) loads gets a fresh pool of its own. Within one dataset, a single pool is what makes ids stable
 //! across structures — the original, the repair's working copy, and every
 //! index agree on what id `"NYC"` has, so the repair algorithms move ids
 //! around without translation. *Across* datasets nothing is shared:
@@ -270,8 +268,8 @@ impl ValuePool {
     }
 
     /// A fresh pool behind the [`Arc`] handle everything threads around.
-    /// This is how a dataset gets its own dictionary: CSV import, snapshot
-    /// load, and `Database::new` all start from one of these.
+    /// This is how a dataset gets its own dictionary: CSV import and
+    /// snapshot load both start from one of these.
     pub fn new_handle() -> Arc<ValuePool> {
         Arc::new(ValuePool::new())
     }

@@ -132,9 +132,10 @@ impl Relation {
     }
 
     /// A deep copy of this relation with every cell re-interned into
-    /// `pool` — the boundary translation a [`Database`](crate::Database)
-    /// applies when a relation built on a foreign pool is inserted. Tuple
-    /// ids, tombstones, and weights are preserved; live cells are
+    /// `pool` — the boundary translation that moves a relation built on a
+    /// foreign pool (say, the shared pool of the pool-less constructors)
+    /// onto a dataset-scoped one. Tuple ids, tombstones, and weights are
+    /// preserved; live cells are
     /// interned through the counted path, so the target pool's frequency
     /// counters end up exactly as a cell-by-cell load would have left
     /// them. A no-op (plain clone) when `pool` already owns the relation.

@@ -500,11 +500,6 @@ impl<'a> RowRef<'a> {
         attrs.iter().map(|a| self.id(*a)).collect()
     }
 
-    /// Project onto an attribute list, resolved. Allocates; cold paths.
-    pub fn project(&self, attrs: &[AttrId]) -> Vec<Value> {
-        attrs.iter().map(|a| self.value(*a)).collect()
-    }
-
     /// All values in schema order, resolved from the pool.
     pub fn values(&self) -> Vec<Value> {
         (0..self.arity() as u16)

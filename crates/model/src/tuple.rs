@@ -223,13 +223,6 @@ impl Tuple {
         &self.weights
     }
 
-    /// Project onto an attribute list: `t[X]`, resolved. Allocates; hot
-    /// paths use [`Tuple::project_key`] or compare via
-    /// [`Tuple::agrees_on`] instead.
-    pub fn project(&self, attrs: &[AttrId]) -> Vec<Value> {
-        attrs.iter().map(|a| self.value(*a)).collect()
-    }
-
     /// Project onto an attribute list as an id key — the hash-index and
     /// LHS-index key form. No allocation for up to four attributes.
     #[inline]
@@ -336,10 +329,6 @@ mod tests {
         let a = t(&["212", "3345677", "PHI"]);
         let b = t(&["212", "9999999", "PHI"]);
         let attrs = [AttrId(0), AttrId(2)];
-        assert_eq!(
-            a.project(&attrs),
-            vec![Value::str("212"), Value::str("PHI")]
-        );
         assert_eq!(
             a.project_key(&attrs).as_slice(),
             &[a.id(AttrId(0)), a.id(AttrId(2))]

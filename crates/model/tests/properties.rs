@@ -1,7 +1,6 @@
 //! Randomized property tests for the relational substrate: the dictionary
-//! layer's id-level semantics agree with the value-level semantics, the
-//! selection engine's two evaluation paths agree, hash indexes stay
-//! consistent under updates, the diff metric is a metric, and relations
+//! layer's id-level semantics agree with the value-level semantics, hash
+//! indexes stay consistent under updates, the diff metric is a metric, and relations
 //! keep their id/compaction invariants.
 //!
 //! Each property runs a few hundred seeded trials through
@@ -11,7 +10,6 @@ use cfd_prng::{trials, ChaCha8Rng, Rng};
 
 use cfd_model::csv;
 use cfd_model::diff::dif;
-use cfd_model::query::{Pred, Selection};
 use cfd_model::{AttrId, Relation, Schema, Tuple, TupleId, Value, ValueId, ValuePool, NULL_ID};
 
 const ARITY: usize = 3;
@@ -103,37 +101,6 @@ fn isolated_pool_is_dense_and_total() {
             let v = pool.resolve(id);
             assert_eq!(pool.intern(&v), id, "resolve/intern round-trip");
         }
-    });
-}
-
-fn rand_pred(rng: &mut ChaCha8Rng) -> Pred {
-    let a = AttrId(rng.gen_range(0..ARITY as u32) as u16);
-    let b = AttrId(rng.gen_range(0..ARITY as u32) as u16);
-    match rng.gen_range(0..5u32) {
-        0 => Pred::Eq(a, rand_value(rng)),
-        1 => Pred::Ne(a, rand_value(rng)),
-        2 => Pred::IsNull(a),
-        3 => Pred::NotNull(a),
-        _ => Pred::EqAttr(a, b),
-    }
-}
-
-/// The scan evaluation and the index-assisted evaluation return the same
-/// tuples for any selection whose equality prefix the index covers.
-#[test]
-fn scan_and_index_paths_agree() {
-    trials(160, 0x5CA1, |rng| {
-        let rel = build(&rand_rows(rng, 16));
-        let a = AttrId(rng.gen_range(0..ARITY as u32) as u16);
-        let sel = Selection::all()
-            .and(Pred::Eq(a, rand_value(rng)))
-            .and(rand_pred(rng));
-        let idx = cfd_model::index::HashIndex::build(&rel, &[a]);
-        let mut by_scan = sel.scan(&rel);
-        let mut by_index = sel.via_index(&rel, &idx);
-        by_scan.sort_unstable();
-        by_index.sort_unstable();
-        assert_eq!(by_scan, by_index);
     });
 }
 

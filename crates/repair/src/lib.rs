@@ -39,7 +39,6 @@ pub mod depgraph;
 pub mod distance;
 pub mod equivalence;
 pub mod incremental;
-pub mod ind_repair;
 pub mod lhs_index;
 pub mod options;
 pub mod pricing;
@@ -52,7 +51,6 @@ pub use batch::{
     PickStrategy,
 };
 pub use incremental::{inc_repair, IncConfig, IncOutcome, IncStats, Ordering};
-pub use ind_repair::{repair_ind, repair_inds, IndRepairConfig, IndRepairStats};
 #[doc(hidden)]
 pub use options::Parallelism;
 pub use options::{Algorithm, RepairOptions};

@@ -120,8 +120,7 @@
 //!   columnar-segment format behind a catalog of named datasets, loaded
 //!   without re-interning);
 //! * [`cfd`] — CFDs: pattern tableaus (value and interned forms),
-//!   normalization, violation detection, satisfiability, implication,
-//!   rule files;
+//!   normalization, violation detection, satisfiability, rule files;
 //! * [`repair`] — `BATCHREPAIR` and `INCREPAIR` with the §3.2 cost model
 //!   over memoized id-pair distances;
 //! * [`sampling`] — the statistical accuracy module (stratified sampling,
