@@ -6,7 +6,6 @@ pub mod catalog;
 pub mod certify;
 pub mod client;
 pub mod detect;
-pub mod discover;
 pub mod generate;
 pub mod insert;
 pub mod repair;

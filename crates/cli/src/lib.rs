@@ -9,7 +9,6 @@
 //! | `repair`   | whole-database repair (BATCHREPAIR / INCREPAIR §5.3), from CSV or a snapshot, optionally emitting / replaying id-level edit logs |
 //! | `insert`   | incremental repair of inserted tuples (§5) |
 //! | `stream`   | windowed streaming repair over a timestamped event log |
-//! | `discover` | mine FDs + constant CFD rows from data |
 //! | `certify`  | §6 sampling certification of a repair |
 //! | `generate` | emit the paper's synthetic workload |
 //! | `snapshot` | save / load / describe persistent dataset snapshots |
@@ -48,7 +47,6 @@ commands:
   repair     repair a CSV file against a rule file
   insert     insert + repair new tuples against a clean base
   stream     windowed streaming repair over a timestamped event log
-  discover   mine dependencies from data
   certify    certify a repair's accuracy by stratified sampling
   generate   emit a synthetic order workload
   snapshot   save, load, or describe persistent dataset snapshots
@@ -68,8 +66,8 @@ pub fn dispatch<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), Cl
     let rest = &argv[1..];
     let usage_for = |u: &str| -> CliError { u.into() };
     match command {
-        "detect" | "repair" | "insert" | "stream" | "discover" | "certify" | "generate"
-        | "snapshot" | "catalog" | "serve" | "client"
+        "detect" | "repair" | "insert" | "stream" | "certify" | "generate" | "snapshot"
+        | "catalog" | "serve" | "client"
             if rest.is_empty() =>
         {
             Err(usage_for(usage_of(command)))
@@ -101,13 +99,6 @@ pub fn dispatch<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), Cl
             out,
             commands::stream::run,
             commands::stream::USAGE,
-        ),
-        "discover" => run_cmd(
-            rest,
-            &[],
-            out,
-            commands::discover::run,
-            commands::discover::USAGE,
         ),
         "certify" => run_cmd(
             rest,
@@ -168,7 +159,6 @@ fn usage_of(command: &str) -> &'static str {
         "repair" => commands::repair::USAGE,
         "insert" => commands::insert::USAGE,
         "stream" => commands::stream::USAGE,
-        "discover" => commands::discover::USAGE,
         "certify" => commands::certify::USAGE,
         "generate" => commands::generate::USAGE,
         "snapshot" => commands::snapshot::USAGE,

@@ -416,43 +416,15 @@ fn certify_accepts_good_repair_and_rejects_the_dirty_input() {
 }
 
 #[test]
-fn discover_rules_can_repair_the_data_they_were_mined_from() {
-    let s = Scratch::new("discover");
-    generate_workload(&s, 600);
-    let out = run(&[
-        "discover",
-        "--data",
-        &s.path("dopt.csv"),
-        "--out",
-        &s.path("mined.cfd"),
-        "--max-lhs",
-        "1",
-    ])
-    .unwrap();
-    assert!(out.contains("discovered"), "{out}");
-    // the mined rules parse back and hold on the clean data
-    let out = run(&[
-        "detect",
-        "--data",
-        &s.path("dopt.csv"),
-        "--rules",
-        &s.path("mined.cfd"),
-    ])
-    .unwrap();
-    assert!(
-        out.contains("clean"),
-        "mined rules must hold on Dopt: {out}"
-    );
-}
-
-#[test]
 fn help_and_error_paths() {
     let out = run(&["help"]).unwrap();
     assert!(out.contains("usage"), "{out}");
     let out = run(&["help", "rules"]).unwrap();
     assert!(out.contains("wildcard"), "{out}");
-    let err = run(&["frobnicate"]).unwrap_err();
-    assert!(err.contains("unknown command"), "{err}");
+    for command in ["frobnicate", "discover"] {
+        let err = run(&[command]).unwrap_err();
+        assert!(err.contains("unknown command"), "{err}");
+    }
     // a bare command prints its usage as the error
     let err = run(&["repair"]).unwrap_err();
     assert!(err.contains("--data"), "{err}");

@@ -1,9 +1,8 @@
 //! [`IdKey`]: the compound index key of the dictionary-encoded layer.
 //!
-//! Hash indexes, LHS-indices, equivalence-class censuses, and discovery
-//! partitions all key maps on the projection `t[X]` of a tuple onto an
-//! attribute list. With values interned, that projection is a short run of
-//! [`ValueId`]s — almost always ≤ 4 of them (the experiment Σ's LHS lists
+//! Hash indexes, LHS-indices and equivalence-class censuses all key maps
+//! on the projection `t[X]` of a tuple onto an attribute list. With values
+//! interned, that projection is a short run of [`ValueId`]s — almost always ≤ 4 of them (the experiment Σ's LHS lists
 //! are 1–2 attributes). `IdKey` stores up to four ids inline (no heap
 //! allocation, 24 bytes) and spills longer keys to a boxed slice, the
 //! moral equivalent of `SmallVec<[ValueId; 4]>` without the dependency.

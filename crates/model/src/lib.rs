@@ -6,9 +6,9 @@
 //! value is interned exactly once in a process-wide [`ValuePool`], and all
 //! storage, comparison, grouping, and indexing above the pool speaks dense
 //! [`ValueId`]s (`u32`). Violation detection, the LHS-indices of §5.2,
-//! `BATCHREPAIR`'s equivalence classes, and discovery partitions all hash
-//! and compare integers; strings are resolved only at the edges — distance
-//! computation (`dis(v, v')`), display, and CSV.
+//! and `BATCHREPAIR`'s equivalence classes all hash and compare integers;
+//! strings are resolved only at the edges — distance computation
+//! (`dis(v, v')`), display, and CSV.
 //!
 //! The layers, bottom-up:
 //!
@@ -33,8 +33,8 @@
 //! * [`storage`] — the physical layer: [`ColumnStore`] keeps the relation
 //!   as per-attribute `ValueId`/weight columns plus a validity bitmap;
 //!   [`RowRef`] is the zero-copy per-tuple view over one of its slots.
-//!   Hot scans (violation detection, census walks, index builds,
-//!   discovery partitions) read contiguous column slices; [`Tuple`]s
+//!   Hot scans (violation detection, census walks, index builds) read
+//!   contiguous column slices; [`Tuple`]s
 //!   materialize on demand at the edges.
 //! * [`Relation`] — a multiset of tuples with *stable* [`TupleId`]s, so a
 //!   tuple can be tracked through repairs even as its values change (the

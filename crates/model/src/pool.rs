@@ -1,9 +1,9 @@
 //! The dictionary-encoded value layer: [`ValuePool`] and [`ValueId`].
 //!
 //! Every hot path in the repair pipeline — violation detection, the
-//! LHS-indices of §5.2, `BATCHREPAIR`'s equivalence classes, discovery
-//! partitions — ultimately compares and hashes attribute values. Doing
-//! that on [`Value`] means hashing full strings on every probe. The pool
+//! LHS-indices of §5.2, `BATCHREPAIR`'s equivalence classes — ultimately
+//! compares and hashes attribute values. Doing that on [`Value`] means
+//! hashing full strings on every probe. The pool
 //! interns each distinct `Value` exactly once and hands out a dense
 //! [`ValueId`] (`u32`); everything above the storage layer then compares,
 //! hashes, and groups plain integers, resolving back to the string form
@@ -29,15 +29,16 @@
 //! Pools are **per-dataset**, held behind [`Arc<ValuePool>`] handles: every
 //! [`Relation`](crate::Relation) and [`ColumnStore`](crate::ColumnStore)
 //! carries the pool its cell ids live in, and each dataset a
-//! [`Catalog`](crate::Catalog) loads gets a fresh pool of its own. Within one dataset, a single pool is what makes ids stable
-//! across structures — the original, the repair's working copy, and every
-//! index agree on what id `"NYC"` has, so the repair algorithms move ids
-//! around without translation. *Across* datasets nothing is shared:
-//! the per-id [`use_count`](ValuePool::use_count) frequency counters that
-//! feed `FINDV`'s most-common-value tie-break and the miner's support
-//! floor count occurrences in *this* dataset only, so repair bytes depend
-//! on (dataset, rules, config) — never on what else the process loaded
-//! before. Fresh handles come from [`ValuePool::new_handle`].
+//! [`Catalog`](crate::Catalog) loads gets a fresh pool of its own. Within
+//! one dataset, a single pool is what makes ids stable across structures —
+//! the original, the repair's working copy, and every index agree on what
+//! id `"NYC"` has, so the repair algorithms move ids around without
+//! translation. *Across* datasets nothing is shared: the per-id
+//! [`use_count`](ValuePool::use_count) frequency counters that feed
+//! `FINDV`'s most-common-value tie-break count occurrences in *this*
+//! dataset only, so repair bytes depend on (dataset, rules, config) — never
+//! on what else the process loaded before. Fresh handles come from
+//! [`ValuePool::new_handle`].
 //!
 //! Convenience constructors that take no pool ([`ValueId::of`],
 //! [`Tuple::new`](crate::Tuple::new), `Relation::new`, …) fall back to a

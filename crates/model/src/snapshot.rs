@@ -1033,7 +1033,7 @@ pub fn read_edit_log_in(bytes: &[u8], pool: &ValuePool) -> Result<LoadedEditLog,
     let (values, counts) = read_dict(&mut file)?;
     // The edit-log spec fixes every dictionary occurrence count at zero:
     // replaying a log must never perturb the pool's frequency counters
-    // (FINDV's tie-break, the miner's prune). Enforce it like every
+    // (FINDV's tie-break). Enforce it like every
     // other "must" of the format.
     if let Some(i) = counts.iter().position(|n| *n != 0) {
         return Err(SnapshotError::Corrupt {

@@ -1,15 +1,14 @@
 //! Relation storage: [`ColumnStore`] and the [`RowRef`] view over one of
 //! its tuples.
 //!
-//! With every value dictionary-encoded, a relation need not be a vector
-//! of row objects: the paper's hot loops read one or two attributes of
-//! *every* tuple — violation detection projects `t[X]` and `t[A]`,
-//! `BATCHREPAIR`'s census walks one RHS column per variable-CFD shape,
-//! discovery partitions group a single attribute. [`ColumnStore`] stores
-//! the relation as per-attribute `Vec<ValueId>` columns (plus
-//! per-attribute weight columns and a validity/tombstone bitmap), so those
-//! scans touch contiguous `u32` slices instead of hopping between
-//! heap-allocated rows. It is the only layout.
+//! With every value dictionary-encoded, a relation need not be a vector of
+//! row objects: the paper's hot loops read one or two attributes of *every*
+//! tuple — violation detection projects `t[X]` and `t[A]`, and
+//! `BATCHREPAIR`'s census walks one RHS column per variable-CFD shape.
+//! [`ColumnStore`] stores the relation as per-attribute `Vec<ValueId>`
+//! columns (plus per-attribute weight columns and a validity/tombstone
+//! bitmap), so those scans touch contiguous `u32` slices instead of hopping
+//! between heap-allocated rows. It is the only layout.
 //!
 //! ## Reading without materializing
 //!

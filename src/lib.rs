@@ -16,8 +16,8 @@
 //! ties — depends only on (dataset, rules, config), never on what else
 //! the process loaded (`tests/pool_scoping_differential.rs` pins this).
 //! All hot paths — violation detection, the LHS-indices driving
-//! `INCREPAIR`, `BATCHREPAIR`'s equivalence-class targets and group
-//! censuses, and the discovery partitions — compare, hash, and group
+//! `INCREPAIR`, and `BATCHREPAIR`'s equivalence-class targets and group
+//! censuses — compare, hash, and group
 //! integers; pattern constants are interned (uncounted) into the
 //! relation's pool at rule-bind time ([`cfd::Sigma::normalize_in`]);
 //! strings are resolved only at the edges (the `dis(v, v')` distance
@@ -125,15 +125,13 @@
 //!   over memoized id-pair distances;
 //! * [`sampling`] — the statistical accuracy module (stratified sampling,
 //!   z-tests, Chernoff bounds);
-//! * [`gen`] — the §7.1 evaluation workload generator;
-//! * [`discovery`] — FD / constant-CFD-row mining over position-list
-//!   indexes (the paper's §9 future-work direction).
+//! * [`gen`] — the §7.1 evaluation workload generator.
 //!
 //! The workspace also ships the resident repair daemon
 //! (`crates/server`, crate `cfd-server`: the framed wire protocol, the
 //! serve loop, and a blocking client), a command-line tool
 //! (`crates/cli`, binary `cfdclean`) that exposes detect / repair /
-//! insert / stream / discover / certify / generate / snapshot / serve /
+//! insert / stream / certify / generate / snapshot / catalog / serve /
 //! client over CSV and rule files, and a dependency-free seedable PRNG
 //! (`cfd-prng`) backing the generator and the randomized test suites.
 //!
@@ -175,7 +173,6 @@ pub mod session;
 pub mod stream;
 
 pub use cfd_cfd as cfd;
-pub use cfd_discovery as discovery;
 pub use cfd_gen as gen;
 pub use cfd_model as model;
 pub use cfd_repair as repair;
