@@ -21,7 +21,6 @@
 //!
 //! Run with `cargo bench --bench kernels [-- json [PATH]]`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cfd_bench::harness::{black_box, Harness};
@@ -48,6 +47,13 @@ use cfd_repair::Ordering;
 /// resolution.
 type ValueRow = Vec<Value>;
 
+/// std's per-process-seeded map, as the pre-dictionary code used it.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the reference kernel reproduces the old std-map representation"
+)]
+type StdMap<K, V> = std::collections::HashMap<K, V>;
+
 fn resolve_rows(rel: &Relation) -> Vec<(TupleId, ValueRow)> {
     rel.iter().map(|(id, t)| (id, t.values())).collect()
 }
@@ -57,8 +63,8 @@ fn resolve_rows(rel: &Relation) -> Vec<(TupleId, ValueRow)> {
 fn string_keyed_index(
     rows: &[(TupleId, ValueRow)],
     attrs: &[AttrId],
-) -> HashMap<Vec<Value>, Vec<TupleId>> {
-    let mut map: HashMap<Vec<Value>, Vec<TupleId>> = HashMap::new();
+) -> StdMap<Vec<Value>, Vec<TupleId>> {
+    let mut map: StdMap<Vec<Value>, Vec<TupleId>> = StdMap::new();
     for (id, row) in rows {
         let key: Vec<Value> = attrs.iter().map(|a| row[a.index()].clone()).collect();
         map.entry(key).or_default().push(*id);
@@ -78,7 +84,7 @@ fn string_keyed_detect(rows: &[(TupleId, ValueRow)], sigma: &Sigma) -> usize {
     struct ConstGroup {
         lhs: Vec<AttrId>,
         const_attrs: Vec<AttrId>,
-        map: HashMap<Vec<Value>, Vec<(AttrId, PatternValue)>>,
+        map: StdMap<Vec<Value>, Vec<(AttrId, PatternValue)>>,
     }
     let mut groups: Vec<ConstGroup> = Vec::new();
     for n in sigma.iter().filter(|n| n.is_constant()) {
@@ -103,7 +109,7 @@ fn string_keyed_detect(rows: &[(TupleId, ValueRow)], sigma: &Sigma) -> usize {
                 groups.push(ConstGroup {
                     lhs: n.lhs().to_vec(),
                     const_attrs,
-                    map: HashMap::new(),
+                    map: StdMap::new(),
                 });
                 groups.len() - 1
             });
@@ -144,12 +150,12 @@ fn string_keyed_detect(rows: &[(TupleId, ValueRow)], sigma: &Sigma) -> usize {
     for id in cfd_cfd::violation::minimal_variable_ids(sigma) {
         let n = sigma.get(id);
         let by_key = string_keyed_index(rows, n.lhs());
-        let row_of: HashMap<TupleId, &ValueRow> = rows.iter().map(|(i, r)| (*i, r)).collect();
+        let row_of: StdMap<TupleId, &ValueRow> = rows.iter().map(|(i, r)| (*i, r)).collect();
         for (key, group) in &by_key {
             if group.len() < 2 || !values_match(key, n.lhs_pattern()) {
                 continue;
             }
-            let mut counts: HashMap<&Value, usize> = HashMap::new();
+            let mut counts: StdMap<&Value, usize> = StdMap::new();
             let mut non_null = 0usize;
             for id in group {
                 let v = &row_of[id][n.rhs_attr().index()];

@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn algo_labels_are_distinct() {
-        let labels: std::collections::HashSet<_> = Algo::all().iter().map(|a| a.label()).collect();
+        let labels: std::collections::BTreeSet<_> = Algo::all().iter().map(|a| a.label()).collect();
         assert_eq!(labels.len(), 4);
     }
 

@@ -21,12 +21,11 @@
 //! Weights follow §7.1 exactly: dirty attributes draw `w ∈ [0, a]`, clean
 //! attributes `w ∈ [b, 1]`, default `a = 0.6`, `b = 0.5`.
 
-use std::collections::{HashMap, HashSet};
-
 use cfd_prng::ChaCha8Rng;
 use cfd_prng::SliceRandom;
 use cfd_prng::{Rng, SeedableRng};
 
+use cfd_model::hash::{FnvMap, FnvSet};
 use cfd_model::{AttrId, Relation, TupleId, Value};
 
 use crate::order_schema::{order_attrs, OrderAttrs};
@@ -133,7 +132,7 @@ fn corrupt_value<R: Rng>(
     cfg: &NoiseConfig,
     current: &str,
     pool: &[String],
-    forbidden: &HashSet<String>,
+    forbidden: &FnvSet<String>,
 ) -> String {
     for _ in 0..16 {
         let candidate = if rng.gen_bool(cfg.typo_prob) || pool.is_empty() {
@@ -173,8 +172,8 @@ pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome
 
     // Partner counts: variable noise needs a second order by the same
     // customer (STR) or of the same item (name/PR).
-    let mut pn_count: HashMap<Value, usize> = HashMap::new();
-    let mut id_count: HashMap<Value, usize> = HashMap::new();
+    let mut pn_count: FnvMap<Value, usize> = FnvMap::default();
+    let mut id_count: FnvMap<Value, usize> = FnvMap::default();
     for (_, t) in dopt.iter() {
         *pn_count.entry(t.value(attrs.pn).clone()).or_insert(0) += 1;
         *id_count.entry(t.value(attrs.id).clone()).or_insert(0) += 1;
@@ -206,7 +205,7 @@ pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome
     let mut variable_done = 0usize;
     // Per-group corrupted values, so two partners are never corrupted to
     // the same value (which would silently cancel the conflict).
-    let mut group_values: HashMap<(u16, Value), HashSet<String>> = HashMap::new();
+    let mut group_values: FnvMap<(u16, Value), FnvSet<String>> = FnvMap::default();
 
     for id in ids {
         if planned.len() >= n_dirty {
@@ -260,7 +259,7 @@ pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome
         } else {
             // Constant noise: CT / ST / AC / CTY / VAT / zip-swap.
             let choice = rng.gen_range(0..6);
-            let empty = HashSet::new();
+            let empty = FnvSet::default();
             let (attr, value) = match choice {
                 0 => {
                     let cur = t.value(attrs.ct).render().to_string();
@@ -339,7 +338,7 @@ pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome
 
     // §7.1 weights: dirty cells draw from [0, a], clean cells from [b, 1].
     if cfg.assign_weights {
-        let corrupted_set: HashSet<(TupleId, AttrId)> = corrupted.iter().copied().collect();
+        let corrupted_set: FnvSet<(TupleId, AttrId)> = corrupted.iter().copied().collect();
         let all_attrs: Vec<AttrId> = dirty.schema().attr_ids().collect();
         let ids: Vec<TupleId> = dirty.ids().collect();
         for id in ids {
@@ -458,7 +457,7 @@ mod tests {
     fn weights_follow_bands() {
         let w = workload();
         let out = inject(&w.dopt, &w.world, &NoiseConfig::default());
-        let corrupted: HashSet<_> = out.corrupted.iter().copied().collect();
+        let corrupted: FnvSet<_> = out.corrupted.iter().copied().collect();
         for (id, t) in out.dirty.iter() {
             for a in out.dirty.schema().attr_ids() {
                 let wt = t.weight(a);

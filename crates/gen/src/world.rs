@@ -18,6 +18,7 @@
 //!   at one address;
 //! * `id → (name, PR, TT)` — an item catalog.
 
+use cfd_model::hash::FnvSet;
 use cfd_prng::ChaCha8Rng;
 use cfd_prng::SliceRandom;
 use cfd_prng::{Rng, SeedableRng};
@@ -217,8 +218,7 @@ impl World {
         // De-duplicate zips that collided under the stride: rewrite any
         // duplicate deterministically.
         {
-            use std::collections::HashSet;
-            let mut seen: HashSet<String> = HashSet::new();
+            let mut seen: FnvSet<String> = FnvSet::default();
             let mut next = 10000usize;
             for z in &mut zips {
                 if !seen.insert(z.zip.clone()) {
@@ -301,7 +301,6 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn world_is_deterministic() {
@@ -319,9 +318,9 @@ mod tests {
             zips_per_city: 12,
             ..Default::default()
         });
-        let zips: HashSet<_> = w.zips.iter().map(|z| z.zip.clone()).collect();
+        let zips: FnvSet<_> = w.zips.iter().map(|z| z.zip.clone()).collect();
         assert_eq!(zips.len(), w.zips.len());
-        let acs: HashSet<_> = w.zips.iter().map(|z| z.area_code.clone()).collect();
+        let acs: FnvSet<_> = w.zips.iter().map(|z| z.area_code.clone()).collect();
         assert_eq!(acs.len(), w.zips.len());
     }
 
@@ -331,7 +330,7 @@ mod tests {
             n_customers: 5000,
             ..Default::default()
         });
-        let phones: HashSet<_> = w.customers.iter().map(|c| c.phone.clone()).collect();
+        let phones: FnvSet<_> = w.customers.iter().map(|c| c.phone.clone()).collect();
         assert_eq!(phones.len(), 5000);
     }
 
@@ -341,7 +340,7 @@ mod tests {
             n_cities: 300,
             ..Default::default()
         });
-        let names: HashSet<_> = w.cities.iter().map(|c| c.name.clone()).collect();
+        let names: FnvSet<_> = w.cities.iter().map(|c| c.name.clone()).collect();
         assert_eq!(names.len(), 300);
     }
 
@@ -349,7 +348,7 @@ mod tests {
     fn street_names_unique_within_city() {
         let w = World::generate(WorldConfig::default());
         for city_idx in 0..w.cities.len() {
-            let names: HashSet<_> = w
+            let names: FnvSet<_> = w
                 .streets
                 .iter()
                 .filter(|s| s.city == city_idx)
@@ -373,7 +372,7 @@ mod tests {
             n_cities: 200, // several cities per state
             ..Default::default()
         });
-        let mut by_state: std::collections::HashMap<&str, &str> = Default::default();
+        let mut by_state: cfd_model::hash::FnvMap<&str, &str> = Default::default();
         for c in &w.cities {
             let prev = by_state.insert(c.state, c.country);
             if let Some(prev) = prev {
@@ -385,7 +384,7 @@ mod tests {
     #[test]
     fn item_ids_unique_and_items_well_formed() {
         let w = World::generate(WorldConfig::default());
-        let ids: HashSet<_> = w.items.iter().map(|i| i.id.clone()).collect();
+        let ids: FnvSet<_> = w.items.iter().map(|i| i.id.clone()).collect();
         assert_eq!(ids.len(), w.items.len());
         for item in &w.items {
             assert!(item.price.contains('.'));

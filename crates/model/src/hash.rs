@@ -34,9 +34,15 @@ impl std::hash::Hasher for Fnv64 {
 pub type FnvBuildHasher = std::hash::BuildHasherDefault<Fnv64>;
 
 /// A `HashMap` under [`FnvBuildHasher`]: no per-process seed.
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the fixed-seed alias the workspace ban points to"
+)]
 pub type FnvMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;
 
 /// A `HashSet` under [`FnvBuildHasher`]: no per-process seed.
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the fixed-seed alias the workspace ban points to"
+)]
 pub type FnvSet<T> = std::collections::HashSet<T, FnvBuildHasher>;

@@ -77,7 +77,6 @@
 //! rebinding, eviction) serialize. The session mutex is never acquired
 //! while holding a dataset lock, so the lock order is acyclic.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -86,7 +85,7 @@ use cfd_cfd::parser::parse_rules;
 use cfd_cfd::violation::{self, EngineParts, ViolationReport};
 use cfd_cfd::{CfdId, Engine, Sigma};
 use cfd_model::diff::{dif, EditLog};
-use cfd_model::hash::FnvSet;
+use cfd_model::hash::{FnvMap, FnvSet};
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
 use cfd_model::{csv, Catalog, Mapping, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
@@ -921,7 +920,7 @@ pub struct SessionStats {
 }
 
 struct SessionInner {
-    datasets: HashMap<String, DatasetRef>,
+    datasets: FnvMap<String, DatasetRef>,
     /// Dataset names, least-recently-used first.
     lru: Vec<String>,
     auto_evictions: u64,
@@ -949,7 +948,7 @@ impl Session {
             catalog: None,
             capacity: None,
             inner: Mutex::new(SessionInner {
-                datasets: HashMap::new(),
+                datasets: FnvMap::default(),
                 lru: Vec::new(),
                 auto_evictions: 0,
             }),
@@ -1168,7 +1167,7 @@ impl Session {
         let inner = self.lock();
         let mut resident: Vec<String> = inner.datasets.keys().cloned().collect();
         resident.sort();
-        let mut distinct: HashSet<*const Mapping> = HashSet::new();
+        let mut distinct: FnvSet<*const Mapping> = FnvSet::default();
         let mut mapped_datasets = 0;
         let mut mapped_bytes = 0;
         let mut owned_bytes = 0;

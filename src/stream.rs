@@ -64,7 +64,7 @@
 //! window covering every event, no deletions — a stream is byte-identical
 //! to one-shot `inc_repair`, and `tests/stream_differential.rs` pins it.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use cfd_cfd::Sigma;
 use cfd_model::diff::{Edit, EditLog};
@@ -239,10 +239,10 @@ pub struct RepairSession {
     /// Ids that entered the live indexes (activated finals): the
     /// append-only active domain and the distance memo may reference
     /// them, so they seal only at stream close.
-    pinned: HashSet<ValueId>,
+    pinned: FnvSet<ValueId>,
     /// Every id the stream interned or activated — the final close seals
     /// exactly these (minus `protect`; counted slots skip themselves).
-    touched: HashSet<ValueId>,
+    touched: FnvSet<ValueId>,
 }
 
 impl RepairSession {
@@ -299,8 +299,8 @@ impl RepairSession {
             windows_emitted: 0,
             total: IncStats::default(),
             protect,
-            pinned: HashSet::new(),
-            touched: HashSet::new(),
+            pinned: FnvSet::default(),
+            touched: FnvSet::default(),
         })
     }
 
@@ -523,7 +523,7 @@ impl RepairSession {
         // deleted at most once.
         let next = self.repairer.work().slot_count() as u64;
         let staged_range = next..next + rows.len() as u64;
-        let mut seen: HashSet<TupleId> = HashSet::new();
+        let mut seen: FnvSet<TupleId> = FnvSet::default();
         for d in &deletes {
             let live =
                 staged_range.contains(&(d.0 as u64)) || self.repairer.work().tuple(*d).is_some();
