@@ -124,17 +124,12 @@ pub fn load_edit_log(
         .map_err(|e| context("cannot parse", path, e))
 }
 
-/// Render CFDs into rule-file text.
-pub fn render_rules(schema: &cfd_model::Schema, cfds: &[Cfd]) -> String {
-    let mut out = String::new();
-    for cfd in cfds {
-        out.push_str(&cfd_cfd::parser::render_cfd(schema, cfd));
-        out.push('\n');
-    }
-    out
-}
-
-/// Write rule-file text to disk.
+/// Write CFDs to disk as rule-file text.
 pub fn save_rules(schema: &cfd_model::Schema, cfds: &[Cfd], path: &Path) -> Result<(), CliError> {
-    fs::write(path, render_rules(schema, cfds)).map_err(|e| context("cannot write", path, e))
+    let mut text = String::new();
+    for cfd in cfds {
+        text.push_str(&cfd_cfd::parser::render_cfd(schema, cfd));
+        text.push('\n');
+    }
+    fs::write(path, text).map_err(|e| context("cannot write", path, e))
 }
