@@ -29,6 +29,17 @@
 //! pass over the initial `PICKNEXT` frontier, and the paper's serial
 //! greedy resolution loop.
 //!
+//! The t=0 state — dirty sets and `vio(t)` read off a detection report,
+//! the group census bucketed off the detection index, and the scored
+//! frontier with the S-set indexes its scoring built — is a
+//! [`BatchSeed`]. Every repair runs from one: [`batch_repair`] builds a
+//! seed and uses it once, while a resident dataset keeps its seed and
+//! starts each repair from it. A run copies only what its loop mutates
+//! and builds its singleton equivalence classes from the weights; it
+//! reads the census through a per-run overlay (`shard::CensusOverlay`)
+//! and the frontier run through a cursor, so the seed is the same after
+//! any number of runs.
+//!
 //! Frontier scoring prices every dirty pair against the frozen t=0 state,
 //! where every equivalence class is still a singleton and no fix has been
 //! applied. There the group level of a variable-CFD merge price (bucket
@@ -51,7 +62,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::hash::Hash;
 
-use cfd_cfd::violation::{detect_with_parts, ConstantRules, Engine, EngineParts, GroupIndexes};
+use cfd_cfd::violation::{
+    detect_with_parts, ConstantRules, Engine, EngineParts, GroupIndexes, ViolationReport,
+};
 use cfd_cfd::{CfdId, NormalCfd, Sigma};
 use cfd_model::hash::FnvMap;
 use cfd_model::index::HashIndex;
@@ -61,7 +74,7 @@ use crate::cost::{class_assign_cost_ids, class_assign_cost_ids_batch, repair_cos
 use crate::depgraph::DepGraph;
 use crate::distance::DistanceCache;
 use crate::equivalence::{Cell, EqClasses, Target};
-use crate::shard::{self, GroupCensus};
+use crate::shard::{self, CensusOverlay, GroupCensus};
 use crate::RepairError;
 
 /// How `PICKNEXT` chooses the next violation to resolve.
@@ -100,7 +113,7 @@ pub enum MergePricing {
 }
 
 /// Configuration for [`batch_repair`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BatchConfig {
     /// Picker variant; defaults to the optimized one.
     pub pick: PickStrategy,
@@ -207,25 +220,26 @@ struct BatchState<'a> {
     eq: EqClasses,
     indexes: GroupIndexes,
     /// Hash-indexed constant rules for O(shapes) dirty marking.
-    rules: ConstantRules,
+    rules: &'a ConstantRules,
     /// Subsumption-minimal variable CFD ids (see `minimal_variable_ids`).
-    variable_ids: Vec<CfdId>,
-    /// Group value census for the variable shapes (fast clean-group test).
-    census: GroupCensus,
+    variable_ids: &'a [CfdId],
+    /// Group value census for the variable shapes (fast clean-group
+    /// test): the seed's census, with this run's changes overlaid.
+    census: CensusOverlay<'a>,
     dirty: Vec<BTreeSet<TupleId>>,
     /// `vio(t)` from the initial detection, per tuple slot: tuples whose
     /// violation count towers over their partners' are suspects even when
     /// Σ has no constant rules (a corrupted cell conflicts with its whole
     /// group; an innocent partner only with the corrupted tuple).
-    initial_vio: Vec<usize>,
+    initial_vio: &'a [usize],
     /// Lazy priority queue for [`PickStrategy::GlobalBest`]: entries carry
     /// the last-known [`HeapKey`] and are re-verified and re-priced when
-    /// popped. Seeded by the t=0 frontier scoring (`seed_frontier`).
-    frontier: Frontier,
+    /// popped. Its run is the seed's priced t=0 frontier.
+    frontier: Frontier<'a>,
     /// Memoized `dis(v, v')` over id pairs.
     dcache: DistanceCache,
     stats: BatchStats,
-    config: BatchConfig,
+    config: &'a BatchConfig,
 }
 
 /// The total order `PICKNEXT` resolves under: `(cost, value frequency,
@@ -245,15 +259,15 @@ type HeapKey = (u64, u64, u32, u32, u32);
 /// top; [`HeapKey`] is a total order, so the pop sequence is exactly that
 /// of one heap holding every entry.
 #[derive(Default)]
-struct Frontier {
-    run: Vec<HeapKey>,
+struct Frontier<'r> {
+    run: &'r [HeapKey],
     next: usize,
     heap: BinaryHeap<Reverse<HeapKey>>,
 }
 
-impl Frontier {
-    /// A queue over an ascending run.
-    fn seeded(run: Vec<HeapKey>) -> Self {
+impl<'r> Frontier<'r> {
+    /// A queue over an ascending run, which it reads and never writes.
+    fn seeded(run: &'r [HeapKey]) -> Self {
         debug_assert!(run.is_sorted(), "the seeded run is ascending");
         Frontier {
             run,
@@ -307,7 +321,7 @@ fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
     }
 }
 
-/// The t=0 extras of the frontier scoring pass (`seed_frontier`): its
+/// The t=0 extras of the frontier scoring pass (`score_frontier`): its
 /// pricing memo and the suspect scores it derives from detection. The
 /// loop plans without them, so no memoized price can outlive the t=0
 /// state it was computed on.
@@ -345,7 +359,7 @@ struct Planner<'p> {
     orig: &'p Relation,
     work: &'p Relation,
     rules: &'p ConstantRules,
-    census: &'p GroupCensus,
+    census: &'p CensusOverlay<'p>,
     initial_vio: &'p [usize],
     config: &'p BatchConfig,
     eq: &'p EqClasses,
@@ -355,71 +369,243 @@ struct Planner<'p> {
     dcache: &'p mut DistanceCache,
 }
 
-impl<'a> BatchState<'a> {
-    fn new(orig: &'a Relation, sigma: &'a Sigma, config: BatchConfig) -> Self {
-        // `work` below is an id-stable clone of `orig`, so building
-        // against the original here equals building against the working
-        // copy — which is what lets a resident dataset hand in prebuilt
-        // parts.
-        let parts = Engine::build(orig, sigma).to_parts();
-        Self::new_with_parts(orig, sigma, config, parts)
-    }
+/// `BATCHREPAIR`'s t=0 state for one (D, Σ, weights, config): the dirty
+/// sets and `vio(t)` of the initial detection, the group census, and —
+/// under [`PickStrategy::GlobalBest`] — the fully priced `PICKNEXT`
+/// frontier with the S-set indexes and distances its scoring built.
+///
+/// Every run from a seed reads the same t=0 state and leaves it as it
+/// was. A run copies only what the loop mutates (indexes, dirty sets,
+/// distance memo and its own working relation) and builds the singleton
+/// equivalence classes from the weights; it borrows the census through
+/// an overlay, and the frontier run, constant rules and `vio(t)` as they
+/// are. So a resident dataset can build a seed once and
+/// serve every repair from it, and each repair equals a one-shot
+/// [`batch_repair`] over the same input.
+///
+/// The frontier keys break cost ties on the dataset pool's `use_count`
+/// (`fix_meta`), read when the seed is built. A seed is therefore
+/// valid only while the pool's counts are what they were then.
+pub struct BatchSeed {
+    fixed: Fixed,
+    start: Start,
+}
 
-    fn new_with_parts(
-        orig: &'a Relation,
-        sigma: &'a Sigma,
-        config: BatchConfig,
+/// The part of a [`BatchSeed`] every run reads and none writes.
+struct Fixed {
+    config: BatchConfig,
+    rules: ConstantRules,
+    variable_ids: Vec<CfdId>,
+    census: GroupCensus,
+    /// `vio(t)` per tuple slot at t=0.
+    initial_vio: Vec<usize>,
+    /// The priced t=0 frontier, ascending ([`Frontier`]'s run).
+    run: Vec<HeapKey>,
+}
+
+/// The part of a [`BatchSeed`] the loop mutates: each run starts from
+/// its own copy. (The loop also mutates the equivalence classes, but
+/// their t=0 state is a pure function of the cell weights: each run
+/// builds it with [`t0_classes`] at the cost of a copy, and a resident
+/// seed does not hold a grid of `|D| · arity` singleton classes.)
+#[derive(Clone)]
+struct Start {
+    indexes: GroupIndexes,
+    dirty: Vec<BTreeSet<TupleId>>,
+    dcache: DistanceCache,
+}
+
+impl BatchSeed {
+    /// The t=0 state of `BATCHREPAIR` on `d` under `sigma`. `parts` must
+    /// be the detection parts of `d` as [`Engine::build`] makes them, and
+    /// `report` their [`detect_with_parts`] report: the seed keeps the
+    /// parts' indexes and buckets its census off their groups, and reads
+    /// its dirty sets off the report instead of detecting again.
+    pub fn new(
+        d: &Relation,
+        sigma: &Sigma,
         parts: EngineParts,
-    ) -> Self {
-        let work = orig.clone();
-        let arity = orig.schema().arity();
-        // Cell grid covers the id space including tombstones; dead slots
-        // simply never participate.
-        let slots = orig.ids().map(|id| id.index() + 1).max().unwrap_or(0);
-        // A point read of the weight column per cell; dead slots weigh 0.
-        let eq = EqClasses::new(slots, arity, |tid, a| {
-            orig.cell_weight(tid, a).unwrap_or(0.0)
-        });
-        let report = detect_with_parts(&work, sigma, &parts);
+        report: &ViolationReport,
+        config: BatchConfig,
+    ) -> BatchSeed {
         let dirty = report
             .per_cfd
             .iter()
             .map(|ids| ids.iter().copied().collect())
             .collect();
-        let mut initial_vio = vec![0; slots];
+        let mut initial_vio = vec![0; slot_count(d)];
         for (id, &vio) in &report.per_tuple {
             initial_vio[id.index()] = vio;
         }
-        // Reuse the detection engine's structures instead of rebuilding:
-        // the group indexes and hashed constant rules are exactly what the
-        // repair loop needs.
+        // The detection engine's structures are exactly what the repair
+        // loop needs: the group indexes (also the census's buckets) and
+        // the hashed constant rules.
         let EngineParts {
             indexes,
             rules,
             variable_ids,
         } = parts;
-        let shapes = shard::variable_shapes(sigma);
-        let census = GroupCensus::new(&work, &shapes);
-        let mut state = BatchState {
-            sigma,
-            orig,
-            work,
-            eq,
-            indexes,
+        let census = GroupCensus::from_indexes(d, &shard::variable_shapes(sigma), &indexes);
+        let dcache = DistanceCache::for_pool(d.pool().clone(), config.bitparallel());
+        let mut fixed = Fixed {
+            config,
             rules,
             variable_ids,
             census,
-            dirty,
             initial_vio,
-            frontier: Frontier::default(),
-            dcache: DistanceCache::for_pool(orig.pool().clone(), config.bitparallel()),
-            stats: BatchStats::default(),
-            config,
+            run: Vec::new(),
         };
-        if state.config.pick == PickStrategy::GlobalBest {
-            state.seed_frontier();
+        let mut start = Start {
+            indexes,
+            dirty,
+            dcache,
+        };
+        if fixed.config.pick == PickStrategy::GlobalBest {
+            fixed.run = score_frontier(d, sigma, &fixed, &mut start);
         }
-        state
+        BatchSeed { fixed, start }
+    }
+
+    /// The config the seed was built for.
+    pub fn config(&self) -> &BatchConfig {
+        &self.fixed.config
+    }
+
+    /// The t=0 group census every run borrows.
+    pub fn census(&self) -> &GroupCensus {
+        &self.fixed.census
+    }
+
+    /// Run `BATCHREPAIR` from this seed on the `d` and `sigma` it was
+    /// built from, leaving the seed as it was.
+    pub fn repair(&self, d: &Relation, sigma: &Sigma) -> Result<BatchOutcome, RepairError> {
+        BatchState::new(d, sigma, &self.fixed, self.start.clone()).run()
+    }
+
+    /// [`repair`](Self::repair) for a seed used once: the mutable state
+    /// moves into the run instead of being copied.
+    pub fn into_repair(self, d: &Relation, sigma: &Sigma) -> Result<BatchOutcome, RepairError> {
+        let BatchSeed { fixed, start } = self;
+        BatchState::new(d, sigma, &fixed, start).run()
+    }
+}
+
+/// Tuple slots of `d`'s cell grid: the id space including tombstones;
+/// dead slots simply never participate.
+fn slot_count(d: &Relation) -> usize {
+    d.ids().map(|id| id.index() + 1).max().unwrap_or(0)
+}
+
+/// The equivalence classes of t=0: one free singleton per cell, weighed
+/// by a point read of the weight column (dead slots weigh 0).
+fn t0_classes(d: &Relation) -> EqClasses {
+    EqClasses::new(slot_count(d), d.schema().arity(), |tid, a| {
+        d.cell_weight(tid, a).unwrap_or(0.0)
+    })
+}
+
+/// Score the fully priced initial `PICKNEXT` frontier of a seed.
+///
+/// One pass verifies and prices every dirty `(CFD, tuple)` pair against
+/// the frozen t=0 state and sorts the keys once into the queue's run.
+/// The working relation of t=0 is `d` itself. The pass's memo tables and
+/// t=0 suspect scores are dropped with it: nothing computed for t=0
+/// reaches the loop. The S-set indexes and distances it computes stay in
+/// `start`; each index is exactly the one a t=0 `ensure` builds.
+fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start) -> Vec<HeapKey> {
+    let pairs: Vec<(u32, u32)> = start
+        .dirty
+        .iter()
+        .enumerate()
+        .flat_map(|(i, ids)| ids.iter().map(move |id| (i as u32, id.0)))
+        .collect();
+    if pairs.is_empty() {
+        return Vec::new();
+    }
+    // `suspicion` at t=0, where the working relation is the input: the
+    // constant rules `violations_of` counts are exactly the constant
+    // CFDs whose detected dirty set holds the tuple.
+    let mut suspects: Vec<usize> = fixed
+        .initial_vio
+        .iter()
+        .map(|&vio| usize::from(vio > SUSPECT_VIO))
+        .collect();
+    for n in sigma.iter().filter(|n| n.is_constant()) {
+        for tid in &start.dirty[n.id().index()] {
+            suspects[tid.index()] += 1;
+        }
+    }
+    let census = CensusOverlay::new(&fixed.census);
+    let eq = t0_classes(d);
+    let mut planner = Planner {
+        orig: d,
+        work: d,
+        rules: &fixed.rules,
+        census: &census,
+        initial_vio: &fixed.initial_vio,
+        config: &fixed.config,
+        eq: &eq,
+        indexes: &mut start.indexes,
+        frozen: Some(Frozen {
+            memo: FrozenMemo::default(),
+            suspects,
+        }),
+        dcache: &mut start.dcache,
+    };
+    let mut run: Vec<HeapKey> = pairs
+        .into_iter()
+        .map(|(cfd, tid)| {
+            let n = sigma.get(CfdId(cfd));
+            let planned = planner
+                .violates(n, TupleId(tid))
+                .and_then(|v| planner.plan_fix(n, TupleId(tid), &v));
+            match planned {
+                Some((fix, cost)) => {
+                    let (freq, value) = fix_meta(&fix, d.pool());
+                    (cost_key(cost), freq, value, cfd, tid)
+                }
+                // Defensive: a pair with no verified plan (impossible at
+                // t=0 by the violation definitions) pops last,
+                // re-verifies, and is dropped — exactly what the lazy
+                // loop would do.
+                None => (u64::MAX, u64::MAX, u32::MAX, cfd, tid),
+            }
+        })
+        .collect();
+    run.sort_unstable();
+    run
+}
+
+impl<'a> BatchState<'a> {
+    /// A run's state: `start` (a seed's copy or its moved original), the
+    /// seed's read-only parts borrowed, and a working copy of `orig`.
+    fn new(orig: &'a Relation, sigma: &'a Sigma, fixed: &'a Fixed, start: Start) -> Self {
+        debug_assert_eq!(
+            fixed.initial_vio.len(),
+            slot_count(orig),
+            "a seed of another D"
+        );
+        let Start {
+            indexes,
+            dirty,
+            dcache,
+        } = start;
+        BatchState {
+            sigma,
+            orig,
+            work: orig.clone(),
+            eq: t0_classes(orig),
+            indexes,
+            rules: &fixed.rules,
+            variable_ids: &fixed.variable_ids,
+            census: CensusOverlay::new(&fixed.census),
+            dirty,
+            initial_vio: &fixed.initial_vio,
+            frontier: Frontier::seeded(&fixed.run),
+            dcache,
+            stats: BatchStats::default(),
+            config: &fixed.config,
+        }
     }
 
     /// The planning view over this state's own fields, without the t=0
@@ -428,77 +614,15 @@ impl<'a> BatchState<'a> {
         Planner {
             orig: self.orig,
             work: &self.work,
-            rules: &self.rules,
+            rules: self.rules,
             census: &self.census,
-            initial_vio: &self.initial_vio,
-            config: &self.config,
+            initial_vio: self.initial_vio,
+            config: self.config,
             eq: &self.eq,
             indexes: &mut self.indexes,
             frozen: None,
             dcache: &mut self.dcache,
         }
-    }
-
-    /// Seed the `PICKNEXT` queue with the fully priced initial frontier.
-    ///
-    /// One pass verifies and prices every dirty `(CFD, tuple)` pair
-    /// against the frozen t=0 state and sorts the keys once into the
-    /// queue's run. The pass's memo tables and t=0 suspect scores are
-    /// dropped with it: nothing computed for t=0 reaches the loop. The
-    /// S-set indexes and distances it computes stay in the main state;
-    /// `work` equals `orig` throughout the pass, so each index is exactly
-    /// the one a t=0 `ensure` builds.
-    fn seed_frontier(&mut self) {
-        let pairs: Vec<(u32, u32)> = self
-            .dirty
-            .iter()
-            .enumerate()
-            .flat_map(|(i, ids)| ids.iter().map(move |id| (i as u32, id.0)))
-            .collect();
-        if pairs.is_empty() {
-            return;
-        }
-        // `suspicion` at t=0, where `work` is the input: the constant
-        // rules `violations_of` counts are exactly the constant CFDs whose
-        // detected dirty set holds the tuple.
-        let mut suspects: Vec<usize> = self
-            .initial_vio
-            .iter()
-            .map(|&vio| usize::from(vio > SUSPECT_VIO))
-            .collect();
-        for n in self.sigma.iter().filter(|n| n.is_constant()) {
-            for tid in &self.dirty[n.id().index()] {
-                suspects[tid.index()] += 1;
-            }
-        }
-        let (sigma, orig) = (self.sigma, self.orig);
-        let mut planner = self.planner();
-        planner.frozen = Some(Frozen {
-            memo: FrozenMemo::default(),
-            suspects,
-        });
-        let mut run: Vec<HeapKey> = pairs
-            .into_iter()
-            .map(|(cfd, tid)| {
-                let n = sigma.get(CfdId(cfd));
-                let planned = planner
-                    .violates(n, TupleId(tid))
-                    .and_then(|v| planner.plan_fix(n, TupleId(tid), &v));
-                match planned {
-                    Some((fix, cost)) => {
-                        let (freq, value) = fix_meta(&fix, orig.pool());
-                        (cost_key(cost), freq, value, cfd, tid)
-                    }
-                    // Defensive: a pair with no verified plan (impossible
-                    // at t=0 by the violation definitions) pops last,
-                    // re-verifies, and is dropped — exactly what the lazy
-                    // loop would do.
-                    None => (u64::MAX, u64::MAX, u32::MAX, cfd, tid),
-                }
-            })
-            .collect();
-        run.sort_unstable();
-        self.frontier = Frontier::seeded(run);
     }
 
     /// Effective value of a cell (target materialized into `work`).
@@ -561,7 +685,7 @@ impl<'p> Planner<'p> {
     /// Suspect score of `tid` for the variable-CFD deferral penalty: its
     /// current constant-rule violations, plus one when its initial
     /// `vio(t)` exceeds `SUSPECT_VIO`. The scoring pass reads the t=0
-    /// score `seed_frontier` derived from detection.
+    /// score `score_frontier` derived from detection.
     fn suspicion(&self, tid: TupleId) -> usize {
         if let Some(frozen) = &self.frozen {
             return frozen.suspects[tid.index()];
@@ -1054,7 +1178,7 @@ impl<'p> Planner<'p> {
                 // scaled beyond SAMPLE carriers per bucket, to bound
                 // planning cost.
                 let mut cost = 0.0;
-                for (v, bucket) in buckets {
+                for (v, bucket) in buckets.iter() {
                     if *v == winner {
                         continue;
                     }
@@ -1158,7 +1282,7 @@ impl<'a> BatchState<'a> {
                         })
                         .map(|(v, _)| *v)
                         .expect("non-empty buckets");
-                    for (v, bucket) in buckets {
+                    for (v, bucket) in buckets.iter() {
                         if *v != majority {
                             to_mark.extend(bucket.ids.iter().copied());
                         }
@@ -1423,6 +1547,7 @@ impl<'a> BatchState<'a> {
         }
         let cost = repair_cost(self.orig, &self.work);
         self.stats.cost = cost;
+        debug_assert!(cfd_cfd::check(&self.work, self.sigma));
         Ok(BatchOutcome {
             repair: self.work,
             stats: self.stats,
@@ -1440,27 +1565,21 @@ pub fn batch_repair(
     sigma: &Sigma,
     config: BatchConfig,
 ) -> Result<BatchOutcome, RepairError> {
-    let state = BatchState::new(d, sigma, config);
-    let outcome = state.run()?;
-    debug_assert!(cfd_cfd::check(&outcome.repair, sigma));
-    Ok(outcome)
+    batch_repair_with_parts(d, sigma, Engine::build(d, sigma).to_parts(), config)
 }
 
-/// [`batch_repair`] reusing prebuilt detection [`EngineParts`] — the
-/// resident-dataset entry point. A warm handle keeps the parts built at
-/// rule-bind time and clones them per repair, skipping the index
-/// rebuild. Parts built over `d` equal the ones [`batch_repair`] builds,
-/// so the result is byte-identical to it with the same config.
+/// [`batch_repair`] reusing prebuilt detection [`EngineParts`] of `d`:
+/// detects with them, builds a [`BatchSeed`] and runs it once. Parts
+/// built over `d` equal the ones [`batch_repair`] builds, so the result
+/// is byte-identical to it with the same config.
 pub fn batch_repair_with_parts(
     d: &Relation,
     sigma: &Sigma,
     parts: EngineParts,
     config: BatchConfig,
 ) -> Result<BatchOutcome, RepairError> {
-    let state = BatchState::new_with_parts(d, sigma, config, parts);
-    let outcome = state.run()?;
-    debug_assert!(cfd_cfd::check(&outcome.repair, sigma));
-    Ok(outcome)
+    let report = detect_with_parts(d, sigma, &parts);
+    BatchSeed::new(d, sigma, parts, &report, config).into_repair(d, sigma)
 }
 
 #[cfg(test)]
@@ -1856,12 +1975,15 @@ mod tests {
     /// bit for bit. Returns the number of entries checked and how many
     /// belong to variable CFDs.
     fn assert_seeded_keys_unmemoized(rel: &Relation, sigma: &Sigma, label: &str) -> (usize, usize) {
-        let mut state = BatchState::new(rel, sigma, BatchConfig::default());
+        let report = cfd_cfd::detect(rel, sigma);
+        let parts = Engine::build(rel, sigma).to_parts();
+        let seed = BatchSeed::new(rel, sigma, parts, &report, BatchConfig::default());
+        let mut state = BatchState::new(rel, sigma, &seed.fixed, seed.start.clone());
         assert!(
             state.frontier.heap.is_empty(),
             "{label}: seeding fills the run"
         );
-        let seeded = std::mem::take(&mut state.frontier.run);
+        let seeded = seed.fixed.run.clone();
         let pairs: usize = state.dirty.iter().map(BTreeSet::len).sum();
         assert_eq!(
             seeded.len(),
@@ -1936,16 +2058,19 @@ mod tests {
         }
     }
 
-    /// Frontier scoring builds the S-set indexes it needs straight on the
-    /// main state. Each must equal a fresh t=0 build, group order
+    /// Frontier scoring builds the S-set indexes it needs straight into
+    /// the seed's start state, which every run copies. Each must equal a fresh t=0 build, group order
     /// included: FINDV truncates group walks, so a different order would
     /// change later repairs.
     #[test]
     fn scoring_builds_s_set_indexes_on_the_main_state() {
         for (label, rel, sigma) in scoring_workloads() {
-            let state = BatchState::new(&rel, &sigma, BatchConfig::default());
+            let parts = Engine::build(&rel, &sigma).to_parts();
+            let report = cfd_cfd::detect(&rel, &sigma);
+            let seed = BatchSeed::new(&rel, &sigma, parts, &report, BatchConfig::default());
+            let indexes = &seed.start.indexes;
             let lhs_lists = GroupIndexes::build(&rel, &sigma).attr_lists();
-            let lists = state.indexes.attr_lists();
+            let lists = indexes.attr_lists();
             assert!(lhs_lists.iter().all(|l| lists.contains(l)), "{label}");
             if label != "fig1" {
                 assert!(
@@ -1954,7 +2079,7 @@ mod tests {
                 );
             }
             for attrs in &lists {
-                let built = state.indexes.get(attrs).expect("listed");
+                let built = indexes.get(attrs).expect("listed");
                 let fresh = HashIndex::build(&rel, attrs);
                 assert_eq!(
                     built.group_count(),
@@ -2041,7 +2166,7 @@ mod tests {
             run.sort_unstable();
             let mut reference: BinaryHeap<Reverse<HeapKey>> =
                 run.iter().copied().map(Reverse).collect();
-            let mut frontier = Frontier::seeded(run);
+            let mut frontier = Frontier::seeded(&run);
             let (mut got, mut want) = (Vec::new(), Vec::new());
             for _ in 0..rng.gen_range(0..120usize) {
                 if rng.gen_range(0..3u32) == 0 {
@@ -2060,6 +2185,47 @@ mod tests {
             assert_eq!(frontier.pop(), None);
             assert_eq!(got, want);
         });
+    }
+
+    /// Runs from one seed equal a one-shot repair, again and again, under
+    /// every picker and merge pricing, and leave the seed's census and
+    /// frontier as they were.
+    #[test]
+    fn a_seed_serves_every_run_like_a_one_shot_repair() {
+        let configs = [
+            BatchConfig::default(),
+            BatchConfig {
+                pick: PickStrategy::DependencyOrdered,
+                ..BatchConfig::default()
+            },
+            BatchConfig {
+                merge_pricing: MergePricing::Pairwise,
+                ..BatchConfig::default()
+            },
+        ];
+        for (label, rel, sigma) in scoring_workloads().into_iter().take(2) {
+            for config in &configs {
+                let one_shot = batch_repair(&rel, &sigma, config.clone()).unwrap();
+                let parts = Engine::build(&rel, &sigma).to_parts();
+                let report = cfd_cfd::detect(&rel, &sigma);
+                let seed = BatchSeed::new(&rel, &sigma, parts, &report, config.clone());
+                let (census, run) = (seed.census().checksum(), seed.fixed.run.clone());
+                for round in 0..2 {
+                    let out = seed.repair(&rel, &sigma).unwrap();
+                    assert_eq!(
+                        out.stats, one_shot.stats,
+                        "{label} {config:?} round {round}"
+                    );
+                    assert_eq!(
+                        EditLog::between(&rel, &out.repair).unwrap(),
+                        EditLog::between(&rel, &one_shot.repair).unwrap(),
+                        "{label} {config:?} round {round}"
+                    );
+                    assert_eq!(seed.census().checksum(), census, "{label} {config:?}");
+                    assert_eq!(seed.fixed.run, run, "{label} {config:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub mod shard;
 pub mod subset;
 
 pub use batch::{
-    batch_repair, batch_repair_with_parts, BatchConfig, BatchOutcome, BatchStats, MergePricing,
-    PickStrategy,
+    batch_repair, batch_repair_with_parts, BatchConfig, BatchOutcome, BatchSeed, BatchStats,
+    MergePricing, PickStrategy,
 };
 pub use incremental::{inc_repair, IncConfig, IncOutcome, IncStats, Ordering};
 #[doc(hidden)]

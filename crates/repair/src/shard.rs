@@ -2,18 +2,28 @@
 //! per (variable shape, LHS group key), the live carriers of each
 //! non-null RHS value and their weight sum ([`GroupCensus`]).
 //!
-//! Every shape is built in ascending tuple-id order, so each bucket's
-//! carrier list comes out sorted by pushing alone, and the floating-point
-//! weight sums are a pure function of the relation. `update` keeps the
-//! census equal to a fresh build as the repair loop rewrites cells.
+//! There is one build routine: each shape is bucketed off a hash index on
+//! its LHS. A repair's t=0 state buckets the detection index's groups;
+//! [`GroupCensus::new`] builds the indexes it needs first. Index groups
+//! list their ids in ascending order, so each bucket's carrier list comes
+//! out sorted by pushing alone, and the floating-point weight sums are a
+//! pure function of the relation.
+//!
+//! A built census is never written. Each repair run borrows it through a
+//! `CensusOverlay`, which copies a group the first time the run
+//! rewrites one of its cells. The base therefore stays exact for every
+//! later run that shares it: no rollback, and no subtraction of f64
+//! weights ever reaches it.
 //!
 //! The module keeps its `shard` path because `perfbench` imports
 //! [`variable_shapes`] and [`GroupCensus`] from it.
 
 use std::collections::BTreeMap;
 
+use cfd_cfd::violation::GroupIndexes;
 use cfd_cfd::Sigma;
 use cfd_model::hash::FnvMap;
+use cfd_model::index::HashIndex;
 use cfd_model::{AttrId, IdKey, Relation, TupleId, TupleView, ValueId};
 
 use crate::options::Parallelism;
@@ -48,44 +58,122 @@ pub fn variable_shapes(sigma: &Sigma) -> Vec<(Vec<AttrId>, AttrId)> {
 /// One value bucket of a group: the live carriers of a single RHS value
 /// plus their weight sum, maintained incrementally so group-majority
 /// decisions are O(distinct values) instead of O(|group|).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct ValueBucket {
     /// The carriers as one flat, ascending, duplicate-free id list, so
     /// carrier enumeration within a bucket is deterministic. The build
-    /// visits ids in ascending order and simply pushes; `update` inserts
-    /// and removes by binary search. Bucket order itself is `ValueId`
-    /// (interning) order — the interning-history-sensitive decisions
-    /// (merge winner, dirty-mark majority, partner choice) each re-anchor
-    /// to value order or tuple id explicitly.
+    /// walks each index group in ascending id order and simply pushes;
+    /// `update` inserts and removes by binary search. Bucket order itself
+    /// is `ValueId` (interning) order — the interning-history-sensitive
+    /// decisions (merge winner, dirty-mark majority, partner choice) each
+    /// re-anchor to value order or tuple id explicitly.
     pub(crate) ids: Vec<TupleId>,
     pub(crate) weight: f64,
+}
+
+/// The value buckets of one group, ascending by RHS value id. A sorted
+/// vector rather than a tree: most groups hold one or two values, and a
+/// census holds a group per distinct LHS key.
+#[derive(Clone, Default)]
+pub(crate) struct Buckets(Vec<(ValueId, ValueBucket)>);
+
+impl Buckets {
+    /// Number of distinct values.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// `(value, bucket)` pairs in ascending value-id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&ValueId, &ValueBucket)> {
+        self.0.iter().map(|(v, b)| (v, b))
+    }
+
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &ValueId> {
+        self.0.iter().map(|(v, _)| v)
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &ValueBucket> {
+        self.0.iter().map(|(_, b)| b)
+    }
+
+    pub(crate) fn get_mut(&mut self, v: ValueId) -> Option<&mut ValueBucket> {
+        let at = self.0.binary_search_by_key(&v, |(k, _)| *k).ok()?;
+        Some(&mut self.0[at].1)
+    }
+
+    /// The bucket of `v`, inserted empty if missing.
+    pub(crate) fn entry(&mut self, v: ValueId) -> &mut ValueBucket {
+        let at = match self.0.binary_search_by_key(&v, |(k, _)| *k) {
+            Ok(at) => at,
+            Err(at) => {
+                self.0.insert(at, (v, ValueBucket::default()));
+                at
+            }
+        };
+        &mut self.0[at].1
+    }
+
+    pub(crate) fn remove(&mut self, v: ValueId) {
+        if let Ok(at) = self.0.binary_search_by_key(&v, |(k, _)| *k) {
+            self.0.remove(at);
+        }
+    }
 }
 
 /// Group key → RHS value → bucket, for one shape. FNV-hashed: no
 /// per-process seed, and no reader lets the map's iteration order reach
 /// a decision.
-pub(crate) type GroupMap = FnvMap<IdKey, BTreeMap<ValueId, ValueBucket>>;
+pub(crate) type GroupMap = FnvMap<IdKey, Buckets>;
 
-/// The census of one shape: every live tuple with a non-null RHS, pushed
-/// in ascending id order. Reads exactly the shape's LHS/RHS/weight column
-/// slices.
-fn build_shape(rel: &Relation, lhs: &[AttrId], rhs: AttrId) -> GroupMap {
-    let mut map = GroupMap::default();
-    let lhs_cols: Vec<&[ValueId]> = lhs.iter().map(|a| rel.column(*a)).collect();
+/// The census of one shape, bucketed off a hash index on its LHS: each
+/// index group's carriers with a non-null RHS, split by RHS value. Index
+/// groups list their ids in ascending order, so each bucket's carriers
+/// come out sorted by pushing alone, and each weight sum adds the same
+/// weights in the same order as a walk of the relation in id order.
+/// Every group key is hashed once, not once per carrier.
+fn bucket_shape(rel: &Relation, index: &HashIndex, rhs: AttrId) -> GroupMap {
     let rhs_col = rel.column(rhs);
     let w_col = rel.weight_column(rhs);
-    for id in rel.ids() {
-        let slot = id.index();
-        let v = rhs_col[slot];
-        if v.is_null() {
-            continue;
+    let mut map = GroupMap::default();
+    for (key, ids) in index.groups() {
+        debug_assert!(ids.is_sorted(), "index groups list ids in ascending order");
+        let mut buckets = Buckets::default();
+        for &id in ids {
+            let slot = id.index();
+            let v = rhs_col[slot];
+            if v.is_null() {
+                continue;
+            }
+            let bucket = buckets.entry(v);
+            bucket.ids.push(id);
+            bucket.weight += w_col[slot];
         }
-        let key: IdKey = lhs_cols.iter().map(|c| c[slot]).collect();
-        let bucket = map.entry(key).or_default().entry(v).or_default();
-        bucket.ids.push(id);
-        bucket.weight += w_col[slot];
+        if !buckets.is_empty() {
+            map.insert(key.clone(), buckets);
+        }
     }
     map
+}
+
+/// The content digest of one group of shape `si` (see
+/// [`GroupCensus::checksum`]).
+fn group_digest(si: usize, key: &IdKey, buckets: &Buckets) -> u64 {
+    let mut h = fnv1a(
+        0xcbf2_9ce4_8422_2325 ^ (si as u64),
+        key.as_slice().iter().map(|v| v.0),
+    );
+    for (v, bucket) in buckets.iter() {
+        h = fnv1a(h, std::iter::once(v.0));
+        h = fnv1a(h, bucket.ids.iter().map(|id| id.0));
+        let w = bucket.weight.to_bits();
+        h = fnv1a(h, [w as u32, (w >> 32) as u32]);
+    }
+    h
 }
 
 /// Per-(variable-shape, group-key) census of non-null RHS values. Gives
@@ -96,9 +184,9 @@ fn build_shape(rel: &Relation, lhs: &[AttrId], rhs: AttrId) -> GroupMap {
 /// without the census. The same buckets drive group-majority merge
 /// pricing.
 ///
-/// A group with no non-null carrier has no entry, whether it never had
-/// one or `update` emptied it, so a census maintained through `update`
-/// equals a fresh build of the updated relation.
+/// A census is built once per t=0 state and never written: a repair run
+/// reads it through a `CensusOverlay` that holds the groups the run
+/// changed. A group with no non-null carrier has no entry.
 pub struct GroupCensus {
     /// One census per distinct (lhs attrs, rhs attr) among variable CFDs:
     /// group key → RHS value → the live tuple ids currently carrying it.
@@ -106,11 +194,37 @@ pub struct GroupCensus {
 }
 
 impl GroupCensus {
-    /// Build the census for `rel` over the given variable shapes.
+    /// Build the census for `rel` over the given variable shapes, from
+    /// a hash index on each distinct LHS built here.
     pub fn new(rel: &Relation, variable: &[(Vec<AttrId>, AttrId)]) -> Self {
+        let mut built: BTreeMap<&[AttrId], HashIndex> = BTreeMap::new();
+        for (lhs, _) in variable {
+            built
+                .entry(lhs.as_slice())
+                .or_insert_with(|| HashIndex::build(rel, lhs));
+        }
+        GroupCensus::bucketed(rel, variable, |lhs| &built[lhs])
+    }
+
+    /// Build the census for `rel` by bucketing the groups of `indexes`,
+    /// which must hold a t=0 index (ascending groups) on every shape's
+    /// LHS — the detection parts of a relation hold one per LHS of Σ.
+    pub(crate) fn from_indexes(
+        rel: &Relation,
+        variable: &[(Vec<AttrId>, AttrId)],
+        indexes: &GroupIndexes,
+    ) -> Self {
+        GroupCensus::bucketed(rel, variable, |lhs| indexes.for_lhs(lhs))
+    }
+
+    fn bucketed<'i>(
+        rel: &Relation,
+        variable: &[(Vec<AttrId>, AttrId)],
+        index_of: impl Fn(&[AttrId]) -> &'i HashIndex,
+    ) -> Self {
         let shapes = variable
             .iter()
-            .map(|(lhs, rhs)| (lhs.clone(), *rhs, build_shape(rel, lhs, *rhs)))
+            .map(|(lhs, rhs)| (lhs.clone(), *rhs, bucket_shape(rel, index_of(lhs), *rhs)))
             .collect();
         GroupCensus { shapes }
     }
@@ -121,70 +235,10 @@ impl GroupCensus {
         GroupCensus::new(rel, variable)
     }
 
-    pub(crate) fn shape(&self, lhs: &[AttrId], rhs: AttrId) -> Option<&GroupMap> {
+    fn shape_index(&self, lhs: &[AttrId], rhs: AttrId) -> Option<usize> {
         self.shapes
             .iter()
-            .find(|(l, r, _)| l == lhs && *r == rhs)
-            .map(|(_, _, map)| map)
-    }
-
-    /// All value buckets of `t`'s group under the shape `(lhs, rhs)`.
-    /// `None` when the shape or group is untracked (e.g. every carrier
-    /// is null).
-    pub(crate) fn value_buckets<V: TupleView + ?Sized>(
-        &self,
-        lhs: &[AttrId],
-        rhs: AttrId,
-        t: &V,
-    ) -> Option<&BTreeMap<ValueId, ValueBucket>> {
-        self.shape(lhs, rhs)
-            .and_then(|map| map.get(&t.project_key(lhs)))
-    }
-
-    /// Record an in-place update of one tuple.
-    pub(crate) fn update(
-        &mut self,
-        id: TupleId,
-        before: &cfd_model::Tuple,
-        after: &cfd_model::Tuple,
-    ) {
-        for (lhs, rhs, map) in &mut self.shapes {
-            let key_changed = !before.agrees_on(after, lhs);
-            let val_changed = before.id(*rhs) != after.id(*rhs);
-            if !key_changed && !val_changed {
-                continue;
-            }
-            let old_v = before.id(*rhs);
-            if !old_v.is_null() {
-                let key = before.project_key(lhs);
-                if let Some(vals) = map.get_mut(&key) {
-                    if let Some(bucket) = vals.get_mut(&old_v) {
-                        if let Ok(at) = bucket.ids.binary_search(&id) {
-                            bucket.ids.remove(at);
-                            bucket.weight -= before.weight(*rhs);
-                        }
-                        if bucket.ids.is_empty() {
-                            vals.remove(&old_v);
-                        }
-                    }
-                    if vals.is_empty() {
-                        map.remove(&key);
-                    }
-                }
-            }
-            let new_v = after.id(*rhs);
-            if !new_v.is_null() {
-                let bucket = map
-                    .entry(after.project_key(lhs))
-                    .or_default()
-                    .entry(new_v)
-                    .or_default();
-                if let Err(at) = bucket.ids.binary_search(&id) {
-                    bucket.ids.insert(at, id);
-                    bucket.weight += after.weight(*rhs);
-                }
-            }
-        }
+            .position(|(l, r, _)| l == lhs && *r == rhs)
     }
 
     /// Total carriers across all shapes and buckets — a cheap black-box
@@ -203,24 +257,131 @@ impl GroupCensus {
     /// Order-independent content digest: shapes, group keys, bucket values
     /// and carriers, and the exact weight bits. Two censuses with equal
     /// checksums over the same relation are bit-identical for every
-    /// decision the repair loop reads off them — the maintained-vs-fresh
+    /// decision the repair loop reads off them — the overlay-vs-fresh
     /// parity assertion in the tests.
     pub fn checksum(&self) -> u64 {
+        // Commutative fold: HashMap iteration order cannot leak in.
         let mut total: u64 = 0;
         for (si, (_, _, map)) in self.shapes.iter().enumerate() {
-            for (key, vals) in map {
-                let mut h = fnv1a(
-                    0xcbf2_9ce4_8422_2325 ^ (si as u64),
-                    key.as_slice().iter().map(|v| v.0),
-                );
-                for (v, bucket) in vals {
-                    h = fnv1a(h, std::iter::once(v.0));
-                    h = fnv1a(h, bucket.ids.iter().map(|id| id.0));
-                    let w = bucket.weight.to_bits();
-                    h = fnv1a(h, [w as u32, (w >> 32) as u32]);
+            for (key, buckets) in map {
+                total = total.wrapping_add(group_digest(si, key, buckets));
+            }
+        }
+        total
+    }
+}
+
+/// One repair run's census: a [`GroupCensus`] it borrows and never
+/// writes, plus the groups the run has changed. The first `update` of a
+/// group copies it from the base; later updates and reads go to the
+/// copy. A group the run empties stays in the overlay with no buckets,
+/// which shadows the base group. So the view equals the census a
+/// fresh build of the run's relation would give, bit for bit: each
+/// weight sum sees the same additions and subtractions, from the same
+/// starting bits, as an in-place update of the base would. The base is
+/// shared by every run of a t=0 state and stays bit-identical however
+/// many runs read it.
+pub(crate) struct CensusOverlay<'c> {
+    base: &'c GroupCensus,
+    /// Per shape, the groups this run has touched, as they stand now.
+    touched: Vec<GroupMap>,
+}
+
+impl<'c> CensusOverlay<'c> {
+    /// A view of `base` with nothing changed yet.
+    pub(crate) fn new(base: &'c GroupCensus) -> Self {
+        CensusOverlay {
+            base,
+            touched: base.shapes.iter().map(|_| GroupMap::default()).collect(),
+        }
+    }
+
+    /// The buckets of group `key` of shape `si`, overlay first; `None`
+    /// when the group has no non-null carrier.
+    fn group(&self, si: usize, key: &IdKey) -> Option<&Buckets> {
+        match self.touched[si].get(key) {
+            Some(buckets) if buckets.is_empty() => None,
+            Some(buckets) => Some(buckets),
+            None => self.base.shapes[si].2.get(key),
+        }
+    }
+
+    /// Group `key` of shape `si` in the overlay, copied from the base
+    /// (or started empty) on first touch.
+    fn group_mut(&mut self, si: usize, key: IdKey) -> &mut Buckets {
+        let base = &self.base.shapes[si].2;
+        self.touched[si]
+            .entry(key)
+            .or_insert_with_key(|key| base.get(key).cloned().unwrap_or_default())
+    }
+
+    /// All value buckets of `t`'s group under the shape `(lhs, rhs)`.
+    /// `None` when the shape or group is untracked (e.g. every carrier
+    /// is null).
+    pub(crate) fn value_buckets<V: TupleView + ?Sized>(
+        &self,
+        lhs: &[AttrId],
+        rhs: AttrId,
+        t: &V,
+    ) -> Option<&Buckets> {
+        let si = self.base.shape_index(lhs, rhs)?;
+        self.group(si, &t.project_key(lhs))
+    }
+
+    /// Record an in-place update of one tuple.
+    pub(crate) fn update(
+        &mut self,
+        id: TupleId,
+        before: &cfd_model::Tuple,
+        after: &cfd_model::Tuple,
+    ) {
+        let base = self.base;
+        for (si, (lhs, rhs, _)) in base.shapes.iter().enumerate() {
+            let rhs = *rhs;
+            let key_changed = !before.agrees_on(after, lhs);
+            let val_changed = before.id(rhs) != after.id(rhs);
+            if !key_changed && !val_changed {
+                continue;
+            }
+            let old_v = before.id(rhs);
+            if !old_v.is_null() {
+                let key = before.project_key(lhs);
+                if self.group(si, &key).is_some() {
+                    let buckets = self.group_mut(si, key);
+                    if let Some(bucket) = buckets.get_mut(old_v) {
+                        if let Ok(at) = bucket.ids.binary_search(&id) {
+                            bucket.ids.remove(at);
+                            bucket.weight -= before.weight(rhs);
+                        }
+                        if bucket.ids.is_empty() {
+                            buckets.remove(old_v);
+                        }
+                    }
                 }
-                // Commutative fold: HashMap iteration order cannot leak in.
-                total = total.wrapping_add(h);
+            }
+            let new_v = after.id(rhs);
+            if !new_v.is_null() {
+                let bucket = self.group_mut(si, after.project_key(lhs)).entry(new_v);
+                if let Err(at) = bucket.ids.binary_search(&id) {
+                    bucket.ids.insert(at, id);
+                    bucket.weight += after.weight(rhs);
+                }
+            }
+        }
+    }
+
+    /// [`GroupCensus::checksum`] of the census this view stands for.
+    #[cfg(test)]
+    pub(crate) fn checksum(&self) -> u64 {
+        let mut total: u64 = 0;
+        for (si, (_, _, base)) in self.base.shapes.iter().enumerate() {
+            let touched = &self.touched[si];
+            let groups = base
+                .iter()
+                .filter(|(key, _)| !touched.contains_key(*key))
+                .chain(touched.iter().filter(|(_, buckets)| !buckets.is_empty()));
+            for (key, buckets) in groups {
+                total = total.wrapping_add(group_digest(si, key, buckets));
             }
         }
         total
@@ -256,18 +417,98 @@ mod tests {
         rel
     }
 
-    #[test]
-    fn census_updates_match_a_fresh_build() {
-        // Every shape keys on an attribute another shape reads as its RHS,
-        // so random cell writes move carriers between groups, between
-        // buckets, and into and out of null. Weights are multiples of 1/8,
-        // so every weight sum is exact in any order and a maintained
-        // census can equal a fresh build bit for bit.
-        let shapes = vec![
+    /// The census as a walk of the relation in id order that hashes
+    /// every carrier's key: the reference the bucketed build must equal.
+    fn census_by_carrier(rel: &Relation, variable: &[(Vec<AttrId>, AttrId)]) -> GroupCensus {
+        let shapes = variable
+            .iter()
+            .map(|(lhs, rhs)| {
+                let mut map = GroupMap::default();
+                for (id, t) in rel.iter() {
+                    let v = t.id(*rhs);
+                    if v.is_null() {
+                        continue;
+                    }
+                    let bucket = map.entry(t.project_key(lhs)).or_default().entry(v);
+                    bucket.ids.push(id);
+                    bucket.weight += t.weight(*rhs);
+                }
+                (lhs.clone(), *rhs, map)
+            })
+            .collect();
+        GroupCensus { shapes }
+    }
+
+    /// An in-place update of `census`, the way a census written by the
+    /// repair loop was kept: the reference the overlay must equal.
+    fn update_in_place(
+        census: &mut GroupCensus,
+        id: TupleId,
+        before: &cfd_model::Tuple,
+        after: &cfd_model::Tuple,
+    ) {
+        for (lhs, rhs, map) in &mut census.shapes {
+            if before.agrees_on(after, lhs) && before.id(*rhs) == after.id(*rhs) {
+                continue;
+            }
+            let old_v = before.id(*rhs);
+            if !old_v.is_null() {
+                let key = before.project_key(lhs);
+                if let Some(vals) = map.get_mut(&key) {
+                    if let Some(bucket) = vals.get_mut(old_v) {
+                        if let Ok(at) = bucket.ids.binary_search(&id) {
+                            bucket.ids.remove(at);
+                            bucket.weight -= before.weight(*rhs);
+                        }
+                        if bucket.ids.is_empty() {
+                            vals.remove(old_v);
+                        }
+                    }
+                    if vals.is_empty() {
+                        map.remove(&key);
+                    }
+                }
+            }
+            let new_v = after.id(*rhs);
+            if !new_v.is_null() {
+                let bucket = map.entry(after.project_key(lhs)).or_default().entry(new_v);
+                if let Err(at) = bucket.ids.binary_search(&id) {
+                    bucket.ids.insert(at, id);
+                    bucket.weight += after.weight(*rhs);
+                }
+            }
+        }
+    }
+
+    /// Every shape keys on an attribute another shape reads as its RHS,
+    /// so random cell writes move carriers between groups, between
+    /// buckets, and into and out of null.
+    fn crossing_shapes() -> Vec<(Vec<AttrId>, AttrId)> {
+        vec![
             (vec![AttrId(0)], AttrId(2)),
             (vec![AttrId(0), AttrId(1)], AttrId(2)),
             (vec![AttrId(2)], AttrId(0)),
-        ];
+        ]
+    }
+
+    #[test]
+    fn bucketed_build_equals_a_per_carrier_walk() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xB0C7);
+        for _ in 0..10 {
+            let rel = random_relation(&mut rng, 80, 1000);
+            let reference = census_by_carrier(&rel, &crossing_shapes());
+            let census = GroupCensus::new(&rel, &crossing_shapes());
+            assert_eq!(census.checksum(), reference.checksum());
+            assert_eq!(census.carriers(), reference.carriers());
+        }
+    }
+
+    #[test]
+    fn census_updates_match_a_fresh_build() {
+        // Weights are multiples of 1/8, so every weight sum is exact in
+        // any order and an updated view can equal a fresh build bit for
+        // bit.
+        let shapes = crossing_shapes();
         let (mut key_moves, mut rhs_moves, mut to_null, mut from_null) = (0, 0, 0, 0);
         let mut rng = ChaCha8Rng::seed_from_u64(0xCE_2505);
         for _ in 0..20 {
@@ -282,7 +523,8 @@ mod tests {
                     )
                 })
                 .collect();
-            let mut census = GroupCensus::new(&rel, &shapes);
+            let base = GroupCensus::new(&rel, &shapes);
+            let mut census = CensusOverlay::new(&base);
             for (id, attr, v) in &writes {
                 let before = rel.tuple(*id).unwrap().to_tuple();
                 rel.set_value(*id, *attr, v.clone()).unwrap();
@@ -298,9 +540,140 @@ mod tests {
             }
             let fresh = GroupCensus::new(&rel, &shapes);
             assert_eq!(census.checksum(), fresh.checksum());
-            assert_eq!(census.carriers(), fresh.carriers());
         }
         assert!(key_moves > 0 && rhs_moves > 0 && to_null > 0 && from_null > 0);
+    }
+
+    /// A §7.1 generator relation at ρ = 5%: full-precision weights, Σ's
+    /// own variable shapes.
+    fn generated(seed: u64) -> (Relation, Vec<(Vec<AttrId>, AttrId)>) {
+        let w = cfd_gen::generate(&cfd_gen::GenConfig::sized(400, seed));
+        let noise = cfd_gen::inject(
+            &w.dopt,
+            &w.world,
+            &cfd_gen::NoiseConfig {
+                rate: 0.05,
+                seed,
+                ..Default::default()
+            },
+        );
+        (noise.dirty, variable_shapes(&w.sigma))
+    }
+
+    #[test]
+    fn overlay_matches_in_place_updates_at_full_precision() {
+        // Random writes of values drawn from each attribute's own column
+        // (or null), so carriers move between real groups and buckets.
+        // The generator's weights are not exact binary fractions: a
+        // weight sum depends on the order of its additions and
+        // subtractions, so only the same operation sequence on the same
+        // starting bits can match.
+        let mut inexact = 0;
+        for seed in [1, 7, 13] {
+            let (mut rel, shapes) = generated(seed);
+            let ids: Vec<TupleId> = rel.ids().collect();
+            let arity = rel.schema().arity();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let base = GroupCensus::new(&rel, &shapes);
+            let base_sum = base.checksum();
+            inexact += base
+                .shapes
+                .iter()
+                .flat_map(|(_, _, map)| map.values().flat_map(|b| b.values()))
+                .filter(|b| (b.weight * 8.0).fract() != 0.0)
+                .count();
+            let mut in_place = GroupCensus::new(&rel, &shapes);
+            let mut overlay = CensusOverlay::new(&base);
+            for step in 0..600 {
+                let id = ids[rng.gen_range(0..ids.len() as u32) as usize];
+                let attr = AttrId(rng.gen_range(0..arity as u32) as u16);
+                let v = if rng.gen_range(0..10u32) == 0 {
+                    cfd_model::NULL_ID
+                } else {
+                    let from = ids[rng.gen_range(0..ids.len() as u32) as usize];
+                    rel.value_id(from, attr).unwrap()
+                };
+                let before = rel.tuple(id).unwrap().to_tuple();
+                rel.set_value_id(id, attr, v).unwrap();
+                let after = rel.tuple(id).unwrap().to_tuple();
+                overlay.update(id, &before, &after);
+                update_in_place(&mut in_place, id, &before, &after);
+                if step % 50 == 0 {
+                    assert_eq!(
+                        overlay.checksum(),
+                        in_place.checksum(),
+                        "seed {seed} step {step}"
+                    );
+                }
+                for (si, (lhs, rhs)) in shapes.iter().enumerate() {
+                    let want = in_place.shapes[si].2.get(&after.project_key(lhs));
+                    let got = overlay.value_buckets(lhs, *rhs, &after);
+                    assert_eq!(
+                        got.map(|b| b.keys().collect::<Vec<_>>()),
+                        want.map(|b| b.keys().collect::<Vec<_>>()),
+                        "seed {seed} step {step}"
+                    );
+                }
+            }
+            assert_eq!(overlay.checksum(), in_place.checksum(), "seed {seed}");
+            assert_eq!(
+                base.checksum(),
+                base_sum,
+                "seed {seed}: the base was written"
+            );
+        }
+        assert!(inexact > 0, "the weights include inexact sums");
+    }
+
+    #[test]
+    fn an_emptied_group_shadows_the_base() {
+        let schema = Schema::new("s", &["k", "v"]).unwrap();
+        let mut rel = Relation::new(schema);
+        for (k, v) in [("g", "x"), ("g", "y"), ("h", "x")] {
+            rel.insert(Tuple::from_iter([k, v])).unwrap();
+        }
+        let shapes = vec![(vec![AttrId(0)], AttrId(1))];
+        let base = GroupCensus::new(&rel, &shapes);
+        let base_sum = base.checksum();
+        let mut overlay = CensusOverlay::new(&base);
+        let g = rel.tuple(TupleId(0)).unwrap().to_tuple();
+        assert_eq!(
+            overlay
+                .value_buckets(&[AttrId(0)], AttrId(1), &g)
+                .map(|b| b.len()),
+            Some(2)
+        );
+        // Null every carrier of group `g`: the view loses the group, the
+        // base keeps it.
+        for id in [TupleId(0), TupleId(1)] {
+            let before = rel.tuple(id).unwrap().to_tuple();
+            rel.set_value(id, AttrId(1), Value::Null).unwrap();
+            let after = rel.tuple(id).unwrap().to_tuple();
+            overlay.update(id, &before, &after);
+        }
+        assert!(overlay.value_buckets(&[AttrId(0)], AttrId(1), &g).is_none());
+        assert!(base.shapes[0].2.contains_key(&g.project_key(&[AttrId(0)])));
+        assert_eq!(
+            overlay.checksum(),
+            GroupCensus::new(&rel, &shapes).checksum()
+        );
+        assert_eq!(base.checksum(), base_sum);
+        // A carrier moving back in starts the group afresh in the view.
+        let before = rel.tuple(TupleId(1)).unwrap().to_tuple();
+        rel.set_value(TupleId(1), AttrId(1), Value::str("z"))
+            .unwrap();
+        let after = rel.tuple(TupleId(1)).unwrap().to_tuple();
+        overlay.update(TupleId(1), &before, &after);
+        let buckets = overlay.value_buckets(&[AttrId(0)], AttrId(1), &g).unwrap();
+        assert_eq!(
+            buckets.values().map(|b| b.ids.clone()).collect::<Vec<_>>(),
+            vec![vec![TupleId(1)]]
+        );
+        assert_eq!(
+            overlay.checksum(),
+            GroupCensus::new(&rel, &shapes).checksum()
+        );
+        assert_eq!(base.checksum(), base_sum);
     }
 
     #[test]

@@ -43,8 +43,9 @@
 //! ([`cfd::violation::EngineParts`]), built exactly once at bind time.
 //! The first detect after a bind computes the violation report from
 //! those parts and the handle keeps it: every later detect request
-//! renders the same report. Each `BATCHREPAIR` seeds its state from a
-//! clone of the parts. A
+//! renders the same report. `BATCHREPAIR` keeps its t=0 state resident
+//! too ([`repair::BatchSeed`], built from the report by the first batch
+//! repair): each repair copies only what its loop mutates. A
 //! [`Session`] is a named collection of handles behind per-dataset
 //! reader/writer locks, optionally backed by a snapshot catalog and
 //! bounded by an LRU capacity whose evictions provably return pool

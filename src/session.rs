@@ -16,12 +16,18 @@
 //!   time. The **resident violation report** is computed from those
 //!   parts ([`cfd_cfd::detect_with_parts`]) by the first detect after a
 //!   bind; every later detect request, and the insert path's clean-base
-//!   check, reads that one report. `BATCHREPAIR` seeds its state from a
-//!   clone of the parts ([`cfd_repair::batch_repair_with_parts`]).
-//!   Insert requests go through a **resident `INCREPAIR` state** (see
-//!   below), which reads only the parts' constant rules and variable-CFD
-//!   ids, never their group indexes. The set of Σ's pattern-constant ids,
-//!   which pool hygiene must never seal, is also computed once per bind.
+//!   check, reads that one report. `BATCHREPAIR` starts from a
+//!   **resident t=0 state** ([`BatchSeed`]): the first batch repair
+//!   builds it from the report and a clone of the parts — dirty sets,
+//!   group census and the priced `PICKNEXT` frontier — and every later
+//!   repair with the same config copies only what the repair loop
+//!   mutates, borrowing the census and frontier. Reweighting and
+//!   rebinding drop it; a repair while a stream is open builds its own
+//!   (see `BoundRules` for why). Insert requests go through a
+//!   **resident `INCREPAIR` state** (see below), which reads only the
+//!   parts' constant rules and variable-CFD ids, never their group
+//!   indexes. The set of Σ's pattern-constant ids, which pool hygiene
+//!   must never seal, is also computed once per bind.
 //! * [`Session`] — a named collection of handles behind per-dataset
 //!   reader/writer locks, optionally backed by a snapshot [`Catalog`]
 //!   and bounded by an LRU capacity whose evictions provably return
@@ -89,8 +95,8 @@ use cfd_model::hash::{FnvMap, FnvSet};
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
 use cfd_model::{csv, Catalog, Mapping, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
-    batch_repair_with_parts, repair_via_incremental, Algorithm, IncConfig, InsertFootprint,
-    InsertRepairer, Ordering, RepairError, RepairOptions,
+    repair_via_incremental, Algorithm, BatchSeed, IncConfig, InsertFootprint, InsertRepairer,
+    Ordering, RepairError, RepairOptions,
 };
 
 use crate::stream::{RepairSession, StreamCloseReport, StreamConfig, StreamInfo, WindowResult};
@@ -178,6 +184,20 @@ struct BoundRules {
     /// unaffected). A method that changes the resident relation's
     /// values must reset it.
     report: OnceLock<ViolationReport>,
+    /// `BATCHREPAIR`'s t=0 state ([`BatchSeed`]), built from the report
+    /// and a clone of `parts` by the first batch repair, for that
+    /// repair's config, and shared by every later repair with the same
+    /// config. A repair with another config builds a seed of its own and
+    /// uses it once. It depends on the cell weights, so
+    /// [`DatasetHandle::apply_weights`] resets it; rebinding replaces it
+    /// with the rest of `BoundRules`.
+    ///
+    /// The seed's frontier breaks cost ties on the pool's `use_count`s.
+    /// Inserts leave those as they found them, but an open stream holds
+    /// counted interns: while one is open, a repair builds a fresh seed
+    /// against the counts of the moment and neither reads nor stores
+    /// this one.
+    seed: OnceLock<BatchSeed>,
 }
 
 /// The resident `INCREPAIR` state of a handle whose base is clean (see
@@ -346,6 +366,9 @@ impl DatasetHandle {
     /// Apply a per-cell confidence weight CSV to the relation.
     pub fn apply_weights(&mut self, weight_bytes: &[u8]) -> Result<(), SessionError> {
         self.resident = None;
+        if let Some(bound) = &mut self.bound {
+            bound.seed = OnceLock::new();
+        }
         csv::read_weights(&mut self.relation, &mut &*weight_bytes)
             .map_err(|e| SessionError::Data(format!("cannot parse weights: {e}")))
     }
@@ -379,6 +402,7 @@ impl DatasetHandle {
             sigma,
             parts,
             report: OnceLock::new(),
+            seed: OnceLock::new(),
         });
         self.resident = None;
         Ok(())
@@ -421,6 +445,12 @@ impl DatasetHandle {
         Ok(bound.report.get_or_init(|| {
             violation::detect_with_parts(&self.relation, &bound.sigma, &bound.parts)
         }))
+    }
+
+    /// The resident [`BatchSeed`], once a batch repair has built it (and
+    /// until anything drops it; see [`repair`](Self::repair)).
+    pub fn batch_seed(&self) -> Option<&BatchSeed> {
+        self.bound.as_ref()?.seed.get()
     }
 
     /// The human-readable violation report — byte-identical to the body
@@ -480,6 +510,10 @@ impl DatasetHandle {
     /// returned CSV bytes equal what `cfdclean repair --out` writes for
     /// the same input and options. Set `want_edits` to also derive the
     /// `.cfde` edit-log bytes.
+    ///
+    /// A batch repair starts from the resident [`BatchSeed`] (see
+    /// `BoundRules`): no detection, census build or frontier pricing per
+    /// request, only copies of what the repair loop mutates.
     pub fn repair(
         &self,
         opts: &RepairOptions,
@@ -488,14 +522,27 @@ impl DatasetHandle {
         let bound = self.bound()?;
         let (repair, detail) = match opts.algorithm_choice() {
             Algorithm::Batch => {
-                // Seed BATCHREPAIR from a clone of the warm index rather
-                // than rebuilding it per request.
-                let outcome = batch_repair_with_parts(
-                    &self.relation,
-                    &bound.sigma,
-                    bound.parts.clone(),
-                    opts.batch_config(),
-                )?;
+                let config = opts.batch_config();
+                let report = self.detect()?;
+                let build = |config| {
+                    BatchSeed::new(
+                        &self.relation,
+                        &bound.sigma,
+                        bound.parts.clone(),
+                        report,
+                        config,
+                    )
+                };
+                let resident = match &self.stream {
+                    Some(_) => None,
+                    None => Some(bound.seed.get_or_init(|| build(config.clone()))),
+                };
+                let outcome = match resident {
+                    Some(seed) if *seed.config() == config => {
+                        seed.repair(&self.relation, &bound.sigma)?
+                    }
+                    _ => build(config).into_repair(&self.relation, &bound.sigma)?,
+                };
                 let d = format!(
                     "steps {} merges {} consts {} nulls {} cost {:.3}",
                     outcome.stats.steps,
@@ -1514,6 +1561,121 @@ mod tests {
             "after an arity error"
         );
         assert_eq!(handle.detect().unwrap(), &cold_detect(handle));
+    }
+
+    /// The bytes a repair reply carries.
+    fn reply(run: RepairRun) -> (Vec<u8>, Option<Vec<u8>>, String) {
+        (run.csv, run.edit_log, run.detail)
+    }
+
+    /// Batch repairs share the one seed the first of them built; a
+    /// repair with another config runs on a seed of its own.
+    #[test]
+    fn repairs_share_one_resident_batch_seed() {
+        let session = Session::new();
+        let entry = open(&session, "orders");
+        let cell = entry.read().unwrap();
+        let handle = cell.handle().unwrap();
+        assert!(handle.batch_seed().is_none(), "the seed is built lazily");
+        let first = reply(handle.repair(&RepairOptions::new(), true).unwrap());
+        let seed = handle.batch_seed().expect("built by the first repair");
+        let second = reply(handle.repair(&RepairOptions::new(), true).unwrap());
+        assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
+        assert_eq!(first, second);
+        let other = RepairOptions::new().pick(cfd_repair::PickStrategy::DependencyOrdered);
+        handle.repair(&other, true).unwrap();
+        assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
+        assert_eq!(seed.config(), &RepairOptions::new().batch_config());
+    }
+
+    /// A fresh handle's repair of the CSV base with `weights` and `rules`.
+    fn fresh_repair(weights: Option<&[u8]>, rules: &str) -> (Vec<u8>, Option<Vec<u8>>, String) {
+        let session = Session::new();
+        let entry = session
+            .open_csv("orders", CSV.as_bytes(), Some(rules), weights)
+            .unwrap()
+            .entry;
+        let cell = entry.read().unwrap();
+        reply(
+            cell.handle()
+                .unwrap()
+                .repair(&RepairOptions::new(), true)
+                .unwrap(),
+        )
+    }
+
+    /// Reweighting and rebinding drop the seed; the next repair builds
+    /// one for the new weights or rules.
+    #[test]
+    fn reweighting_and_rebinding_rebuild_the_batch_seed() {
+        const WEIGHTS: &[u8] = b"AC,PN,CT,ST,zip\n1,1,0.9,0.9,0.1\n1,1,0.1,0.1,1\n";
+        const FD: &str = "fd: [zip] -> [CT] { (_ || _) }";
+        let session = Session::new();
+        let entry = open(&session, "orders");
+        let mut cell = entry.write().unwrap();
+        let handle = cell.handle_mut().unwrap();
+        let before = reply(handle.repair(&RepairOptions::new(), true).unwrap());
+        assert!(handle.batch_seed().is_some());
+
+        handle.apply_weights(WEIGHTS).unwrap();
+        assert!(handle.batch_seed().is_none(), "reweighting drops the seed");
+        let reweighted = reply(handle.repair(&RepairOptions::new(), true).unwrap());
+        assert!(handle.batch_seed().is_some());
+        assert_eq!(reweighted, fresh_repair(Some(WEIGHTS), RULES));
+
+        handle.bind_rules(FD, "rules").unwrap();
+        assert!(handle.batch_seed().is_none(), "rebinding drops the seed");
+        let rebound = reply(handle.repair(&RepairOptions::new(), true).unwrap());
+        assert!(handle.batch_seed().is_some());
+        assert_eq!(rebound, fresh_repair(Some(WEIGHTS), FD));
+        assert_ne!(rebound, before);
+    }
+
+    /// While a stream holds counted interns in the pool, a repair builds
+    /// a seed of its own: it stores none and leaves a resident one as it
+    /// was. (Streams open only on a clean base, so the reply itself
+    /// cannot show which seed ran; the tie-break counts are why the rule
+    /// exists.) After the close, replies equal the pre-stream ones.
+    #[test]
+    fn a_repair_during_an_open_stream_neither_stores_nor_reads_the_seed() {
+        let clean = "AC,PN,CT,ST,zip\n212,5556611,NYC,NY,10012\n";
+        let session = Session::new();
+        let entry = session
+            .open_csv("base", clean.as_bytes(), Some(RULES), None)
+            .unwrap()
+            .entry;
+        let mut cell = entry.write().unwrap();
+        let handle = cell.handle_mut().unwrap();
+        let feed = |handle: &mut DatasetHandle| {
+            handle.open_stream(StreamConfig::tumbling(10)).unwrap();
+            handle
+                .stream_feed("i 1 215,8883425,PHI,PA,10012\ni 2 212,5550001,NYC,NY,10012\n")
+                .unwrap();
+            handle.stream_advance(5).unwrap();
+        };
+
+        feed(handle);
+        let during = reply(handle.repair(&RepairOptions::new(), true).unwrap());
+        assert!(
+            handle.batch_seed().is_none(),
+            "a stream repair stores no seed"
+        );
+        handle.stream_close().unwrap();
+        let after = reply(handle.repair(&RepairOptions::new(), true).unwrap());
+        let seed: *const BatchSeed = handle.batch_seed().expect("stored after the close");
+        assert_eq!(during, after);
+
+        feed(handle);
+        let during = reply(handle.repair(&RepairOptions::new(), true).unwrap());
+        assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
+        handle.stream_advance(20).unwrap();
+        handle.stream_close().unwrap();
+        assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
+        assert_eq!(
+            reply(handle.repair(&RepairOptions::new(), true).unwrap()),
+            after
+        );
+        assert_eq!(during, after);
     }
 
     #[test]
