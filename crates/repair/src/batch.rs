@@ -466,12 +466,10 @@ impl BatchSeed {
         BatchSeed { fixed, start }
     }
 
-    /// The config the seed was built for.
-    pub fn config(&self) -> &BatchConfig {
-        &self.fixed.config
-    }
-
-    /// The t=0 group census every run borrows.
+    /// The t=0 group census every run borrows. It exposes the seed's
+    /// state for the resident-repair differential suite, which checks
+    /// that no run writes it, and is not meant for other callers.
+    #[doc(hidden)]
     pub fn census(&self) -> &GroupCensus {
         &self.fixed.census
     }

@@ -14,7 +14,7 @@
 //! directly only when poking fields `RepairOptions` deliberately does
 //! not surface (`findv_candidates`, `vio_penalty`, …).
 
-use crate::batch::{BatchConfig, MergePricing, PickStrategy};
+use crate::batch::{BatchConfig, PickStrategy};
 use crate::incremental::{IncConfig, Ordering};
 
 /// The repair thread count, always 1: `perfbench` still records it.
@@ -95,7 +95,6 @@ impl std::fmt::Display for Algorithm {
 pub struct RepairOptions {
     algorithm: Algorithm,
     pick: PickStrategy,
-    merge_pricing: MergePricing,
     k: usize,
     simd: Option<bool>,
 }
@@ -105,7 +104,6 @@ impl Default for RepairOptions {
         RepairOptions {
             algorithm: Algorithm::Batch,
             pick: PickStrategy::GlobalBest,
-            merge_pricing: MergePricing::GroupMajority,
             k: 1,
             simd: None,
         }
@@ -128,12 +126,6 @@ impl RepairOptions {
     /// `PICKNEXT` variant for the batch algorithm.
     pub fn pick(mut self, p: PickStrategy) -> Self {
         self.pick = p;
-        self
-    }
-
-    /// Free/free merge pricing for the batch algorithm.
-    pub fn merge_pricing(mut self, m: MergePricing) -> Self {
-        self.merge_pricing = m;
         self
     }
 
@@ -189,7 +181,6 @@ impl RepairOptions {
     pub fn batch_config(&self) -> BatchConfig {
         BatchConfig {
             pick: self.pick,
-            merge_pricing: self.merge_pricing,
             simd: self.simd,
             ..BatchConfig::default()
         }

@@ -37,11 +37,12 @@
 //! Datasets live behind per-dataset reader/writer locks inside the
 //! shared [`Session`](cfdclean::Session): detects and repairs on the
 //! same dataset run concurrently, detects reading its one violation
-//! report and batch repairs starting from its one resident t=0 repair
-//! state (each copies what its repair loop mutates and borrows the
-//! rest); inserts and evicts take the write side and serialize.
-//! Requests on one connection run in order; parallelism across datasets
-//! comes from opening multiple connections. An optional LRU capacity bound auto-evicts the
+//! report and default-config batch repairs starting from its one
+//! resident t=0 repair state (each copies what its repair loop mutates
+//! and borrows the rest); inserts and evicts take the write side and
+//! serialize. Requests on one connection run in order; parallelism
+//! across datasets comes from opening multiple connections. An optional
+//! LRU capacity bound auto-evicts the
 //! least-recently-used dataset — eviction retires the dataset's
 //! dictionary entries and compacts the pool, returning its memory.
 //!

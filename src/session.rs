@@ -17,13 +17,13 @@
 //!   parts ([`cfd_cfd::detect_with_parts`]) by the first detect after a
 //!   bind; every later detect request, and the insert path's clean-base
 //!   check, reads that one report. `BATCHREPAIR` starts from a
-//!   **resident t=0 state** ([`BatchSeed`]): the first batch repair
-//!   builds it from the report and a clone of the parts — dirty sets,
+//!   **resident t=0 state** ([`BatchSeed`]): the first default-config
+//!   batch repair builds it from the report and a clone of the parts — dirty sets,
 //!   group census and the priced `PICKNEXT` frontier — and every later
-//!   repair with the same config copies only what the repair loop
-//!   mutates, borrowing the census and frontier. Reweighting and
-//!   rebinding drop it; a repair while a stream is open builds its own
-//!   (see `BoundRules` for why). Insert requests go through a
+//!   default-config repair copies only what the repair loop mutates,
+//!   borrowing the census and frontier. Reweighting and rebinding drop
+//!   it; a repair with another config builds a seed for itself alone.
+//!   Insert requests go through a
 //!   **resident `INCREPAIR` state** (see below), which reads only the
 //!   parts' constant rules and variable-CFD ids, never their group
 //!   indexes. The set of Σ's pattern-constant ids, which pool hygiene
@@ -95,8 +95,8 @@ use cfd_model::hash::{FnvMap, FnvSet};
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
 use cfd_model::{csv, Catalog, Mapping, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
-    repair_via_incremental, Algorithm, BatchSeed, IncConfig, InsertFootprint, InsertRepairer,
-    Ordering, RepairError, RepairOptions,
+    repair_via_incremental, Algorithm, BatchConfig, BatchSeed, IncConfig, InsertFootprint,
+    InsertRepairer, Ordering, RepairError, RepairOptions,
 };
 
 use crate::stream::{RepairSession, StreamCloseReport, StreamConfig, StreamInfo, WindowResult};
@@ -184,19 +184,13 @@ struct BoundRules {
     /// unaffected). A method that changes the resident relation's
     /// values must reset it.
     report: OnceLock<ViolationReport>,
-    /// `BATCHREPAIR`'s t=0 state ([`BatchSeed`]), built from the report
-    /// and a clone of `parts` by the first batch repair, for that
-    /// repair's config, and shared by every later repair with the same
-    /// config. A repair with another config builds a seed of its own and
-    /// uses it once. It depends on the cell weights, so
-    /// [`DatasetHandle::apply_weights`] resets it; rebinding replaces it
-    /// with the rest of `BoundRules`.
-    ///
-    /// The seed's frontier breaks cost ties on the pool's `use_count`s.
-    /// Inserts leave those as they found them, but an open stream holds
-    /// counted interns: while one is open, a repair builds a fresh seed
-    /// against the counts of the moment and neither reads nor stores
-    /// this one.
+    /// `BATCHREPAIR`'s t=0 state ([`BatchSeed`]) for the default
+    /// [`BatchConfig`], built from the report and a clone of `parts` by
+    /// the first default batch repair and shared by every later one. A
+    /// repair with another config builds a seed of its own and uses it
+    /// once, so it can never pin this one. It depends on the cell
+    /// weights, so [`DatasetHandle::apply_weights`] resets it; rebinding
+    /// replaces it with the rest of `BoundRules`.
     seed: OnceLock<BatchSeed>,
 }
 
@@ -448,7 +442,11 @@ impl DatasetHandle {
     }
 
     /// The resident [`BatchSeed`], once a batch repair has built it (and
-    /// until anything drops it; see [`repair`](Self::repair)).
+    /// until anything drops it; see [`repair`](Self::repair)). It exposes
+    /// cache state for the resident-repair differential suite
+    /// (`tests/batch_resident_differential.rs`) and is not meant for
+    /// other callers.
+    #[doc(hidden)]
     pub fn batch_seed(&self) -> Option<&BatchSeed> {
         self.bound.as_ref()?.seed.get()
     }
@@ -511,9 +509,11 @@ impl DatasetHandle {
     /// the same input and options. Set `want_edits` to also derive the
     /// `.cfde` edit-log bytes.
     ///
-    /// A batch repair starts from the resident [`BatchSeed`] (see
-    /// `BoundRules`): no detection, census build or frontier pricing per
-    /// request, only copies of what the repair loop mutates.
+    /// A batch repair with the default [`BatchConfig`] starts from the
+    /// resident [`BatchSeed`] (see `BoundRules`): no detection, census
+    /// build or frontier pricing per request, only copies of what the
+    /// repair loop mutates. Any other config builds a seed for the one
+    /// request.
     pub fn repair(
         &self,
         opts: &RepairOptions,
@@ -533,15 +533,11 @@ impl DatasetHandle {
                         config,
                     )
                 };
-                let resident = match &self.stream {
-                    Some(_) => None,
-                    None => Some(bound.seed.get_or_init(|| build(config.clone()))),
-                };
-                let outcome = match resident {
-                    Some(seed) if *seed.config() == config => {
-                        seed.repair(&self.relation, &bound.sigma)?
-                    }
-                    _ => build(config).into_repair(&self.relation, &bound.sigma)?,
+                let outcome = if config == BatchConfig::default() {
+                    let seed = bound.seed.get_or_init(|| build(config));
+                    seed.repair(&self.relation, &bound.sigma)?
+                } else {
+                    build(config).into_repair(&self.relation, &bound.sigma)?
                 };
                 let d = format!(
                     "steps {} merges {} consts {} nulls {} cost {:.3}",
@@ -1568,24 +1564,27 @@ mod tests {
         (run.csv, run.edit_log, run.detail)
     }
 
-    /// Batch repairs share the one seed the first of them built; a
-    /// repair with another config runs on a seed of its own.
+    /// Default batch repairs share the one seed the first of them built;
+    /// a repair with another config runs on a seed of its own, before or
+    /// after that, and never stores it.
     #[test]
     fn repairs_share_one_resident_batch_seed() {
         let session = Session::new();
         let entry = open(&session, "orders");
         let cell = entry.read().unwrap();
         let handle = cell.handle().unwrap();
-        assert!(handle.batch_seed().is_none(), "the seed is built lazily");
+        let other = RepairOptions::new().pick(cfd_repair::PickStrategy::DependencyOrdered);
+        let ordered = reply(handle.repair(&other, true).unwrap());
+        assert!(handle.batch_seed().is_none(), "another config stores none");
         let first = reply(handle.repair(&RepairOptions::new(), true).unwrap());
-        let seed = handle.batch_seed().expect("built by the first repair");
+        let seed = handle
+            .batch_seed()
+            .expect("built by the first default repair");
         let second = reply(handle.repair(&RepairOptions::new(), true).unwrap());
         assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
         assert_eq!(first, second);
-        let other = RepairOptions::new().pick(cfd_repair::PickStrategy::DependencyOrdered);
-        handle.repair(&other, true).unwrap();
+        assert_eq!(reply(handle.repair(&other, true).unwrap()), ordered);
         assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
-        assert_eq!(seed.config(), &RepairOptions::new().batch_config());
     }
 
     /// A fresh handle's repair of the CSV base with `weights` and `rules`.
@@ -1629,53 +1628,6 @@ mod tests {
         assert!(handle.batch_seed().is_some());
         assert_eq!(rebound, fresh_repair(Some(WEIGHTS), FD));
         assert_ne!(rebound, before);
-    }
-
-    /// While a stream holds counted interns in the pool, a repair builds
-    /// a seed of its own: it stores none and leaves a resident one as it
-    /// was. (Streams open only on a clean base, so the reply itself
-    /// cannot show which seed ran; the tie-break counts are why the rule
-    /// exists.) After the close, replies equal the pre-stream ones.
-    #[test]
-    fn a_repair_during_an_open_stream_neither_stores_nor_reads_the_seed() {
-        let clean = "AC,PN,CT,ST,zip\n212,5556611,NYC,NY,10012\n";
-        let session = Session::new();
-        let entry = session
-            .open_csv("base", clean.as_bytes(), Some(RULES), None)
-            .unwrap()
-            .entry;
-        let mut cell = entry.write().unwrap();
-        let handle = cell.handle_mut().unwrap();
-        let feed = |handle: &mut DatasetHandle| {
-            handle.open_stream(StreamConfig::tumbling(10)).unwrap();
-            handle
-                .stream_feed("i 1 215,8883425,PHI,PA,10012\ni 2 212,5550001,NYC,NY,10012\n")
-                .unwrap();
-            handle.stream_advance(5).unwrap();
-        };
-
-        feed(handle);
-        let during = reply(handle.repair(&RepairOptions::new(), true).unwrap());
-        assert!(
-            handle.batch_seed().is_none(),
-            "a stream repair stores no seed"
-        );
-        handle.stream_close().unwrap();
-        let after = reply(handle.repair(&RepairOptions::new(), true).unwrap());
-        let seed: *const BatchSeed = handle.batch_seed().expect("stored after the close");
-        assert_eq!(during, after);
-
-        feed(handle);
-        let during = reply(handle.repair(&RepairOptions::new(), true).unwrap());
-        assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
-        handle.stream_advance(20).unwrap();
-        handle.stream_close().unwrap();
-        assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
-        assert_eq!(
-            reply(handle.repair(&RepairOptions::new(), true).unwrap()),
-            after
-        );
-        assert_eq!(during, after);
     }
 
     #[test]

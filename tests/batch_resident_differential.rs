@@ -2,20 +2,25 @@
 //!
 //! A [`DatasetHandle`] keeps one `BatchSeed`: the t=0 state of
 //! `BATCHREPAIR` (dirty sets, group census and the priced `PICKNEXT`
-//! frontier), built by the first batch repair and shared by every later
-//! one with the same config. The contracts pinned here, on §7.1
-//! generator workloads at several seeds:
+//! frontier), built by the first default-config batch repair and shared
+//! by every later one. The contracts pinned here, on §7.1 generator
+//! workloads at several seeds:
 //!
 //! * **One-shot equivalence** — on one long-lived handle, repairs are
 //!   interleaved with detects, inserts, a stream's open/feed/advance/
-//!   close, reweighting, rebinding and config switches (both pickers,
-//!   both merge pricings). Every repair reply — CSV bytes, `.cfde`
+//!   close, reweighting, rebinding and picker switches. Every repair
+//!   reply — CSV bytes, `.cfde`
 //!   bytes, the detail line and the cost bits — equals a one-shot
 //!   [`batch_repair`] on a fresh handle with the same data, weights,
 //!   rules and config.
 //! * **A base that is never written** — after every request, the
 //!   resident seed's census checksum equals a fresh census build of the
 //!   handle's relation.
+//! * **Only the default config is resident** — a repair with another
+//!   config neither stores a seed nor replaces the stored one.
+//!
+//! Pairwise merge pricing from one seed is covered by the `batch` unit
+//! tests, which set `BatchConfig` directly.
 
 use cfdclean::cfd::{violation, ViolationReport};
 use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig};
@@ -23,7 +28,7 @@ use cfdclean::model::snapshot::edit_log_to_vec;
 use cfdclean::model::{csv, EditLog, Relation};
 use cfdclean::repair::cost::repair_cost;
 use cfdclean::repair::shard::{variable_shapes, GroupCensus};
-use cfdclean::repair::{batch_repair, MergePricing, PickStrategy, RepairOptions};
+use cfdclean::repair::{batch_repair, BatchConfig, PickStrategy, RepairOptions};
 use cfdclean::{DatasetHandle, StreamConfig};
 
 const TUPLES: usize = 2_000;
@@ -182,8 +187,9 @@ impl Warm<'_> {
         assert_eq!(got.detail, want.detail, "{what}");
         assert_eq!(got.cost_bits, want.cost_bits, "{what}");
         assert!(got == want, "{what}: reply bytes differ");
+        let resident = assert_census_untouched(&self.handle, &what);
         assert!(
-            assert_census_untouched(&self.handle, &what),
+            resident || opts.batch_config() != BatchConfig::default(),
             "{what}: no seed"
         );
         got
@@ -210,7 +216,6 @@ impl Warm<'_> {
 fn resident_repairs_equal_one_shot_across_interleaved_requests() {
     let global = RepairOptions::new();
     let ordered = RepairOptions::new().pick(PickStrategy::DependencyOrdered);
-    let pairwise = RepairOptions::new().merge_pricing(MergePricing::Pairwise);
     for seed in SEEDS {
         let inputs = inputs(seed);
         let mut w = Warm {
@@ -235,23 +240,30 @@ fn resident_repairs_equal_one_shot_across_interleaved_requests() {
         assert!(err.is_err(), "the base is dirty");
         assert_eq!(w.repair(&global, "after a failed insert"), first);
 
-        // Other configs run on seeds of their own.
+        // Another config runs on a seed of its own.
         w.repair(&ordered, "dependency-ordered");
-        w.repair(&pairwise, "pairwise");
         assert!(std::ptr::eq(seed_ptr, w.handle.batch_seed().unwrap()));
         assert_eq!(w.repair(&global, "back to the default"), first);
 
-        // Reweighting drops the seed; the next repair, pairwise, stores
-        // a pairwise seed that the default config then does not read.
+        // Reweighting drops the seed. A dependency-ordered repair sent
+        // first stores none, so the default repairs after it still share
+        // one seed.
         w.handle.apply_weights(&inputs.weights[1]).unwrap();
         w.weights = 1;
         assert!(
             w.handle.batch_seed().is_none(),
             "reweighting drops the seed"
         );
-        w.repair(&pairwise, "reweighted, pairwise");
-        w.repair(&global, "reweighted, default");
         w.repair(&ordered, "reweighted, dependency-ordered");
+        assert!(
+            w.handle.batch_seed().is_none(),
+            "another config stores no seed"
+        );
+        let reweighted = w.repair(&global, "reweighted, default");
+        let seed_ptr = std::ptr::from_ref(w.handle.batch_seed().unwrap());
+        w.repair(&ordered, "reweighted, dependency-ordered again");
+        assert_eq!(w.repair(&global, "reweighted, default again"), reweighted);
+        assert!(std::ptr::eq(seed_ptr, w.handle.batch_seed().unwrap()));
         w.detect("reweighted detect");
 
         // Rebind to rules the base satisfies, so a stream can open.
@@ -274,7 +286,7 @@ fn resident_repairs_equal_one_shot_across_interleaved_requests() {
         w.handle.stream_feed(&events).unwrap();
         assert_eq!(w.repair(&global, "stream fed"), clean);
         w.handle.stream_advance(12).unwrap();
-        assert_eq!(w.repair(&pairwise, "stream advanced"), clean);
+        assert_eq!(w.repair(&ordered, "stream advanced"), clean);
         w.handle.stream_close().unwrap();
         assert_eq!(w.repair(&global, "stream closed"), clean);
         w.detect("detect after the stream");
