@@ -1,16 +1,15 @@
 //! Microbenchmarks of the hot kernels underlying both repair algorithms:
 //! DL distance, batched FINDV pricing (scalar per-pair OSA vs the
-//! bit-parallel target-major kernel), the constant-pattern detection scan
-//! (scalar columnar walk vs the 8-lane key-major sweep), index building
-//! and violation detection (dictionary-encoded vs a string-keyed
+//! bit-parallel target-major kernel), index building and violation
+//! detection (dictionary-encoded vs a string-keyed
 //! reference), equivalence-class operations, LHS-index validation,
 //! nearest-value search (banded vs naive scan, memo hit vs miss), cold
 //! dataset ingest (CSV re-interning vs snapshot dictionary install),
 //! daemon request latency (warm resident dataset vs cold one-shot open),
 //! and streaming window latency (a warm `RepairSession` cycle vs the cold
 //! per-window one-shot insert).
-//! `meta/*` entries record the container's CPU count and the live kernel
-//! switch alongside the numbers.
+//! `meta/*` entries record the container's CPU count alongside the
+//! numbers.
 //!
 //! The headline pair is `index_build` / `detect`: the dictionary-encoded
 //! value layer keys every hot map on `ValueId`/`IdKey` (u32s), while the
@@ -26,7 +25,7 @@ use std::sync::Arc;
 use cfd_bench::harness::{black_box, Harness};
 use cfd_bench::workload;
 use cfd_cfd::pattern::{values_match, PatternValue};
-use cfd_cfd::violation::{constant_scan_with_kernel, detect, Engine};
+use cfd_cfd::violation::detect;
 use cfd_cfd::Sigma;
 use cfd_gen::{inject, NoiseConfig};
 use cfd_model::index::HashIndex;
@@ -234,7 +233,7 @@ fn bench_census(h: &mut Harness) {
     });
 }
 
-/// CI smoke gates: the load, pricing, scan, daemon and stream kernels;
+/// CI smoke gates: the load, pricing, daemon and stream kernels;
 /// exits nonzero when any fast path regresses below its reference.
 /// Best-of-three attempts defend against shared-runner scheduling noise,
 /// so only a reproducible regression trips the gates. The in-memory and
@@ -243,7 +242,6 @@ fn bench_census(h: &mut Harness) {
 /// workflow can upload the numbers as an artifact.
 const SMOKE_MIN_LOAD_SPEEDUP: f64 = 1.0;
 const SMOKE_MIN_PRICING_SPEEDUP: f64 = 1.0;
-const SMOKE_MIN_CONST_SCAN_SPEEDUP: f64 = 1.0;
 const SMOKE_MIN_SERVER_SPEEDUP: f64 = 1.0;
 const SMOKE_MIN_STREAM_SPEEDUP: f64 = 1.0;
 const SMOKE_ATTEMPTS: usize = 3;
@@ -251,7 +249,6 @@ const SMOKE_ATTEMPTS: usize = 3;
 fn smoke() -> ! {
     let mut load_ok = false;
     let mut pricing_ok = false;
-    let mut scan_ok = false;
     let mut server_ok = false;
     let mut stream_ok = false;
     for attempt in 1..=SMOKE_ATTEMPTS {
@@ -264,7 +261,6 @@ fn smoke() -> ! {
         let (load_speedup, mmap_ratio) = bench_load(&mut h);
         // Single-core compute kernels: gated even on a 1-CPU runner.
         let pricing_speedup = bench_pricing(&mut h);
-        let scan_speedup = bench_constant_scan(&mut h);
         // The daemon's warm-vs-cold request latency: loopback RTT against
         // a resident dataset must beat re-parsing + re-indexing per call.
         let server_speedup = bench_server_latency(&mut h);
@@ -279,7 +275,6 @@ fn smoke() -> ! {
         println!("load speedup (csv/snapshot): {load_speedup:.2}x");
         println!("snapshot open ratio (in-memory/mmap, ungated): {mmap_ratio:.2}x");
         println!("pricing speedup (scalar/bit-parallel): {pricing_speedup:.2}x");
-        println!("constant scan speedup (scalar/simd): {scan_speedup:.2}x");
         println!("request latency (cold one-shot / warm daemon): {server_speedup:.2}x");
         println!("window latency (cold one-shot / warm stream): {stream_speedup:.2}x");
         println!("value index memo speedup (dense miss / memo hit, ungated): {memo_speedup:.2}x");
@@ -287,23 +282,19 @@ fn smoke() -> ! {
             .expect("write bench json");
         load_ok |= load_speedup >= SMOKE_MIN_LOAD_SPEEDUP;
         pricing_ok |= pricing_speedup >= SMOKE_MIN_PRICING_SPEEDUP;
-        scan_ok |= scan_speedup >= SMOKE_MIN_CONST_SCAN_SPEEDUP;
         server_ok |= server_speedup >= SMOKE_MIN_SERVER_SPEEDUP;
         stream_ok |= stream_speedup >= SMOKE_MIN_STREAM_SPEEDUP;
-        if load_ok && pricing_ok && scan_ok && server_ok && stream_ok {
+        if load_ok && pricing_ok && server_ok && stream_ok {
             println!(
                 "smoke ok: snapshot load ≥ csv re-intern load, bit-parallel pricing ≥ scalar, \
-                 simd constant scan ≥ scalar, warm daemon detect ≥ cold one-shot, \
-                 warm stream window ≥ cold one-shot insert"
+                 warm daemon detect ≥ cold one-shot, warm stream window ≥ cold one-shot insert"
             );
             std::process::exit(0);
         }
         eprintln!(
             "smoke attempt {attempt}/{SMOKE_ATTEMPTS}: load \
              {load_speedup:.2}x (gate {SMOKE_MIN_LOAD_SPEEDUP}x), pricing \
-             {pricing_speedup:.2}x (gate {SMOKE_MIN_PRICING_SPEEDUP}x), \
-             constant scan {scan_speedup:.2}x (gate \
-             {SMOKE_MIN_CONST_SCAN_SPEEDUP}x), server \
+             {pricing_speedup:.2}x (gate {SMOKE_MIN_PRICING_SPEEDUP}x), server \
              {server_speedup:.2}x (gate {SMOKE_MIN_SERVER_SPEEDUP}x), stream \
              {stream_speedup:.2}x (gate {SMOKE_MIN_STREAM_SPEEDUP}x)"
         );
@@ -318,12 +309,6 @@ fn smoke() -> ! {
         eprintln!(
             "SMOKE FAIL: bit-parallel batched pricing regressed below the \
              scalar per-pair kernel in {SMOKE_ATTEMPTS}/{SMOKE_ATTEMPTS} attempts"
-        );
-    }
-    if !scan_ok {
-        eprintln!(
-            "SMOKE FAIL: vectorized constant scan regressed below the scalar \
-             columnar walk in {SMOKE_ATTEMPTS}/{SMOKE_ATTEMPTS} attempts"
         );
     }
     if !server_ok {
@@ -545,7 +530,7 @@ fn bench_pricing(h: &mut Harness) -> f64 {
 
     // Sanity: the kernels must agree pair for pair.
     for t in &targets {
-        let pricer = TargetPricer::with_kernel(t, true);
+        let pricer = TargetPricer::new(t);
         for c in &candidates {
             assert_eq!(
                 pricer.distance(c),
@@ -567,7 +552,7 @@ fn bench_pricing(h: &mut Harness) -> f64 {
     let bitparallel = h.run("pricing/bitparallel_batch", || {
         let mut sum = 0usize;
         for t in &targets {
-            let pricer = TargetPricer::with_kernel(black_box(t), true);
+            let pricer = TargetPricer::new(black_box(t));
             for c in &candidates {
                 sum += pricer.distance(black_box(c));
             }
@@ -576,81 +561,6 @@ fn bench_pricing(h: &mut Harness) -> f64 {
     });
     let speedup = scalar.median_ns / bitparallel.median_ns;
     eprintln!("pricing speedup (scalar/bit-parallel): {speedup:.2}x");
-    speedup
-}
-
-/// The vectorized-detection headline: the constant-pattern scan over the
-/// same engine and columnar relation, scalar columnar walk vs the 8-lane
-/// key-major sweep. The equality assertion pins the two reports before
-/// the timings mean anything. Returns the scalar/simd median ratio
-/// (> 1 means the vectorized scan wins). Single-threaded either way, so
-/// the comparison holds on a single-CPU runner.
-///
-/// The world is deliberately compact (8 cities × 4 zips): tableau rows
-/// scale with zips/area codes, and the key-major sweep only engages when
-/// every group stays within its 64-key gate — the default §7.1 world's
-/// 320-row tableaus fall back to the tuple-major scalar probe by design.
-/// The assertion on `key_counts` keeps this bench honest: if the
-/// generator changes shape, it fails loudly rather than silently timing
-/// scalar against scalar.
-fn bench_constant_scan(h: &mut Harness) -> f64 {
-    let w = cfd_gen::generate(&cfd_gen::GenConfig {
-        n_tuples: 6_000,
-        seed: 7,
-        world: cfd_gen::WorldConfig {
-            n_cities: 8,
-            zips_per_city: 4,
-            streets_per_city: 6,
-            n_customers: 2_000,
-            n_items: 1_000,
-            ..Default::default()
-        },
-    });
-    let noise = inject(
-        &w.dopt,
-        &w.world,
-        &NoiseConfig {
-            rate: 0.05,
-            ..Default::default()
-        },
-    );
-    let rel = noise.dirty;
-    let engine = Engine::build(&rel, &w.sigma);
-    assert!(
-        engine.rules.key_counts().iter().all(|&k| k <= 64),
-        "constant tableaus exceed the key-major gate — simd path disabled \
-         ({:?})",
-        engine.rules.key_counts()
-    );
-
-    let scalar_report = constant_scan_with_kernel(&rel, &w.sigma, &engine, false);
-    let simd_report = constant_scan_with_kernel(&rel, &w.sigma, &engine, true);
-    assert_eq!(simd_report, scalar_report, "simd constant scan diverged");
-    assert!(
-        scalar_report.total > 0,
-        "noisy workload has constant-CFD violations"
-    );
-
-    let scalar = h.run("detect/constant_scan_scalar", || {
-        constant_scan_with_kernel(
-            black_box(&rel),
-            black_box(&w.sigma),
-            black_box(&engine),
-            false,
-        )
-        .total
-    });
-    let simd = h.run("detect/constant_scan_simd", || {
-        constant_scan_with_kernel(
-            black_box(&rel),
-            black_box(&w.sigma),
-            black_box(&engine),
-            true,
-        )
-        .total
-    });
-    let speedup = scalar.median_ns / simd.median_ns;
-    eprintln!("constant scan speedup (scalar/simd): {speedup:.2}x");
     speedup
 }
 
@@ -892,16 +802,12 @@ fn bench_stream(h: &mut Harness) -> f64 {
 
 /// Run-environment metadata, recorded into `BENCH_kernels.json` alongside
 /// the timings so the numbers carry their own context: how many CPUs the
-/// container actually had, and whether the SIMD kernels were live.
+/// container actually had.
 fn record_metadata(h: &mut Harness) {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     h.record("meta/container_cpus", cpus as f64);
-    h.record(
-        "meta/simd_enabled",
-        f64::from(u8::from(cfd_model::simd_enabled())),
-    );
 }
 
 /// Interning footprint of the process-default shared pool, recorded
@@ -1076,7 +982,6 @@ fn main() {
     record_metadata(&mut h);
     bench_distance(&mut h);
     let pricing_speedup = bench_pricing(&mut h);
-    let scan_speedup = bench_constant_scan(&mut h);
     let (build_speedup, detect_speedup) = bench_interned_vs_string(&mut h);
     bench_build_and_detect(&mut h);
     bench_census(&mut h);
@@ -1093,7 +998,6 @@ fn main() {
 
     println!("\n{}", h.table());
     println!("pricing speedup (scalar/bit-parallel): {pricing_speedup:.2}x");
-    println!("constant scan speedup (scalar/simd): {scan_speedup:.2}x");
     println!("index build speedup (string/interned): {build_speedup:.2}x");
     println!("detection speedup  (string/interned): {detect_speedup:.2}x");
     println!("load speedup (csv/snapshot): {load_speedup:.2}x");

@@ -35,7 +35,4 @@ pub mod violation;
 
 pub use cfd::{Cfd, CfdId, NormalCfd, Sigma};
 pub use pattern::{PatternRow, PatternValue};
-pub use violation::{
-    check, constant_scan_with_kernel, detect, detect_with_parts, Engine, EngineParts,
-    ViolationReport,
-};
+pub use violation::{check, detect, detect_with_parts, Engine, EngineParts, ViolationReport};

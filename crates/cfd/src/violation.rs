@@ -153,12 +153,6 @@ pub struct ConstRule {
 }
 
 impl ConstantRules {
-    /// Distinct constant-projection keys per group — the size signal the
-    /// vectorized scan's key-major/tuple-major dispatch keys off.
-    pub fn key_counts(&self) -> Vec<usize> {
-        self.groups.iter().map(|g| g.map.len()).collect()
-    }
-
     /// Index all constant normal CFDs of `sigma`.
     pub fn build(sigma: &Sigma) -> Self {
         // group key: (lhs attrs, const-position mask)
@@ -408,18 +402,11 @@ impl<'a> Engine<'a> {
 }
 
 /// The constant-rule pass of full detection: for every live tuple, count
-/// the fired-but-unsatisfied constant rules into `report`.
+/// the fired-but-unsatisfied constant rules into `report`. Rule groups in
+/// the outer loop, tuples inner, so each pass reads only the group's
+/// LHS/RHS **column slices** — contiguous `u32` runs — instead of
+/// materializing row views.
 fn constant_scan(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) {
-    if !(cfd_model::simd_enabled() && constant_scan_simd(rel, rules, report)) {
-        constant_scan_columnar(rel, rules, report);
-    }
-}
-
-/// Scalar constant scan — the reference every other constant-scan path
-/// must agree with. Rule groups in the outer loop, tuples inner, so each
-/// pass reads only the group's LHS/RHS **column slices** — contiguous
-/// `u32` runs — instead of materializing row views.
-fn constant_scan_columnar(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) {
     let live: Vec<TupleId> = rel.ids().collect();
     for g in &rules.groups {
         let lhs_cols: Vec<&[ValueId]> = g.lhs.iter().map(|a| rel.column(*a)).collect();
@@ -440,181 +427,6 @@ fn constant_scan_columnar(rel: &Relation, rules: &ConstantRules, report: &mut Vi
                     }
                 }
             }
-        }
-    }
-}
-
-/// Vectorized constant scan: **key-major** over contiguous `ValueId(u32)`
-/// columns. Where the columnar scan probes the rule hash map once per
-/// tuple, this path inverts the loops — for each constant key (in sorted,
-/// deterministic order) it sweeps the key column with hand-unrolled 8-lane
-/// equality compares (stable toolchain; the chunked `u32` compares and
-/// bitmask accumulation below are exactly what LLVM auto-vectorizes).
-/// Tuple eligibility (live slot, no null among the group's LHS columns) is
-/// precomputed once per group as a slot bitmask, so the per-key sweep is
-/// branch-free until a lane actually hits.
-///
-/// Hits surface in (key, rule, slot) order instead of tuple order — safe
-/// because every consumer is order-insensitive: `per_tuple` is a count
-/// map, `total` a sum, and `detect_with_engine` sorts + dedups `per_cfd`.
-/// The hit *multiset* is identical to the scalar scan's (each live tuple
-/// matches at most one key per group — map keys are distinct).
-///
-/// Returns false (nothing recorded) when the relation has no attributes
-/// or a group has too many keys to pay off, letting the scalar scan run.
-fn constant_scan_simd(rel: &Relation, rules: &ConstantRules, report: &mut ViolationReport) -> bool {
-    if rel.schema().arity() == 0 {
-        return false;
-    }
-    // Key-major is a win when keys are few (constant tableaux are small in
-    // practice); with many distinct keys the per-tuple hash probe wins.
-    const MAX_KEYS_PER_GROUP: usize = 64;
-    if rules
-        .groups
-        .iter()
-        .any(|g| g.map.len() > MAX_KEYS_PER_GROUP)
-    {
-        return false;
-    }
-    let slots = rel.slot_count();
-    let words = slots.div_ceil(64);
-    // Live bitmask: dead slots keep stale ids and must never match.
-    let mut live = vec![0u64; words];
-    for id in rel.ids() {
-        live[id.index() >> 6] |= 1u64 << (id.index() & 63);
-    }
-    for g in &rules.groups {
-        if g.map.is_empty() {
-            continue;
-        }
-        let key_cols: Vec<&[ValueId]> = g.const_attrs.iter().map(|a| rel.column(*a)).collect();
-        // Eligibility: live ∧ every LHS column non-null (`NULL_ID` is slot
-        // 0 of the pool, so the null test is an integer compare with 0).
-        let mut eligible = live.clone();
-        for a in &g.lhs {
-            and_nonnull(rel.column(*a), &mut eligible);
-        }
-        // Sorted keys: map iteration order is seeded per process and must
-        // not reach the scan order.
-        let mut keys: Vec<&IdKey> = g.map.keys().collect();
-        keys.sort();
-        let mut hits: Vec<u32> = Vec::new();
-        for key in keys {
-            hits.clear();
-            let ks = key.as_slice();
-            match key_cols.split_first() {
-                // Degenerate all-wildcard-LHS group: every eligible slot
-                // fires the key.
-                None => collect_set_bits(&eligible, slots, &mut hits),
-                Some((first, rest)) => {
-                    scan_eq_masked(first, ks[0], &eligible, &mut hits);
-                    if !rest.is_empty() {
-                        hits.retain(|&s| {
-                            rest.iter()
-                                .zip(&ks[1..])
-                                .all(|(col, k)| col[s as usize] == *k)
-                        });
-                    }
-                }
-            }
-            if hits.is_empty() {
-                continue;
-            }
-            for r in &g.map[key] {
-                let rhs = rel.column(r.rhs_attr);
-                for &s in &hits {
-                    if !r.rhs.satisfied_by_id(rhs[s as usize]) {
-                        let id = TupleId(s);
-                        *report.per_tuple.entry(id).or_insert(0) += 1;
-                        report.per_cfd[r.id.index()].push(id);
-                        report.total += 1;
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Clear mask bits whose column slot holds `NULL_ID`, 8 lanes per step.
-fn and_nonnull(col: &[ValueId], mask: &mut [u64]) {
-    let mut nulls = 0u64;
-    let mut chunks = col.chunks_exact(8);
-    let mut i = 0usize;
-    for c in &mut chunks {
-        let m = u64::from(c[0].is_null())
-            | u64::from(c[1].is_null()) << 1
-            | u64::from(c[2].is_null()) << 2
-            | u64::from(c[3].is_null()) << 3
-            | u64::from(c[4].is_null()) << 4
-            | u64::from(c[5].is_null()) << 5
-            | u64::from(c[6].is_null()) << 6
-            | u64::from(c[7].is_null()) << 7;
-        nulls |= m << (i & 63);
-        i += 8;
-        if i & 63 == 0 {
-            mask[(i >> 6) - 1] &= !nulls;
-            nulls = 0;
-        }
-    }
-    for v in chunks.remainder() {
-        if v.is_null() {
-            nulls |= 1u64 << (i & 63);
-        }
-        i += 1;
-        if i & 63 == 0 {
-            mask[(i >> 6) - 1] &= !nulls;
-            nulls = 0;
-        }
-    }
-    if i & 63 != 0 {
-        mask[i >> 6] &= !nulls;
-    }
-}
-
-/// Append the slots where `col[slot] == key` and the mask bit is set,
-/// ascending. The compare runs 8 lanes per step; a chunk's packed hit
-/// byte is usually zero, so most iterations fall through branch-free.
-fn scan_eq_masked(col: &[ValueId], key: ValueId, mask: &[u64], hits: &mut Vec<u32>) {
-    let mut chunks = col.chunks_exact(8);
-    let mut base = 0usize;
-    for c in &mut chunks {
-        let mut m = u32::from(c[0] == key)
-            | u32::from(c[1] == key) << 1
-            | u32::from(c[2] == key) << 2
-            | u32::from(c[3] == key) << 3
-            | u32::from(c[4] == key) << 4
-            | u32::from(c[5] == key) << 5
-            | u32::from(c[6] == key) << 6
-            | u32::from(c[7] == key) << 7;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            let slot = base + lane;
-            if mask[slot >> 6] & (1u64 << (slot & 63)) != 0 {
-                hits.push(slot as u32);
-            }
-            m &= m - 1;
-        }
-        base += 8;
-    }
-    for (off, v) in chunks.remainder().iter().enumerate() {
-        let slot = base + off;
-        if *v == key && mask[slot >> 6] & (1u64 << (slot & 63)) != 0 {
-            hits.push(slot as u32);
-        }
-    }
-}
-
-/// Append every set bit of `mask` below `slots`, ascending.
-fn collect_set_bits(mask: &[u64], slots: usize, hits: &mut Vec<u32>) {
-    for (w, &word) in mask.iter().enumerate() {
-        let mut m = word;
-        while m != 0 {
-            let slot = (w << 6) + m.trailing_zeros() as usize;
-            if slot < slots {
-                hits.push(slot as u32);
-            }
-            m &= m - 1;
         }
     }
 }
@@ -717,31 +529,6 @@ fn detect_inner(
     // Constant rules: one indexed pass over the tuples.
     constant_scan(rel, rules, &mut report);
     variable_scan(rel, sigma, indexes, variable_ids, &mut report);
-    for ids in &mut report.per_cfd {
-        ids.sort();
-        ids.dedup();
-    }
-    report
-}
-
-/// The constant-rule pass alone, with an explicit kernel choice — the
-/// bench and differential-test entry point. `simd == true` runs the
-/// vectorized key-major scan (falling back to scalar where the arity or
-/// key cardinality rules it out); `false` forces the scalar reference. `per_cfd` comes back sorted + deduped like
-/// [`detect_with_engine`] leaves it, so reports compare with `==`.
-pub fn constant_scan_with_kernel(
-    rel: &Relation,
-    sigma: &Sigma,
-    engine: &Engine<'_>,
-    simd: bool,
-) -> ViolationReport {
-    let mut report = ViolationReport {
-        per_cfd: vec![Vec::new(); sigma.len()],
-        ..Default::default()
-    };
-    if !(simd && constant_scan_simd(rel, &engine.rules, &mut report)) {
-        constant_scan_columnar(rel, &engine.rules, &mut report);
-    }
     for ids in &mut report.per_cfd {
         ids.sort();
         ids.dedup();
@@ -937,37 +724,6 @@ mod tests {
         assert_eq!(report.vio(TupleId(1)), 0);
         assert_eq!(report.dirty_tuples(), vec![TupleId(2), TupleId(3)]);
         assert!(!check(&rel, &sigma));
-    }
-
-    #[test]
-    fn simd_constant_scan_matches_scalar() {
-        let (mut rel, sigma) = fig1();
-        // Stress the mask logic: a null among the LHS (rule inapplicable),
-        // a null RHS (satisfies any constant pattern), and a dead slot
-        // whose stale column ids must never match.
-        let mut t_null_lhs = Tuple::from_iter([
-            "a99", "N. Null", "1.00", "212", "1112223", "Pine", "NYC", "NY", "10012",
-        ]);
-        t_null_lhs.set_value(AttrId(8), Value::Null); // zip null → ϕ2 off
-        rel.insert(t_null_lhs).unwrap();
-        let mut t_null_rhs = Tuple::from_iter([
-            "a77", "R. Null", "2.00", "610", "9998887", "Oak", "PHI", "PA", "19014",
-        ]);
-        t_null_rhs.set_value(AttrId(6), Value::Null); // CT null satisfies
-        rel.insert(t_null_rhs).unwrap();
-        let dead = rel
-            .insert(Tuple::from_iter([
-                "a55", "D. Gone", "3.00", "212", "4445556", "Elm", "PHI", "PA", "10012",
-            ]))
-            .unwrap();
-        rel.delete(dead).unwrap();
-        let engine = Engine::build(&rel, &sigma);
-        let scalar = constant_scan_with_kernel(&rel, &sigma, &engine, false);
-        let simd = constant_scan_with_kernel(&rel, &sigma, &engine, true);
-        assert_eq!(simd, scalar);
-        assert!(scalar.total > 0, "fixture must exercise real hits");
-        // The dead tuple's stale ids must not resurface.
-        assert_eq!(simd.vio(dead), 0);
     }
 
     #[test]

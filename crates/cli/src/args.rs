@@ -121,10 +121,16 @@ mod tests {
 
     #[test]
     fn parses_values_and_switches() {
-        let a = Args::parse(&["--data", "x.csv", "--stats"], &["stats"]).unwrap();
-        assert_eq!(a.require("data").unwrap(), "x.csv");
-        assert!(a.switch("stats"));
-        assert!(a.reject_unknown().is_ok());
+        // A switch takes no value, so a flag after it still parses.
+        for argv in [
+            ["--data", "x.csv", "--stats"],
+            ["--stats", "--data", "x.csv"],
+        ] {
+            let a = Args::parse(&argv, &["stats"]).unwrap();
+            assert_eq!(a.require("data").unwrap(), "x.csv");
+            assert!(a.switch("stats"));
+            assert!(a.reject_unknown().is_ok());
+        }
     }
 
     #[test]

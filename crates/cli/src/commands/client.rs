@@ -21,7 +21,7 @@ pub const USAGE: &str = "cfdclean client <op> (--tcp ADDR | --unix PATH) [flags]
     open-snapshot  --name N [--as NAME]
     detect         --name N [--limit N]
     repair         --name N --out R.csv [--algorithm batch|v-inc|w-inc|l-inc]
-                   [--pick global|dependency] [--k N] [--no-simd]
+                   [--pick global|dependency] [--k N]
                    [--emit-edits E.cfde] [--stats]
     insert         --name N --updates U.csv --out M.csv
                    [--weights W.csv] [--ordering v|w|l] [--k N]
@@ -123,11 +123,6 @@ pub fn run(op: &str, args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 algorithm: args.get("algorithm").unwrap_or("batch").to_string(),
                 pick: args.get("pick").unwrap_or("global").to_string(),
                 k: args.get_parsed("k", 2u32)?,
-                simd: if args.switch("no-simd") {
-                    Some(false)
-                } else {
-                    None
-                },
             };
             let mut paths = vec![out_path];
             if let Some(e) = &emit_edits {

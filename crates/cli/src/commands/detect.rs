@@ -14,23 +14,17 @@ use cfdclean::DatasetHandle;
 use crate::args::Args;
 use crate::io::{load_relation, read_rules_text, CliError};
 
-pub const USAGE: &str = "cfdclean detect --data D.csv --rules R.cfd [--limit N] [--no-simd]
+pub const USAGE: &str = "cfdclean detect --data D.csv --rules R.cfd [--limit N]
   Report which tuples violate which CFDs.
     --data     CSV file (header = attribute names)
     --rules    CFD rule file (see `cfdclean help rules`)
-    --limit    max violating tuples to list per CFD (default 5)
-    --no-simd  force the scalar reference detection scan (equivalent to
-               CFD_SIMD=0); the report is identical either way";
+    --limit    max violating tuples to list per CFD (default 5)";
 
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let data = args.require("data")?.to_string();
     let rules = args.require("rules")?.to_string();
     let limit: usize = args.get_parsed("limit", 5)?;
-    let no_simd = args.switch("no-simd");
     args.reject_unknown()?;
-    if no_simd {
-        cfd_model::force_simd(false);
-    }
 
     let rel = load_relation(Path::new(&data))?;
     let name = rel.schema().name().to_string();

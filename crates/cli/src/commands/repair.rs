@@ -24,7 +24,7 @@ use crate::io::{
 pub const USAGE: &str = "cfdclean repair (--data D.csv | --snapshot NAME --catalog DIR)
                 --out REPAIRED.csv [--rules R.cfd]
                 [--weights W.csv] [--algorithm batch|v-inc|w-inc|l-inc]
-                [--pick global|dependency] [--k N] [--no-simd]
+                [--pick global|dependency] [--k N]
                 [--emit-edits E.cfde | --apply-edits E.cfde] [--stats]
   Compute a repair of the input satisfying the rules.
     --data        dirty CSV file
@@ -38,9 +38,6 @@ pub const USAGE: &str = "cfdclean repair (--data D.csv | --snapshot NAME --catal
     --algorithm   batch (default) or an IncRepair ordering
     --pick        BatchRepair PICKNEXT strategy (default global)
     --k           IncRepair attribute-set size (default 2)
-    --no-simd     force the scalar reference kernels for distance pricing
-                  and detection scans (equivalent to CFD_SIMD=0); repairs
-                  are byte-identical with the kernels on or off
     --emit-edits  also write the repair as an id-level edit log, replayable
                   with --apply-edits against the same input
     --apply-edits replay a previously emitted edit log instead of running
@@ -61,13 +58,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let emit_edits = args.get("emit-edits").map(str::to_string);
     let apply_edits = args.get("apply-edits").map(str::to_string);
     let stats = args.switch("stats");
-    let no_simd = args.switch("no-simd");
     args.reject_unknown()?;
-    if no_simd {
-        // First resolution wins, so force the switch before any kernel
-        // runs — same effect as launching with CFD_SIMD=0.
-        cfd_model::force_simd(false);
-    }
 
     if emit_edits.is_some() && apply_edits.is_some() {
         return Err("--emit-edits and --apply-edits are mutually exclusive".into());
@@ -79,13 +70,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let pick: PickStrategy = pick
         .parse()
         .map_err(|_| format!("unknown --pick {pick:?}"))?;
-    let mut opts = RepairOptions::new().algorithm(algorithm).pick(pick).k(k);
-    if no_simd {
-        // Explicit override in addition to force_simd: if a loaded
-        // library already resolved the process switch, the per-call
-        // config still wins.
-        opts = opts.simd(false);
-    }
+    let opts = RepairOptions::new().algorithm(algorithm).pick(pick).k(k);
 
     // The input: a CSV file or a catalog snapshot (which may carry its
     // own rules).

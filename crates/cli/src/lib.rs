@@ -74,14 +74,14 @@ pub fn dispatch<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), Cl
         }
         "detect" => run_cmd(
             rest,
-            &["no-simd"],
+            &[],
             out,
             commands::detect::run,
             commands::detect::USAGE,
         ),
         "repair" => run_cmd(
             rest,
-            &["stats", "no-simd"],
+            &["stats"],
             out,
             commands::repair::run,
             commands::repair::USAGE,
@@ -137,8 +137,8 @@ pub fn dispatch<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), Cl
                 return Err(usage_for(commands::client::USAGE));
             };
             let usage = commands::client::USAGE;
-            let args = args::Args::parse(&rest[1..], &["no-simd", "stats"])
-                .map_err(|e| format!("{e}\n\n{usage}"))?;
+            let args =
+                args::Args::parse(&rest[1..], &["stats"]).map_err(|e| format!("{e}\n\n{usage}"))?;
             commands::client::run(op, &args, out).map_err(|e| format!("{e}\n\n{usage}").into())
         }
         "help" => {

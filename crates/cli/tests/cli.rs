@@ -110,12 +110,13 @@ fn repair_produces_a_clean_file() {
 
 #[test]
 fn speculate_flag_is_rejected_as_unknown() {
-    // BATCHREPAIR has one serial resolution loop; neither `--speculate`
-    // nor `--threads` is a flag of `repair` or `client repair`, and
-    // neither help text lists them.
+    // BATCHREPAIR has one serial resolution loop and each kernel one
+    // implementation: none of `--speculate`, `--threads` and `--no-simd`
+    // is a flag of `repair`, `client repair` or `detect`, and no help
+    // text lists them.
     let s = Scratch::new("speculate-unknown");
     generate_workload(&s, 200);
-    for flag in ["speculate", "threads"] {
+    for flag in ["speculate", "threads", "no-simd"] {
         let retired = format!("--{flag}");
         let repair = [
             "repair",
@@ -141,8 +142,17 @@ fn speculate_flag_is_rejected_as_unknown() {
             &retired,
             "4",
         ];
+        let detect = [
+            "detect",
+            "--data",
+            &s.path("dirty.csv"),
+            "--rules",
+            &s.path("rules.cfd"),
+            &retired,
+            "4",
+        ];
         let expected = format!("unknown flag {retired}");
-        for argv in [&repair[..], &client[..]] {
+        for argv in [&repair[..], &client[..], &detect[..]] {
             let err = run(argv).unwrap_err();
             assert!(err.contains(&expected), "{err}");
             let status = std::process::Command::new(env!("CARGO_BIN_EXE_cfdclean"))
@@ -153,63 +163,12 @@ fn speculate_flag_is_rejected_as_unknown() {
             let stderr = String::from_utf8_lossy(&status.stderr);
             assert!(stderr.contains(&expected), "{stderr}");
         }
-        for command in ["repair", "client"] {
+        for command in ["repair", "client", "detect"] {
             let usage = run(&[command]).unwrap_err();
             assert!(!usage.contains(flag), "{command} help: {usage}");
         }
     }
     assert!(!std::path::Path::new(&s.path("repaired.csv")).exists());
-}
-
-#[test]
-fn no_simd_is_a_switch_and_composes_with_later_flags() {
-    // --no-simd takes no value; flags after it must still parse. The
-    // scalar-kernel repair must write the same bytes as the default, and
-    // --stats after --no-simd must still print its counters.
-    let s = Scratch::new("no-simd-switch");
-    generate_workload(&s, 400);
-    let repair_with = |file: &str, extra: &[&str]| -> String {
-        let mut argv = [
-            "repair",
-            "--data",
-            &s.path("dirty.csv"),
-            "--rules",
-            &s.path("rules.cfd"),
-            "--weights",
-            &s.path("dirty_weights.csv"),
-            "--out",
-            &s.path(file),
-        ]
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>();
-        argv.extend(extra.iter().map(|a| a.to_string()));
-        let argv: Vec<&str> = argv.iter().map(|a| a.as_str()).collect();
-        run(&argv).unwrap()
-    };
-    repair_with("default.csv", &[]);
-    let out = repair_with("scalar.csv", &["--no-simd", "--stats"]);
-    assert!(
-        out.contains("steps") && out.contains("merges"),
-        "--stats after --no-simd should print counters: {out}"
-    );
-    assert_eq!(
-        std::fs::read(s.path("default.csv")).unwrap(),
-        std::fs::read(s.path("scalar.csv")).unwrap(),
-        "scalar kernels diverged from the simd default"
-    );
-    let out = run(&[
-        "detect",
-        "--data",
-        &s.path("dirty.csv"),
-        "--rules",
-        &s.path("rules.cfd"),
-        "--no-simd",
-        "--limit",
-        "3",
-    ])
-    .unwrap();
-    assert!(out.contains("violation"), "{out}");
 }
 
 #[test]

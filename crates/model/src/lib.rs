@@ -69,7 +69,6 @@ pub mod mapping;
 pub mod pool;
 pub mod relation;
 pub mod schema;
-pub mod simd;
 pub mod snapshot;
 pub mod storage;
 pub mod tuple;
@@ -83,8 +82,15 @@ pub use mapping::{Mapping, MappingCache};
 pub use pool::{Rendered, ValueId, ValuePool, NULL_ID};
 pub use relation::{Relation, TupleId};
 pub use schema::{AttrId, Schema};
-pub use simd::{force_simd, simd_enabled};
 pub use snapshot::{Catalog, LoadedSnapshot, SegmentInfo, SnapshotError, SnapshotInfo};
 pub use storage::{ColumnStore, IdColumn, RowRef};
 pub use tuple::{Tuple, TupleView};
 pub use value::Value;
+
+/// Always `true`: the bit-parallel distance kernel and the columnar
+/// constant scan are the only runtime kernels. Kept for `perfbench`
+/// (`perfbench/src/main.rs`), which records it in its run metadata.
+#[doc(hidden)]
+pub fn simd_enabled() -> bool {
+    true
+}

@@ -123,12 +123,6 @@ pub struct BatchConfig {
     pub findv_candidates: usize,
     /// Free/free merge winner selection; defaults to group majority.
     pub merge_pricing: MergePricing,
-    /// Kernel selection for distance pricing: `Some(true)` forces the
-    /// bit-parallel kernel, `Some(false)` the scalar reference, `None`
-    /// (the default) follows the process-wide [`cfd_model::simd_enabled`]
-    /// switch. Repairs are byte-identical either way — this exists so the
-    /// differential suite can run both kernels in one process.
-    pub simd: Option<bool>,
 }
 
 impl Default for BatchConfig {
@@ -137,16 +131,7 @@ impl Default for BatchConfig {
             pick: PickStrategy::GlobalBest,
             findv_candidates: 32,
             merge_pricing: MergePricing::GroupMajority,
-            simd: None,
         }
-    }
-}
-
-impl BatchConfig {
-    /// The effective kernel choice: the explicit override, or the
-    /// process-wide `CFD_SIMD` resolution.
-    fn bitparallel(&self) -> bool {
-        self.simd.unwrap_or_else(cfd_model::simd_enabled)
     }
 }
 
@@ -446,7 +431,7 @@ impl BatchSeed {
             variable_ids,
         } = parts;
         let census = GroupCensus::from_indexes(d, &shard::variable_shapes(sigma), &indexes);
-        let dcache = DistanceCache::for_pool(d.pool().clone(), config.bitparallel());
+        let dcache = DistanceCache::for_pool(d.pool().clone());
         let mut fixed = Fixed {
             config,
             rules,

@@ -101,15 +101,15 @@ pub(crate) fn char_count(s: &str) -> usize {
     }
 }
 
-/// DL distance between two strings (character-based). Dispatches to the
-/// bit-parallel kernel when enabled ([`cfd_model::simd_enabled`]); the
-/// scalar reference is always available as [`dl_distance_reference`].
+/// DL distance between two strings (character-based), through the
+/// bit-parallel kernel ([`TargetPricer`]); [`dl_distance_reference`] is
+/// its scalar oracle.
 pub fn dl_distance(a: &str, b: &str) -> usize {
     TargetPricer::new(a).distance(b)
 }
 
-/// The scalar reference kernel on strings, regardless of `CFD_SIMD` —
-/// what the differential suites and benches compare against.
+/// The scalar reference kernel on strings — the oracle the kernel
+/// property tests and benches compare against.
 pub fn dl_distance_reference(a: &str, b: &str) -> usize {
     let ac: Vec<char> = a.chars().collect();
     let bc: Vec<char> = b.chars().collect();
@@ -143,24 +143,6 @@ pub fn normalized_distance(v: &Value, w: &Value) -> f64 {
     dl_distance(&a, &b) as f64 / max_len as f64
 }
 
-/// [`normalized_distance`] on interned ids, resolving through the
-/// process-default shared pool (compatibility shim; pool-scoped code
-/// uses [`normalized_distance_ids_in`] or a [`DistanceCache`] built with
-/// [`DistanceCache::for_pool`]). Equal ids short-circuit to 0 without
-/// resolving.
-pub fn normalized_distance_ids(a: ValueId, b: ValueId) -> f64 {
-    normalized_distance_ids_in(a, b, &ValuePool::shared())
-}
-
-/// [`normalized_distance`] on interned ids, resolving through `pool`.
-/// Equal ids short-circuit to 0 without resolving.
-pub fn normalized_distance_ids_in(a: ValueId, b: ValueId, pool: &ValuePool) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    normalized_distance(&pool.resolve(a), &pool.resolve(b))
-}
-
 /// Memoized `dis(v, v') / max(|v|, |v'|)` over interned id pairs.
 ///
 /// The repair loops price the same few conflicting values against the
@@ -174,41 +156,17 @@ pub struct DistanceCache {
     /// FNV-hashed memo: the keys are small fixed-width id pairs from the
     /// interner, exactly what FNV is good at and SipHash wasteful for.
     memo: FnvMap<(ValueId, ValueId), f64>,
-    /// Kernel choice for misses; resolved from [`cfd_model::simd_enabled`]
-    /// by [`DistanceCache::new`], overridable per cache for the in-process
-    /// SIMD-on/off differential.
-    bitparallel: bool,
     /// The pool ids resolve through on a miss — the owning dataset's
     /// pool, so memoized distances (and the cached renders behind them)
     /// die with the dataset instead of accreting process-wide.
     pool: Arc<ValuePool>,
 }
 
-impl Default for DistanceCache {
-    fn default() -> Self {
-        DistanceCache::new()
-    }
-}
-
 impl DistanceCache {
-    /// An empty cache on the process-default shared pool with the
-    /// process-wide kernel selection (compatibility shim; repair paths
-    /// use [`DistanceCache::for_pool`] with the dataset's pool).
-    pub fn new() -> Self {
-        DistanceCache::with_kernel(cfd_model::simd_enabled())
-    }
-
-    /// An empty shared-pool cache with an explicit kernel choice
-    /// (`false` forces the scalar reference on every miss).
-    pub fn with_kernel(bitparallel: bool) -> Self {
-        DistanceCache::for_pool(ValuePool::shared(), bitparallel)
-    }
-
     /// An empty cache whose ids resolve through `pool`.
-    pub fn for_pool(pool: Arc<ValuePool>, bitparallel: bool) -> Self {
+    pub fn for_pool(pool: Arc<ValuePool>) -> Self {
         DistanceCache {
             memo: FnvMap::default(),
-            bitparallel,
             pool,
         }
     }
@@ -234,7 +192,7 @@ impl DistanceCache {
         let d = if max_len == 0 {
             0.0
         } else {
-            let dis = TargetPricer::with_kernel(&ra.text, self.bitparallel).distance(&rb.text);
+            let dis = TargetPricer::new(&ra.text).distance(&rb.text);
             dis as f64 / max_len as f64
         };
         self.memo.insert(key, d);
@@ -266,7 +224,7 @@ impl DistanceCache {
         }
         let pool = &self.pool;
         let rt = pool.rendered(target);
-        let pricer = TargetPricer::with_kernel(&rt.text, self.bitparallel);
+        let pricer = TargetPricer::new(&rt.text);
         let ids: Vec<ValueId> = misses.iter().map(|&(_, c)| c).collect();
         let rendered = pool.rendered_batch(&ids);
         for (&(i, c), rc) in misses.iter().zip(rendered.iter()) {
@@ -398,36 +356,24 @@ mod tests {
     }
 
     #[test]
-    fn id_distance_matches_value_distance() {
-        for (a, b) in [("PHI", "NYC"), ("10012", "19014"), ("", "abc"), ("x", "x")] {
-            let (va, vb) = (Value::str(a), Value::str(b));
-            let (ia, ib) = (ValueId::of(&va), ValueId::of(&vb));
-            assert_eq!(
-                normalized_distance_ids(ia, ib),
-                normalized_distance(&va, &vb)
-            );
-        }
-    }
-
-    #[test]
     fn cache_memoizes_and_agrees() {
-        let mut cache = DistanceCache::new();
+        let pool = ValuePool::new_handle();
+        let mut cache = DistanceCache::for_pool(Arc::clone(&pool));
         let words = ["walnut", "walnot", "spruce", ""];
-        let ids: Vec<ValueId> = words.iter().map(|w| ValueId::of(&Value::str(*w))).collect();
-        for (i, a) in ids.iter().enumerate() {
+        let ids: Vec<ValueId> = words.iter().map(|w| pool.intern(&Value::str(*w))).collect();
+        for a in &ids {
             for b in &ids {
                 let got = cache.normalized(*a, *b);
-                let want = normalized_distance(&a.value(), &b.value());
+                let want = normalized_distance(&pool.resolve(*a), &pool.resolve(*b));
                 assert_eq!(got, want, "{a} vs {b}");
                 // symmetry through the shared key
                 assert_eq!(cache.normalized(*b, *a), got);
-                let _ = i;
             }
         }
         // 4 values → at most C(4,2) = 6 off-diagonal pairs memoized
         assert!(cache.len() <= 6);
         // null resolves to the empty rendering: distance 1 to non-empty
-        let nyc = ValueId::of(&Value::str("NYC"));
+        let nyc = pool.intern(&Value::str("NYC"));
         assert_eq!(cache.normalized(cfd_model::NULL_ID, nyc), 1.0);
     }
 }

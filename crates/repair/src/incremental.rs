@@ -90,10 +90,6 @@ pub struct IncConfig {
     /// of applying certain fixes of equal edit distance. 2.0 makes certain
     /// values strictly preferred whenever one exists at comparable cost.
     pub null_cost_factor: f64,
-    /// Distance-kernel override, mirroring [`crate::BatchConfig::simd`]:
-    /// `None` follows the process-wide `CFD_SIMD` switch. Repairs are
-    /// byte-identical either way.
-    pub simd: Option<bool>,
 }
 
 impl Default for IncConfig {
@@ -106,7 +102,6 @@ impl Default for IncConfig {
             restrict_to_failing: true,
             vio_penalty: 0.5,
             null_cost_factor: 2.0,
-            simd: None,
         }
     }
 }
@@ -235,7 +230,7 @@ impl<'a> IncState<'a> {
             lhs: LhsIndexes::build(&active_view, rules.sigma),
             adom: ActiveDomain::of_relation(&active_view),
             vidx: vec![None; work.schema().arity()],
-            dcache: fresh_dcache(&work, &config),
+            dcache: DistanceCache::for_pool(work.pool().clone()),
             work,
         };
         Ok(IncState::resume(parts, rules, config))
@@ -772,14 +767,6 @@ fn combinations(items: &[AttrId], k: usize) -> Vec<Vec<AttrId>> {
             }
         }
     }
-}
-
-/// A distance memo bound to `work`'s pool, with the configured kernel.
-pub(crate) fn fresh_dcache(work: &Relation, config: &IncConfig) -> DistanceCache {
-    DistanceCache::for_pool(
-        work.pool().clone(),
-        config.simd.unwrap_or_else(cfd_model::simd_enabled),
-    )
 }
 
 /// Run `INCREPAIR` (Fig. 6): insert `delta` into the clean `d`, repairing

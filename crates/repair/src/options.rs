@@ -2,13 +2,11 @@
 //!
 //! Callers that expose both algorithms behind one switch (the CLI
 //! `repair` command, the `cfd-server` daemon) map user-facing flags onto
-//! the *shared* determinism axes — algorithm, picker, `k`,
-//! distance-kernel override — once, here, and lower them to either
-//! algorithm's config via [`RepairOptions::batch_config`] /
-//! [`RepairOptions::inc_config`]. Both algorithms are serial, so no
-//! setting takes a thread count. (`CFD_SIMD` is process-wide kernel
-//! selection and stays with [`cfd_model::simd_enabled`]; `simd(bool)`
-//! here is the per-call override threaded into the configs.)
+//! the *shared* determinism axes — algorithm, picker, `k` — once, here,
+//! and lower them to either algorithm's config via
+//! [`RepairOptions::batch_config`] / [`RepairOptions::inc_config`]. Both
+//! algorithms are serial, so no setting takes a thread count, and each
+//! runs one distance kernel, so no setting picks one.
 //!
 //! [`BatchConfig`] and [`IncConfig`] stay public — construct them
 //! directly only when poking fields `RepairOptions` deliberately does
@@ -96,7 +94,6 @@ pub struct RepairOptions {
     algorithm: Algorithm,
     pick: PickStrategy,
     k: usize,
-    simd: Option<bool>,
 }
 
 impl Default for RepairOptions {
@@ -105,14 +102,12 @@ impl Default for RepairOptions {
             algorithm: Algorithm::Batch,
             pick: PickStrategy::GlobalBest,
             k: 1,
-            simd: None,
         }
     }
 }
 
 impl RepairOptions {
-    /// Batch algorithm, global-best picker, `k = 1`, everything else
-    /// deferred to the environment.
+    /// Batch algorithm, global-best picker, `k = 1`.
     pub fn new() -> Self {
         RepairOptions::default()
     }
@@ -135,14 +130,6 @@ impl RepairOptions {
         self
     }
 
-    /// Distance-kernel override: `true` forces the bit-parallel kernel,
-    /// `false` the scalar reference. Unset follows the process-wide
-    /// [`cfd_model::simd_enabled`] switch. Byte-identical either way.
-    pub fn simd(mut self, on: bool) -> Self {
-        self.simd = Some(on);
-        self
-    }
-
     /// The selected algorithm.
     pub fn algorithm_choice(&self) -> Algorithm {
         self.algorithm
@@ -156,11 +143,6 @@ impl RepairOptions {
     /// The selected `k`.
     pub fn k_choice(&self) -> usize {
         self.k
-    }
-
-    /// The explicit kernel override, if any.
-    pub fn simd_override(&self) -> Option<bool> {
-        self.simd
     }
 
     /// Always [`Parallelism`]'s single thread: `perfbench` still records
@@ -181,7 +163,6 @@ impl RepairOptions {
     pub fn batch_config(&self) -> BatchConfig {
         BatchConfig {
             pick: self.pick,
-            simd: self.simd,
             ..BatchConfig::default()
         }
     }
@@ -196,7 +177,6 @@ impl RepairOptions {
         IncConfig {
             k: self.k,
             ordering,
-            simd: self.simd,
             ..IncConfig::default()
         }
     }
@@ -226,15 +206,12 @@ mod tests {
         let opts = RepairOptions::new()
             .algorithm(Algorithm::Incremental(Ordering::Weight))
             .pick(PickStrategy::DependencyOrdered)
-            .k(3)
-            .simd(false);
+            .k(3);
         let b = opts.batch_config();
         assert_eq!(b.pick, PickStrategy::DependencyOrdered);
-        assert_eq!(b.simd, Some(false));
         let i = opts.inc_config();
         assert_eq!(i.k, 3);
         assert_eq!(i.ordering, Ordering::Weight);
-        assert_eq!(i.simd, Some(false));
     }
 
     #[test]
@@ -242,7 +219,6 @@ mod tests {
         let opts = RepairOptions::new();
         assert_eq!(opts.speculation(), 0);
         assert_eq!(opts.parallelism().get(), 1);
-        assert_eq!(opts.simd_override(), None);
         assert_eq!(RepairOptions::new().k(0).k_choice(), 1);
     }
 }

@@ -49,12 +49,11 @@
 //!
 //! The cost model is `dis(v, v') / max(|v|, |v'|)` with integer `dis`.
 //! The kernel returns the same integer distances as the scalar reference
-//! (pinned by the differential suites), the normalizer is the same cached
-//! character count, and one IEEE division of equal integers is bit-exact —
-//! so every price, every `(residual, cost)` comparison, and every
-//! use-count tie-break in `FINDV` is byte-identical with the kernel on or
-//! off (`CFD_SIMD`, CLI `--no-simd`). The bounded variant is equally
-//! exact: it returns `Some(d)` iff the true distance `d ≤ cutoff`, like
+//! (pinned by `tests/distance_kernel_oracle.rs`), the normalizer is the
+//! same cached character count, and one IEEE division of equal integers
+//! is bit-exact — so every price, every `(residual, cost)` comparison,
+//! and every use-count tie-break in `FINDV` is the one the reference
+//! kernel would give. The bounded variant is equally exact: it returns `Some(d)` iff the true distance `d ≤ cutoff`, like
 //! [`crate::distance::dl_distance_bounded`].
 
 use crate::distance::{osa_bounded_reference, osa_reference};
@@ -69,8 +68,8 @@ enum Masks {
     Ascii(Box<[u64; 256]>),
     /// Non-ASCII target, ≤ 64 chars: sorted `(char, mask)` pairs.
     Chars(Vec<(char, u64)>),
-    /// Target longer than 64 chars, or the scalar kernel was forced:
-    /// keep the collected chars for the reference DP.
+    /// Target longer than 64 chars: keep the collected chars for the
+    /// reference DP.
     Scalar(Vec<char>),
 }
 
@@ -83,24 +82,9 @@ pub struct TargetPricer {
 }
 
 impl TargetPricer {
-    /// Prepare `target`, selecting the kernel from the process-wide
-    /// [`cfd_model::simd_enabled`] switch.
+    /// Prepare `target`: the bit-parallel kernel for targets of at most
+    /// [`MAX_PATTERN_CHARS`] characters, the scalar reference past that.
     pub fn new(target: &str) -> Self {
-        Self::with_kernel(target, cfd_model::simd_enabled())
-    }
-
-    /// Prepare `target` with an explicit kernel choice: `true` for the
-    /// bit-parallel kernel (scalar fallback past 64 chars), `false` to
-    /// force the scalar reference throughout (the `CFD_SIMD=0` path).
-    pub fn with_kernel(target: &str, bitparallel: bool) -> Self {
-        if !bitparallel {
-            let chars: Vec<char> = target.chars().collect();
-            let m = chars.len();
-            return TargetPricer {
-                masks: Masks::Scalar(chars),
-                m,
-            };
-        }
         if target.is_ascii() {
             let m = target.len();
             if m <= MAX_PATTERN_CHARS {
@@ -313,20 +297,14 @@ mod tests {
 
     fn assert_pair(a: &str, b: &str) {
         let want = reference(a, b);
-        for bitparallel in [true, false] {
-            let p = TargetPricer::with_kernel(a, bitparallel);
-            assert_eq!(
-                p.distance(b),
-                want,
-                "kernel(bp={bitparallel}) {a:?} vs {b:?}"
-            );
-            for cutoff in 0..=want + 2 {
-                let got = p.distance_bounded(b, cutoff);
-                if want <= cutoff {
-                    assert_eq!(got, Some(want), "bounded {a:?} {b:?} cutoff {cutoff}");
-                } else {
-                    assert_eq!(got, None, "bounded {a:?} {b:?} cutoff {cutoff}");
-                }
+        let p = TargetPricer::new(a);
+        assert_eq!(p.distance(b), want, "{a:?} vs {b:?}");
+        for cutoff in 0..=want + 2 {
+            let got = p.distance_bounded(b, cutoff);
+            if want <= cutoff {
+                assert_eq!(got, Some(want), "bounded {a:?} {b:?} cutoff {cutoff}");
+            } else {
+                assert_eq!(got, None, "bounded {a:?} {b:?} cutoff {cutoff}");
             }
         }
     }
@@ -365,7 +343,7 @@ mod tests {
             frontier = next;
         }
         for a in &words {
-            let p = TargetPricer::with_kernel(a, true);
+            let p = TargetPricer::new(a);
             for b in &words {
                 assert_eq!(p.distance(b), reference(a, b), "{a:?} vs {b:?}");
             }

@@ -70,8 +70,9 @@ use cfd_cfd::Sigma;
 use cfd_model::{ActiveDomain, Relation, Tuple, TupleId, ValueId};
 
 use crate::cluster::ValueIndex;
+use crate::distance::DistanceCache;
 use crate::incremental::{
-    fresh_dcache, IncConfig, IncOutcome, IncState, IncStats, OwnedRules, ResidentParts, Rules,
+    IncConfig, IncOutcome, IncState, IncStats, OwnedRules, ResidentParts, Rules,
 };
 use crate::lhs_index::LhsIndexes;
 use crate::RepairError;
@@ -140,7 +141,7 @@ impl InsertRepairer {
         config: IncConfig,
     ) -> Result<DeltaRepair, RepairError> {
         let rules = Rules::new(sigma, &parts.rules, &parts.variable_ids);
-        let run = Run::start(self.take_parts(base, &config), delta, rules, config);
+        let run = Run::start(self.take_parts(base), delta, rules, config);
         let clean = run.failed.is_none() && run.state.all_clean(&run.delta_ids);
         debug_assert!(
             run.failed.is_some() || clean == cfd_cfd::check(&run.state.work, sigma),
@@ -176,12 +177,7 @@ impl InsertRepairer {
         config: IncConfig,
     ) -> Result<IncOutcome, RepairError> {
         let rules = OwnedRules::build(sigma);
-        let run = Run::start(
-            self.take_parts(base, &config),
-            delta,
-            rules.view(sigma),
-            config,
-        );
+        let run = Run::start(self.take_parts(base), delta, rules.view(sigma), config);
         match run.failed {
             Some(e) => Err(e),
             None => Ok(IncOutcome {
@@ -214,9 +210,9 @@ impl InsertRepairer {
 
     /// Move this state and a copy-on-write clone of `base` into one
     /// `ResidentParts`, with a fresh distance memo.
-    fn take_parts(&mut self, base: &Relation, config: &IncConfig) -> ResidentParts {
+    fn take_parts(&mut self, base: &Relation) -> ResidentParts {
         ResidentParts {
-            dcache: fresh_dcache(base, config),
+            dcache: DistanceCache::for_pool(base.pool().clone()),
             work: base.clone(),
             lhs: std::mem::take(&mut self.lhs),
             adom: std::mem::take(&mut self.adom),
@@ -493,6 +489,73 @@ mod tests {
         let after = r.footprint();
         assert_eq!(after.value_index_len, vec![Some(2), Some(2)]);
         assert_eq!(after.memo_keys, vec![vec![k0], vec![]]);
+    }
+
+    /// Mid-request, each built value index holds the values ΔD activated
+    /// as added ids, and its answers equal the naive scan over the same
+    /// contents: base probes (memo hits merged with the added bands) and
+    /// ΔD-only probes (full scans) alike. One repairer serves several
+    /// requests, so memos built in one request answer the next.
+    #[test]
+    fn nearest_matches_the_naive_scan_mid_request() {
+        use cfd_gen::{generate, inject, GenConfig, NoiseConfig};
+        use cfd_model::AttrId;
+        for seed in [1u64, 7] {
+            let w = generate(&GenConfig::sized(300, seed));
+            let base = w.dopt;
+            let sigma = w.sigma;
+            let parts = cfd_cfd::violation::Engine::build(&base, &sigma).to_parts();
+            let base_adom = ActiveDomain::of_relation(&base);
+            let mut r = InsertRepairer::new(&base, &sigma);
+            let (mut with_added, mut memo_hits) = (0, 0);
+            for request in 0..4u64 {
+                let fresh = generate(&GenConfig {
+                    n_tuples: 20,
+                    seed: seed * 100 + request,
+                    world: w.world.config.clone(),
+                });
+                let noise = NoiseConfig {
+                    rate: 1.0,
+                    seed: seed * 100 + request,
+                    ..Default::default()
+                };
+                let arrivals = inject(&fresh.dopt, &w.world, &noise).dirty;
+                let delta: Vec<Tuple> = arrivals.iter().map(|(_, t)| t.to_tuple()).collect();
+                // `InsertRepairer::repair`, with the checks between the
+                // run and its rollback.
+                let rules = Rules::new(&sigma, &parts.rules, &parts.variable_ids);
+                let run = Run::start(r.take_parts(&base), &delta, rules, IncConfig::default());
+                assert!(run.failed.is_none(), "seed {seed} request {request}");
+                let (mut mid, _) = run.state.suspend();
+                for (a, slot) in mid.vidx.iter_mut().enumerate() {
+                    let Some(idx) = slot else { continue };
+                    let attr = AttrId(a as u16);
+                    with_added += usize::from(idx.len() > base_adom.distinct(attr));
+                    let memo = idx.memo_keys();
+                    let mut probes: Vec<ValueId> =
+                        base_adom.ids(attr).map(|(id, _)| id).step_by(5).collect();
+                    probes.extend(delta.iter().map(|t| t.id(attr)));
+                    let repaired = mid.work.column(attr);
+                    probes.extend(run.delta_ids.iter().map(|id| repaired[id.index()]));
+                    for probe in probes.into_iter().filter(|p| !p.is_null()) {
+                        memo_hits += usize::from(memo.binary_search(&probe).is_ok());
+                        for k in [6, 3, 1] {
+                            assert_eq!(
+                                idx.nearest(probe, k),
+                                idx.nearest_naive(probe, k),
+                                "seed {seed} request {request} attr {a} probe {probe} k {k}"
+                            );
+                        }
+                    }
+                }
+                mid.roll_back(&run.order[..run.activated]);
+                r.lhs = mid.lhs;
+                r.adom = mid.adom;
+                r.vidx = mid.vidx;
+            }
+            assert!(with_added > 0, "seed {seed}: no index held ΔD values");
+            assert!(memo_hits > 0, "seed {seed}: no probe hit a carried memo");
+        }
     }
 
     fn rel_attr(r: &StreamRepairer, name: &str) -> cfd_model::AttrId {

@@ -7,7 +7,7 @@ use cfd_prng::{trials, ChaCha8Rng, Rng};
 
 use cfd_cfd::violation::check;
 use cfd_cfd::{Cfd, Sigma};
-use cfd_model::{AttrId, Relation, Schema, Tuple, Value, ValueId};
+use cfd_model::{AttrId, Relation, Schema, Tuple, Value, ValueId, ValuePool};
 use cfd_repair::cluster::ValueIndex;
 use cfd_repair::cost::{change_cost, change_cost_ids, class_assign_cost, tuple_cost};
 use cfd_repair::distance::{dl_distance, dl_distance_bounded, normalized_distance, DistanceCache};
@@ -68,11 +68,13 @@ fn cost_model_is_weighted_normalized_distance() {
         let c = change_cost(w, &va, &vb);
         assert!((c - w * nd).abs() < 1e-12);
         // the id-memoized form returns the identical cost
-        let mut cache = DistanceCache::new();
-        let ci = change_cost_ids(w, ValueId::of(&va), ValueId::of(&vb), &mut cache);
+        let pool = ValuePool::new_handle();
+        let (ia, ib) = (pool.intern(&va), pool.intern(&vb));
+        let mut cache = DistanceCache::for_pool(pool);
+        let ci = change_cost_ids(w, ia, ib, &mut cache);
         assert!((ci - c).abs() < 1e-12);
         // and again from the cache
-        let ci2 = change_cost_ids(w, ValueId::of(&va), ValueId::of(&vb), &mut cache);
+        let ci2 = change_cost_ids(w, ia, ib, &mut cache);
         assert_eq!(ci, ci2);
     });
 }

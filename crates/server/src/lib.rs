@@ -18,9 +18,8 @@
 //! ## Determinism
 //!
 //! A sequence of requests against a daemon produces **byte-identical**
-//! results to the equivalent sequence of one-shot CLI invocations, with
-//! the distance kernels on or off — repair CSVs, edit logs, violation
-//! reports, all of it (`tests/server_integration.rs` pins this). Two
+//! results to the equivalent sequence of one-shot CLI invocations —
+//! repair CSVs, edit logs, violation reports, all of it (`tests/server_integration.rs` pins this). Two
 //! properties carry the contract:
 //!
 //! * repairs never mutate the resident relation (they return fresh
@@ -89,7 +88,7 @@
 //! 0x03 OpenSnapshot  name:str
 //! 0x04 Detect        dataset:str limit:u32
 //! 0x05 Repair        dataset:str algorithm:str pick:str k:u32
-//!                    simd:opt<bool> want_edits:bool want_stats:bool
+//!                    want_edits:bool want_stats:bool
 //! 0x06 Insert        dataset:str csv:bytes weights:opt<bytes>
 //!                    ordering:u8 ('v'|'w'|'l') k:u32
 //! 0x07 SnapshotSave  dataset:str as_name:str
@@ -106,14 +105,14 @@
 //! ```
 //!
 //! `algorithm` is the CLI spelling (`batch`, `v-inc`, `w-inc`,
-//! `l-inc`); `pick` is `global` or `dependency`; an unset `simd`
-//! defers to the daemon's environment exactly as the CLI's unset
-//! `--no-simd` does. Repair is serial, so the frame carries no thread
-//! count. `Repair` frames in either retired layout — with a
-//! `threads:opt<u32>` between `k` and `simd`, or with that field plus a
-//! speculation-depth `opt<u32>` after it — are at least one byte longer
-//! than the current decoder reads, so they are rejected with a
-//! `Protocol` error (trailing bytes or a bad tag), never misread.
+//! `l-inc`); `pick` is `global` or `dependency`. Repair is serial and
+//! runs one distance kernel, so the frame carries neither a thread count
+//! nor a kernel choice. `Repair` frames in any retired layout — with a
+//! `simd:opt<bool>` after `k`, with a `threads:opt<u32>` ahead of it, or
+//! with those plus a speculation-depth `opt<u32>` between them — are at
+//! least one byte longer than the current decoder reads, so they are
+//! rejected with a `Protocol` error (trailing bytes or a bad tag), never
+//! misread.
 //!
 //! The stream opcodes drive a windowed repair session
 //! ([`cfdclean::RepairSession`], at most one per dataset, opened on a

@@ -160,16 +160,6 @@ impl Enc {
         self.bytes(v.as_bytes());
     }
 
-    fn opt_bool(&mut self, v: Option<bool>) {
-        match v {
-            Some(b) => {
-                self.u8(1);
-                self.bool(b);
-            }
-            None => self.u8(0),
-        }
-    }
-
     fn opt_bytes(&mut self, v: Option<&[u8]>) {
         match v {
             Some(b) => {
@@ -235,14 +225,6 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| ProtoError::BadUtf8)
     }
 
-    fn opt_bool(&mut self) -> Result<Option<bool>, ProtoError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.bool()?)),
-            t => Err(ProtoError::BadTag(t)),
-        }
-    }
-
     fn opt_bytes(&mut self) -> Result<Option<&'a [u8]>, ProtoError> {
         match self.u8()? {
             0 => Ok(None),
@@ -283,8 +265,6 @@ pub struct RepairSpec {
     pub pick: String,
     /// TUPLERESOLVE attribute-set size.
     pub k: u32,
-    /// Explicit distance-kernel override.
-    pub simd: Option<bool>,
 }
 
 impl Default for RepairSpec {
@@ -293,7 +273,6 @@ impl Default for RepairSpec {
             algorithm: "batch".to_string(),
             pick: "global".to_string(),
             k: 2,
-            simd: None,
         }
     }
 }
@@ -426,7 +405,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.str(&spec.algorithm);
             e.str(&spec.pick);
             e.u32(spec.k);
-            e.opt_bool(spec.simd);
             e.bool(*want_edits);
             e.bool(*want_stats);
             e.0
@@ -527,7 +505,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
                 algorithm: d.str()?.to_string(),
                 pick: d.str()?.to_string(),
                 k: d.u32()?,
-                simd: d.opt_bool()?,
             },
             want_edits: d.bool()?,
             want_stats: d.bool()?,
@@ -765,7 +742,6 @@ mod tests {
                 algorithm: "v-inc".into(),
                 pick: "dependency".into(),
                 k: 3,
-                simd: Some(false),
             },
             want_edits: true,
             want_stats: false,
@@ -861,9 +837,10 @@ mod tests {
 
     #[test]
     fn retired_repair_layout_is_a_typed_error() {
-        // Two retired Repair layouts carry fields the current frame lacks
-        // between `k` and `simd`: a `threads:opt<u32>` override, and
-        // before that also a speculation-depth `opt<u32>` after it. A
+        // Three retired Repair layouts carry fields the current frame
+        // lacks after `k`: a `simd:opt<bool>` kernel override; before
+        // that also a `threads:opt<u32>` override ahead of it; and before
+        // that also a speculation-depth `opt<u32>` between the two. A
         // stale client's frame must fail to decode — never decode to a
         // different request.
         let opt_u32 = |e: &mut Enc, v: Option<u32>| match v {
@@ -873,7 +850,7 @@ mod tests {
             }
             None => e.u8(0),
         };
-        let legacy = |threads: Option<u32>,
+        let legacy = |threads: Option<Option<u32>>,
                       depth: Option<Option<u32>>,
                       simd: Option<bool>,
                       edits: bool,
@@ -884,18 +861,29 @@ mod tests {
             e.str(&spec.algorithm);
             e.str(&spec.pick);
             e.u32(spec.k);
-            opt_u32(&mut e, threads);
+            if let Some(threads) = threads {
+                opt_u32(&mut e, threads);
+            }
             if let Some(depth) = depth {
                 opt_u32(&mut e, depth);
             }
-            e.opt_bool(simd);
+            match simd {
+                Some(b) => {
+                    e.u8(1);
+                    e.bool(b);
+                }
+                None => e.u8(0),
+            }
             e.bool(edits);
             e.bool(stats);
             e.0
         };
         let mut frames = 0;
         for depth in [None, Some(None), Some(Some(8))] {
-            for threads in [None, Some(1), Some(2)] {
+            for threads in [None, Some(None), Some(Some(1)), Some(Some(2))] {
+                if threads.is_none() && depth.is_some() {
+                    continue; // the depth field only ever followed `threads`
+                }
                 for simd in [None, Some(false), Some(true)] {
                     for edits in [false, true] {
                         for stats in [false, true] {
@@ -912,7 +900,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(frames, 108);
+        assert_eq!(frames, 120);
     }
 
     #[test]

@@ -378,14 +378,10 @@ fn spec_to_options(spec: &RepairSpec) -> Result<RepairOptions, SessionError> {
         ))
     })?;
     let pick: PickStrategy = spec.pick.parse().map_err(SessionError::Data)?;
-    let mut opts = RepairOptions::new()
+    Ok(RepairOptions::new()
         .algorithm(algorithm)
         .pick(pick)
-        .k(spec.k as usize);
-    if let Some(simd) = spec.simd {
-        opts = opts.simd(simd);
-    }
-    Ok(opts)
+        .k(spec.k as usize))
 }
 
 /// Execute one request against the session. Every [`SessionError`]

@@ -73,9 +73,8 @@
 //! [`SessionError::Poisoned`] instead of a wedged session, siblings
 //! proceed untouched, and eviction still succeeds and reclaims the
 //! memory. The server integration suite pins daemon answers against
-//! the one-shot facade with the SIMD kernels on and off, and a CI smoke
-//! job diffs a real daemon's output against the committed golden
-//! fixtures.
+//! the one-shot facade, and a CI smoke job diffs a real daemon's output
+//! against the committed golden fixtures.
 //!
 //! ## Streaming repair sessions
 //!

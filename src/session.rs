@@ -39,10 +39,8 @@
 //! a dataset interns into a brand-new pool in the same order the CLI
 //! does (CSV column-major, then the rules' pattern constants, uncounted),
 //! so every detect/repair answer is byte-identical to running the
-//! equivalent `cfdclean` command — at either `CFD_SIMD` setting, per
-//! the workspace-wide determinism contract. Insert requests keep the
-//! contract over
-//! time: ΔD's values are interned, repaired, and then retired **and
+//! equivalent `cfdclean` command, per the workspace-wide determinism
+//! contract. Insert requests keep the contract over time: ΔD's values are interned, repaired, and then retired **and
 //! sealed** ([`ValuePool::seal_ids`]) — released without free-list
 //! reuse — so a later request's interns still get append-order ids,
 //! exactly as a fresh process would assign them.

@@ -17,8 +17,7 @@
 //!   both orders (detecting and repairing B in between, the realistic
 //!   interference), and assert A's detect report, `BATCHREPAIR` output
 //!   and `INCREPAIR` output are byte-identical (stats and exact cost
-//!   bits included) to the single-dataset run, with the SIMD kernels on
-//!   and off.
+//!   bits included) to the single-dataset run.
 //! * **Repeat-repair regression** — repairing the same loaded dataset
 //!   twice in one process, re-normalizing Σ each time as the CLI does,
 //!   must be byte-identical run to run.
@@ -37,8 +36,6 @@ use cfdclean::model::csv::{read_relation_in, write_relation};
 use cfdclean::model::{AttrId, Relation, Tuple, TupleId, Value, ValueId, ValuePool};
 use cfdclean::repair::incremental::IncStats;
 use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, BatchStats, IncConfig};
-
-const SIMD_KERNELS: [bool; 2] = [false, true];
 
 /// Dataset A. Under `fd: [a] -> [b]`, group `k1` conflicts with `b`
 /// split 2/2 between `x` and `y`; pool-wide both values occur exactly
@@ -111,10 +108,10 @@ fn render(rel: &Relation) -> Vec<u8> {
     buf
 }
 
-/// Everything observable about one dataset at one config corner.
+/// Everything observable about one dataset.
 #[derive(Debug, PartialEq)]
-struct CornerOutput {
-    label: String,
+struct DatasetOutputs {
+    detect: ViolationReport,
     batch_csv: Vec<u8>,
     batch_stats: BatchStats,
     batch_cost_bits: u64,
@@ -124,50 +121,23 @@ struct CornerOutput {
     inc_cost_bits: u64,
 }
 
-#[derive(Debug, PartialEq)]
-struct DatasetOutputs {
-    detect: ViolationReport,
-    corners: Vec<CornerOutput>,
-}
-
 /// Detect, then run `BATCHREPAIR` and (over the repaired base)
-/// `INCREPAIR` with each distance kernel.
+/// `INCREPAIR`.
 fn dataset_outputs(rel: &Relation, delta: &[Tuple]) -> DatasetOutputs {
     let sigma = sigma_for(rel);
     let detect = violation::detect(rel, &sigma);
-    let mut corners = Vec::new();
-    for simd in SIMD_KERNELS {
-        let batch = batch_repair(
-            rel,
-            &sigma,
-            BatchConfig {
-                simd: Some(simd),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let inc = inc_repair(
-            &batch.repair,
-            delta,
-            &sigma,
-            IncConfig {
-                simd: Some(simd),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        corners.push(CornerOutput {
-            label: format!("simd={simd}"),
-            batch_csv: render(&batch.repair),
-            batch_stats: batch.stats,
-            batch_cost_bits: batch.stats.cost.to_bits(),
-            inc_csv: render(&inc.repair),
-            inc_delta_ids: inc.delta_ids,
-            inc_stats: inc.stats,
-            inc_cost_bits: inc.stats.cost.to_bits(),
-        });
+    let batch = batch_repair(rel, &sigma, BatchConfig::default()).unwrap();
+    let inc = inc_repair(&batch.repair, delta, &sigma, IncConfig::default()).unwrap();
+    DatasetOutputs {
+        detect,
+        batch_csv: render(&batch.repair),
+        batch_stats: batch.stats,
+        batch_cost_bits: batch.stats.cost.to_bits(),
+        inc_csv: render(&inc.repair),
+        inc_delta_ids: inc.delta_ids,
+        inc_stats: inc.stats,
+        inc_cost_bits: inc.stats.cost.to_bits(),
     }
-    DatasetOutputs { detect, corners }
 }
 
 /// The cross-dataset interference source: fully exercise B (detect and

@@ -265,8 +265,7 @@ fn differential_csv_vs_snapshot_ingest() {
 /// and opened in place over a [`Mapping`]. The opened relation must be
 /// cell-, weight-, and liveness-identical to the saved one, re-save
 /// byte-identically, produce bit-identical repairs (stats and cost bits
-/// included, at whatever `CFD_SIMD` setting the suite runs under), and
-/// honor copy-on-write: a cell write to one mapped dataset must not leak
+/// included), and honor copy-on-write: a cell write to one mapped dataset must not leak
 /// into a sibling opened over the very same mapping.
 #[test]
 fn differential_mapped_open_vs_saved_relation() {

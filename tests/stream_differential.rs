@@ -9,10 +9,7 @@
 //! * **One-shot equivalence** — a single window covering every event
 //!   produces byte-identical edit-log bytes to a one-shot `inc_repair`
 //!   of the same batch; a multi-window stream (no deletes) equals the
-//!   sequence of one-shot repairs on the evolved bases. One-shot repairs
-//!   are already pinned byte-identical with `CFD_SIMD` on and off, so
-//!   running this suite under the CI determinism matrix extends that
-//!   guarantee to streams by transitivity.
+//!   sequence of one-shot repairs on the evolved bases.
 //! * **Sliding ≡ tumbling at S = W**, and window-commit arithmetic.
 //! * **Pool hygiene** — closing a stream returns the dictionary's slot
 //!   count to its pre-stream value, every round; evicting a dataset
