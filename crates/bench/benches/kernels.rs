@@ -25,7 +25,7 @@ use std::sync::Arc;
 use cfd_bench::harness::{black_box, Harness};
 use cfd_bench::workload;
 use cfd_cfd::pattern::{values_match, PatternValue};
-use cfd_cfd::violation::detect;
+use cfd_cfd::violation::{detect, detect_with_parts, Engine};
 use cfd_cfd::Sigma;
 use cfd_gen::{inject, NoiseConfig};
 use cfd_model::index::HashIndex;
@@ -37,7 +37,7 @@ use cfd_repair::equivalence::{Cell, EqClasses};
 use cfd_repair::lhs_index::LhsIndexes;
 use cfd_repair::pricing::TargetPricer;
 use cfd_repair::shard::{variable_shapes, GroupCensus};
-use cfd_repair::Ordering;
+use cfd_repair::{BatchConfig, BatchSeed, Ordering};
 
 /// The pre-dictionary tuple representation: values stored inline, read
 /// without any pool access. Reference rows are materialized once,
@@ -215,7 +215,10 @@ fn default_json_path() -> String {
 }
 
 /// `GroupCensus` construction, the census `BATCHREPAIR` builds before
-/// scoring its frontier, on a 20k-tuple workload. An ungated timing.
+/// scoring its frontier, and the whole t=0 state (`BatchSeed::new`:
+/// dirty sets, census and scored frontier) on a 20k-tuple workload.
+/// Ungated timings; the seed row includes cloning the detection parts
+/// each build consumes.
 fn bench_census(h: &mut Harness) {
     let w = workload(20_000, 7);
     let noise = inject(
@@ -230,6 +233,17 @@ fn bench_census(h: &mut Harness) {
     assert!(!shapes.is_empty(), "workload Σ has variable CFDs");
     h.run("repair_census/serial_20k", || {
         GroupCensus::new(black_box(&noise.dirty), black_box(&shapes)).carriers()
+    });
+    let parts = Engine::build(&noise.dirty, &w.sigma).to_parts();
+    let report = detect_with_parts(&noise.dirty, &w.sigma, &parts);
+    h.run("repair_seed/build_20k", || {
+        BatchSeed::new(
+            black_box(&noise.dirty),
+            &w.sigma,
+            parts.clone(),
+            &report,
+            BatchConfig::default(),
+        )
     });
 }
 

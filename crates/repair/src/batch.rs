@@ -52,11 +52,35 @@
 //! classes and values, plans without them. Seeded keys are therefore the
 //! bits an unmemoized planner computes.
 //!
-//! The seeded frontier is sorted once under the total, seed-independent
-//! [`HeapKey`] order, and [`Frontier`] keeps it that way: a cursor reads
-//! it as one sorted run, and only entries queued by the loop go through a
-//! binary heap. On low-cardinality FDs most seeded pairs are stale by the
-//! time they pop, so reading them off the run saves a heap pop per pair.
+//! Under [`MergePricing::GroupMajority`], most dirty pairs are carriers of
+//! the winning value of a conflicting group, and the pass prices them a
+//! group at a time without planning each one. This is exact: at t=0, for
+//! any winner carrier `t` of a group under variable CFD `φ`,
+//!
+//! * `violates` sees the same census group, the same non-winner buckets
+//!   and only singleton classes, so the partner is the same tuple `p` for
+//!   every carrier (the least id among the first 64 non-winner carriers
+//!   in bucket order);
+//! * both classes are free and `t[A]` is the winner, so `plan_fix` takes
+//!   the free/free group merge: the same memoized group price and winner,
+//!   and the same loser `p` with the same residual;
+//! * the only per-carrier term is the deferral penalty
+//!   `10 · (suspicion(t) + suspicion(p))`, and `fix_meta` reads the winner.
+//!
+//! So a carrier's key is its group's key for its suspicion score, with its
+//! own tuple id: one planned representative per (CFD, group, suspicion
+//! score) prices them all. Constant CFDs, non-winner carriers, pairwise
+//! pricing and any pair outside a tracked conflicting group are planned
+//! one by one, as before.
+//!
+//! The seeded frontier is kept in the total, seed-independent [`HeapKey`]
+//! order as a [`Run`] of segments, one per distinct key prefix, each with
+//! its ascending tuples; pieces of equal prefix from different groups are
+//! merged into one segment. [`Frontier`] reads the run with a cursor, and
+//! only entries queued by the loop go through a binary heap. On
+//! low-cardinality FDs most seeded pairs are stale by the time they pop,
+//! so reading them off the run saves a heap pop per pair, and the dirty
+//! sets ([`TidSet`]) answer the stale check in O(1).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -84,8 +108,10 @@ pub enum PickStrategy {
     /// tuple) pair next. Implemented as a lazy priority queue — entries
     /// are re-verified and re-priced on pop — instead of the naive
     /// O(|dirty|) rescan per step. The fully priced t=0 frontier is one
-    /// sorted run read in O(1) per pop; only pairs queued later (re-queued
-    /// or newly dirtied) pay O(log n) in a heap. This is the default:
+    /// run of key segments read in O(1) per pop, and a popped pair that
+    /// is no longer dirty is dropped after an O(1) set lookup; only pairs
+    /// queued later (re-queued or newly dirtied) pay O(log n) in a heap.
+    /// This is the default:
     /// resolving cheap-certain fixes first is what keeps wrong expensive
     /// resolutions (e.g. dragging a city to a corrupted zip's binding)
     /// from firing before the cheap correct one.
@@ -211,7 +237,7 @@ struct BatchState<'a> {
     /// Group value census for the variable shapes (fast clean-group
     /// test): the seed's census, with this run's changes overlaid.
     census: CensusOverlay<'a>,
-    dirty: Vec<BTreeSet<TupleId>>,
+    dirty: Vec<TidSet>,
     /// `vio(t)` from the initial detection, per tuple slot: tuples whose
     /// violation count towers over their partners' are suspects even when
     /// Σ has no constant rules (a corrupted cell conflicts with its whole
@@ -237,26 +263,92 @@ struct BatchState<'a> {
 /// stable conflict resolution (Gatterbauer & Suciu).
 type HeapKey = (u64, u64, u32, u32, u32);
 
+/// A [`HeapKey`] without its tuple: `(cost, frequency, value, CFD)`.
+type Prefix = (u64, u64, u32, u32);
+
+/// The prefix of `key` and its tuple.
+fn split_key(key: HeapKey) -> (Prefix, TupleId) {
+    let (cost, freq, value, cfd, tid) = key;
+    ((cost, freq, value, cfd), TupleId(tid))
+}
+
+/// The priced t=0 frontier in run-length form: segments of distinct,
+/// ascending prefixes, each with the ascending tuples that share it. Its
+/// keys, read segment by segment, are the ascending [`HeapKey`] sort of
+/// every priced pair. Many conflicting-group members share a key up to
+/// their tuple, so a segment stores a prefix once and each pair in 4
+/// bytes.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Run {
+    /// `(prefix, end)`: the segment's tuples are `tids[previous end..end]`.
+    segments: Vec<(Prefix, u32)>,
+    tids: Vec<TupleId>,
+}
+
+impl Run {
+    /// The run holding every `(prefix, tuple)` of `pieces`. Each piece
+    /// lists ascending tuples; pieces may share a prefix (one segment then
+    /// merges their tuples), but no `(prefix, tuple)` may occur twice.
+    fn from_pieces(mut pieces: Vec<(Prefix, Vec<TupleId>)>) -> Run {
+        pieces.retain(|(_, tids)| !tids.is_empty());
+        pieces.sort_unstable_by_key(|(prefix, _)| *prefix);
+        let mut run = Run {
+            segments: Vec::new(),
+            tids: Vec::with_capacity(pieces.iter().map(|(_, tids)| tids.len()).sum()),
+        };
+        let mut rest = pieces.as_slice();
+        while let Some(((prefix, _), _)) = rest.split_first() {
+            let same = rest.partition_point(|(p, _)| p == prefix);
+            let start = run.tids.len();
+            for (_, tids) in &rest[..same] {
+                debug_assert!(tids.is_sorted(), "piece tuples ascend");
+                run.tids.extend_from_slice(tids);
+            }
+            if same > 1 {
+                run.tids[start..].sort_unstable();
+            }
+            run.segments.push((*prefix, run.tids.len() as u32));
+            rest = &rest[same..];
+        }
+        run
+    }
+
+    /// Every key of the run, ascending.
+    #[cfg(test)]
+    fn keys(&self) -> impl Iterator<Item = HeapKey> + '_ {
+        let mut start = 0;
+        self.segments
+            .iter()
+            .flat_map(move |&((c, f, v, cfd), end)| {
+                let tids = &self.tids[start..end as usize];
+                start = end as usize;
+                tids.iter().map(move |t| (c, f, v, cfd, t.0))
+            })
+    }
+}
+
 /// `PICKNEXT`'s lazy priority queue: the seeded t=0 frontier as one
-/// ascending run read by a cursor, plus a min-heap for every entry queued
-/// after seeding (re-queued pairs and pairs newly dirtied by
+/// ascending [`Run`] read by a cursor, plus a min-heap for every entry
+/// queued after seeding (re-queued pairs and pairs newly dirtied by
 /// `write_cell`). `pop` returns the smaller of the run head and the heap
 /// top; [`HeapKey`] is a total order, so the pop sequence is exactly that
 /// of one heap holding every entry.
-#[derive(Default)]
 struct Frontier<'r> {
-    run: &'r [HeapKey],
+    run: &'r Run,
+    /// The cursor: the segment and the tuple position of the run head.
+    segment: usize,
     next: usize,
     heap: BinaryHeap<Reverse<HeapKey>>,
 }
 
 impl<'r> Frontier<'r> {
-    /// A queue over an ascending run, which it reads and never writes.
-    fn seeded(run: &'r [HeapKey]) -> Self {
-        debug_assert!(run.is_sorted(), "the seeded run is ascending");
+    /// A queue over a run, which it reads and never writes.
+    fn seeded(run: &'r Run) -> Self {
         Frontier {
             run,
-            ..Default::default()
+            segment: 0,
+            next: 0,
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -264,15 +356,209 @@ impl<'r> Frontier<'r> {
         self.heap.push(Reverse(key));
     }
 
+    /// The run's smallest unread key.
+    fn head(&self) -> Option<HeapKey> {
+        let &((cost, freq, value, cfd), _) = self.run.segments.get(self.segment)?;
+        Some((cost, freq, value, cfd, self.run.tids[self.next].0))
+    }
+
     fn pop(&mut self) -> Option<HeapKey> {
-        match (self.run.get(self.next), self.heap.peek()) {
-            (Some(&head), Some(&Reverse(top))) if top < head => self.heap.pop().map(|r| r.0),
-            (Some(&head), _) => {
+        match (self.head(), self.heap.peek()) {
+            (Some(head), Some(&Reverse(top))) if top < head => self.heap.pop().map(|r| r.0),
+            (Some(head), _) => {
                 self.next += 1;
+                if self.next == self.run.segments[self.segment].1 as usize {
+                    self.segment += 1;
+                }
                 Some(head)
             }
             (None, _) => self.heap.pop().map(|r| r.0),
         }
+    }
+}
+
+/// One CFD's `Dirty_Tuples`: a set of tuple ids with O(1) `insert`,
+/// `contains` and `remove`, iterated in ascending order. A set of at most
+/// [`SPARSE_MAX`] ids is a sorted vector; a larger one is a bitset over
+/// the tuple slots, grown to its highest member's word. A relation's
+/// constant CFDs mostly hold a handful of dirty tuples each, so their sets
+/// stay a few bytes; only the sets that grow past the bound pay a bit per
+/// slot, and they hold at least that many bits' worth of ids.
+#[derive(Clone, Debug)]
+enum TidSet {
+    Sparse(Vec<TupleId>),
+    Dense {
+        words: Vec<u64>,
+        len: usize,
+        /// The first nonzero word, or `words.len()` when the set is empty.
+        low: usize,
+    },
+}
+
+/// The most ids a [`TidSet`] holds as a sorted vector.
+const SPARSE_MAX: usize = 32;
+
+impl Default for TidSet {
+    fn default() -> Self {
+        TidSet::Sparse(Vec::new())
+    }
+}
+
+impl TidSet {
+    /// The set of `ids`, which ascend without duplicates.
+    fn from_sorted(ids: &[TupleId]) -> TidSet {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+        if ids.len() <= SPARSE_MAX {
+            TidSet::Sparse(ids.to_vec())
+        } else {
+            TidSet::dense(ids)
+        }
+    }
+
+    /// The set of `ids` as a bitset.
+    fn dense(ids: &[TupleId]) -> TidSet {
+        let mut set = TidSet::Dense {
+            words: Vec::new(),
+            len: 0,
+            low: 0,
+        };
+        for &id in ids {
+            set.insert(id);
+        }
+        set
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            TidSet::Sparse(ids) => ids.len(),
+            TidSet::Dense { len, .. } => *len,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn contains(&self, id: TupleId) -> bool {
+        match self {
+            TidSet::Sparse(ids) => ids.binary_search(&id).is_ok(),
+            TidSet::Dense { words, .. } => words
+                .get(id.index() / 64)
+                .is_some_and(|w| w >> (id.index() % 64) & 1 == 1),
+        }
+    }
+
+    /// Add `id`; false when it was already present.
+    fn insert(&mut self, id: TupleId) -> bool {
+        match self {
+            TidSet::Sparse(ids) => match ids.binary_search(&id) {
+                Ok(_) => false,
+                Err(at) if ids.len() < SPARSE_MAX => {
+                    ids.insert(at, id);
+                    true
+                }
+                Err(_) => {
+                    *self = TidSet::dense(ids);
+                    self.insert(id)
+                }
+            },
+            TidSet::Dense { words, len, low } => {
+                let (w, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+                if w >= words.len() {
+                    words.resize(w + 1, 0);
+                }
+                if words[w] & bit != 0 {
+                    return false;
+                }
+                words[w] |= bit;
+                *len += 1;
+                if *len == 1 || w < *low {
+                    *low = w;
+                }
+                true
+            }
+        }
+    }
+
+    /// Drop `id`; false when it was absent.
+    fn remove(&mut self, id: TupleId) -> bool {
+        match self {
+            TidSet::Sparse(ids) => match ids.binary_search(&id) {
+                Ok(at) => {
+                    ids.remove(at);
+                    true
+                }
+                Err(_) => false,
+            },
+            TidSet::Dense { words, len, low } => {
+                let (w, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+                match words.get_mut(w) {
+                    Some(word) if *word & bit != 0 => *word &= !bit,
+                    _ => return false,
+                }
+                *len -= 1;
+                if w == *low {
+                    while *low < words.len() && words[*low] == 0 {
+                        *low += 1;
+                    }
+                }
+                true
+            }
+        }
+    }
+
+    /// The smallest id.
+    fn first(&self) -> Option<TupleId> {
+        match self {
+            TidSet::Sparse(ids) => ids.first().copied(),
+            TidSet::Dense { words, low, .. } => words
+                .get(*low)
+                .map(|w| TupleId((*low * 64) as u32 + w.trailing_zeros())),
+        }
+    }
+
+    /// The ids, ascending.
+    fn iter(&self) -> TidIter<'_> {
+        match self {
+            TidSet::Sparse(ids) => TidIter {
+                sparse: ids.iter(),
+                words: &[],
+                word: 0,
+                bits: 0,
+            },
+            TidSet::Dense { words, low, .. } => TidIter {
+                sparse: [].iter(),
+                words,
+                word: *low,
+                bits: words.get(*low).copied().unwrap_or(0),
+            },
+        }
+    }
+}
+
+/// [`TidSet::iter`]: the sparse ids, or the set bits from word `word` on.
+struct TidIter<'s> {
+    sparse: std::slice::Iter<'s, TupleId>,
+    words: &'s [u64],
+    word: usize,
+    /// The unread bits of `words[word]`.
+    bits: u64,
+}
+
+impl Iterator for TidIter<'_> {
+    type Item = TupleId;
+
+    fn next(&mut self) -> Option<TupleId> {
+        if let Some(&id) = self.sparse.next() {
+            return Some(id);
+        }
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.words.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(TupleId((self.word * 64) as u32 + bit))
     }
 }
 
@@ -355,9 +641,11 @@ struct Planner<'p> {
 }
 
 /// `BATCHREPAIR`'s t=0 state for one (D, Σ, weights, config): the dirty
-/// sets and `vio(t)` of the initial detection, the group census, and —
-/// under [`PickStrategy::GlobalBest`] — the fully priced `PICKNEXT`
-/// frontier with the S-set indexes and distances its scoring built.
+/// sets ([`TidSet`]s) and `vio(t)` of the initial detection, the group
+/// census, and — under [`PickStrategy::GlobalBest`] — the fully priced
+/// `PICKNEXT` frontier with the S-set indexes and distances its scoring
+/// built. The frontier is a [`Run`]: a key prefix per segment and 4 bytes
+/// per dirty pair.
 ///
 /// Every run from a seed reads the same t=0 state and leaves it as it
 /// was. A run copies only what the loop mutates (indexes, dirty sets,
@@ -384,8 +672,8 @@ struct Fixed {
     census: GroupCensus,
     /// `vio(t)` per tuple slot at t=0.
     initial_vio: Vec<usize>,
-    /// The priced t=0 frontier, ascending ([`Frontier`]'s run).
-    run: Vec<HeapKey>,
+    /// The priced t=0 frontier ([`Frontier`]'s run).
+    run: Run,
 }
 
 /// The part of a [`BatchSeed`] the loop mutates: each run starts from
@@ -396,7 +684,7 @@ struct Fixed {
 #[derive(Clone)]
 struct Start {
     indexes: GroupIndexes,
-    dirty: Vec<BTreeSet<TupleId>>,
+    dirty: Vec<TidSet>,
     dcache: DistanceCache,
 }
 
@@ -416,7 +704,7 @@ impl BatchSeed {
         let dirty = report
             .per_cfd
             .iter()
-            .map(|ids| ids.iter().copied().collect())
+            .map(|ids| TidSet::from_sorted(ids))
             .collect();
         let mut initial_vio = vec![0; slot_count(d)];
         for (id, &vio) in &report.per_tuple {
@@ -438,7 +726,7 @@ impl BatchSeed {
             variable_ids,
             census,
             initial_vio,
-            run: Vec::new(),
+            run: Run::default(),
         };
         let mut start = Start {
             indexes,
@@ -489,21 +777,20 @@ fn t0_classes(d: &Relation) -> EqClasses {
 
 /// Score the fully priced initial `PICKNEXT` frontier of a seed.
 ///
-/// One pass verifies and prices every dirty `(CFD, tuple)` pair against
-/// the frozen t=0 state and sorts the keys once into the queue's run.
-/// The working relation of t=0 is `d` itself. The pass's memo tables and
-/// t=0 suspect scores are dropped with it: nothing computed for t=0
-/// reaches the loop. The S-set indexes and distances it computes stay in
-/// `start`; each index is exactly the one a t=0 `ensure` builds.
-fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start) -> Vec<HeapKey> {
-    let pairs: Vec<(u32, u32)> = start
-        .dirty
-        .iter()
-        .enumerate()
-        .flat_map(|(i, ids)| ids.iter().map(move |id| (i as u32, id.0)))
-        .collect();
-    if pairs.is_empty() {
-        return Vec::new();
+/// One pass prices every dirty `(CFD, tuple)` pair against the frozen t=0
+/// state and returns the keys as one [`Run`]. Under
+/// [`MergePricing::GroupMajority`], the first dirty winner-bucket member of
+/// a conflicting group met in a variable CFD's set prices the whole bucket
+/// ([`Planner::winner_bucket`]): one planned representative per suspicion
+/// level gives the key prefix of every dirty member at that level. Every
+/// other pair is planned on its own. The working relation of t=0 is `d`
+/// itself. The pass's memo tables and t=0 suspect scores are dropped with
+/// it: nothing computed for t=0 reaches the loop. The S-set indexes and
+/// distances it computes stay in `start`; each index is exactly the one a
+/// t=0 `ensure` builds.
+fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start) -> Run {
+    if start.dirty.iter().all(TidSet::is_empty) {
+        return Run::default();
     }
     // `suspicion` at t=0, where the working relation is the input: the
     // constant rules `violations_of` counts are exactly the constant
@@ -514,12 +801,17 @@ fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start)
         .map(|&vio| usize::from(vio > SUSPECT_VIO))
         .collect();
     for n in sigma.iter().filter(|n| n.is_constant()) {
-        for tid in &start.dirty[n.id().index()] {
+        for tid in start.dirty[n.id().index()].iter() {
             suspects[tid.index()] += 1;
         }
     }
     let census = CensusOverlay::new(&fixed.census);
     let eq = t0_classes(d);
+    let Start {
+        indexes,
+        dirty,
+        dcache,
+    } = start;
     let mut planner = Planner {
         orig: d,
         work: d,
@@ -528,35 +820,49 @@ fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start)
         initial_vio: &fixed.initial_vio,
         config: &fixed.config,
         eq: &eq,
-        indexes: &mut start.indexes,
+        indexes,
         frozen: Some(Frozen {
             memo: FrozenMemo::default(),
             suspects,
         }),
-        dcache: &mut start.dcache,
+        dcache,
     };
-    let mut run: Vec<HeapKey> = pairs
-        .into_iter()
-        .map(|(cfd, tid)| {
-            let n = sigma.get(CfdId(cfd));
-            let planned = planner
-                .violates(n, TupleId(tid))
-                .and_then(|v| planner.plan_fix(n, TupleId(tid), &v));
-            match planned {
-                Some((fix, cost)) => {
-                    let (freq, value) = fix_meta(&fix, d.pool());
-                    (cost_key(cost), freq, value, cfd, tid)
-                }
-                // Defensive: a pair with no verified plan (impossible at
-                // t=0 by the violation definitions) pops last,
-                // re-verifies, and is dropped — exactly what the lazy
-                // loop would do.
-                None => (u64::MAX, u64::MAX, u32::MAX, cfd, tid),
+    let group_majority = fixed.config.merge_pricing == MergePricing::GroupMajority;
+    // Per slot, the CFD whose winner-bucket walk already priced the pair.
+    let mut walked = vec![u32::MAX; slot_count(d)];
+    let mut pieces: Vec<(Prefix, Vec<TupleId>)> = Vec::new();
+    let mut members: Vec<(usize, TupleId)> = Vec::new();
+    for (i, set) in dirty.iter().enumerate() {
+        let n = sigma.get(CfdId(i as u32));
+        let derive = group_majority && !n.is_constant();
+        for tid in set.iter() {
+            if walked[tid.index()] == n.id().0 {
+                continue;
             }
-        })
-        .collect();
-    run.sort_unstable();
-    run
+            let bucket = if derive {
+                planner.winner_bucket(n, tid)
+            } else {
+                None
+            };
+            let Some(bucket) = bucket else {
+                let (prefix, tid) = split_key(planner.key(n, tid));
+                pieces.push((prefix, vec![tid]));
+                continue;
+            };
+            members.clear();
+            for &m in bucket.iter().filter(|&&m| set.contains(m)) {
+                walked[m.index()] = n.id().0;
+                members.push((planner.suspicion(m), m));
+            }
+            // Stable: each level keeps its members in ascending order.
+            members.sort_by_key(|&(level, _)| level);
+            for level in members.chunk_by(|x, y| x.0 == y.0) {
+                let (prefix, _) = split_key(planner.key(n, level[0].1));
+                pieces.push((prefix, level.iter().map(|&(_, m)| m).collect()));
+            }
+        }
+    }
+    Run::from_pieces(pieces)
 }
 
 impl<'a> BatchState<'a> {
@@ -1087,6 +1393,48 @@ impl<'p> Planner<'p> {
         }
     }
 
+    /// The t=0 [`HeapKey`] of the pair `(n, tid)`: its verified plan,
+    /// priced. A pair with no verified plan (impossible at t=0 by the
+    /// violation definitions) gets the largest key of its CFD and tuple:
+    /// it pops last, re-verifies, and is dropped — exactly what the lazy
+    /// loop would do.
+    fn key(&mut self, n: &NormalCfd, tid: TupleId) -> HeapKey {
+        let planned = self
+            .violates(n, tid)
+            .and_then(|v| self.plan_fix(n, tid, &v));
+        let (cfd, tid) = (n.id().0, tid.0);
+        match planned {
+            Some((fix, cost)) => {
+                let (freq, value) = fix_meta(&fix, self.orig.pool());
+                (cost_key(cost), freq, value, cfd, tid)
+            }
+            None => (u64::MAX, u64::MAX, u32::MAX, cfd, tid),
+        }
+    }
+
+    /// At t=0 under group pricing: the carriers of the winning value of
+    /// `tid`'s group under variable CFD `n`, when the group conflicts and
+    /// `tid` is one of them. Every such carrier then has the key of `tid`
+    /// up to its suspicion score and its tuple (module docs). `None` for
+    /// any other pair.
+    fn winner_bucket(&mut self, n: &NormalCfd, tid: TupleId) -> Option<&'p [TupleId]> {
+        debug_assert!(self.frozen.is_some(), "t=0 only");
+        let t = self.work.tuple(tid)?;
+        if !n.applies_to(&t) {
+            return None;
+        }
+        let (winner, _) = self.group_merge_price(n, tid)?;
+        if t.id(n.rhs_attr()) != winner {
+            return None;
+        }
+        let census = self.census;
+        let buckets = census.value_buckets(n.lhs(), n.rhs_attr(), &t)?;
+        buckets
+            .iter()
+            .find(|(v, _)| **v == winner)
+            .map(|(_, bucket)| bucket.ids.as_slice())
+    }
+
     /// Price a free/free variable-CFD merge over the *whole agreeing
     /// group*, not just the two cells. Pairwise pricing makes the first
     /// merge between a corrupted tuple and a 16-tuple clean group a
@@ -1389,12 +1737,12 @@ impl<'a> BatchState<'a> {
     /// `id`, if any.
     fn next_violation_of(&mut self, id: CfdId) -> Option<(TupleId, Violation)> {
         loop {
-            let tid = *self.dirty[id.index()].iter().next()?;
+            let tid = self.dirty[id.index()].first()?;
             let n = self.sigma.get(id);
             match self.planner().violates(n, tid) {
                 Some(v) => return Some((tid, v)),
                 None => {
-                    self.dirty[id.index()].remove(&tid);
+                    self.dirty[id.index()].remove(tid);
                 }
             }
         }
@@ -1409,21 +1757,21 @@ impl<'a> BatchState<'a> {
             let (_, _, _, cfd_raw, tid_raw) = key;
             let id = CfdId(cfd_raw);
             let tid = TupleId(tid_raw);
-            if !self.dirty[id.index()].contains(&tid) {
+            if !self.dirty[id.index()].contains(tid) {
                 continue; // already resolved (stale duplicate)
             }
             let n = self.sigma.get(id);
             let violation = match self.planner().violates(n, tid) {
                 Some(v) => v,
                 None => {
-                    self.dirty[id.index()].remove(&tid);
+                    self.dirty[id.index()].remove(tid);
                     continue;
                 }
             };
             let (fix, cost) = match self.planner().plan_fix(n, tid, &violation) {
                 Some(planned) => planned,
                 None => {
-                    self.dirty[id.index()].remove(&tid);
+                    self.dirty[id.index()].remove(tid);
                     continue;
                 }
             };
@@ -1460,7 +1808,7 @@ impl<'a> BatchState<'a> {
                         any = true;
                     }
                     None => {
-                        self.dirty[id.index()].remove(&tid);
+                        self.dirty[id.index()].remove(tid);
                     }
                 }
             }
@@ -1571,7 +1919,7 @@ mod tests {
     use cfd_cfd::pattern::{PatternRow, PatternValue};
     use cfd_cfd::Cfd;
     use cfd_model::{Schema, Tuple, Value};
-    use cfd_prng::Rng;
+    use cfd_prng::{Rng, SliceRandom};
     use std::sync::Arc;
 
     fn fig1() -> (Relation, Sigma) {
@@ -1952,12 +2300,18 @@ mod tests {
         assert!(out.stats.consts_set + out.stats.merges >= 2); // at least t3's CT/ST
     }
 
-    /// Re-price every entry of the seeded run with the sequential planner,
-    /// which carries no memo and computes suspicion fresh (`violates` →
-    /// `plan_fix` → `fix_meta` → `cost_key`), and require the seeded key
-    /// bit for bit. Returns the number of entries checked and how many
-    /// belong to variable CFDs.
-    fn assert_seeded_keys_unmemoized(rel: &Relation, sigma: &Sigma, label: &str) -> (usize, usize) {
+    /// Expand the seeded run and check it against the dirty sets and the
+    /// sequential planner: its keys ascend strictly, every dirty pair has
+    /// exactly one, and each equals what the planner, which carries no
+    /// memo and computes suspicion fresh (`violates` → `plan_fix` →
+    /// `fix_meta` → `cost_key`), prices for that pair, bit for bit.
+    /// Returns the number of pairs, how many belong to variable CFDs, and
+    /// how many share their segment with another pair.
+    fn assert_seeded_keys_unmemoized(
+        rel: &Relation,
+        sigma: &Sigma,
+        label: &str,
+    ) -> (usize, usize, usize) {
         let report = cfd_cfd::detect(rel, sigma);
         let parts = Engine::build(rel, sigma).to_parts();
         let seed = BatchSeed::new(rel, sigma, parts, &report, BatchConfig::default());
@@ -1966,15 +2320,25 @@ mod tests {
             state.frontier.heap.is_empty(),
             "{label}: seeding fills the run"
         );
-        let seeded = seed.fixed.run.clone();
-        let pairs: usize = state.dirty.iter().map(BTreeSet::len).sum();
+        let seeded: Vec<HeapKey> = seed.fixed.run.keys().collect();
+        assert!(
+            seeded.windows(2).all(|w| w[0] < w[1]),
+            "{label}: the run ascends strictly"
+        );
+        let mut seeded_pairs: Vec<(u32, u32)> = seeded.iter().map(|k| (k.3, k.4)).collect();
+        seeded_pairs.sort_unstable();
+        let dirty_pairs: Vec<(u32, u32)> = state
+            .dirty
+            .iter()
+            .enumerate()
+            .flat_map(|(i, set)| set.iter().map(move |tid| (i as u32, tid.0)))
+            .collect();
         assert_eq!(
-            seeded.len(),
-            pairs,
+            seeded_pairs, dirty_pairs,
             "{label}: one seeded entry per dirty pair"
         );
         let mut variable = 0;
-        for key in seeded {
+        for &key in &seeded {
             let (_, _, _, cfd, tid) = key;
             let n = sigma.get(CfdId(cfd));
             variable += usize::from(!n.is_constant());
@@ -1991,7 +2355,14 @@ mod tests {
             };
             assert_eq!(key, fresh, "{label}: seeded key of (cfd {cfd}, t{tid})");
         }
-        (pairs, variable)
+        let mut shared = 0;
+        let mut start = 0;
+        for &(_, end) in &seed.fixed.run.segments {
+            let len = end as usize - start;
+            shared += if len > 1 { len } else { 0 };
+            start = end as usize;
+        }
+        (seeded.len(), variable, shared)
     }
 
     /// Fig. 1 and the 2k-tuple §7.1 workloads at generator seeds 1, 7
@@ -2029,14 +2400,16 @@ mod tests {
     #[test]
     fn seeded_frontier_matches_unmemoized_pricing() {
         for (label, rel, sigma) in scoring_workloads() {
-            let (pairs, variable) = assert_seeded_keys_unmemoized(&rel, &sigma, &label);
+            let (pairs, variable, shared) = assert_seeded_keys_unmemoized(&rel, &sigma, &label);
             assert!(pairs > 0, "{label} is dirty");
             if label != "fig1" {
-                // Variable pairs share groups, so the memo is exercised.
+                // Variable pairs share groups, so the memo is exercised,
+                // and winner-bucket members share segments.
                 assert!(
                     variable > 0 && variable < pairs,
                     "{label}: {variable}/{pairs}"
                 );
+                assert!(shared > 0, "{label}: no segment is shared");
             }
         }
     }
@@ -2131,13 +2504,17 @@ mod tests {
     #[test]
     fn frontier_pops_exactly_like_one_heap() {
         // Random push/pop interleavings over a seeded run, against one
-        // `BinaryHeap` holding every entry. Narrow component ranges make
-        // duplicate keys common, and a quarter of all keys are the
-        // optimistic `(0, 0, 0, cfd, tid)` keys `write_cell` queues, which
-        // undercut most of the run.
+        // `BinaryHeap` holding every entry. The run is built from pieces
+        // the way scoring emits them: the tuples of one prefix are dealt
+        // to up to three pieces (interleaving, as equal prefixes from
+        // different groups do), and the pieces come in random order.
+        // Narrow component ranges make duplicate prefixes common, and a
+        // quarter of all keys are the optimistic `(0, 0, 0, cfd, tid)`
+        // keys `write_cell` queues, which undercut most of the run.
+        let mut interleaved = 0;
         cfd_prng::trials(300, 0xF0_0715, |rng| {
             let key = |rng: &mut cfd_prng::ChaCha8Rng| -> HeapKey {
-                let (cfd, tid) = (rng.gen_range(0..3u32), rng.gen_range(0..6u32));
+                let (cfd, tid) = (rng.gen_range(0..3u32), rng.gen_range(0..8u32));
                 if rng.gen_range(0..4u32) == 0 {
                     (0, 0, 0, cfd, tid)
                 } else {
@@ -2145,10 +2522,30 @@ mod tests {
                     (cost, freq, rng.gen_range(0..3u32), cfd, tid)
                 }
             };
-            let mut run: Vec<HeapKey> = (0..rng.gen_range(0..40usize)).map(|_| key(rng)).collect();
-            run.sort_unstable();
+            let seeded: BTreeSet<HeapKey> =
+                (0..rng.gen_range(0..40usize)).map(|_| key(rng)).collect();
+            let mut pieces: Vec<(Prefix, Vec<TupleId>)> = Vec::new();
+            let mut keys = seeded.iter().copied().map(split_key).peekable();
+            while let Some((prefix, tid)) = keys.next() {
+                let mut dealt = vec![vec![tid], Vec::new(), Vec::new()];
+                while let Some(&(_, tid)) = keys.peek().filter(|(p, _)| *p == prefix) {
+                    dealt[rng.gen_range(0..3usize)].push(tid);
+                    keys.next();
+                }
+                let split: Vec<Vec<TupleId>> =
+                    dealt.into_iter().filter(|t| !t.is_empty()).collect();
+                interleaved +=
+                    usize::from(split.len() > 1 && split[1][0] < *split[0].last().unwrap());
+                pieces.extend(split.into_iter().map(|tids| (prefix, tids)));
+            }
+            pieces.shuffle(rng);
+            let run = Run::from_pieces(pieces);
+            assert_eq!(
+                run.keys().collect::<Vec<_>>(),
+                seeded.iter().copied().collect::<Vec<_>>()
+            );
             let mut reference: BinaryHeap<Reverse<HeapKey>> =
-                run.iter().copied().map(Reverse).collect();
+                seeded.iter().copied().map(Reverse).collect();
             let mut frontier = Frontier::seeded(&run);
             let (mut got, mut want) = (Vec::new(), Vec::new());
             for _ in 0..rng.gen_range(0..120usize) {
@@ -2168,6 +2565,61 @@ mod tests {
             assert_eq!(frontier.pop(), None);
             assert_eq!(got, want);
         });
+        assert!(interleaved > 0, "no trial interleaved one prefix's pieces");
+    }
+
+    /// [`TidSet`] against a `BTreeSet<TupleId>` driven through the same
+    /// random operations. Ids concentrate on slot 0, word boundaries and
+    /// the last slot of the range, and sets grow past [`SPARSE_MAX`] and
+    /// drain again.
+    #[test]
+    fn tid_set_answers_like_a_btree_set() {
+        let mut grown = 0;
+        cfd_prng::trials(200, 0x7D5E7, |rng| {
+            let slots = rng.gen_range(1..400u32);
+            let id = |rng: &mut cfd_prng::ChaCha8Rng| -> TupleId {
+                let edges = [0, 63, 64, 65, 127, 128, 191, 192, slots - 1];
+                TupleId(match rng.gen_range(0..3u32) {
+                    0 => edges[rng.gen_range(0..edges.len())].min(slots - 1),
+                    _ => rng.gen_range(0..slots),
+                })
+            };
+            let initial: BTreeSet<TupleId> =
+                (0..rng.gen_range(0..80usize)).map(|_| id(rng)).collect();
+            let mut set = TidSet::from_sorted(&initial.iter().copied().collect::<Vec<_>>());
+            let mut model = initial;
+            // Percent odds of (insert, remove, drain the first, contains)
+            // per phase: grow the set, shrink it, then mix.
+            for odds in [[60, 10, 10, 20], [10, 40, 30, 20], [30, 25, 20, 25]] {
+                for _ in 0..rng.gen_range(0..200usize) {
+                    let t = id(rng);
+                    let was_sparse = matches!(set, TidSet::Sparse(_));
+                    let roll = rng.gen_range(0..100u32);
+                    if roll < odds[0] {
+                        assert_eq!(set.insert(t), model.insert(t), "insert {t:?}");
+                        grown += usize::from(was_sparse && matches!(set, TidSet::Dense { .. }));
+                    } else if roll < odds[0] + odds[1] {
+                        assert_eq!(set.remove(t), model.remove(&t), "remove {t:?}");
+                    } else if roll < odds[0] + odds[1] + odds[2] {
+                        // Drain from the front, as `step_dependency` does.
+                        if let Some(first) = model.pop_first() {
+                            assert_eq!(set.first(), Some(first));
+                            assert!(set.remove(first));
+                        }
+                    } else {
+                        assert_eq!(set.contains(t), model.contains(&t), "contains {t:?}");
+                    }
+                    assert_eq!(set.len(), model.len());
+                    assert_eq!(set.is_empty(), model.is_empty());
+                    assert_eq!(set.first(), model.first().copied());
+                }
+                assert!(set.iter().eq(model.iter().copied()));
+            }
+            for t in (0..slots).map(TupleId) {
+                assert_eq!(set.contains(t), model.contains(&t), "contains {t:?}");
+            }
+        });
+        assert!(grown > 0, "no set outgrew its sparse form");
     }
 
     /// Runs from one seed equal a one-shot repair, again and again, under

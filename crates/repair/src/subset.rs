@@ -6,9 +6,7 @@
 //! from independent set), so the paper recommends — and we implement — the
 //! efficient approximation: take the tuples that violate no constraint at
 //! all, which is computable with one detection pass and "can often be
-//! expected to be fairly large" at realistic error rates. A greedy
-//! alternative that keeps a maximal-by-inclusion consistent set is also
-//! provided for comparison.
+//! expected to be fairly large" at realistic error rates.
 
 use cfd_cfd::violation::detect;
 use cfd_cfd::Sigma;
@@ -32,25 +30,6 @@ pub fn consistent_subset(d: &Relation, sigma: &Sigma) -> (Vec<TupleId>, Vec<Tupl
         }
     }
     (clean, dirty)
-}
-
-/// Greedy maximal-by-inclusion consistent subset: insert tuples in id order,
-/// keeping each tuple iff the kept set stays consistent. Quadratic in the
-/// worst case; used for comparison and small inputs.
-pub fn greedy_maximal_subset(d: &Relation, sigma: &Sigma) -> (Vec<TupleId>, Vec<TupleId>) {
-    let mut kept = Relation::new(d.schema().clone());
-    let mut kept_ids = Vec::new();
-    let mut rejected = Vec::new();
-    for (id, t) in d.iter() {
-        let tentative_id = kept.insert(t.to_tuple()).expect("same schema");
-        if cfd_cfd::check(&kept, sigma) {
-            kept_ids.push(id);
-        } else {
-            kept.delete(tentative_id).expect("just inserted");
-            rejected.push(id);
-        }
-    }
-    (kept_ids, rejected)
 }
 
 /// Outcome of [`repair_via_incremental`].
@@ -136,17 +115,6 @@ mod tests {
         let (clean, dirty) = consistent_subset(&rel, &sigma);
         assert_eq!(clean, vec![TupleId(0), TupleId(1), TupleId(4)]);
         assert_eq!(dirty, vec![TupleId(2), TupleId(3)]);
-    }
-
-    #[test]
-    fn greedy_subset_keeps_first_conflict_side() {
-        let (rel, sigma) = sample();
-        let (kept, rejected) = greedy_maximal_subset(&rel, &sigma);
-        assert!(kept.contains(&TupleId(2)));
-        assert_eq!(rejected, vec![TupleId(3)]);
-        // greedy keeps strictly more than the zero-violation subset here
-        let (clean, _) = consistent_subset(&rel, &sigma);
-        assert!(kept.len() > clean.len());
     }
 
     #[test]
