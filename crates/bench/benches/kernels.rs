@@ -250,9 +250,8 @@ fn bench_census(h: &mut Harness) {
 /// CI smoke gates: the load, pricing, daemon and stream kernels;
 /// exits nonzero when any fast path regresses below its reference.
 /// Best-of-three attempts defend against shared-runner scheduling noise,
-/// so only a reproducible regression trips the gates. The in-memory and
-/// file-mapped snapshot opens run the same reader, so their ratio is
-/// printed but not gated. Also writes `BENCH_kernels.json` so the
+/// so only a reproducible regression trips the gates. Also writes
+/// `BENCH_kernels.json` so the
 /// workflow can upload the numbers as an artifact.
 const SMOKE_MIN_LOAD_SPEEDUP: f64 = 1.0;
 const SMOKE_MIN_PRICING_SPEEDUP: f64 = 1.0;
@@ -272,7 +271,7 @@ fn smoke() -> ! {
         record_metadata(&mut h);
         bench_build_and_detect(&mut h);
         bench_census(&mut h);
-        let (load_speedup, mmap_ratio) = bench_load(&mut h);
+        let load_speedup = bench_load(&mut h);
         // Single-core compute kernels: gated even on a 1-CPU runner.
         let pricing_speedup = bench_pricing(&mut h);
         // The daemon's warm-vs-cold request latency: loopback RTT against
@@ -287,7 +286,6 @@ fn smoke() -> ! {
         record_peak_rss(&mut h);
         println!("{}", h.table());
         println!("load speedup (csv/snapshot): {load_speedup:.2}x");
-        println!("snapshot open ratio (in-memory/mmap, ungated): {mmap_ratio:.2}x");
         println!("pricing speedup (scalar/bit-parallel): {pricing_speedup:.2}x");
         println!("request latency (cold one-shot / warm daemon): {server_speedup:.2}x");
         println!("window latency (cold one-shot / warm stream): {stream_speedup:.2}x");
@@ -341,20 +339,15 @@ fn smoke() -> ! {
 }
 
 /// The persistence headline: cold ingest of the same 20k-tuple dirty
-/// workload through three paths — CSV (parse text, deduplicate each
-/// column's fields, bulk-install the distinct values), in-memory
-/// snapshot (copy the bytes, then the one snapshot reader), and
-/// file-mapped snapshot (map the file, the same reader borrowing the id
-/// columns zero-copy). The equality assertions pin that all paths
-/// produce the same relation before the timings mean anything. Returns
-/// `(csv/snapshot, snapshot/mmap)` median ratios (> 1 means the later
-/// path wins), and records the mapped reader's
-/// borrowed-vs-owned byte split plus a two-open kernel where both opens
-/// share one cached mapping.
-fn bench_load(h: &mut Harness) -> (f64, f64) {
+/// workload through two paths — CSV (parse text, deduplicate each
+/// column's fields, bulk-install the distinct values) and snapshot (the
+/// one snapshot reader over the snapshot's bytes). The equality assertions
+/// pin that both paths produce the same relation before the timings
+/// mean anything. Returns the csv/snapshot median ratio (> 1 means the
+/// snapshot wins).
+fn bench_load(h: &mut Harness) -> f64 {
     use cfd_model::csv::{read_relation, write_relation};
-    use cfd_model::snapshot::{read_snapshot, read_snapshot_mapped, snapshot_to_vec};
-    use cfd_model::MappingCache;
+    use cfd_model::snapshot::{read_snapshot, snapshot_to_vec};
 
     let w = workload(20_000, 7);
     let noise = inject(
@@ -388,36 +381,6 @@ fn bench_load(h: &mut Harness) -> (f64, f64) {
         }
     }
 
-    // The mapped path opens a real file per iteration (mmap + in-place
-    // checksum walk + zero-copy borrow), so the kernel measures the
-    // whole open, not just the decode.
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("cfd-bench-snap-{}.cfds", std::process::id()));
-    std::fs::write(&path, &snap).expect("write snapshot file");
-
-    // Sanity: the file-mapped open agrees with the in-memory one cell
-    // for cell, and actually borrows the id columns from the mapping.
-    let map = cfd_model::Mapping::open(&path).expect("map snapshot");
-    let via_map = read_snapshot_mapped(&map)
-        .expect("mapped snapshot loads")
-        .relation;
-    assert_eq!(via_snap.len(), via_map.len(), "mapped reader disagrees");
-    for a in via_snap.schema().attr_ids() {
-        let ce = via_snap.column(a);
-        let cm = via_map.column(a);
-        for (i, (x, y)) in ce.iter().zip(cm).enumerate() {
-            assert_eq!(
-                via_snap.pool().resolve(*x),
-                via_map.pool().resolve(*y),
-                "mapped reader disagrees at column {a} row {i}"
-            );
-        }
-    }
-    h.record("meta/snapshot_mapped_bytes", via_map.mapped_bytes() as f64);
-    h.record("meta/snapshot_owned_bytes", via_map.owned_bytes() as f64);
-    drop(via_map);
-    drop(map);
-
     let t_csv = h.run("load/csv_reintern_20k", || {
         read_relation("dirty", &mut black_box(csv.as_slice()))
             .expect("csv parses")
@@ -429,43 +392,15 @@ fn bench_load(h: &mut Harness) -> (f64, f64) {
             .relation
             .len()
     });
-    let t_mmap = h.run("load/snapshot_mmap_20k", || {
-        let map = cfd_model::Mapping::open(black_box(&path)).expect("map snapshot");
-        read_snapshot_mapped(&map)
-            .expect("mapped snapshot loads")
-            .relation
-            .len()
-    });
-    // Two datasets opened from the same snapshot file through the cache
-    // share one mapping — the resident-service open path.
-    h.run("load/snapshot_mmap_shared_2x_20k", || {
-        let cache = MappingCache::new();
-        let m1 = cache.get_or_open(black_box(&path)).expect("map snapshot");
-        let m2 = cache.get_or_open(black_box(&path)).expect("map snapshot");
-        assert!(
-            std::sync::Arc::ptr_eq(&m1, &m2),
-            "cache must share the mapping"
-        );
-        let a = read_snapshot_mapped(&m1)
-            .expect("mapped snapshot loads")
-            .relation;
-        let b = read_snapshot_mapped(&m2)
-            .expect("mapped snapshot loads")
-            .relation;
-        a.len() + b.len()
-    });
-    let _ = std::fs::remove_file(&path);
     let speedup = t_csv.median_ns / t_snap.median_ns;
-    let mmap_ratio = t_snap.median_ns / t_mmap.median_ns;
     eprintln!("load speedup (csv/snapshot): {speedup:.2}x");
-    eprintln!("snapshot open ratio (in-memory/mmap): {mmap_ratio:.2}x");
-    (speedup, mmap_ratio)
+    speedup
 }
 
 /// Peak resident set size of this bench process, from
-/// `/proc/self/status` `VmHWM` (kB). Recorded so the mapped reader's
-/// memory claim is visible next to its timings; 0 where the proc
-/// interface is unavailable.
+/// `/proc/self/status` `VmHWM` (kB). Recorded so the run's memory
+/// footprint is visible next to its timings; 0 where the proc interface
+/// is unavailable.
 fn record_peak_rss(h: &mut Harness) {
     let kb = std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -999,7 +934,7 @@ fn main() {
     let (build_speedup, detect_speedup) = bench_interned_vs_string(&mut h);
     bench_build_and_detect(&mut h);
     bench_census(&mut h);
-    let (load_speedup, mmap_ratio) = bench_load(&mut h);
+    let load_speedup = bench_load(&mut h);
     let server_speedup = bench_server_latency(&mut h);
     let stream_speedup = bench_stream(&mut h);
     bench_vio_of_candidate(&mut h);
@@ -1015,7 +950,6 @@ fn main() {
     println!("index build speedup (string/interned): {build_speedup:.2}x");
     println!("detection speedup  (string/interned): {detect_speedup:.2}x");
     println!("load speedup (csv/snapshot): {load_speedup:.2}x");
-    println!("snapshot open ratio (in-memory/mmap): {mmap_ratio:.2}x");
     println!("request latency (cold one-shot / warm daemon): {server_speedup:.2}x");
     println!("window latency (cold one-shot / warm stream): {stream_speedup:.2}x");
     println!("value index memo speedup (dense miss / memo hit, ungated): {memo_speedup:.2}x");

@@ -8,6 +8,8 @@
 //! runs), as do 14/15. Output goes to stdout as aligned tables; `--json`
 //! additionally writes machine-readable series for downstream plotting.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 
 use cfd_bench::harness::json_escape;

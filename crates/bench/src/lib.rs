@@ -20,6 +20,8 @@
 //! the *shapes* (who wins, how curves trend) are the reproduction target;
 //! EXPERIMENTS.md records both sides.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use cfd_cfd::Engine;

@@ -27,6 +27,8 @@
 //! semantics) — this is what makes `null` an always-available last-resort
 //! repair and guarantees termination.
 
+#![forbid(unsafe_code)]
+
 pub mod cfd;
 pub mod parser;
 pub mod pattern;

@@ -16,6 +16,8 @@
 //! | `serve`    | run the resident repair daemon (datasets stay warm) |
 //! | `client`   | drive a running daemon |
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 
 pub mod args;

@@ -1,5 +1,7 @@
 //! `cfdclean` binary entry point: parse, dispatch, exit 1 on error.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut stdout = std::io::stdout().lock();

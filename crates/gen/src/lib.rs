@@ -17,6 +17,8 @@
 //!   violation mix, DL-close typos or value swaps, §7.1 weight bands;
 //! * [`eval`] — precision/recall summaries.
 
+#![forbid(unsafe_code)]
+
 pub mod eval;
 pub mod generator;
 pub mod noise;

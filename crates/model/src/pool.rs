@@ -93,11 +93,7 @@ use crate::value::Value;
 /// when a display-stable order is needed. An id is meaningful only
 /// relative to the pool that issued it; structures that move ids around
 /// (relations, indices, fixes) stay within a single dataset's pool.
-/// `repr(transparent)` over the `u32` is a layout guarantee the
-/// zero-copy snapshot reader relies on: an aligned little-endian `u32`
-/// run inside a file mapping reads back as `&[ValueId]` without a copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(transparent)]
 pub struct ValueId(pub u32);
 
 /// The id of `Value::Null` — slot 0 of every pool, by construction.

@@ -118,19 +118,6 @@ impl Relation {
         self.store.pool()
     }
 
-    /// Column bytes still borrowed zero-copy from a snapshot mapping —
-    /// 0 for eagerly loaded relations, and it only shrinks as repairs
-    /// write (COW promotes whole columns to owned).
-    pub fn mapped_bytes(&self) -> usize {
-        self.store.mapped_bytes()
-    }
-
-    /// Owned column bytes (materialized value columns, weight columns,
-    /// validity bitmap); the counterpart of [`Relation::mapped_bytes`].
-    pub fn owned_bytes(&self) -> usize {
-        self.store.owned_bytes()
-    }
-
     /// A deep copy of this relation with every cell re-interned into
     /// `pool` — the boundary translation that moves a relation built on a
     /// foreign pool (say, the shared pool of the pool-less constructors)

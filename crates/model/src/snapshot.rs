@@ -11,10 +11,11 @@
 //! text the dataset is governed by. Loading validates the whole file,
 //! bulk-installs the dictionary (one hash operation per *distinct* value
 //! instead of per cell) into a **fresh pool scoped to the dataset**, and
-//! then borrows the id columns straight from the file bytes — no
-//! parsing, no per-cell hashing. A [`Catalog`] therefore gives every
-//! loaded dataset its own dictionary: nothing about a load depends on,
-//! or leaks into, the rest of the process.
+//! then copies the id columns out of the file bytes through the
+//! dictionary's local→pool id remap — no text parsing, no per-cell
+//! hashing. A [`Catalog`] therefore gives every loaded dataset its own
+//! dictionary: nothing about a load depends on, or leaks into, the rest
+//! of the process.
 //!
 //! [`write_edit_log`] / [`read_edit_log_in`] persist a repair as an
 //! [`EditLog`] in the same framing: each edit names a tuple, an
@@ -91,50 +92,31 @@
 //! weight, the VALIDITY popcount and tail, the exact end, and a valid
 //! schema). It installs nothing, and every entry point goes through it:
 //!
-//! * [`read_snapshot_mapped`] opens a file [`Mapping`] (mmap-backed on
-//!   unix, owned-buffer elsewhere and under `CFD_MMAP=0` — see
-//!   [`crate::mapping`]) and installs in place;
-//! * [`read_snapshot`] is the same reader over an owned copy of bytes
-//!   already in memory;
+//! * [`read_snapshot`] parses bytes already in memory and installs them;
 //! * [`snapshot_info`] is `parse` alone, so `info` never describes a
 //!   file that will not load;
-//! * [`Catalog::load`] and [`Catalog::load_mapped`] read through the
-//!   catalog's mapping cache.
+//! * [`Catalog::load`] reads the whole file and hands its bytes to
+//!   [`read_snapshot`].
 //!
-//! What the install copies:
+//! The install always copies into buffers the relation owns:
 //!
-//! * **Column segments borrow.** Each attribute's `slots × u32` local-id
-//!   run inside COLS becomes a borrowed slice over the mapping
-//!   ([`crate::storage::IdColumn`]) instead of a copied `Vec` — sound
-//!   because local ids in a canonical file are assigned in
-//!   first-occurrence order, which is exactly the id order a fresh pool's
-//!   bulk install produces, so the on-disk ids *are* the pool ids (the
-//!   reader verifies this identity after the install and falls back to
-//!   an owned remap for checksum-valid but non-canonical files, e.g.
-//!   duplicate dictionary entries). The reader therefore always installs
-//!   into a fresh pool of its own.
-//! * **Alignment.** The segment framing is unpadded, so a run's 4-byte
-//!   alignment depends on the preceding variable-length segments; each
-//!   column borrows only when its actual mapped pointer is aligned (and
-//!   the host is little-endian), falling back to an owned copy per
-//!   column otherwise. Weight columns and the validity bitmap are always
-//!   owned — they are parsed and validated element-wise anyway.
-//! * **COW on write.** A borrowed column is promoted to an owned copy on
-//!   its first mutation (`set_cell`, `push`, `compact`), column by
-//!   column — repairs mutate freely while sibling datasets borrowing the
-//!   same mapping keep reading the original bytes. The mapping is
-//!   released (and the file unmapped) when the last borrowing dataset
-//!   drops.
+//! * **Id columns remap.** The dictionary goes into a fresh pool of its
+//!   own, which returns the pool id of every local id; each attribute's
+//!   `slots × u32` local-id run becomes an owned `Vec<ValueId>` through
+//!   that remap. On a canonical file the remap is the identity (local
+//!   ids are assigned in first-occurrence order, the order a fresh
+//!   pool's bulk install interns in); a checksum-valid file with
+//!   duplicate dictionary entries remaps them onto one pool id.
+//! * **Weights and validity** are the vectors `parse` already decoded
+//!   while validating them element by element.
 //! * **The dictionary installs lazily where it can.** Ids and occurrence
 //!   counts install eagerly (they seed `FINDV`'s frequency tie-break);
 //!   rendered text is materialized on demand through the pool's
 //!   [`rendered`](crate::pool::ValuePool::rendered) cache, so opening a
 //!   snapshot does not pay for strings no repair ever looks at.
 //!
-//! A [`Catalog`] deduplicates concurrent opens through a
-//! [`MappingCache`]: two datasets opened from the same snapshot file
-//! share one `Arc<Mapping>` — one physical copy of the column bytes
-//! across workers.
+//! A loaded relation shares nothing with its file or with any other
+//! load of it: every dataset opened from one snapshot is independent.
 
 use std::fmt;
 use std::fs;
@@ -144,11 +126,10 @@ use std::path::{Path, PathBuf};
 use crate::diff::{Edit, EditLog};
 use crate::error::ModelError;
 use crate::hash::FnvMap;
-use crate::mapping::{Mapping, MappingCache};
 use crate::pool::{ValueId, ValuePool, NULL_ID};
 use crate::relation::{Relation, TupleId};
 use crate::schema::{AttrId, Schema};
-use crate::storage::{ColumnStore, IdColumn};
+use crate::storage::ColumnStore;
 use crate::value::Value;
 
 /// Magic bytes opening a snapshot file.
@@ -828,55 +809,29 @@ fn parse(bytes: &[u8]) -> Result<Parsed, SnapshotError> {
     })
 }
 
-/// Parse and install a version-1 snapshot held in memory: the mapped
-/// reader over an owned copy of `bytes`.
-pub fn read_snapshot(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
-    read_snapshot_mapped(&Mapping::from_bytes(bytes.to_vec()))
-}
-
-/// Parse and install a version-1 snapshot **in place** over `map`: the
-/// file is validated in full first (a rejected file installs nothing),
-/// then the dictionary goes into a **fresh pool of its own** and the id
-/// columns borrow from the mapping, copy-on-write (see the module docs'
+/// Parse and install a version-1 snapshot held in memory: the file is
+/// validated in full first (a rejected file installs nothing), then the
+/// dictionary goes into a **fresh pool of its own** and the id columns
+/// are copied out through the local→pool id remap (see the module docs'
 /// *Reader* section). Nothing the process loaded before can influence
 /// the relation's ids or frequency counters, and evicting the dataset
 /// frees its whole dictionary.
-pub fn read_snapshot_mapped(
-    map: &std::sync::Arc<Mapping>,
-) -> Result<LoadedSnapshot, SnapshotError> {
-    let bytes = map.bytes();
+pub fn read_snapshot(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
     let p = parse(bytes)?;
     let slots = p.meta.slots;
 
     let pool = ValuePool::new_handle();
     let pool_ids = pool.install_column(&p.values, &p.counts);
-    // The writer assigns local ids in first-occurrence order — exactly
-    // the order a fresh pool's install interns, so on a canonical file
-    // the install is the identity map and the on-disk u32 runs *are*
-    // valid pool-id columns. Verified, not assumed: a checksum-valid but
-    // hand-crafted file can carry duplicate dictionary entries, which
-    // the install dedupes into a non-identity map — those fall back to
-    // an owned remap.
-    let identity = pool_ids.iter().enumerate().all(|(i, id)| id.index() == i);
-    let cols: Vec<IdColumn> = (0..p.schema.arity())
+    let cols: Vec<Vec<ValueId>> = (0..p.schema.arity())
         .map(|a| {
             let offset = p.cols + a * slots * 12;
-            if identity {
-                // Borrow when aligned (and little-endian); per-column
-                // owned fallback otherwise.
-                if let Some(col) = IdColumn::mapped(std::sync::Arc::clone(map), offset, slots) {
-                    return col;
-                }
-            }
-            let run = &bytes[offset..offset + slots * 4];
-            IdColumn::Owned(
-                run.chunks_exact(4)
-                    .map(|c| pool_ids[u32::from_le_bytes(c.try_into().unwrap()) as usize])
-                    .collect(),
-            )
+            bytes[offset..offset + slots * 4]
+                .chunks_exact(4)
+                .map(|c| pool_ids[u32::from_le_bytes(c.try_into().unwrap()) as usize])
+                .collect()
         })
         .collect();
-    let store = ColumnStore::from_id_columns(slots, cols, p.weights, p.validity, pool);
+    let store = ColumnStore::from_parts(slots, cols, p.weights, p.validity, pool);
     let relation = Relation::from_store(p.schema, store)?;
     Ok(LoadedSnapshot {
         relation,
@@ -1111,10 +1066,6 @@ pub fn read_edit_log_in(bytes: &[u8], pool: &ValuePool) -> Result<LoadedEditLog,
 #[derive(Clone, Debug)]
 pub struct Catalog {
     dir: PathBuf,
-    /// Live file mappings, shared across clones of this catalog handle:
-    /// two datasets opened from the same snapshot file borrow one
-    /// `Arc<Mapping>`.
-    mappings: std::sync::Arc<MappingCache>,
 }
 
 impl Catalog {
@@ -1124,10 +1075,7 @@ impl Catalog {
     /// exist — a mistyped `--catalog` path must not silently create an
     /// empty catalog — and only [`Catalog::save`] creates it.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Catalog, SnapshotError> {
-        Ok(Catalog {
-            dir: dir.into(),
-            mappings: std::sync::Arc::new(MappingCache::new()),
-        })
+        Ok(Catalog { dir: dir.into() })
     }
 
     fn require_dir(&self) -> Result<(), SnapshotError> {
@@ -1192,33 +1140,10 @@ impl Catalog {
         Ok(path)
     }
 
-    /// Load the dataset `name`: [`Catalog::load_mapped`] without the
-    /// mapping handle. The relation's borrowed columns keep the mapping
-    /// alive on their own.
+    /// Load the dataset `name`: read its snapshot file and install it
+    /// through [`read_snapshot`].
     pub fn load(&self, name: &str) -> Result<LoadedSnapshot, SnapshotError> {
-        self.load_mapped(name).map(|(loaded, _)| loaded)
-    }
-
-    /// Load the dataset `name` zero-copy: the snapshot file is mapped
-    /// (shared with any dataset already open from the same file — see
-    /// [`MappingCache`]) and installed in place via
-    /// [`read_snapshot_mapped`]. The returned mapping keeps the file's
-    /// bytes alive; hold it alongside the relation.
-    pub fn load_mapped(
-        &self,
-        name: &str,
-    ) -> Result<(LoadedSnapshot, std::sync::Arc<Mapping>), SnapshotError> {
-        let path = self.snapshot_path(name)?;
-        self.require_dir()?;
-        let map = self.mappings.get_or_open(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                SnapshotError::UnknownDataset(name.to_string())
-            } else {
-                SnapshotError::from(e)
-            }
-        })?;
-        let loaded = read_snapshot_mapped(&map)?;
-        Ok((loaded, map))
+        read_snapshot(&self.read_file(name)?)
     }
 
     /// Describe the dataset `name` without installing it.
@@ -1499,62 +1424,6 @@ mod tests {
     }
 
     #[test]
-    fn mapped_reader_round_trips_and_borrows() {
-        let r = sample();
-        let bytes = snapshot_to_vec(&r, Some("phi: [id] -> [name]"));
-        let map = Mapping::from_bytes(bytes.clone());
-        let loaded = read_snapshot_mapped(&map).unwrap();
-        assert_same(&r, &loaded.relation);
-        assert_eq!(loaded.rules.as_deref(), Some("phi: [id] -> [name]"));
-        // On a little-endian host with aligned segments the id columns
-        // borrow straight from the mapping; weights and validity are
-        // always owned. Alignment depends on the variable-length DICT
-        // payload, so per-column fallback to owned is legal — but the
-        // *sum* of mapped + owned must cover every id column either way.
-        let mapped = loaded.relation.mapped_bytes();
-        let owned = loaded.relation.owned_bytes();
-        assert!(mapped + owned > 0);
-        if cfg!(target_endian = "little") {
-            // The writer pads nothing, so at least one of the 4-byte id
-            // runs in this fixture lands aligned.
-            assert_eq!(mapped % 4, 0);
-        }
-        // Re-save straight off the borrowed columns: byte-identical.
-        assert_eq!(
-            bytes,
-            snapshot_to_vec(&loaded.relation, Some("phi: [id] -> [name]"))
-        );
-    }
-
-    #[test]
-    fn mapped_reader_copy_on_write_isolates_datasets() {
-        let r = sample();
-        let map = Mapping::from_bytes(snapshot_to_vec(&r, None));
-        let mut a = read_snapshot_mapped(&map).unwrap().relation;
-        let b = read_snapshot_mapped(&map).unwrap().relation;
-        a.set_value(TupleId(0), AttrId(0), Value::str("MUT"))
-            .unwrap();
-        assert_eq!(
-            a.tuple(TupleId(0)).unwrap().value(AttrId(0)),
-            Value::str("MUT")
-        );
-        // The sibling over the same mapping still reads the original.
-        assert_eq!(
-            b.tuple(TupleId(0)).unwrap().value(AttrId(0)),
-            Value::str("a23")
-        );
-        // Promotion moves bytes from mapped to owned without changing
-        // the total; the writer never gains mapped bytes. (Whether the
-        // written column *was* mapped depends on its alignment in the
-        // file, so only the direction is asserted, not strictness.)
-        assert!(a.mapped_bytes() <= b.mapped_bytes());
-        assert_eq!(
-            a.mapped_bytes() + a.owned_bytes(),
-            b.mapped_bytes() + b.owned_bytes()
-        );
-    }
-
-    #[test]
     fn snapshot_segments_lists_frames_in_file_order() {
         let r = sample();
         let bytes = snapshot_to_vec(&r, Some("x"));
@@ -1576,39 +1445,6 @@ mod tests {
         // Structural damage stays a typed error.
         assert!(snapshot_segments(&bytes[..bytes.len() - 3]).is_err());
         assert!(snapshot_segments(b"junk").is_err());
-    }
-
-    #[test]
-    fn catalog_load_mapped_shares_one_mapping_per_file() {
-        let dir = std::env::temp_dir().join(format!(
-            "cfd-catalog-mapped-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let cat = Catalog::open(&dir).unwrap();
-        let r = sample();
-        cat.save("orders", &r, None).unwrap();
-        let (l1, m1) = cat.load_mapped("orders").unwrap();
-        let (l2, m2) = cat.load_mapped("orders").unwrap();
-        assert!(
-            std::sync::Arc::ptr_eq(&m1, &m2),
-            "same file, same session: one mapping"
-        );
-        assert_same(&r, &l1.relation);
-        assert_same(&r, &l2.relation);
-        // Re-saving under the same name (tmp + rename) gives later opens
-        // a fresh mapping; the old Arc keeps the old bytes alive.
-        cat.save("orders", &r, Some("now with rules")).unwrap();
-        let (l3, m3) = cat.load_mapped("orders").unwrap();
-        assert!(!std::sync::Arc::ptr_eq(&m1, &m3), "re-save must remap");
-        assert_eq!(l3.rules.as_deref(), Some("now with rules"));
-        assert_same(&r, &l1.relation);
-        assert!(matches!(
-            cat.load_mapped("missing"),
-            Err(SnapshotError::UnknownDataset(_))
-        ));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 use std::sync::Arc;
 
 use crate::key::IdKey;
-use crate::mapping::Mapping;
 use crate::pool::{ValueId, ValuePool, NULL_ID};
 use crate::schema::AttrId;
 use crate::tuple::{Tuple, TupleView};
@@ -46,109 +45,17 @@ fn full_validity(slots: usize) -> Vec<u64> {
     validity
 }
 
-/// One attribute's `ValueId` column: owned, or borrowed zero-copy from a
-/// snapshot [`Mapping`] — COW at column granularity. Mapped columns read
-/// through [`IdColumn::as_slice`] at the same cost as owned ones (the
-/// file stores little-endian `u32` runs, and `ValueId` is
-/// `repr(transparent)` over `u32`); the first mutation promotes the
-/// column to an owned copy via [`IdColumn::make_mut`], leaving sibling
-/// datasets borrowing the same mapping untouched. `Clone` shares the
-/// mapping `Arc`, so cloning a mapped relation (repair seeds) stays as
-/// cheap as the owned `Vec` clone it replaces is for small columns.
-#[derive(Clone, Debug)]
-pub enum IdColumn {
-    /// A materialized column — every store starts here except snapshot
-    /// opens, and every mapped column lands here on first write.
-    Owned(Vec<ValueId>),
-    /// `len` ids borrowed from `map` at byte `offset`. Constructed only
-    /// through [`IdColumn::mapped`], which enforces the bounds,
-    /// alignment, and endianness invariants `as_slice` relies on.
-    Mapped {
-        /// The snapshot file backing the ids.
-        map: Arc<Mapping>,
-        /// Byte offset of the id run within the mapping.
-        offset: usize,
-        /// Number of ids (not bytes).
-        len: usize,
-    },
-}
-
-impl IdColumn {
-    /// A mapped column over `len` ids at `offset` in `map` — or `None`
-    /// when the zero-copy invariants do not hold: the run must lie
-    /// within the mapping, the actual pointer must be 4-byte aligned
-    /// (file offsets do not guarantee it — the segment framing is not
-    /// padded), and the host must be little-endian (the ids are stored
-    /// LE; a swap needs a copy anyway). Callers fall back to `Owned`.
-    pub fn mapped(map: Arc<Mapping>, offset: usize, len: usize) -> Option<IdColumn> {
-        if !cfg!(target_endian = "little") {
-            return None;
-        }
-        let bytes = len.checked_mul(4)?;
-        let end = offset.checked_add(bytes)?;
-        if end > map.len() {
-            return None;
-        }
-        let ptr = map.bytes()[offset..].as_ptr();
-        if !(ptr as usize).is_multiple_of(std::mem::align_of::<ValueId>()) {
-            return None;
-        }
-        Some(IdColumn::Mapped { map, offset, len })
-    }
-
-    /// The ids as a contiguous slice, whatever the backing.
-    #[inline]
-    pub fn as_slice(&self) -> &[ValueId] {
-        match self {
-            IdColumn::Owned(v) => v,
-            IdColumn::Mapped { map, offset, len } => {
-                // SAFETY: `mapped` checked that `offset..offset + len*4`
-                // lies within the mapping and that the pointer is
-                // aligned for `ValueId` (`repr(transparent)` over u32,
-                // for which every bit pattern is valid); the mapping is
-                // read-only and outlives `self` through the Arc.
-                unsafe {
-                    std::slice::from_raw_parts(
-                        map.bytes()[*offset..].as_ptr() as *const ValueId,
-                        *len,
-                    )
-                }
-            }
-        }
-    }
-
-    /// Mutable access, copying a mapped column to owned first — the COW
-    /// point every column write funnels through.
-    #[inline]
-    pub fn make_mut(&mut self) -> &mut Vec<ValueId> {
-        if let IdColumn::Mapped { .. } = self {
-            *self = IdColumn::Owned(self.as_slice().to_vec());
-        }
-        match self {
-            IdColumn::Owned(v) => v,
-            IdColumn::Mapped { .. } => unreachable!("promoted above"),
-        }
-    }
-
-    /// Whether the column still borrows from a mapping.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, IdColumn::Mapped { .. })
-    }
-
-    /// The column's payload size in bytes (either backing).
-    pub fn byte_len(&self) -> usize {
-        std::mem::size_of_val(self.as_slice())
-    }
-}
-
 /// Columnar storage: `arity` value columns, `arity` weight columns, and a
 /// validity bitmap, all indexed by slot (= [`TupleId`](crate::TupleId)
-/// index).
+/// index). Every column is an owned `Vec` of the store's own, whether it
+/// came from CSV import, a snapshot load, or cell-by-cell inserts, so
+/// cloning a store deep-copies it and a write never touches another
+/// store.
 #[derive(Clone, Debug)]
 pub struct ColumnStore {
     arity: usize,
     slots: usize,
-    cols: Vec<IdColumn>,
+    cols: Vec<Vec<ValueId>>,
     wcols: Vec<Vec<f64>>,
     validity: Vec<u64>,
     /// The pool every `ValueId` in `cols` belongs to.
@@ -161,7 +68,7 @@ impl ColumnStore {
         ColumnStore {
             arity,
             slots: 0,
-            cols: (0..arity).map(|_| IdColumn::Owned(Vec::new())).collect(),
+            cols: vec![Vec::new(); arity],
             wcols: vec![Vec::new(); arity],
             validity: Vec::new(),
             pool,
@@ -225,29 +132,9 @@ impl ColumnStore {
         validity: Vec<u64>,
         pool: Arc<ValuePool>,
     ) -> Self {
-        ColumnStore::from_id_columns(
-            slots,
-            cols.into_iter().map(IdColumn::Owned).collect(),
-            wcols,
-            validity,
-            pool,
-        )
-    }
-
-    /// [`ColumnStore::from_parts`] over pre-built [`IdColumn`] backings —
-    /// the zero-copy snapshot install hook, where some (or all) value
-    /// columns borrow straight from the file mapping. Same invariants
-    /// and panics as `from_parts`.
-    pub fn from_id_columns(
-        slots: usize,
-        cols: Vec<IdColumn>,
-        wcols: Vec<Vec<f64>>,
-        validity: Vec<u64>,
-        pool: Arc<ValuePool>,
-    ) -> Self {
         let arity = cols.len();
         for c in &cols {
-            assert_eq!(c.as_slice().len(), slots, "ragged value columns");
+            assert_eq!(c.len(), slots, "ragged value columns");
         }
         assert_eq!(wcols.len(), arity, "weight columns must match arity");
         for c in &wcols {
@@ -308,30 +195,7 @@ impl ColumnStore {
     /// The full value column of attribute `a` (dead slots included).
     #[inline]
     pub fn column(&self, a: AttrId) -> &[ValueId] {
-        self.cols[a.index()].as_slice()
-    }
-
-    /// Value-column bytes still borrowed zero-copy from a snapshot
-    /// mapping (0 for owned and fully written-to stores).
-    pub fn mapped_bytes(&self) -> usize {
-        self.cols
-            .iter()
-            .filter(|c| c.is_mapped())
-            .map(IdColumn::byte_len)
-            .sum()
-    }
-
-    /// Bytes of owned column data: materialized value columns plus the
-    /// (always owned) weight columns and validity bitmap.
-    pub fn owned_bytes(&self) -> usize {
-        let ids: usize = self
-            .cols
-            .iter()
-            .filter(|c| !c.is_mapped())
-            .map(IdColumn::byte_len)
-            .sum();
-        let weights = self.wcols.iter().map(|c| c.len() * 8).sum::<usize>();
-        ids + weights + self.validity.len() * 8
+        &self.cols[a.index()]
     }
 
     /// The full weight column of attribute `a` (dead slots included).
@@ -347,7 +211,7 @@ impl ColumnStore {
 
     #[inline]
     fn cell(&self, slot: usize, a: AttrId) -> ValueId {
-        self.cols[a.index()].as_slice()[slot]
+        self.cols[a.index()][slot]
     }
 
     #[inline]
@@ -360,7 +224,7 @@ impl ColumnStore {
         debug_assert_eq!(t.arity(), self.arity);
         let slot = self.slots;
         for (a, col) in self.cols.iter_mut().enumerate() {
-            col.make_mut().push(t.id(AttrId(a as u16)));
+            col.push(t.id(AttrId(a as u16)));
         }
         for (a, col) in self.wcols.iter_mut().enumerate() {
             col.push(t.weight(AttrId(a as u16)));
@@ -374,7 +238,7 @@ impl ColumnStore {
     }
 
     fn materialize(&self, slot: usize) -> Tuple {
-        let ids: Vec<ValueId> = self.cols.iter().map(|c| c.as_slice()[slot]).collect();
+        let ids: Vec<ValueId> = self.cols.iter().map(|c| c[slot]).collect();
         let weights: Vec<f64> = self.wcols.iter().map(|c| c[slot]).collect();
         let mut t = Tuple::from_ids(ids);
         for (a, w) in weights.into_iter().enumerate() {
@@ -399,7 +263,7 @@ impl ColumnStore {
 
     /// Overwrite one cell id. The caller checks liveness and arity.
     pub(crate) fn set_cell(&mut self, slot: usize, a: AttrId, v: ValueId) {
-        self.cols[a.index()].make_mut()[slot] = v;
+        self.cols[a.index()][slot] = v;
     }
 
     /// Overwrite one cell weight, clamped into `[0, 1]`. The caller
@@ -413,8 +277,8 @@ impl ColumnStore {
         let live: Vec<usize> = self.live_slots().collect();
         let mapping: Vec<(usize, usize)> = live.iter().enumerate().map(|(n, o)| (*o, n)).collect();
         for col in &mut self.cols {
-            let kept: Vec<ValueId> = live.iter().map(|&i| col.as_slice()[i]).collect();
-            *col = IdColumn::Owned(kept);
+            let kept: Vec<ValueId> = live.iter().map(|&i| col[i]).collect();
+            *col = kept;
         }
         for col in &mut self.wcols {
             let kept: Vec<f64> = live.iter().map(|&i| col[i]).collect();

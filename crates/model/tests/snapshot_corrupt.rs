@@ -20,10 +20,10 @@
 //! loudly here, not intermittently in production.)
 
 use cfd_model::snapshot::{
-    edit_log_to_vec, read_edit_log_in, read_snapshot, read_snapshot_mapped, snapshot_info,
-    snapshot_segments, snapshot_to_vec, LoadedEditLog, SnapshotError,
+    edit_log_to_vec, read_edit_log_in, read_snapshot, snapshot_info, snapshot_segments,
+    snapshot_to_vec, LoadedEditLog, SnapshotError,
 };
-use cfd_model::{EditLog, Mapping, Relation, Schema, Tuple, TupleId, Value, ValuePool};
+use cfd_model::{EditLog, Relation, Schema, Tuple, TupleId, Value, ValuePool};
 use cfd_prng::{trials, Rng};
 
 fn sample(rows: usize) -> Relation {
@@ -59,9 +59,7 @@ fn edit_log_bytes(r: &Relation) -> Vec<u8> {
 
 /// The reader must reject `bytes` with a typed error. The `Err` match is
 /// the whole point: a panic aborts the test, an `Ok` is a silent
-/// mis-load. The mapped reader walks the same frames over the same
-/// bytes (here through an owned-backing [`Mapping`]) and must reject
-/// with the same error classes — no panic, no partial install.
+/// mis-load.
 fn assert_snapshot_rejected(bytes: &[u8], ctx: &str) {
     match read_snapshot(bytes) {
         Err(
@@ -74,18 +72,6 @@ fn assert_snapshot_rejected(bytes: &[u8], ctx: &str) {
         ) => {}
         Err(other) => panic!("{ctx}: unexpected error class {other:?}"),
         Ok(_) => panic!("{ctx}: corrupted snapshot loaded successfully"),
-    }
-    match read_snapshot_mapped(&Mapping::from_bytes(bytes.to_vec())) {
-        Err(
-            SnapshotError::NotASnapshot
-            | SnapshotError::UnsupportedVersion(_)
-            | SnapshotError::Truncated { .. }
-            | SnapshotError::Checksum { .. }
-            | SnapshotError::Corrupt { .. }
-            | SnapshotError::Model(_),
-        ) => {}
-        Err(other) => panic!("{ctx}: mapped reader: unexpected error class {other:?}"),
-        Ok(_) => panic!("{ctx}: mapped reader loaded a corrupted snapshot"),
     }
     // `info` walks the same frames and must agree.
     assert!(snapshot_info(bytes).is_err(), "{ctx}: info accepted it");
@@ -388,11 +374,6 @@ fn assert_content_rejected(bytes: &[u8], expect: Expect, ctx: &str) {
         "{ctx}: every checksum must verify, so only the content check can reject"
     );
     check_error(read_snapshot(bytes).map(drop), expect, ctx);
-    check_error(
-        read_snapshot_mapped(&Mapping::from_bytes(bytes.to_vec())).map(drop),
-        expect,
-        &format!("{ctx} (mapped)"),
-    );
     // `info` runs the same validation: it must not describe a file
     // that will not load.
     check_error(
@@ -504,7 +485,7 @@ fn checksum_valid_files_that_break_a_content_rule_are_rejected() {
 /// A checksum-valid but non-canonical file: one cell references a second
 /// DICT entry holding the same value as an earlier one. The fresh pool's
 /// install folds the duplicate, so on-disk ids are not pool ids and the
-/// reader must take the owned remap instead of borrowing the id runs.
+/// reader's local→pool remap must send both entries to one pool id.
 #[test]
 fn a_duplicated_dictionary_entry_loads_through_the_owned_remap() {
     let (r, bytes) = content_fixture();
@@ -542,46 +523,34 @@ fn a_duplicated_dictionary_entry_loads_through_the_owned_remap() {
     assert_ne!(dup, bytes);
 
     let canonical = read_snapshot(&bytes).unwrap();
-    for (path, loaded) in [
-        ("in-memory", read_snapshot(&dup).unwrap()),
-        (
-            "mapped",
-            read_snapshot_mapped(&Mapping::from_bytes(dup.clone())).unwrap(),
-        ),
-    ] {
-        let rel = &loaded.relation;
-        assert_eq!(loaded.rules, canonical.rules, "{path}: rules");
-        assert_eq!(
-            rel.mapped_bytes(),
-            0,
-            "{path}: non-identity ids must not be borrowed"
-        );
-        assert_eq!(rel.slot_count(), r.slot_count(), "{path}: slots");
-        for s in 0..rel.slot_count() {
-            let id = TupleId(s as u32);
-            assert_eq!(rel.is_live(id), r.is_live(id), "{path}: liveness {id}");
-        }
-        for id in r.ids() {
-            for a in r.schema().attr_ids() {
-                assert_eq!(
-                    rel.tuple(id).unwrap().value(a),
-                    r.tuple(id).unwrap().value(a),
-                    "{path}: {id} {a}"
-                );
-                assert_eq!(
-                    rel.cell_weight(id, a).unwrap().to_bits(),
-                    r.cell_weight(id, a).unwrap().to_bits(),
-                    "{path}: {id} {a} weight"
-                );
-            }
-        }
-        let phi = Value::str("PHI");
-        let count = |rel: &Relation| rel.pool().use_count(rel.pool().lookup(&phi).unwrap());
-        assert_eq!(count(rel), count(&canonical.relation), "{path}: use count");
-        assert_eq!(
-            snapshot_to_vec(rel, loaded.rules.as_deref()),
-            bytes,
-            "{path}: re-saving yields the canonical file"
-        );
+    let loaded = read_snapshot(&dup).unwrap();
+    let rel = &loaded.relation;
+    assert_eq!(loaded.rules, canonical.rules, "rules");
+    assert_eq!(rel.slot_count(), r.slot_count(), "slots");
+    for s in 0..rel.slot_count() {
+        let id = TupleId(s as u32);
+        assert_eq!(rel.is_live(id), r.is_live(id), "liveness {id}");
     }
+    for id in r.ids() {
+        for a in r.schema().attr_ids() {
+            assert_eq!(
+                rel.tuple(id).unwrap().value(a),
+                r.tuple(id).unwrap().value(a),
+                "{id} {a}"
+            );
+            assert_eq!(
+                rel.cell_weight(id, a).unwrap().to_bits(),
+                r.cell_weight(id, a).unwrap().to_bits(),
+                "{id} {a} weight"
+            );
+        }
+    }
+    let phi = Value::str("PHI");
+    let count = |rel: &Relation| rel.pool().use_count(rel.pool().lookup(&phi).unwrap());
+    assert_eq!(count(rel), count(&canonical.relation), "use count");
+    assert_eq!(
+        snapshot_to_vec(rel, loaded.rules.as_deref()),
+        bytes,
+        "re-saving yields the canonical file"
+    );
 }

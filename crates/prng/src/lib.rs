@@ -12,6 +12,8 @@
 //! is all the experiments need; they are not bit-compatible with the
 //! `rand_chacha` crate.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// SplitMix64 step, used to expand a `u64` seed into key material.

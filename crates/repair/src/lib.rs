@@ -32,6 +32,8 @@
 //! paper's heuristics, with termination enforced by an explicit progress
 //! measure.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cluster;
 pub mod cost;

@@ -19,6 +19,8 @@
 //!   expert) marks inaccurate tuples → accept the repair or feed the
 //!   corrections back and re-repair.
 
+#![forbid(unsafe_code)]
+
 pub mod reservoir;
 pub mod session;
 pub mod stats;

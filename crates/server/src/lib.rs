@@ -167,6 +167,8 @@
 //! processes each connection's requests strictly in order, so the
 //! responses arrive in request order.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

@@ -292,7 +292,7 @@ pub enum Request {
     },
     /// Load a catalog snapshot as a resident dataset, optionally under
     /// a different dataset name (so one snapshot file can back several
-    /// resident datasets sharing a single zero-copy mapping).
+    /// resident datasets, each installed from its own read of the file).
     OpenSnapshot {
         name: String,
         as_name: Option<String>,

@@ -502,16 +502,6 @@ fn run(session: &Session, req: &Request) -> Result<Response, SessionError> {
                 None => text.push_str("\ncapacity unbounded"),
             }
             let _ = write!(text, "\nauto-evictions {}", stats.auto_evictions);
-            // Mapping accounting appends only when something is mapped,
-            // so the baseline stats text (pinned by golden fixtures and
-            // the LRU integration test) is unchanged for CSV-only use.
-            if stats.mappings > 0 {
-                let _ = write!(
-                    text,
-                    "\nmappings {}: {} dataset(s) mapped, {} mapped byte(s), {} owned byte(s)",
-                    stats.mappings, stats.mapped_datasets, stats.mapped_bytes, stats.owned_bytes
-                );
-            }
             Ok(Response::ok(text))
         }
         // Never reaches the worker: the I/O thread answers shutdown

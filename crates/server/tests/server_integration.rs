@@ -385,8 +385,8 @@ fn snapshot_save_evict_reload_round_trips_through_the_catalog() {
         .unwrap());
     assert!(info.starts_with("dataset \"gold\"\n"));
     assert!(info.contains("rules      embedded"));
-    // Satellite of the zero-copy reader: per-segment byte sizes and
-    // checksum status, one line per frame in file order.
+    // Per-segment byte sizes and checksum status, one line per frame
+    // in file order.
     for seg in ["META", "RULES", "DICT", "COLS", "VALIDITY"] {
         assert!(
             info.contains(&format!("segment    {seg:<8}")),
@@ -403,8 +403,8 @@ fn snapshot_save_evict_reload_round_trips_through_the_catalog() {
 }
 
 #[test]
-fn two_snapshot_opens_share_one_mapping() {
-    let dir = std::env::temp_dir().join(format!("cfd-server-mapshare-{}", std::process::id()));
+fn two_snapshot_opens_of_one_file_repair_alike() {
+    let dir = std::env::temp_dir().join(format!("cfd-server-twoopen-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let daemon = start(ServerConfig {
         catalog: Some(PathBuf::from(&dir)),
@@ -423,8 +423,7 @@ fn two_snapshot_opens_share_one_mapping() {
     .unwrap());
 
     // Open the same snapshot twice: once under its own name, once under
-    // an alias. The session's mapping cache must share one file mapping
-    // between them.
+    // an alias.
     let (text, _) = ok(c
         .request(&Request::OpenSnapshot {
             name: "gold".into(),
@@ -442,13 +441,11 @@ fn two_snapshot_opens_share_one_mapping() {
 
     let (stats, _) = ok(c.request(&Request::Stats).unwrap());
     assert!(
-        stats.contains("\nmappings 1: 2 dataset(s) mapped, "),
-        "both datasets must share one mapping, got: {stats}"
+        stats.starts_with("resident 2 dataset(s): gold, gold2\n"),
+        "both datasets must be resident, got: {stats}"
     );
 
-    // Both datasets answer identical repairs — and repairing one (a
-    // read-only operation over the resident relation) leaves the
-    // sibling's borrowed bytes untouched.
+    // Both datasets answer identical repairs.
     let mut repairs = Vec::new();
     for name in ["gold", "gold2"] {
         let (_, blobs) = ok(c
@@ -464,15 +461,15 @@ fn two_snapshot_opens_share_one_mapping() {
     }
     assert_eq!(repairs[0], repairs[1]);
 
-    // Evicting one dataset keeps the shared mapping alive for the other.
+    // Evicting one dataset leaves the other resident and repairing.
     ok(c.request(&Request::Evict {
         dataset: "gold".into(),
     })
     .unwrap());
     let (stats, _) = ok(c.request(&Request::Stats).unwrap());
     assert!(
-        stats.contains("\nmappings 1: 1 dataset(s) mapped, "),
-        "the survivor still holds the mapping, got: {stats}"
+        stats.starts_with("resident 1 dataset(s): gold2\n"),
+        "the survivor must stay resident, got: {stats}"
     );
     let (_, blobs) = ok(c
         .request(&Request::Repair {
@@ -483,18 +480,6 @@ fn two_snapshot_opens_share_one_mapping() {
         })
         .unwrap());
     assert_eq!(blobs[0], fixture("cust_repaired.csv"));
-
-    // And after the last mapped dataset goes, the stats line disappears
-    // (the baseline text is pinned by other tests).
-    ok(c.request(&Request::Evict {
-        dataset: "gold2".into(),
-    })
-    .unwrap());
-    let (stats, _) = ok(c.request(&Request::Stats).unwrap());
-    assert!(
-        !stats.contains("mappings"),
-        "no mapping line once nothing is mapped, got: {stats}"
-    );
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);

@@ -169,6 +169,8 @@
 //! assert!(violation::check(&out.repair, &sigma));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod session;
 pub mod stream;
 

@@ -91,7 +91,7 @@ use cfd_cfd::{CfdId, Engine, Sigma};
 use cfd_model::diff::{dif, EditLog};
 use cfd_model::hash::{FnvMap, FnvSet};
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
-use cfd_model::{csv, Catalog, Mapping, Relation, Tuple, TupleId, ValueId, ValuePool};
+use cfd_model::{csv, Catalog, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
     repair_via_incremental, Algorithm, BatchConfig, BatchSeed, IncConfig, InsertFootprint,
     InsertRepairer, Ordering, RepairError, RepairOptions,
@@ -229,12 +229,6 @@ pub struct DatasetHandle {
     /// a clone of the relation sharing the dataset pool; eviction aborts
     /// it so the pool-reclamation proof still holds.
     stream: Option<RepairSession>,
-    /// The snapshot file mapping backing this dataset's zero-copy
-    /// columns, when it was opened through [`Catalog::load_mapped`].
-    /// Kept so the mapping outlives every borrowed segment, and so two
-    /// datasets opened from the same snapshot file share one mapping
-    /// (the stats report counts distinct mappings by pointer).
-    mapping: Option<Arc<Mapping>>,
 }
 
 /// The result of a repair request: the repaired relation, its rendered
@@ -336,14 +330,7 @@ impl DatasetHandle {
             bound: None,
             resident: None,
             stream: None,
-            mapping: None,
         }
-    }
-
-    /// The shared snapshot mapping backing this dataset, if it was
-    /// opened zero-copy.
-    pub fn mapping(&self) -> Option<&Arc<Mapping>> {
-        self.mapping.as_ref()
     }
 
     /// Parse CSV bytes into a fresh pool. `name` becomes both the
@@ -813,7 +800,6 @@ impl DatasetHandle {
             bound,
             resident,
             stream,
-            mapping,
         } = self;
         // An open stream holds pool counts for its live arrivals; abort
         // runs its hygiene (retire + seal) so the compact below still
@@ -830,11 +816,6 @@ impl DatasetHandle {
         drop(resident);
         drop(bound);
         drop(rules_text);
-        // The mapping must not be unmapped before the relation's
-        // borrowed columns are gone; dropping it after the relation
-        // releases the file bytes (or keeps them alive for a sibling
-        // dataset sharing the same snapshot mapping).
-        drop(mapping);
         pool.retire_ids(live);
         let freed_slots = pool.compact();
         EvictReport {
@@ -949,15 +930,6 @@ pub struct SessionStats {
     pub capacity: Option<usize>,
     /// Datasets evicted automatically by the LRU policy so far.
     pub auto_evictions: u64,
-    /// Distinct snapshot file mappings alive in the session (two
-    /// datasets opened from the same snapshot count once).
-    pub mappings: usize,
-    /// Resident datasets backed by a snapshot mapping.
-    pub mapped_datasets: usize,
-    /// Bytes the resident relations borrow from snapshot mappings.
-    pub mapped_bytes: usize,
-    /// Bytes the resident relations hold in owned column buffers.
-    pub owned_bytes: usize,
 }
 
 struct SessionInner {
@@ -1119,23 +1091,20 @@ impl Session {
 
     /// Like [`open_snapshot`](Session::open_snapshot), but install the
     /// dataset under `as_name` when given — the move that lets one
-    /// snapshot file back two resident datasets. Opens go through the
-    /// catalog's mapping cache, so both datasets borrow their id
-    /// columns from a single shared file mapping (copy-on-write: the
-    /// first cell write to either promotes only that dataset's column
-    /// to an owned buffer).
+    /// snapshot file back two resident datasets. Each open reads and
+    /// installs the file on its own, so the two datasets share nothing
+    /// and a write to one never shows in the other.
     pub fn open_snapshot_as(
         &self,
         name: &str,
         as_name: Option<&str>,
     ) -> Result<Installed, SessionError> {
         let catalog = self.catalog.as_ref().ok_or(SessionError::NoCatalog)?;
-        let (loaded, map) = catalog
-            .load_mapped(name)
+        let loaded = catalog
+            .load(name)
             .map_err(|e| SessionError::Snapshot(format!("cannot load snapshot {name:?}: {e}")))?;
         let install_as = as_name.unwrap_or(name);
         let mut handle = DatasetHandle::from_relation(install_as, loaded.relation);
-        handle.mapping = Some(map);
         if let Some(text) = loaded.rules {
             handle.bind_rules(&text, &format!("snapshot {name:?} embedded rules"))?;
         }
@@ -1200,36 +1169,15 @@ impl Session {
         names
     }
 
-    /// A point-in-time status view. Takes each dataset's read lock
-    /// briefly (session mutex → dataset lock is the sanctioned order);
-    /// poisoned or mid-eviction datasets are skipped in the byte
-    /// accounting rather than wedging the report.
+    /// A point-in-time status view.
     pub fn stats(&self) -> SessionStats {
         let inner = self.lock();
         let mut resident: Vec<String> = inner.datasets.keys().cloned().collect();
         resident.sort();
-        let mut distinct: FnvSet<*const Mapping> = FnvSet::default();
-        let mut mapped_datasets = 0;
-        let mut mapped_bytes = 0;
-        let mut owned_bytes = 0;
-        for entry in inner.datasets.values() {
-            let Ok(cell) = read_cell(entry) else { continue };
-            let Ok(h) = cell.handle() else { continue };
-            if let Some(map) = h.mapping() {
-                mapped_datasets += 1;
-                distinct.insert(Arc::as_ptr(map));
-            }
-            mapped_bytes += h.relation().mapped_bytes();
-            owned_bytes += h.relation().owned_bytes();
-        }
         SessionStats {
             resident,
             capacity: self.capacity,
             auto_evictions: inner.auto_evictions,
-            mappings: distinct.len(),
-            mapped_datasets,
-            mapped_bytes,
-            owned_bytes,
         }
     }
 }

@@ -27,10 +27,10 @@ use cfdclean::cfd::pattern::{PatternRow, PatternValue};
 use cfdclean::cfd::{Cfd, Sigma};
 use cfdclean::model::csv::{read_relation_in, write_relation};
 use cfdclean::model::snapshot::{
-    edit_log_to_vec, read_edit_log_in, read_snapshot, read_snapshot_mapped, snapshot_to_vec,
+    edit_log_to_vec, read_edit_log_in, read_snapshot, snapshot_to_vec,
 };
 use cfdclean::model::ValuePool;
-use cfdclean::model::{AttrId, Mapping, MappingCache, Relation, Schema, Tuple, TupleId, Value};
+use cfdclean::model::{AttrId, Catalog, Relation, Schema, Tuple, TupleId, Value};
 use cfdclean::repair::{
     batch_repair, repair_via_incremental, BatchConfig, IncConfig, PickStrategy,
 };
@@ -260,15 +260,18 @@ fn differential_csv_vs_snapshot_ingest() {
     });
 }
 
-/// The zero-copy open reproduces the relation that was saved: 300
-/// seeded trials where a random weighted, tombstoned relation is saved
-/// and opened in place over a [`Mapping`]. The opened relation must be
-/// cell-, weight-, and liveness-identical to the saved one, re-save
-/// byte-identically, produce bit-identical repairs (stats and cost bits
-/// included), and honor copy-on-write: a cell write to one mapped dataset must not leak
-/// into a sibling opened over the very same mapping.
+/// A catalog open reproduces the relation that was saved: 300 seeded
+/// trials where a random weighted, tombstoned relation is saved to a
+/// catalog file and opened back through [`Catalog::load`]. The opened
+/// relation must be cell-, weight-, and liveness-identical to the saved
+/// one, re-save byte-identically, and produce bit-identical repairs
+/// (stats and cost bits included). Two loads of the same file are
+/// independent: a cell write to one leaves the other equal to the file.
 #[test]
-fn differential_mapped_open_vs_saved_relation() {
+fn differential_catalog_open_vs_saved_relation() {
+    let dir = std::env::temp_dir().join(format!("cfd-diff-catalog-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cat = Catalog::open(&dir).unwrap();
     trials(300, 0x3A99_ED0F, |rng| {
         let mut rel = Relation::new(schema());
         for _ in 0..rng.gen_range(2..14usize) {
@@ -281,18 +284,17 @@ fn differential_mapped_open_vs_saved_relation() {
         }
         let rel = rel.rekey_into(&ValuePool::new_handle());
         let cfds = rand_cfds(rng);
-        let bytes = snapshot_to_vec(&rel, None);
+        let bytes = std::fs::read(cat.save("trial", &rel, None).unwrap()).unwrap();
 
-        let map = Mapping::from_bytes(bytes.clone());
-        let mapped = read_snapshot_mapped(&map).expect("mapped load").relation;
-        assert_same_contents(&rel, &mapped, "mapped vs saved contents");
+        let opened = cat.load("trial").expect("catalog load").relation;
+        assert_same_contents(&rel, &opened, "opened vs saved contents");
 
-        // Re-saving the mapped relation must reproduce the input bytes —
-        // the canonical-encoding proof, through borrowed columns.
+        // Re-saving the opened relation must reproduce the file — the
+        // canonical-encoding proof.
         assert_eq!(
             bytes,
-            snapshot_to_vec(&mapped, None),
-            "re-saving the mapped relation must be byte-identical"
+            snapshot_to_vec(&opened, None),
+            "re-saving the opened relation must be byte-identical"
         );
 
         // Bit-identical repairs of the saved relation and the opened one.
@@ -301,88 +303,29 @@ fn differential_mapped_open_vs_saved_relation() {
             ..Default::default()
         };
         let out_saved = batch_repair(&rel, &sigma_for(&rel, &cfds), config.clone()).unwrap();
-        let out_mapped = batch_repair(&mapped, &sigma_for(&mapped, &cfds), config).unwrap();
-        assert_same_contents(&out_saved.repair, &out_mapped.repair, "mapped batch repair");
-        assert_eq!(out_saved.stats, out_mapped.stats, "mapped batch stats");
+        let out_opened = batch_repair(&opened, &sigma_for(&opened, &cfds), config).unwrap();
+        assert_same_contents(&out_saved.repair, &out_opened.repair, "opened batch repair");
+        assert_eq!(out_saved.stats, out_opened.stats, "opened batch stats");
         assert_eq!(
             out_saved.stats.cost.to_bits(),
-            out_mapped.stats.cost.to_bits(),
-            "mapped cost bits"
+            out_opened.stats.cost.to_bits(),
+            "opened cost bits"
         );
 
-        // Copy-on-write isolation: two datasets over ONE mapping; a cell
-        // write to the first must leave the second (and a fresh third
-        // open of the same mapping) untouched.
-        let mut first = read_snapshot_mapped(&map).expect("mapped load").relation;
-        let second = read_snapshot_mapped(&map).expect("mapped load").relation;
+        let mut first = cat.load("trial").expect("catalog load").relation;
+        let second = cat.load("trial").expect("catalog load").relation;
         let first_id = first.ids().next();
         if let Some(id) = first_id {
             let attr = AttrId(rng.gen_range(0..ARITY as u64) as u16);
-            first.set_value(id, attr, Value::str("COW")).unwrap();
-            assert_eq!(
-                first.tuple(id).unwrap().value(attr),
-                Value::str("COW"),
-                "write must land in the writer"
-            );
-            assert_same_contents(&second, &mapped, "sibling after COW write");
-            let third = read_snapshot_mapped(&map).expect("mapped load").relation;
-            assert_same_contents(&third, &mapped, "fresh open after COW write");
+            first.set_value(id, attr, Value::str("WRITE")).unwrap();
         }
+        assert_eq!(
+            snapshot_to_vec(&second, None),
+            bytes,
+            "a write to one load must leave its sibling equal to the file"
+        );
     });
-}
-
-/// File-backed mapped opens through the [`MappingCache`]: two opens of
-/// the same snapshot file share one mapping (`Arc::ptr_eq`), both read
-/// identically to the saved relation, and a COW write to one dataset leaves
-/// the other — borrowing the very same file bytes — unchanged.
-#[test]
-fn mapped_open_shares_one_file_mapping() {
-    let mut rel = Relation::new(schema());
-    for i in 0..10 {
-        rel.insert(Tuple::new(vec![
-            Value::str(format!("k{i}")),
-            Value::str(if i % 2 == 0 { "even" } else { "odd" }),
-            Value::int(i),
-            Value::Null,
-        ]))
-        .unwrap();
-    }
-    let rel = rel.rekey_into(&ValuePool::new_handle());
-    let bytes = snapshot_to_vec(&rel, Some("phi: [a] -> [b]"));
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("cfd-diff-snap-{}.cfds", std::process::id()));
-    std::fs::write(&path, &bytes).unwrap();
-
-    let cache = MappingCache::new();
-    let m1 = cache.get_or_open(&path).unwrap();
-    let m2 = cache.get_or_open(&path).unwrap();
-    assert!(
-        std::sync::Arc::ptr_eq(&m1, &m2),
-        "cache must hand out one shared mapping per file"
-    );
-
-    let mut a = read_snapshot_mapped(&m1).unwrap().relation;
-    let b = read_snapshot_mapped(&m2).unwrap().relation;
-    assert_same_contents(&rel, &a, "file-mapped a");
-    assert_same_contents(&rel, &b, "file-mapped b");
-
-    a.set_value(TupleId(0), AttrId(1), Value::str("MUT"))
-        .unwrap();
-    assert_same_contents(&rel, &b, "b unchanged after a's COW write");
-    assert_eq!(
-        a.tuple(TupleId(0)).unwrap().value(AttrId(1)),
-        Value::str("MUT")
-    );
-
-    // The mutated dataset re-saves to different bytes; the untouched one
-    // re-saves byte-identically straight off the mapping.
-    assert_eq!(bytes, snapshot_to_vec(&b, Some("phi: [a] -> [b]")));
-    assert_ne!(bytes, snapshot_to_vec(&a, Some("phi: [a] -> [b]")));
-
-    drop(a);
-    drop(b);
-    drop((m1, m2));
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Degenerate shapes survive persistence: empty relations, all-null
