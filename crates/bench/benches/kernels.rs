@@ -215,10 +215,12 @@ fn default_json_path() -> String {
 }
 
 /// `GroupCensus` construction, the census `BATCHREPAIR` builds before
-/// scoring its frontier, and the whole t=0 state (`BatchSeed::new`:
-/// dirty sets, census and scored frontier) on a 20k-tuple workload.
-/// Ungated timings; the seed row includes cloning the detection parts
-/// each build consumes.
+/// scoring its frontier, the whole t=0 state (`BatchSeed::new`: dirty
+/// sets, census and scored frontier), and one warm repair from that seed
+/// (`BatchSeed::repair`) on a 20k-tuple workload. Ungated timings; the
+/// seed row includes cloning the detection parts each build consumes.
+/// `meta/cells_20k` records the cell grid and `meta/class_cells_20k` the
+/// cells the repair's equivalence classes reached.
 fn bench_census(h: &mut Harness) {
     let w = workload(20_000, 7);
     let noise = inject(
@@ -245,6 +247,22 @@ fn bench_census(h: &mut Harness) {
             BatchConfig::default(),
         )
     });
+    let seed = BatchSeed::new(
+        &noise.dirty,
+        &w.sigma,
+        parts,
+        &report,
+        BatchConfig::default(),
+    );
+    let mut class_cells = 0;
+    h.run("repair_seed/run_20k", || {
+        let out = seed.repair(black_box(&noise.dirty), &w.sigma).unwrap();
+        class_cells = out.stats.class_cells;
+        out.stats.steps
+    });
+    let cells = noise.dirty.len() * noise.dirty.schema().arity();
+    h.record("meta/cells_20k", cells as f64);
+    h.record("meta/class_cells_20k", class_cells as f64);
 }
 
 /// CI smoke gates: the load, pricing, daemon and stream kernels;

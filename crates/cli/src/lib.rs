@@ -122,8 +122,9 @@ pub fn dispatch<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), Cl
             };
             let usage = commands::snapshot::USAGE;
             let args = args::Args::parse(&rest[1..], &[]).map_err(|e| format!("{e}\n\n{usage}"))?;
-            commands::snapshot::run(action, &args, out)
-                .map_err(|e| format!("{e}\n\n{usage}").into())
+            with_usage(out, usage, |out| {
+                commands::snapshot::run(action, &args, out)
+            })
         }
         "catalog" => {
             let Some(action) = rest.first().map(|s| s.as_ref()) else {
@@ -131,7 +132,7 @@ pub fn dispatch<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), Cl
             };
             let usage = commands::catalog::USAGE;
             let args = args::Args::parse(&rest[1..], &[]).map_err(|e| format!("{e}\n\n{usage}"))?;
-            commands::catalog::run(action, &args, out).map_err(|e| format!("{e}\n\n{usage}").into())
+            with_usage(out, usage, |out| commands::catalog::run(action, &args, out))
         }
         "serve" => run_cmd(rest, &[], out, commands::serve::run, commands::serve::USAGE),
         "client" => {
@@ -141,7 +142,7 @@ pub fn dispatch<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), Cl
             let usage = commands::client::USAGE;
             let args =
                 args::Args::parse(&rest[1..], &["stats"]).map_err(|e| format!("{e}\n\n{usage}"))?;
-            commands::client::run(op, &args, out).map_err(|e| format!("{e}\n\n{usage}").into())
+            with_usage(out, usage, |out| commands::client::run(op, &args, out))
         }
         "help" => {
             match rest.first().map(|s| s.as_ref()) {
@@ -179,5 +180,88 @@ fn run_cmd<S: AsRef<str>>(
     usage: &str,
 ) -> Result<(), CliError> {
     let args = Args::parse(rest, switches).map_err(|e| format!("{e}\n\n{usage}"))?;
-    f(&args, out).map_err(|e| format!("{e}\n\n{usage}").into())
+    with_usage(out, usage, |out| f(&args, out))
+}
+
+/// Run a command on `out`, appending `usage` to its error unless writing
+/// `out` failed: that error (a closed pipe, a full disk) is the output's,
+/// not a usage mistake, and passes through unchanged.
+fn with_usage(
+    out: &mut dyn Write,
+    usage: &str,
+    command: impl FnOnce(&mut dyn Write) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let mut output = Output { out, failed: false };
+    match command(&mut output) {
+        Err(e) if !output.failed => Err(format!("{e}\n\n{usage}").into()),
+        result => result,
+    }
+}
+
+/// A command's output, remembering whether a write to it failed.
+struct Output<'o> {
+    out: &'o mut dyn Write,
+    failed: bool,
+}
+
+impl Write for Output<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let written = self.out.write(buf);
+        self.failed |= written
+            .as_ref()
+            .is_err_and(|e| e.kind() != std::io::ErrorKind::Interrupted);
+        written
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let flushed = self.out.flush();
+        self.failed |= flushed.is_err();
+        flushed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::ErrorKind;
+
+    /// An output whose reader has gone, like stdout piped into `head`.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_output_is_not_a_usage_error() {
+        let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+        let data = format!("{fixtures}/cust_dirty.csv");
+        let rules = format!("{fixtures}/cust_rules.txt");
+        for (argv, usage) in [
+            (
+                vec!["detect", "--data", &data, "--rules", &rules],
+                commands::detect::USAGE,
+            ),
+            (
+                vec!["snapshot", "info", "--catalog", fixtures],
+                commands::snapshot::USAGE,
+            ),
+        ] {
+            let err = dispatch(&argv, &mut ClosedPipe).unwrap_err();
+            let kind = err.downcast_ref::<std::io::Error>().map(|e| e.kind());
+            assert_eq!(kind, Some(ErrorKind::BrokenPipe), "{argv:?}: {err}");
+            assert!(!err.to_string().contains(usage), "{argv:?}: {err}");
+        }
+        // An error of the command itself still shows the usage.
+        let missing = format!("{fixtures}/no_such.csv");
+        let argv = ["detect", "--data", &missing, "--rules", &rules];
+        let err = dispatch(&argv, &mut ClosedPipe).unwrap_err();
+        assert!(err.to_string().contains(commands::detect::USAGE), "{err}");
+    }
 }

@@ -22,7 +22,7 @@
 //! ## Tombstones
 //!
 //! Deletion clears a validity bit; column slots keep their stale values
-//! until [`ColumnStore::compact`] squeezes them out. Raw column slices
+//! until `ColumnStore::compact` squeezes them out. Raw column slices
 //! (`Relation::column`) therefore cover *all* slots, dead ones included —
 //! scans must either iterate live ids or consult the validity bitmap.
 

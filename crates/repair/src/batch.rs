@@ -34,21 +34,21 @@
 //! frontier with the S-set indexes its scoring built — is a
 //! [`BatchSeed`]. Every repair runs from one: [`batch_repair`] builds a
 //! seed and uses it once, while a resident dataset keeps its seed and
-//! starts each repair from it. A run copies only what its loop mutates
-//! and builds its singleton equivalence classes from the weights; it
-//! reads the census through a per-run overlay (`shard::CensusOverlay`)
-//! and the frontier run through a cursor, so the seed is the same after
-//! any number of runs.
+//! starts each repair from it. A run copies only what its loop mutates,
+//! and its equivalence classes start with no nodes, holding only the
+//! cells its fixes reach; it reads the census through a per-run overlay
+//! (`shard::CensusOverlay`) and the frontier run through a cursor, so the
+//! seed is the same after any number of runs.
 //!
 //! Frontier scoring prices every dirty pair against the frozen t=0 state,
 //! where every equivalence class is still a singleton and no fix has been
 //! applied. There the group level of a variable-CFD merge price (bucket
 //! census, winner, sampled minority-carrier cost) depends only on the
 //! (CFD, LHS group key), so the pass computes it once per group and
-//! memoizes it, together with per-cell residuals ([`FrozenMemo`]).
+//! memoizes it, together with per-cell residuals (`FrozenMemo`).
 //! Per-tuple suspect scores need no memo: at t=0 they follow from
 //! detection's own dirty sets. The memo and the scores live in the
-//! scoring pass's [`Frozen`] extras only; the loop, whose fixes change
+//! scoring pass's `Frozen` extras only; the loop, whose fixes change
 //! classes and values, plans without them. Seeded keys are therefore the
 //! bits an unmemoized planner computes.
 //!
@@ -73,14 +73,14 @@
 //! pricing and any pair outside a tracked conflicting group are planned
 //! one by one, as before.
 //!
-//! The seeded frontier is kept in the total, seed-independent [`HeapKey`]
-//! order as a [`Run`] of segments, one per distinct key prefix, each with
+//! The seeded frontier is kept in the total, seed-independent `HeapKey`
+//! order as a `Run` of segments, one per distinct key prefix, each with
 //! its ascending tuples; pieces of equal prefix from different groups are
-//! merged into one segment. [`Frontier`] reads the run with a cursor, and
+//! merged into one segment. `Frontier` reads the run with a cursor, and
 //! only entries queued by the loop go through a binary heap. On
 //! low-cardinality FDs most seeded pairs are stale by the time they pop,
 //! so reading them off the run saves a heap pop per pair, and the dirty
-//! sets ([`TidSet`]) answer the stale check in O(1).
+//! sets (`TidSet`) answer the stale check in O(1).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -176,6 +176,10 @@ pub struct BatchStats {
     pub instantiation_rounds: usize,
     /// Final `cost(Repr, D)` under the §3.2 model.
     pub cost: f64,
+    /// Cells the equivalence classes reached: those a merge or a target
+    /// upgrade touched, each holding a class node. Every other cell stayed
+    /// a free singleton and cost the classes nothing.
+    pub class_cells: usize,
 }
 
 /// Result of a batch repair: the repaired relation plus statistics.
@@ -228,7 +232,7 @@ struct BatchState<'a> {
     sigma: &'a Sigma,
     orig: &'a Relation,
     work: Relation,
-    eq: EqClasses,
+    eq: EqClasses<'a>,
     indexes: GroupIndexes,
     /// Hash-indexed constant rules for O(shapes) dirty marking.
     rules: &'a ConstantRules,
@@ -633,7 +637,7 @@ struct Planner<'p> {
     census: &'p CensusOverlay<'p>,
     initial_vio: &'p [usize],
     config: &'p BatchConfig,
-    eq: &'p EqClasses,
+    eq: &'p EqClasses<'p>,
     indexes: &'p mut GroupIndexes,
     /// Set only while scoring the t=0 frontier.
     frozen: Option<Frozen>,
@@ -641,19 +645,19 @@ struct Planner<'p> {
 }
 
 /// `BATCHREPAIR`'s t=0 state for one (D, Σ, weights, config): the dirty
-/// sets ([`TidSet`]s) and `vio(t)` of the initial detection, the group
+/// sets (`TidSet`s) and `vio(t)` of the initial detection, the group
 /// census, and — under [`PickStrategy::GlobalBest`] — the fully priced
 /// `PICKNEXT` frontier with the S-set indexes and distances its scoring
-/// built. The frontier is a [`Run`]: a key prefix per segment and 4 bytes
+/// built. The frontier is a `Run`: a key prefix per segment and 4 bytes
 /// per dirty pair.
 ///
 /// Every run from a seed reads the same t=0 state and leaves it as it
 /// was. A run copies only what the loop mutates (indexes, dirty sets,
-/// distance memo and its own working relation) and builds the singleton
-/// equivalence classes from the weights; it borrows the census through
-/// an overlay, and the frontier run, constant rules and `vio(t)` as they
-/// are. So a resident dataset can build a seed once and
-/// serve every repair from it, and each repair equals a one-shot
+/// distance memo and its own working relation), and its equivalence
+/// classes start empty and hold only the cells its fixes reach; it
+/// borrows the census through an overlay, and the frontier run, constant
+/// rules and `vio(t)` as they are. So a resident dataset can build a seed
+/// once and serve every repair from it, and each repair equals a one-shot
 /// [`batch_repair`] over the same input.
 ///
 /// The frontier keys break cost ties on the dataset pool's `use_count`
@@ -677,10 +681,9 @@ struct Fixed {
 }
 
 /// The part of a [`BatchSeed`] the loop mutates: each run starts from
-/// its own copy. (The loop also mutates the equivalence classes, but
-/// their t=0 state is a pure function of the cell weights: each run
-/// builds it with [`t0_classes`] at the cost of a copy, and a resident
-/// seed does not hold a grid of `|D| · arity` singleton classes.)
+/// its own copy. (The loop also mutates the equivalence classes, but at
+/// t=0 they hold nothing: every cell is a free singleton, weighed on
+/// demand, so each run starts its own from `t0_classes`.)
 #[derive(Clone)]
 struct Start {
     indexes: GroupIndexes,
@@ -768,8 +771,8 @@ fn slot_count(d: &Relation) -> usize {
 }
 
 /// The equivalence classes of t=0: one free singleton per cell, weighed
-/// by a point read of the weight column (dead slots weigh 0).
-fn t0_classes(d: &Relation) -> EqClasses {
+/// by a point read of the weight column when needed (dead slots weigh 0).
+fn t0_classes(d: &Relation) -> EqClasses<'_> {
     EqClasses::new(slot_count(d), d.schema().arity(), |tid, a| {
         d.cell_weight(tid, a).unwrap_or(0.0)
     })
@@ -1846,6 +1849,19 @@ impl<'a> BatchState<'a> {
     }
 
     fn run(mut self) -> Result<BatchOutcome, RepairError> {
+        self.resolve()?;
+        self.stats.cost = repair_cost(self.orig, &self.work);
+        self.stats.class_cells = self.eq.class_cells();
+        debug_assert!(cfd_cfd::check(&self.work, self.sigma));
+        Ok(BatchOutcome {
+            repair: self.work,
+            stats: self.stats,
+        })
+    }
+
+    /// The main loop and the instantiation rounds, until no violation is
+    /// left.
+    fn resolve(&mut self) -> Result<(), RepairError> {
         // Only the dependency-ordered picker reads the graph.
         let graph = match self.config.pick {
             PickStrategy::DependencyOrdered => Some(DepGraph::build(self.sigma)),
@@ -1876,13 +1892,7 @@ impl<'a> BatchState<'a> {
                 break;
             }
         }
-        let cost = repair_cost(self.orig, &self.work);
-        self.stats.cost = cost;
-        debug_assert!(cfd_cfd::check(&self.work, self.sigma));
-        Ok(BatchOutcome {
-            repair: self.work,
-            stats: self.stats,
-        })
+        Ok(())
     }
 }
 
@@ -2660,6 +2670,42 @@ mod tests {
                     assert_eq!(seed.fixed.run, run, "{label} {config:?}");
                 }
             }
+        }
+    }
+
+    /// A run's classes hold a node for exactly the cells its merges and
+    /// target writes reached — those of a multi-member class or of a class
+    /// with a fixed target — every rewritten cell among them, and
+    /// `class_cells` reports their number. On the §7.1 workloads that is
+    /// under 5% of the grid.
+    #[test]
+    fn classes_hold_only_the_cells_a_repair_reaches() {
+        for (label, rel, sigma) in scoring_workloads().into_iter().skip(1) {
+            let parts = Engine::build(&rel, &sigma).to_parts();
+            let report = cfd_cfd::detect(&rel, &sigma);
+            let seed = BatchSeed::new(&rel, &sigma, parts, &report, BatchConfig::default());
+            let mut state = BatchState::new(&rel, &sigma, &seed.fixed, seed.start.clone());
+            state.resolve().unwrap();
+            let arity = rel.schema().arity();
+            let grid: Vec<Cell> = (0..slot_count(&rel) as u32)
+                .flat_map(|t| (0..arity as u16).map(move |a| Cell::new(TupleId(t), AttrId(a))))
+                .collect();
+            let eq = &state.eq;
+            let reached = |c: &Cell| eq.members(c).len() > 1 || *eq.target(*c) != Target::Free;
+            let count = grid.iter().filter(|c| reached(c)).count();
+            assert_eq!(eq.class_cells(), count, "{label}");
+            for c in &grid {
+                if state.eff(c.tuple, c.attr) != rel.tuple(c.tuple).unwrap().id(c.attr) {
+                    assert!(reached(c), "{label}: {c:?} rewritten but not reached");
+                }
+            }
+            assert!(
+                count > 0 && count * 20 < grid.len(),
+                "{label}: {count} of {} cells",
+                grid.len()
+            );
+            let out = seed.repair(&rel, &sigma).unwrap();
+            assert_eq!(out.stats.class_cells, count, "{label}");
         }
     }
 

@@ -11,11 +11,14 @@
 //!
 //! The structure is a union–find with union-by-size, path compression, and
 //! per-root member lists + weight sums (needed by `PICKNEXT`'s `Cost` and
-//! by case 1.2's minimal-weight fallback). A class that was never merged
-//! keeps an empty member list, which stands for the root alone: building
-//! the grid allocates nothing per cell, and the first merge writes out
-//! both sides in the order an eager list would hold them.
+//! by case 1.2's minimal-weight fallback). Only a cell that a merge or a
+//! target upgrade reached has a node; any other is a free singleton,
+//! weighed on demand. So building the classes allocates nothing per cell,
+//! and they grow with the cells a repair touches, not with `|D| · arity`.
+//! A node never merged keeps an empty member list, which stands for the
+//! cell alone; the first merge writes out both sides in eager-list order.
 
+use cfd_model::hash::FnvMap;
 use cfd_model::{AttrId, TupleId, ValueId};
 
 /// A cell: one attribute of one tuple.
@@ -86,123 +89,118 @@ impl std::fmt::Display for EqError {
 
 impl std::error::Error for EqError {}
 
-/// Union–find over the dense cell grid of one relation.
-#[derive(Clone, Debug)]
-pub struct EqClasses {
-    arity: usize,
-    parent: Vec<u32>,
-    size: Vec<u32>,
-    /// Root-indexed: target of the class (valid only at roots).
-    target: Vec<Target>,
-    /// Root-indexed member lists. Empty means the singleton `[root]`
-    /// (see [`EqClasses::members`]).
-    members: Vec<Vec<Cell>>,
-    /// Root-indexed sum of member weights.
-    weight_sum: Vec<f64>,
+/// Sparse union–find over the cell grid of one relation.
+pub struct EqClasses<'w> {
+    /// Cells in the grid (`n_tuples × arity`), reached or not.
+    cells: u64,
+    /// Weight of a cell, read when it has no node or gets one.
+    weight_of: Box<dyn Fn(TupleId, AttrId) -> f64 + 'w>,
+    /// Node index of each reached cell.
+    index: FnvMap<Cell, u32>,
+    nodes: Vec<Node>,
     /// Count of classes (N of the termination argument).
     class_count: usize,
     /// Σ rank over classes (H' of the termination argument).
     total_rank: u64,
 }
 
-impl EqClasses {
+/// A reached cell. The class fields are valid only at roots.
+struct Node {
+    cell: Cell,
+    parent: u32,
+    size: u32,
+    target: Target,
+    /// Member list; empty means the singleton `[cell]`.
+    members: Vec<Cell>,
+    weight_sum: f64,
+}
+
+impl<'w> EqClasses<'w> {
     /// Singleton classes for `n_tuples × arity` cells, all free. Weights
-    /// are supplied per cell through `weight_of` (usually `Tuple::weight`).
+    /// are read per cell through `weight_of` (usually `Tuple::weight`).
     pub fn new(
         n_tuples: usize,
         arity: usize,
-        mut weight_of: impl FnMut(TupleId, AttrId) -> f64,
+        weight_of: impl Fn(TupleId, AttrId) -> f64 + 'w,
     ) -> Self {
-        let n = n_tuples * arity;
-        let mut weight_sum = Vec::with_capacity(n);
-        for t in 0..n_tuples {
-            for a in 0..arity {
-                weight_sum.push(weight_of(TupleId(t as u32), AttrId(a as u16)));
-            }
-        }
+        let cells = (n_tuples * arity) as u64;
         EqClasses {
-            arity,
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-            target: vec![Target::Free; n],
-            members: vec![Vec::new(); n],
-            weight_sum,
-            class_count: n,
+            cells,
+            weight_of: Box::new(weight_of),
+            index: FnvMap::default(),
+            nodes: Vec::new(),
+            class_count: cells as usize,
             total_rank: 0,
         }
     }
 
-    #[inline]
-    fn index(&self, c: Cell) -> usize {
-        c.tuple.index() * self.arity + c.attr.index()
+    /// `c`'s node, made a free singleton on first reach.
+    fn node(&mut self, c: Cell) -> usize {
+        let (nodes, weight_of) = (&mut self.nodes, &self.weight_of);
+        *self.index.entry(c).or_insert_with(|| {
+            nodes.push(Node {
+                cell: c,
+                parent: nodes.len() as u32,
+                size: 1,
+                target: Target::Free,
+                members: Vec::new(),
+                weight_sum: weight_of(c.tuple, c.attr),
+            });
+            nodes.len() as u32 - 1
+        }) as usize
     }
 
-    #[inline]
-    fn cell_at(&self, i: usize) -> Cell {
-        Cell::new(
-            TupleId((i / self.arity) as u32),
-            AttrId((i % self.arity) as u16),
-        )
-    }
-
-    fn find_idx(&mut self, mut i: usize) -> usize {
-        while self.parent[i] as usize != i {
-            let gp = self.parent[self.parent[i] as usize];
-            self.parent[i] = gp;
+    /// The root node of `c`'s class, compressing the path to it.
+    fn find_node(&mut self, c: Cell) -> usize {
+        let mut i = self.node(c);
+        while self.nodes[i].parent as usize != i {
+            let gp = self.nodes[self.nodes[i].parent as usize].parent;
+            self.nodes[i].parent = gp;
             i = gp as usize;
         }
         i
     }
 
-    /// Non-compressing root lookup. Union-by-size keeps chains `O(log n)`
-    /// without compression, and a `&self` walk is what lets `PICKNEXT`
-    /// planning read classes through a shared reference while it
-    /// borrows the rest of the repair state mutably — every read accessor
-    /// below goes through this. (Compression still happens inside the
-    /// mutating ops, which walk via `find_idx`.)
-    fn find_idx_ro(&self, mut i: usize) -> usize {
-        while self.parent[i] as usize != i {
-            i = self.parent[i] as usize;
+    /// Non-compressing root lookup (`None`: `c` has no node). Union-by-size
+    /// keeps chains `O(log n)`, and a `&self` walk lets `PICKNEXT` planning
+    /// read classes while it borrows the rest of the repair state mutably:
+    /// every read accessor goes through this.
+    fn root(&self, c: Cell) -> Option<&Node> {
+        let mut i = *self.index.get(&c)? as usize;
+        while self.nodes[i].parent as usize != i {
+            i = self.nodes[i].parent as usize;
         }
-        i
+        Some(&self.nodes[i])
     }
 
     /// Root cell of `c`'s class.
     pub fn find(&self, c: Cell) -> Cell {
-        let i = self.index(c);
-        self.cell_at(self.find_idx_ro(i))
+        self.root(c).map_or(c, |root| root.cell)
     }
 
     /// Are two cells in the same class?
     pub fn same_class(&self, a: Cell, b: Cell) -> bool {
-        let (ia, ib) = (self.index(a), self.index(b));
-        self.find_idx_ro(ia) == self.find_idx_ro(ib)
+        self.find(a) == self.find(b)
     }
 
     /// The class's current target.
     pub fn target(&self, c: Cell) -> &Target {
-        let i = self.index(c);
-        let root = self.find_idx_ro(i);
-        &self.target[root]
+        self.root(c).map_or(&Target::Free, |root| &root.target)
     }
 
-    /// All members of `c`'s class, in merge order. A class that was
-    /// never merged stores an empty member list, which means the
-    /// singleton: its only member is `c` itself, returned from the
-    /// borrowed argument.
+    /// All members of `c`'s class, in merge order. A class never merged
+    /// is the singleton `[c]`, returned from the borrowed argument.
     pub fn members<'s>(&'s self, c: &'s Cell) -> &'s [Cell] {
-        let root = self.find_idx_ro(self.index(*c));
-        match self.members[root].as_slice() {
-            [] => std::slice::from_ref(c),
-            members => members,
+        match self.root(*c).map(|root| root.members.as_slice()) {
+            None | Some([]) => std::slice::from_ref(c),
+            Some(members) => members,
         }
     }
 
     /// Sum of member weights of `c`'s class.
     pub fn weight_sum(&self, c: Cell) -> f64 {
-        let i = self.index(c);
-        let root = self.find_idx_ro(i);
-        self.weight_sum[root]
+        self.root(c)
+            .map_or_else(|| (self.weight_of)(c.tuple, c.attr), |r| r.weight_sum)
     }
 
     /// Number of classes (`N`).
@@ -215,26 +213,28 @@ impl EqClasses {
         self.total_rank
     }
 
-    /// Progress measure for termination: `3·cells − (2·N_reduction + H')`…
-    /// concretely we expose `2 * (cells − N) + H'`, which strictly
-    /// increases with every legal operation and is bounded by `4 · cells`.
+    /// Number of cells a merge or a target upgrade reached (the nodes).
+    pub fn class_cells(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Progress measure for termination: `2 · (cells − N) + H'`, strictly
+    /// increasing with every legal operation and bounded by `4 · cells`.
     pub fn progress(&self) -> u64 {
-        let cells = self.parent.len() as u64;
-        2 * (cells - self.class_count as u64) + self.total_rank
+        2 * (self.cells - self.class_count as u64) + self.total_rank
     }
 
     /// Upgrade the target of `c`'s class. Legal transitions: free→const,
     /// free→null, const→null, and no-op re-assignment of the same constant.
     pub fn set_target(&mut self, c: Cell, new: Target) -> Result<(), EqError> {
-        let i = self.index(c);
-        let root = self.find_idx(i);
-        let old = &self.target[root];
-        match (old, &new) {
+        let old = *self.target(c);
+        match (&old, &new) {
             (Target::Free, Target::Free) | (Target::Null, Target::Null) => Ok(()),
             (Target::Const(a), Target::Const(b)) if a == b => Ok(()),
             _ if new.rank() > old.rank() => {
                 self.total_rank += u64::from(new.rank() - old.rank());
-                self.target[root] = new;
+                let root = self.find_node(c);
+                self.nodes[root].target = new;
                 Ok(())
             }
             _ => Err(EqError::IllegalUpgrade {
@@ -252,61 +252,61 @@ impl EqClasses {
     ///
     /// Returns `true` if a merge happened (`false` when already together).
     pub fn merge(&mut self, a: Cell, b: Cell) -> Result<bool, EqError> {
-        let (ia, ib) = (self.index(a), self.index(b));
-        let (mut ra, mut rb) = (self.find_idx(ia), self.find_idx(ib));
+        if a == b {
+            return Ok(false);
+        }
+        let (mut ra, mut rb) = (self.find_node(a), self.find_node(b));
         if ra == rb {
             return Ok(false);
         }
-        let combined = match (&self.target[ra], &self.target[rb]) {
+        let (ta, tb) = (self.nodes[ra].target, self.nodes[rb].target);
+        let combined = match (ta, tb) {
             (Target::Const(x), Target::Const(y)) if x != y => {
                 return Err(EqError::ConflictingMerge)
             }
             (Target::Null, _) | (_, Target::Null) => Target::Null,
-            (Target::Const(x), _) => Target::Const(*x),
-            (_, Target::Const(y)) => Target::Const(*y),
+            (Target::Const(x), _) | (_, Target::Const(x)) => Target::Const(x),
             (Target::Free, Target::Free) => Target::Free,
         };
-        // Rank accounting: the two old ranks are replaced by one combined
-        // rank. total_rank tracks the sum over classes.
-        let old_ranks = u64::from(self.target[ra].rank()) + u64::from(self.target[rb].rank());
-        if self.size[ra] < self.size[rb] {
+        // total_rank: the two old ranks are replaced by the combined one.
+        let old_ranks = u64::from(ta.rank()) + u64::from(tb.rank());
+        if self.nodes[ra].size < self.nodes[rb].size {
             std::mem::swap(&mut ra, &mut rb);
         }
-        // rb merges into ra.
-        self.parent[rb] = ra as u32;
-        self.size[ra] += self.size[rb];
-        // Write out implicit singletons so the list reads as an eager
-        // one would: ra's members, then rb's.
-        let moved = std::mem::take(&mut self.members[rb]);
-        if self.members[ra].is_empty() {
-            let root = self.cell_at(ra);
-            self.members[ra].push(root);
+        // rb merges into ra. Write out implicit singletons so the list
+        // reads as an eager one would: ra's members, then rb's.
+        let loser = &mut self.nodes[rb];
+        loser.parent = ra as u32;
+        let (size, weight) = (loser.size, std::mem::take(&mut loser.weight_sum));
+        let moved = match std::mem::take(&mut loser.members) {
+            members if members.is_empty() => vec![loser.cell],
+            members => members,
+        };
+        let root = &mut self.nodes[ra];
+        root.size += size;
+        if root.members.is_empty() {
+            root.members.push(root.cell);
         }
-        if moved.is_empty() {
-            let cell = self.cell_at(rb);
-            self.members[ra].push(cell);
-        } else {
-            self.members[ra].extend(moved);
-        }
-        self.weight_sum[ra] += self.weight_sum[rb];
-        self.weight_sum[rb] = 0.0;
-        self.target[ra] = combined;
-        self.total_rank = self.total_rank - old_ranks + u64::from(self.target[ra].rank());
+        root.members.extend(moved);
+        root.weight_sum += weight;
+        root.target = combined;
+        self.total_rank = self.total_rank - old_ranks + u64::from(combined.rank());
         self.class_count -= 1;
         Ok(true)
     }
 
-    /// Iterate over all class roots (cells) with free targets and more than
-    /// one member — the classes the instantiation phase (lines 10–12 of
-    /// Fig. 4) must assign.
+    /// All class roots (cells) with free targets and more than one member
+    /// — the classes the instantiation phase (lines 10–12 of Fig. 4) must
+    /// assign — in ascending cell order.
     pub fn free_multi_member_roots(&self) -> Vec<Cell> {
-        let n = self.parent.len();
-        let mut roots = Vec::new();
-        for i in 0..n {
-            if self.parent[i] as usize == i && self.target[i] == Target::Free && self.size[i] > 1 {
-                roots.push(self.cell_at(i));
-            }
-        }
+        let mut roots: Vec<Cell> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, n)| n.parent as usize == i && n.target == Target::Free && n.size > 1)
+            .map(|(_, n)| n.cell)
+            .collect();
+        roots.sort_unstable();
         roots
     }
 }
@@ -320,7 +320,7 @@ mod tests {
         ValueId::of(&Value::str(s))
     }
 
-    fn cells() -> EqClasses {
+    fn cells() -> EqClasses<'static> {
         EqClasses::new(3, 2, |_, _| 1.0)
     }
 
@@ -527,13 +527,16 @@ mod tests {
             (0..self.root.len()).filter(|&i| self.root[i] == i)
         }
 
+        fn class_count(&self) -> usize {
+            self.roots().count()
+        }
+
+        fn total_rank(&self) -> u64 {
+            self.roots().map(|r| u64::from(self.target[r].rank())).sum()
+        }
+
         fn progress(&self) -> u64 {
-            let (mut classes, mut rank) = (0u64, 0u64);
-            for r in self.roots() {
-                classes += 1;
-                rank += u64::from(self.target[r].rank());
-            }
-            2 * (self.root.len() as u64 - classes) + rank
+            2 * (self.root.len() - self.class_count()) as u64 + self.total_rank()
         }
 
         fn free_multi_member_roots(&self) -> Vec<Cell> {
@@ -544,12 +547,26 @@ mod tests {
         }
     }
 
+    /// Random merges and target writes, checked against the eager grid
+    /// after every operation: each cell's root, class, target, members and
+    /// weight-sum bits, the class count, total rank and progress, the
+    /// instantiation roots in order, and the number of reached cells. Half
+    /// the trials play on small grids where every cell takes operations;
+    /// the rest on larger grids where a few hot cells take most of them
+    /// and most cells stay untouched, with target writes on untouched
+    /// cells among the rest.
     #[test]
     fn lazy_singletons_match_an_eager_grid() {
         use cfd_prng::{trials, Rng};
+        use std::collections::BTreeSet;
         let ids: Vec<ValueId> = (0..3).map(|i| cid(&format!("eq-const-{i}"))).collect();
         trials(300, 0x0e9c_1a55, |rng| {
-            let (n_tuples, arity) = (rng.gen_range(1..8usize), rng.gen_range(1..4usize));
+            let sparse = rng.gen_bool(0.5);
+            let (n_tuples, arity) = if sparse {
+                (rng.gen_range(8..48usize), rng.gen_range(2..6usize))
+            } else {
+                (rng.gen_range(1..8usize), rng.gen_range(1..4usize))
+            };
             let weights: Vec<f64> = (0..n_tuples * arity)
                 .map(|_| [0.1, 0.3, 0.7, 1.0][rng.gen_range(0..4usize)])
                 .collect();
@@ -559,30 +576,59 @@ mod tests {
             let cells: Vec<Cell> = (0..n_tuples as u32)
                 .flat_map(|t| (0..arity as u16).map(move |a| c(t, a)))
                 .collect();
-            for _ in 0..rng.gen_range(0..30usize) {
-                let x = cells[rng.gen_range(0..cells.len())];
+            let hot: Vec<Cell> = if sparse {
+                (0..rng.gen_range(2..8usize))
+                    .map(|_| cells[rng.gen_range(0..cells.len())])
+                    .collect()
+            } else {
+                cells.clone()
+            };
+            let pick = |rng: &mut _| {
+                let from = if Rng::gen_bool(rng, 0.1) {
+                    &cells
+                } else {
+                    &hot
+                };
+                from[Rng::gen_range(rng, 0..from.len())]
+            };
+            let mut reached = BTreeSet::new();
+            for _ in 0..rng.gen_range(0..40usize) {
+                let x = pick(rng);
                 if rng.gen_bool(0.6) {
-                    let y = cells[rng.gen_range(0..cells.len())];
+                    let y = pick(rng);
                     assert_eq!(eq.merge(x, y), eager.merge(x, y));
+                    if x != y {
+                        reached.extend([x, y]);
+                    }
                 } else {
                     let t = match rng.gen_range(0..5u32) {
                         0 => Target::Free,
                         1 => Target::Null,
                         i => Target::Const(ids[i as usize - 2]),
                     };
+                    let before = eager.target[eager.root_of(x)];
                     assert_eq!(eq.set_target(x, t).is_ok(), eager.set_target(x, t));
+                    if eager.target[eager.root_of(x)] != before {
+                        reached.insert(x);
+                    }
                 }
+                let probe = cells[rng.gen_range(0..cells.len())];
                 for &x in &cells {
                     let r = eager.root_of(x);
+                    assert_eq!(eq.find(x), c((r / arity) as u32, (r % arity) as u16));
+                    assert_eq!(eq.same_class(x, probe), r == eager.root_of(probe));
                     assert_eq!(eq.members(&x), eager.members[r].as_slice());
                     assert_eq!(eq.weight_sum(x).to_bits(), eager.weight_sum[r].to_bits());
                     assert_eq!(*eq.target(x), eager.target[r]);
                 }
+                assert_eq!(eq.class_count(), eager.class_count());
+                assert_eq!(eq.total_rank(), eager.total_rank());
+                assert_eq!(eq.progress(), eager.progress());
                 assert_eq!(
                     eq.free_multi_member_roots(),
                     eager.free_multi_member_roots()
                 );
-                assert_eq!(eq.progress(), eager.progress());
+                assert_eq!(eq.class_cells(), reached.len());
             }
         });
     }

@@ -23,8 +23,8 @@
 //! RHS counts, and the cost-based value index enumerates candidate values
 //! in increasing DL distance.
 //!
-//! This module holds the per-tuple machinery ([`IncState`]) and its owned,
-//! Σ-free form ([`ResidentParts`]). The drivers live elsewhere and all
+//! This module holds the per-tuple machinery (`IncState`) and its owned,
+//! Σ-free form (`ResidentParts`). The drivers live elsewhere and all
 //! share it: the one-shot [`inc_repair`] and the per-request
 //! [`crate::resident::InsertRepairer`] (both in `resident.rs`), the
 //! streaming [`crate::resident::StreamRepairer`], and the §5.3 bridge

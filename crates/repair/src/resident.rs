@@ -3,7 +3,7 @@
 //! over all of `D`.
 //!
 //! Two drivers share the per-tuple machinery of
-//! [`IncState`](crate::incremental::IncState) through its owned form,
+//! `IncState` (in [`crate::incremental`]) through its owned form,
 //! `ResidentParts` (`IncState::resume` / `suspend` move it verbatim, so a
 //! resumed state repairs byte-identically to one never suspended):
 //!

@@ -5,7 +5,7 @@
 //! load → bind → detect → repair → insert → snapshot → evict sequence,
 //! and before this module each of them re-plumbed it by hand: a fresh
 //! [`ValuePool`], a relation interned into it, a [`Sigma`] normalized
-//! against that pool, a detection [`Engine`](cfd_cfd::Engine) built over
+//! against that pool, a detection [`Engine`] built over
 //! the relation, and (for long-lived processes) the retire/compact
 //! eviction dance that returns the dictionary's memory. The facade
 //! packages that sequence once:
@@ -50,7 +50,7 @@
 //! The first insert request on a handle checks the base clean once (the
 //! §5 precondition `D |= Σ`, answered by the resident violation report) and
 //! only then builds the resident state: an
-//! [`InsertRepairer`](cfd_repair::InsertRepairer) holding the LHS-indices,
+//! [`InsertRepairer`] holding the LHS-indices,
 //! active domain and nearest-value indexes over the base, plus the base's
 //! rendered CSV bytes. Its existence *is* the cached "base is clean"
 //! answer; a dirty base builds nothing and every insert keeps failing with
@@ -64,7 +64,8 @@
 //! nearest values over the base, which depends on the base alone. The
 //! detection parts are only read, so detect and
 //! repair answers never depend on insert history. Replies are
-//! byte-identical to a one-shot [`inc_repair`] over the same base.
+//! byte-identical to a one-shot [`inc_repair`](cfd_repair::inc_repair)
+//! over the same base.
 //! Anything that changes the base or its rules drops the state:
 //! [`DatasetHandle::bind_rules`], [`DatasetHandle::apply_weights`], and
 //! eviction (before the pool is compacted). A request that fails after
