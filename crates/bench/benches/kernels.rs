@@ -190,6 +190,7 @@ fn bench_build_and_detect(h: &mut Harness) {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     let rel = &noise.dirty;
     let lhs = w
         .sigma
@@ -202,7 +203,7 @@ fn bench_build_and_detect(h: &mut Harness) {
         HashIndex::build(black_box(rel), black_box(&lhs)).group_count()
     });
     h.run("detect/columnar_2k_5pct", || {
-        detect(black_box(rel), black_box(&w.sigma)).total
+        detect(black_box(rel), black_box(&sigma)).total
     });
 }
 
@@ -231,32 +232,27 @@ fn bench_census(h: &mut Harness) {
             ..Default::default()
         },
     );
-    let shapes = variable_shapes(&w.sigma);
+    let sigma = w.sigma_for(&noise.dirty);
+    let shapes = variable_shapes(&sigma);
     assert!(!shapes.is_empty(), "workload Σ has variable CFDs");
     h.run("repair_census/serial_20k", || {
         GroupCensus::new(black_box(&noise.dirty), black_box(&shapes)).carriers()
     });
-    let parts = Engine::build(&noise.dirty, &w.sigma).to_parts();
-    let report = detect_with_parts(&noise.dirty, &w.sigma, &parts);
+    let parts = Engine::build(&noise.dirty, &sigma).to_parts();
+    let report = detect_with_parts(&noise.dirty, &sigma, &parts);
     h.run("repair_seed/build_20k", || {
         BatchSeed::new(
             black_box(&noise.dirty),
-            &w.sigma,
+            &sigma,
             parts.clone(),
             &report,
             BatchConfig::default(),
         )
     });
-    let seed = BatchSeed::new(
-        &noise.dirty,
-        &w.sigma,
-        parts,
-        &report,
-        BatchConfig::default(),
-    );
+    let seed = BatchSeed::new(&noise.dirty, &sigma, parts, &report, BatchConfig::default());
     let mut class_cells = 0;
     h.run("repair_seed/run_20k", || {
-        let out = seed.repair(black_box(&noise.dirty), &w.sigma).unwrap();
+        let out = seed.repair(black_box(&noise.dirty), &sigma).unwrap();
         class_cells = out.stats.class_cells;
         out.stats.steps
     });
@@ -300,7 +296,6 @@ fn smoke() -> ! {
         let stream_speedup = bench_stream(&mut h);
         // INCREPAIR's nearest-value layer: reported, not gated.
         let memo_speedup = bench_value_index_dense(&mut h);
-        record_pool_bytes(&mut h);
         record_peak_rss(&mut h);
         println!("{}", h.table());
         println!("load speedup (csv/snapshot): {load_speedup:.2}x");
@@ -364,7 +359,7 @@ fn smoke() -> ! {
 /// mean anything. Returns the csv/snapshot median ratio (> 1 means the
 /// snapshot wins).
 fn bench_load(h: &mut Harness) -> f64 {
-    use cfd_model::csv::{read_relation, write_relation};
+    use cfd_model::csv::{read_relation_in, write_relation};
     use cfd_model::snapshot::{read_snapshot, snapshot_to_vec};
 
     let w = workload(20_000, 7);
@@ -383,7 +378,8 @@ fn bench_load(h: &mut Harness) -> f64 {
     // Sanity: the two ingest paths must agree cell for cell. Each load
     // interns into a pool of its own, so compare resolved values — raw
     // ids are pool-local.
-    let via_csv = read_relation("dirty", &mut csv.as_slice()).expect("csv parses");
+    let via_csv = read_relation_in("dirty", &mut csv.as_slice(), ValuePool::new_handle())
+        .expect("csv parses");
     let via_snap = read_snapshot(&snap).expect("snapshot loads").relation;
     assert_eq!(via_csv.len(), via_snap.len(), "ingest paths disagree");
     for a in via_csv.schema().attr_ids() {
@@ -400,9 +396,13 @@ fn bench_load(h: &mut Harness) -> f64 {
     }
 
     let t_csv = h.run("load/csv_reintern_20k", || {
-        read_relation("dirty", &mut black_box(csv.as_slice()))
-            .expect("csv parses")
-            .len()
+        read_relation_in(
+            "dirty",
+            &mut black_box(csv.as_slice()),
+            ValuePool::new_handle(),
+        )
+        .expect("csv parses")
+        .len()
     });
     let t_snap = h.run("load/snapshot_20k", || {
         read_snapshot(black_box(&snap))
@@ -473,12 +473,13 @@ fn bench_pricing(h: &mut Harness) -> f64 {
     // every attribute (typo noise inflates the per-attribute domains),
     // deduplicated and sorted for a deterministic workload.
     let adom = cfd_model::ActiveDomain::of_relation(&noise.dirty);
+    let pool = noise.dirty.pool();
     let mut candidates: Vec<String> = noise
         .dirty
         .schema()
         .attr_ids()
-        .flat_map(|a| adom.sorted_values(a))
-        .map(|v| v.render().into_owned())
+        .flat_map(|a| adom.ids(a))
+        .map(|(id, _)| pool.resolve(id).render().into_owned())
         .collect();
     candidates.sort();
     candidates.dedup();
@@ -777,17 +778,6 @@ fn record_metadata(h: &mut Harness) {
     h.record("meta/container_cpus", cpus as f64);
 }
 
-/// Interning footprint of the process-default shared pool, recorded
-/// after the workloads have run: tracks dictionary growth per bench run
-/// (dataset-scoped pools free theirs when the relation drops; the
-/// shared pool is the one that can only grow).
-fn record_pool_bytes(h: &mut Harness) {
-    h.record(
-        "meta/pool_bytes",
-        cfd_model::ValuePool::shared().approx_bytes() as f64,
-    );
-}
-
 /// The interned-vs-string headline: index build and full detection on the
 /// §7.1 generated workload at 5% noise.
 fn bench_interned_vs_string(h: &mut Harness) -> (f64, f64) {
@@ -800,6 +790,7 @@ fn bench_interned_vs_string(h: &mut Harness) -> (f64, f64) {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     // The widest LHS list in Σ (phi1's [AC, PN]-shaped lists dominate).
     let lhs = w
         .sigma
@@ -820,18 +811,18 @@ fn bench_interned_vs_string(h: &mut Harness) -> (f64, f64) {
     });
 
     // Sanity: both kernels must agree before their timings mean anything.
-    let id_total = detect(&noise.dirty, &w.sigma).total;
-    let str_total = string_keyed_detect(&rows, &w.sigma);
+    let id_total = detect(&noise.dirty, &sigma).total;
+    let str_total = string_keyed_detect(&rows, &sigma);
     assert_eq!(
         id_total, str_total,
         "reference detector disagrees with the engine"
     );
 
     let detect_interned = h.run("detect/interned_2k_5pct", || {
-        detect(black_box(&noise.dirty), black_box(&w.sigma)).total
+        detect(black_box(&noise.dirty), black_box(&sigma)).total
     });
     let detect_string = h.run("detect/string_2k_5pct", || {
-        string_keyed_detect(black_box(&rows), black_box(&w.sigma))
+        string_keyed_detect(black_box(&rows), black_box(&sigma))
     });
 
     let build_speedup = build_string.median_ns / build_interned.median_ns;
@@ -851,7 +842,8 @@ fn bench_vio_of_candidate(h: &mut Harness) {
             ..Default::default()
         },
     );
-    let engine = cfd_cfd::violation::Engine::build(&noise.dirty, &w.sigma);
+    let sigma = w.sigma_for(&noise.dirty);
+    let engine = cfd_cfd::violation::Engine::build(&noise.dirty, &sigma);
     let probe = noise.dirty.tuple(TupleId(0)).unwrap();
     h.run("detect/vio_of_candidate", || {
         engine.vio_of(black_box(&noise.dirty), black_box(&probe), None)
@@ -960,7 +952,6 @@ fn main() {
     bench_lhs_index(&mut h);
     bench_value_index(&mut h);
     let memo_speedup = bench_value_index_dense(&mut h);
-    record_pool_bytes(&mut h);
     record_peak_rss(&mut h);
 
     println!("\n{}", h.table());

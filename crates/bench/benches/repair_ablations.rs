@@ -32,6 +32,7 @@ fn bench_pick_strategy(h: &mut Harness) {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     for (label, pick) in [
         ("global_best", PickStrategy::GlobalBest),
         ("dependency_ordered", PickStrategy::DependencyOrdered),
@@ -39,7 +40,7 @@ fn bench_pick_strategy(h: &mut Harness) {
         h.run(&format!("batch_pick_strategy/{label}"), || {
             batch_repair(
                 black_box(&noise.dirty),
-                &w.sigma,
+                &sigma,
                 BatchConfig {
                     pick,
                     ..Default::default()
@@ -50,7 +51,7 @@ fn bench_pick_strategy(h: &mut Harness) {
         // accuracy context printed once per strategy
         let out = batch_repair(
             &noise.dirty,
-            &w.sigma,
+            &sigma,
             BatchConfig {
                 pick,
                 ..Default::default()
@@ -81,11 +82,12 @@ fn bench_tupleresolve_k(h: &mut Harness) {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     for k in [1usize, 2] {
         h.run(&format!("incremental_k/{k}"), || {
             repair_via_incremental(
                 black_box(&noise.dirty),
-                &w.sigma,
+                &sigma,
                 IncConfig {
                     k,
                     ..Default::default()
@@ -106,6 +108,7 @@ fn bench_orderings(h: &mut Harness) {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     for (label, ordering) in [
         ("linear", Ordering::Linear),
         ("violations", Ordering::Violations),
@@ -114,7 +117,7 @@ fn bench_orderings(h: &mut Harness) {
         h.run(&format!("incremental_ordering/{label}"), || {
             repair_via_incremental(
                 black_box(&noise.dirty),
-                &w.sigma,
+                &sigma,
                 IncConfig {
                     ordering,
                     ..Default::default()
@@ -135,11 +138,12 @@ fn bench_candidate_width(h: &mut Harness) {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     for width in [2usize, 6, 16] {
         h.run(&format!("incremental_candidates_per_attr/{width}"), || {
             repair_via_incremental(
                 black_box(&noise.dirty),
-                &w.sigma,
+                &sigma,
                 IncConfig {
                     candidates_per_attr: width,
                     ..Default::default()
@@ -163,6 +167,7 @@ fn bench_merge_pricing(h: &mut Harness) {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     for (label, pricing) in [
         ("group_majority", MergePricing::GroupMajority),
         ("pairwise", MergePricing::Pairwise),
@@ -170,7 +175,7 @@ fn bench_merge_pricing(h: &mut Harness) {
         h.run(&format!("batch_merge_pricing/{label}"), || {
             batch_repair(
                 black_box(&noise.dirty),
-                &w.sigma,
+                &sigma,
                 BatchConfig {
                     merge_pricing: pricing,
                     ..Default::default()
@@ -180,7 +185,7 @@ fn bench_merge_pricing(h: &mut Harness) {
         });
         let out = batch_repair(
             &noise.dirty,
-            &w.sigma,
+            &sigma,
             BatchConfig {
                 merge_pricing: pricing,
                 ..Default::default()

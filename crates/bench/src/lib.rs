@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use cfd_cfd::Engine;
 use cfd_gen::{generate, inject, GenConfig, NoiseConfig, RunSummary, Workload};
+use cfd_model::{Relation, Tuple};
 use cfd_repair::{
     batch_repair, repair_via_incremental, BatchConfig, IncConfig, InsertRepairer, Ordering,
 };
@@ -101,11 +102,14 @@ pub fn workload(n_tuples: usize, seed: u64) -> Workload {
 }
 
 /// Run one algorithm on a dirty database and summarize quality + time.
-pub fn run_algo(algo: Algo, dirty: &cfd_model::Relation, w: &Workload) -> RunSummary {
+/// Σ is bound into `dirty`'s pool outside the timer, as a CLI run binds
+/// its rules file after loading the data.
+pub fn run_algo(algo: Algo, dirty: &Relation, w: &Workload) -> RunSummary {
+    let sigma = w.sigma_for(dirty);
     let t0 = Instant::now();
     let repair = match algo {
         Algo::Batch => {
-            batch_repair(dirty, &w.sigma, BatchConfig::default())
+            batch_repair(dirty, &sigma, BatchConfig::default())
                 .expect("batch repair succeeds")
                 .repair
         }
@@ -117,7 +121,7 @@ pub fn run_algo(algo: Algo, dirty: &cfd_model::Relation, w: &Workload) -> RunSum
             };
             repair_via_incremental(
                 dirty,
-                &w.sigma,
+                &sigma,
                 IncConfig {
                     ordering,
                     ..Default::default()
@@ -170,7 +174,12 @@ pub fn fig8(scale: Scale, seed: u64) -> Vec<Series> {
     // prune with, so they run an order of magnitude longer than the CFD
     // side; the accuracy gap (the figure's point) is scale-insensitive.
     let w = workload(scale.base_tuples() / 2, seed);
-    let fd_sigma = w.sigma.embedded_fds().expect("embedded FDs normalize");
+    // All-wildcard rows intern no constant, so one binding serves every
+    // dirty copy's pool.
+    let fd_sigma = w
+        .sigma
+        .embedded_fds_in(w.dopt.pool())
+        .expect("embedded FDs normalize");
     let mut cfd_prec = Vec::new();
     let mut cfd_rec = Vec::new();
     let mut fd_prec = Vec::new();
@@ -303,27 +312,7 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
         seconds,
     };
     for n_insert in [10usize, 20, 30, 40, 50, 60, 70] {
-        // Build ΔD: fresh clean tuples drawn from the same world, then
-        // corrupt every one of them ("inserted 10 to 70 dirty tuples").
-        let delta_workload = generate(&GenConfig {
-            n_tuples: n_insert,
-            seed: seed ^ 0x5eed,
-            world: w.world.config.clone(),
-        });
-        let delta_noise = inject(
-            &delta_workload.dopt,
-            &w.world,
-            &NoiseConfig {
-                rate: 1.0,
-                seed,
-                ..Default::default()
-            },
-        );
-        let delta: Vec<cfd_model::Tuple> = delta_noise
-            .dirty
-            .iter()
-            .map(|(_, t)| t.to_tuple())
-            .collect();
+        let (_, delta) = fig12_delta(&w, n_insert, seed);
         // INCREPAIR on ΔD against the warm state over clean D; the
         // rollback leaves the state as it was, so every repeat is alike.
         let inc_secs = median_secs(|| {
@@ -343,6 +332,11 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
             batch_repair(&full, &w.sigma, BatchConfig::default()).expect("batch succeeds");
         });
         batch_points.push(point(n_insert, batch_secs));
+        // Give ΔD's occurrences back, so the next point starts from the
+        // counts of D alone.
+        w.dopt
+            .pool()
+            .retire_ids(delta.iter().flat_map(|t| t.ids().iter().copied()));
     }
     vec![
         Series {
@@ -358,6 +352,35 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
             points: build_points,
         },
     ]
+}
+
+/// Figure 12's ΔD of `n_insert` tuples: fresh clean orders drawn from
+/// `w`'s world, every one corrupted ("inserted 10 to 70 dirty tuples").
+/// Returns ΔD as generated, on a pool of its own, and the tuples Figure 12
+/// inserts: the same rows re-interned by value into `w.dopt`'s pool,
+/// counted as a CLI load of ΔD into the base would count them.
+fn fig12_delta(w: &Workload, n_insert: usize, seed: u64) -> (Relation, Vec<Tuple>) {
+    let fresh = generate(&GenConfig {
+        n_tuples: n_insert,
+        seed: seed ^ 0x5eed,
+        world: w.world.config.clone(),
+    });
+    let noise = inject(
+        &fresh.dopt,
+        &w.world,
+        &NoiseConfig {
+            rate: 1.0,
+            seed,
+            ..Default::default()
+        },
+    );
+    let delta = noise
+        .dirty
+        .rekey_into(w.dopt.pool())
+        .iter()
+        .map(|(_, t)| t.to_tuple())
+        .collect();
+    (noise.dirty, delta)
 }
 
 /// Timed runs per Figure 12 point; the point is their median.
@@ -525,6 +548,19 @@ mod tests {
         let (precision, recall) = tables.split_once("— recall").expect("a recall table");
         assert!(precision.contains("97.25%") && !precision.contains("61.75%"));
         assert!(recall.contains("61.75%") && !recall.contains("97.25%"));
+    }
+
+    #[test]
+    fn fig12_delta_renders_the_generated_rows() {
+        let w = workload(300, 4);
+        let (generated, delta) = fig12_delta(&w, 20, 4);
+        assert_eq!(delta.len(), 20);
+        let pool = w.dopt.pool();
+        for (t, (_, row)) in delta.iter().zip(generated.iter()) {
+            let values: Vec<_> = t.ids().iter().map(|id| pool.resolve(*id)).collect();
+            assert_eq!(values, row.values());
+            assert_eq!(t.weights(), row.weights());
+        }
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl Cfd {
         Ok(())
     }
 
-    /// Expand into normal form against the process-default shared pool
-    /// (compatibility shim; see [`Cfd::normalize_in`]).
-    pub fn normalize(&self) -> Vec<NormalCfd> {
-        self.normalize_in(&ValuePool::shared())
-    }
-
     /// Expand into normal form: one [`NormalCfd`] per pattern row per RHS
     /// attribute, with pattern constants interned (uncounted) into
     /// `pool`. Ids are assigned by the caller ([`Sigma::normalize_in`]).
@@ -113,7 +107,7 @@ impl Cfd {
         for (row_idx, row) in self.tableau.iter().enumerate() {
             for (j, rhs_attr) in self.rhs.iter().enumerate() {
                 out.push(NormalCfd {
-                    id: CfdId(u32::MAX), // patched by Sigma::normalize
+                    id: CfdId(u32::MAX), // patched by Sigma::normalize_in
                     source: self.name.clone(),
                     source_row: row_idx,
                     lhs_pat_ids: intern_patterns_in(&row.lhs, pool),
@@ -286,13 +280,6 @@ pub struct Sigma {
 }
 
 impl Sigma {
-    /// Normalize a set of general CFDs over `schema` against the
-    /// process-default shared pool (compatibility shim; see
-    /// [`Sigma::normalize_in`]).
-    pub fn normalize(schema: Schema, cfds: Vec<Cfd>) -> Result<Self, ModelError> {
-        Sigma::normalize_in(schema, cfds, &ValuePool::shared())
-    }
-
     /// Normalize a set of general CFDs over `schema`, interning pattern
     /// constants (uncounted) into `pool` — the dataset's pool, so the
     /// hot matching paths compare ids from the same dictionary the data
@@ -382,16 +369,9 @@ impl Sigma {
     }
 
     /// The same Σ with every tableau collapsed to its embedded FD — used by
-    /// the Fig. 8 comparison. Shared-pool shim; see
-    /// [`Sigma::embedded_fds_in`].
-    pub fn embedded_fds(&self) -> Result<Sigma, ModelError> {
-        self.embedded_fds_in(&ValuePool::shared())
-    }
-
-    /// [`Sigma::embedded_fds`] against a dataset's own pool. (Embedded
-    /// FDs are all-wildcard, so no constants are interned either way —
-    /// the pool parameter keeps the API symmetric with
-    /// [`Sigma::normalize_in`].)
+    /// the Fig. 8 comparison. (Embedded FDs are all-wildcard, so no
+    /// constants are interned — the pool parameter keeps the API
+    /// symmetric with [`Sigma::normalize_in`].)
     pub fn embedded_fds_in(&self, pool: &ValuePool) -> Result<Sigma, ModelError> {
         let fds = self.sources.iter().map(Cfd::embedded_fd).collect();
         Sigma::normalize_in(self.schema.clone(), fds, pool)
@@ -446,7 +426,7 @@ mod tests {
     #[test]
     fn normalization_expands_rows_times_rhs() {
         let s = schema();
-        let sigma = Sigma::normalize(s.clone(), vec![phi1(&s)]).unwrap();
+        let sigma = Sigma::normalize_in(s.clone(), vec![phi1(&s)], &ValuePool::new()).unwrap();
         // 2 rows × 3 RHS attributes
         assert_eq!(sigma.len(), 6);
         let ids: Vec<_> = sigma.iter().map(|n| n.id().0).collect();
@@ -482,41 +462,48 @@ mod tests {
     #[test]
     fn applies_to_respects_patterns() {
         let s = schema();
-        let sigma = Sigma::normalize(s.clone(), vec![phi1(&s)]).unwrap();
+        let pool = ValuePool::new();
+        let sigma = Sigma::normalize_in(s.clone(), vec![phi1(&s)], &pool).unwrap();
         // normal CFD 1: AC=212 → CT=NYC
         let n = sigma.get(CfdId(1));
         assert_eq!(n.rhs_attr(), s.attr("CT").unwrap());
         assert!(n.is_constant());
-        let t3 = Tuple::from_iter([
-            "a12",
-            "J. Denver",
-            "7.94",
-            "212",
-            "3345677",
-            "Canel",
-            "PHI",
-            "PA",
-            "10012",
-        ]);
+        let t3 = Tuple::new_in(
+            [
+                "a12",
+                "J. Denver",
+                "7.94",
+                "212",
+                "3345677",
+                "Canel",
+                "PHI",
+                "PA",
+                "10012",
+            ],
+            &pool,
+        );
         assert!(n.applies_to(&t3));
-        let t1 = Tuple::from_iter([
-            "a23",
-            "H. Porter",
-            "17.99",
-            "215",
-            "8983490",
-            "Walnut",
-            "PHI",
-            "PA",
-            "19014",
-        ]);
+        let t1 = Tuple::new_in(
+            [
+                "a23",
+                "H. Porter",
+                "17.99",
+                "215",
+                "8983490",
+                "Walnut",
+                "PHI",
+                "PA",
+                "19014",
+            ],
+            &pool,
+        );
         assert!(!n.applies_to(&t1));
     }
 
     #[test]
     fn mentioning_indexes_both_sides() {
         let s = schema();
-        let sigma = Sigma::normalize(s.clone(), vec![phi1(&s)]).unwrap();
+        let sigma = Sigma::normalize_in(s.clone(), vec![phi1(&s)], &ValuePool::new()).unwrap();
         let ac = s.attr("AC").unwrap();
         let ct = s.attr("CT").unwrap();
         let pr = s.attr("PR").unwrap();
@@ -528,7 +515,7 @@ mod tests {
     #[test]
     fn within_filters_by_attr_set() {
         let s = schema();
-        let sigma = Sigma::normalize(s.clone(), vec![phi1(&s)]).unwrap();
+        let sigma = Sigma::normalize_in(s.clone(), vec![phi1(&s)], &ValuePool::new()).unwrap();
         let mut inside = vec![false; s.arity()];
         for name in ["AC", "PN", "CT"] {
             inside[s.attr(name).unwrap().index()] = true;
@@ -548,8 +535,8 @@ mod tests {
         let fd = cfd.embedded_fd();
         assert_eq!(fd.tableau().len(), 1);
         assert!(fd.tableau()[0].lhs.iter().all(PatternValue::is_wildcard));
-        let sigma = Sigma::normalize(s.clone(), vec![cfd]).unwrap();
-        let fds = sigma.embedded_fds().unwrap();
+        let sigma = Sigma::normalize_in(s.clone(), vec![cfd], &ValuePool::new()).unwrap();
+        let fds = sigma.embedded_fds_in(&ValuePool::new()).unwrap();
         assert_eq!(fds.len(), 3); // 1 row × 3 RHS attrs
         assert_eq!(fds.constant_variable_split(), (0, 3));
     }
@@ -559,7 +546,7 @@ mod tests {
         let s = schema();
         let tiny = Schema::new("tiny", &["a"]).unwrap();
         let cfd = phi1(&s);
-        assert!(Sigma::normalize(tiny, vec![cfd]).is_err());
+        assert!(Sigma::normalize_in(tiny, vec![cfd], &ValuePool::new()).is_err());
     }
 
     #[test]
@@ -577,7 +564,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let sigma = Sigma::normalize(s.clone(), vec![cfd]).unwrap();
+        let sigma = Sigma::normalize_in(s.clone(), vec![cfd], &ValuePool::new()).unwrap();
         let n = sigma.iter().next().unwrap();
         let shown = n.to_string();
         assert!(shown.contains("212") && shown.contains("NYC"), "{shown}");

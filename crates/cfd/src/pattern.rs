@@ -211,10 +211,6 @@ mod tests {
     use super::*;
     use cfd_model::Tuple;
 
-    fn intern_patterns(pats: &[PatternValue]) -> Vec<PatternId> {
-        intern_patterns_in(pats, &ValuePool::shared())
-    }
-
     #[test]
     fn wildcard_matches_constants_not_null() {
         let w = PatternValue::Wildcard;
@@ -245,10 +241,11 @@ mod tests {
             Value::int(212),
             Value::str("NYC"),
         ];
+        let pool = ValuePool::new();
         for p in &pats {
-            let pid = p.to_id_in(&ValuePool::shared());
+            let pid = p.to_id_in(&pool);
             for v in &vals {
-                let id = ValueId::of(v);
+                let id = pool.intern(v);
                 assert_eq!(pid.matches_id(id), p.matches(v), "{p} vs {v}");
                 assert_eq!(pid.satisfied_by_id(id), p.satisfied_by(v), "{p} vs {v}");
             }
@@ -279,42 +276,52 @@ mod tests {
     #[test]
     fn paper_example_order_on_tuples() {
         // (Walnut, NYC, NY) ≼ (_, NYC, NY) but not ≼ (_, PHI, _)
-        let t = Tuple::from_iter(["Walnut", "NYC", "NY"]);
+        let pool = ValuePool::new();
+        let t = Tuple::new_in(["Walnut", "NYC", "NY"], &pool);
         let attrs = [AttrId(0), AttrId(1), AttrId(2)];
-        let p1 = intern_patterns(&[
-            PatternValue::Wildcard,
-            PatternValue::constant("NYC"),
-            PatternValue::constant("NY"),
-        ]);
-        let p2 = intern_patterns(&[
-            PatternValue::Wildcard,
-            PatternValue::constant("PHI"),
-            PatternValue::Wildcard,
-        ]);
+        let p1 = intern_patterns_in(
+            &[
+                PatternValue::Wildcard,
+                PatternValue::constant("NYC"),
+                PatternValue::constant("NY"),
+            ],
+            &pool,
+        );
+        let p2 = intern_patterns_in(
+            &[
+                PatternValue::Wildcard,
+                PatternValue::constant("PHI"),
+                PatternValue::Wildcard,
+            ],
+            &pool,
+        );
         assert!(tuple_matches(&t, &attrs, &p1));
         assert!(!tuple_matches(&t, &attrs, &p2));
     }
 
     #[test]
     fn null_in_tuple_blocks_match() {
-        let t = Tuple::new(vec![Value::Null, Value::str("NYC")]);
+        let pool = ValuePool::new();
+        let t = Tuple::new_in([Value::Null, Value::str("NYC")], &pool);
         let attrs = [AttrId(0), AttrId(1)];
-        let pats = intern_patterns(&[PatternValue::Wildcard, PatternValue::constant("NYC")]);
+        let pats = intern_patterns_in(
+            &[PatternValue::Wildcard, PatternValue::constant("NYC")],
+            &pool,
+        );
         assert!(!tuple_matches(&t, &attrs, &pats));
     }
 
     #[test]
     fn ids_match_on_projections() {
-        let ids = [
-            ValueId::of(&Value::str("212")),
-            ValueId::of(&Value::str("5551234")),
-        ];
-        let pats = intern_patterns(&[PatternValue::constant("212"), PatternValue::Wildcard]);
+        let pool = ValuePool::new();
+        let id = |s: &str| pool.intern(&Value::str(s));
+        let ids = [id("212"), id("5551234")];
+        let pats = intern_patterns_in(
+            &[PatternValue::constant("212"), PatternValue::Wildcard],
+            &pool,
+        );
         assert!(ids_match(&ids, &pats));
-        let other = [
-            ValueId::of(&Value::str("610")),
-            ValueId::of(&Value::str("5551234")),
-        ];
+        let other = [id("610"), id("5551234")];
         assert!(!ids_match(&other, &pats));
     }
 

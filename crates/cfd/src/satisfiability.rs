@@ -22,7 +22,7 @@
 
 use std::collections::BTreeSet;
 
-use cfd_model::{AttrId, Schema, Tuple, Value};
+use cfd_model::{AttrId, Schema, Value};
 
 use crate::cfd::{NormalCfd, Sigma};
 use crate::pattern::PatternValue;
@@ -125,10 +125,10 @@ fn search(
 /// Result of the satisfiability analysis.
 #[derive(Clone, Debug)]
 pub enum Satisfiability {
-    /// Σ is satisfiable; a witness tuple is provided (fresh symbols are
-    /// rendered as `⋆<attr>` constants, guaranteed distinct from every
-    /// pattern constant).
-    Satisfiable(Tuple),
+    /// Σ is satisfiable; a witness tuple's values are provided in schema
+    /// order (fresh symbols are rendered as `⋆<attr>` constants,
+    /// guaranteed distinct from every pattern constant).
+    Satisfiable(Vec<Value>),
     /// No single tuple — hence no non-empty instance — satisfies Σ.
     Unsatisfiable,
 }
@@ -161,7 +161,7 @@ pub fn satisfiable(sigma: &Sigma) -> Satisfiability {
                 Sym::Fresh => Value::str(format!("⋆{}", schema.attr_name(AttrId(i as u16)))),
             })
             .collect();
-        Satisfiability::Satisfiable(Tuple::new(values))
+        Satisfiability::Satisfiable(values)
     } else {
         Satisfiability::Unsatisfiable
     }
@@ -173,7 +173,7 @@ mod tests {
     use crate::cfd::Cfd;
     use crate::pattern::PatternRow;
     use crate::violation;
-    use cfd_model::Relation;
+    use cfd_model::{Relation, Tuple, ValuePool};
 
     fn schema2() -> Schema {
         Schema::new("r", &["A", "B"]).unwrap()
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn contradictory_wildcard_rows_unsatisfiable() {
         let s = schema2();
-        let sigma = Sigma::normalize(
+        let sigma = Sigma::normalize_in(
             s.clone(),
             vec![
                 cfd(
@@ -208,6 +208,7 @@ mod tests {
                     PatternValue::constant("b2"),
                 ),
             ],
+            &ValuePool::new(),
         )
         .unwrap();
         assert!(!satisfiable(&sigma).is_satisfiable());
@@ -217,7 +218,7 @@ mod tests {
     fn conditioned_rows_are_satisfiable() {
         let s = schema2();
         // A=a1 → B=b1 and A=a2 → B=b2: pick A outside {a1, a2} or either.
-        let sigma = Sigma::normalize(
+        let sigma = Sigma::normalize_in(
             s.clone(),
             vec![
                 cfd(
@@ -233,6 +234,7 @@ mod tests {
                     PatternValue::constant("b2"),
                 ),
             ],
+            &ValuePool::new(),
         )
         .unwrap();
         let result = satisfiable(&sigma);
@@ -242,7 +244,8 @@ mod tests {
     #[test]
     fn witness_actually_satisfies_sigma() {
         let s = schema2();
-        let sigma = Sigma::normalize(
+        let pool = ValuePool::new_handle();
+        let sigma = Sigma::normalize_in(
             s.clone(),
             vec![
                 cfd(
@@ -258,12 +261,13 @@ mod tests {
                     PatternValue::constant("b1"),
                 ),
             ],
+            &pool,
         )
         .unwrap();
         match satisfiable(&sigma) {
             Satisfiability::Satisfiable(witness) => {
-                let mut rel = Relation::new(s);
-                rel.insert(witness).unwrap();
+                let mut rel = Relation::new_in(s, pool);
+                rel.insert(Tuple::new_in(witness, rel.pool())).unwrap();
                 assert!(violation::check(&rel, &sigma));
             }
             Satisfiability::Unsatisfiable => panic!("expected satisfiable"),
@@ -306,7 +310,12 @@ mod tests {
         )
         .unwrap();
         // Chain forces B=b1, C=c1, A=a9 — consistent, so satisfiable.
-        let sigma = Sigma::normalize(s.clone(), vec![ab.clone(), bc.clone(), c_not]).unwrap();
+        let sigma = Sigma::normalize_in(
+            s.clone(),
+            vec![ab.clone(), bc.clone(), c_not],
+            &ValuePool::new(),
+        )
+        .unwrap();
         assert!(satisfiable(&sigma).is_satisfiable());
         // Now add A=a9 → B=b2, contradicting B=b1: unsatisfiable? No —
         // the witness can not escape: every A matches `_` so B=b1 always;
@@ -331,7 +340,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let sigma2 = Sigma::normalize(s, vec![ab, bc, c_not2, a9b2]).unwrap();
+        let sigma2 = Sigma::normalize_in(s, vec![ab, bc, c_not2, a9b2], &ValuePool::new()).unwrap();
         assert!(!satisfiable(&sigma2).is_satisfiable());
     }
 
@@ -339,14 +348,14 @@ mod tests {
     fn variable_cfds_never_block_satisfiability() {
         let s = schema2();
         let fd = Cfd::standard_fd("fd", vec![s.attr("A").unwrap()], vec![s.attr("B").unwrap()]);
-        let sigma = Sigma::normalize(s, vec![fd]).unwrap();
+        let sigma = Sigma::normalize_in(s, vec![fd], &ValuePool::new()).unwrap();
         assert!(satisfiable(&sigma).is_satisfiable());
     }
 
     #[test]
     fn empty_sigma_satisfiable() {
         let s = schema2();
-        let sigma = Sigma::normalize(s, vec![]).unwrap();
+        let sigma = Sigma::normalize_in(s, vec![], &ValuePool::new()).unwrap();
         assert!(satisfiable(&sigma).is_satisfiable());
     }
 }

@@ -600,7 +600,7 @@ mod tests {
     use super::*;
     use crate::cfd::Cfd;
     use crate::pattern::{PatternRow, PatternValue};
-    use cfd_model::{Schema, Tuple, Value};
+    use cfd_model::{Schema, Tuple, Value, ValuePool};
 
     /// The paper's Fig. 1 running example: schema, data, ϕ1 and ϕ2.
     fn fig1() -> (Relation, Sigma) {
@@ -609,7 +609,7 @@ mod tests {
             &["id", "name", "PR", "AC", "PN", "STR", "CT", "ST", "zip"],
         )
         .unwrap();
-        let mut rel = Relation::new(schema.clone());
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
         for row in [
             [
                 "a23",
@@ -656,7 +656,7 @@ mod tests {
                 "10012",
             ],
         ] {
-            rel.insert(Tuple::from_iter(row)).unwrap();
+            rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
         }
         let phi1 = Cfd::new(
             "phi1",
@@ -706,7 +706,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema, vec![phi1, phi2]).unwrap();
+        let sigma = Sigma::normalize_in(schema, vec![phi1, phi2], rel.pool()).unwrap();
         (rel, sigma)
     }
 
@@ -755,17 +755,20 @@ mod tests {
         // [AC,PN] but differs on STR/CT/ST → variable violations of ϕ1's
         // 215-row... wait, the 215 row has constant CT/ST; STR stays a
         // wildcard so the STR disagreement is the variable part.
-        let t5 = Tuple::from_iter([
-            "a77",
-            "B. Ookworm",
-            "3.50",
-            "215",
-            "8983490",
-            "Elm",
-            "NYC",
-            "NY",
-            "10012",
-        ]);
+        let t5 = Tuple::new_in(
+            [
+                "a77",
+                "B. Ookworm",
+                "3.50",
+                "215",
+                "8983490",
+                "Elm",
+                "NYC",
+                "NY",
+                "10012",
+            ],
+            rel.pool(),
+        );
         let id5 = rel.insert(t5).unwrap();
         let report = detect(&rel, &sigma);
         // t5 violates: ϕ1 215-row CT (NYC≠PHI const) + ST + STR variable
@@ -828,17 +831,20 @@ mod tests {
         }
         let engine = Engine::build(&rel, &sigma);
         // candidate t5 of Example 1.1
-        let t5 = Tuple::from_iter([
-            "a55", "X", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
-        ]);
+        let t5 = Tuple::new_in(
+            [
+                "a55", "X", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
+            ],
+            rel.pool(),
+        );
         // matches 215-row of ϕ1: CT=NYC≠PHI, ST=NY≠PA → 2 constant
         // violations; STR agrees with t1 so no variable conflict; ϕ2
         // 10012-row is satisfied (NYC, NY).
         assert_eq!(engine.vio_of(&rel, &t5, None), 2);
         // the same tuple with CT/ST nulled incurs none
         let mut t5n = t5.clone();
-        t5n.set_value(ct, Value::Null);
-        t5n.set_value(st, Value::Null);
+        t5n.set_id(ct, cfd_model::NULL_ID);
+        t5n.set_id(st, cfd_model::NULL_ID);
         assert_eq!(engine.vio_of(&rel, &t5n, None), 0);
     }
 
@@ -847,9 +853,11 @@ mod tests {
     #[test]
     fn vio_of_skips_subsumed_variable_rows() {
         let schema = Schema::new("r", &["AC", "PN", "STR"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        rel.insert(Tuple::from_iter(["212", "555", "Elm"])).unwrap();
-        rel.insert(Tuple::from_iter(["212", "555", "Oak"])).unwrap();
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        rel.insert(Tuple::new_in(["212", "555", "Elm"], rel.pool()))
+            .unwrap();
+        rel.insert(Tuple::new_in(["212", "555", "Oak"], rel.pool()))
+            .unwrap();
         let cfd = Cfd::new(
             "phi",
             schema.attrs_named(&["AC", "PN"]).unwrap(),
@@ -866,7 +874,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema, vec![cfd]).unwrap();
+        let sigma = Sigma::normalize_in(schema, vec![cfd], rel.pool()).unwrap();
         let engine = Engine::build(&rel, &sigma);
         let report = detect(&rel, &sigma);
         assert_eq!(report.total, 2);
@@ -892,7 +900,7 @@ mod tests {
     fn empty_sigma_always_clean() {
         let (rel, _) = fig1();
         let schema = rel.schema().clone();
-        let sigma = Sigma::normalize(schema, vec![]).unwrap();
+        let sigma = Sigma::normalize_in(schema, vec![], rel.pool()).unwrap();
         assert!(check(&rel, &sigma));
         assert!(detect(&rel, &sigma).is_clean());
     }

@@ -8,7 +8,9 @@ use cfd_cfd::pattern::{PatternRow, PatternValue};
 use cfd_cfd::satisfiability::satisfiable;
 use cfd_cfd::violation::check;
 use cfd_cfd::{Cfd, Sigma};
-use cfd_model::{AttrId, Relation, Schema, Tuple, Value};
+use std::sync::Arc;
+
+use cfd_model::{AttrId, Relation, Schema, Tuple, Value, ValuePool};
 
 const ARITY: usize = 3;
 /// Small closed domain for brute-force model search.
@@ -43,11 +45,11 @@ fn rand_cfd(rng: &mut ChaCha8Rng) -> Cfd {
     .expect("well-formed")
 }
 
-fn rand_sigma(rng: &mut ChaCha8Rng) -> Sigma {
+fn rand_sigma(rng: &mut ChaCha8Rng, pool: &ValuePool) -> Sigma {
     let cfds: Vec<Cfd> = (0..rng.gen_range(1..6usize))
         .map(|_| rand_cfd(rng))
         .collect();
-    Sigma::normalize(schema(), cfds).expect("normalizes")
+    Sigma::normalize_in(schema(), cfds, pool).expect("normalizes")
 }
 
 /// Brute force: does any single tuple over the closed domain (plus one
@@ -55,15 +57,15 @@ fn rand_sigma(rng: &mut ChaCha8Rng) -> Sigma {
 /// matches the paper's observation that Σ is satisfiable iff a one-tuple
 /// instance exists; fresh symbols stand for "any value outside the
 /// pattern constants".
-fn brute_force_satisfiable(sigma: &Sigma) -> bool {
+fn brute_force_satisfiable(sigma: &Sigma, pool: &Arc<ValuePool>) -> bool {
     // domain: v0..v{DOM-1} plus a fresh value no pattern mentions
     let mut values: Vec<Value> = (0..DOM).map(|i| Value::str(format!("v{i}"))).collect();
     values.push(Value::str("fresh"));
     let n = values.len();
     let mut idx = [0usize; ARITY];
     loop {
-        let tuple = Tuple::new(idx.iter().map(|i| values[*i].clone()).collect());
-        let mut rel = Relation::new(schema());
+        let mut rel = Relation::new_in(schema(), pool.clone());
+        let tuple = Tuple::new_in(idx.iter().map(|i| values[*i].clone()), rel.pool());
         rel.insert(tuple).unwrap();
         if check(&rel, sigma) {
             return true;
@@ -89,9 +91,10 @@ fn brute_force_satisfiable(sigma: &Sigma) -> bool {
 #[test]
 fn satisfiability_matches_brute_force() {
     trials(48, 0x5A715, |rng| {
-        let sigma = rand_sigma(rng);
+        let pool = ValuePool::new_handle();
+        let sigma = rand_sigma(rng, &pool);
         let analysed = satisfiable(&sigma).is_satisfiable();
-        let brute = brute_force_satisfiable(&sigma);
+        let brute = brute_force_satisfiable(&sigma, &pool);
         assert_eq!(analysed, brute);
     });
 }
@@ -100,10 +103,11 @@ fn satisfiability_matches_brute_force() {
 #[test]
 fn satisfiability_witness_is_genuine() {
     trials(48, 0x317E55, |rng| {
-        let sigma = rand_sigma(rng);
+        let pool = ValuePool::new_handle();
+        let sigma = rand_sigma(rng, &pool);
         if let cfd_cfd::satisfiability::Satisfiability::Satisfiable(w) = satisfiable(&sigma) {
-            let mut rel = Relation::new(schema());
-            rel.insert(w).unwrap();
+            let mut rel = Relation::new_in(schema(), pool);
+            rel.insert(Tuple::new_in(w, rel.pool())).unwrap();
             assert!(check(&rel, &sigma), "witness must satisfy sigma");
         }
     });

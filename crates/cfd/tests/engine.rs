@@ -5,7 +5,7 @@
 use cfd_cfd::pattern::{PatternRow, PatternValue};
 use cfd_cfd::violation::{detect, minimal_variable_ids, ConstantRules, Engine};
 use cfd_cfd::{Cfd, Sigma};
-use cfd_model::{Relation, Schema, Tuple, Value};
+use cfd_model::{Relation, Schema, Tuple, Value, ValuePool};
 
 fn schema() -> Schema {
     Schema::new("r", &["ac", "pn", "ct", "st"]).unwrap()
@@ -13,7 +13,7 @@ fn schema() -> Schema {
 
 /// A tableau mixing the wildcard FD row with constant rows — the Fig. 1
 /// shape that produces redundant variable components.
-fn mixed_sigma(s: &Schema) -> Sigma {
+fn mixed_sigma(s: &Schema, pool: &ValuePool) -> Sigma {
     let cfd = Cfd::new(
         "phi",
         vec![s.attr("ac").unwrap(), s.attr("pn").unwrap()],
@@ -31,13 +31,13 @@ fn mixed_sigma(s: &Schema) -> Sigma {
         ],
     )
     .unwrap();
-    Sigma::normalize(s.clone(), vec![cfd]).unwrap()
+    Sigma::normalize_in(s.clone(), vec![cfd], pool).unwrap()
 }
 
 #[test]
 fn minimal_variable_set_collapses_redundant_rows() {
     let s = schema();
-    let sigma = mixed_sigma(&s);
+    let sigma = mixed_sigma(&s, &ValuePool::new());
     // normal CFDs: 3 rows × 2 rhs = 6; variable ones: row0 ct, row0 st
     // (rows 1–2 are fully constant)
     let minimal = minimal_variable_ids(&sigma);
@@ -62,7 +62,7 @@ fn duplicate_variable_rows_dedupe_to_one() {
         vec![s.attr("ac").unwrap()],
         vec![s.attr("ct").unwrap()],
     );
-    let sigma = Sigma::normalize(s.clone(), vec![fd1, fd2]).unwrap();
+    let sigma = Sigma::normalize_in(s.clone(), vec![fd1, fd2], &ValuePool::new()).unwrap();
     let minimal = minimal_variable_ids(&sigma);
     assert_eq!(minimal.len(), 1, "identical FDs collapse to one check");
 }
@@ -70,16 +70,20 @@ fn duplicate_variable_rows_dedupe_to_one() {
 #[test]
 fn constant_rules_fire_exactly_on_matching_tuples() {
     let s = schema();
-    let sigma = mixed_sigma(&s);
+    let pool = ValuePool::new();
+    let sigma = mixed_sigma(&s, &pool);
     let rules = ConstantRules::build(&sigma);
-    let hit = Tuple::from_iter(["212", "5551234", "NYC", "NY"]);
-    let miss = Tuple::from_iter(["215", "5551234", "PHI", "PA"]);
-    let null_lhs = Tuple::new(vec![
-        Value::str("212"),
-        Value::Null,
-        Value::str("NYC"),
-        Value::str("NY"),
-    ]);
+    let hit = Tuple::new_in(["212", "5551234", "NYC", "NY"], &pool);
+    let miss = Tuple::new_in(["215", "5551234", "PHI", "PA"], &pool);
+    let null_lhs = Tuple::new_in(
+        vec![
+            Value::str("212"),
+            Value::Null,
+            Value::str("NYC"),
+            Value::str("NY"),
+        ],
+        &pool,
+    );
     let mut fired = 0;
     rules.for_each_fired(&hit, |_, _| fired += 1);
     assert_eq!(fired, 2, "212-row fires for ct and st");
@@ -90,17 +94,17 @@ fn constant_rules_fire_exactly_on_matching_tuples() {
     rules.for_each_fired(&null_lhs, |_, _| fired += 1);
     assert_eq!(fired, 0, "null in LHS blocks pattern match");
     // violations_of counts failing obligations only
-    let bad = Tuple::from_iter(["212", "5551234", "PHI", "NY"]);
+    let bad = Tuple::new_in(["212", "5551234", "PHI", "NY"], &pool);
     assert_eq!(rules.violations_of(&bad, None), 1);
-    let worse = Tuple::from_iter(["212", "5551234", "PHI", "PA"]);
+    let worse = Tuple::new_in(["212", "5551234", "PHI", "PA"], &pool);
     assert_eq!(rules.violations_of(&worse, None), 2);
 }
 
 #[test]
 fn engine_vio_matches_detect_for_in_relation_tuples() {
     let s = schema();
-    let sigma = mixed_sigma(&s);
-    let mut rel = Relation::new(s);
+    let mut rel = Relation::new_in(s.clone(), ValuePool::new_handle());
+    let sigma = mixed_sigma(&s, rel.pool());
     for row in [
         ["212", "1111111", "NYC", "NY"],
         ["212", "2222222", "PHI", "PA"], // 2 constant violations
@@ -109,7 +113,7 @@ fn engine_vio_matches_detect_for_in_relation_tuples() {
         ["999", "4444444", "AAA", "BB"],
         ["999", "4444444", "CCC", "BB"], // variable ct conflict with ↑
     ] {
-        rel.insert(Tuple::from_iter(row)).unwrap();
+        rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
     }
     let engine = Engine::build(&rel, &sigma);
     let report = detect(&rel, &sigma);
@@ -125,18 +129,18 @@ fn engine_vio_matches_detect_for_in_relation_tuples() {
 #[test]
 fn engine_vio_of_candidate_counts_prospective_conflicts() {
     let s = schema();
-    let sigma = mixed_sigma(&s);
-    let mut rel = Relation::new(s);
-    rel.insert(Tuple::from_iter(["999", "4444444", "AAA", "BB"]))
+    let mut rel = Relation::new_in(s.clone(), ValuePool::new_handle());
+    let sigma = mixed_sigma(&s, rel.pool());
+    rel.insert(Tuple::new_in(["999", "4444444", "AAA", "BB"], rel.pool()))
         .unwrap();
     let engine = Engine::build(&rel, &sigma);
     // candidate joining the (999, 4444444) group with a different ct
-    let cand = Tuple::from_iter(["999", "4444444", "ZZZ", "BB"]);
+    let cand = Tuple::new_in(["999", "4444444", "ZZZ", "BB"], rel.pool());
     assert_eq!(engine.vio_of(&rel, &cand, None), 1);
     // same values: no conflict
-    let same = Tuple::from_iter(["999", "4444444", "AAA", "BB"]);
+    let same = Tuple::new_in(["999", "4444444", "AAA", "BB"], rel.pool());
     assert_eq!(engine.vio_of(&rel, &same, None), 0);
     // constant violation counts too
-    let constant_bad = Tuple::from_iter(["212", "7777777", "PHI", "NY"]);
+    let constant_bad = Tuple::new_in(["212", "7777777", "PHI", "NY"], rel.pool());
     assert_eq!(engine.vio_of(&rel, &constant_bad, None), 1);
 }

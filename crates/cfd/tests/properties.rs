@@ -50,10 +50,10 @@ fn rand_cfd(rng: &mut ChaCha8Rng) -> Cfd {
 }
 
 fn rand_relation(rng: &mut ChaCha8Rng) -> Relation {
-    let mut rel = Relation::new(schema());
+    let mut rel = Relation::new_in(schema(), ValuePool::new_handle());
     for _ in 0..rng.gen_range(1..12usize) {
         let row: Vec<Value> = (0..ARITY).map(|_| rand_value(rng)).collect();
-        rel.insert(Tuple::new(row)).unwrap();
+        rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
     }
     rel
 }
@@ -64,11 +64,12 @@ fn rand_relation(rng: &mut ChaCha8Rng) -> Relation {
 /// semantics contract of the dictionary-encoded path.
 #[test]
 fn pattern_id_form_agrees_with_value_form() {
+    let pool = ValuePool::new();
     trials(500, 0x9A77E12, |rng| {
         let p = rand_pattern(rng);
         let v = rand_value(rng);
-        let pid = p.to_id_in(&ValuePool::shared());
-        let vid = ValueId::of(&v);
+        let pid = p.to_id_in(&pool);
+        let vid = pool.intern(&v);
         assert_eq!(pid.matches_id(vid), p.matches(&v), "{p} vs {v}");
         assert_eq!(pid.satisfied_by_id(vid), p.satisfied_by(&v), "{p} vs {v}");
     });
@@ -78,6 +79,7 @@ fn pattern_id_form_agrees_with_value_form() {
 /// row of the pattern's own constants always matches.
 #[test]
 fn wildcards_match_everything_constants_match_themselves() {
+    let pool = ValuePool::new();
     trials(128, 0x71D5, |rng| {
         let pats: Vec<PatternValue> = (0..rng.gen_range(1..5usize))
             .map(|_| rand_pattern(rng))
@@ -93,11 +95,8 @@ fn wildcards_match_everything_constants_match_themselves() {
         assert!(values_match(&selfie, &wilds));
         assert!(values_match(&selfie, &pats));
         // and the interned forms agree
-        let ids: Vec<ValueId> = selfie.iter().map(ValueId::of).collect();
-        let pids: Vec<_> = pats
-            .iter()
-            .map(|p| p.to_id_in(&ValuePool::shared()))
-            .collect();
+        let ids: Vec<ValueId> = selfie.iter().map(|v| pool.intern(v)).collect();
+        let pids: Vec<_> = pats.iter().map(|p| p.to_id_in(&pool)).collect();
         assert!(cfd_cfd::pattern::ids_match(&ids, &pids));
     });
 }
@@ -109,9 +108,7 @@ fn null_matches_no_pattern() {
     trials(128, 0x9017, |rng| {
         let p = rand_pattern(rng);
         assert!(!p.matches(&Value::Null));
-        assert!(!p
-            .to_id_in(&ValuePool::shared())
-            .matches_id(cfd_model::NULL_ID));
+        assert!(!p.to_id_in(&ValuePool::new()).matches_id(cfd_model::NULL_ID));
     });
 }
 
@@ -144,8 +141,8 @@ fn parser_round_trips_semantics() {
         let parsed = parse_rules(&s, &text).expect("rendered rules parse");
         assert_eq!(parsed.len(), 1);
         let rel = rand_relation(rng);
-        let sig_a = Sigma::normalize(s.clone(), vec![cfd]).unwrap();
-        let sig_b = Sigma::normalize(s.clone(), parsed).unwrap();
+        let sig_a = Sigma::normalize_in(s.clone(), vec![cfd], rel.pool()).unwrap();
+        let sig_b = Sigma::normalize_in(s.clone(), parsed, rel.pool()).unwrap();
         assert_eq!(
             check(&rel, &sig_a),
             check(&rel, &sig_b),
@@ -173,7 +170,7 @@ fn normalization_preserves_satisfaction() {
         let cfd = rand_cfd(rng);
         let s = schema();
         let rel = rand_relation(rng);
-        let sigma = Sigma::normalize(s, vec![cfd.clone()]).unwrap();
+        let sigma = Sigma::normalize_in(s, vec![cfd.clone()], rel.pool()).unwrap();
         // Direct §2 semantics on the *source* CFD, on resolved values.
         let direct = {
             let lhs = cfd.lhs().to_vec();
@@ -220,10 +217,10 @@ fn uniform_relations_never_trip_variable_rows() {
         let n = rng.gen_range(1..8usize);
         let s = schema();
         let fd = Cfd::standard_fd("fd", vec![s.attr("a").unwrap()], vec![s.attr("b").unwrap()]);
-        let sigma = Sigma::normalize(s.clone(), vec![fd]).unwrap();
-        let mut rel = Relation::new(s);
+        let mut rel = Relation::new_in(s.clone(), ValuePool::new_handle());
+        let sigma = Sigma::normalize_in(s, vec![fd], rel.pool()).unwrap();
         for _ in 0..n {
-            rel.insert(Tuple::from_iter([&v[..], &v[..], &v[..], &v[..]]))
+            rel.insert(Tuple::new_in([&v[..], &v[..], &v[..], &v[..]], rel.pool()))
                 .unwrap();
         }
         assert!(check(&rel, &sigma));

@@ -71,13 +71,14 @@ impl std::fmt::Display for RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_model::{AttrId, Schema, Tuple, TupleId, Value};
+    use cfd_model::{AttrId, Schema, Tuple, TupleId, Value, ValuePool};
 
     fn rel(rows: &[[&str; 2]]) -> Relation {
         let schema = Schema::new("r", &["a", "b"]).unwrap();
-        let mut r = Relation::new(schema);
+        let mut r = Relation::new_in(schema, ValuePool::new_handle());
         for row in rows {
-            r.insert(Tuple::from_iter(row.iter().copied())).unwrap();
+            r.insert(Tuple::new_in(row.iter().copied(), r.pool()))
+                .unwrap();
         }
         r
     }

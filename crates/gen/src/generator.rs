@@ -11,7 +11,7 @@ use cfd_prng::ChaCha8Rng;
 use cfd_prng::{Rng, SeedableRng};
 
 use cfd_cfd::Sigma;
-use cfd_model::{Relation, Tuple, Value};
+use cfd_model::{Relation, Tuple, Value, ValuePool};
 
 use crate::order_schema::order_schema;
 use crate::tableau::build_sigma;
@@ -60,20 +60,33 @@ impl GenConfig {
 pub struct Workload {
     /// The generating world.
     pub world: World,
-    /// The experiment Σ.
+    /// The experiment Σ, bound into `dopt`'s pool.
     pub sigma: Sigma,
     /// The clean database `Dopt` (all weights 1.0 until noise assigns
-    /// them).
+    /// them), on a pool of its own that counts exactly its cells.
     pub dopt: Relation,
 }
 
-/// Generate a clean workload.
+impl Workload {
+    /// Σ bound into `rel`'s pool: what a repair of `rel` needs when `rel`
+    /// holds a pool other than `dopt`'s — as every dirty copy
+    /// [`inject`](crate::inject) returns does.
+    pub fn sigma_for(&self, rel: &Relation) -> Sigma {
+        let sources = self.sigma.sources().to_vec();
+        Sigma::normalize_in(self.sigma.schema().clone(), sources, rel.pool())
+            .expect("Σ normalized once already")
+    }
+}
+
+/// Generate a clean workload. Each call interns into a fresh pool: the
+/// data first, then Σ's pattern constants (uncounted), the order a CLI
+/// load of the rendered files takes.
 pub fn generate(config: &GenConfig) -> Workload {
     let world = World::generate(config.world.clone());
-    let sigma = build_sigma(&world);
     let schema = order_schema();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let mut dopt = Relation::new(schema);
+    let pool = ValuePool::new_handle();
+    let mut dopt = Relation::new_in(schema, pool.clone());
     for _ in 0..config.n_tuples {
         let customer = &world.customers[rng.gen_range(0..world.customers.len())];
         let street = &world.streets[customer.street];
@@ -81,23 +94,27 @@ pub fn generate(config: &GenConfig) -> Workload {
         let city = &world.cities[street.city];
         let item = &world.items[rng.gen_range(0..world.items.len())];
         let qtt = rng.gen_range(1..=9i64);
-        let tuple = Tuple::new(vec![
-            Value::str(&item.id),
-            Value::str(&item.name),
-            Value::str(&item.price),
-            Value::str(&zip.area_code),
-            Value::str(&customer.phone),
-            Value::str(&street.name),
-            Value::str(&city.name),
-            Value::str(city.state),
-            Value::str(&zip.zip),
-            Value::str(city.country),
-            Value::str(city.vat),
-            Value::str(&item.title),
-            Value::Int(qtt),
-        ]);
+        let tuple = Tuple::new_in(
+            [
+                Value::str(&item.id),
+                Value::str(&item.name),
+                Value::str(&item.price),
+                Value::str(&zip.area_code),
+                Value::str(&customer.phone),
+                Value::str(&street.name),
+                Value::str(&city.name),
+                Value::str(city.state),
+                Value::str(&zip.zip),
+                Value::str(city.country),
+                Value::str(city.vat),
+                Value::str(&item.title),
+                Value::Int(qtt),
+            ],
+            &pool,
+        );
         dopt.insert(tuple).expect("schema matches");
     }
+    let sigma = build_sigma(&world, &pool);
     Workload { world, sigma, dopt }
 }
 
@@ -153,7 +170,7 @@ mod tests {
         // partners are what make variable violations possible
         let w = generate(&small());
         let pn = w.dopt.schema().attr("PN").unwrap();
-        let mut phones: Vec<_> = w.dopt.iter().map(|(_, t)| t.value(pn).clone()).collect();
+        let mut phones: Vec<_> = w.dopt.iter().map(|(_, t)| t.value(pn)).collect();
         let total = phones.len();
         phones.sort();
         phones.dedup();

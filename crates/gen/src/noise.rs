@@ -26,7 +26,7 @@ use cfd_prng::SliceRandom;
 use cfd_prng::{Rng, SeedableRng};
 
 use cfd_model::hash::{FnvMap, FnvSet};
-use cfd_model::{AttrId, Relation, TupleId, Value};
+use cfd_model::{AttrId, Relation, TupleId, Value, ValuePool};
 
 use crate::order_schema::{order_attrs, OrderAttrs};
 use crate::world::World;
@@ -70,7 +70,11 @@ impl Default for NoiseConfig {
 /// The dirty database plus ground-truth bookkeeping.
 #[derive(Clone, Debug)]
 pub struct NoiseOutcome {
-    /// The dirty database `D` (ids aligned with `Dopt`).
+    /// The dirty database `D` (ids aligned with `Dopt`), on a fresh pool
+    /// whose use counts are exactly its cells' occurrences — the counts
+    /// `FINDV`'s frequency tie-break reads, as a CLI load of `D` would
+    /// leave them. Bind Σ into that pool before repairing `D`
+    /// ([`Workload::sigma_for`](crate::Workload::sigma_for)).
     pub dirty: Relation,
     /// The corrupted cells.
     pub corrupted: Vec<(TupleId, AttrId)>,
@@ -164,11 +168,12 @@ enum NoiseKind {
     Variable,
 }
 
-/// Inject noise into a copy of `dopt`.
+/// Inject noise into a copy of `dopt`, re-interned into a fresh pool
+/// (see [`NoiseOutcome::dirty`]).
 pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let attrs: OrderAttrs = order_attrs(dopt.schema());
-    let mut dirty = dopt.clone();
+    let mut dirty = dopt.rekey_into(&ValuePool::new_handle());
 
     // Partner counts: variable noise needs a second order by the same
     // customer (STR) or of the same item (name/PR).
@@ -409,7 +414,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let report = detect(&out.dirty, &w.sigma);
+            let report = detect(&out.dirty, &w.sigma_for(&out.dirty));
             for (id, _) in &out.corrupted {
                 assert!(
                     report.vio(*id) > 0,

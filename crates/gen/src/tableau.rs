@@ -22,7 +22,7 @@
 
 use cfd_cfd::pattern::{PatternRow, PatternValue};
 use cfd_cfd::{Cfd, Sigma};
-use cfd_model::Schema;
+use cfd_model::{Schema, ValuePool};
 
 use crate::order_schema::{order_attrs, order_schema};
 use crate::world::World;
@@ -32,8 +32,9 @@ fn c(s: &str) -> PatternValue {
 }
 const W: PatternValue = PatternValue::Wildcard;
 
-/// Build the seven-CFD Σ of §7.1 for `world`.
-pub fn build_sigma(world: &World) -> Sigma {
+/// Build the seven-CFD Σ of §7.1 for `world`, its pattern constants
+/// interned (uncounted) into `pool`.
+pub fn build_sigma(world: &World, pool: &ValuePool) -> Sigma {
     let schema: Schema = order_schema();
     let a = order_attrs(&schema);
 
@@ -95,7 +96,7 @@ pub fn build_sigma(world: &World) -> Sigma {
     }
     let phi7 = Cfd::new("phi7", vec![a.cty], vec![a.vat], phi7_rows).expect("phi7");
 
-    Sigma::normalize(schema, vec![phi1, phi2, phi3, phi4, phi5, phi6, phi7])
+    Sigma::normalize_in(schema, vec![phi1, phi2, phi3, phi4, phi5, phi6, phi7], pool)
         .expect("experiment sigma is well-formed")
 }
 
@@ -108,14 +109,14 @@ mod tests {
     #[test]
     fn sigma_has_seven_sources() {
         let world = World::generate(WorldConfig::default());
-        let sigma = build_sigma(&world);
+        let sigma = build_sigma(&world, &ValuePool::new());
         assert_eq!(sigma.sources().len(), 7);
     }
 
     #[test]
     fn tableau_size_in_paper_range() {
         let world = World::generate(WorldConfig::default());
-        let sigma = build_sigma(&world);
+        let sigma = build_sigma(&world, &ValuePool::new());
         let rows: usize = sigma.sources().iter().map(|c| c.tableau().len()).sum();
         assert!((300..=5000).contains(&rows), "rows = {rows}");
     }
@@ -127,7 +128,7 @@ mod tests {
             zips_per_city: 10,
             ..Default::default()
         });
-        let sigma = build_sigma(&world);
+        let sigma = build_sigma(&world, &ValuePool::new());
         let rows: usize = sigma.sources().iter().map(|c| c.tableau().len()).sum();
         assert!(rows >= 4500, "rows = {rows}");
     }
@@ -136,7 +137,7 @@ mod tests {
     fn sigma_is_cyclic() {
         // ϕ2 writes CT which ϕ4 reads; ϕ4 writes zip which ϕ2 reads.
         let world = World::generate(WorldConfig::default());
-        let sigma = build_sigma(&world);
+        let sigma = build_sigma(&world, &ValuePool::new());
         let ct = sigma.schema().attr("CT").unwrap();
         let zip = sigma.schema().attr("zip").unwrap();
         let phi2_writes_ct = sigma
@@ -158,14 +159,14 @@ mod tests {
             n_items: 10,
             ..Default::default()
         });
-        let sigma = build_sigma(&world);
+        let sigma = build_sigma(&world, &ValuePool::new());
         assert!(satisfiable(&sigma).is_satisfiable());
     }
 
     #[test]
     fn constant_variable_split_is_constant_heavy() {
         let world = World::generate(WorldConfig::default());
-        let sigma = build_sigma(&world);
+        let sigma = build_sigma(&world, &ValuePool::new());
         let (constants, variables) = sigma.constant_variable_split();
         assert!(constants > variables * 2, "{constants} vs {variables}");
         assert!(variables >= 7); // the embedded FDs stay variable

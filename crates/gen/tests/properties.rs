@@ -5,8 +5,11 @@
 
 use cfd_prng::{trials, ChaCha8Rng, Rng};
 
+use std::sync::Arc;
+
 use cfd_cfd::violation::{check, detect};
 use cfd_gen::{generate, inject, GenConfig, NoiseConfig, RunSummary};
+use cfd_model::{Relation, ValueId};
 
 fn size_and_seed(rng: &mut ChaCha8Rng, lo: usize, hi: usize) -> (usize, u64) {
     (rng.gen_range(lo..hi), rng.gen_range(0..1000u64))
@@ -48,13 +51,13 @@ fn injected_noise_is_exactly_as_reported() {
         );
         let expected = ((n as f64) * rate).round() as usize;
         assert_eq!(noise.corrupted.len(), expected);
-        let report = detect(&noise.dirty, &w.sigma);
+        let report = detect(&noise.dirty, &w.sigma_for(&noise.dirty));
         for (id, attr) in &noise.corrupted {
             let dirty = noise.dirty.tuple(*id).expect("corrupted tuple is live");
             let clean = w.dopt.tuple(*id).expect("dopt tuple exists");
             assert_ne!(
-                dirty.id(*attr),
-                clean.id(*attr),
+                dirty.value(*attr),
+                clean.value(*attr),
                 "corruption of {id} attr {attr} must change the value"
             );
             assert!(
@@ -63,6 +66,48 @@ fn injected_noise_is_exactly_as_reported() {
             );
         }
     });
+}
+
+/// Every pool a generated dataset holds counts exactly its own cells —
+/// `Dopt`'s, and each dirty copy's at several noise rates — so `FINDV`'s
+/// most-frequent-value tie-break reads a function of that dataset alone.
+#[test]
+fn generated_pools_count_their_own_cells() {
+    fn assert_counts(rel: &Relation, what: &str) {
+        let pool = rel.pool();
+        let mut occurrences = vec![0u64; pool.len()];
+        for (_, t) in rel.iter() {
+            for a in rel.schema().attr_ids() {
+                occurrences[t.id(a).index()] += 1;
+            }
+        }
+        // Null (slot 0) is never counted.
+        for (i, n) in occurrences.iter().enumerate().skip(1) {
+            let id = ValueId(i as u32);
+            assert_eq!(
+                pool.use_count(id),
+                *n,
+                "{what}: {:?} occurs {n} times",
+                pool.resolve(id)
+            );
+        }
+    }
+    let w = generate(&GenConfig::sized(600, 5));
+    assert_counts(&w.dopt, "dopt");
+    for rate in [0.01, 0.05, 0.1, 0.3] {
+        let noise = inject(
+            &w.dopt,
+            &w.world,
+            &NoiseConfig {
+                rate,
+                seed: 5,
+                ..Default::default()
+            },
+        );
+        assert_counts(&noise.dirty, &format!("dirty at rho {rate}"));
+        assert_counts(&w.dopt, &format!("dopt after rho {rate}"));
+        assert!(!Arc::ptr_eq(noise.dirty.pool(), w.dopt.pool()));
+    }
 }
 
 /// The §7.1 weight bands hold: corrupted cells get weights in `[0, a]`,

@@ -13,17 +13,12 @@
 //! distance computation.
 //!
 //! The structure itself is pool-agnostic — it stores whatever ids the
-//! caller feeds it. The *value*-level conveniences (`add`, `remove`,
-//! `update`, `contains`, `frequency`, `values`, `sorted_values`)
-//! translate through the process-default shared pool via
-//! [`ValueId::of`] / [`ValueId::value`]; for a relation on a
-//! dataset-scoped pool, use the `_id` variants with ids from that pool.
+//! caller feeds it; callers resolve them through the relation's pool.
 
 use crate::hash::FnvMap;
 use crate::pool::ValueId;
 use crate::relation::Relation;
 use crate::schema::AttrId;
-use crate::value::Value;
 
 /// Per-attribute multiset of the non-null constants occurring in a
 /// relation, keyed by interned id.
@@ -63,11 +58,6 @@ impl ActiveDomain {
         }
     }
 
-    /// Record one occurrence of `v` in attribute `a` (no-op for null).
-    pub fn add(&mut self, a: AttrId, v: &Value) {
-        self.add_id(a, ValueId::of(v));
-    }
-
     /// Remove one occurrence of `id` from attribute `a` (no-op for null or
     /// absent values).
     pub fn remove_id(&mut self, a: AttrId, id: ValueId) {
@@ -82,11 +72,6 @@ impl ActiveDomain {
         }
     }
 
-    /// Remove one occurrence of `v` from attribute `a`.
-    pub fn remove(&mut self, a: AttrId, v: &Value) {
-        self.remove_id(a, ValueId::of(v));
-    }
-
     /// Record an in-place update `old → new` of attribute `a`.
     pub fn update_id(&mut self, a: AttrId, old: ValueId, new: ValueId) {
         if old == new {
@@ -96,30 +81,15 @@ impl ActiveDomain {
         self.add_id(a, new);
     }
 
-    /// Record an in-place update `old → new` of attribute `a`.
-    pub fn update(&mut self, a: AttrId, old: &Value, new: &Value) {
-        self.update_id(a, ValueId::of(old), ValueId::of(new));
-    }
-
     /// Does `id` occur in `adom(a, D)`?
     pub fn contains_id(&self, a: AttrId, id: ValueId) -> bool {
         self.per_attr[a.index()].contains_key(&id)
-    }
-
-    /// Does `v` occur in `adom(a, D)`?
-    pub fn contains(&self, a: AttrId, v: &Value) -> bool {
-        self.contains_id(a, ValueId::of(v))
     }
 
     /// Number of occurrences of `id` in attribute `a` — the frequency
     /// signal behind the most-common-value flavour of `FINDV`.
     pub fn frequency_id(&self, a: AttrId, id: ValueId) -> usize {
         self.per_attr[a.index()].get(&id).copied().unwrap_or(0)
-    }
-
-    /// Number of occurrences of `v` in attribute `a`.
-    pub fn frequency(&self, a: AttrId, v: &Value) -> usize {
-        self.frequency_id(a, ValueId::of(v))
     }
 
     /// Number of distinct constants in `adom(a, D)`.
@@ -132,95 +102,78 @@ impl ActiveDomain {
     pub fn ids(&self, a: AttrId) -> impl Iterator<Item = (ValueId, usize)> + '_ {
         self.per_attr[a.index()].iter().map(|(id, c)| (*id, *c))
     }
-
-    /// Iterate over the distinct constants of attribute `a` with their
-    /// frequencies, resolved. Order is unspecified.
-    pub fn values(&self, a: AttrId) -> impl Iterator<Item = (Value, usize)> + '_ {
-        self.ids(a).map(|(id, c)| (id.value(), c))
-    }
-
-    /// Distinct constants of attribute `a`, sorted for deterministic
-    /// iteration (candidate enumeration must not depend on hash order or
-    /// interning history).
-    pub fn sorted_values(&self, a: AttrId) -> Vec<Value> {
-        let mut vs: Vec<Value> = self.ids(a).map(|(id, _)| id.value()).collect();
-        vs.sort();
-        vs
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{ValuePool, NULL_ID};
     use crate::schema::Schema;
     use crate::tuple::Tuple;
+    use crate::value::Value;
 
     fn sample() -> (Relation, ActiveDomain) {
         let schema = Schema::new("r", &["city", "state"]).unwrap();
-        let mut rel = Relation::new(schema);
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
         for (c, s) in [("PHI", "PA"), ("PHI", "PA"), ("NYC", "NY")] {
-            rel.insert(Tuple::from_iter([c, s])).unwrap();
+            rel.insert(Tuple::new_in([c, s], rel.pool())).unwrap();
         }
         let adom = ActiveDomain::of_relation(&rel);
         (rel, adom)
     }
 
+    fn id(rel: &Relation, s: &str) -> ValueId {
+        rel.pool().intern_uncounted(&Value::str(s))
+    }
+
     #[test]
     fn builds_with_frequencies() {
-        let (_, adom) = sample();
+        let (rel, adom) = sample();
         let city = AttrId(0);
         assert_eq!(adom.distinct(city), 2);
-        assert_eq!(adom.frequency(city, &Value::str("PHI")), 2);
-        assert_eq!(adom.frequency(city, &Value::str("NYC")), 1);
-        assert!(adom.contains(city, &Value::str("NYC")));
-        assert!(adom.contains_id(city, ValueId::of(&Value::str("NYC"))));
-        assert!(!adom.contains(city, &Value::str("LA")));
+        assert_eq!(adom.frequency_id(city, id(&rel, "PHI")), 2);
+        assert_eq!(adom.frequency_id(city, id(&rel, "NYC")), 1);
+        assert!(adom.contains_id(city, id(&rel, "NYC")));
+        assert!(!adom.contains_id(city, id(&rel, "LA")));
     }
 
     #[test]
     fn null_never_enters_domain() {
         let schema = Schema::new("r", &["a"]).unwrap();
-        let mut rel = Relation::new(schema);
-        rel.insert(Tuple::new(vec![Value::Null])).unwrap();
-        let adom = ActiveDomain::of_relation(&rel);
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
+        rel.insert(Tuple::from_ids(vec![NULL_ID])).unwrap();
+        let mut adom = ActiveDomain::of_relation(&rel);
         assert_eq!(adom.distinct(AttrId(0)), 0);
-        let mut adom = adom;
-        adom.add(AttrId(0), &Value::Null);
+        adom.add_id(AttrId(0), NULL_ID);
         assert_eq!(adom.distinct(AttrId(0)), 0);
     }
 
     #[test]
     fn remove_decrements_and_evicts() {
-        let (_, mut adom) = sample();
-        let city = AttrId(0);
-        adom.remove(city, &Value::str("PHI"));
-        assert_eq!(adom.frequency(city, &Value::str("PHI")), 1);
-        adom.remove(city, &Value::str("PHI"));
-        assert!(!adom.contains(city, &Value::str("PHI")));
+        let (rel, mut adom) = sample();
+        let (city, phi) = (AttrId(0), id(&rel, "PHI"));
+        adom.remove_id(city, phi);
+        assert_eq!(adom.frequency_id(city, phi), 1);
+        adom.remove_id(city, phi);
+        assert!(!adom.contains_id(city, phi));
         // removing an absent value is a no-op
-        adom.remove(city, &Value::str("PHI"));
-        assert_eq!(adom.frequency(city, &Value::str("PHI")), 0);
+        adom.remove_id(city, phi);
+        assert_eq!(adom.frequency_id(city, phi), 0);
     }
 
     #[test]
     fn update_moves_count() {
-        let (_, mut adom) = sample();
+        let (rel, mut adom) = sample();
         let city = AttrId(0);
-        adom.update(city, &Value::str("NYC"), &Value::str("LA"));
-        assert!(!adom.contains(city, &Value::str("NYC")));
-        assert_eq!(adom.frequency(city, &Value::str("LA")), 1);
+        let (nyc, la, phi) = (id(&rel, "NYC"), id(&rel, "LA"), id(&rel, "PHI"));
+        adom.update_id(city, nyc, la);
+        assert!(!adom.contains_id(city, nyc));
+        assert_eq!(adom.frequency_id(city, la), 1);
         // update to null only removes
-        adom.update(city, &Value::str("LA"), &Value::Null);
-        assert!(!adom.contains(city, &Value::str("LA")));
+        adom.update_id(city, la, NULL_ID);
+        assert!(!adom.contains_id(city, la));
         // identity update is a no-op
-        adom.update(city, &Value::str("PHI"), &Value::str("PHI"));
-        assert_eq!(adom.frequency(city, &Value::str("PHI")), 2);
-    }
-
-    #[test]
-    fn sorted_values_is_deterministic() {
-        let (_, adom) = sample();
-        let vs = adom.sorted_values(AttrId(0));
-        assert_eq!(vs, vec![Value::str("NYC"), Value::str("PHI")]);
+        adom.update_id(city, phi, phi);
+        assert_eq!(adom.frequency_id(city, phi), 2);
     }
 }

@@ -313,13 +313,6 @@ fn read_header<'a>(
     Ok(field_texts(fields))
 }
 
-/// [`read_relation_in`] on the process-default shared pool
-/// (compatibility shim — dataset paths pass the owning pool, or a fresh
-/// [`ValuePool::new_handle`], to keep ids and counts scoped).
-pub fn read_relation<R: BufRead>(name: &str, r: &mut R) -> Result<Relation, ModelError> {
-    read_relation_in(name, r, ValuePool::shared())
-}
-
 /// One column being read: its distinct fields in first-occurrence order
 /// with their decoded values and occurrence counts, and each row's index
 /// into that list (a local code until [`ColumnDict::install`] maps it to
@@ -496,28 +489,39 @@ mod tests {
     use crate::tuple::Tuple;
     use cfd_prng::{ChaCha8Rng, Rng};
 
-    fn sample() -> Relation {
-        let schema = Schema::new("order", &["id", "name", "qty"]).unwrap();
-        let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![
-            Value::str("a23"),
-            Value::str("H. Porter"),
-            Value::int(2),
-        ]))
-        .unwrap();
-        r.insert(Tuple::new(vec![
-            Value::str("a12"),
-            Value::str("says \"hi\", eh"),
-            Value::Null,
-        ]))
-        .unwrap();
+    /// A relation over `attrs` holding `rows`, on a fresh pool.
+    fn relation(attrs: &[&str], rows: Vec<Vec<Value>>) -> Relation {
+        let schema = Schema::new("r", attrs).unwrap();
+        let mut r = Relation::new_in(schema, ValuePool::new_handle());
+        for row in rows {
+            r.insert(Tuple::new_in(row, r.pool())).unwrap();
+        }
         r
+    }
+
+    fn sample() -> Relation {
+        relation(
+            &["id", "name", "qty"],
+            vec![
+                vec![Value::str("a23"), Value::str("H. Porter"), Value::int(2)],
+                vec![
+                    Value::str("a12"),
+                    Value::str("says \"hi\", eh"),
+                    Value::Null,
+                ],
+            ],
+        )
+    }
+
+    /// Read `input` into a fresh pool.
+    fn read(input: &[u8]) -> Result<Relation, ModelError> {
+        read_relation_in("r", &mut &*input, ValuePool::new_handle())
     }
 
     fn round_trip(rel: &Relation) -> Relation {
         let mut buf = Vec::new();
         write_relation(rel, &mut buf).unwrap();
-        read_relation("order", &mut buf.as_slice()).unwrap()
+        read(&buf).unwrap()
     }
 
     #[test]
@@ -550,9 +554,7 @@ mod tests {
 
     #[test]
     fn empty_string_is_not_null() {
-        let schema = Schema::new("r", &["a"]).unwrap();
-        let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![Value::str("")])).unwrap();
+        let r = relation(&["a"], vec![vec![Value::str("")]]);
         let r2 = round_trip(&r);
         assert_eq!(
             r2.tuple(crate::TupleId(0)).unwrap().value(AttrId(0)),
@@ -570,7 +572,7 @@ mod tests {
     #[test]
     fn arity_mismatch_reports_line() {
         let input = "a,b\n1,2\n3\n";
-        let err = read_relation("r", &mut input.as_bytes()).unwrap_err();
+        let err = read(input.as_bytes()).unwrap_err();
         match err {
             ModelError::Csv { line, .. } => assert_eq!(line, 3),
             other => panic!("expected csv error, got {other}"),
@@ -580,13 +582,13 @@ mod tests {
     #[test]
     fn unterminated_quote_rejected() {
         let input = "a\n\"oops\n";
-        assert!(read_relation("r", &mut input.as_bytes()).is_err());
+        assert!(read(input.as_bytes()).is_err());
     }
 
     #[test]
     fn missing_header_rejected() {
         let input = "";
-        assert!(read_relation("r", &mut input.as_bytes()).is_err());
+        assert!(read(input.as_bytes()).is_err());
     }
 
     #[test]
@@ -895,7 +897,7 @@ mod tests {
             ValuePool::new_handle(),
         );
         for i in 0..4 {
-            base.insert(Tuple::new(vec![Value::int(i), Value::int(i)]))
+            base.insert(Tuple::new_in([Value::int(i), Value::int(i)], base.pool()))
                 .unwrap();
         }
         let (mut oks, mut errors) = (0, 0);
@@ -948,9 +950,7 @@ mod tests {
     #[test]
     fn newline_in_quoted_field_is_out_of_scope_but_commas_work() {
         // embedded commas round-trip
-        let schema = Schema::new("r", &["a"]).unwrap();
-        let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![Value::str("x, y, z")])).unwrap();
+        let r = relation(&["a"], vec![vec![Value::str("x, y, z")]]);
         let r2 = round_trip(&r);
         assert_eq!(
             r2.tuple(crate::TupleId(0)).unwrap().value(AttrId(0)),

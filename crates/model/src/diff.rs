@@ -10,7 +10,10 @@
 //!
 //! `dif` counts attribute positions whose values differ between two
 //! relations that share tuple ids (the generator and the repairers both
-//! preserve ids). Strict null semantics apply: a `null` written over a
+//! preserve ids). Within one pool ids compare like values (interning is
+//! injective); relations in different pools — a dirty copy and its
+//! ground truth each hold their own — are compared by value. Strict null
+//! semantics apply: a `null` written over a
 //! correct constant counts as a difference, matching the paper's rule that
 //! "if such a value before the change is correct, we count the null as an
 //! error".
@@ -27,6 +30,8 @@
 //! [`EditLog::apply`] verifies each edit's expected old value, so a log
 //! replayed against the wrong base fails loudly instead of silently
 //! corrupting data.
+
+use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::pool::ValueId;
@@ -68,15 +73,23 @@ fn walk_cells(
 ///
 /// Tuples present in only one relation contribute one difference per
 /// attribute (they are entirely "wrong" from the other side's view).
+/// Cells compare as ids when both relations intern into one pool and as
+/// values otherwise.
 pub fn dif(a: &Relation, b: &Relation) -> usize {
     let arity = a.schema().arity();
+    let same_pool = Arc::ptr_eq(a.pool(), b.pool());
     let mut cells = 0;
     let mut missing = 0;
     walk_cells(
         a,
         b,
         |_, _, va, vb| {
-            if va != vb {
+            let differ = if same_pool {
+                va != vb
+            } else {
+                a.pool().resolve(va) != b.pool().resolve(vb)
+            };
+            if differ {
                 cells += 1;
             }
         },
@@ -138,13 +151,18 @@ impl EditLog {
     /// Both relations must share a tuple-id space exactly (same liveness
     /// slot by slot) — the repair algorithms guarantee this; anything
     /// else errors, because insertion/deletion cannot be expressed as
-    /// cell edits.
+    /// cell edits. Both must also intern into one pool: an edit names
+    /// ids, which mean nothing across pools
+    /// ([`ModelError::PoolMismatch`]).
     pub fn between(from: &Relation, to: &Relation) -> Result<EditLog, ModelError> {
         if from.schema().arity() != to.schema().arity() {
             return Err(ModelError::ArityMismatch {
                 expected: from.schema().arity(),
                 actual: to.schema().arity(),
             });
+        }
+        if !Arc::ptr_eq(from.pool(), to.pool()) {
+            return Err(ModelError::PoolMismatch);
         }
         let mut edits = Vec::new();
         let mut missing = None;
@@ -282,18 +300,26 @@ impl RepairQuality {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::ValuePool;
     use crate::schema::Schema;
     use crate::tuple::Tuple;
     use crate::value::Value;
     use crate::AttrId;
 
+    /// A relation holding `rows`, on a fresh pool of its own.
     fn rel(rows: &[[&str; 2]]) -> Relation {
         let schema = Schema::new("r", &["a", "b"]).unwrap();
-        let mut r = Relation::new(schema);
+        let mut r = Relation::new_in(schema, ValuePool::new_handle());
         for row in rows {
-            r.insert(Tuple::from_iter(row.iter().copied())).unwrap();
+            r.insert(Tuple::new_in(row.iter().copied(), r.pool()))
+                .unwrap();
         }
         r
+    }
+
+    fn cell(r: &Relation, t: u32, a: u16) -> Value {
+        r.pool()
+            .resolve(r.value_id(crate::TupleId(t), AttrId(a)).unwrap())
     }
 
     #[test]
@@ -309,6 +335,25 @@ mod tests {
         let b = rel(&[["x", "CHANGED"], ["CHANGED", "CHANGED"]]);
         assert_eq!(dif(&a, &b), 3);
         assert_eq!(dif(&b, &a), 3); // symmetric when ids align
+    }
+
+    #[test]
+    fn pools_are_compared_by_value() {
+        // Read into two fresh pools, `x` and `y` swap ids: an id walk
+        // would see no difference at all.
+        let a = rel(&[["x", "y"]]);
+        let b = rel(&[["y", "x"]]);
+        for attr in [AttrId(0), AttrId(1)] {
+            assert_eq!(a.column(attr), b.column(attr));
+        }
+        assert_eq!(dif(&a, &b), 2);
+        assert_eq!(dif(&a, &rel(&[["x", "y"]])), 0);
+        let q = RepairQuality::evaluate(&a, &b, &rel(&[["y", "y"]]));
+        assert_eq!((q.noises, q.changes, q.residual), (1, 2, 1));
+        assert!(matches!(
+            EditLog::between(&a, &b),
+            Err(crate::ModelError::PoolMismatch)
+        ));
     }
 
     #[test]
@@ -399,10 +444,7 @@ mod tests {
         let err = log.apply(&mut stale).unwrap_err();
         assert!(matches!(err, crate::ModelError::EditConflict(_)), "{err}");
         // and must leave it untouched
-        assert_eq!(
-            stale.tuple(crate::TupleId(0)).unwrap().value(AttrId(0)),
-            Value::str("X2")
-        );
+        assert_eq!(cell(&stale, 0, 0), Value::str("X2"));
     }
 
     #[test]
@@ -421,7 +463,7 @@ mod tests {
             .unwrap();
         assert!(log.apply(&mut target).is_err());
         assert_eq!(
-            target.tuple(crate::TupleId(0)).unwrap().value(AttrId(0)),
+            cell(&target, 0, 0),
             Value::str("x"),
             "valid first edit must not have been applied"
         );

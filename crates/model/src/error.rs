@@ -31,6 +31,9 @@ pub enum ModelError {
     /// relations do not share a tuple-id space, or an edit's expected
     /// old value no longer matches the relation (a stale log).
     EditConflict(String),
+    /// Two relations that must share a value pool — an id-level edit log
+    /// names ids of one pool — intern into different ones.
+    PoolMismatch,
     /// CSV input could not be parsed.
     Csv {
         /// 1-based line number.
@@ -70,6 +73,10 @@ impl fmt::Display for ModelError {
             }
             ModelError::UnknownTuple(t) => write!(f, "no live tuple with id {t}"),
             ModelError::EditConflict(m) => write!(f, "edit log conflict: {m}"),
+            ModelError::PoolMismatch => write!(
+                f,
+                "the relations intern into different value pools; id-level edits need one"
+            ),
             ModelError::Csv { line, message } => {
                 write!(f, "csv parse error on line {line}: {message}")
             }

@@ -131,24 +131,28 @@ impl HashIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::NULL_ID;
+    use crate::pool::{ValuePool, NULL_ID};
     use crate::schema::Schema;
     use crate::tuple::Tuple;
     use crate::value::Value;
 
-    fn key(vals: &[Value]) -> Vec<ValueId> {
-        vals.iter().map(ValueId::of).collect()
+    /// `vals` as an index key in `r`'s pool.
+    fn key(r: &Relation, vals: &[Value]) -> Vec<ValueId> {
+        vals.iter().map(|v| r.pool().intern_uncounted(v)).collect()
+    }
+
+    fn empty(attrs: &[&str]) -> Relation {
+        Relation::new_in(Schema::new("r", attrs).unwrap(), ValuePool::new_handle())
     }
 
     fn rel3() -> Relation {
-        let schema = Schema::new("r", &["ac", "pn", "ct"]).unwrap();
-        let mut r = Relation::new(schema);
+        let mut r = empty(&["ac", "pn", "ct"]);
         for row in [
             ["212", "111", "NYC"],
             ["212", "111", "PHI"],
             ["610", "222", "PHI"],
         ] {
-            r.insert(Tuple::from_iter(row)).unwrap();
+            r.insert(Tuple::new_in(row, r.pool())).unwrap();
         }
         r
     }
@@ -158,11 +162,14 @@ mod tests {
         let r = rel3();
         let idx = HashIndex::build(&r, &[AttrId(0), AttrId(1)]);
         assert_eq!(idx.group_count(), 2);
-        let k = key(&[Value::str("212"), Value::str("111")]);
+        let k = key(&r, &[Value::str("212"), Value::str("111")]);
         let mut ids: Vec<_> = idx.get(&k).to_vec();
         ids.sort();
         assert_eq!(ids, vec![TupleId(0), TupleId(1)]);
-        assert_eq!(idx.get(&key(&[Value::str("999"), Value::str("0")])), &[]);
+        assert_eq!(
+            idx.get(&key(&r, &[Value::str("999"), Value::str("0")])),
+            &[]
+        );
     }
 
     #[test]
@@ -174,8 +181,8 @@ mod tests {
             .unwrap();
         let after = r.tuple(TupleId(2)).unwrap().to_tuple();
         idx.update(TupleId(2), &before, &after);
-        assert_eq!(idx.get(&key(&[Value::str("610")])), &[]);
-        assert_eq!(idx.get(&key(&[Value::str("212")])).len(), 3);
+        assert_eq!(idx.get(&key(&r, &[Value::str("610")])), &[]);
+        assert_eq!(idx.get(&key(&r, &[Value::str("212")])).len(), 3);
     }
 
     #[test]
@@ -184,9 +191,9 @@ mod tests {
         let mut idx = HashIndex::build(&r, &[AttrId(0)]);
         let before = r.tuple(TupleId(0)).unwrap().to_tuple();
         let mut after = before.clone();
-        after.set_value(AttrId(2), Value::str("LA"));
+        after.set_id(AttrId(2), r.pool().intern(&Value::str("LA")));
         idx.update(TupleId(0), &before, &after);
-        assert_eq!(idx.get(&key(&[Value::str("212")])).len(), 2);
+        assert_eq!(idx.get(&key(&r, &[Value::str("212")])).len(), 2);
     }
 
     #[test]
@@ -194,20 +201,20 @@ mod tests {
         let r = rel3();
         let mut idx = HashIndex::build(&r, &[AttrId(0)]);
         idx.remove(TupleId(2), &r.tuple(TupleId(2)).unwrap());
-        assert_eq!(idx.get(&key(&[Value::str("610")])), &[]);
+        assert_eq!(idx.get(&key(&r, &[Value::str("610")])), &[]);
         assert_eq!(idx.group_count(), 1);
     }
 
     #[test]
     fn null_keys_group_strictly() {
-        let schema = Schema::new("r", &["a"]).unwrap();
-        let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![Value::Null])).unwrap();
-        r.insert(Tuple::new(vec![Value::Null])).unwrap();
-        r.insert(Tuple::new(vec![Value::str("x")])).unwrap();
+        let mut r = empty(&["a"]);
+        r.insert(Tuple::new_in([Value::Null], r.pool())).unwrap();
+        r.insert(Tuple::new_in([Value::Null], r.pool())).unwrap();
+        r.insert(Tuple::new_in([Value::str("x")], r.pool()))
+            .unwrap();
         let idx = HashIndex::build(&r, &[AttrId(0)]);
         assert_eq!(idx.get(&[NULL_ID]).len(), 2);
-        assert_eq!(idx.get(&key(&[Value::str("x")])).len(), 1);
+        assert_eq!(idx.get(&key(&r, &[Value::str("x")])).len(), 1);
     }
 
     #[test]
@@ -222,11 +229,10 @@ mod tests {
     fn build_lists_each_group_ascending() {
         // Not just the right sets: FINDV truncates group walks, so the
         // ascending id order inside each group is part of the contract.
-        let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut r = Relation::new(schema);
+        let mut r = empty(&["k", "v"]);
         for i in 0..20_000u32 {
-            r.insert(Tuple::from_iter([format!("k{}", i % 257), format!("v{i}")]))
-                .unwrap();
+            let t = Tuple::new_in([format!("k{}", i % 257), format!("v{i}")], r.pool());
+            r.insert(t).unwrap();
         }
         let idx = HashIndex::build(&r, &[AttrId(0)]);
         assert_eq!(idx.group_count(), 257);

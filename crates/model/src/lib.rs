@@ -3,7 +3,7 @@
 //! This crate provides the in-memory relational layer that the repair
 //! algorithms of Cong et al. (VLDB 2007) operate on. Its defining design
 //! decision is the **dictionary-encoded value layer**: every attribute
-//! value is interned exactly once in a process-wide [`ValuePool`], and all
+//! value is interned exactly once in its dataset's [`ValuePool`], and all
 //! storage, comparison, grouping, and indexing above the pool speaks dense
 //! [`ValueId`]s (`u32`). Violation detection, the LHS-indices of §5.2,
 //! and `BATCHREPAIR`'s equivalence classes all hash and compare integers;

@@ -40,14 +40,9 @@
 //! on what else the process loaded before. Fresh handles come from
 //! [`ValuePool::new_handle`].
 //!
-//! Convenience constructors that take no pool ([`ValueId::of`],
-//! [`Tuple::new`](crate::Tuple::new), `Relation::new`, …) fall back to a
-//! **process-default shared pool** ([`ValuePool::shared`]) — a
-//! compatibility shim for tests and ad-hoc construction. Code on the
-//! dataset path must thread the owning pool explicitly; the only callers
-//! of [`ValuePool::shared`] are these documented shims and tests. (The
-//! old `ValuePool::global()` by-reference shim is gone; take a
-//! [`shared`](ValuePool::shared) handle instead.)
+//! Every conversion between a value and its id names its pool: there is
+//! no process-wide fallback, so nothing a process loaded earlier can leak
+//! into a later dataset's ids or counts.
 //!
 //! ## Occurrence counts and what bumps them
 //!
@@ -125,26 +120,6 @@ impl ValueId {
     #[inline]
     pub fn strict_eq(self, other: ValueId) -> bool {
         self == other
-    }
-
-    /// Intern `v` in the process-default shared pool.
-    ///
-    /// Compatibility shim for tests and ad-hoc construction; dataset-path
-    /// code interns into the owning pool
-    /// ([`ValuePool::intern`](ValuePool::intern)) instead.
-    #[inline]
-    pub fn of(v: &Value) -> ValueId {
-        ValuePool::shared_ref().intern(v)
-    }
-
-    /// Resolve this id from the process-default shared pool.
-    ///
-    /// Compatibility shim, like [`ValueId::of`]; dataset-path code
-    /// resolves through the owning pool
-    /// ([`ValuePool::resolve`](ValuePool::resolve)).
-    #[inline]
-    pub fn value(self) -> Value {
-        ValuePool::shared_ref().resolve(self)
     }
 }
 
@@ -269,20 +244,6 @@ impl ValuePool {
     /// snapshot load both start from one of these.
     pub fn new_handle() -> Arc<ValuePool> {
         Arc::new(ValuePool::new())
-    }
-
-    /// A handle to the process-default shared pool — the pool the no-pool
-    /// convenience constructors ([`ValueId::of`], `Tuple::new`,
-    /// `Relation::new`) fall back to. Dataset-path code should prefer
-    /// [`new_handle`](ValuePool::new_handle) so its ids and counts stay
-    /// scoped.
-    pub fn shared() -> Arc<ValuePool> {
-        ValuePool::shared_ref().clone()
-    }
-
-    pub(crate) fn shared_ref() -> &'static Arc<ValuePool> {
-        static GLOBAL: OnceLock<Arc<ValuePool>> = OnceLock::new();
-        GLOBAL.get_or_init(ValuePool::new_handle)
     }
 
     /// Intern `v`, returning its stable id. `Value::Null` always maps to
@@ -674,14 +635,6 @@ mod tests {
         let id = pool.intern(&Value::str("x"));
         assert_eq!(pool.lookup(&Value::str("x")), Some(id));
         assert_eq!(pool.lookup(&Value::Null), Some(NULL_ID));
-    }
-
-    #[test]
-    fn global_pool_is_shared() {
-        let a = ValueId::of(&Value::str("pool-global-probe"));
-        let b = ValueId::of(&Value::str("pool-global-probe"));
-        assert_eq!(a, b);
-        assert_eq!(a.value(), Value::str("pool-global-probe"));
     }
 
     #[test]

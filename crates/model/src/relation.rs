@@ -46,8 +46,7 @@ impl fmt::Display for TupleId {
 /// A relation instance: schema plus tuples addressed by stable [`TupleId`]s.
 ///
 /// Every cell id belongs to the relation's [`ValuePool`] (see
-/// [`Relation::pool`]); pool-less constructors fall back to the
-/// process-default shared pool, dataset paths use the `_in` variants.
+/// [`Relation::pool`]), named when the relation is built.
 #[derive(Clone, Debug)]
 pub struct Relation {
     schema: Schema,
@@ -56,13 +55,6 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// An empty relation over `schema` on the process-default shared
-    /// pool (compatibility shim — dataset paths use
-    /// [`Relation::new_in`]).
-    pub fn new(schema: Schema) -> Self {
-        Relation::new_in(schema, ValuePool::shared())
-    }
-
     /// An empty relation whose cell ids live in `pool`.
     pub fn new_in(schema: Schema, pool: Arc<ValuePool>) -> Self {
         let store = ColumnStore::new_in(schema.arity(), pool);
@@ -119,13 +111,13 @@ impl Relation {
     }
 
     /// A deep copy of this relation with every cell re-interned into
-    /// `pool` — the boundary translation that moves a relation built on a
-    /// foreign pool (say, the shared pool of the pool-less constructors)
-    /// onto a dataset-scoped one. Tuple ids, tombstones, and weights are
-    /// preserved; live cells are
-    /// interned through the counted path, so the target pool's frequency
-    /// counters end up exactly as a cell-by-cell load would have left
-    /// them. A no-op (plain clone) when `pool` already owns the relation.
+    /// `pool` — the boundary translation that moves a relation onto a
+    /// pool of its own (noise injection gives each dirty copy a fresh
+    /// one). Tuple ids, tombstones, and weights are preserved; live
+    /// cells are interned through the counted path, so the target pool's
+    /// frequency counters end up exactly as a cell-by-cell load would
+    /// have left them. A no-op (plain clone) when `pool` already owns the
+    /// relation.
     pub fn rekey_into(&self, pool: &Arc<ValuePool>) -> Relation {
         let src = self.pool();
         if Arc::ptr_eq(src, pool) {
@@ -285,18 +277,23 @@ impl Relation {
     }
 
     /// Overwrite one attribute value of a live tuple, interning it into
-    /// this relation's pool. A dead id or an attribute outside the arity
-    /// fails before the value is interned, so a failed write leaves the
-    /// pool (and its use counts) untouched.
+    /// this relation's pool and retiring the occurrence it overwrites, so
+    /// a pool that counted this relation's cells still does. A dead id or
+    /// an attribute outside the arity fails before the value is interned,
+    /// so a failed write leaves the pool (and its use counts) untouched.
     pub fn set_value(&mut self, id: TupleId, a: AttrId, v: Value) -> Result<(), ModelError> {
         self.require_cell(id, a)?;
+        let old = self.store.column(a)[id.index()];
         let vid = self.pool().intern(&v);
+        self.pool().retire(old, 1);
         self.store.set_cell(id.index(), a, vid);
         Ok(())
     }
 
     /// Overwrite one attribute value of a live tuple with an
     /// already-interned id — the hot-path form of [`Relation::set_value`].
+    /// Use counts are left alone: a repair's working copy shares its
+    /// pool with the original, whose counts it must not move.
     pub fn set_value_id(&mut self, id: TupleId, a: AttrId, v: ValueId) -> Result<(), ModelError> {
         self.require_cell(id, a)?;
         self.store.set_cell(id.index(), a, v);
@@ -372,18 +369,24 @@ mod tests {
 
     fn rel() -> Relation {
         let schema = Schema::new("r", &["a", "b"]).unwrap();
-        Relation::new(schema)
+        Relation::new_in(schema, ValuePool::new_handle())
     }
 
-    fn t2(a: &str, b: &str) -> Tuple {
-        Tuple::from_iter([a, b])
+    /// Insert `[a, b]` into `r`, interned into its pool.
+    fn put(r: &mut Relation, a: &str, b: &str) -> TupleId {
+        r.insert(Tuple::new_in([a, b], r.pool())).unwrap()
+    }
+
+    /// Resolve one live cell of `r` through its pool.
+    fn cell(r: &Relation, id: TupleId, a: AttrId) -> Value {
+        r.pool().resolve(r.value_id(id, a).unwrap())
     }
 
     #[test]
     fn insert_assigns_sequential_ids() {
         let mut r = rel();
-        let t0 = r.insert(t2("x", "y")).unwrap();
-        let t1 = r.insert(t2("u", "v")).unwrap();
+        let t0 = put(&mut r, "x", "y");
+        let t1 = put(&mut r, "u", "v");
         assert_eq!(t0, TupleId(0));
         assert_eq!(t1, TupleId(1));
         assert_eq!(r.len(), 2);
@@ -392,7 +395,7 @@ mod tests {
     #[test]
     fn arity_mismatch_rejected() {
         let mut r = rel();
-        let err = r.insert(Tuple::from_iter(["only-one"])).unwrap_err();
+        let err = r.insert(Tuple::new_in(["only-one"], r.pool())).unwrap_err();
         assert!(matches!(
             err,
             ModelError::ArityMismatch {
@@ -405,12 +408,12 @@ mod tests {
     #[test]
     fn delete_keeps_other_ids_stable() {
         let mut r = rel();
-        let t0 = r.insert(t2("x", "y")).unwrap();
-        let t1 = r.insert(t2("u", "v")).unwrap();
+        let t0 = put(&mut r, "x", "y");
+        let t1 = put(&mut r, "u", "v");
         r.delete(t0).unwrap();
         assert_eq!(r.len(), 1);
         assert!(r.tuple(t0).is_none());
-        assert_eq!(r.tuple(t1).unwrap().value(AttrId(0)), Value::str("u"));
+        assert_eq!(cell(&r, t1, AttrId(0)), Value::str("u"));
         // double delete errors
         assert!(r.delete(t0).is_err());
     }
@@ -418,10 +421,29 @@ mod tests {
     #[test]
     fn set_value_updates_in_place() {
         let mut r = rel();
-        let t0 = r.insert(t2("PHI", "PA")).unwrap();
+        let t0 = put(&mut r, "PHI", "PA");
         r.set_value(t0, AttrId(0), Value::str("NYC")).unwrap();
-        assert_eq!(r.tuple(t0).unwrap().value(AttrId(0)), Value::str("NYC"));
+        assert_eq!(cell(&r, t0, AttrId(0)), Value::str("NYC"));
         assert!(r.set_value(TupleId(99), AttrId(0), Value::Null).is_err());
+    }
+
+    #[test]
+    fn set_value_retires_the_overwritten_occurrence() {
+        let mut r = rel();
+        let t0 = put(&mut r, "PHI", "PA");
+        let t1 = put(&mut r, "PHI", "PA");
+        let pool = r.pool().clone();
+        let phi = pool.lookup(&Value::str("PHI")).unwrap();
+        r.set_value(t0, AttrId(0), Value::str("NYC")).unwrap();
+        let nyc = pool.lookup(&Value::str("NYC")).unwrap();
+        assert_eq!((pool.use_count(phi), pool.use_count(nyc)), (1, 1));
+        // rewriting a cell with its own value leaves its count alone
+        r.set_value(t1, AttrId(0), Value::str("PHI")).unwrap();
+        assert_eq!(pool.use_count(phi), 1);
+        r.set_value(t1, AttrId(0), Value::Null).unwrap();
+        assert_eq!(pool.use_count(phi), 0);
+        r.set_value(t1, AttrId(0), Value::str("NYC")).unwrap();
+        assert_eq!(pool.use_count(nyc), 2);
     }
 
     #[test]
@@ -453,7 +475,7 @@ mod tests {
     #[test]
     fn out_of_range_attributes_answer_none_or_err() {
         let mut r = rel();
-        let id = r.insert(t2("a", "b")).unwrap();
+        let id = put(&mut r, "a", "b");
         let past = AttrId(2);
         assert_eq!(r.value_id(id, past), None);
         assert_eq!(r.cell_weight(id, past), None);
@@ -462,14 +484,17 @@ mod tests {
         assert!(unknown(r.set_value(id, past, Value::Null).unwrap_err()));
         assert!(unknown(r.set_weight(id, past, 0.5).unwrap_err()));
         // the live cells are unchanged
-        assert_eq!(r.tuple(id).unwrap(), t2("a", "b"));
+        assert_eq!(
+            r.tuple(id).unwrap().values(),
+            [Value::str("a"), Value::str("b")]
+        );
     }
 
     #[test]
     fn iter_skips_tombstones() {
         let mut r = rel();
-        let t0 = r.insert(t2("a", "b")).unwrap();
-        let _t1 = r.insert(t2("c", "d")).unwrap();
+        let t0 = put(&mut r, "a", "b");
+        let _t1 = put(&mut r, "c", "d");
         r.delete(t0).unwrap();
         let ids: Vec<_> = r.ids().collect();
         assert_eq!(ids, vec![TupleId(1)]);
@@ -478,26 +503,23 @@ mod tests {
     #[test]
     fn compact_renumbers_densely() {
         let mut r = rel();
-        let t0 = r.insert(t2("a", "b")).unwrap();
-        let t1 = r.insert(t2("c", "d")).unwrap();
-        let t2_ = r.insert(t2("e", "f")).unwrap();
+        let t0 = put(&mut r, "a", "b");
+        let t1 = put(&mut r, "c", "d");
+        let t2_ = put(&mut r, "e", "f");
         r.delete(t1).unwrap();
         let mapping = r.compact();
         assert_eq!(mapping, vec![(t0, TupleId(0)), (t2_, TupleId(1))]);
         assert_eq!(r.len(), 2);
-        assert_eq!(
-            r.tuple(TupleId(1)).unwrap().value(AttrId(0)),
-            Value::str("e")
-        );
+        assert_eq!(cell(&r, TupleId(1), AttrId(0)), Value::str("e"));
         // fresh inserts continue after the compacted range
-        let t3 = r.insert(t2("g", "h")).unwrap();
+        let t3 = put(&mut r, "g", "h");
         assert_eq!(t3, TupleId(2));
     }
 
     #[test]
     fn require_errors_on_dead_id() {
         let mut r = rel();
-        let t0 = r.insert(t2("a", "b")).unwrap();
+        let t0 = put(&mut r, "a", "b");
         r.delete(t0).unwrap();
         assert!(r.require(t0).is_err());
     }
@@ -505,11 +527,11 @@ mod tests {
     #[test]
     fn column_access_covers_every_slot() {
         let mut r = rel();
-        r.insert(t2("x", "y")).unwrap();
-        let dead = r.insert(t2("u", "v")).unwrap();
+        put(&mut r, "x", "y");
+        let dead = put(&mut r, "u", "v");
         r.delete(dead).unwrap();
-        let y = ValueId::of(&Value::str("y"));
-        let v = ValueId::of(&Value::str("v"));
+        let y = r.pool().lookup(&Value::str("y")).unwrap();
+        let v = r.pool().lookup(&Value::str("v")).unwrap();
         assert_eq!(r.column(AttrId(1)), &[y, v]);
         assert_eq!(r.weight_column(AttrId(0)), &[1.0, 1.0]);
     }
@@ -517,14 +539,11 @@ mod tests {
     #[test]
     fn point_reads_match_views() {
         let mut r = rel();
-        let id = r.insert(t2("a", "b")).unwrap();
+        let id = put(&mut r, "a", "b");
         r.set_weight(id, AttrId(1), 0.25).unwrap();
-        assert_eq!(
-            r.value_id(id, AttrId(0)),
-            Some(ValueId::of(&Value::str("a")))
-        );
+        assert_eq!(r.value_id(id, AttrId(0)), r.pool().lookup(&Value::str("a")));
         assert_eq!(r.cell_weight(id, AttrId(1)), Some(0.25));
-        let dead = r.insert(t2("c", "d")).unwrap();
+        let dead = put(&mut r, "c", "d");
         r.delete(dead).unwrap();
         assert_eq!(r.value_id(dead, AttrId(0)), None);
         assert_eq!(r.cell_weight(dead, AttrId(0)), None);

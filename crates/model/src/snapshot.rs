@@ -1183,25 +1183,14 @@ mod tests {
 
     fn sample() -> Relation {
         let schema = Schema::new("order", &["id", "name", "qty"]).unwrap();
-        let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![
-            Value::str("a23"),
-            Value::str("H. Porter"),
-            Value::int(2),
-        ]))
-        .unwrap();
-        r.insert(Tuple::new(vec![
-            Value::str("a12"),
-            Value::str("says \"hi\""),
-            Value::Null,
-        ]))
-        .unwrap();
-        r.insert(Tuple::new(vec![
-            Value::str("a23"),
-            Value::Null,
-            Value::int(-7),
-        ]))
-        .unwrap();
+        let mut r = Relation::new_in(schema, ValuePool::new_handle());
+        for row in [
+            [Value::str("a23"), Value::str("H. Porter"), Value::int(2)],
+            [Value::str("a12"), Value::str("says \"hi\""), Value::Null],
+            [Value::str("a23"), Value::Null, Value::int(-7)],
+        ] {
+            r.insert(Tuple::new_in(row, r.pool())).unwrap();
+        }
         r.set_weights(TupleId(1), &[0.25, 1.0, 0.0]).unwrap();
         r
     }
@@ -1268,12 +1257,9 @@ mod tests {
     fn read_snapshot_installs_into_a_fresh_pool() {
         let r = sample();
         let loaded = read_snapshot(&snapshot_to_vec(&r, None)).unwrap();
-        // The dataset gets its own pool — not the process-default one —
-        // with counts exactly as a cell-by-cell load would produce.
-        assert!(!std::sync::Arc::ptr_eq(
-            loaded.relation.pool(),
-            &ValuePool::shared()
-        ));
+        // The dataset gets its own pool — not the saved relation's — with
+        // counts exactly as a cell-by-cell load would produce.
+        assert!(!std::sync::Arc::ptr_eq(loaded.relation.pool(), r.pool()));
         let pool = loaded.relation.pool();
         let id = pool.lookup(&Value::str("a23")).unwrap();
         assert_eq!(pool.use_count(id), 2, "a23 occurs in two live cells");

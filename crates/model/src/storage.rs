@@ -462,16 +462,6 @@ impl TupleView for RowRef<'_> {
     fn weight(&self, a: AttrId) -> f64 {
         RowRef::weight(self, a)
     }
-
-    #[inline]
-    fn value(&self, a: AttrId) -> Value {
-        RowRef::value(self, a)
-    }
-
-    #[inline]
-    fn pool(&self) -> &ValuePool {
-        RowRef::pool(self)
-    }
 }
 
 #[cfg(test)]
@@ -547,8 +537,7 @@ mod tests {
         assert_eq!(s.slot_count(), 2);
         assert!(s.is_live(0) && s.is_live(1));
         assert!(!s.is_live(2));
-        // A materialized `Tuple` resolves through the shared pool, so
-        // compare ids, not values.
+        // A materialized `Tuple` carries ids only.
         assert_eq!(
             s.materialize(1).id(AttrId(0)),
             pool.intern(&Value::str("b"))

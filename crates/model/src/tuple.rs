@@ -8,18 +8,17 @@
 //! algorithms fall back to violation counts for guidance — exactly the
 //! degenerate mode the paper evaluates.
 //!
-//! Values are stored as [`ValueId`]s interned in a
-//! [`ValuePool`](crate::pool::ValuePool): comparisons, projections and
-//! index keys are integer operations. A `Tuple` is a *pool-agnostic id
-//! carrier* — it records which pool its ids came from nowhere; the owner
-//! (normally the [`Relation`](crate::relation::Relation) it lives in)
-//! knows. The value-level conveniences here ([`Tuple::new`],
-//! [`Tuple::value`], [`Tuple::values`]) are compatibility shims that go
-//! through the process-default shared pool; dataset-scoped code interns
-//! through its own pool and builds tuples with [`Tuple::from_ids`].
+//! Values are stored as [`ValueId`]s interned in a [`ValuePool`]:
+//! comparisons, projections and index keys are integer operations. A
+//! `Tuple` is a *pool-agnostic id carrier* — it records which pool its ids
+//! came from nowhere; the owner (normally the
+//! [`Relation`](crate::relation::Relation) it lives in) knows, so every
+//! value-level read or write goes through that pool. [`Tuple::new_in`]
+//! interns values into a named pool; [`Tuple::from_ids`] takes ids
+//! already interned.
 
 use crate::key::IdKey;
-use crate::pool::{ValueId, NULL_ID};
+use crate::pool::{ValueId, ValuePool, NULL_ID};
 use crate::schema::AttrId;
 use crate::value::Value;
 
@@ -38,22 +37,6 @@ pub trait TupleView {
     fn id(&self, a: AttrId) -> ValueId;
     /// The confidence weight `w(t, A)`.
     fn weight(&self, a: AttrId) -> f64;
-
-    /// The value of attribute `a`, resolved through the view's own pool
-    /// when it carries one ([`RowRef`](crate::storage::RowRef) does).
-    /// The default resolves through the process-default shared pool —
-    /// all an owned [`Tuple`] knows; views scoped to a dataset pool
-    /// override this.
-    fn value(&self, a: AttrId) -> Value {
-        self.id(a).value()
-    }
-
-    /// The pool this view's ids belong to. The default is the
-    /// process-default shared pool — all an owned [`Tuple`] knows;
-    /// views scoped to a dataset pool override this.
-    fn pool(&self) -> &crate::pool::ValuePool {
-        crate::pool::ValuePool::shared_ref()
-    }
 
     /// Is `t[A]` null?
     #[inline]
@@ -110,45 +93,23 @@ pub struct Tuple {
 }
 
 impl Tuple {
-    /// Build a tuple with all weights set to 1 (no confidence information),
-    /// interning every value in the process-default shared pool
-    /// (compatibility shim; scoped code interns into its own pool and
-    /// uses [`Tuple::from_ids`]).
-    pub fn new(values: Vec<Value>) -> Self {
-        let ids = values.iter().map(ValueId::of).collect::<Vec<_>>();
-        let weights = vec![1.0; ids.len()];
-        Tuple { ids, weights }
+    /// Build a tuple with all weights set to 1 (no confidence
+    /// information), interning every value into `pool` through the
+    /// counted path: the values become occurrences of that pool's
+    /// dataset.
+    pub fn new_in<I, V>(values: I, pool: &ValuePool) -> Self
+    where
+        I: IntoIterator<Item = V>,
+        V: Into<Value>,
+    {
+        let ids = values.into_iter().map(|v| pool.intern(&v.into())).collect();
+        Tuple::from_ids(ids)
     }
 
     /// Build a tuple directly from interned ids, all weights 1.
     pub fn from_ids(ids: Vec<ValueId>) -> Self {
         let weights = vec![1.0; ids.len()];
         Tuple { ids, weights }
-    }
-
-    /// Build a tuple with explicit weights.
-    ///
-    /// # Panics
-    /// Panics if `values` and `weights` lengths differ — callers construct
-    /// both from the same schema so a mismatch is a programming error.
-    pub fn with_weights(values: Vec<Value>, weights: Vec<f64>) -> Self {
-        assert_eq!(
-            values.len(),
-            weights.len(),
-            "values/weights length mismatch"
-        );
-        let ids = values.iter().map(ValueId::of).collect();
-        Tuple { ids, weights }
-    }
-
-    /// Convenience constructor from anything convertible to [`Value`].
-    #[allow(clippy::should_implement_trait)] // fallible trait impl would hide the panic-free path
-    pub fn from_iter<I, V>(values: I) -> Self
-    where
-        I: IntoIterator<Item = V>,
-        V: Into<Value>,
-    {
-        Tuple::new(values.into_iter().map(Into::into).collect())
     }
 
     /// Tuple arity.
@@ -162,25 +123,10 @@ impl Tuple {
         self.ids[a.index()]
     }
 
-    /// The value of attribute `a`, i.e. `t[A]`, resolved from the
-    /// process-default shared pool (shim — pool-scoped callers resolve
-    /// the id through the owning pool instead). Cheap (an `Arc` clone),
-    /// but prefer [`Tuple::id`] for comparisons.
-    #[inline]
-    pub fn value(&self, a: AttrId) -> Value {
-        self.ids[a.index()].value()
-    }
-
     /// Is `t[A]` null? A single integer comparison.
     #[inline]
     pub fn is_null(&self, a: AttrId) -> bool {
         self.ids[a.index()].is_null()
-    }
-
-    /// Overwrite the value of attribute `a`, interning it.
-    #[inline]
-    pub fn set_value(&mut self, a: AttrId, v: Value) {
-        self.ids[a.index()] = ValueId::of(&v);
     }
 
     /// Overwrite the value of attribute `a` with an already-interned id.
@@ -209,13 +155,6 @@ impl Tuple {
     /// All value ids in schema order.
     pub fn ids(&self) -> &[ValueId] {
         &self.ids
-    }
-
-    /// All values in schema order, resolved from the process-default
-    /// shared pool (shim — see [`Tuple::value`]). Allocates; for
-    /// display, CSV export and other cold paths.
-    pub fn values(&self) -> Vec<Value> {
-        self.ids.iter().map(|id| id.value()).collect()
     }
 
     /// All weights in schema order.
@@ -277,21 +216,37 @@ impl Tuple {
 mod tests {
     use super::*;
 
-    fn t(vals: &[&str]) -> Tuple {
-        Tuple::from_iter(vals.iter().copied())
+    fn t(pool: &ValuePool, vals: &[&str]) -> Tuple {
+        Tuple::new_in(vals.iter().copied(), pool)
     }
 
     #[test]
     fn new_defaults_weights_to_one() {
-        let tup = t(&["a23", "H. Porter"]);
+        let pool = ValuePool::new();
+        let tup = t(&pool, &["a23", "H. Porter"]);
         assert_eq!(tup.weight(AttrId(0)), 1.0);
         assert_eq!(tup.weight(AttrId(1)), 1.0);
         assert_eq!(tup.total_weight(), 2.0);
     }
 
     #[test]
+    fn new_in_interns_counted_occurrences() {
+        let pool = ValuePool::new();
+        let a = t(&pool, &["x", "y"]);
+        let b = t(&pool, &["x", "z"]);
+        assert_eq!(a.id(AttrId(0)), b.id(AttrId(0)));
+        assert_eq!(pool.resolve(a.id(AttrId(1))), Value::str("y"));
+        assert_eq!(pool.use_count(a.id(AttrId(0))), 2);
+        assert_eq!(pool.use_count(b.id(AttrId(1))), 1);
+        let n = Tuple::new_in([Value::Null, Value::int(3)], &pool);
+        assert!(n.is_null(AttrId(0)));
+        assert_eq!(pool.resolve(n.id(AttrId(1))), Value::int(3));
+    }
+
+    #[test]
     fn set_weight_clamps() {
-        let mut tup = t(&["x"]);
+        let pool = ValuePool::new();
+        let mut tup = t(&pool, &["x"]);
         tup.set_weight(AttrId(0), 1.5);
         assert_eq!(tup.weight(AttrId(0)), 1.0);
         tup.set_weight(AttrId(0), -0.2);
@@ -301,33 +256,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn with_weights_checks_length() {
-        Tuple::with_weights(vec![Value::str("a")], vec![0.5, 0.5]);
+    fn id_get_set() {
+        let pool = ValuePool::new();
+        let mut tup = t(&pool, &["212", "PHI"]);
+        assert_eq!(pool.resolve(tup.id(AttrId(1))), Value::str("PHI"));
+        let nyc = pool.intern(&Value::str("NYC"));
+        tup.set_id(AttrId(1), nyc);
+        assert_eq!(tup.id(AttrId(1)), nyc);
     }
 
     #[test]
-    fn value_get_set() {
-        let mut tup = t(&["212", "PHI"]);
-        assert_eq!(tup.value(AttrId(1)), Value::str("PHI"));
-        tup.set_value(AttrId(1), Value::str("NYC"));
-        assert_eq!(tup.value(AttrId(1)), Value::str("NYC"));
-        assert_eq!(tup.id(AttrId(1)), ValueId::of(&Value::str("NYC")));
-    }
-
-    #[test]
-    fn ids_round_trip_through_pool() {
-        let tup = t(&["212", "PHI"]);
-        let ids = tup.ids().to_vec();
-        let back = Tuple::from_ids(ids);
-        assert_eq!(back.value(AttrId(0)), Value::str("212"));
+    fn ids_round_trip() {
+        let pool = ValuePool::new();
+        let tup = t(&pool, &["212", "PHI"]);
+        let back = Tuple::from_ids(tup.ids().to_vec());
+        assert_eq!(pool.resolve(back.id(AttrId(0))), Value::str("212"));
         assert_eq!(back, tup);
     }
 
     #[test]
     fn project_and_agrees() {
-        let a = t(&["212", "3345677", "PHI"]);
-        let b = t(&["212", "9999999", "PHI"]);
+        let pool = ValuePool::new();
+        let a = t(&pool, &["212", "3345677", "PHI"]);
+        let b = t(&pool, &["212", "9999999", "PHI"]);
         let attrs = [AttrId(0), AttrId(2)];
         assert_eq!(
             a.project_key(&attrs).as_slice(),
@@ -339,10 +290,11 @@ mod tests {
 
     #[test]
     fn sql_agrees_with_null() {
-        let mut a = t(&["212", "PHI"]);
-        let b = t(&["212", "NYC"]);
+        let pool = ValuePool::new();
+        let mut a = t(&pool, &["212", "PHI"]);
+        let b = t(&pool, &["212", "NYC"]);
         assert!(!a.sql_agrees_on(&b, &[AttrId(1)]));
-        a.set_value(AttrId(1), Value::Null);
+        a.set_id(AttrId(1), NULL_ID);
         assert!(a.is_null(AttrId(1)));
         assert!(a.sql_agrees_on(&b, &[AttrId(1)]));
         // strict agreement still fails
@@ -351,19 +303,20 @@ mod tests {
 
     #[test]
     fn attr_diff_counts_positions() {
-        let a = t(&["212", "3345677", "PHI", "PA"]);
-        let b = t(&["212", "3345677", "NYC", "NY"]);
+        let pool = ValuePool::new();
+        let a = t(&pool, &["212", "3345677", "PHI", "PA"]);
+        let b = t(&pool, &["212", "3345677", "NYC", "NY"]);
         assert_eq!(a.attr_diff(&b), 2);
         assert_eq!(a.attr_diff(&a), 0);
     }
 
     #[test]
     fn null_out_deletes() {
-        let mut a = t(&["x", "y"]);
+        let pool = ValuePool::new();
+        let mut a = t(&pool, &["x", "y"]);
         assert!(!a.is_nulled());
         a.null_out();
         assert!(a.is_nulled());
-        assert_eq!(a.value(AttrId(0)), Value::Null);
         assert_eq!(a.id(AttrId(0)), NULL_ID);
     }
 }

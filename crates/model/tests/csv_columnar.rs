@@ -1,6 +1,6 @@
 //! CSV round-trips under the columnar bulk-install import path.
 //!
-//! `read_relation` deduplicates each column's fields, installs the
+//! `read_relation_in` deduplicates each column's fields, installs the
 //! distinct values with their counts in one `ValuePool::install_column`
 //! call per column, and builds the `ColumnStore` directly. These tests
 //! pin the tricky encodings — quoting, embedded separators and
@@ -8,13 +8,18 @@
 //! through import → export → import, plus weight columns through their
 //! own round trip.
 
-use cfd_model::csv::{read_relation, read_weights, write_relation, write_weights};
-use cfd_model::{AttrId, Relation, Schema, Tuple, TupleId, Value};
+use cfd_model::csv::{read_relation_in, read_weights, write_relation, write_weights};
+use cfd_model::{AttrId, ModelError, Relation, Schema, Tuple, TupleId, Value, ValuePool};
+
+/// Read `input` into a fresh pool.
+fn read(name: &str, input: &[u8]) -> Result<Relation, ModelError> {
+    read_relation_in(name, &mut &*input, ValuePool::new_handle())
+}
 
 fn round_trip(rel: &Relation) -> Relation {
     let mut buf = Vec::new();
     write_relation(rel, &mut buf).unwrap();
-    read_relation(rel.schema().name(), &mut buf.as_slice()).unwrap()
+    read(rel.schema().name(), &buf).unwrap()
 }
 
 fn assert_identical(a: &Relation, b: &Relation) {
@@ -31,18 +36,18 @@ fn assert_identical(a: &Relation, b: &Relation) {
 #[test]
 fn import_is_columnar_with_bulk_interned_columns() {
     let input = "a,b\nx,1\ny,2\n";
-    let rel = read_relation("r", &mut input.as_bytes()).unwrap();
+    let rel = read("r", input.as_bytes()).unwrap();
     // Columns are directly addressable after import.
     let col = rel.column(AttrId(0));
     assert_eq!(col.len(), 2);
-    assert_eq!(col[0].value(), Value::str("x"));
-    assert_eq!(col[1].value(), Value::str("y"));
+    assert_eq!(rel.pool().resolve(col[0]), Value::str("x"));
+    assert_eq!(rel.pool().resolve(col[1]), Value::str("y"));
 }
 
 #[test]
 fn quoting_and_embedded_separators_survive_two_round_trips() {
     let schema = Schema::new("q", &["a", "b"]).unwrap();
-    let mut rel = Relation::new(schema);
+    let mut rel = Relation::new_in(schema, ValuePool::new_handle());
     for (a, b) in [
         ("plain", "x, y, z"),
         ("says \"hi\", eh", "comma,inside"),
@@ -50,7 +55,7 @@ fn quoting_and_embedded_separators_survive_two_round_trips() {
         ("trailing,", "\"\""),
         ("commas,,doubled", "quote\"mid"),
     ] {
-        rel.insert(Tuple::from_iter([a, b])).unwrap();
+        rel.insert(Tuple::new_in([a, b], rel.pool())).unwrap();
     }
     let once = round_trip(&rel);
     assert_identical(&rel, &once);
@@ -66,15 +71,21 @@ fn quoting_and_embedded_separators_survive_two_round_trips() {
 #[test]
 fn null_markers_and_empty_strings_stay_distinct() {
     let schema = Schema::new("n", &["a", "b", "c"]).unwrap();
-    let mut rel = Relation::new(schema);
-    rel.insert(Tuple::new(vec![
-        Value::Null,
-        Value::str(""),
-        Value::str("\\N"), // the literal two-character string, not null
-    ]))
+    let mut rel = Relation::new_in(schema, ValuePool::new_handle());
+    rel.insert(Tuple::new_in(
+        vec![
+            Value::Null,
+            Value::str(""),
+            Value::str("\\N"), // the literal two-character string, not null
+        ],
+        rel.pool(),
+    ))
     .unwrap();
-    rel.insert(Tuple::new(vec![Value::str("x"), Value::Null, Value::Null]))
-        .unwrap();
+    rel.insert(Tuple::new_in(
+        vec![Value::str("x"), Value::Null, Value::Null],
+        rel.pool(),
+    ))
+    .unwrap();
     let back = round_trip(&rel);
     assert!(back.tuple(TupleId(0)).unwrap().is_null(AttrId(0)));
     assert_eq!(
@@ -93,13 +104,22 @@ fn null_markers_and_empty_strings_stay_distinct() {
 #[test]
 fn integer_tags_round_trip_through_columns() {
     let schema = Schema::new("i", &["n", "s"]).unwrap();
-    let mut rel = Relation::new(schema);
-    rel.insert(Tuple::new(vec![Value::int(212), Value::str("212")]))
-        .unwrap();
-    rel.insert(Tuple::new(vec![Value::int(-7), Value::str("#i:212")]))
-        .unwrap();
-    rel.insert(Tuple::new(vec![Value::int(0), Value::str("#i:a\"b")]))
-        .unwrap();
+    let mut rel = Relation::new_in(schema, ValuePool::new_handle());
+    rel.insert(Tuple::new_in(
+        vec![Value::int(212), Value::str("212")],
+        rel.pool(),
+    ))
+    .unwrap();
+    rel.insert(Tuple::new_in(
+        vec![Value::int(-7), Value::str("#i:212")],
+        rel.pool(),
+    ))
+    .unwrap();
+    rel.insert(Tuple::new_in(
+        vec![Value::int(0), Value::str("#i:a\"b")],
+        rel.pool(),
+    ))
+    .unwrap();
     let back = round_trip(&rel);
     assert_eq!(
         back.tuple(TupleId(0)).unwrap().value(AttrId(0)),
@@ -129,9 +149,9 @@ fn integer_tags_round_trip_through_columns() {
 #[test]
 fn weight_columns_round_trip_alongside_values() {
     let schema = Schema::new("w", &["a", "b"]).unwrap();
-    let mut rel = Relation::new(schema);
-    rel.insert(Tuple::from_iter(["x", "y"])).unwrap();
-    rel.insert(Tuple::from_iter(["u", "v"])).unwrap();
+    let mut rel = Relation::new_in(schema, ValuePool::new_handle());
+    rel.insert(Tuple::new_in(["x", "y"], rel.pool())).unwrap();
+    rel.insert(Tuple::new_in(["u", "v"], rel.pool())).unwrap();
     rel.set_weights(TupleId(0), &[0.25, 1.0]).unwrap();
     rel.set_weights(TupleId(1), &[0.0, 0.125]).unwrap();
 
@@ -140,7 +160,7 @@ fn weight_columns_round_trip_alongside_values() {
     write_relation(&rel, &mut values).unwrap();
     write_weights(&rel, &mut weights).unwrap();
 
-    let mut back = read_relation("w", &mut values.as_slice()).unwrap();
+    let mut back = read("w", &values).unwrap();
     read_weights(&mut back, &mut weights.as_slice()).unwrap();
     assert_identical(&rel, &back);
     assert_eq!(back.weight_column(AttrId(0)), &[0.25, 0.0]);
@@ -157,10 +177,10 @@ fn weight_columns_round_trip_alongside_values() {
 #[test]
 fn tombstoned_relations_export_only_live_rows() {
     let schema = Schema::new("t", &["a"]).unwrap();
-    let mut rel = Relation::new(schema);
-    rel.insert(Tuple::from_iter(["keep1"])).unwrap();
-    let dead = rel.insert(Tuple::from_iter(["drop"])).unwrap();
-    rel.insert(Tuple::from_iter(["keep2"])).unwrap();
+    let mut rel = Relation::new_in(schema, ValuePool::new_handle());
+    rel.insert(Tuple::new_in(["keep1"], rel.pool())).unwrap();
+    let dead = rel.insert(Tuple::new_in(["drop"], rel.pool())).unwrap();
+    rel.insert(Tuple::new_in(["keep2"], rel.pool())).unwrap();
     rel.delete(dead).unwrap();
     let back = round_trip(&rel);
     assert_eq!(back.len(), 2);

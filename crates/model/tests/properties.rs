@@ -35,9 +35,9 @@ fn rand_rows(rng: &mut ChaCha8Rng, max: usize) -> Vec<Vec<Value>> {
 }
 
 fn build(rows: &[Vec<Value>]) -> Relation {
-    let mut rel = Relation::new(schema());
+    let mut rel = Relation::new_in(schema(), ValuePool::new_handle());
     for row in rows {
-        rel.insert(Tuple::new(row.clone())).unwrap();
+        rel.insert(Tuple::new_in(row.clone(), rel.pool())).unwrap();
     }
     rel
 }
@@ -48,10 +48,11 @@ fn build(rows: &[Vec<Value>]) -> Relation {
 /// the pool run on ids without changing the paper's §3.1 semantics.
 #[test]
 fn id_semantics_agree_with_value_semantics() {
+    let pool = ValuePool::new();
     trials(500, 0xA11CE, |rng| {
         let v = rand_value(rng);
         let w = rand_value(rng);
-        let (iv, iw) = (ValueId::of(&v), ValueId::of(&w));
+        let (iv, iw): (ValueId, ValueId) = (pool.intern(&v), pool.intern(&w));
         assert_eq!(iv.sql_eq(iw), v.sql_eq(&w), "sql_eq mismatch on {v} vs {w}");
         assert_eq!(
             iv.strict_eq(iw),
@@ -61,7 +62,7 @@ fn id_semantics_agree_with_value_semantics() {
         assert_eq!(iv.is_null(), v.is_null());
         assert_eq!(iv == iw, v == w, "id equality must be injective");
         // round-trip
-        assert_eq!(iv.value(), v);
+        assert_eq!(pool.resolve(iv), v);
     });
 }
 
@@ -69,17 +70,23 @@ fn id_semantics_agree_with_value_semantics() {
 /// match a reference computation on resolved values.
 #[test]
 fn tuple_agreement_matches_value_reference() {
+    let pool = ValuePool::new();
     trials(300, 0xBEEF, |rng| {
-        let a = Tuple::new((0..ARITY).map(|_| rand_value(rng)).collect());
-        let b = Tuple::new((0..ARITY).map(|_| rand_value(rng)).collect());
+        let (va, vb): (Vec<Value>, Vec<Value>) = (0..ARITY)
+            .map(|_| (rand_value(rng), rand_value(rng)))
+            .unzip();
+        let a = Tuple::new_in(va.iter().cloned(), &pool);
+        let b = Tuple::new_in(vb.iter().cloned(), &pool);
         let attrs: Vec<AttrId> = (0..ARITY as u16).map(AttrId).collect();
-        let strict_ref = attrs.iter().all(|x| a.value(*x).strict_eq(&b.value(*x)));
-        let sql_ref = attrs.iter().all(|x| a.value(*x).sql_eq(&b.value(*x)));
+        let strict_ref = attrs
+            .iter()
+            .all(|x| va[x.index()].strict_eq(&vb[x.index()]));
+        let sql_ref = attrs.iter().all(|x| va[x.index()].sql_eq(&vb[x.index()]));
         assert_eq!(a.agrees_on(&b, &attrs), strict_ref);
         assert_eq!(a.sql_agrees_on(&b, &attrs), sql_ref);
         let diff_ref = attrs
             .iter()
-            .filter(|x| a.value(**x) != b.value(**x))
+            .filter(|x| va[x.index()] != vb[x.index()])
             .count();
         assert_eq!(a.attr_diff(&b), diff_ref);
     });
@@ -219,7 +226,8 @@ fn csv_value_and_weight_round_trip() {
         csv::write_relation(&rel, &mut vbuf).unwrap();
         let mut wbuf = Vec::new();
         csv::write_weights(&rel, &mut wbuf).unwrap();
-        let mut rel2 = csv::read_relation("r", &mut vbuf.as_slice()).unwrap();
+        let mut rel2 =
+            csv::read_relation_in("r", &mut vbuf.as_slice(), ValuePool::new_handle()).unwrap();
         csv::read_weights(&mut rel2, &mut wbuf.as_slice()).unwrap();
         assert_eq!(rel.len(), rel2.len());
         for ((_, t1), (_, t2)) in rel.iter().zip(rel2.iter()) {

@@ -28,13 +28,16 @@ use cfd_prng::{trials, Rng};
 
 fn sample(rows: usize) -> Relation {
     let schema = Schema::new("orders", &["id", "city", "qty"]).unwrap();
-    let mut r = Relation::new(schema);
+    let mut r = Relation::new_in(schema, ValuePool::new_handle());
     for i in 0..rows {
-        r.insert(Tuple::new(vec![
-            Value::str(format!("id{i}")),
-            Value::str(if i % 3 == 0 { "NYC" } else { "PHI" }),
-            Value::int(i as i64 % 5),
-        ]))
+        r.insert(Tuple::new_in(
+            vec![
+                Value::str(format!("id{i}")),
+                Value::str(if i % 3 == 0 { "NYC" } else { "PHI" }),
+                Value::int(i as i64 % 5),
+            ],
+            r.pool(),
+        ))
         .unwrap();
     }
     if rows > 2 {

@@ -582,7 +582,12 @@ fn cost_key(cost: f64) -> u64 {
 /// is `u64::MAX − use_count(value)` under the dataset's own pool
 /// (well-corroborated constants sort first among equal costs) and
 /// nulls/winnerless merges rank last. A pure function of the fix and the
-/// dataset, never of scoring order or process history.
+/// dataset, never of scoring order or process history, as long as the
+/// pool's counts are the dataset's cell occurrences: every load path
+/// keeps that invariant (CSV, snapshot, and the §7.1 generator, pinned by
+/// `tests/pool_scoping_differential.rs` and the generator test
+/// `generated_pools_count_their_own_cells`). Exact `(cost, freq)` ties
+/// then fall to the raw `value` id, which follows interning order.
 fn fix_meta(fix: &Fix, pool: &ValuePool) -> (u64, u32) {
     let v = match fix {
         Fix::SetConst { v, .. } => *v,
@@ -1088,8 +1093,11 @@ impl<'p> Planner<'p> {
             // dataset pool's per-id occurrence counters instead of
             // re-counting the S-group (ROADMAP "frequency-aware
             // interning"). The counters are scoped to this relation's
-            // pool and only data loads bump them, so the tie-break is a
-            // pure function of the dataset — never of what else the
+            // pool and only data loads bump them, so they equal the
+            // dataset's cell occurrences (pinned by
+            // `tests/pool_scoping_differential.rs` and cfd-gen's
+            // `generated_pools_count_their_own_cells`) and the tie-break
+            // is a pure function of the dataset — never of what else the
             // process loaded. Remaining ties break by value order, which
             // is independent of interning history.
             let pool = self.orig.pool();
@@ -1928,7 +1936,7 @@ mod tests {
     use super::*;
     use cfd_cfd::pattern::{PatternRow, PatternValue};
     use cfd_cfd::Cfd;
-    use cfd_model::{Schema, Tuple, Value};
+    use cfd_model::{Schema, Tuple, Value, ValuePool};
     use cfd_prng::{Rng, SliceRandom};
     use std::sync::Arc;
 
@@ -1938,7 +1946,7 @@ mod tests {
             &["id", "name", "PR", "AC", "PN", "STR", "CT", "ST", "zip"],
         )
         .unwrap();
-        let mut rel = Relation::new(schema.clone());
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
         let rows = [
             [
                 "a23",
@@ -1992,9 +2000,8 @@ mod tests {
             [1.0, 0.6, 0.5, 0.9, 0.9, 0.1, 0.6, 0.6, 0.9],
         ];
         for (row, ws) in rows.iter().zip(weights.iter()) {
-            let values = row.iter().map(|s| Value::str(*s)).collect();
-            rel.insert(Tuple::with_weights(values, ws.to_vec()))
-                .unwrap();
+            let id = rel.insert(Tuple::new_in(*row, rel.pool())).unwrap();
+            rel.set_weights(id, ws).unwrap();
         }
         let phi1 = Cfd::new(
             "phi1",
@@ -2044,7 +2051,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema, vec![phi1, phi2]).unwrap();
+        let sigma = Sigma::normalize_in(schema, vec![phi1, phi2], rel.pool()).unwrap();
         (rel, sigma)
     }
 
@@ -2136,9 +2143,12 @@ mod tests {
             rel.set_value(id, ct, Value::str("NYC")).unwrap();
             rel.set_value(id, st, Value::str("NY")).unwrap();
         }
-        rel.insert(Tuple::from_iter([
-            "a55", "K. Oyle", "12.00", "215", "8983490", "Walnut", "NYC", "NY", "10012",
-        ]))
+        rel.insert(Tuple::new_in(
+            [
+                "a55", "K. Oyle", "12.00", "215", "8983490", "Walnut", "NYC", "NY", "10012",
+            ],
+            rel.pool(),
+        ))
         .unwrap();
         for pick in [PickStrategy::DependencyOrdered, PickStrategy::GlobalBest] {
             let out = batch_repair(
@@ -2159,15 +2169,17 @@ mod tests {
         // Two tuples agree on a wildcard-matched LHS but differ on a
         // wildcard RHS: resolution must merge and instantiate one value.
         let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        rel.insert(Tuple::from_iter(["key1", "alpha"])).unwrap();
-        rel.insert(Tuple::from_iter(["key1", "alphq"])).unwrap();
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        rel.insert(Tuple::new_in(["key1", "alpha"], rel.pool()))
+            .unwrap();
+        rel.insert(Tuple::new_in(["key1", "alphq"], rel.pool()))
+            .unwrap();
         let fd = Cfd::standard_fd(
             "kv",
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
+        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], rel.pool()).unwrap();
         let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
         assert!(cfd_cfd::check(&out.repair, &sigma));
         assert!(out.stats.merges >= 1);
@@ -2183,10 +2195,10 @@ mod tests {
         // Same conflict, but one side carries much higher confidence: the
         // instantiated value must be the trusted one.
         let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        let mut t0 = Tuple::from_iter(["key1", "alpha"]);
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        let mut t0 = Tuple::new_in(["key1", "alpha"], rel.pool());
         t0.set_weight(AttrId(1), 0.95);
-        let mut t1 = Tuple::from_iter(["key1", "beta"]);
+        let mut t1 = Tuple::new_in(["key1", "beta"], rel.pool());
         t1.set_weight(AttrId(1), 0.05);
         rel.insert(t0).unwrap();
         rel.insert(t1).unwrap();
@@ -2195,7 +2207,7 @@ mod tests {
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
+        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], rel.pool()).unwrap();
         let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
         let v = schema.attr("v").unwrap();
         assert_eq!(
@@ -2214,8 +2226,9 @@ mod tests {
         // values; the RHS class gets pinned by one, the other must rewrite
         // the LHS (or null it).
         let schema = Schema::new("r", &["a", "b", "c"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        rel.insert(Tuple::from_iter(["a1", "b1", "X"])).unwrap();
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        rel.insert(Tuple::new_in(["a1", "b1", "X"], rel.pool()))
+            .unwrap();
         // a=a1 → c=c1; b=b1 → c=c2: irreconcilable for (a1, b1, _).
         let c1 = Cfd::new(
             "ac",
@@ -2237,7 +2250,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema, vec![c1, c2]).unwrap();
+        let sigma = Sigma::normalize_in(schema, vec![c1, c2], rel.pool()).unwrap();
         let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
         assert!(cfd_cfd::check(&out.repair, &sigma));
         assert!(out.stats.nulls_set >= 1); // single tuple: null is the only out
@@ -2253,9 +2266,10 @@ mod tests {
         // frequent value, beating the S-group's first-seen order (the
         // minority tuple is inserted first).
         let schema = Schema::new("r", &["k", "c"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
+        let pool = ValuePool::new_handle();
+        let mut rel = Relation::new_in(schema.clone(), pool.clone());
         let mk = |k: &str| {
-            let mut t = Tuple::from_iter([k, "fqc-other"]);
+            let mut t = Tuple::new_in([k, "fqc-other"], &pool);
             t.set_weight(AttrId(0), 0.3); // cheap LHS rewrite
             t.set_weight(AttrId(1), 1.0); // precious RHS
             t
@@ -2275,7 +2289,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema.clone(), vec![cfd]).unwrap();
+        let sigma = Sigma::normalize_in(schema.clone(), vec![cfd], rel.pool()).unwrap();
         // Brute-force most-common candidate among the S-group's keys.
         let k = schema.attr("k").unwrap();
         let mut counts: FnvMap<ValueId, usize> = FnvMap::default();
@@ -2289,12 +2303,12 @@ mod tests {
             .max_by_key(|(_, n)| *n)
             .map(|(v, _)| v)
             .unwrap();
-        assert_eq!(brute.value(), Value::str("fqv2"));
+        assert_eq!(rel.pool().resolve(brute), Value::str("fqv2"));
         let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
         assert!(cfd_cfd::check(&out.repair, &sigma));
         assert_eq!(
-            out.repair.tuple(t0).unwrap().value(k),
-            brute.value(),
+            out.repair.tuple(t0).unwrap().id(k),
+            brute,
             "FINDV must pick the most frequent candidate on a cost tie"
         );
     }
@@ -2397,11 +2411,8 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let pool = ValuePool::new_handle();
-            let rel = noise.dirty.rekey_into(&pool);
-            let sigma =
-                Sigma::normalize_in(w.sigma.schema().clone(), w.sigma.sources().to_vec(), &pool)
-                    .unwrap();
+            let sigma = w.sigma_for(&noise.dirty);
+            let rel = noise.dirty;
             out.push((format!("generator seed {seed}"), rel, sigma));
         }
         out
@@ -2502,11 +2513,8 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let pool = ValuePool::new_handle();
-            let rel = noise.dirty.rekey_into(&pool);
-            let sigma =
-                Sigma::normalize_in(w.sigma.schema().clone(), w.sigma.sources().to_vec(), &pool)
-                    .unwrap();
+            let sigma = w.sigma_for(&noise.dirty);
+            let rel = noise.dirty;
             assert_cost_paths_agree(&rel, &sigma, &format!("generator seed {seed}"));
         }
     }
@@ -2712,8 +2720,8 @@ mod tests {
     #[test]
     fn empty_relation_and_empty_sigma() {
         let schema = Schema::new("r", &["a"]).unwrap();
-        let rel = Relation::new(schema.clone());
-        let sigma = Sigma::normalize(schema, vec![]).unwrap();
+        let rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        let sigma = Sigma::normalize_in(schema, vec![], rel.pool()).unwrap();
         let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
         assert_eq!(out.repair.len(), 0);
         assert_eq!(out.stats.steps, 0);

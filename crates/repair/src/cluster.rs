@@ -171,12 +171,6 @@ pub struct ValueIndex {
     pool: Arc<ValuePool>,
 }
 
-impl Default for ValueIndex {
-    fn default() -> Self {
-        Self::from_ids_in([], ValuePool::shared())
-    }
-}
-
 impl ValueIndex {
     /// Build from the distinct values of `adom(a, D)`, resolving through
     /// the owning relation's pool.
@@ -202,15 +196,6 @@ impl ValueIndex {
             memo: FnvMap::default(),
             pool,
         }
-    }
-
-    /// Build directly from values (tests, ad-hoc pools), interning into
-    /// the process-default shared pool.
-    pub fn from_values<I: IntoIterator<Item = Value>>(values: I) -> Self {
-        Self::from_ids_in(
-            values.into_iter().map(|v| ValueId::of(&v)),
-            ValuePool::shared(),
-        )
     }
 
     /// Number of distinct values indexed.
@@ -317,12 +302,13 @@ impl ValueIndex {
 mod tests {
     use super::*;
 
-    fn vid(s: &str) -> ValueId {
-        ValueId::of(&Value::str(s))
+    fn vid(pool: &ValuePool, s: &str) -> ValueId {
+        pool.intern(&Value::str(s))
     }
 
-    fn idx(values: &[&str]) -> ValueIndex {
-        ValueIndex::from_values(values.iter().map(|s| Value::str(*s)))
+    fn idx(pool: &Arc<ValuePool>, values: &[&str]) -> ValueIndex {
+        let ids = values.iter().map(|s| vid(pool, s));
+        ValueIndex::from_ids_in(ids, pool.clone())
     }
 
     /// Every value indexed, base and added alike, in one band set.
@@ -336,23 +322,25 @@ mod tests {
 
     #[test]
     fn nearest_orders_by_distance() {
-        let mut i = idx(&["walnut", "walnot", "spruce", "broad", "walnuts"]);
-        let got = i.nearest(vid("walnut"), 3);
-        assert_eq!(got[0], (vid("walnut"), 0));
+        let p = ValuePool::new_handle();
+        let mut i = idx(&p, &["walnut", "walnot", "spruce", "broad", "walnuts"]);
+        let got = i.nearest(vid(&p, "walnut"), 3);
+        assert_eq!(got[0], (vid(&p, "walnut"), 0));
         assert_eq!(got[1].1, 1); // walnot or walnuts
         assert_eq!(got[2].1, 1);
     }
 
     #[test]
     fn agrees_with_naive_oracle() {
+        let p = ValuePool::new_handle();
         let words = [
             "19014", "10012", "19103", "10013", "60601", "94105", "2146", "215", "212", "610",
             "null-ish", "walnut", "spruce",
         ];
-        let mut i = idx(&words);
+        let mut i = idx(&p, &words);
         for probe in ["19014", "212", "walnut", "zzz", ""] {
-            let fast = i.nearest(vid(probe), 5);
-            let slow = i.nearest_naive(vid(probe), 5);
+            let fast = i.nearest(vid(&p, probe), 5);
+            let slow = i.nearest_naive(vid(&p, probe), 5);
             let fast_d: Vec<usize> = fast.iter().map(|(_, d)| *d).collect();
             let slow_d: Vec<usize> = slow.iter().map(|(_, d)| *d).collect();
             assert_eq!(fast_d, slow_d, "probe {probe}");
@@ -361,36 +349,39 @@ mod tests {
 
     #[test]
     fn add_keeps_index_queryable() {
-        let mut i = idx(&["abc"]);
-        i.add(vid("abd"));
-        i.add(vid("abd")); // duplicate ignored
-        i.add(vid("abc")); // base value ignored
+        let p = ValuePool::new_handle();
+        let mut i = idx(&p, &["abc"]);
+        i.add(vid(&p, "abd"));
+        i.add(vid(&p, "abd")); // duplicate ignored
+        i.add(vid(&p, "abc")); // base value ignored
         i.add(cfd_model::NULL_ID); // nulls ignored
         assert_eq!(i.len(), 2);
-        let got = i.nearest(vid("abd"), 1);
-        assert_eq!(got[0], (vid("abd"), 0));
+        let got = i.nearest(vid(&p, "abd"), 1);
+        assert_eq!(got[0], (vid(&p, "abd"), 0));
     }
 
     #[test]
     fn empty_index_returns_nothing() {
-        let mut i = ValueIndex::default();
-        assert!(i.nearest(vid("x"), 3).is_empty());
+        let p = ValuePool::new_handle();
+        let mut i = ValueIndex::from_ids_in([], p.clone());
+        assert!(i.nearest(vid(&p, "x"), 3).is_empty());
         assert!(i.is_empty());
     }
 
     #[test]
     fn limit_zero_returns_nothing() {
-        let mut i = idx(&["a"]);
-        assert!(i.nearest(vid("a"), 0).is_empty());
+        let p = ValuePool::new_handle();
+        let mut i = idx(&p, &["a"]);
+        assert!(i.nearest(vid(&p, "a"), 0).is_empty());
     }
 
     #[test]
     fn build_from_active_domain() {
         use cfd_model::{Relation, Schema, Tuple};
         let schema = Schema::new("r", &["ct"]).unwrap();
-        let mut rel = Relation::new(schema);
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
         for city in ["PHI", "NYC", "PHX"] {
-            rel.insert(Tuple::from_iter([city])).unwrap();
+            rel.insert(Tuple::new_in([city], rel.pool())).unwrap();
         }
         let adom = ActiveDomain::of_relation(&rel);
         let pool = rel.pool().clone();
@@ -404,9 +395,11 @@ mod tests {
 
     #[test]
     fn int_values_searchable_by_rendering() {
-        let mut i = ValueIndex::from_values([Value::int(19014), Value::int(10012)]);
-        let got = i.nearest(vid("19013"), 1);
-        assert_eq!(got[0].0, ValueId::of(&Value::int(19014)));
+        let p = ValuePool::new_handle();
+        let ids = [19014, 10012].map(|n| p.intern(&Value::int(n)));
+        let mut i = ValueIndex::from_ids_in(ids, p.clone());
+        let got = i.nearest(vid(&p, "19013"), 1);
+        assert_eq!(got[0].0, ids[0]);
     }
 
     /// Seeded random add/remove sequences, removing a value when its last
@@ -415,30 +408,34 @@ mod tests {
     /// over the surviving values.
     #[test]
     fn add_remove_sequences_match_a_fresh_build() {
+        let p = ValuePool::new_handle();
         use cfd_prng::{trials, Rng};
         let words = [
             "a", "b", "ab", "ba", "abc", "abd", "bcd", "abcd", "dcba", "abcde", "z",
         ];
         trials(48, 0xC1_05E, |rng| {
-            let mut i = ValueIndex::default();
+            let mut i = ValueIndex::from_ids_in([], p.clone());
             let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
             for _ in 0..rng.gen_range(1..80usize) {
                 let w = words[rng.gen_range(0..words.len())];
                 if rng.gen_range(0..3u32) > 0 {
                     *counts.entry(w).or_default() += 1;
-                    i.add(vid(w));
+                    i.add(vid(&p, w));
                 } else if let Some(c) = counts.get_mut(w) {
                     *c -= 1;
                     if *c == 0 {
                         counts.remove(w);
-                        i.remove(vid(w));
+                        i.remove(vid(&p, w));
                     }
                 }
-                let mut fresh = idx(&counts.keys().copied().collect::<Vec<_>>());
+                let mut fresh = idx(&p, &counts.keys().copied().collect::<Vec<_>>());
                 assert_eq!(contents(&i), fresh.base);
                 assert_eq!(i.len(), fresh.len());
                 for probe in ["ab", "abcd", "q"] {
-                    assert_eq!(i.nearest(vid(probe), 3), fresh.nearest(vid(probe), 3));
+                    assert_eq!(
+                        i.nearest(vid(&p, probe), 3),
+                        fresh.nearest(vid(&p, probe), 3)
+                    );
                 }
             }
         });
@@ -450,6 +447,7 @@ mod tests {
     /// over the current contents, and every memo key is a base value.
     #[test]
     fn memoized_answers_match_the_naive_scan() {
+        let p = ValuePool::new_handle();
         use cfd_prng::{trials, Rng};
         let letters = b"abcde";
         let word = |rng: &mut cfd_prng::ChaCha8Rng| -> String {
@@ -460,11 +458,11 @@ mod tests {
         };
         trials(24, 0x3E30, |rng| {
             let base: Vec<String> = (0..rng.gen_range(1..60usize)).map(|_| word(rng)).collect();
-            let mut i = idx(&base.iter().map(String::as_str).collect::<Vec<_>>());
+            let mut i = idx(&p, &base.iter().map(String::as_str).collect::<Vec<_>>());
             let mut hits = 0;
             for _ in 0..200 {
                 match rng.gen_range(0..10u32) {
-                    0..=2 => i.add(vid(&word(rng))),
+                    0..=2 => i.add(vid(&p, &word(rng))),
                     3 => {
                         let nth = rng.gen_range(0..i.len().max(1));
                         let pick = contents(&i).entries().nth(nth).map(|(_, id)| *id);
@@ -474,9 +472,9 @@ mod tests {
                     }
                     _ => {
                         let probe = if rng.gen_range(0..4u32) > 0 {
-                            vid(&base[rng.gen_range(0..base.len())])
+                            vid(&p, &base[rng.gen_range(0..base.len())])
                         } else {
-                            vid(&word(rng))
+                            vid(&p, &word(rng))
                         };
                         let limit = [1, 3, 6, 9][rng.gen_range(0..4usize)];
                         hits += usize::from(i.memo.contains_key(&probe));
@@ -484,7 +482,7 @@ mod tests {
                     }
                 }
                 for key in i.memo_keys() {
-                    let v = ValuePool::shared().resolve(key);
+                    let v = p.resolve(key);
                     assert!(i.base.contains(&v, key), "memo key {v} is not a base value");
                 }
             }
@@ -494,44 +492,47 @@ mod tests {
 
     #[test]
     fn removing_a_base_value_clears_the_memo() {
-        let mut i = idx(&["abc", "abd", "xyz"]);
-        i.add(vid("abe"));
+        let p = ValuePool::new_handle();
+        let mut i = idx(&p, &["abc", "abd", "xyz"]);
+        i.add(vid(&p, "abe"));
         assert_eq!(
-            i.nearest(vid("abc"), 2),
-            vec![(vid("abc"), 0), (vid("abd"), 1)]
+            i.nearest(vid(&p, "abc"), 2),
+            vec![(vid(&p, "abc"), 0), (vid(&p, "abd"), 1)]
         );
-        assert_eq!(i.memo_keys(), vec![vid("abc")]);
-        i.remove(vid("abe")); // an added value: the memo stays
-        assert_eq!(i.memo_keys(), vec![vid("abc")]);
-        i.remove(vid("abd"));
+        assert_eq!(i.memo_keys(), vec![vid(&p, "abc")]);
+        i.remove(vid(&p, "abe")); // an added value: the memo stays
+        assert_eq!(i.memo_keys(), vec![vid(&p, "abc")]);
+        i.remove(vid(&p, "abd"));
         assert!(i.memo_keys().is_empty());
         assert_eq!(
-            i.nearest(vid("abc"), 2),
-            vec![(vid("abc"), 0), (vid("xyz"), 3)]
+            i.nearest(vid(&p, "abc"), 2),
+            vec![(vid(&p, "abc"), 0), (vid(&p, "xyz"), 3)]
         );
     }
 
     #[test]
     fn probes_outside_the_base_are_not_memoized() {
-        let mut i = idx(&["abc"]);
-        i.add(vid("abd"));
+        let p = ValuePool::new_handle();
+        let mut i = idx(&p, &["abc"]);
+        i.add(vid(&p, "abd"));
         assert_eq!(
-            i.nearest(vid("abd"), 2),
-            vec![(vid("abd"), 0), (vid("abc"), 1)]
+            i.nearest(vid(&p, "abd"), 2),
+            vec![(vid(&p, "abd"), 0), (vid(&p, "abc"), 1)]
         );
-        assert_eq!(i.nearest(vid("zzz"), 1), vec![(vid("abc"), 3)]);
+        assert_eq!(i.nearest(vid(&p, "zzz"), 1), vec![(vid(&p, "abc"), 3)]);
         assert!(i.memo_keys().is_empty());
     }
 
     #[test]
     fn remove_drops_empty_buckets_and_ignores_absent_values() {
-        let mut i = idx(&["abc", "x"]);
-        i.remove(vid("zz"));
+        let p = ValuePool::new_handle();
+        let mut i = idx(&p, &["abc", "x"]);
+        i.remove(vid(&p, "zz"));
         i.remove(cfd_model::NULL_ID);
         assert_eq!(i.len(), 2);
-        i.remove(vid("x"));
+        i.remove(vid(&p, "x"));
         assert_eq!(i.len(), 1);
         assert!(!i.base.0.contains_key(&1));
-        assert_eq!(i.nearest(vid("x"), 2), vec![(vid("abc"), 3)]);
+        assert_eq!(i.nearest(vid(&p, "x"), 2), vec![(vid(&p, "abc"), 3)]);
     }
 }

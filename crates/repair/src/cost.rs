@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use cfd_model::{AttrId, Relation, TupleId, TupleView, Value, ValueId};
+use cfd_model::{AttrId, Relation, RowRef, TupleId, Value, ValueId};
 
 use crate::distance::{normalized_distance, DistanceCache};
 
@@ -44,10 +44,10 @@ pub fn change_cost_ids(weight: f64, from: ValueId, to: ValueId, cache: &mut Dist
 /// weights.
 ///
 /// Compares resolved *values*, not raw ids: each side resolves through
-/// its own pool ([`TupleView::value`]), so the comparison stays correct
-/// when `t` and `t_new` live in differently-scoped databases (e.g. a
-/// repair written to CSV and re-loaded into a fresh pool).
-pub fn tuple_cost<V: TupleView + ?Sized, W: TupleView + ?Sized>(t: &V, t_new: &W) -> f64 {
+/// its own relation's pool, so the comparison stays correct when `t` and
+/// `t_new` live in differently-scoped databases (e.g. a repair written to
+/// CSV and re-loaded into a fresh pool).
+pub fn tuple_cost(t: &RowRef<'_>, t_new: &RowRef<'_>) -> f64 {
     debug_assert_eq!(t.arity(), t_new.arity());
     let mut total = 0.0;
     for i in 0..t.arity() {
@@ -158,7 +158,7 @@ pub fn cell_change_cost(rel: &Relation, id: TupleId, a: AttrId, to: &Value) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_model::{Schema, Tuple};
+    use cfd_model::{Schema, Tuple, ValuePool};
 
     #[test]
     fn identical_change_is_free() {
@@ -196,22 +196,26 @@ mod tests {
     #[test]
     fn tuple_cost_sums_changed_attrs_only() {
         let schema = Schema::new("r", &["a", "b", "c"]).unwrap();
-        let _ = schema;
-        let mut t = Tuple::from_iter(["PHI", "PA", "10012"]);
-        t.set_weight(AttrId(0), 0.1);
-        t.set_weight(AttrId(1), 0.1);
-        let mut t2 = t.clone();
-        t2.set_value(AttrId(0), Value::str("NYC"));
-        t2.set_value(AttrId(1), Value::str("NY"));
-        let c = tuple_cost(&t, &t2);
+        let mut d = Relation::new_in(schema, ValuePool::new_handle());
+        let t = d
+            .insert(Tuple::new_in(["PHI", "PA", "10012"], d.pool()))
+            .unwrap();
+        d.set_weights(t, &[0.1, 0.1, 1.0]).unwrap();
+        // the changed copy lives in a pool of its own
+        let mut r = Relation::new_in(d.schema().clone(), ValuePool::new_handle());
+        let t2 = r
+            .insert(Tuple::new_in(["NYC", "NY", "10012"], r.pool()))
+            .unwrap();
+        let c = tuple_cost(&d.tuple(t).unwrap(), &r.tuple(t2).unwrap());
         assert!((c - 0.2).abs() < 1e-9);
+        assert!((repair_cost(&d, &r) - c).abs() < 1e-12);
     }
 
     #[test]
     fn repair_cost_over_relation() {
         let schema = Schema::new("r", &["a"]).unwrap();
-        let mut d = Relation::new(schema);
-        let id = d.insert(Tuple::from_iter(["PHI"])).unwrap();
+        let mut d = Relation::new_in(schema, ValuePool::new_handle());
+        let id = d.insert(Tuple::new_in(["PHI"], d.pool())).unwrap();
         let mut r = d.clone();
         r.set_value(id, AttrId(0), Value::str("NYC")).unwrap();
         assert!((repair_cost(&d, &r) - 1.0).abs() < 1e-12);

@@ -122,7 +122,7 @@ fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<usize> {
 mod tests {
     use super::*;
     use cfd_cfd::Cfd;
-    use cfd_model::Schema;
+    use cfd_model::{Schema, ValuePool};
 
     fn fd(s: &Schema, name: &str, from: &str, to: &str) -> Cfd {
         Cfd::standard_fd(name, vec![s.attr(from).unwrap()], vec![s.attr(to).unwrap()])
@@ -133,9 +133,10 @@ mod tests {
         let s = Schema::new("r", &["a", "b", "c"]).unwrap();
         // a→b then b→c: repairing a→b (writes b) dirties b→c (reads b), so
         // a→b must come first.
-        let sigma = Sigma::normalize(
+        let sigma = Sigma::normalize_in(
             s.clone(),
             vec![fd(&s, "ab", "a", "b"), fd(&s, "bc", "b", "c")],
+            &ValuePool::new(),
         )
         .unwrap();
         let g = DepGraph::build(&sigma);
@@ -146,9 +147,10 @@ mod tests {
     #[test]
     fn cycle_collapses_to_one_component() {
         let s = Schema::new("r", &["a", "b"]).unwrap();
-        let sigma = Sigma::normalize(
+        let sigma = Sigma::normalize_in(
             s.clone(),
             vec![fd(&s, "ab", "a", "b"), fd(&s, "ba", "b", "a")],
+            &ValuePool::new(),
         )
         .unwrap();
         let g = DepGraph::build(&sigma);
@@ -159,9 +161,10 @@ mod tests {
     #[test]
     fn independent_cfds_keep_id_order() {
         let s = Schema::new("r", &["a", "b", "c", "d"]).unwrap();
-        let sigma = Sigma::normalize(
+        let sigma = Sigma::normalize_in(
             s.clone(),
             vec![fd(&s, "ab", "a", "b"), fd(&s, "cd", "c", "d")],
+            &ValuePool::new(),
         )
         .unwrap();
         let g = DepGraph::build(&sigma);
@@ -174,13 +177,14 @@ mod tests {
     #[test]
     fn diamond_topology() {
         let s = Schema::new("r", &["a", "b", "c", "d"]).unwrap();
-        let sigma = Sigma::normalize(
+        let sigma = Sigma::normalize_in(
             s.clone(),
             vec![
                 fd(&s, "ab", "a", "b"),
                 fd(&s, "bc", "b", "c"),
                 fd(&s, "bd", "b", "d"),
             ],
+            &ValuePool::new(),
         )
         .unwrap();
         let g = DepGraph::build(&sigma);
@@ -192,7 +196,7 @@ mod tests {
     #[test]
     fn empty_sigma() {
         let s = Schema::new("r", &["a"]).unwrap();
-        let sigma = Sigma::normalize(s, vec![]).unwrap();
+        let sigma = Sigma::normalize_in(s, vec![], &ValuePool::new()).unwrap();
         let g = DepGraph::build(&sigma);
         assert!(g.order().is_empty());
     }

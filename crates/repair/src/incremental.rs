@@ -793,7 +793,7 @@ mod tests {
     use super::*;
     use cfd_cfd::pattern::{PatternRow, PatternValue};
     use cfd_cfd::Cfd;
-    use cfd_model::{Schema, Value};
+    use cfd_model::{Schema, Value, ValuePool};
 
     /// Clean Fig. 1 data (t3/t4 already fixed) with ϕ1/ϕ2.
     fn clean_fig1() -> (Relation, Sigma) {
@@ -802,7 +802,7 @@ mod tests {
             &["id", "name", "PR", "AC", "PN", "STR", "CT", "ST", "zip"],
         )
         .unwrap();
-        let mut rel = Relation::new(schema.clone());
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
         for row in [
             [
                 "a23",
@@ -849,7 +849,7 @@ mod tests {
                 "10012",
             ],
         ] {
-            rel.insert(Tuple::from_iter(row)).unwrap();
+            rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
         }
         let phi1 = Cfd::new(
             "phi1",
@@ -899,16 +899,19 @@ mod tests {
             ],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema, vec![phi1, phi2]).unwrap();
+        let sigma = Sigma::normalize_in(schema, vec![phi1, phi2], rel.pool()).unwrap();
         (rel, sigma)
     }
 
     #[test]
     fn clean_insert_is_untouched() {
         let (rel, sigma) = clean_fig1();
-        let t = Tuple::from_iter([
-            "a99", "New Item", "5.00", "610", "5550000", "Pine", "PHI", "PA", "19014",
-        ]);
+        let t = Tuple::new_in(
+            [
+                "a99", "New Item", "5.00", "610", "5550000", "Pine", "PHI", "PA", "19014",
+            ],
+            rel.pool(),
+        );
         let out = inc_repair(&rel, std::slice::from_ref(&t), &sigma, IncConfig::default()).unwrap();
         assert_eq!(out.stats.processed, 1);
         assert_eq!(out.stats.modified, 0);
@@ -924,9 +927,12 @@ mod tests {
         // by single-attribute changes, so nulls (or an AC/zip change) are
         // acceptable — the invariant is consistency of the result.
         let (rel, sigma) = clean_fig1();
-        let t5 = Tuple::from_iter([
-            "a55", "K. Oyle", "12.00", "215", "8983490", "Walnut", "NYC", "NY", "10012",
-        ]);
+        let t5 = Tuple::new_in(
+            [
+                "a55", "K. Oyle", "12.00", "215", "8983490", "Walnut", "NYC", "NY", "10012",
+            ],
+            rel.pool(),
+        );
         for k in [1, 2, 3] {
             let cfg = IncConfig {
                 k,
@@ -943,9 +949,12 @@ mod tests {
         // feasible certain fix (Example 5.1). It should be preferred over
         // nulls when weights make CT/ST/zip cheap to change.
         let (rel, sigma) = clean_fig1();
-        let mut t5 = Tuple::from_iter([
-            "a55", "K. Oyle", "12.00", "215", "8983490", "Walnut", "NYC", "NY", "10012",
-        ]);
+        let mut t5 = Tuple::new_in(
+            [
+                "a55", "K. Oyle", "12.00", "215", "8983490", "Walnut", "NYC", "NY", "10012",
+            ],
+            rel.pool(),
+        );
         // make the conflicted attributes cheap and the others precious
         let schema = rel.schema().clone();
         for name in ["CT", "ST", "zip"] {
@@ -975,9 +984,12 @@ mod tests {
     #[test]
     fn base_database_is_never_modified() {
         let (rel, sigma) = clean_fig1();
-        let t5 = Tuple::from_iter([
-            "a55", "K. Oyle", "12.00", "215", "8983490", "Walnut", "NYC", "NY", "10012",
-        ]);
+        let t5 = Tuple::new_in(
+            [
+                "a55", "K. Oyle", "12.00", "215", "8983490", "Walnut", "NYC", "NY", "10012",
+            ],
+            rel.pool(),
+        );
         let out = inc_repair(&rel, &[t5], &sigma, IncConfig::default()).unwrap();
         for (id, t) in rel.iter() {
             assert_eq!(out.repair.tuple(id).unwrap(), t, "base tuple {id} changed");
@@ -989,16 +1001,16 @@ mod tests {
         // Two inserts with a fresh key: the first pins the group's value,
         // the second (conflicting) must follow it.
         let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        rel.insert(Tuple::from_iter(["k0", "x"])).unwrap();
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        rel.insert(Tuple::new_in(["k0", "x"], rel.pool())).unwrap();
         let fd = Cfd::standard_fd(
             "kv",
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
-        let d1 = Tuple::from_iter(["fresh", "alpha"]);
-        let d2 = Tuple::from_iter(["fresh", "alphb"]);
+        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], rel.pool()).unwrap();
+        let d1 = Tuple::new_in(["fresh", "alpha"], rel.pool());
+        let d2 = Tuple::new_in(["fresh", "alphb"], rel.pool());
         let cfg = IncConfig {
             ordering: Ordering::Linear,
             ..Default::default()
@@ -1016,12 +1028,18 @@ mod tests {
     fn orderings_all_produce_consistent_repairs() {
         let (rel, sigma) = clean_fig1();
         let dirty = vec![
-            Tuple::from_iter([
-                "a71", "Item A", "1.00", "212", "1112222", "Canal", "PHI", "PA", "10012",
-            ]),
-            Tuple::from_iter([
-                "a72", "Item B", "2.00", "610", "2223333", "Vine", "NYC", "PA", "19014",
-            ]),
+            Tuple::new_in(
+                [
+                    "a71", "Item A", "1.00", "212", "1112222", "Canal", "PHI", "PA", "10012",
+                ],
+                rel.pool(),
+            ),
+            Tuple::new_in(
+                [
+                    "a72", "Item B", "2.00", "610", "2223333", "Vine", "NYC", "PA", "19014",
+                ],
+                rel.pool(),
+            ),
         ];
         for ordering in [Ordering::Linear, Ordering::Violations, Ordering::Weight] {
             let cfg = IncConfig {
@@ -1037,18 +1055,19 @@ mod tests {
     #[test]
     fn violation_ordering_repairs_cleanest_first() {
         let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        rel.insert(Tuple::from_iter(["seed", "s"])).unwrap();
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        rel.insert(Tuple::new_in(["seed", "s"], rel.pool()))
+            .unwrap();
         let fd = Cfd::standard_fd(
             "kv",
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
+        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], rel.pool()).unwrap();
         // d1 conflicts with two others; d2/d3 agree with each other.
-        let d1 = Tuple::from_iter(["g", "zzz"]);
-        let d2 = Tuple::from_iter(["g", "aaa"]);
-        let d3 = Tuple::from_iter(["g", "aaa"]);
+        let d1 = Tuple::new_in(["g", "zzz"], rel.pool());
+        let d2 = Tuple::new_in(["g", "aaa"], rel.pool());
+        let d3 = Tuple::new_in(["g", "aaa"], rel.pool());
         let cfg = IncConfig {
             ordering: Ordering::Violations,
             ..Default::default()
@@ -1103,15 +1122,16 @@ mod tests {
                 ..Default::default()
             };
             let dirty = inject(&w.dopt, &w.world, &noise).dirty;
+            let sigma = w.sigma_for(&dirty);
             let pending: Vec<TupleId> = dirty
                 .ids()
                 .filter(|_| rng.gen_range(0..4u32) == 0)
                 .collect();
-            let rules = OwnedRules::build(&w.sigma);
+            let rules = OwnedRules::build(&sigma);
             let mut state = IncState::new(
                 dirty.clone(),
                 &pending,
-                rules.view(&w.sigma),
+                rules.view(&sigma),
                 IncConfig::default(),
             )
             .unwrap();
@@ -1119,7 +1139,7 @@ mod tests {
 
             let staged = state.violation_keys(&pending);
 
-            let full = Engine::build(&state.work, &w.sigma);
+            let full = Engine::build(&state.work, &sigma);
             let reference: Vec<(usize, i64, TupleId)> = pending
                 .iter()
                 .map(|id| {

@@ -329,21 +329,21 @@ mod tests {
     use super::*;
     use cfd_cfd::pattern::{PatternRow, PatternValue};
     use cfd_cfd::Cfd;
-    use cfd_model::{Schema, Tuple, Value};
+    use cfd_model::{Schema, Tuple, Value, ValuePool};
 
-    fn vid(s: &str) -> ValueId {
-        ValueId::of(&Value::str(s))
+    fn vid(rel: &Relation, s: &str) -> ValueId {
+        rel.pool().intern_uncounted(&Value::str(s))
     }
 
     fn setup() -> (Relation, Sigma) {
         let schema = Schema::new("r", &["ac", "pn", "ct"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
         for row in [
             ["212", "111", "NYC"],
             ["610", "222", "PHI"],
             ["610", "333", "PHI"],
         ] {
-            rel.insert(Tuple::from_iter(row)).unwrap();
+            rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
         }
         // variable CFD: [ac] → ct with wildcard pattern
         let var = Cfd::standard_fd(
@@ -362,7 +362,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema, vec![var, cons]).unwrap();
+        let sigma = Sigma::normalize_in(schema, vec![var, cons], rel.pool()).unwrap();
         (rel, sigma)
     }
 
@@ -372,13 +372,13 @@ mod tests {
         let idx = LhsIndexes::build(&rel, &sigma);
         let var = sigma.get(cfd_cfd::CfdId(0));
         // candidate agreeing with 212's group
-        let ok = Tuple::from_iter(["212", "999", "NYC"]);
+        let ok = Tuple::new_in(["212", "999", "NYC"], rel.pool());
         assert!(idx.satisfies(var, &ok));
-        let bad = Tuple::from_iter(["212", "999", "PHI"]);
+        let bad = Tuple::new_in(["212", "999", "PHI"], rel.pool());
         assert!(!idx.satisfies(var, &bad));
-        assert_eq!(idx.pinned_id(var, &bad), Some(vid("NYC")));
+        assert_eq!(idx.pinned_id(var, &bad), Some(vid(&rel, "NYC")));
         // fresh key: unconstrained
-        let fresh = Tuple::from_iter(["415", "999", "SF"]);
+        let fresh = Tuple::new_in(["415", "999", "SF"], rel.pool());
         assert!(idx.satisfies(var, &fresh));
         assert_eq!(idx.pinned_id(var, &fresh), None);
     }
@@ -389,9 +389,9 @@ mod tests {
         let idx = LhsIndexes::build(&rel, &sigma);
         let cons = sigma.get(cfd_cfd::CfdId(1));
         assert!(cons.is_constant());
-        let ok = Tuple::from_iter(["212", "999", "NYC"]);
-        let bad = Tuple::from_iter(["212", "999", "PHI"]);
-        let inapplicable = Tuple::from_iter(["610", "999", "PHI"]);
+        let ok = Tuple::new_in(["212", "999", "NYC"], rel.pool());
+        let bad = Tuple::new_in(["212", "999", "PHI"], rel.pool());
+        let inapplicable = Tuple::new_in(["610", "999", "PHI"], rel.pool());
         assert!(idx.satisfies(cons, &ok));
         assert!(!idx.satisfies(cons, &bad));
         assert!(idx.satisfies(cons, &inapplicable));
@@ -404,11 +404,17 @@ mod tests {
         let var = sigma.get(cfd_cfd::CfdId(0));
         let cons = sigma.get(cfd_cfd::CfdId(1));
         // null RHS satisfies both kinds
-        let null_rhs = Tuple::new(vec![Value::str("212"), Value::str("9"), Value::Null]);
+        let null_rhs = Tuple::new_in(
+            vec![Value::str("212"), Value::str("9"), Value::Null],
+            rel.pool(),
+        );
         assert!(idx.satisfies(var, &null_rhs));
         assert!(idx.satisfies(cons, &null_rhs));
         // null LHS: CFD inapplicable
-        let null_lhs = Tuple::new(vec![Value::Null, Value::str("9"), Value::str("PHI")]);
+        let null_lhs = Tuple::new_in(
+            vec![Value::Null, Value::str("9"), Value::str("PHI")],
+            rel.pool(),
+        );
         assert!(idx.satisfies(var, &null_lhs));
         assert!(idx.satisfies(cons, &null_lhs));
     }
@@ -418,11 +424,11 @@ mod tests {
         let (rel, sigma) = setup();
         let mut idx = LhsIndexes::build(&rel, &sigma);
         let var = sigma.get(cfd_cfd::CfdId(0));
-        let fresh = Tuple::from_iter(["415", "1", "SF"]);
+        let fresh = Tuple::new_in(["415", "1", "SF"], rel.pool());
         assert_eq!(idx.pinned_id(var, &fresh), None);
         idx.insert(&fresh);
-        let probe = Tuple::from_iter(["415", "2", "LA"]);
-        assert_eq!(idx.pinned_id(var, &probe), Some(vid("SF")));
+        let probe = Tuple::new_in(["415", "2", "LA"], rel.pool());
+        assert_eq!(idx.pinned_id(var, &probe), Some(vid(&rel, "SF")));
         assert!(!idx.satisfies(var, &probe));
     }
 
@@ -431,21 +437,21 @@ mod tests {
         let (rel, sigma) = setup();
         let mut idx = LhsIndexes::build(&rel, &sigma);
         let var = sigma.get(cfd_cfd::CfdId(0));
-        let fresh = Tuple::from_iter(["415", "1", "SF"]);
+        let fresh = Tuple::new_in(["415", "1", "SF"], rel.pool());
         idx.insert(&fresh);
-        let probe = Tuple::from_iter(["415", "2", "LA"]);
-        assert_eq!(idx.pinned_id(var, &probe), Some(vid("SF")));
+        let probe = Tuple::new_in(["415", "2", "LA"], rel.pool());
+        assert_eq!(idx.pinned_id(var, &probe), Some(vid(&rel, "SF")));
         // Removing the only member clears the pin entirely.
         idx.remove(&fresh);
         assert_eq!(idx.pinned_id(var, &probe), None);
         assert!(idx.satisfies(var, &probe));
         // A later insert re-pins the group to the new value.
         idx.insert(&probe);
-        assert_eq!(idx.pinned_id(var, &fresh), Some(vid("LA")));
+        assert_eq!(idx.pinned_id(var, &fresh), Some(vid(&rel, "LA")));
         // Counts are per-member: with two members, one removal keeps the pin.
-        idx.insert(&Tuple::from_iter(["415", "3", "LA"]));
+        idx.insert(&Tuple::new_in(["415", "3", "LA"], rel.pool()));
         idx.remove(&probe);
-        assert_eq!(idx.pinned_id(var, &fresh), Some(vid("LA")));
+        assert_eq!(idx.pinned_id(var, &fresh), Some(vid(&rel, "LA")));
     }
 
     #[test]
@@ -455,7 +461,7 @@ mod tests {
             .unwrap();
         let idx = LhsIndexes::build(&rel, &sigma);
         let var = sigma.get(cfd_cfd::CfdId(0));
-        let probe = Tuple::from_iter(["212", "9", "ANY"]);
+        let probe = Tuple::new_in(["212", "9", "ANY"], rel.pool());
         assert!(idx.satisfies(var, &probe));
     }
 
@@ -471,7 +477,8 @@ mod tests {
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
+        let pool = ValuePool::new_handle();
+        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], &pool).unwrap();
         let var = sigma.get(cfd_cfd::CfdId(0));
         // A clean relation: key i carries value v{i} or null.
         let row = |k: u32, null: bool| {
@@ -480,10 +487,11 @@ mod tests {
             } else {
                 Value::str(format!("v{k}"))
             };
-            Tuple::new(vec![Value::str(format!("k{k}")), v])
+            Tuple::new_in([Value::str(format!("k{k}")), v], &pool)
         };
         trials(48, 0x1A5E, |rng| {
-            let mut idx = LhsIndexes::build(&Relation::new(schema.clone()), &sigma);
+            let mut idx =
+                LhsIndexes::build(&Relation::new_in(schema.clone(), pool.clone()), &sigma);
             let mut live: Vec<Tuple> = Vec::new();
             for _ in 0..rng.gen_range(1..120usize) {
                 if live.is_empty() || rng.gen_range(0..3u32) > 0 {
@@ -494,7 +502,7 @@ mod tests {
                     let t = live.swap_remove(rng.gen_range(0..live.len()));
                     idx.remove(&t);
                 }
-                let mut rel = Relation::new(schema.clone());
+                let mut rel = Relation::new_in(schema.clone(), pool.clone());
                 for t in &live {
                     rel.insert(t.clone()).unwrap();
                 }
@@ -503,7 +511,7 @@ mod tests {
                 for k in 0..8 {
                     for probe in [
                         row(k, false),
-                        Tuple::from_iter([format!("k{k}"), "x".into()]),
+                        Tuple::new_in([format!("k{k}"), "x".into()], rel.pool()),
                     ] {
                         assert_eq!(idx.pinned_id(var, &probe), fresh.pinned_id(var, &probe));
                         assert_eq!(idx.satisfies(var, &probe), fresh.satisfies(var, &probe));

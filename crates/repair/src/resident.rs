@@ -365,7 +365,7 @@ impl StreamRepairer {
 mod tests {
     use super::*;
     use cfd_cfd::Cfd;
-    use cfd_model::{Schema, Value};
+    use cfd_model::{Schema, Value, ValuePool};
 
     fn kv_sigma(schema: &Schema) -> Sigma {
         let fd = Cfd::standard_fd(
@@ -373,14 +373,16 @@ mod tests {
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        Sigma::normalize(schema.clone(), vec![fd]).unwrap()
+        Sigma::normalize_in(schema.clone(), vec![fd], &ValuePool::new()).unwrap()
     }
 
     fn base() -> (Relation, Sigma) {
         let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        rel.insert(Tuple::from_iter(["k0", "alpha"])).unwrap();
-        rel.insert(Tuple::from_iter(["k1", "beta"])).unwrap();
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        rel.insert(Tuple::new_in(["k0", "alpha"], rel.pool()))
+            .unwrap();
+        rel.insert(Tuple::new_in(["k1", "beta"], rel.pool()))
+            .unwrap();
         let sigma = kv_sigma(&schema);
         (rel, sigma)
     }
@@ -390,9 +392,9 @@ mod tests {
     #[test]
     fn rounds_match_one_shot_inc_repair() {
         let (rel, sigma) = base();
-        let d1 = Tuple::from_iter(["k0", "alphb"]); // conflicts with base pin
-        let d2 = Tuple::from_iter(["k2", "gamma"]); // clean
-        let d3 = Tuple::from_iter(["k2", "gamm"]); // conflicts with d2's pin
+        let d1 = Tuple::new_in(["k0", "alphb"], rel.pool()); // conflicts with base pin
+        let d2 = Tuple::new_in(["k2", "gamma"], rel.pool()); // clean
+        let d3 = Tuple::new_in(["k2", "gamm"], rel.pool()); // conflicts with d2's pin
 
         // One-shot references: repair [d1, d2] first, then [d3] on top.
         let cfg = IncConfig::default();
@@ -423,14 +425,15 @@ mod tests {
     fn remove_active_releases_group_pin() {
         let (rel, sigma) = base();
         let v = rel.schema().attr("v").unwrap();
+        let pool = rel.pool().clone();
         let mut r = StreamRepairer::new(rel, &sigma, IncConfig::default()).unwrap();
 
-        let mut ids = vec![r.stage(Tuple::from_iter(["k9", "delta"])).unwrap()];
+        let mut ids = vec![r.stage(Tuple::new_in(["k9", "delta"], &pool)).unwrap()];
         r.resolve_pending(&sigma, &mut ids).unwrap();
         let pinner = ids[0];
 
         // While the pinner lives, a conflicting arrival follows its value.
-        let mut ids = vec![r.stage(Tuple::from_iter(["k9", "delte"])).unwrap()];
+        let mut ids = vec![r.stage(Tuple::new_in(["k9", "delte"], &pool)).unwrap()];
         r.resolve_pending(&sigma, &mut ids).unwrap();
         assert_eq!(
             r.work().require(ids[0]).unwrap().value(v),
@@ -440,7 +443,7 @@ mod tests {
         // Remove both members; the group is empty, so the pin must clear.
         r.remove_active(pinner).unwrap();
         r.remove_active(ids[0]).unwrap();
-        let mut ids = vec![r.stage(Tuple::from_iter(["k9", "epsilon"])).unwrap()];
+        let mut ids = vec![r.stage(Tuple::new_in(["k9", "epsilon"], &pool)).unwrap()];
         r.resolve_pending(&sigma, &mut ids).unwrap();
         assert_eq!(
             r.work().require(ids[0]).unwrap().value(v),
@@ -454,10 +457,11 @@ mod tests {
     #[test]
     fn unstage_cancels_cleanly() {
         let (rel, sigma) = base();
+        let pool = rel.pool().clone();
         let mut r = StreamRepairer::new(rel, &sigma, IncConfig::default()).unwrap();
-        let id = r.stage(Tuple::from_iter(["k0", "zzz"])).unwrap();
+        let id = r.stage(Tuple::new_in(["k0", "zzz"], &pool)).unwrap();
         let t = r.unstage(id).unwrap();
-        assert_eq!(t.value(rel_attr(&r, "v")), Value::str("zzz"));
+        assert_eq!(pool.resolve(t.id(rel_attr(&r, "v"))), Value::str("zzz"));
         assert!(r.work().tuple(id).is_none());
         // An empty round is a no-op.
         let stats = r.resolve_pending(&sigma, &mut []).unwrap();
@@ -480,8 +484,8 @@ mod tests {
         // values k2 and gamma; (k0, alphb) then conflicts with the base
         // pin and builds both value indexes.
         let delta = [
-            Tuple::from_iter(["k2", "gamma"]),
-            Tuple::from_iter(["k0", "alphb"]),
+            Tuple::new_in(["k2", "gamma"], rel.pool()),
+            Tuple::new_in(["k0", "alphb"], rel.pool()),
         ];
         let run = r.repair(&rel, &delta, &sigma, &parts, config).unwrap();
         assert_eq!(run.outcome.stats.modified, 1);
@@ -520,6 +524,7 @@ mod tests {
                     ..Default::default()
                 };
                 let arrivals = inject(&fresh.dopt, &w.world, &noise).dirty;
+                let arrivals = arrivals.rekey_into(base.pool());
                 let delta: Vec<Tuple> = arrivals.iter().map(|(_, t)| t.to_tuple()).collect();
                 // `InsertRepairer::repair`, with the checks between the
                 // run and its rollback.

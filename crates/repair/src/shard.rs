@@ -391,7 +391,7 @@ impl<'c> CensusOverlay<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_model::{Schema, Tuple, Value};
+    use cfd_model::{Schema, Tuple, Value, ValuePool};
     use cfd_prng::{ChaCha8Rng, Rng, SeedableRng};
 
     /// A random cell value: null one time in eight, else one of 16.
@@ -406,13 +406,14 @@ mod tests {
     /// A random relation whose weights are multiples of `1 / steps`.
     fn random_relation(rng: &mut ChaCha8Rng, rows: usize, steps: u32) -> Relation {
         let schema = Schema::new("s", &["a", "b", "c"]).unwrap();
-        let mut rel = Relation::new(schema);
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
         for _ in 0..rows {
-            let values = vec![random_value(rng), random_value(rng), random_value(rng)];
-            let weights = (0..3)
+            let values = [random_value(rng), random_value(rng), random_value(rng)];
+            let weights: Vec<f64> = (0..3)
                 .map(|_| (rng.gen_range(0..=steps) as f64) / steps as f64)
                 .collect();
-            rel.insert(Tuple::with_weights(values, weights)).unwrap();
+            let id = rel.insert(Tuple::new_in(values, rel.pool())).unwrap();
+            rel.set_weights(id, &weights).unwrap();
         }
         rel
     }
@@ -628,9 +629,9 @@ mod tests {
     #[test]
     fn an_emptied_group_shadows_the_base() {
         let schema = Schema::new("s", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema);
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
         for (k, v) in [("g", "x"), ("g", "y"), ("h", "x")] {
-            rel.insert(Tuple::from_iter([k, v])).unwrap();
+            rel.insert(Tuple::new_in([k, v], rel.pool())).unwrap();
         }
         let shapes = vec![(vec![AttrId(0)], AttrId(1))];
         let base = GroupCensus::new(&rel, &shapes);

@@ -89,7 +89,7 @@ mod tests {
     use super::*;
     use crate::incremental::Ordering;
     use cfd_cfd::Cfd;
-    use cfd_model::{Schema, Tuple, Value};
+    use cfd_model::{Schema, Tuple, Value, ValuePool};
 
     fn kv_sigma(schema: &Schema) -> Sigma {
         let fd = Cfd::standard_fd(
@@ -97,14 +97,14 @@ mod tests {
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        Sigma::normalize(schema.clone(), vec![fd]).unwrap()
+        Sigma::normalize_in(schema.clone(), vec![fd], &ValuePool::new()).unwrap()
     }
 
     fn sample() -> (Relation, Sigma) {
         let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
         for row in [["a", "1"], ["a", "1"], ["b", "2"], ["b", "XXX"], ["c", "3"]] {
-            rel.insert(Tuple::from_iter(row)).unwrap();
+            rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
         }
         (rel, kv_sigma(&schema))
     }
@@ -138,9 +138,9 @@ mod tests {
     #[test]
     fn clean_database_passes_through() {
         let schema = Schema::new("r", &["k", "v"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        rel.insert(Tuple::from_iter(["a", "1"])).unwrap();
-        rel.insert(Tuple::from_iter(["b", "2"])).unwrap();
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        rel.insert(Tuple::new_in(["a", "1"], rel.pool())).unwrap();
+        rel.insert(Tuple::new_in(["b", "2"], rel.pool())).unwrap();
         let sigma = kv_sigma(&schema);
         let out = repair_via_incremental(&rel, &sigma, IncConfig::default()).unwrap();
         assert_eq!(out.reinserted.len(), 0);
@@ -167,8 +167,8 @@ mod tests {
     fn nulls_count_in_stats_when_unavoidable() {
         // Conflicting constant CFDs on a single tuple force a null.
         let schema = Schema::new("r", &["a", "b"]).unwrap();
-        let mut rel = Relation::new(schema.clone());
-        rel.insert(Tuple::from_iter(["a1", "x"])).unwrap();
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        rel.insert(Tuple::new_in(["a1", "x"], rel.pool())).unwrap();
         let c1 = Cfd::new(
             "c1",
             vec![schema.attr("a").unwrap()],
@@ -189,7 +189,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let sigma = Sigma::normalize(schema.clone(), vec![c1, c2]).unwrap();
+        let sigma = Sigma::normalize_in(schema.clone(), vec![c1, c2], rel.pool()).unwrap();
         let out = repair_via_incremental(&rel, &sigma, IncConfig::default()).unwrap();
         assert!(cfd_cfd::check(&out.repair, &sigma));
         // either b became null, or a changed away from a1 (possibly null)

@@ -85,10 +85,16 @@ fn cost_model_is_weighted_normalized_distance() {
 fn tuple_cost_is_additive() {
     trials(192, 0x7C0, |rng| {
         let vals: Vec<String> = (0..3).map(|_| word(rng, 4)).collect();
-        let t = Tuple::from_iter(vals.iter().map(|s| &s[..]));
+        let schema = Schema::new("r", &["a", "b", "c"]).unwrap();
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
+        let t = rel
+            .insert(Tuple::new_in(vals.iter().map(|s| &s[..]), rel.pool()))
+            .unwrap();
+        let mut changed = vals.clone();
+        changed[1] = "zzz".to_string();
+        let t2 = rel.insert(Tuple::new_in(changed, rel.pool())).unwrap();
+        let (t, t2) = (rel.tuple(t).unwrap(), rel.tuple(t2).unwrap());
         assert_eq!(tuple_cost(&t, &t), 0.0);
-        let mut t2 = t.clone();
-        t2.set_value(AttrId(1), Value::str("zzz"));
         let expected = change_cost(t.weight(AttrId(1)), &t.value(AttrId(1)), &Value::str("zzz"));
         assert!((tuple_cost(&t, &t2) - expected).abs() < 1e-12);
     });
@@ -124,9 +130,10 @@ fn value_index_matches_naive_nearest() {
             }
             values.insert(w);
         }
-        let vals: Vec<Value> = values.iter().map(Value::str).collect();
-        let mut index = ValueIndex::from_values(vals.clone());
-        let probe = ValueId::of(&Value::str(word(rng, 5)));
+        let pool = ValuePool::new_handle();
+        let ids: Vec<ValueId> = values.iter().map(|v| pool.intern(&Value::str(v))).collect();
+        let mut index = ValueIndex::from_ids_in(ids, pool.clone());
+        let probe = pool.intern(&Value::str(word(rng, 5)));
         let limit = rng.gen_range(1..6usize);
         let fast = index.nearest(probe, limit);
         let naive = index.nearest_naive(probe, limit);
@@ -143,14 +150,14 @@ fn consistent_subset_is_consistent_and_partitions() {
     trials(128, 0x5B5E7, |rng| {
         let schema = Schema::new("r", &["k", "v"]).unwrap();
         let fd = Cfd::standard_fd("kv", vec![AttrId(0)], vec![AttrId(1)]);
-        let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
-        let mut rel = Relation::new(schema);
+        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], &ValuePool::new()).unwrap();
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
         for _ in 0..rng.gen_range(1..12usize) {
             let row = [
                 format!("v{}", rng.gen_range(0..4u32)),
                 format!("v{}", rng.gen_range(0..4u32)),
             ];
-            rel.insert(Tuple::from_iter(row.iter().map(|s| &s[..])))
+            rel.insert(Tuple::new_in(row.iter().map(|s| &s[..]), rel.pool()))
                 .unwrap();
         }
         let (clean, pending) = consistent_subset(&rel, &sigma);
@@ -174,23 +181,29 @@ fn incremental_repair_never_touches_the_base() {
     trials(64, 0x1BA5E, |rng| {
         let schema = Schema::new("r", &["k", "v"]).unwrap();
         let fd = Cfd::standard_fd("kv", vec![AttrId(0)], vec![AttrId(1)]);
-        let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
-        let mut base = Relation::new(schema);
+        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], &ValuePool::new()).unwrap();
+        let mut base = Relation::new_in(schema, ValuePool::new_handle());
         // make the base trivially clean: v = f(k)
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..rng.gen_range(1..8usize) {
             let k = rng.gen_range(0..3u32);
             if seen.insert(k) {
-                base.insert(Tuple::from_iter([format!("k{k}"), format!("v{k}")]))
-                    .unwrap();
+                base.insert(Tuple::new_in(
+                    [format!("k{k}"), format!("v{k}")],
+                    base.pool(),
+                ))
+                .unwrap();
             }
         }
         let delta: Vec<Tuple> = (0..rng.gen_range(1..5usize))
             .map(|_| {
-                Tuple::from_iter([
-                    format!("k{}", rng.gen_range(0..3u32)),
-                    format!("w{}", rng.gen_range(0..3u32)),
-                ])
+                Tuple::new_in(
+                    [
+                        format!("k{}", rng.gen_range(0..3u32)),
+                        format!("w{}", rng.gen_range(0..3u32)),
+                    ],
+                    base.pool(),
+                )
             })
             .collect();
         let out = inc_repair(&base, &delta, &sigma, IncConfig::default()).unwrap();

@@ -6,7 +6,7 @@
 use cfd_cfd::pattern::{PatternRow, PatternValue};
 use cfd_cfd::violation::check;
 use cfd_cfd::{Cfd, Sigma};
-use cfd_model::{AttrId, Relation, Schema, Tuple, TupleId, Value};
+use cfd_model::{AttrId, Relation, Schema, Tuple, TupleId, Value, ValuePool};
 use cfd_repair::{batch_repair, BatchConfig};
 
 fn c(s: &str) -> PatternValue {
@@ -19,6 +19,7 @@ const W: PatternValue = PatternValue::Wildcard;
 /// the groups and a later constant fix rewrites the whole class.
 #[test]
 fn corrupted_group_key_does_not_contaminate_the_group() {
+    let pool = ValuePool::new_handle();
     let schema = Schema::new("r", &["st", "cty", "vat"]).unwrap();
     let st = schema.attr("st").unwrap();
     let cty = schema.attr("cty").unwrap();
@@ -36,18 +37,18 @@ fn corrupted_group_key_does_not_contaminate_the_group() {
     )
     .unwrap();
     let cty_vat = Cfd::standard_fd("cty_vat", vec![cty], vec![vat]);
-    let sigma = Sigma::normalize(schema.clone(), vec![st_cty, cty_vat]).unwrap();
+    let sigma = Sigma::normalize_in(schema.clone(), vec![st_cty, cty_vat], &pool).unwrap();
 
-    let mut rel = Relation::new(schema);
+    let mut rel = Relation::new_in(schema, pool.clone());
     // a healthy CAN population
     for i in 0..30 {
-        let mut t = Tuple::from_iter(["ON", "CAN", "0.05"]);
+        let mut t = Tuple::new_in(["ON", "CAN", "0.05"], &pool);
         t.set_weight(AttrId(0), 0.8 + (i % 3) as f64 * 0.05);
         rel.insert(t).unwrap();
     }
     // one GBR tuple whose CTY cell was corrupted to CAN (low weight marks
     // the dirt); its VAT still carries GBR's 0.20.
-    let mut bad = Tuple::from_iter(["AZ", "CAN", "0.20"]);
+    let mut bad = Tuple::new_in(["AZ", "CAN", "0.20"], &pool);
     bad.set_weight(AttrId(1), 0.1);
     let bad_id = rel.insert(bad).unwrap();
 
@@ -81,6 +82,7 @@ fn corrupted_group_key_does_not_contaminate_the_group() {
 /// binding.
 #[test]
 fn corrupted_pattern_key_is_restored_not_propagated() {
+    let pool = ValuePool::new_handle();
     let schema = Schema::new("r", &["zip", "ct", "st"]).unwrap();
     let zip = schema.attr("zip").unwrap();
     let ct = schema.attr("ct").unwrap();
@@ -96,15 +98,15 @@ fn corrupted_pattern_key_is_restored_not_propagated() {
         ],
     )
     .unwrap();
-    let sigma = Sigma::normalize(schema.clone(), vec![phi2]).unwrap();
-    let mut rel = Relation::new(schema);
+    let sigma = Sigma::normalize_in(schema.clone(), vec![phi2], &pool).unwrap();
+    let mut rel = Relation::new_in(schema, pool.clone());
     // several clean Philadelphia rows establish the S-set for FINDV
     for _ in 0..5 {
-        rel.insert(Tuple::from_iter(["19014", "PHI", "PA"]))
+        rel.insert(Tuple::new_in(["19014", "PHI", "PA"], &pool))
             .unwrap();
     }
     // one row whose zip was swapped to the NYC zip (dirty, low weight)
-    let mut bad = Tuple::from_iter(["10012", "PHI", "PA"]);
+    let mut bad = Tuple::new_in(["10012", "PHI", "PA"], &pool);
     bad.set_weight(AttrId(0), 0.1);
     let bad_id = rel.insert(bad).unwrap();
     let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
@@ -120,18 +122,22 @@ fn corrupted_pattern_key_is_restored_not_propagated() {
 /// resolve toward the majority when weights are equal.
 #[test]
 fn merged_class_resolves_to_majority_value() {
+    let pool = ValuePool::new_handle();
     let schema = Schema::new("r", &["k", "v"]).unwrap();
     let fd = Cfd::standard_fd(
         "kv",
         vec![schema.attr("k").unwrap()],
         vec![schema.attr("v").unwrap()],
     );
-    let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
-    let mut rel = Relation::new(schema.clone());
+    let sigma = Sigma::normalize_in(schema.clone(), vec![fd], &pool).unwrap();
+    let mut rel = Relation::new_in(schema.clone(), pool.clone());
     for _ in 0..4 {
-        rel.insert(Tuple::from_iter(["key", "majority"])).unwrap();
+        rel.insert(Tuple::new_in(["key", "majority"], &pool))
+            .unwrap();
     }
-    let odd = rel.insert(Tuple::from_iter(["key", "minority"])).unwrap();
+    let odd = rel
+        .insert(Tuple::new_in(["key", "minority"], &pool))
+        .unwrap();
     let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
     assert!(check(&out.repair, &sigma));
     let v = schema.attr("v").unwrap();
@@ -148,16 +154,17 @@ fn merged_class_resolves_to_majority_value() {
 /// where every tuple conflicts with every other.
 #[test]
 fn pathological_all_conflicting_input_terminates() {
+    let pool = ValuePool::new_handle();
     let schema = Schema::new("r", &["k", "v"]).unwrap();
     let fd = Cfd::standard_fd(
         "kv",
         vec![schema.attr("k").unwrap()],
         vec![schema.attr("v").unwrap()],
     );
-    let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
-    let mut rel = Relation::new(schema);
+    let sigma = Sigma::normalize_in(schema.clone(), vec![fd], &pool).unwrap();
+    let mut rel = Relation::new_in(schema, pool.clone());
     for i in 0..60 {
-        rel.insert(Tuple::from_iter(["k", &format!("v{i}")[..]]))
+        rel.insert(Tuple::new_in(["k", &format!("v{i}")[..]], &pool))
             .unwrap();
     }
     let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
@@ -184,6 +191,7 @@ fn pathological_all_conflicting_input_terminates() {
 /// Unsatisfiable-in-context demands fall back to null, never loop.
 #[test]
 fn contradictory_constants_resolve_with_null_not_livelock() {
+    let pool = ValuePool::new_handle();
     let schema = Schema::new("r", &["a", "b"]).unwrap();
     let a = schema.attr("a").unwrap();
     let b = schema.attr("b").unwrap();
@@ -201,10 +209,10 @@ fn contradictory_constants_resolve_with_null_not_livelock() {
         vec![PatternRow::new(vec![c("x")], vec![c("q")])],
     )
     .unwrap();
-    let sigma = Sigma::normalize(schema.clone(), vec![c1, c2]).unwrap();
-    let mut rel = Relation::new(schema);
+    let sigma = Sigma::normalize_in(schema.clone(), vec![c1, c2], &pool).unwrap();
+    let mut rel = Relation::new_in(schema, pool.clone());
     for _ in 0..10 {
-        rel.insert(Tuple::from_iter(["x", "p"])).unwrap();
+        rel.insert(Tuple::new_in(["x", "p"], &pool)).unwrap();
     }
     let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
     assert!(check(&out.repair, &sigma));
@@ -226,6 +234,7 @@ fn contradictory_constants_resolve_with_null_not_livelock() {
 /// cells' relative weights.
 #[test]
 fn bridging_tuple_does_not_snowball_a_clean_group() {
+    let pool = ValuePool::new_handle();
     let schema = Schema::new("r", &["ct", "str", "zip"]).unwrap();
     let ct = schema.attr("ct").unwrap();
     let strt = schema.attr("str").unwrap();
@@ -233,13 +242,13 @@ fn bridging_tuple_does_not_snowball_a_clean_group() {
     // [CT, STR] → zip as a pure FD (no constants anywhere: the winner can
     // only come from group support).
     let fd4 = Cfd::standard_fd("fd4", vec![ct, strt], vec![zip]);
-    let sigma = Sigma::normalize(schema.clone(), vec![fd4]).unwrap();
+    let sigma = Sigma::normalize_in(schema.clone(), vec![fd4], &pool).unwrap();
 
-    let mut rel = Relation::new(schema);
+    let mut rel = Relation::new_in(schema, pool.clone());
     // Group A: (Clinfield, Front St) → 10525, sixteen clean rows.
     let mut group_a = Vec::new();
     for i in 0..16 {
-        let mut t = Tuple::from_iter(["Clinfield", "Front St", "10525"]);
+        let mut t = Tuple::new_in(["Clinfield", "Front St", "10525"], &pool);
         // clean-range weights, deliberately *lower* than the bridge's zip
         // weight so a pairwise comparison of the first two cells would
         // favour the wrong side
@@ -248,12 +257,12 @@ fn bridging_tuple_does_not_snowball_a_clean_group() {
     }
     // Group B: (Clinfield, Canel St) → 10539, a few clean rows.
     for _ in 0..4 {
-        rel.insert(Tuple::from_iter(["Clinfield", "Canel St", "10539"]))
+        rel.insert(Tuple::new_in(["Clinfield", "Canel St", "10539"], &pool))
             .unwrap();
     }
     // The bridge: a group-B row whose STR was corrupted to "Front St".
     // Its zip cell is *clean* (high weight) — only the STR is dirty.
-    let mut bridge = Tuple::from_iter(["Clinfield", "Front St", "10539"]);
+    let mut bridge = Tuple::new_in(["Clinfield", "Front St", "10539"], &pool);
     bridge.set_weight(AttrId(1), 0.15);
     bridge.set_weight(AttrId(2), 0.95);
     let bridge_id = rel.insert(bridge).unwrap();
@@ -284,6 +293,7 @@ fn bridging_tuple_does_not_snowball_a_clean_group() {
 /// key and leave the group intact.
 #[test]
 fn pinned_constant_does_not_flip_a_foreign_group() {
+    let pool = ValuePool::new_handle();
     let schema = Schema::new("r", &["ct", "str", "zip", "ac"]).unwrap();
     let ct = schema.attr("ct").unwrap();
     let strt = schema.attr("str").unwrap();
@@ -302,27 +312,33 @@ fn pinned_constant_does_not_flip_a_foreign_group() {
         ],
     )
     .unwrap();
-    let sigma = Sigma::normalize(schema.clone(), vec![fd4, phi5]).unwrap();
+    let sigma = Sigma::normalize_in(schema.clone(), vec![fd4, phi5], &pool).unwrap();
 
-    let mut rel = Relation::new(schema);
+    let mut rel = Relation::new_in(schema, pool.clone());
     // The healthy group: (Riverfield, Dock St) → 11743, AC 349.
     let mut group = Vec::new();
     for _ in 0..12 {
         group.push(
-            rel.insert(Tuple::from_iter(["Riverfield", "Dock St", "11743", "349"]))
-                .unwrap(),
+            rel.insert(Tuple::new_in(
+                ["Riverfield", "Dock St", "11743", "349"],
+                &pool,
+            ))
+            .unwrap(),
         );
     }
     // A second binding elsewhere: (Riverfield, Main St) → 11757, AC 351.
     for _ in 0..6 {
-        rel.insert(Tuple::from_iter(["Riverfield", "Main St", "11757", "351"]))
-            .unwrap();
+        rel.insert(Tuple::new_in(
+            ["Riverfield", "Main St", "11757", "351"],
+            &pool,
+        ))
+        .unwrap();
     }
     // The suspect: truly a Main-St/11757 tuple, but with *two* corruptions:
     // its zip reads 11743 (so phi5 will repair-and-pin it back to 11757 via
     // the LHS change, AC=351 being clean and heavy) and its STR reads
     // "Dock St" (parking it in the healthy group).
-    let mut bad = Tuple::from_iter(["Riverfield", "Dock St", "11743", "351"]);
+    let mut bad = Tuple::new_in(["Riverfield", "Dock St", "11743", "351"], &pool);
     bad.set_weight(AttrId(1), 0.12); // dirty STR
     bad.set_weight(AttrId(2), 0.15); // dirty zip
     bad.set_weight(AttrId(3), 0.95); // clean AC — the anchor

@@ -141,16 +141,19 @@ pub fn certify<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_model::{Schema, Tuple, Value};
+    use cfd_model::{Schema, Tuple, Value, ValuePool};
     use cfd_prng::ChaCha8Rng;
     use cfd_prng::SeedableRng;
 
     fn relation(n: usize) -> Relation {
         let schema = Schema::new("r", &["a", "b"]).unwrap();
-        let mut rel = Relation::new(schema);
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
         for i in 0..n {
-            rel.insert(Tuple::from_iter([format!("k{i}"), format!("v{i}")]))
-                .unwrap();
+            rel.insert(Tuple::new_in(
+                [format!("k{i}"), format!("v{i}")],
+                rel.pool(),
+            ))
+            .unwrap();
         }
         rel
     }

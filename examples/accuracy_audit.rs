@@ -31,17 +31,18 @@ fn main() {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     let mut db = noise.dirty.clone();
     let mut rng = ChaCha8Rng::seed_from_u64(5);
 
     for round in 1.. {
         // Repair the current state.
         let out =
-            repair_via_incremental(&db, &w.sigma, IncConfig::default()).expect("repair succeeds");
+            repair_via_incremental(&db, &sigma, IncConfig::default()).expect("repair succeeds");
         let repair = out.repair;
         let true_ratio = inaccuracy_ratio(&repair, &w.dopt);
         // Certify on a sample, stratified by current violation counts.
-        let report = detect(&db, &w.sigma);
+        let report = detect(&db, &sigma);
         let mut oracle = GroundTruthOracle::new(&w.dopt);
         // size the sample so the test has power at this ε (plus headroom)
         let k = (min_sample_for_acceptance(epsilon, delta) * 2).min(repair.len());

@@ -26,7 +26,8 @@ fn main() {
     let preview: String = rendered.lines().take(4).collect::<Vec<_>>().join("\n");
     println!("ϕ2 in rule-file syntax (first rows):\n{preview}\n  …\n");
     let reparsed = parse_rules(w.sigma.schema(), &rendered).expect("round-trip parses");
-    let _sigma2 = Sigma::normalize(w.sigma.schema().clone(), reparsed).expect("normalizes");
+    let _sigma2 =
+        Sigma::normalize_in(w.sigma.schema().clone(), reparsed, w.dopt.pool()).expect("normalizes");
 
     // Three arriving batches with increasingly bad quality.
     let mut base = w.dopt.clone();
@@ -45,7 +46,10 @@ fn main() {
                 ..Default::default()
             },
         );
-        let delta: Vec<Tuple> = noised.dirty.iter().map(|(_, t)| t.to_tuple()).collect();
+        // The batch arrives in a pool of its own; load it into the
+        // warehouse's, as `cfdclean insert` does.
+        let arrived = noised.dirty.rekey_into(base.pool());
+        let delta: Vec<Tuple> = arrived.iter().map(|(_, t)| t.to_tuple()).collect();
         let t0 = Instant::now();
         let out = inc_repair(
             &base,

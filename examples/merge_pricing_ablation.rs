@@ -32,13 +32,14 @@ fn main() {
                 ..Default::default()
             },
         );
+        let sigma = w.sigma_for(&noise.dirty);
         for pricing in [MergePricing::GroupMajority, MergePricing::Pairwise] {
             let config = BatchConfig {
                 merge_pricing: pricing,
                 ..Default::default()
             };
             let t0 = Instant::now();
-            let out = batch_repair(&noise.dirty, &w.sigma, config).expect("repair succeeds");
+            let out = batch_repair(&noise.dirty, &sigma, config).expect("repair succeeds");
             let q = RunSummary::evaluate(&noise.dirty, &out.repair, &w.dopt, t0.elapsed());
             println!(
                 "{:<10} {:>6} {:>15.1}% {:>11.1}% {:>9.2?}",

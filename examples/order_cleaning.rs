@@ -28,15 +28,16 @@ fn main() {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     println!(
         "order database: {} tuples, Σ = {} CFDs ({} normalized rules)",
         noise.dirty.len(),
-        w.sigma.sources().len(),
-        w.sigma.len()
+        sigma.sources().len(),
+        sigma.len()
     );
 
     // 2. Detect violations (the consistency diagnosis).
-    let report = detect(&noise.dirty, &w.sigma);
+    let report = detect(&noise.dirty, &sigma);
     println!(
         "detected: {} tuples with violations, vio(D) = {}",
         report.dirty_tuples().len(),
@@ -45,8 +46,7 @@ fn main() {
 
     // 3. Repair (the repairing module).
     let t0 = Instant::now();
-    let out =
-        batch_repair(&noise.dirty, &w.sigma, BatchConfig::default()).expect("repair succeeds");
+    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).expect("repair succeeds");
     let quality = RunSummary::evaluate(&noise.dirty, &out.repair, &w.dopt, t0.elapsed());
     println!("BATCHREPAIR: {quality}");
 

@@ -19,7 +19,8 @@ fn main() {
             ..Default::default()
         },
     );
-    let report = detect(&noise.dirty, &workload.sigma);
+    let sigma = workload.sigma_for(&noise.dirty);
+    let report = detect(&noise.dirty, &sigma);
     println!(
         "dirty database: {} tuples, {} with violations, vio(D) = {}",
         noise.dirty.len(),
@@ -29,8 +30,8 @@ fn main() {
 
     // BATCHREPAIR
     let t0 = Instant::now();
-    let batch = batch_repair(&noise.dirty, &workload.sigma, BatchConfig::default())
-        .expect("batch repair succeeds");
+    let batch =
+        batch_repair(&noise.dirty, &sigma, BatchConfig::default()).expect("batch repair succeeds");
     let batch_summary =
         RunSummary::evaluate(&noise.dirty, &batch.repair, &workload.dopt, t0.elapsed());
     println!("BATCHREPAIR  {batch_summary}");
@@ -45,7 +46,7 @@ fn main() {
 
     // INCREPAIR in the non-incremental setting (§5.3)
     let t0 = Instant::now();
-    let inc = repair_via_incremental(&noise.dirty, &workload.sigma, IncConfig::default())
+    let inc = repair_via_incremental(&noise.dirty, &sigma, IncConfig::default())
         .expect("incremental repair succeeds");
     let inc_summary = RunSummary::evaluate(&noise.dirty, &inc.repair, &workload.dopt, t0.elapsed());
     println!("V-INCREPAIR  {inc_summary}");

@@ -24,9 +24,11 @@
 //! kernel, memoized per id pair and bound to one pool, plus display and
 //! CSV) and at the few deliberate cross-pool seams, which exchange
 //! [`model::Value`]s rather than ids (the sampling oracle, edit-log
-//! parsing, `Relation::rekey_into`). Pool-less constructors remain as
-//! compatibility shims over a process-default shared pool
-//! (`ValuePool::shared`). Pools reclaim: occurrence counts maintained
+//! parsing, `Relation::rekey_into`, and `dif`, which compares values
+//! when its two relations hold different pools). There is no
+//! process-wide pool: every constructor that interns names its pool, and
+//! the §7.1 generator gives each clean and each dirty dataset a pool
+//! counting exactly its own cells. Pools reclaim: occurrence counts maintained
 //! by interning feed `retire`/`retire_ids` + `compact`, so a
 //! long-running process can evict a dataset and get its dictionary
 //! memory back — exactly what the resident server's evictions do. The paper's
@@ -149,20 +151,21 @@
 //!
 //! ```
 //! use cfdclean::cfd::{parser::parse_rules, violation, Sigma};
-//! use cfdclean::model::{Relation, Schema, Tuple};
+//! use cfdclean::model::{Relation, Schema, Tuple, ValuePool};
 //! use cfdclean::repair::{batch_repair, BatchConfig};
 //!
 //! let schema = Schema::new("order", &["AC", "PN", "CT", "ST", "zip"]).unwrap();
+//! // The dataset's values and the rules' constants share one pool.
+//! let mut dirty = Relation::new_in(schema.clone(), ValuePool::new_handle());
+//! // zip 10012 says NYC/NY — this tuple is wrong on its own
+//! let t = Tuple::new_in(["212", "3345677", "PHI", "PA", "10012"], dirty.pool());
+//! dirty.insert(t).unwrap();
 //! let cfds = parse_rules(
 //!     &schema,
 //!     "phi2: [zip] -> [CT, ST] { (10012 || NYC, NY); (19014 || PHI, PA) }",
 //! )
 //! .unwrap();
-//! let sigma = Sigma::normalize(schema.clone(), cfds).unwrap();
-//!
-//! let mut dirty = Relation::new(schema);
-//! // zip 10012 says NYC/NY — this tuple is wrong on its own
-//! dirty.insert(Tuple::from_iter(["212", "3345677", "PHI", "PA", "10012"])).unwrap();
+//! let sigma = Sigma::normalize_in(schema, cfds, dirty.pool()).unwrap();
 //!
 //! assert!(!violation::check(&dirty, &sigma));
 //! let out = batch_repair(&dirty, &sigma, BatchConfig::default()).unwrap();

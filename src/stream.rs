@@ -272,7 +272,8 @@ impl RepairSession {
         let mut header = Vec::new();
         // An empty relation over the same schema renders exactly the
         // canonical header line (and touches no pool).
-        csv::write_relation(&Relation::new(relation.schema().clone()), &mut header)
+        let empty = Relation::new_in(relation.schema().clone(), relation.pool().clone());
+        csv::write_relation(&empty, &mut header)
             .map_err(|e| SessionError::Internal(format!("cannot render header: {e}")))?;
         let header = String::from_utf8(header)
             .map_err(|e| SessionError::Internal(format!("non-utf8 header: {e}")))?;

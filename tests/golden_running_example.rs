@@ -18,8 +18,8 @@ use std::path::Path;
 use cfdclean::cfd::parser::parse_rules;
 use cfdclean::cfd::violation::{detect, ViolationReport};
 use cfdclean::cfd::{CfdId, Sigma};
-use cfdclean::model::csv::{read_relation, read_weights, write_relation};
-use cfdclean::model::{Relation, Schema};
+use cfdclean::model::csv::{read_relation_in, read_weights, write_relation};
+use cfdclean::model::{Relation, Schema, ValuePool};
 use cfdclean::repair::{batch_repair, BatchConfig};
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
@@ -32,19 +32,21 @@ fn schema() -> Schema {
     .unwrap()
 }
 
-fn sigma() -> Sigma {
+/// The fixture rules, bound into `rel`'s pool.
+fn sigma(rel: &Relation) -> Sigma {
     let s = schema();
     let rules = std::fs::read_to_string(Path::new(FIXTURES).join("cust_rules.txt"))
         .expect("fixture cust_rules.txt");
     let cfds = parse_rules(&s, &rules).expect("fixture rules parse");
-    Sigma::normalize(s, cfds).expect("fixture rules normalize")
+    Sigma::normalize_in(s, cfds, rel.pool()).expect("fixture rules normalize")
 }
 
 /// The dirty `cust` relation, loaded from the committed CSV fixtures.
 fn load_dirty() -> Relation {
     let data =
         std::fs::read(Path::new(FIXTURES).join("cust_dirty.csv")).expect("fixture cust_dirty.csv");
-    let mut rel = read_relation("cust", &mut data.as_slice()).expect("fixture parses");
+    let mut rel = read_relation_in("cust", &mut data.as_slice(), ValuePool::new_handle())
+        .expect("fixture parses");
     let weights = std::fs::read(Path::new(FIXTURES).join("cust_weights.csv"))
         .expect("fixture cust_weights.csv");
     read_weights(&mut rel, &mut weights.as_slice()).expect("fixture weights parse");
@@ -98,8 +100,8 @@ fn check_or_update(name: &str, actual: &str) {
 
 #[test]
 fn golden_cust_pipeline_is_pinned() {
-    let sigma = sigma();
     let dirty = load_dirty();
+    let sigma = sigma(&dirty);
 
     // Stage 1: the dirty relation itself round-trips the fixture.
     let mut dirty_csv = Vec::new();

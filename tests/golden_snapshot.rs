@@ -18,11 +18,11 @@
 
 use std::path::Path;
 
-use cfdclean::model::csv::{read_relation, read_weights, write_relation};
+use cfdclean::model::csv::{read_relation_in, read_weights, write_relation};
 use cfdclean::model::snapshot::{
     edit_log_to_vec, read_edit_log_in, read_snapshot, snapshot_info, snapshot_to_vec,
 };
-use cfdclean::model::{Relation, Schema};
+use cfdclean::model::{Relation, Schema, ValuePool};
 use cfdclean::repair::{batch_repair, BatchConfig};
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
@@ -41,7 +41,8 @@ fn schema() -> Schema {
 
 fn load_dirty() -> Relation {
     let data = std::fs::read(fixture_path("cust_dirty.csv")).expect("fixture cust_dirty.csv");
-    let mut rel = read_relation("cust", &mut data.as_slice()).expect("fixture parses");
+    let mut rel = read_relation_in("cust", &mut data.as_slice(), ValuePool::new_handle())
+        .expect("fixture parses");
     assert_eq!(rel.schema().arity(), schema().arity());
     let weights =
         std::fs::read(fixture_path("cust_weights.csv")).expect("fixture cust_weights.csv");

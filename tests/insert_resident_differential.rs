@@ -27,7 +27,7 @@
 
 use cfdclean::cfd::{check, Cfd, Engine, Sigma};
 use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig};
-use cfdclean::model::{csv, ActiveDomain, AttrId, Relation, Schema, Tuple};
+use cfdclean::model::{csv, ActiveDomain, AttrId, Relation, Schema, Tuple, ValuePool};
 use cfdclean::repair::{inc_repair, IncConfig, InsertRepairer, Ordering, RepairOptions};
 use cfdclean::{DatasetRef, InsertRun, ResidentFootprint, Session};
 
@@ -379,17 +379,17 @@ fn resident_inserts_equal_one_shot_and_roll_back_exactly() {
 fn verification_covers_every_delta_tuple() {
     let schema = Schema::new("r", &["k", "v"]).unwrap();
     let fd = Cfd::standard_fd("kv", vec![AttrId(0)], vec![AttrId(1)]);
-    let sigma = Sigma::normalize(schema.clone(), vec![fd]).unwrap();
-    let mut base = Relation::new(schema);
+    let mut base = Relation::new_in(schema.clone(), ValuePool::new_handle());
+    let sigma = Sigma::normalize_in(schema, vec![fd], base.pool()).unwrap();
     for row in [["k1", "x"], ["k1", "y"], ["k2", "z"]] {
-        base.insert(Tuple::from_iter(row)).unwrap();
+        base.insert(Tuple::new_in(row, base.pool())).unwrap();
     }
     let config = IncConfig {
         ordering: Ordering::Linear,
         ..IncConfig::default()
     };
-    let conflicting = Tuple::from_iter(["k1", "x"]);
-    let clean = Tuple::from_iter(["k3", "w"]);
+    let conflicting = Tuple::new_in(["k1", "x"], base.pool());
+    let clean = Tuple::new_in(["k3", "w"], base.pool());
     let parts = Engine::build(&base, &sigma).to_parts();
     let mut repairer = InsertRepairer::new(&base, &sigma);
     let before = repairer.footprint();

@@ -103,6 +103,7 @@ fn lhs_conflicts_match_vio_of_and_undo_to_a_fresh_build() {
             ..Default::default()
         };
         let mut rel = inject(&w.dopt, &w.world, &noise).dirty;
+        let sigma = w.sigma_for(&rel);
         // Null about 4% of the cells, RHS and LHS positions alike.
         let arity = rel.schema().arity() as u16;
         for id in rel.ids().collect::<Vec<_>>() {
@@ -124,9 +125,9 @@ fn lhs_conflicts_match_vio_of_and_undo_to_a_fresh_build() {
             .map(|(_, t)| t.to_tuple())
             .chain(held.iter().cloned())
             .collect();
-        let mut idx = LhsIndexes::build(&rel, &w.sigma);
+        let mut idx = LhsIndexes::build(&rel, &sigma);
         let fresh = (idx.entry_count(), idx.group_counts());
-        assert_counts_match(rng, &rel, &w.sigma, &idx, &donors, &what);
+        assert_counts_match(rng, &rel, &sigma, &idx, &donors, &what);
 
         let mut log: Vec<Op> = Vec::new();
         for step in 0..rng.gen_range(20..60usize) {
@@ -146,7 +147,7 @@ fn lhs_conflicts_match_vio_of_and_undo_to_a_fresh_build() {
             assert_counts_match(
                 rng,
                 &rel,
-                &w.sigma,
+                &sigma,
                 &idx,
                 &donors,
                 &format!("{what} step {step}"),
@@ -168,11 +169,11 @@ fn lhs_conflicts_match_vio_of_and_undo_to_a_fresh_build() {
                 }
             }
         }
-        let rebuilt = LhsIndexes::build(&rel, &w.sigma);
+        let rebuilt = LhsIndexes::build(&rel, &sigma);
         assert_eq!(idx.entry_count(), fresh.0, "{what}: entries after undo");
         assert_eq!(idx.entry_count(), rebuilt.entry_count(), "{what}");
         assert_eq!(idx.group_counts(), fresh.1, "{what}: counts after undo");
         assert_eq!(idx.group_counts(), rebuilt.group_counts(), "{what}");
-        assert_counts_match(rng, &rel, &w.sigma, &idx, &donors, &what);
+        assert_counts_match(rng, &rel, &sigma, &idx, &donors, &what);
     });
 }

@@ -6,7 +6,7 @@ use cfdclean::cfd::parser::parse_rules;
 use cfdclean::cfd::satisfiability::satisfiable;
 use cfdclean::cfd::violation::{check, detect};
 use cfdclean::cfd::Sigma;
-use cfdclean::model::{Relation, Schema, Tuple, TupleId, Value};
+use cfdclean::model::{Relation, Schema, Tuple, TupleId, Value, ValuePool};
 use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, IncConfig};
 
 const RULES: &str = "
@@ -32,15 +32,16 @@ fn schema() -> Schema {
     .unwrap()
 }
 
-fn sigma() -> Sigma {
+/// The paper's rules, bound into `rel`'s pool.
+fn sigma(rel: &Relation) -> Sigma {
     let s = schema();
     let cfds = parse_rules(&s, RULES).expect("paper rules parse");
-    Sigma::normalize(s, cfds).expect("paper rules normalize")
+    Sigma::normalize_in(s, cfds, rel.pool()).expect("paper rules normalize")
 }
 
 /// Fig. 1(a) with the wt rows as weights.
 fn fig1_data() -> Relation {
-    let mut rel = Relation::new(schema());
+    let mut rel = Relation::new_in(schema(), ValuePool::new_handle());
     let rows: [(&[&str; 9], &[f64; 9]); 4] = [
         (
             &[
@@ -100,25 +101,24 @@ fn fig1_data() -> Relation {
         ),
     ];
     for (values, weights) in rows {
-        let values = values.iter().map(|s| Value::str(*s)).collect();
-        rel.insert(Tuple::with_weights(values, weights.to_vec()))
-            .unwrap();
+        let id = rel.insert(Tuple::new_in(*values, rel.pool())).unwrap();
+        rel.set_weights(id, weights).unwrap();
     }
     rel
 }
 
 #[test]
 fn paper_sigma_is_satisfiable() {
-    assert!(satisfiable(&sigma()).is_satisfiable());
+    assert!(satisfiable(&sigma(&fig1_data())).is_satisfiable());
 }
 
 #[test]
 fn fig1_satisfies_the_fds_but_not_the_cfds() {
     let rel = fig1_data();
-    let sigma = sigma();
+    let sigma = sigma(&rel);
     // The embedded FDs hold on Fig. 1(a) ("Although the database of
     // Fig. 1(a) satisfies these FDs…").
-    let fds = sigma.embedded_fds().unwrap();
+    let fds = sigma.embedded_fds_in(rel.pool()).unwrap();
     assert!(check(&rel, &fds));
     // …but the CFDs are violated by t3 and t4.
     let report = detect(&rel, &sigma);
@@ -128,7 +128,7 @@ fn fig1_satisfies_the_fds_but_not_the_cfds() {
 #[test]
 fn batch_repair_produces_the_intended_fig1_repair() {
     let rel = fig1_data();
-    let sigma = sigma();
+    let sigma = sigma(&rel);
     let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
     assert!(check(&out.repair, &sigma));
     // t3's low-confidence CT/ST (w = 0.1) are corrected to NYC/NY as in
@@ -143,16 +143,19 @@ fn batch_repair_produces_the_intended_fig1_repair() {
 fn example_1_1_t5_incremental_insert() {
     // Start from the repaired (clean) Fig. 1 database.
     let rel = fig1_data();
-    let sigma = sigma();
+    let sigma = sigma(&rel);
     let clean = batch_repair(&rel, &sigma, BatchConfig::default())
         .unwrap()
         .repair;
     assert!(check(&clean, &sigma));
     // Insert t5 = (215, 8983490, …, NYC, NY, 10012): violates fd1 with t1
     // and sits in the ϕ1/ϕ2 cycle of Example 1.1.
-    let t5 = Tuple::from_iter([
-        "a55", "New Item", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
-    ]);
+    let t5 = Tuple::new_in(
+        [
+            "a55", "New Item", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
+        ],
+        clean.pool(),
+    );
     for k in [1, 2, 3] {
         let out = inc_repair(
             &clean,
@@ -179,15 +182,17 @@ fn example_4_1_oscillation_terminates_in_batch() {
     // (PHI, PA) and (NYC, NY) forever; BATCHREPAIR's monotone targets
     // guarantee termination (Theorem 4.2).
     let rel = fig1_data();
-    let sigma = sigma();
+    let sigma = sigma(&rel);
     let mut with_t5 = batch_repair(&rel, &sigma, BatchConfig::default())
         .unwrap()
         .repair;
-    with_t5
-        .insert(Tuple::from_iter([
+    let t5 = Tuple::new_in(
+        [
             "a55", "New Item", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
-        ]))
-        .unwrap();
+        ],
+        with_t5.pool(),
+    );
+    with_t5.insert(t5).unwrap();
     let out = batch_repair(&with_t5, &sigma, BatchConfig::default()).unwrap();
     assert!(check(&out.repair, &sigma));
 }
@@ -198,14 +203,17 @@ fn example_5_1_certain_fix_needs_k3() {
     // (PHI, PA, 19014) — Example 5.1's certain fix — while k = 2 over the
     // same attributes must fall back to nulls.
     let rel = fig1_data();
-    let sigma = sigma();
+    let sigma = sigma(&rel);
     let clean = batch_repair(&rel, &sigma, BatchConfig::default())
         .unwrap()
         .repair;
     let s = schema();
-    let mut t5 = Tuple::from_iter([
-        "a55", "New Item", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
-    ]);
+    let mut t5 = Tuple::new_in(
+        [
+            "a55", "New Item", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
+        ],
+        clean.pool(),
+    );
     // make the conflicted triple cheap, everything else precious
     for name in ["CT", "ST", "zip"] {
         t5.set_weight(s.attr(name).unwrap(), 0.05);
@@ -230,7 +238,7 @@ fn deletions_never_need_repair() {
     // §3.3: "For any deletions ΔD, the tuples can be simply removed from D
     // without causing any CFD violation."
     let rel = fig1_data();
-    let sigma = sigma();
+    let sigma = sigma(&rel);
     let mut clean = batch_repair(&rel, &sigma, BatchConfig::default())
         .unwrap()
         .repair;

@@ -38,8 +38,9 @@ fn batch_repair_is_consistent_and_accurate() {
             ..Default::default()
         },
     );
-    let out = batch_repair(&noise.dirty, &w.sigma, BatchConfig::default()).unwrap();
-    assert!(check(&out.repair, &w.sigma));
+    let sigma = w.sigma_for(&noise.dirty);
+    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
+    assert!(check(&out.repair, &sigma));
     let q = RunSummary::evaluate(&noise.dirty, &out.repair, &w.dopt, Duration::ZERO);
     assert!(q.precision > 0.7, "precision {:.2}", q.precision);
     assert!(q.recall > 0.8, "recall {:.2}", q.recall);
@@ -56,17 +57,18 @@ fn incremental_repair_is_consistent_and_accurate() {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     for ordering in [Ordering::Violations, Ordering::Weight, Ordering::Linear] {
         let out = repair_via_incremental(
             &noise.dirty,
-            &w.sigma,
+            &sigma,
             IncConfig {
                 ordering,
                 ..Default::default()
             },
         )
         .unwrap();
-        assert!(check(&out.repair, &w.sigma), "{ordering:?}");
+        assert!(check(&out.repair, &sigma), "{ordering:?}");
         let q = RunSummary::evaluate(&noise.dirty, &out.repair, &w.dopt, Duration::ZERO);
         assert!(q.recall > 0.5, "{ordering:?} recall {:.2}", q.recall);
     }
@@ -89,9 +91,10 @@ fn violation_ordering_beats_linear_scan() {
                 ..Default::default()
             },
         );
+        let sigma = w.sigma_for(&noise.dirty);
         let v = repair_via_incremental(
             &noise.dirty,
-            &w.sigma,
+            &sigma,
             IncConfig {
                 ordering: Ordering::Violations,
                 ..Default::default()
@@ -100,7 +103,7 @@ fn violation_ordering_beats_linear_scan() {
         .unwrap();
         let l = repair_via_incremental(
             &noise.dirty,
-            &w.sigma,
+            &sigma,
             IncConfig {
                 ordering: Ordering::Linear,
                 ..Default::default()
@@ -137,8 +140,9 @@ fn cfds_repair_more_accurately_than_embedded_fds() {
                 ..Default::default()
             },
         );
-        let fd_sigma = w.sigma.embedded_fds().unwrap();
-        let cfd_report = detect(&noise.dirty, &w.sigma);
+        let sigma = w.sigma_for(&noise.dirty);
+        let fd_sigma = sigma.embedded_fds_in(noise.dirty.pool()).unwrap();
+        let cfd_report = detect(&noise.dirty, &sigma);
         let cfd_caught = noise
             .corrupted
             .iter()
@@ -164,7 +168,7 @@ fn cfds_repair_more_accurately_than_embedded_fds() {
             fd_caught <= cfd_caught,
             "embedded FDs cannot catch more errors than the CFDs ({fd_caught} vs {cfd_caught})"
         );
-        let cfd_out = batch_repair(&noise.dirty, &w.sigma, BatchConfig::default()).unwrap();
+        let cfd_out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
         let fd_out = batch_repair(&noise.dirty, &fd_sigma, BatchConfig::default()).unwrap();
         cfd_f1_sum +=
             RunSummary::evaluate(&noise.dirty, &cfd_out.repair, &w.dopt, Duration::ZERO).f1();
@@ -188,8 +192,9 @@ fn consistent_subset_matches_detection() {
             ..Default::default()
         },
     );
-    let (clean, dirty) = consistent_subset(&noise.dirty, &w.sigma);
-    let report = detect(&noise.dirty, &w.sigma);
+    let sigma = w.sigma_for(&noise.dirty);
+    let (clean, dirty) = consistent_subset(&noise.dirty, &sigma);
+    let report = detect(&noise.dirty, &sigma);
     assert_eq!(dirty.len(), report.dirty_tuples().len());
     assert_eq!(clean.len() + dirty.len(), noise.dirty.len());
     // every corrupted tuple is excluded from the clean subset
@@ -209,17 +214,18 @@ fn pick_strategies_both_terminate_and_satisfy() {
             ..Default::default()
         },
     );
+    let sigma = w.sigma_for(&noise.dirty);
     for pick in [PickStrategy::GlobalBest, PickStrategy::DependencyOrdered] {
         let out = batch_repair(
             &noise.dirty,
-            &w.sigma,
+            &sigma,
             BatchConfig {
                 pick,
                 ..Default::default()
             },
         )
         .unwrap();
-        assert!(check(&out.repair, &w.sigma), "{pick:?}");
+        assert!(check(&out.repair, &sigma), "{pick:?}");
     }
 }
 
@@ -234,8 +240,9 @@ fn certification_accepts_good_repairs_and_rejects_the_dirty_input() {
             ..Default::default()
         },
     );
-    let report = detect(&noise.dirty, &w.sigma);
-    let out = batch_repair(&noise.dirty, &w.sigma, BatchConfig::default()).unwrap();
+    let sigma = w.sigma_for(&noise.dirty);
+    let report = detect(&noise.dirty, &sigma);
+    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let config = SamplingConfig::new(0.05, 0.95, 250);
     // the repair passes
@@ -278,8 +285,9 @@ fn weights_off_mode_still_works() {
             ..Default::default()
         },
     );
-    let out = batch_repair(&noise.dirty, &w.sigma, BatchConfig::default()).unwrap();
-    assert!(check(&out.repair, &w.sigma));
+    let sigma = w.sigma_for(&noise.dirty);
+    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
+    assert!(check(&out.repair, &sigma));
     let q = RunSummary::evaluate(&noise.dirty, &out.repair, &w.dopt, Duration::ZERO);
     assert!(q.recall > 0.6, "recall without weights {:.2}", q.recall);
 }
@@ -298,7 +306,8 @@ fn repair_changes_are_bounded_by_dif_accounting() {
             ..Default::default()
         },
     );
-    let out = batch_repair(&noise.dirty, &w.sigma, BatchConfig::default()).unwrap();
+    let sigma = w.sigma_for(&noise.dirty);
+    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
     let noises = dif(&noise.dirty, &w.dopt);
     let changes = dif(&noise.dirty, &out.repair);
     let residual = dif(&w.dopt, &out.repair);

@@ -15,7 +15,9 @@ use cfd_prng::{trials, ChaCha8Rng, Rng};
 use cfdclean::cfd::pattern::{PatternRow, PatternValue};
 use cfdclean::cfd::violation::check;
 use cfdclean::cfd::{Cfd, Sigma};
-use cfdclean::model::{csv, AttrId, Relation, Schema, Tuple, Value, ValueId};
+use std::sync::Arc;
+
+use cfdclean::model::{csv, AttrId, Relation, Schema, Tuple, Value, ValuePool};
 use cfdclean::repair::distance::{dl_distance, normalized_distance};
 use cfdclean::repair::equivalence::{Cell, EqClasses, Target};
 use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, IncConfig};
@@ -44,7 +46,7 @@ fn rand_rows(rng: &mut ChaCha8Rng) -> Vec<Vec<Value>> {
 /// Random single-attribute normal-form CFDs over the fixed 4-attribute
 /// schema. LHS and RHS attrs are distinct; patterns draw from the same
 /// value universe.
-fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema, max: usize) -> Sigma {
+fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema, max: usize, pool: &ValuePool) -> Sigma {
     let n = rng.gen_range(1..=max);
     let mut cfds = Vec::new();
     for i in 0..n {
@@ -72,13 +74,13 @@ fn rand_sigma(rng: &mut ChaCha8Rng, schema: &Schema, max: usize) -> Sigma {
             .unwrap(),
         );
     }
-    Sigma::normalize(schema.clone(), cfds).unwrap()
+    Sigma::normalize_in(schema.clone(), cfds, pool).unwrap()
 }
 
-fn build_relation(schema: &Schema, rows: Vec<Vec<Value>>) -> Relation {
-    let mut rel = Relation::new(schema.clone());
+fn build_relation(schema: &Schema, rows: Vec<Vec<Value>>, pool: Arc<ValuePool>) -> Relation {
+    let mut rel = Relation::new_in(schema.clone(), pool);
     for row in rows {
-        rel.insert(Tuple::new(row)).unwrap();
+        rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
     }
     rel
 }
@@ -87,8 +89,9 @@ fn build_relation(schema: &Schema, rows: Vec<Vec<Value>>) -> Relation {
 fn batch_repair_always_satisfies_sigma() {
     trials(64, 0xBA7C4, |rng| {
         let schema = Schema::new("r", &["a", "b", "c", "d"]).unwrap();
-        let sigma = rand_sigma(rng, &schema, 4);
-        let rel = build_relation(&schema, rand_rows(rng));
+        let pool = ValuePool::new_handle();
+        let sigma = rand_sigma(rng, &schema, 4, &pool);
+        let rel = build_relation(&schema, rand_rows(rng), pool.clone());
         let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
         assert!(check(&out.repair, &sigma));
         // ids and cardinality preserved: repairs are value modifications
@@ -100,14 +103,15 @@ fn batch_repair_always_satisfies_sigma() {
 fn incremental_repair_always_satisfies_sigma() {
     trials(64, 0x14C2E, |rng| {
         let schema = Schema::new("r", &["a", "b", "c", "d"]).unwrap();
-        let sigma = rand_sigma(rng, &schema, 4);
-        let rel = build_relation(&schema, rand_rows(rng));
+        let pool = ValuePool::new_handle();
+        let sigma = rand_sigma(rng, &schema, 4, &pool);
+        let rel = build_relation(&schema, rand_rows(rng), pool.clone());
         // start from a guaranteed-clean base
         let clean = batch_repair(&rel, &sigma, BatchConfig::default())
             .unwrap()
             .repair;
         let delta: Vec<Tuple> = (0..rng.gen_range(1..5usize))
-            .map(|_| Tuple::new(rand_tuple(rng)))
+            .map(|_| Tuple::new_in(rand_tuple(rng), &pool))
             .collect();
         let out = inc_repair(&clean, &delta, &sigma, IncConfig::default()).unwrap();
         assert!(check(&out.repair, &sigma));
@@ -122,8 +126,9 @@ fn incremental_repair_always_satisfies_sigma() {
 fn batch_repair_is_idempotent() {
     trials(64, 0x1DE4, |rng| {
         let schema = Schema::new("r", &["a", "b", "c", "d"]).unwrap();
-        let sigma = rand_sigma(rng, &schema, 4);
-        let rel = build_relation(&schema, rand_rows(rng));
+        let pool = ValuePool::new_handle();
+        let sigma = rand_sigma(rng, &schema, 4, &pool);
+        let rel = build_relation(&schema, rand_rows(rng), pool.clone());
         let first = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
         let second = batch_repair(&first.repair, &sigma, BatchConfig::default()).unwrap();
         assert_eq!(second.stats.steps, 0, "repairing a repair must be a no-op");
@@ -138,8 +143,9 @@ fn batch_repair_is_idempotent() {
 fn inserting_consistent_tuples_changes_nothing() {
     trials(64, 0xC0215, |rng| {
         let schema = Schema::new("r", &["a", "b", "c", "d"]).unwrap();
-        let sigma = rand_sigma(rng, &schema, 3);
-        let rel = build_relation(&schema, rand_rows(rng));
+        let pool = ValuePool::new_handle();
+        let sigma = rand_sigma(rng, &schema, 3, &pool);
+        let rel = build_relation(&schema, rand_rows(rng), pool.clone());
         let clean = batch_repair(&rel, &sigma, BatchConfig::default())
             .unwrap()
             .repair;
@@ -195,7 +201,7 @@ fn equivalence_progress_is_monotone_and_bounded() {
     trials(128, 0xE0F5, |rng| {
         let mut eq = EqClasses::new(8, 1, |_, _| 1.0);
         let cells = 8u64;
-        let target_x = Target::Const(ValueId::of(&Value::str("x")));
+        let target_x = Target::Const(ValuePool::new().intern(&Value::str("x")));
         for _ in 0..rng.gen_range(1..40usize) {
             let i = rng.gen_range(0..8u32);
             let j = rng.gen_range(0..8u32);
@@ -221,10 +227,11 @@ fn equivalence_progress_is_monotone_and_bounded() {
 fn csv_round_trips_arbitrary_relations() {
     trials(128, 0xC5B, |rng| {
         let schema = Schema::new("r", &["a", "b", "c", "d"]).unwrap();
-        let rel = build_relation(&schema, rand_rows(rng));
+        let rel = build_relation(&schema, rand_rows(rng), ValuePool::new_handle());
         let mut buf = Vec::new();
         csv::write_relation(&rel, &mut buf).unwrap();
-        let back = csv::read_relation("r", &mut buf.as_slice()).unwrap();
+        let back =
+            csv::read_relation_in("r", &mut buf.as_slice(), ValuePool::new_handle()).unwrap();
         assert_eq!(back.len(), rel.len());
         for (id, t) in rel.iter() {
             assert_eq!(back.tuple(id).unwrap().values(), t.values());

@@ -195,13 +195,13 @@ fn storage_operations_match_the_model() {
 #[test]
 fn degenerate_relations_survive_the_pipeline() {
     let empty_schema = Schema::new("empty", &[] as &[&str]).unwrap();
-    let rel = Relation::new(empty_schema.clone());
-    let sigma = Sigma::normalize(empty_schema, vec![]).unwrap();
+    let rel = Relation::new_in(empty_schema.clone(), ValuePool::new_handle());
+    let sigma = Sigma::normalize_in(empty_schema, vec![], rel.pool()).unwrap();
     assert!(detect(&rel, &sigma).is_clean());
     let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
     assert_eq!(out.repair.len(), 0);
     // arity-4 but zero tuples, under a wildcard FD and a constant row
-    let rel = Relation::new(schema());
+    let rel = Relation::new_in(schema(), ValuePool::new_handle());
     let cfd = |name: &str, lhs: u16, rhs: u16, l: PatternValue, r: PatternValue| {
         let row = PatternRow::new(vec![l], vec![r]);
         Cfd::new(name, vec![AttrId(lhs)], vec![AttrId(rhs)], vec![row]).unwrap()

@@ -50,16 +50,20 @@ fn rand_value(rng: &mut ChaCha8Rng) -> Value {
     }
 }
 
-fn rand_tuple(rng: &mut ChaCha8Rng, weights: bool) -> Tuple {
+fn rand_tuple(rng: &mut ChaCha8Rng, weights: bool, pool: &ValuePool) -> Tuple {
     let values: Vec<Value> = (0..ARITY).map(|_| rand_value(rng)).collect();
+    let mut t = Tuple::new_in(values, pool);
     if weights {
-        let w: Vec<f64> = (0..ARITY)
-            .map(|_| (rng.gen_range(0..=10u32) as f64) / 10.0)
-            .collect();
-        Tuple::with_weights(values, w)
-    } else {
-        Tuple::new(values)
+        for a in 0..ARITY {
+            t.set_weight(AttrId(a as u16), (rng.gen_range(0..=10u32) as f64) / 10.0);
+        }
     }
+    t
+}
+
+/// An empty relation on a fresh pool.
+fn empty(schema: Schema) -> Relation {
+    Relation::new_in(schema, ValuePool::new_handle())
 }
 
 /// Random CFDs mixing a wildcard FD row with constant rows, like the
@@ -137,18 +141,18 @@ fn rand_pick(rng: &mut ChaCha8Rng) -> PickStrategy {
 #[test]
 fn differential_snapshot_round_trip_and_repair() {
     trials(150, 0x5AA9_D1FF, |rng| {
-        let mut rel = Relation::new(schema());
+        let mut rel = empty(schema());
         for _ in 0..rng.gen_range(2..14usize) {
-            rel.insert(rand_tuple(rng, true)).unwrap();
+            rel.insert(rand_tuple(rng, true, rel.pool())).unwrap();
         }
         // A few tombstones so the persisted id space is non-dense.
         for _ in 0..rng.gen_range(0..3usize) {
             let id = TupleId(rng.gen_range(0..rel.slot_count() as u32));
             let _ = rel.delete(id);
         }
-        // Move off the process-shared pool (whose frequency counters
-        // accumulate across trials) onto a dataset-scoped one, matching
-        // what any ingest path produces.
+        // Move onto a pool that counts only the live cells (the deleted
+        // rows were counted when they were built), matching what any
+        // ingest path produces.
         let rel = rel.rekey_into(&ValuePool::new_handle());
         let cfds = rand_cfds(rng);
 
@@ -207,9 +211,9 @@ fn differential_csv_vs_snapshot_ingest() {
         // Build the dirty data, render it to CSV text — the common
         // ancestor of both ingest paths. (CSV carries no weights or
         // tombstones, so this family exercises the unweighted path.)
-        let mut built = Relation::new(schema());
+        let mut built = empty(schema());
         for _ in 0..rng.gen_range(2..14usize) {
-            built.insert(rand_tuple(rng, false)).unwrap();
+            built.insert(rand_tuple(rng, false, built.pool())).unwrap();
         }
         let cfds = rand_cfds(rng);
         let mut csv = Vec::new();
@@ -273,10 +277,10 @@ fn differential_catalog_open_vs_saved_relation() {
     let _ = std::fs::remove_dir_all(&dir);
     let cat = Catalog::open(&dir).unwrap();
     trials(300, 0x3A99_ED0F, |rng| {
-        let mut rel = Relation::new(schema());
+        let mut rel = empty(schema());
         for _ in 0..rng.gen_range(2..14usize) {
             let weighted = rng.gen_bool(0.5);
-            rel.insert(rand_tuple(rng, weighted)).unwrap();
+            rel.insert(rand_tuple(rng, weighted, rel.pool())).unwrap();
         }
         for _ in 0..rng.gen_range(0..3usize) {
             let id = TupleId(rng.gen_range(0..rel.slot_count() as u32));
@@ -333,20 +337,20 @@ fn differential_catalog_open_vs_saved_relation() {
 #[test]
 fn degenerate_snapshots_round_trip() {
     // empty, arity 4
-    let empty = Relation::new(schema());
-    let loaded = read_snapshot(&snapshot_to_vec(&empty, None)).unwrap();
-    assert_same_contents(&empty, &loaded.relation, "empty");
+    let nothing = empty(schema());
+    let loaded = read_snapshot(&snapshot_to_vec(&nothing, None)).unwrap();
+    assert_same_contents(&nothing, &loaded.relation, "empty");
 
     // arity 0 — empty, and with empty-tuple inserts + a tombstone (an
     // arity-0 relation still carries slots; the snapshot must round-trip
     // them through the explicit slot count, not infer 0 from no columns)
-    let zero = Relation::new(Schema::new("zero", &[] as &[&str]).unwrap());
+    let zero = empty(Schema::new("zero", &[] as &[&str]).unwrap());
     let loaded = read_snapshot(&snapshot_to_vec(&zero, None)).unwrap();
     assert_eq!(loaded.relation.schema().arity(), 0);
     assert_eq!(loaded.relation.len(), 0);
-    let mut zero_rows = Relation::new(Schema::new("zero", &[] as &[&str]).unwrap());
-    zero_rows.insert(Tuple::new(vec![])).unwrap();
-    zero_rows.insert(Tuple::new(vec![])).unwrap();
+    let mut zero_rows = empty(Schema::new("zero", &[] as &[&str]).unwrap());
+    zero_rows.insert(Tuple::from_ids(vec![])).unwrap();
+    zero_rows.insert(Tuple::from_ids(vec![])).unwrap();
     zero_rows.delete(TupleId(0)).unwrap();
     let loaded = read_snapshot(&snapshot_to_vec(&zero_rows, None)).unwrap();
     assert_eq!(loaded.relation.slot_count(), 2);
@@ -355,9 +359,11 @@ fn degenerate_snapshots_round_trip() {
     assert!(loaded.relation.is_live(TupleId(1)));
 
     // all-null rows + full tombstoning
-    let mut nulls = Relation::new(schema());
+    let mut nulls = empty(schema());
     for _ in 0..3 {
-        nulls.insert(Tuple::new(vec![Value::Null; ARITY])).unwrap();
+        nulls
+            .insert(Tuple::from_ids(vec![cfdclean::model::NULL_ID; ARITY]))
+            .unwrap();
     }
     nulls.delete(TupleId(0)).unwrap();
     nulls.delete(TupleId(1)).unwrap();

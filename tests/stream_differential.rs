@@ -49,7 +49,8 @@ fn feed_line(kind: char, ts: u64, body: &str) -> String {
 fn replay_insert(rel: &mut Relation, rows: &[&str]) -> Vec<TupleId> {
     let mut text = String::new();
     let mut header = Vec::new();
-    csv::write_relation(&Relation::new(rel.schema().clone()), &mut header).unwrap();
+    let empty = Relation::new_in(rel.schema().clone(), rel.pool().clone());
+    csv::write_relation(&empty, &mut header).unwrap();
     text.push_str(std::str::from_utf8(&header).unwrap());
     for r in rows {
         text.push_str(r);
