@@ -2,8 +2,9 @@
 //! DL distance, batched FINDV pricing (scalar per-pair OSA vs the
 //! bit-parallel target-major kernel), index building and violation
 //! detection (dictionary-encoded vs a string-keyed
-//! reference), equivalence-class operations, LHS-index validation,
-//! nearest-value search (banded vs naive scan, memo hit vs miss), cold
+//! reference), equivalence-class operations, census validation (the
+//! LHS-index probe), nearest-value search (banded vs naive scan, memo hit
+//! vs miss), cold
 //! dataset ingest (CSV re-interning vs snapshot dictionary install),
 //! daemon request latency (warm resident dataset vs cold one-shot open),
 //! and streaming window latency (a warm `RepairSession` cycle vs the cold
@@ -24,6 +25,7 @@ use std::sync::Arc;
 
 use cfd_bench::harness::{black_box, Harness};
 use cfd_bench::workload;
+use cfd_cfd::census::CensusOverlay;
 use cfd_cfd::pattern::{values_match, PatternValue};
 use cfd_cfd::violation::{detect, detect_with_parts, Engine};
 use cfd_cfd::Sigma;
@@ -34,7 +36,6 @@ use cfd_prng::{ChaCha8Rng, Rng, SeedableRng};
 use cfd_repair::cluster::ValueIndex;
 use cfd_repair::distance::{dl_distance, dl_distance_bounded, dl_distance_reference};
 use cfd_repair::equivalence::{Cell, EqClasses};
-use cfd_repair::lhs_index::LhsIndexes;
 use cfd_repair::pricing::TargetPricer;
 use cfd_repair::shard::{variable_shapes, GroupCensus};
 use cfd_repair::{BatchConfig, BatchSeed, Ordering};
@@ -236,7 +237,7 @@ fn bench_census(h: &mut Harness) {
     let shapes = variable_shapes(&sigma);
     assert!(!shapes.is_empty(), "workload Σ has variable CFDs");
     h.run("repair_census/serial_20k", || {
-        GroupCensus::new(black_box(&noise.dirty), black_box(&shapes)).carriers()
+        GroupCensus::new(black_box(&noise.dirty), black_box(&sigma)).carriers()
     });
     let parts = Engine::build(&noise.dirty, &sigma).to_parts();
     let report = detect_with_parts(&noise.dirty, &sigma, &parts);
@@ -864,15 +865,19 @@ fn bench_equivalence(h: &mut Harness) {
     });
 }
 
+/// INCREPAIR's candidate validation: one tuple against every variable
+/// CFD, through a census overlay as each insert request reads it. The
+/// row keeps its `lhs_index/` name, which the census took over from the
+/// LHS-indices.
 fn bench_lhs_index(h: &mut Harness) {
     let w = workload(5_000, 9);
-    let idx = LhsIndexes::build(&w.dopt, &w.sigma);
+    let census = CensusOverlay::new(Arc::new(GroupCensus::new(&w.dopt, &w.sigma)));
     let probe = w.dopt.tuple(TupleId(17)).unwrap();
     let variable: Vec<_> = w.sigma.iter().filter(|n| !n.is_constant()).collect();
     h.run("lhs_index/validate_tuple_all_variable_cfds", || {
         variable
             .iter()
-            .all(|n| idx.satisfies(black_box(n), black_box(&probe)))
+            .all(|n| census.satisfies(black_box(n), black_box(&probe)))
     });
 }
 

@@ -277,6 +277,9 @@ pub struct Sigma {
     /// `Dirty_Tuples` maintenance of §4.2 and the `Σ(X)` filter of §5.1.
     by_attr: Vec<Vec<CfdId>>,
     sources: Vec<Cfd>,
+    /// [`ValuePool::serial`] of the pool the pattern constants were
+    /// interned into: ids only mean something in that pool.
+    pool: u64,
 }
 
 impl Sigma {
@@ -285,7 +288,8 @@ impl Sigma {
     /// hot matching paths compare ids from the same dictionary the data
     /// was loaded into.
     ///
-    /// Validates every attribute id against the schema.
+    /// Validates every attribute id against the schema. The Σ remembers
+    /// `pool` ([`Sigma::check_pool`]).
     pub fn normalize_in(
         schema: Schema,
         cfds: Vec<Cfd>,
@@ -320,7 +324,19 @@ impl Sigma {
             normal,
             by_attr,
             sources: cfds,
+            pool: pool.serial(),
         })
+    }
+
+    /// `Ok` when `pool` is the one this Σ was normalized into, else
+    /// [`ModelError::PoolMismatch`]: matched against a relation of
+    /// another pool, Σ's pattern ids would name other values.
+    pub fn check_pool(&self, pool: &ValuePool) -> Result<(), ModelError> {
+        if self.pool == pool.serial() {
+            Ok(())
+        } else {
+            Err(ModelError::PoolMismatch)
+        }
     }
 
     /// The schema `Σ` constrains.

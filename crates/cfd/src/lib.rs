@@ -14,6 +14,8 @@
 //!   [`cfd::Sigma`], a checked set of normalized CFDs over one schema;
 //! * [`violation`] — the violation semantics of §3.1: per-tuple `vio(t)`
 //!   counts, satisfaction checking `D |= Σ`, and incremental re-checking;
+//! * [`census`] — the variable-CFD group census detection and both repair
+//!   algorithms read their variable-CFD decisions off;
 //! * [`satisfiability`] — the satisfiability analysis the framework assumes
 //!   (§2, "in the sequel we consider satisfiable CFDs only"), via the
 //!   single-tuple witness characterization;
@@ -29,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod census;
 pub mod cfd;
 pub mod parser;
 pub mod pattern;

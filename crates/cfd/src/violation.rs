@@ -16,13 +16,22 @@
 //! `vio(t)` is the sum over all normal CFDs in `Σ`; it drives the
 //! V-INCREPAIR ordering, the stratified sampler, and the repair loop's
 //! progress accounting.
+//!
+//! Full detection reads variable violations off the group census of its
+//! [`EngineParts`] ([`crate::census`]), the same histogram `BATCHREPAIR`
+//! and `INCREPAIR` decide from: in a group that matches the pattern and
+//! holds two or more values, each member's partner count is the group's
+//! non-null total minus its own bucket. The satisfaction check [`check`]
+//! builds no census: it stops at the first violation.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use cfd_model::hash::FnvMap;
 use cfd_model::index::HashIndex;
 use cfd_model::{AttrId, IdKey, Relation, TupleId, TupleView, ValueId};
 
+use crate::census::GroupCensus;
 use crate::cfd::{CfdId, NormalCfd, Sigma};
 use crate::pattern::{ids_match, PatternId};
 
@@ -235,13 +244,11 @@ impl ConstantRules {
 }
 
 /// The owned, Σ-independent detection state of an [`Engine`]: group
-/// indexes, hash-indexed constant rules, and the subsumption-minimal
-/// variable CFD ids. `Engine` borrows its Σ, so long-lived owners (a
-/// resident dataset handle, `BATCHREPAIR`'s working state) hold an
-/// `EngineParts` next to their owned `Sigma` and reconstitute a borrowed
-/// [`Engine`] — or call [`detect_with_parts`] directly — per operation.
-/// Resident `INCREPAIR` reads only the constant rules and the variable
-/// ids.
+/// indexes, hash-indexed constant rules, the subsumption-minimal
+/// variable CFD ids, and the variable-CFD group census. `Engine` borrows
+/// its Σ, so long-lived owners (a resident dataset handle,
+/// `BATCHREPAIR`'s working state) hold an `EngineParts` next to their
+/// owned `Sigma` and call [`detect_with_parts`] per operation.
 #[derive(Clone)]
 pub struct EngineParts {
     /// Group indexes for every LHS attribute list.
@@ -250,6 +257,28 @@ pub struct EngineParts {
     pub rules: ConstantRules,
     /// Ids of the subsumption-minimal variable normal CFDs.
     pub variable_ids: Vec<CfdId>,
+    /// The group census, bucketed off `indexes` by its first reader.
+    /// Clones made after that share it; none copies it.
+    census: OnceLock<Arc<GroupCensus>>,
+}
+
+impl EngineParts {
+    /// The variable-CFD group census of `rel` under `sigma`, the relation
+    /// and Σ these parts were built for, bucketed off the group indexes
+    /// on first use. It holds weight sums: a caller that reweighs `rel`
+    /// must [`drop_census`](Self::drop_census) first.
+    pub fn census(&self, rel: &Relation, sigma: &Sigma) -> &Arc<GroupCensus> {
+        self.census.get_or_init(|| {
+            Arc::new(GroupCensus::bucketed(rel, sigma, |lhs| {
+                self.indexes.for_lhs(lhs)
+            }))
+        })
+    }
+
+    /// Forget the census, so the next reader buckets it afresh.
+    pub fn drop_census(&mut self) {
+        self.census = OnceLock::new();
+    }
 }
 
 /// All read-only state needed to evaluate violations efficiently: group
@@ -303,7 +332,15 @@ impl<'a> Engine<'a> {
     /// [`minimal_variable_ids`]); `vio` counts therefore count each
     /// conflicting pair once per *distinct* variable constraint rather
     /// than once per redundant tableau row.
+    ///
+    /// # Panics
+    ///
+    /// When `sigma` was normalized into another pool than `rel`'s: its
+    /// pattern ids would name other values.
     pub fn build(rel: &Relation, sigma: &'a Sigma) -> Self {
+        if let Err(e) = sigma.check_pool(rel.pool()) {
+            panic!("{e}");
+        }
         Engine {
             sigma,
             indexes: GroupIndexes::build(rel, sigma),
@@ -318,31 +355,15 @@ impl<'a> Engine<'a> {
         Engine::build(rel, sigma)
     }
 
-    /// Decompose into the group indexes, constant rules, and the
-    /// subsumption-minimal variable CFD ids — letting `BATCHREPAIR` reuse
-    /// the detection structures instead of rebuilding them.
-    pub fn into_parts(self) -> (GroupIndexes, ConstantRules, Vec<CfdId>) {
-        (self.indexes, self.rules, self.variable_ids)
-    }
-
-    /// [`Engine::into_parts`] as an owned [`EngineParts`].
+    /// Decompose into owned [`EngineParts`], letting `BATCHREPAIR` and a
+    /// resident dataset reuse the detection structures instead of
+    /// rebuilding them.
     pub fn to_parts(self) -> EngineParts {
         EngineParts {
             indexes: self.indexes,
             rules: self.rules,
             variable_ids: self.variable_ids,
-        }
-    }
-
-    /// Reconstitute an engine from previously built [`EngineParts`] and
-    /// the Σ they were built against. The caller owns the pairing: parts
-    /// built for one Σ reused against another produce garbage.
-    pub fn from_parts(sigma: &'a Sigma, parts: EngineParts) -> Self {
-        Engine {
-            sigma,
-            indexes: parts.indexes,
-            rules: parts.rules,
-            variable_ids: parts.variable_ids,
+            census: OnceLock::new(),
         }
     }
 
@@ -354,16 +375,6 @@ impl<'a> Engine<'a> {
     /// The variable normal CFDs of Σ.
     pub fn variable_cfds(&self) -> impl Iterator<Item = &NormalCfd> + '_ {
         self.variable_ids.iter().map(|id| self.sigma.get(*id))
-    }
-
-    /// Propagate an in-place tuple update to the group indexes.
-    pub fn update<V: TupleView + ?Sized, W: TupleView + ?Sized>(
-        &mut self,
-        id: TupleId,
-        before: &V,
-        after: &W,
-    ) {
-        self.indexes.update(id, before, after);
     }
 
     /// `vio(t)` of a candidate tuple (not necessarily in `rel`): constant
@@ -431,80 +442,58 @@ fn constant_scan(rel: &Relation, rules: &ConstantRules, report: &mut ViolationRe
     }
 }
 
-/// Full violation detection: compute [`ViolationReport`] for `rel` w.r.t.
-/// `sigma`, reusing a prebuilt [`Engine`].
-pub fn detect_with_engine(rel: &Relation, sigma: &Sigma, engine: &Engine<'_>) -> ViolationReport {
-    detect_inner(
-        rel,
-        sigma,
-        &engine.indexes,
-        &engine.rules,
-        &engine.variable_ids,
-    )
-}
-
 /// Full violation detection against borrowed [`EngineParts`] — the
 /// resident-dataset entry point: a warm handle keeps one `EngineParts`
 /// alive across requests and detects without rebuilding or cloning any
-/// index.
+/// index. Buckets the parts' census on first use.
 pub fn detect_with_parts(rel: &Relation, sigma: &Sigma, parts: &EngineParts) -> ViolationReport {
-    detect_inner(
+    let mut report = ViolationReport {
+        per_cfd: vec![Vec::new(); sigma.len()],
+        ..Default::default()
+    };
+    constant_scan(rel, &parts.rules, &mut report);
+    variable_scan(
         rel,
         sigma,
-        &parts.indexes,
-        &parts.rules,
+        parts.census(rel, sigma),
         &parts.variable_ids,
-    )
+        &mut report,
+    );
+    for ids in &mut report.per_cfd {
+        ids.sort();
+        ids.dedup();
+    }
+    report
 }
 
-/// The variable-CFD pass of full detection. In a group that matches a
-/// variable CFD's LHS pattern, every non-null RHS member conflicts with
-/// each member holding a different non-null RHS value (null equals
-/// everything, §3.1). Per group, the non-null RHS ids go into one reused
-/// buffer; a group with a single distinct value is clean and skipped,
-/// otherwise the sorted buffer gives each member's equal run by binary
-/// search. `vio` accumulates densely by slot and reaches `per_tuple` once.
+/// The variable-CFD pass of full detection. In a census group that
+/// matches a variable CFD's LHS pattern, every non-null RHS member
+/// conflicts with each member holding a different non-null RHS value
+/// (null equals everything, §3.1): its partners are the group's non-null
+/// total minus its own bucket. A group with one value is clean. `vio`
+/// accumulates densely by slot and reaches `per_tuple` once.
 fn variable_scan(
     rel: &Relation,
     sigma: &Sigma,
-    indexes: &GroupIndexes,
+    census: &GroupCensus,
     variable_ids: &[CfdId],
     report: &mut ViolationReport,
 ) {
     let mut vio = vec![0usize; rel.slot_count()];
-    let mut rhs: Vec<ValueId> = Vec::new();
     for n in variable_ids.iter().map(|id| sigma.get(*id)) {
-        let rhs_col = rel.column(n.rhs_attr());
         let dirty = &mut report.per_cfd[n.id().index()];
-        for (key, group) in indexes.for_lhs(n.lhs()).groups() {
-            if group.len() < 2 || !ids_match(key.as_slice(), n.lhs_pattern_ids()) {
+        for (key, buckets) in census.groups_of(n) {
+            if buckets.len() < 2 || !ids_match(key.as_slice(), n.lhs_pattern_ids()) {
                 continue;
             }
-            rhs.clear();
-            rhs.extend(
-                group
-                    .iter()
-                    .map(|id| rhs_col[id.index()])
-                    .filter(|v| !v.is_null()),
-            );
-            let Some((&first, rest)) = rhs.split_first() else {
-                continue;
-            };
-            if rest.iter().all(|&v| v == first) {
-                continue;
-            }
-            rhs.sort_unstable();
-            for id in group {
-                let v = rhs_col[id.index()];
-                if v.is_null() {
-                    continue;
+            let nonnull = buckets.nonnull();
+            for bucket in buckets.values() {
+                let partners = nonnull - bucket.ids.len();
+                for id in &bucket.ids {
+                    vio[id.index()] += partners;
+                    dirty.push(*id);
                 }
-                let lo = rhs.partition_point(|&x| x < v);
-                let same = rhs[lo..].partition_point(|&x| x == v);
-                let partners = rhs.len() - same;
-                vio[id.index()] += partners;
-                dirty.push(*id);
-                report.total += partners;
+                report.total += partners * bucket.ids.len();
             }
         }
     }
@@ -515,51 +504,23 @@ fn variable_scan(
     }
 }
 
-fn detect_inner(
-    rel: &Relation,
-    sigma: &Sigma,
-    indexes: &GroupIndexes,
-    rules: &ConstantRules,
-    variable_ids: &[CfdId],
-) -> ViolationReport {
-    let mut report = ViolationReport {
-        per_cfd: vec![Vec::new(); sigma.len()],
-        ..Default::default()
-    };
-    // Constant rules: one indexed pass over the tuples.
-    constant_scan(rel, rules, &mut report);
-    variable_scan(rel, sigma, indexes, variable_ids, &mut report);
-    for ids in &mut report.per_cfd {
-        ids.sort();
-        ids.dedup();
-    }
-    report
-}
-
-/// Full violation detection, reusing prebuilt [`GroupIndexes`] (constant
-/// rules are indexed internally).
-pub fn detect_with_indexes(
-    rel: &Relation,
-    sigma: &Sigma,
-    indexes: &GroupIndexes,
-) -> ViolationReport {
-    let engine = Engine {
-        sigma,
-        indexes: indexes.clone(),
-        rules: ConstantRules::build(sigma),
-        variable_ids: minimal_variable_ids(sigma),
-    };
-    detect_with_engine(rel, sigma, &engine)
-}
-
 /// Full violation detection, building all indexes internally.
+///
+/// # Panics
+///
+/// When `sigma` was normalized into another pool than `rel`'s
+/// ([`Engine::build`]).
 pub fn detect(rel: &Relation, sigma: &Sigma) -> ViolationReport {
-    let engine = Engine::build(rel, sigma);
-    detect_with_engine(rel, sigma, &engine)
+    detect_with_parts(rel, sigma, &Engine::build(rel, sigma).to_parts())
 }
 
 /// Satisfaction check `D |= Σ`. Equivalent to `detect(..).is_clean()` but
-/// short-circuits on the first violation.
+/// short-circuits on the first violation, and builds no census.
+///
+/// # Panics
+///
+/// When `sigma` was normalized into another pool than `rel`'s
+/// ([`Engine::build`]).
 pub fn check(rel: &Relation, sigma: &Sigma) -> bool {
     let engine = Engine::build(rel, sigma);
     for (_, t) in rel.iter() {
@@ -894,6 +855,38 @@ mod tests {
             sorted.dedup();
             assert_eq!(&sorted, ids);
         }
+    }
+
+    /// Σ normalized into one pool, matched against a relation of another:
+    /// detection, the satisfaction check and the engine build refuse.
+    #[test]
+    fn a_sigma_of_another_pool_is_refused() {
+        let (rel, sigma) = fig1();
+        let mut other = Relation::new_in(rel.schema().clone(), ValuePool::new_handle());
+        for (_, t) in rel.iter() {
+            other
+                .insert(Tuple::new_in(t.values(), other.pool()))
+                .unwrap();
+        }
+        let refused = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("value pool mismatch"), "{msg}");
+        };
+        refused(&|| {
+            detect(&other, &sigma);
+        });
+        refused(&|| {
+            check(&other, &sigma);
+        });
+        refused(&|| {
+            Engine::build(&other, &sigma);
+        });
+        assert!(matches!(
+            sigma.check_pool(other.pool()),
+            Err(cfd_model::ModelError::PoolMismatch)
+        ));
+        assert!(sigma.check_pool(rel.pool()).is_ok());
     }
 
     #[test]

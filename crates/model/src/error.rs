@@ -31,8 +31,9 @@ pub enum ModelError {
     /// relations do not share a tuple-id space, or an edit's expected
     /// old value no longer matches the relation (a stale log).
     EditConflict(String),
-    /// Two relations that must share a value pool — an id-level edit log
-    /// names ids of one pool — intern into different ones.
+    /// Two things that must share a value pool intern into different
+    /// ones: two relations an id-level edit log relates, or a Σ and the
+    /// relation it is matched against.
     PoolMismatch,
     /// CSV input could not be parsed.
     Csv {
@@ -75,7 +76,7 @@ impl fmt::Display for ModelError {
             ModelError::EditConflict(m) => write!(f, "edit log conflict: {m}"),
             ModelError::PoolMismatch => write!(
                 f,
-                "the relations intern into different value pools; id-level edits need one"
+                "value pool mismatch: an edit log's relations, and rules and their data, must share one pool"
             ),
             ModelError::Csv { line, message } => {
                 write!(f, "csv parse error on line {line}: {message}")

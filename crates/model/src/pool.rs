@@ -220,7 +220,14 @@ impl PoolInner {
 /// dataset (see the module docs for the sharing and reclamation model).
 pub struct ValuePool {
     inner: RwLock<PoolInner>,
+    /// This pool's number among every pool the process made: the
+    /// identity values normalized into it (a Σ's pattern constants)
+    /// carry, so a user can tell whether two pools are the same one.
+    serial: u64,
 }
+
+/// The serial of the next pool made.
+static NEXT_SERIAL: AtomicU64 = AtomicU64::new(0);
 
 impl ValuePool {
     /// A fresh pool with `null` pre-interned at [`NULL_ID`].
@@ -236,7 +243,14 @@ impl ValuePool {
                 free: Vec::new(),
                 sealed: Vec::new(),
             }),
+            serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// This pool's serial number, unique in the process: two pools with
+    /// equal serials are the same pool.
+    pub fn serial(&self) -> u64 {
+        self.serial
     }
 
     /// A fresh pool behind the [`Arc`] handle everything threads around.

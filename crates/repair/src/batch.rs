@@ -36,9 +36,9 @@
 //! seed and uses it once, while a resident dataset keeps its seed and
 //! starts each repair from it. A run copies only what its loop mutates,
 //! and its equivalence classes start with no nodes, holding only the
-//! cells its fixes reach; it reads the census through a per-run overlay
-//! (`shard::CensusOverlay`) and the frontier run through a cursor, so the
-//! seed is the same after any number of runs.
+//! cells its fixes reach; it reads the census through a per-run
+//! [`CensusOverlay`] and the frontier run through a cursor, so the seed
+//! is the same after any number of runs.
 //!
 //! Frontier scoring prices every dirty pair against the frozen t=0 state,
 //! where every equivalence class is still a singleton and no fix has been
@@ -85,7 +85,9 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::hash::Hash;
+use std::sync::Arc;
 
+use cfd_cfd::census::{CensusOverlay, GroupCensus};
 use cfd_cfd::violation::{
     detect_with_parts, ConstantRules, Engine, EngineParts, GroupIndexes, ViolationReport,
 };
@@ -98,7 +100,6 @@ use crate::cost::{class_assign_cost_ids, class_assign_cost_ids_batch, repair_cos
 use crate::depgraph::DepGraph;
 use crate::distance::DistanceCache;
 use crate::equivalence::{Cell, EqClasses, Target};
-use crate::shard::{self, CensusOverlay, GroupCensus};
 use crate::RepairError;
 
 /// How `PICKNEXT` chooses the next violation to resolve.
@@ -143,10 +144,6 @@ pub enum MergePricing {
 pub struct BatchConfig {
     /// Picker variant; defaults to the optimized one.
     pub pick: PickStrategy,
-    /// How many candidate values `FINDV` examines per S-set. The paper
-    /// takes the minimum over the whole S-set; capping bounds worst-case
-    /// group sizes without changing behaviour on realistic data.
-    pub findv_candidates: usize,
     /// Free/free merge winner selection; defaults to group majority.
     pub merge_pricing: MergePricing,
 }
@@ -155,11 +152,15 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             pick: PickStrategy::GlobalBest,
-            findv_candidates: 32,
             merge_pricing: MergePricing::GroupMajority,
         }
     }
 }
+
+/// How many candidate values `FINDV` examines per S-set. The paper takes
+/// the minimum over the whole S-set; capping bounds worst-case group
+/// sizes without changing behaviour on realistic data.
+const FINDV_CANDIDATES: usize = 32;
 
 /// Counters describing a completed batch repair.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -240,7 +241,7 @@ struct BatchState<'a> {
     variable_ids: &'a [CfdId],
     /// Group value census for the variable shapes (fast clean-group
     /// test): the seed's census, with this run's changes overlaid.
-    census: CensusOverlay<'a>,
+    census: CensusOverlay,
     dirty: Vec<TidSet>,
     /// `vio(t)` from the initial detection, per tuple slot: tuples whose
     /// violation count towers over their partners' are suspects even when
@@ -639,7 +640,7 @@ struct Planner<'p> {
     orig: &'p Relation,
     work: &'p Relation,
     rules: &'p ConstantRules,
-    census: &'p CensusOverlay<'p>,
+    census: &'p CensusOverlay,
     initial_vio: &'p [usize],
     config: &'p BatchConfig,
     eq: &'p EqClasses<'p>,
@@ -678,7 +679,8 @@ struct Fixed {
     config: BatchConfig,
     rules: ConstantRules,
     variable_ids: Vec<CfdId>,
-    census: GroupCensus,
+    /// The detection parts' census, shared with them.
+    census: Arc<GroupCensus>,
     /// `vio(t)` per tuple slot at t=0.
     initial_vio: Vec<usize>,
     /// The priced t=0 frontier ([`Frontier`]'s run).
@@ -700,8 +702,9 @@ impl BatchSeed {
     /// The t=0 state of `BATCHREPAIR` on `d` under `sigma`. `parts` must
     /// be the detection parts of `d` as [`Engine::build`] makes them, and
     /// `report` their [`detect_with_parts`] report: the seed keeps the
-    /// parts' indexes and buckets its census off their groups, and reads
-    /// its dirty sets off the report instead of detecting again.
+    /// parts' indexes, shares their census (the one the report was read
+    /// off), and reads its dirty sets off the report instead of
+    /// detecting again.
     pub fn new(
         d: &Relation,
         sigma: &Sigma,
@@ -719,14 +722,15 @@ impl BatchSeed {
             initial_vio[id.index()] = vio;
         }
         // The detection engine's structures are exactly what the repair
-        // loop needs: the group indexes (also the census's buckets) and
-        // the hashed constant rules.
+        // loop needs: the group indexes, the census and the hashed
+        // constant rules.
+        let census = Arc::clone(parts.census(d, sigma));
         let EngineParts {
             indexes,
             rules,
             variable_ids,
+            ..
         } = parts;
-        let census = GroupCensus::from_indexes(d, &shard::variable_shapes(sigma), &indexes);
         let dcache = DistanceCache::for_pool(d.pool().clone());
         let mut fixed = Fixed {
             config,
@@ -813,7 +817,7 @@ fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start)
             suspects[tid.index()] += 1;
         }
     }
-    let census = CensusOverlay::new(&fixed.census);
+    let census = CensusOverlay::new(Arc::clone(&fixed.census));
     let eq = t0_classes(d);
     let Start {
         indexes,
@@ -895,7 +899,7 @@ impl<'a> BatchState<'a> {
             indexes,
             rules: &fixed.rules,
             variable_ids: &fixed.variable_ids,
-            census: CensusOverlay::new(&fixed.census),
+            census: CensusOverlay::new(Arc::clone(&fixed.census)),
             dirty,
             initial_vio: &fixed.initial_vio,
             frontier: Frontier::seeded(&fixed.run),
@@ -1015,7 +1019,7 @@ impl<'p> Planner<'p> {
             // Census fast path: a group with ≤ 1 distinct non-null value
             // cannot conflict; conflicting ids are then enumerated
             // value-bucket by value-bucket instead of scanning the group.
-            let buckets = self.census.value_buckets(n.lhs(), a, &t)?;
+            let buckets = self.census.group(n, &t)?;
             if buckets.len() <= 1 {
                 return None;
             }
@@ -1059,13 +1063,12 @@ impl<'p> Planner<'p> {
         s_attrs.sort();
         s_attrs.dedup();
         let t = self.work.tuple(tid).expect("live").to_tuple();
-        let take = self.config.findv_candidates;
         let s_group: Vec<TupleId> = self
             .s_index(&s_attrs)
             .group_of(&t)
             .iter()
             .copied()
-            .take(take)
+            .take(FINDV_CANDIDATES)
             .collect();
         let current = t.id(b);
         // Collect the deduped candidate set first (in S-group order), then
@@ -1439,7 +1442,7 @@ impl<'p> Planner<'p> {
             return None;
         }
         let census = self.census;
-        let buckets = census.value_buckets(n.lhs(), n.rhs_attr(), &t)?;
+        let buckets = census.group(n, &t)?;
         buckets
             .iter()
             .find(|(v, _)| **v == winner)
@@ -1501,7 +1504,7 @@ impl<'p> Planner<'p> {
                 // history.
                 const SAMPLE: usize = 16;
                 let census = p.census;
-                let buckets = census.value_buckets(n.lhs(), a, &t)?;
+                let buckets = census.group(n, &t)?;
                 if buckets.len() < 2 {
                     return None;
                 }
@@ -1609,9 +1612,8 @@ impl<'a> BatchState<'a> {
             if !n.mentions(cell.attr) {
                 continue;
             }
-            let a = n.rhs_attr();
             let mut to_mark: Vec<TupleId> = vec![cell.tuple];
-            if let Some(buckets) = self.census.value_buckets(n.lhs(), a, &after) {
+            if let Some(buckets) = self.census.group(n, &after) {
                 if buckets.len() > 1 {
                     let pool = self.orig.pool();
                     let majority = buckets
@@ -1908,12 +1910,14 @@ impl<'a> BatchState<'a> {
 ///
 /// Returns a repair satisfying `sigma` (guaranteed by Theorem 4.2's
 /// progress argument, enforced at runtime) together with statistics. The
-/// input relation is not modified.
+/// input relation is not modified. A `sigma` normalized into another pool
+/// than `d`'s is refused with [`cfd_model::ModelError::PoolMismatch`].
 pub fn batch_repair(
     d: &Relation,
     sigma: &Sigma,
     config: BatchConfig,
 ) -> Result<BatchOutcome, RepairError> {
+    sigma.check_pool(d.pool())?;
     batch_repair_with_parts(d, sigma, Engine::build(d, sigma).to_parts(), config)
 }
 
@@ -1927,6 +1931,7 @@ pub fn batch_repair_with_parts(
     parts: EngineParts,
     config: BatchConfig,
 ) -> Result<BatchOutcome, RepairError> {
+    sigma.check_pool(d.pool())?;
     let report = detect_with_parts(d, sigma, &parts);
     BatchSeed::new(d, sigma, parts, &report, config).into_repair(d, sigma)
 }

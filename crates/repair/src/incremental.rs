@@ -16,12 +16,12 @@
 //! One deliberate refinement: the paper's raw product
 //! `cost(t, t[C/v̄]) × vio(t[C/v̄])` makes *every* violation-free change
 //! free, so candidates are ranked by the additive blend
-//! `cost + vio_penalty · vio` instead (see [`IncConfig::vio_penalty`]).
+//! `cost + VIO_PENALTY · vio` instead (see `VIO_PENALTY`).
 //!
-//! The optimizations of §5.2 are implemented: LHS-indices validate
-//! candidates in O(1) per CFD and price `vio(t[C/v̄])` from their per-group
-//! RHS counts, and the cost-based value index enumerates candidate values
-//! in increasing DL distance.
+//! The optimizations of §5.2 are implemented: the group census plays the
+//! LHS-indices, validating candidates in O(1) per CFD and pricing
+//! `vio(t[C/v̄])` from its per-group RHS buckets, and the cost-based value
+//! index enumerates candidate values in increasing DL distance.
 //!
 //! This module holds the per-tuple machinery (`IncState`) and its owned,
 //! Σ-free form (`ResidentParts`). The drivers live elsewhere and all
@@ -29,9 +29,14 @@
 //! [`crate::resident::InsertRepairer`] (both in `resident.rs`), the
 //! streaming [`crate::resident::StreamRepairer`], and the §5.3 bridge
 //! [`crate::subset::repair_via_incremental`]. Every index here changes by
-//! tuple inserts and removals only, never by rebuilds, so a driver can
-//! stage ΔD into warm indexes and roll it back exactly.
+//! tuple inserts and removals only, never by rebuilds, and the census
+//! changes through an overlay that never writes its shared base, so a
+//! driver can stage ΔD into warm indexes and drop or roll it back
+//! exactly.
 
+use std::sync::Arc;
+
+use cfd_cfd::census::{CensusOverlay, GroupCensus};
 use cfd_cfd::violation::{minimal_variable_ids, ConstantRules};
 use cfd_cfd::{CfdId, NormalCfd, Sigma};
 use cfd_model::{ActiveDomain, AttrId, Relation, Tuple, TupleId, TupleView, ValueId, NULL_ID};
@@ -39,7 +44,6 @@ use cfd_model::{ActiveDomain, AttrId, Relation, Tuple, TupleId, TupleView, Value
 use crate::cluster::ValueIndex;
 use crate::cost::change_cost_ids;
 use crate::distance::DistanceCache;
-use crate::lhs_index::LhsIndexes;
 use crate::resident::InsertRepairer;
 use crate::RepairError;
 
@@ -76,21 +80,23 @@ pub struct IncConfig {
     /// (e.g. Example 5.1's `(CT, ST, zip) := (PHI, PA, 19014)` at k = 3 —
     /// reachable again with this set to `false`).
     pub restrict_to_failing: bool,
-    /// Additive penalty per residual violation of a candidate
-    /// (`costfix = cost + vio_penalty · vio(t[C/v̄])`). The paper's
-    /// multiplicative `cost × vio` cannot distinguish a zero-cost "keep"
-    /// that leaves conflicts from one that doesn't — any violation-free
-    /// change is also free under it — so we use an additive blend.
-    pub vio_penalty: f64,
-    /// Multiplier applied to the cost of a change *to null* during
-    /// candidate ranking. The paper treats null as a last resort ("we pick
-    /// null if the value of an attribute is unknown or uncertain"); under
-    /// the raw normalized metric null is exactly as distant as any full
-    /// rewrite, so without a penalty the repairer would null cells instead
-    /// of applying certain fixes of equal edit distance. 2.0 makes certain
-    /// values strictly preferred whenever one exists at comparable cost.
-    pub null_cost_factor: f64,
 }
+
+/// Additive penalty per residual violation of a candidate
+/// (`costfix = cost + VIO_PENALTY · vio(t[C/v̄])`). The paper's
+/// multiplicative `cost × vio` cannot distinguish a zero-cost "keep" that
+/// leaves conflicts from one that doesn't — any violation-free change is
+/// also free under it — so we use an additive blend.
+const VIO_PENALTY: f64 = 0.5;
+
+/// Multiplier applied to the cost of a change *to null* during candidate
+/// ranking. The paper treats null as a last resort ("we pick null if the
+/// value of an attribute is unknown or uncertain"); under the raw
+/// normalized metric null is exactly as distant as any full rewrite, so
+/// without a penalty the repairer would null cells instead of applying
+/// certain fixes of equal edit distance. 2.0 makes certain values strictly
+/// preferred whenever one exists at comparable cost.
+const NULL_COST_FACTOR: f64 = 2.0;
 
 impl Default for IncConfig {
     fn default() -> Self {
@@ -100,8 +106,6 @@ impl Default for IncConfig {
             candidates_per_attr: 6,
             max_combos: 128,
             restrict_to_failing: true,
-            vio_penalty: 0.5,
-            null_cost_factor: 2.0,
         }
     }
 }
@@ -131,7 +135,7 @@ pub struct IncOutcome {
     pub stats: IncStats,
 }
 
-/// What `INCREPAIR` reads of Σ besides the LHS-indices, borrowed for a
+/// What `INCREPAIR` reads of Σ besides the census, borrowed for a
 /// whole run: the hash-indexed constant rules and the subsumption-minimal
 /// variable CFDs ([`cfd_cfd::violation::minimal_variable_ids`]). An
 /// insert request reads the ones its dataset's detection parts already
@@ -190,13 +194,13 @@ pub(crate) struct IncState<'a> {
     config: IncConfig,
     /// Full storage; pending tuples hold their original (dirty) values.
     pub(crate) work: Relation,
-    /// LHS-indices over the *active* (already clean) tuples only: they
-    /// validate candidates and price `vio`. Pending tuples must not
+    /// The group census over the *active* (already clean) tuples only:
+    /// it validates candidates and prices `vio`. Pending tuples must not
     /// count: one dirty pending tuple would otherwise smear `vio > 0` over
     /// every innocent member of its groups. The asymmetry of "who is to
     /// blame" in a pending pair is instead resolved by the processing
     /// order (clean, trusted tuples first).
-    lhs: LhsIndexes,
+    census: CensusOverlay,
     /// Active domain over active tuples.
     adom: ActiveDomain,
     /// Lazily-built per-attribute nearest-value indexes.
@@ -226,8 +230,9 @@ impl<'a> IncState<'a> {
         for id in pending {
             active_view.delete(*id)?;
         }
+        let census = GroupCensus::new(&active_view, rules.sigma);
         let parts = ResidentParts {
-            lhs: LhsIndexes::build(&active_view, rules.sigma),
+            census: CensusOverlay::new(Arc::new(census)),
             adom: ActiveDomain::of_relation(&active_view),
             vidx: vec![None; work.schema().arity()],
             dcache: DistanceCache::for_pool(work.pool().clone()),
@@ -266,7 +271,9 @@ impl<'a> IncState<'a> {
         if !ok {
             return false;
         }
-        self.rules.variable_cfds().all(|n| self.lhs.satisfies(n, t))
+        self.rules
+            .variable_cfds()
+            .all(|n| self.census.satisfies(n, t))
     }
 
     /// Does `t` satisfy `Σ(mask)` — every CFD whose attributes fall inside
@@ -288,7 +295,7 @@ impl<'a> IncState<'a> {
         self.rules
             .variable_cfds()
             .filter(|n| n.attrs().all(|a| mask[a.index()]))
-            .all(|n| self.lhs.satisfies(n, t))
+            .all(|n| self.census.satisfies(n, t))
     }
 
     /// Candidate values for attribute `a` while resolving `cur` with the
@@ -332,7 +339,7 @@ impl<'a> IncState<'a> {
             .rules
             .variable_cfds()
             .filter(|n| n.rhs_attr() == a && n.lhs().iter().all(|x| (c_mask >> x.index()) & 1 == 0))
-            .filter_map(|n| self.lhs.pinned_id(n, cur))
+            .filter_map(|n| self.census.pinned_id(n, cur))
             .collect();
         for v in pins {
             push(&mut out, v);
@@ -386,7 +393,7 @@ impl<'a> IncState<'a> {
         let failing_variable: Vec<AttrId> = self
             .rules
             .variable_cfds()
-            .filter(|n| !self.lhs.satisfies(n, orig))
+            .filter(|n| !self.census.satisfies(n, orig))
             .flat_map(|n| n.attrs().collect::<Vec<_>>())
             .collect();
         for a in failing_variable {
@@ -493,14 +500,14 @@ impl<'a> IncState<'a> {
             .map(|(a, v)| {
                 let c = change_cost_ids(orig.weight(*a), orig.id(*a), *v, &mut self.dcache);
                 if v.is_null() && !orig.id(*a).is_null() {
-                    c * self.config.null_cost_factor
+                    c * NULL_COST_FACTOR
                 } else {
                     c
                 }
             })
             .sum();
         let vio = self.vio(&cand);
-        let costfix = cost + self.config.vio_penalty * vio as f64;
+        let costfix = cost + VIO_PENALTY * vio as f64;
         let tie = cost + values.iter().filter(|v| v.is_null()).count() as f64 * 1e-6;
         match best {
             Some((_, _, bf, bt)) if (*bf, *bt) <= (costfix, tie) => {}
@@ -510,13 +517,13 @@ impl<'a> IncState<'a> {
 
     /// `vio(t)` against the active tuples (§5.1): `t`'s constant
     /// violations plus, per variable CFD, the active members of its group
-    /// with a different non-null RHS — read off the LHS-indices' counts,
-    /// so no group is walked.
+    /// with a different non-null RHS — read off the census buckets, so no
+    /// group is walked.
     fn vio<V: TupleView + ?Sized>(&self, t: &V) -> usize {
         let conflicts: usize = self
             .rules
             .variable_cfds()
-            .map(|n| self.lhs.conflicts(n, t))
+            .map(|n| self.census.conflicts(n, t))
             .sum();
         self.rules.constants.violations_of(t, None) + conflicts
     }
@@ -547,7 +554,7 @@ impl<'a> IncState<'a> {
             }
         }
         let stored = self.work.require(id)?.to_tuple();
-        self.lhs.insert(&stored);
+        self.census.insert(id, &stored);
         for a in self.work.schema().attr_ids().collect::<Vec<_>>() {
             let v = stored.id(a);
             match &mut self.vidx[a.index()] {
@@ -595,15 +602,16 @@ impl<'a> IncState<'a> {
     /// enters the repair first and anchors its group. The key is total
     /// (ids are unique).
     ///
-    /// The pending tuples join the LHS-indices just long enough to be
-    /// keyed: with them staged, every group holds the same counts an index
-    /// over all of `work` would, so the keys are the same. Removal is the
-    /// exact inverse of insertion, so every group is left as it was.
+    /// The pending tuples join the census just long enough to be keyed:
+    /// with them staged, every group holds the same buckets a census over
+    /// all of `work` would, so the keys are the same. Unstaging restores
+    /// every weight sum to its saved bits, so the census is left exactly
+    /// as it was.
     fn violation_keys(&mut self, pending: &[TupleId]) -> Vec<(usize, i64, TupleId)> {
         let work = &self.work;
         let live = |id: &TupleId| work.require(*id).expect("pending tuple is live");
         for id in pending {
-            self.lhs.insert(&live(id));
+            self.census.stage(*id, &live(id));
         }
         let keyed = pending
             .iter()
@@ -613,9 +621,7 @@ impl<'a> IncState<'a> {
                 (self.vio(&t), -wt, *id)
             })
             .collect();
-        for id in pending.iter().rev() {
-            self.lhs.remove(&live(id));
-        }
+        self.census.unstage();
         keyed
     }
 
@@ -659,7 +665,7 @@ impl<'a> IncState<'a> {
 /// never suspended.
 pub(crate) struct ResidentParts {
     pub(crate) work: Relation,
-    pub(crate) lhs: LhsIndexes,
+    pub(crate) census: CensusOverlay,
     pub(crate) adom: ActiveDomain,
     pub(crate) vidx: Vec<Option<ValueIndex>>,
     pub(crate) dcache: DistanceCache,
@@ -667,16 +673,14 @@ pub(crate) struct ResidentParts {
 
 impl ResidentParts {
     /// Undo the activation of `activated` (given in activation order) in
-    /// every index, newest first. The relation itself is left alone — the
-    /// caller discards it. Newest first keeps each LHS-index group's
-    /// earliest value, the pin, where it was. A value whose domain count
-    /// drops to zero also leaves the value index, so no ΔD value outlives
-    /// its request.
+    /// the active domain and the value indexes, newest first. The relation
+    /// and the census overlay are left alone — the caller discards both. A
+    /// value whose domain count drops to zero also leaves the value index,
+    /// so no ΔD value outlives its request.
     pub(crate) fn roll_back(&mut self, activated: &[TupleId]) {
         let attrs: Vec<AttrId> = self.work.schema().attr_ids().collect();
         for id in activated.iter().rev() {
             let t = self.work.require(*id).expect("activated tuple is live");
-            self.lhs.remove(&t);
             for a in &attrs {
                 let v = t.id(*a);
                 self.adom.remove_id(*a, v);
@@ -697,7 +701,7 @@ impl ResidentParts {
     /// obligations — and keeps removal O(indexes) instead of O(relation).
     pub(crate) fn remove_active(&mut self, id: TupleId) -> Result<Tuple, RepairError> {
         let t = self.work.require(id)?.to_tuple();
-        self.lhs.remove(&t);
+        self.census.remove(id, &t);
         Ok(self.work.delete(id)?)
     }
 }
@@ -717,7 +721,7 @@ impl<'a> IncState<'a> {
             config,
             fresh: vec![Vec::new(); parts.vidx.len()],
             work: parts.work,
-            lhs: parts.lhs,
+            census: parts.census,
             adom: parts.adom,
             vidx: parts.vidx,
             dcache: parts.dcache,
@@ -731,7 +735,7 @@ impl<'a> IncState<'a> {
         (
             ResidentParts {
                 work: self.work,
-                lhs: self.lhs,
+                census: self.census,
                 adom: self.adom,
                 vidx: self.vidx,
                 dcache: self.dcache,
@@ -776,14 +780,17 @@ fn combinations(items: &[AttrId], k: usize) -> Vec<Vec<AttrId>> {
 /// property of incremental repair. Deletions never violate CFDs (§3.3) and
 /// need no repair, so `delta` carries insertions only. This is the
 /// one-shot use of [`InsertRepairer`]: build it over `d`, run `delta`
-/// once, and keep the result instead of rolling back.
+/// once, and keep the result instead of rolling back. A `sigma`
+/// normalized into another pool than `d`'s is refused with
+/// [`cfd_model::ModelError::PoolMismatch`].
 pub fn inc_repair(
     d: &Relation,
     delta: &[Tuple],
     sigma: &Sigma,
     config: IncConfig,
 ) -> Result<IncOutcome, RepairError> {
-    let outcome = InsertRepairer::new(d, sigma).repair_once(d, delta, sigma, config)?;
+    sigma.check_pool(d.pool())?;
+    let outcome = InsertRepairer::new(d).repair_once(d, delta, sigma, config)?;
     debug_assert!(cfd_cfd::check(&outcome.repair, sigma));
     Ok(outcome)
 }
@@ -1105,9 +1112,8 @@ mod tests {
     }
 
     /// Staged V-ordering keys equal the keys of a fresh `Engine` built
-    /// over all of `work` (active + pending), and keying leaves every
-    /// group of the active LHS-indices — entries, histograms and null
-    /// counts — as it was.
+    /// over all of `work` (active + pending), and keying leaves the active
+    /// census as it was, weight bits included.
     #[test]
     fn staged_violation_keys_match_a_full_rebuild() {
         use cfd_cfd::violation::Engine;
@@ -1135,7 +1141,7 @@ mod tests {
                 IncConfig::default(),
             )
             .unwrap();
-            let (entries, snapshot) = (state.lhs.entry_count(), state.lhs.group_counts());
+            let snapshot = state.census.checksum();
 
             let staged = state.violation_keys(&pending);
 
@@ -1153,8 +1159,7 @@ mod tests {
                 staged.iter().any(|k| k.0 > 0),
                 "seed {seed}: no conflicts keyed"
             );
-            assert_eq!(state.lhs.entry_count(), entries, "seed {seed}");
-            assert_eq!(state.lhs.group_counts(), snapshot, "seed {seed}");
+            assert_eq!(state.census.checksum(), snapshot, "seed {seed}");
         });
     }
 }

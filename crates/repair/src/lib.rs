@@ -10,16 +10,17 @@
 //!   the dependency-graph-optimized variant the paper benchmarks;
 //! * [`incremental::inc_repair`] — `INCREPAIR` (§5), repairing a batch of
 //!   inserted tuples one at a time via `TUPLERESOLVE`, with the three
-//!   orderings L-/V-/W- of §5.2, LHS-indices and the cost-based
-//!   candidate-value index;
+//!   orderings L-/V-/W- of §5.2, the group census as its LHS-indices and
+//!   the cost-based candidate-value index;
 //! * [`subset`] — the §5.3 bridge that lets `INCREPAIR` clean a whole dirty
 //!   database by first extracting a consistent subset.
 //!
 //! Supporting machinery: the Damerau–Levenshtein [`distance`] kernel, the
 //! §3.2 [`cost`] model, [`equivalence`] classes with monotone targets,
-//! [`lhs_index`] for O(1) constraint validation against a clean repair,
-//! [`cluster`] for nearest-value enumeration, the CFD [`depgraph`], and
-//! the per-shape group census in [`shard`].
+//! [`cluster`] for nearest-value enumeration, the CFD [`depgraph`], the
+//! resident `INCREPAIR` drivers in [`resident`], and [`shard`], which
+//! re-exports the per-shape group census detection and both algorithms
+//! share ([`cfd_cfd::census`]).
 //!
 //! Both algorithms are the paper's serial greedy loops — for
 //! `BATCHREPAIR`, `PICKNEXT` picks the cheapest fix, `CFD-RESOLVE`/`FINDV`
@@ -41,7 +42,6 @@ pub mod depgraph;
 pub mod distance;
 pub mod equivalence;
 pub mod incremental;
-pub mod lhs_index;
 pub mod options;
 pub mod pricing;
 pub mod resident;
@@ -90,5 +90,67 @@ impl std::error::Error for RepairError {
 impl From<cfd_model::ModelError> for RepairError {
     fn from(e: cfd_model::ModelError) -> Self {
         RepairError::Model(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfd_cfd::{Cfd, Engine, Sigma};
+    use cfd_model::{AttrId, ModelError, Relation, Schema, Tuple, ValuePool};
+
+    /// A clean `(k, v)` relation in its own pool.
+    fn kv() -> Relation {
+        let schema = Schema::new("r", &["k", "v"]).unwrap();
+        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
+        for row in [["k0", "a"], ["k1", "b"]] {
+            rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
+        }
+        rel
+    }
+
+    /// Every repair entry point that returns a `Result` refuses a Σ
+    /// normalized into another pool than its relation's.
+    #[test]
+    fn repairs_refuse_a_sigma_of_another_pool() {
+        let (rel, other) = (kv(), kv());
+        let fd = Cfd::standard_fd("kv", vec![AttrId(0)], vec![AttrId(1)]);
+        let sigma = Sigma::normalize_in(rel.schema().clone(), vec![fd], other.pool()).unwrap();
+        let refused = |r: Result<(), RepairError>, what: &str| {
+            assert!(
+                matches!(r, Err(RepairError::Model(ModelError::PoolMismatch))),
+                "{what}: {r:?}"
+            );
+        };
+        let parts = Engine::build(&other, &sigma).to_parts();
+        let delta = [Tuple::new_in(["k2", "c"], rel.pool())];
+        let config = IncConfig::default();
+        refused(
+            batch_repair(&rel, &sigma, BatchConfig::default()).map(drop),
+            "batch_repair",
+        );
+        refused(
+            batch_repair_with_parts(&rel, &sigma, parts.clone(), BatchConfig::default()).map(drop),
+            "batch_repair_with_parts",
+        );
+        refused(
+            inc_repair(&rel, &delta, &sigma, config.clone()).map(drop),
+            "inc_repair",
+        );
+        refused(
+            InsertRepairer::new(&rel)
+                .repair(&rel, &delta, &sigma, &parts, config.clone())
+                .map(drop),
+            "InsertRepairer::repair",
+        );
+        refused(
+            StreamRepairer::new(rel.clone(), &sigma, config.clone()).map(drop),
+            "StreamRepairer::new",
+        );
+        refused(
+            repair_via_incremental(&rel, &sigma, config).map(drop),
+            "repair_via_incremental",
+        );
+        assert!(batch_repair(&other, &sigma, BatchConfig::default()).is_ok());
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! [`BatchConfig`] and [`IncConfig`] stay public — construct them
 //! directly only when poking fields `RepairOptions` deliberately does
-//! not surface (`findv_candidates`, `vio_penalty`, …).
+//! not surface (`merge_pricing`, `max_combos`, …).
 
 use crate::batch::{BatchConfig, PickStrategy};
 use crate::incremental::{IncConfig, Ordering};

@@ -8,36 +8,31 @@
 //! resumed state repairs byte-identically to one never suspended):
 //!
 //! * [`InsertRepairer`] serves repeated insert requests against one
-//!   **fixed** clean base. It keeps the LHS-indices, the active domain and
-//!   the lazily built nearest-value indexes. The caller passes, read-only,
-//!   the constant rules and variable-CFD ids of its detection parts; no
-//!   detection index is read or written. Each request clones the base
-//!   copy-on-write, stages ΔD, orders and resolves it, verifies only the
-//!   ΔD tuples, and then **rolls every index back** to the base. One-shot
-//!   [`crate::inc_repair`] is the same driver built over `d`, run once,
-//!   and consumed without rollback.
+//!   **fixed** clean base. It keeps the active domain and the lazily
+//!   built nearest-value indexes. The caller passes, read-only, the
+//!   constant rules, variable-CFD ids and group census of its detection
+//!   parts; no detection index is read or written. Each request clones
+//!   the base copy-on-write, reads the census through an overlay of its
+//!   own, stages ΔD, orders and resolves it, verifies only the ΔD tuples,
+//!   drops the overlay and **rolls every index back** to the base.
+//!   One-shot [`crate::inc_repair`] is the same driver built over `d`,
+//!   run once, and consumed without rollback.
 //! * [`StreamRepairer`] serves a stream whose base **evolves**: each
 //!   round's repaired tuples stay active, and deletions remove active
-//!   tuples. It owns every index and its own copy of the rules.
+//!   tuples. It owns every index, its census and its own copy of the
+//!   rules, and folds each round's census overlay into its census when
+//!   the round ends.
 //!
 //! ## The rollback contract
 //!
 //! After [`InsertRepairer::repair`] returns — success or error — every
 //! index it touched holds exactly what it held before: the same
-//! LHS-index entries with the same RHS counts and pins, the same
-//! active-domain counts and the same value-index contents. Three facts
-//! make this exact rather than approximate:
-//!
-//! * removing a tuple from the LHS-indices is the exact inverse of adding
-//!   it, for any tuple: its RHS count decrements, a value whose count
-//!   reaches zero leaves the histogram, and a group left with no members
-//!   drops its entry;
-//! * ΔD tuples are undone newest first, so a group's earliest value — the
-//!   pin FINDV and feasibility read — is never removed while a later
-//!   value remains;
-//! * a ΔD value whose domain count returns to zero leaves the value
-//!   index. ΔD values never persist, so every request sees the base's
-//!   domain and nothing else.
+//! active-domain counts and the same value-index contents, and the
+//! census it read is the one it was given, never written (ΔD went into
+//! the request's overlay, dropped with the request). One fact makes the
+//! rollback exact rather than approximate: a ΔD value whose domain count
+//! returns to zero leaves the value index. ΔD values never persist, so
+//! every request sees the base's domain and nothing else.
 //!
 //! One thing a request leaves behind on purpose: each value index's memo
 //! of base answers ([`crate::cluster`]). It holds, per base value asked
@@ -57,14 +52,17 @@
 //!
 //! * **Deletions are index maintenance only.** Deletions never violate
 //!   CFDs (§3.3), so [`StreamRepairer::remove_active`] drops the tuple
-//!   from the relation and the LHS-indices and stops there — no
-//!   re-repair of tuples that conflicted with the departed one.
+//!   from the relation and the census and stops there — no re-repair of
+//!   tuples that conflicted with the departed one.
 //! * **The stream's active domain is append-only.** Values contributed
 //!   solely by since-deleted tuples remain repair *candidates*.
 //!   Candidates are suggestions, never obligations (feasibility always
 //!   re-checks against live indexes), so this is sound; it keeps removal
 //!   cheap and the nearest-value indexes incremental.
 
+use std::sync::Arc;
+
+use cfd_cfd::census::{CensusOverlay, GroupCensus};
 use cfd_cfd::violation::EngineParts;
 use cfd_cfd::Sigma;
 use cfd_model::{ActiveDomain, Relation, Tuple, TupleId, ValueId};
@@ -74,18 +72,16 @@ use crate::distance::DistanceCache;
 use crate::incremental::{
     IncConfig, IncOutcome, IncState, IncStats, OwnedRules, ResidentParts, Rules,
 };
-use crate::lhs_index::LhsIndexes;
 use crate::RepairError;
 
 /// A resident `INCREPAIR` state over one fixed clean base (`D |= Σ`):
-/// the LHS-indices, the active domain and the nearest-value index slots,
-/// built once and rolled back after every request (see the module docs).
+/// the active domain and the nearest-value index slots, built once and
+/// rolled back after every request (see the module docs).
 ///
-/// Holds no borrow of Σ, the base or its rules — each request passes them
-/// in, so a dataset handle can keep this next to the relation and the
-/// detection parts it already owns.
+/// Holds no borrow of Σ, the base, its rules or its census — each request
+/// passes them in, so a dataset handle can keep this next to the relation
+/// and the detection parts it already owns.
 pub struct InsertRepairer {
-    lhs: LhsIndexes,
     adom: ActiveDomain,
     vidx: Vec<Option<ValueIndex>>,
 }
@@ -106,8 +102,6 @@ pub struct DeltaRepair {
 /// requests. Value-index lengths are `None` for slots not built yet.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InsertFootprint {
-    /// Group entries across every LHS-index shape.
-    pub lhs_entries: usize,
     /// `ActiveDomain::distinct` per attribute.
     pub adom_distinct: Vec<usize>,
     /// `ValueIndex::len` per attribute.
@@ -120,18 +114,19 @@ pub struct InsertFootprint {
 impl InsertRepairer {
     /// Build the state over a clean `base`. The value indexes are built on
     /// first use and keep their memo of base answers from then on.
-    pub fn new(base: &Relation, sigma: &Sigma) -> Self {
+    pub fn new(base: &Relation) -> Self {
         InsertRepairer {
-            lhs: LhsIndexes::build(base, sigma),
             adom: ActiveDomain::of_relation(base),
             vidx: vec![None; base.schema().arity()],
         }
     }
 
     /// Repair `delta` against `base`. Of `parts` — detection parts built
-    /// for `sigma` — only the constant rules and the variable-CFD ids are
-    /// read. Every index of `self` is rolled back before this returns;
-    /// `base` is never modified.
+    /// over `base` for `sigma` — only the constant rules, the variable-CFD
+    /// ids and the census are read (the census is bucketed if it was not
+    /// yet). Every index of `self` is rolled back before this returns;
+    /// `base` is never modified. A `sigma` normalized into another pool
+    /// than `base`'s is refused with [`cfd_model::ModelError::PoolMismatch`].
     pub fn repair(
         &mut self,
         base: &Relation,
@@ -140,8 +135,10 @@ impl InsertRepairer {
         parts: &EngineParts,
         config: IncConfig,
     ) -> Result<DeltaRepair, RepairError> {
+        sigma.check_pool(base.pool())?;
         let rules = Rules::new(sigma, &parts.rules, &parts.variable_ids);
-        let run = Run::start(self.take_parts(base), delta, rules, config);
+        let census = Arc::clone(parts.census(base, sigma));
+        let run = Run::start(self.take_parts(base, census), delta, rules, config);
         let clean = run.failed.is_none() && run.state.all_clean(&run.delta_ids);
         debug_assert!(
             run.failed.is_some() || clean == cfd_cfd::check(&run.state.work, sigma),
@@ -149,7 +146,6 @@ impl InsertRepairer {
         );
         let (mut back, stats) = run.state.suspend();
         back.roll_back(&run.order[..run.activated]);
-        self.lhs = back.lhs;
         self.adom = back.adom;
         self.vidx = back.vidx;
         match run.failed {
@@ -166,9 +162,9 @@ impl InsertRepairer {
     }
 
     /// Repair `delta` once and keep the result: the one-shot
-    /// [`crate::inc_repair`]. Builds the rules from `sigma` (the state
-    /// must have been built over `base`) and consumes the state, so
-    /// nothing is rolled back.
+    /// [`crate::inc_repair`]. Builds the rules and the census from `sigma`
+    /// (the state must have been built over `base`) and consumes the
+    /// state, so nothing is rolled back.
     pub(crate) fn repair_once(
         mut self,
         base: &Relation,
@@ -177,7 +173,13 @@ impl InsertRepairer {
         config: IncConfig,
     ) -> Result<IncOutcome, RepairError> {
         let rules = OwnedRules::build(sigma);
-        let run = Run::start(self.take_parts(base), delta, rules.view(sigma), config);
+        let census = Arc::new(GroupCensus::new(base, sigma));
+        let run = Run::start(
+            self.take_parts(base, census),
+            delta,
+            rules.view(sigma),
+            config,
+        );
         match run.failed {
             Some(e) => Err(e),
             None => Ok(IncOutcome {
@@ -191,7 +193,6 @@ impl InsertRepairer {
     /// The sizes a rollback must restore.
     pub fn footprint(&self) -> InsertFootprint {
         InsertFootprint {
-            lhs_entries: self.lhs.entry_count(),
             adom_distinct: (0..self.vidx.len())
                 .map(|a| self.adom.distinct(cfd_model::AttrId(a as u16)))
                 .collect(),
@@ -208,13 +209,14 @@ impl InsertRepairer {
         }
     }
 
-    /// Move this state and a copy-on-write clone of `base` into one
-    /// `ResidentParts`, with a fresh distance memo.
-    fn take_parts(&mut self, base: &Relation) -> ResidentParts {
+    /// Move this state, a copy-on-write clone of `base` and a fresh
+    /// overlay of `base`'s census into one `ResidentParts`, with a fresh
+    /// distance memo.
+    fn take_parts(&mut self, base: &Relation, census: Arc<GroupCensus>) -> ResidentParts {
         ResidentParts {
             dcache: DistanceCache::for_pool(base.pool().clone()),
             work: base.clone(),
-            lhs: std::mem::take(&mut self.lhs),
+            census: CensusOverlay::new(census),
             adom: std::mem::take(&mut self.adom),
             vidx: std::mem::take(&mut self.vidx),
         }
@@ -289,8 +291,11 @@ pub struct StreamRepairer {
 
 impl StreamRepairer {
     /// Build a repairer over a clean base (`D |= Σ`). Cost mirrors one
-    /// `IncState::new`: every later round is index-rebuild-free.
+    /// `IncState::new`: every later round is index-rebuild-free. A `sigma`
+    /// normalized into another pool than `base`'s is refused with
+    /// [`cfd_model::ModelError::PoolMismatch`].
     pub fn new(base: Relation, sigma: &Sigma, config: IncConfig) -> Result<Self, RepairError> {
+        sigma.check_pool(base.pool())?;
         let rules = OwnedRules::build(sigma);
         let (parts, _) = IncState::new(base, &[], rules.view(sigma), config.clone())?.suspend();
         Ok(StreamRepairer {
@@ -341,9 +346,10 @@ impl StreamRepairer {
 
     /// One repair round: order `pending` (staged ids) per the configured
     /// [`Ordering`](crate::Ordering), resolve each via `TUPLERESOLVE`,
-    /// and activate the repaired tuples in every index. `pending` is
-    /// reordered in place to the processing order. Returns this round's
-    /// counters.
+    /// and activate the repaired tuples in every index. The round's
+    /// census changes, this round's deletions included, are then folded
+    /// into the census the repairer owns. `pending` is reordered in place
+    /// to the processing order. Returns this round's counters.
     pub fn resolve_pending(
         &mut self,
         sigma: &Sigma,
@@ -352,7 +358,8 @@ impl StreamRepairer {
         let parts = self.parts.take().expect("repairer lost in a failed round");
         let mut state = IncState::resume(parts, self.rules.view(sigma), self.config.clone());
         let (_, failed) = state.resolve_all(pending);
-        let (parts, stats) = state.suspend();
+        let (mut parts, stats) = state.suspend();
+        parts.census.fold();
         self.parts = Some(parts);
         match failed {
             Some(e) => Err(e),
@@ -367,13 +374,13 @@ mod tests {
     use cfd_cfd::Cfd;
     use cfd_model::{Schema, Value, ValuePool};
 
-    fn kv_sigma(schema: &Schema) -> Sigma {
+    fn kv_sigma(schema: &Schema, pool: &ValuePool) -> Sigma {
         let fd = Cfd::standard_fd(
             "kv",
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        Sigma::normalize_in(schema.clone(), vec![fd], &ValuePool::new()).unwrap()
+        Sigma::normalize_in(schema.clone(), vec![fd], pool).unwrap()
     }
 
     fn base() -> (Relation, Sigma) {
@@ -383,7 +390,7 @@ mod tests {
             .unwrap();
         rel.insert(Tuple::new_in(["k1", "beta"], rel.pool()))
             .unwrap();
-        let sigma = kv_sigma(&schema);
+        let sigma = kv_sigma(&schema, rel.pool());
         (rel, sigma)
     }
 
@@ -419,7 +426,7 @@ mod tests {
             .repair
     }
 
-    /// Deleting an active tuple releases its LHS pin: a later arrival
+    /// Deleting an active tuple releases its group pin: a later arrival
     /// re-pins the group to its own value instead of the departed one's.
     #[test]
     fn remove_active_releases_group_pin() {
@@ -479,7 +486,7 @@ mod tests {
             ordering: crate::Ordering::Linear,
             ..IncConfig::default()
         };
-        let mut r = InsertRepairer::new(&rel, &sigma);
+        let mut r = InsertRepairer::new(&rel);
         // (k2, gamma) is clean and activates first, bringing the new
         // values k2 and gamma; (k0, alphb) then conflicts with the base
         // pin and builds both value indexes.
@@ -510,7 +517,7 @@ mod tests {
             let sigma = w.sigma;
             let parts = cfd_cfd::violation::Engine::build(&base, &sigma).to_parts();
             let base_adom = ActiveDomain::of_relation(&base);
-            let mut r = InsertRepairer::new(&base, &sigma);
+            let mut r = InsertRepairer::new(&base);
             let (mut with_added, mut memo_hits) = (0, 0);
             for request in 0..4u64 {
                 let fresh = generate(&GenConfig {
@@ -529,7 +536,13 @@ mod tests {
                 // `InsertRepairer::repair`, with the checks between the
                 // run and its rollback.
                 let rules = Rules::new(&sigma, &parts.rules, &parts.variable_ids);
-                let run = Run::start(r.take_parts(&base), &delta, rules, IncConfig::default());
+                let census = Arc::clone(parts.census(&base, &sigma));
+                let run = Run::start(
+                    r.take_parts(&base, census),
+                    &delta,
+                    rules,
+                    IncConfig::default(),
+                );
                 assert!(run.failed.is_none(), "seed {seed} request {request}");
                 let (mut mid, _) = run.state.suspend();
                 for (a, slot) in mid.vidx.iter_mut().enumerate() {
@@ -554,7 +567,6 @@ mod tests {
                     }
                 }
                 mid.roll_back(&run.order[..run.activated]);
-                r.lhs = mid.lhs;
                 r.adom = mid.adom;
                 r.vidx = mid.vidx;
             }

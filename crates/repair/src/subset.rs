@@ -60,12 +60,14 @@ impl SubsetRepairOutcome {
 /// Repair a whole dirty database with `INCREPAIR` (§5.3): the violating
 /// tuples are re-resolved one at a time against the consistent remainder.
 /// Tuple ids are preserved, so the result is directly comparable to the
-/// input and to a ground truth.
+/// input and to a ground truth. A `sigma` normalized into another pool
+/// than `d`'s is refused with [`cfd_model::ModelError::PoolMismatch`].
 pub fn repair_via_incremental(
     d: &Relation,
     sigma: &Sigma,
     config: IncConfig,
 ) -> Result<SubsetRepairOutcome, RepairError> {
+    sigma.check_pool(d.pool())?;
     let (clean_base, mut pending) = consistent_subset(d, sigma);
     let rules = OwnedRules::build(sigma);
     let mut state = IncState::new(d.clone(), &pending, rules.view(sigma), config)?;
@@ -91,13 +93,13 @@ mod tests {
     use cfd_cfd::Cfd;
     use cfd_model::{Schema, Tuple, Value, ValuePool};
 
-    fn kv_sigma(schema: &Schema) -> Sigma {
+    fn kv_sigma(schema: &Schema, pool: &ValuePool) -> Sigma {
         let fd = Cfd::standard_fd(
             "kv",
             vec![schema.attr("k").unwrap()],
             vec![schema.attr("v").unwrap()],
         );
-        Sigma::normalize_in(schema.clone(), vec![fd], &ValuePool::new()).unwrap()
+        Sigma::normalize_in(schema.clone(), vec![fd], pool).unwrap()
     }
 
     fn sample() -> (Relation, Sigma) {
@@ -106,7 +108,8 @@ mod tests {
         for row in [["a", "1"], ["a", "1"], ["b", "2"], ["b", "XXX"], ["c", "3"]] {
             rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
         }
-        (rel, kv_sigma(&schema))
+        let sigma = kv_sigma(&schema, rel.pool());
+        (rel, sigma)
     }
 
     #[test]
@@ -141,7 +144,7 @@ mod tests {
         let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
         rel.insert(Tuple::new_in(["a", "1"], rel.pool())).unwrap();
         rel.insert(Tuple::new_in(["b", "2"], rel.pool())).unwrap();
-        let sigma = kv_sigma(&schema);
+        let sigma = kv_sigma(&schema, rel.pool());
         let out = repair_via_incremental(&rel, &sigma, IncConfig::default()).unwrap();
         assert_eq!(out.reinserted.len(), 0);
         assert_eq!(out.stats.cost, 0.0);

@@ -150,8 +150,8 @@ fn consistent_subset_is_consistent_and_partitions() {
     trials(128, 0x5B5E7, |rng| {
         let schema = Schema::new("r", &["k", "v"]).unwrap();
         let fd = Cfd::standard_fd("kv", vec![AttrId(0)], vec![AttrId(1)]);
-        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], &ValuePool::new()).unwrap();
-        let mut rel = Relation::new_in(schema, ValuePool::new_handle());
+        let mut rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        let sigma = Sigma::normalize_in(schema, vec![fd], rel.pool()).unwrap();
         for _ in 0..rng.gen_range(1..12usize) {
             let row = [
                 format!("v{}", rng.gen_range(0..4u32)),
@@ -181,8 +181,8 @@ fn incremental_repair_never_touches_the_base() {
     trials(64, 0x1BA5E, |rng| {
         let schema = Schema::new("r", &["k", "v"]).unwrap();
         let fd = Cfd::standard_fd("kv", vec![AttrId(0)], vec![AttrId(1)]);
-        let sigma = Sigma::normalize_in(schema.clone(), vec![fd], &ValuePool::new()).unwrap();
-        let mut base = Relation::new_in(schema, ValuePool::new_handle());
+        let mut base = Relation::new_in(schema.clone(), ValuePool::new_handle());
+        let sigma = Sigma::normalize_in(schema, vec![fd], base.pool()).unwrap();
         // make the base trivially clean: v = f(k)
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..rng.gen_range(1..8usize) {

@@ -15,11 +15,12 @@
 //! — including the `use_count` frequencies that break `FINDV` candidate
 //! ties — depends only on (dataset, rules, config), never on what else
 //! the process loaded (`tests/pool_scoping_differential.rs` pins this).
-//! All hot paths — violation detection, the LHS-indices driving
-//! `INCREPAIR`, and `BATCHREPAIR`'s equivalence-class targets and group
-//! censuses — compare, hash, and group
-//! integers; pattern constants are interned (uncounted) into the
-//! relation's pool at rule-bind time ([`cfd::Sigma::normalize_in`]);
+//! All hot paths — violation detection, the group census that detection,
+//! `INCREPAIR` and `BATCHREPAIR` share, and `BATCHREPAIR`'s
+//! equivalence-class targets — compare, hash, and group integers;
+//! pattern constants are interned (uncounted) into the relation's pool at
+//! rule-bind time ([`cfd::Sigma::normalize_in`], which remembers the
+//! pool, so a Σ is refused on a relation of another pool);
 //! strings are resolved only at the edges (the `dis(v, v')` distance
 //! kernel, memoized per id pair and bound to one pool, plus display and
 //! CSV) and at the few deliberate cross-pool seams, which exchange
@@ -93,7 +94,7 @@
 //! Advancing the watermark closes due windows in order. Each close
 //! stages that window's arrivals against the evolved base (base +
 //! every previously committed window), runs `INCREPAIR` over the warm
-//! LHS-indices of a [`repair::StreamRepairer`] — the resident index is
+//! group census of a [`repair::StreamRepairer`] — the resident census is
 //! *updated*, never rebuilt, as tuples arrive and leave — and emits one
 //! id-stable `.cfde` edit log, so replaying the per-window logs onto
 //! the initial snapshot reconstructs the live relation exactly

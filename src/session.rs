@@ -15,19 +15,20 @@
 //!   detection index** ([`EngineParts`]) built exactly once at bind
 //!   time. The **resident violation report** is computed from those
 //!   parts ([`cfd_cfd::detect_with_parts`]) by the first detect after a
-//!   bind; every later detect request, and the insert path's clean-base
-//!   check, reads that one report. `BATCHREPAIR` starts from a
-//!   **resident t=0 state** ([`BatchSeed`]): the first default-config
-//!   batch repair builds it from the report and a clone of the parts — dirty sets,
-//!   group census and the priced `PICKNEXT` frontier — and every later
+//!   bind, which also buckets the parts' **group census**; every later
+//!   detect request, and the insert path's clean-base check, reads that
+//!   one report. `BATCHREPAIR` starts from a **resident t=0 state**
+//!   ([`BatchSeed`]): the first default-config batch repair builds it
+//!   from the report and a clone of the parts — dirty sets, the shared
+//!   census and the priced `PICKNEXT` frontier — and every later
 //!   default-config repair copies only what the repair loop mutates,
 //!   borrowing the census and frontier. Reweighting and rebinding drop
 //!   it; a repair with another config builds a seed for itself alone.
-//!   Insert requests go through a
-//!   **resident `INCREPAIR` state** (see below), which reads only the
-//!   parts' constant rules and variable-CFD ids, never their group
-//!   indexes. The set of Σ's pattern-constant ids, which pool hygiene
-//!   must never seal, is also computed once per bind.
+//!   Insert requests go through a **resident `INCREPAIR` state** (see
+//!   below), which reads only the parts' constant rules, variable-CFD ids
+//!   and census, never their group indexes. The set of Σ's
+//!   pattern-constant ids, which pool hygiene must never seal, is also
+//!   computed once per bind.
 //! * [`Session`] — a named collection of handles behind per-dataset
 //!   reader/writer locks, optionally backed by a snapshot [`Catalog`]
 //!   and bounded by an LRU capacity whose evictions provably return
@@ -49,21 +50,21 @@
 //!
 //! The first insert request on a handle checks the base clean once (the
 //! §5 precondition `D |= Σ`, answered by the resident violation report) and
-//! only then builds the resident state: an
-//! [`InsertRepairer`] holding the LHS-indices,
+//! only then builds the resident state: an [`InsertRepairer`] holding the
 //! active domain and nearest-value indexes over the base, plus the base's
 //! rendered CSV bytes. Its existence *is* the cached "base is clean"
 //! answer; a dirty base builds nothing and every insert keeps failing with
 //! the same error. Each request then costs O(|ΔD|) index work: ΔD is
 //! staged into a copy-on-write clone of the base, resolved against the
-//! warm LHS-indices (which also price every candidate's `vio` from their
-//! per-group RHS counts), verified by checking only the ΔD tuples,
-//! rendered as the cached base bytes plus the ΔD rows, and rolled back —
+//! parts' census through an overlay of the request's own (which validates
+//! candidates and prices their `vio` from the per-group RHS buckets),
+//! verified by checking only the ΔD tuples, rendered as the cached base
+//! bytes plus the ΔD rows, and rolled back — the overlay is dropped and
 //! every index of the state returns exactly to the base before the
 //! request returns. What stays warm is each value index's memo of
 //! nearest values over the base, which depends on the base alone. The
-//! detection parts are only read, so detect and
-//! repair answers never depend on insert history. Replies are
+//! detection parts are only read, so detect and repair answers never
+//! depend on insert history. Replies are
 //! byte-identical to a one-shot [`inc_repair`](cfd_repair::inc_repair)
 //! over the same base.
 //! Anything that changes the base or its rules drops the state:
@@ -170,6 +171,9 @@ impl From<RepairError> for SessionError {
 /// warm state.
 struct BoundRules {
     sigma: Sigma,
+    /// The detection parts, with the group census their first reader
+    /// buckets. The census holds weight sums, so
+    /// [`DatasetHandle::apply_weights`] drops it.
     parts: EngineParts,
     /// Σ's pattern-constant ids ([`constant_ids`]): shielded from sealing
     /// by every insert and stream while the rules stay bound.
@@ -177,11 +181,12 @@ struct BoundRules {
     /// `detect(D, Σ)`, computed by the first detect and read by every
     /// later one. It needs no invalidation while the handle's methods
     /// leave the relation's cells alone: rebinding replaces the whole
-    /// `BoundRules`, weights are never read by detection, inserts,
-    /// repairs and streams work on copies, and eviction drops it with
-    /// the rules (it holds no `ValueId`s, so pool reclamation is
-    /// unaffected). A method that changes the resident relation's
-    /// values must reset it.
+    /// `BoundRules`, a report counts carriers and never reads their
+    /// weights (reweighting drops only the census it was read off),
+    /// inserts, repairs and streams work on copies, and eviction drops it
+    /// with the rules (it holds no `ValueId`s, so pool reclamation is
+    /// unaffected). A method that changes the resident relation's values
+    /// must reset it.
     report: OnceLock<ViolationReport>,
     /// `BATCHREPAIR`'s t=0 state ([`BatchSeed`]) for the default
     /// [`BatchConfig`], built from the report and a clone of `parts` by
@@ -202,10 +207,11 @@ struct ResidentInsert {
     base_csv: Vec<u8>,
 }
 
-/// The resident insert state's index sizes, and the group count of every
-/// detection index of the handle — what each insert request must leave
-/// unchanged. Inserts only read the detection parts, so their group
-/// counts move only with a rebind.
+/// The resident insert state's index sizes, the group count of every
+/// detection index of the handle and its census checksum — what each
+/// insert request must leave unchanged. Inserts only read the detection
+/// parts, so their group counts and census move only with a rebind (and
+/// the census with a reweighting).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResidentFootprint {
     /// The [`InsertRepairer`]'s own indexes.
@@ -213,6 +219,9 @@ pub struct ResidentFootprint {
     /// `HashIndex::group_count` per indexed LHS attribute list, in
     /// attribute-list order.
     pub groups: Vec<usize>,
+    /// [`GroupCensus::checksum`](cfd_cfd::census::GroupCensus::checksum)
+    /// of the parts' census.
+    pub census: u64,
 }
 
 /// One open dataset: a relation over its own pool, optionally with
@@ -348,6 +357,7 @@ impl DatasetHandle {
         self.resident = None;
         if let Some(bound) = &mut self.bound {
             bound.seed = OnceLock::new();
+            bound.parts.drop_census();
         }
         csv::read_weights(&mut self.relation, &mut &*weight_bytes)
             .map_err(|e| SessionError::Data(format!("cannot parse weights: {e}")))
@@ -695,11 +705,10 @@ impl DatasetHandle {
                 "base is not clean: {violations} violation(s); run `cfdclean repair` on it first"
             )));
         }
-        let bound = self.bound()?;
         let mut base_csv = Vec::new();
         csv::write_relation(&self.relation, &mut base_csv)
             .map_err(|e| SessionError::Internal(format!("cannot render base: {e}")))?;
-        let repairer = InsertRepairer::new(&self.relation, &bound.sigma);
+        let repairer = InsertRepairer::new(&self.relation);
         self.resident = Some(ResidentInsert { repairer, base_csv });
         Ok(())
     }
@@ -708,7 +717,8 @@ impl DatasetHandle {
     /// successful clean-base check (and after anything that dropped it).
     pub fn resident_footprint(&self) -> Option<ResidentFootprint> {
         let resident = self.resident.as_ref()?;
-        let indexes = &self.bound.as_ref()?.parts.indexes;
+        let bound = self.bound.as_ref()?;
+        let indexes = &bound.parts.indexes;
         let groups = indexes
             .attr_lists()
             .iter()
@@ -717,6 +727,7 @@ impl DatasetHandle {
         Some(ResidentFootprint {
             repairer: resident.repairer.footprint(),
             groups,
+            census: bound.parts.census(&self.relation, &bound.sigma).checksum(),
         })
     }
 

@@ -27,7 +27,7 @@ use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig};
 use cfdclean::model::snapshot::edit_log_to_vec;
 use cfdclean::model::{csv, EditLog, Relation};
 use cfdclean::repair::cost::repair_cost;
-use cfdclean::repair::shard::{variable_shapes, GroupCensus};
+use cfdclean::repair::shard::GroupCensus;
 use cfdclean::repair::{batch_repair, BatchConfig, PickStrategy, RepairOptions};
 use cfdclean::{DatasetHandle, StreamConfig};
 
@@ -162,7 +162,7 @@ fn assert_census_untouched(h: &DatasetHandle, what: &str) -> bool {
     let Some(seed) = h.batch_seed() else {
         return false;
     };
-    let fresh = GroupCensus::new(h.relation(), &variable_shapes(h.sigma().unwrap()));
+    let fresh = GroupCensus::new(h.relation(), h.sigma().unwrap());
     assert_eq!(seed.census().checksum(), fresh.checksum(), "{what}");
     true
 }

@@ -11,9 +11,10 @@
 //!   byte-identical to the one-shot answer: `inc_repair` on a fresh
 //!   session's handle, then a full `check` and a full render.
 //! * **Exact rollback** — after every request the resident state is back
-//!   at its post-build baseline: LHS-index entries, the group count of
-//!   every detection index, the active domain's distinct count and each
-//!   built value index's length per attribute.
+//!   at its post-build baseline: the group count of every detection
+//!   index, the active domain's distinct count and each built value
+//!   index's length per attribute; the handle's census checksum is the
+//!   one it had before the request and equals a fresh census build.
 //! * **A base-only memo that stays warm** — after every request each value
 //!   index's memo keys are values of the base's own active domain, the
 //!   memo is non-empty, and it keeps every key of the request before.
@@ -25,6 +26,7 @@
 //! * **ΔD-wide verification** — the ΔD-only check flags a violating ΔD
 //!   tuple wherever it sits in ΔD.
 
+use cfdclean::cfd::census::GroupCensus;
 use cfdclean::cfd::{check, Cfd, Engine, Sigma};
 use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig};
 use cfdclean::model::{csv, ActiveDomain, AttrId, Relation, Schema, Tuple, ValuePool};
@@ -245,10 +247,12 @@ fn assert_at_baseline(
         }
     }
     assert_eq!(now.groups, baseline.groups, "{what}: detection groups");
-    assert_eq!(
-        now.repairer.lhs_entries, baseline.repairer.lhs_entries,
-        "{what}: LHS-index entries"
-    );
+    let fresh = {
+        let cell = entry.read().unwrap();
+        let h = cell.handle().unwrap();
+        GroupCensus::new(h.relation(), h.sigma().unwrap()).checksum()
+    };
+    assert_eq!(now.census, fresh, "{what}: census");
     assert_eq!(
         now.repairer.adom_distinct, baseline.repairer.adom_distinct,
         "{what}: active domain"
@@ -317,6 +321,7 @@ fn resident_inserts_equal_one_shot_and_roll_back_exactly() {
                 ORDERINGS[i % 3],
                 1 + (i / 3) % 2,
             );
+            let census = footprint(&base).map(|f| f.census);
             let got = insert(&base, &req);
             assert!(got.is_ok(), "{what}: {got:?}");
             assert_eq!(
@@ -326,6 +331,9 @@ fn resident_inserts_equal_one_shot_and_roll_back_exactly() {
             );
             let base_line = baseline.get_or_insert_with(|| footprint(&base).unwrap());
             let now = assert_at_baseline(&base, base_line, &what);
+            if let Some(census) = census {
+                assert_eq!(now.census, census, "{what}: census moved");
+            }
             if let Some(before) = &previous {
                 assert_memo_kept(before, &now, &what);
             }
@@ -391,7 +399,8 @@ fn verification_covers_every_delta_tuple() {
     let conflicting = Tuple::new_in(["k1", "x"], base.pool());
     let clean = Tuple::new_in(["k3", "w"], base.pool());
     let parts = Engine::build(&base, &sigma).to_parts();
-    let mut repairer = InsertRepairer::new(&base, &sigma);
+    let census = parts.census(&base, &sigma).checksum();
+    let mut repairer = InsertRepairer::new(&base);
     let before = repairer.footprint();
     for delta in [
         vec![conflicting.clone(), clean.clone()],
@@ -402,7 +411,7 @@ fn verification_covers_every_delta_tuple() {
             .unwrap();
         assert!(!run.clean, "{delta:?}: the conflict went unseen");
         let after = repairer.footprint();
-        assert_eq!(after.lhs_entries, before.lhs_entries, "{delta:?}");
+        assert_eq!(parts.census(&base, &sigma).checksum(), census, "{delta:?}");
         assert_eq!(after.adom_distinct, before.adom_distinct, "{delta:?}");
         assert_eq!(after.value_index_len, before.value_index_len, "{delta:?}");
         assert_eq!(parts.indexes.for_lhs(&[AttrId(0)]).group_count(), 2);
