@@ -7,8 +7,9 @@
 //! vs miss), cold
 //! dataset ingest (CSV re-interning vs snapshot dictionary install),
 //! daemon request latency (warm resident dataset vs cold one-shot open),
-//! and streaming window latency (a warm `RepairSession` cycle vs the cold
-//! per-window one-shot insert).
+//! streaming window latency (a warm `RepairSession` cycle vs the cold
+//! per-window one-shot insert), and a Fig. 12 ΔD insert into a warm
+//! resident dataset.
 //! `meta/*` entries record the container's CPU count alongside the
 //! numbers.
 //!
@@ -295,6 +296,8 @@ fn smoke() -> ! {
         // Streaming window latency: a warm RepairSession cycle must beat
         // the cold per-window one-shot (open + insert) path.
         let stream_speedup = bench_stream(&mut h);
+        // INCREPAIR's per-request cost on the daemon path: reported, not gated.
+        bench_resident_insert(&mut h);
         // INCREPAIR's nearest-value layer: reported, not gated.
         let memo_speedup = bench_value_index_dense(&mut h);
         record_peak_rss(&mut h);
@@ -769,6 +772,55 @@ fn bench_stream(h: &mut Harness) -> f64 {
     speedup
 }
 
+/// INCREPAIR on the daemon's insert path: a 40-tuple Fig. 12 ΔD — fresh
+/// orders of the base's world, every one corrupted — inserted into a warm
+/// 6k `DatasetHandle` (V-ordering, k = 1), reply rendered. Every request
+/// rolls the resident state back, so each iteration repairs against the
+/// same base. Ungated.
+fn bench_resident_insert(h: &mut Harness) {
+    use cfdclean::DatasetHandle;
+
+    let w = workload(6_000, 7);
+    let fresh = cfd_gen::generate(&cfd_gen::GenConfig {
+        n_tuples: 40,
+        seed: 7 ^ 0x5eed,
+        world: w.world.config.clone(),
+    });
+    let arriving = inject(
+        &fresh.dopt,
+        &w.world,
+        &NoiseConfig {
+            rate: 1.0,
+            seed: 7,
+            ..Default::default()
+        },
+    )
+    .dirty;
+    let mut clean_csv = Vec::new();
+    cfd_model::csv::write_relation(&w.dopt, &mut clean_csv).expect("render clean csv");
+    let mut delta_csv = Vec::new();
+    cfd_model::csv::write_relation(&arriving, &mut delta_csv).expect("render delta csv");
+    let rules_text: String = w
+        .sigma
+        .sources()
+        .iter()
+        .map(|c| cfd_cfd::parser::render_cfd(w.dopt.schema(), c) + "\n")
+        .collect();
+    let mut handle = DatasetHandle::from_csv("insert-bench", &clean_csv).expect("workload csv");
+    handle
+        .bind_rules(&rules_text, "bench rules")
+        .expect("workload rules");
+    let insert = |handle: &mut DatasetHandle| {
+        handle
+            .insert(black_box(&delta_csv), None, Ordering::Violations, 1)
+            .expect("insert")
+            .modified
+    };
+    // Un-timed: builds the resident state and checks there is repair work.
+    assert!(insert(&mut handle) > 0, "dirty arrivals must be modified");
+    h.run("increpair/resident_insert_40_6k", || insert(&mut handle));
+}
+
 /// Run-environment metadata, recorded into `BENCH_kernels.json` alongside
 /// the timings so the numbers carry their own context: how many CPUs the
 /// container actually had.
@@ -952,6 +1004,7 @@ fn main() {
     let load_speedup = bench_load(&mut h);
     let server_speedup = bench_server_latency(&mut h);
     let stream_speedup = bench_stream(&mut h);
+    bench_resident_insert(&mut h);
     bench_vio_of_candidate(&mut h);
     bench_equivalence(&mut h);
     bench_lhs_index(&mut h);

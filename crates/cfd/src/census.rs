@@ -603,18 +603,10 @@ impl CensusOverlay {
     /// value of its earliest carrier. §3.1's null semantics apply: a null
     /// among `t[X]` means the CFD is inapplicable; a null RHS satisfies.
     pub fn satisfies<V: TupleView + ?Sized>(&self, n: &NormalCfd, t: &V) -> bool {
-        if !n.applies_to(t) {
-            return true;
-        }
-        let v = t.id(n.rhs_attr());
         if n.is_constant() {
-            return n.rhs_pattern_id().satisfied_by_id(v);
+            return !n.applies_to(t) || n.rhs_pattern_id().satisfied_by_id(t.id(n.rhs_attr()));
         }
-        v.is_null()
-            || self
-                .group(n, t)
-                .and_then(Buckets::pin)
-                .is_none_or(|pin| v == pin)
+        self.verdict(n, t).0
     }
 
     /// The variable violations of `t` under `n` against the counted
@@ -624,14 +616,23 @@ impl CensusOverlay {
     /// apply to `t`, or when `t[A]` is null. A counted `t` carries its
     /// own value, so it never counts itself.
     pub fn conflicts<V: TupleView + ?Sized>(&self, n: &NormalCfd, t: &V) -> usize {
-        if n.is_constant() || !n.applies_to(t) {
+        if n.is_constant() {
             return 0;
         }
+        self.verdict(n, t).1
+    }
+
+    /// [`satisfies`](Self::satisfies) and [`conflicts`](Self::conflicts)
+    /// of the *variable* CFD `n` off one group probe.
+    pub fn verdict<V: TupleView + ?Sized>(&self, n: &NormalCfd, t: &V) -> (bool, usize) {
+        debug_assert!(!n.is_constant(), "verdict of a constant CFD");
         let v = t.id(n.rhs_attr());
-        if v.is_null() {
-            return 0;
+        if v.is_null() || !n.applies_to(t) {
+            return (true, 0);
         }
-        self.group(n, t).map_or(0, |buckets| buckets.others(v))
+        self.group(n, t).map_or((true, 0), |buckets| {
+            (buckets.pin().is_none_or(|pin| v == pin), buckets.others(v))
+        })
     }
 
     /// Write the changed groups into the base, which this overlay then

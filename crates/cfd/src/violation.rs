@@ -134,9 +134,16 @@ impl GroupIndexes {
 /// parts, reducing "which constant rules fire on `t`?" to one lookup per
 /// group — and there are only as many groups as structurally distinct
 /// tableau shapes (a handful).
+///
+/// A caller that knows only some attributes changed can fire just the
+/// groups whose LHS mentions them: [`groups_on`](Self::groups_on) lists
+/// them per attribute and [`for_each_fired_in`](Self::for_each_fired_in)
+/// walks a subset.
 #[derive(Clone, Debug, Default)]
 pub struct ConstantRules {
     groups: Vec<ConstGroup>,
+    /// Per attribute, the groups whose LHS mentions it, ascending.
+    by_attr: Vec<Vec<usize>>,
 }
 
 #[derive(Clone, Debug)]
@@ -197,18 +204,42 @@ impl ConstantRules {
                 rhs: n.rhs_pattern_id(),
             });
         }
-        ConstantRules { groups }
+        let mut by_attr = vec![Vec::new(); sigma.schema().arity()];
+        for (gi, g) in groups.iter().enumerate() {
+            for a in &g.lhs {
+                by_attr[a.index()].push(gi);
+            }
+        }
+        ConstantRules { groups, by_attr }
+    }
+
+    /// The groups whose LHS mentions `a`, ascending: the only ones whose
+    /// fired rules can change when `t[a]` does.
+    pub fn groups_on(&self, a: AttrId) -> &[usize] {
+        self.by_attr.get(a.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Visit every constant rule whose LHS pattern matches `t`
     /// (`t[X] ≼ tp[X]`). The callback also receives the rule's LHS
     /// attribute list (shared by its group) for scope filtering.
-    pub fn for_each_fired<V: TupleView + ?Sized>(
-        &self,
+    pub fn for_each_fired<'s, V: TupleView + ?Sized>(
+        &'s self,
         t: &V,
-        mut f: impl FnMut(&[AttrId], &ConstRule),
+        f: impl FnMut(&'s [AttrId], &'s ConstRule),
     ) {
-        'group: for g in &self.groups {
+        self.for_each_fired_in(t, 0..self.groups.len(), f);
+    }
+
+    /// [`for_each_fired`](Self::for_each_fired) over the groups `groups`
+    /// only (indexes as [`groups_on`](Self::groups_on) lists them), in
+    /// the order given.
+    pub fn for_each_fired_in<'s, V: TupleView + ?Sized>(
+        &'s self,
+        t: &V,
+        groups: impl IntoIterator<Item = usize>,
+        mut f: impl FnMut(&'s [AttrId], &'s ConstRule),
+    ) {
+        'group: for g in groups.into_iter().map(|gi| &self.groups[gi]) {
             for a in &g.lhs {
                 if t.id(*a).is_null() {
                     continue 'group; // null never matches, not even `_`

@@ -21,7 +21,9 @@
 //! The optimizations of §5.2 are implemented: the group census plays the
 //! LHS-indices, validating candidates in O(1) per CFD and pricing
 //! `vio(t[C/v̄])` from its per-group RHS buckets, and the cost-based value
-//! index enumerates candidate values in increasing DL distance.
+//! index enumerates candidate values in increasing DL distance. Σ is
+//! split once per attribute set `C`, so each candidate is evaluated
+//! against only the rules `C` can change (see `IncState::tuple_resolve`).
 //!
 //! This module holds the per-tuple machinery (`IncState`) and its owned,
 //! Σ-free form (`ResidentParts`). The drivers live elsewhere and all
@@ -37,7 +39,7 @@
 use std::sync::Arc;
 
 use cfd_cfd::census::{CensusOverlay, GroupCensus};
-use cfd_cfd::violation::{minimal_variable_ids, ConstantRules};
+use cfd_cfd::violation::{minimal_variable_ids, ConstRule, ConstantRules};
 use cfd_cfd::{CfdId, NormalCfd, Sigma};
 use cfd_model::{ActiveDomain, AttrId, Relation, Tuple, TupleId, TupleView, ValueId, NULL_ID};
 
@@ -186,6 +188,171 @@ impl OwnedRules {
     }
 }
 
+/// A constant rule a tuple fires: its group's LHS, the rule, and whether
+/// the tuple meets the rule's RHS.
+type Fired<'a> = (&'a [AttrId], &'a ConstRule, bool);
+
+/// Σ evaluated on one tuple against the active tuples.
+struct Verdicts<'a> {
+    /// Every constant rule the tuple fires, in
+    /// [`ConstantRules::for_each_fired`] order.
+    fired: Vec<Fired<'a>>,
+    /// Per minimal variable CFD, in [`Rules::variable_cfds`] order: does
+    /// the tuple satisfy it, and how many active tuples conflict with it
+    /// ([`CensusOverlay::verdict`]).
+    variable: Vec<(bool, usize)>,
+}
+
+impl<'a> Verdicts<'a> {
+    fn of(rules: Rules<'a>, census: &CensusOverlay, t: &Tuple) -> Self {
+        let mut fired = Vec::new();
+        rules.constants.for_each_fired(t, |lhs, r| {
+            fired.push((lhs, r, r.rhs.satisfied_by_id(t.id(r.rhs_attr))));
+        });
+        let variable = rules
+            .variable_cfds()
+            .map(|n| census.verdict(n, t))
+            .collect();
+        Verdicts { fired, variable }
+    }
+
+    /// Does the tuple satisfy the entire Σ?
+    fn all_hold(&self) -> bool {
+        self.fired.iter().all(|(_, _, holds)| *holds)
+            && self.variable.iter().all(|(holds, _)| *holds)
+    }
+}
+
+/// Σ split for one attribute set `C` of a `TUPLERESOLVE` round, given
+/// the [`Verdicts`] of `cur`. The rules that do not mention `C` are
+/// settled once, from `cur`'s verdicts; [`Split::price`] evaluates the
+/// rest on each candidate (see [`IncState::tuple_resolve`]).
+struct Split<'a> {
+    /// Marks the attributes of `C`.
+    in_c: Vec<bool>,
+    /// The round's fixed attributes plus `C`: a rule whose attributes all
+    /// fall inside must hold for a candidate to be feasible.
+    scope: Vec<bool>,
+    /// Does every in-scope rule that does not mention `C` hold on `cur`?
+    settled_ok: bool,
+    /// `cur`'s violations of the rules that do not mention `C`.
+    settled_vio: usize,
+    /// (i) The constant rules `cur` fires from groups whose LHS avoids
+    /// `C` but whose RHS is in `C`, each with whether it is in scope.
+    pinned: Vec<(&'a ConstRule, bool)>,
+    /// (ii) The constant groups whose LHS meets `C`, ascending.
+    groups: Vec<usize>,
+    /// (iii) The variable CFDs that mention `C`, each with whether it is
+    /// in scope.
+    variable: Vec<(&'a NormalCfd, bool)>,
+}
+
+impl<'a> Split<'a> {
+    fn new(arity: usize) -> Self {
+        Split {
+            in_c: vec![false; arity],
+            scope: vec![false; arity],
+            settled_ok: true,
+            settled_vio: 0,
+            pinned: Vec::new(),
+            groups: Vec::new(),
+            variable: Vec::new(),
+        }
+    }
+
+    /// Split Σ for the attribute set `combo`, with `fixed` the round's
+    /// fixed attributes and `cur` the verdicts of the tuple being
+    /// resolved.
+    fn build(&mut self, rules: Rules<'a>, cur: &Verdicts<'a>, fixed: &[bool], combo: &[AttrId]) {
+        let Split {
+            in_c,
+            scope,
+            settled_ok,
+            settled_vio,
+            pinned,
+            groups,
+            variable,
+        } = self;
+        in_c.fill(false);
+        scope.copy_from_slice(fixed);
+        for a in combo {
+            in_c[a.index()] = true;
+            scope[a.index()] = true;
+        }
+        let (in_c, scope) = (&*in_c, &*scope);
+        let in_scope = |a: &AttrId| scope[a.index()];
+        *settled_ok = true;
+        *settled_vio = 0;
+        pinned.clear();
+        for (lhs, r, holds) in &cur.fired {
+            if lhs.iter().any(|a| in_c[a.index()]) {
+                continue; // leg (ii) re-fires its group
+            }
+            let lhs_in_scope = lhs.iter().all(in_scope);
+            if in_c[r.rhs_attr.index()] {
+                pinned.push((r, lhs_in_scope));
+            } else if !holds {
+                *settled_vio += 1;
+                *settled_ok &= !(lhs_in_scope && in_scope(&r.rhs_attr));
+            }
+        }
+        groups.clear();
+        for a in combo {
+            groups.extend_from_slice(rules.constants.groups_on(*a));
+        }
+        groups.sort_unstable();
+        groups.dedup();
+        variable.clear();
+        for (n, (holds, conflicts)) in rules.variable_cfds().zip(&cur.variable) {
+            let n_in_scope = n.attrs().all(|a| in_scope(&a));
+            if n.attrs().any(|a| in_c[a.index()]) {
+                variable.push((n, n_in_scope));
+            } else {
+                *settled_vio += conflicts;
+                *settled_ok &= !n_in_scope || *holds;
+            }
+        }
+    }
+
+    /// `Some(vio(cand))` when the candidate `cand` — `cur` with new values
+    /// over `C` — satisfies every rule in scope, `None` otherwise.
+    fn price(&self, rules: Rules<'a>, census: &CensusOverlay, cand: &Tuple) -> Option<usize> {
+        if !self.settled_ok {
+            return None;
+        }
+        let mut vio = self.settled_vio;
+        for (r, in_scope) in &self.pinned {
+            if !r.rhs.satisfied_by_id(cand.id(r.rhs_attr)) {
+                if *in_scope {
+                    return None;
+                }
+                vio += 1;
+            }
+        }
+        let mut ok = true;
+        rules
+            .constants
+            .for_each_fired_in(cand, self.groups.iter().copied(), |lhs, r| {
+                if !r.rhs.satisfied_by_id(cand.id(r.rhs_attr)) {
+                    vio += 1;
+                    let in_scope = |a: &AttrId| self.scope[a.index()];
+                    ok &= !(in_scope(&r.rhs_attr) && lhs.iter().all(in_scope));
+                }
+            });
+        if !ok {
+            return None;
+        }
+        for (n, in_scope) in &self.variable {
+            let (holds, conflicts) = census.verdict(n, cand);
+            if *in_scope && !holds {
+                return None;
+            }
+            vio += conflicts;
+        }
+        Some(vio)
+    }
+}
+
 /// The per-tuple machinery every `INCREPAIR` driver shares (see the
 /// module docs): a relation in which `pending` tuples are not yet part of
 /// the clean portion, with the indexes over that portion.
@@ -262,55 +429,21 @@ impl<'a> IncState<'a> {
         })
     }
 
-    /// Does `t` satisfy the *entire* Σ against the active tuples?
-    fn satisfies_all(&self, t: &Tuple) -> bool {
-        let mut ok = true;
-        self.rules.constants.for_each_fired(t, |_, r| {
-            ok &= r.rhs.satisfied_by_id(t.id(r.rhs_attr));
-        });
-        if !ok {
-            return false;
-        }
-        self.rules
-            .variable_cfds()
-            .all(|n| self.census.satisfies(n, t))
-    }
-
-    /// Does `t` satisfy `Σ(mask)` — every CFD whose attributes fall inside
-    /// `mask` — against the active tuples?
-    fn satisfies_within(&self, t: &Tuple, mask: &[bool]) -> bool {
-        let mut ok = true;
-        self.rules.constants.for_each_fired(t, |lhs, r| {
-            if ok
-                && lhs.iter().all(|a| mask[a.index()])
-                && mask[r.rhs_attr.index()]
-                && !r.rhs.satisfied_by_id(t.id(r.rhs_attr))
-            {
-                ok = false;
-            }
-        });
-        if !ok {
-            return false;
-        }
-        self.rules
-            .variable_cfds()
-            .filter(|n| n.attrs().all(|a| mask[a.index()]))
-            .all(|n| self.census.satisfies(n, t))
-    }
-
     /// Candidate values for attribute `a` while resolving `cur` with the
-    /// attribute set `C` (as a mask). Sources, in order: the current value,
-    /// values pinned by CFDs whose LHS avoids `C`, nearest active-domain
-    /// values, and `null`. The nearest values come from the value index,
-    /// which answers a base probe from its resident memo merged with the
-    /// values activated since (see [`crate::cluster`]); `nearest` keeps
-    /// that answer per attribute for the tuple being resolved (see
+    /// attribute set `C` (`in_c` marks it); `fired` is `cur`'s
+    /// [`Verdicts::fired`]. Sources, in order: the current value, values
+    /// pinned by CFDs whose LHS avoids `C`, nearest active-domain values,
+    /// and `null`. The nearest values come from the value index, which
+    /// answers a base probe from its resident memo merged with the values
+    /// activated since (see [`crate::cluster`]); `nearest` keeps that
+    /// answer per attribute for the tuple being resolved (see
     /// [`Self::tuple_resolve`]).
     fn candidates_for(
         &mut self,
         cur: &Tuple,
         a: AttrId,
-        c_mask: u128,
+        in_c: &[bool],
+        fired: &[Fired<'a>],
         nearest: &mut [Option<(ValueId, Vec<ValueId>)>],
     ) -> Vec<ValueId> {
         let mut out: Vec<ValueId> = Vec::with_capacity(self.config.candidates_per_attr + 6);
@@ -320,29 +453,24 @@ impl<'a> IncState<'a> {
             }
         };
         push(&mut out, cur.id(a));
+        let avoids_c = |lhs: &[AttrId]| lhs.iter().all(|x| !in_c[x.index()]);
         // Constant-rule obligations: rules firing on cur whose LHS avoids C
         // and whose RHS is exactly `a`.
-        let mut pinned: Vec<ValueId> = Vec::new();
-        self.rules.constants.for_each_fired(cur, |lhs, r| {
-            if r.rhs_attr == a && lhs.iter().all(|x| (c_mask >> x.index()) & 1 == 0) {
+        for (lhs, r, _) in fired {
+            if r.rhs_attr == a && avoids_c(lhs) {
                 if let Some(v) = r.rhs.as_const_id() {
-                    pinned.push(v);
+                    push(&mut out, v);
                 }
             }
-        });
-        for v in pinned {
-            push(&mut out, v);
         }
         // Variable-CFD pins: the group value for cur's key, when the LHS
         // avoids C.
-        let pins: Vec<ValueId> = self
-            .rules
-            .variable_cfds()
-            .filter(|n| n.rhs_attr() == a && n.lhs().iter().all(|x| (c_mask >> x.index()) & 1 == 0))
-            .filter_map(|n| self.census.pinned_id(n, cur))
-            .collect();
-        for v in pins {
-            push(&mut out, v);
+        for n in self.rules.variable_cfds() {
+            if n.rhs_attr() == a && avoids_c(n.lhs()) {
+                if let Some(v) = self.census.pinned_id(n, cur) {
+                    push(&mut out, v);
+                }
+            }
         }
         // Nearest active-domain values by DL distance.
         let probe = cur.id(a);
@@ -360,12 +488,27 @@ impl<'a> IncState<'a> {
     }
 
     /// `TUPLERESOLVE` (Fig. 7): repair one tuple against the active portion.
+    ///
+    /// Σ is evaluated on `cur` once per round ([`Verdicts`]), and split
+    /// once per attribute set `C` ([`Split`]): a candidate differs from
+    /// `cur` only on `C`, so a rule that does not mention `C` answers for
+    /// every candidate what it answered for `cur`. Each candidate is
+    /// written into one scratch tuple, and only the rules `C` can change
+    /// are evaluated on it: (i) the constant rules `cur` fires from
+    /// groups whose LHS avoids `C` but whose RHS is in `C`, (ii) the
+    /// constant groups whose LHS meets `C`, re-fired, and (iii) the
+    /// variable CFDs that mention `C`. The split is exact — `vio` is an
+    /// integer sum over the rules and feasibility an AND of
+    /// side-effect-free verdicts, and every rule falls in exactly one
+    /// part — so each candidate gets the verdict and `vio` a full
+    /// evaluation of Σ would give it.
     pub(crate) fn tuple_resolve(&mut self, orig: &Tuple) -> Tuple {
         // Fast path: a tuple that satisfies Σ against the clean portion
         // *and* has no conflicts pending needs no work. This is the
         // overwhelmingly common case at the experiments' 1%–10% error
         // rates.
-        if self.satisfies_all(orig) {
+        let mut verdicts = Verdicts::of(self.rules, &self.census, orig);
+        if verdicts.all_hold() {
             return orig.clone();
         }
         let arity = orig.arity();
@@ -380,32 +523,30 @@ impl<'a> IncState<'a> {
         // so every attribute outside the failing set keeps its value and is
         // marked fixed up front. This prunes the attribute-set search from
         // `attr(R)` (13 here) to the handful the violations actually touch.
-        let mut fixed = vec![true; arity];
         let mut suspicious = vec![!self.config.restrict_to_failing; arity];
-        self.rules.constants.for_each_fired(orig, |lhs, r| {
-            if !r.rhs.satisfied_by_id(orig.id(r.rhs_attr)) {
-                for a in lhs {
+        for (lhs, r, holds) in &verdicts.fired {
+            if !holds {
+                for a in lhs.iter().chain([&r.rhs_attr]) {
                     suspicious[a.index()] = true;
                 }
-                suspicious[r.rhs_attr.index()] = true;
             }
-        });
-        let failing_variable: Vec<AttrId> = self
-            .rules
-            .variable_cfds()
-            .filter(|n| !self.census.satisfies(n, orig))
-            .flat_map(|n| n.attrs().collect::<Vec<_>>())
-            .collect();
-        for a in failing_variable {
-            suspicious[a.index()] = true;
         }
-        for (slot, sus) in fixed.iter_mut().zip(&suspicious) {
-            *slot = !sus;
+        for (n, (holds, _)) in self.rules.variable_cfds().zip(&verdicts.variable) {
+            if !holds {
+                for a in n.attrs() {
+                    suspicious[a.index()] = true;
+                }
+            }
         }
+        let mut fixed: Vec<bool> = suspicious.iter().map(|sus| !sus).collect();
         debug_assert!(
             fixed.iter().any(|f| !f),
-            "satisfies_all failed, so some constraint must be failing"
+            "some constraint fails, so some attribute is unfixed"
         );
+        // Every candidate is written into `scratch`, which equals `cur`
+        // outside the attribute set being tried.
+        let mut scratch = cur.clone();
+        let mut split = Split::new(arity);
         while fixed.iter().any(|f| !f) {
             let unfixed: Vec<AttrId> = (0..arity as u16)
                 .map(AttrId)
@@ -414,15 +555,12 @@ impl<'a> IncState<'a> {
             let k = self.config.k.min(unfixed.len());
             let mut best: Option<(Vec<AttrId>, Vec<ValueId>, f64, f64)> = None;
             for combo in combinations(&unfixed, k) {
-                let c_mask: u128 = combo.iter().fold(0, |m, a| m | (1u128 << a.index()));
-                // Scope mask: already-fixed attributes plus this combo.
-                let mut mask = fixed.clone();
-                for a in &combo {
-                    mask[a.index()] = true;
-                }
+                split.build(self.rules, &verdicts, &fixed, &combo);
                 let per_attr: Vec<Vec<ValueId>> = combo
                     .iter()
-                    .map(|a| self.candidates_for(&cur, *a, c_mask, &mut nearest))
+                    .map(|a| {
+                        self.candidates_for(&cur, *a, &split.in_c, &verdicts.fired, &mut nearest)
+                    })
                     .collect();
                 // Warm the distance memo target-major before the odometer:
                 // one prepared kernel per (original value, candidate list)
@@ -435,12 +573,10 @@ impl<'a> IncState<'a> {
                 let mut tried = 0usize;
                 let mut odometer = vec![0usize; k];
                 'outer: loop {
-                    let assignment: Vec<ValueId> = odometer
-                        .iter()
-                        .zip(per_attr.iter())
-                        .map(|(i, vs)| vs[*i])
-                        .collect();
-                    self.consider(orig, &cur, &combo, assignment, &mask, &mut best);
+                    for ((a, i), vs) in combo.iter().zip(&odometer).zip(&per_attr) {
+                        scratch.set_id(*a, vs[*i]);
+                    }
+                    self.consider(orig, &combo, &scratch, &split, &mut best);
                     tried += 1;
                     if tried >= self.config.max_combos {
                         break;
@@ -461,7 +597,13 @@ impl<'a> IncState<'a> {
                 }
                 // The all-null assignment is always feasible (Example 5.1);
                 // make sure it was considered even under the combo cap.
-                self.consider(orig, &cur, &combo, vec![NULL_ID; k], &mask, &mut best);
+                for a in &combo {
+                    scratch.set_id(*a, NULL_ID);
+                }
+                self.consider(orig, &combo, &scratch, &split, &mut best);
+                for a in &combo {
+                    scratch.set_id(*a, cur.id(*a));
+                }
             }
             let (combo, values, _, _) =
                 best.expect("all-null assignment is always feasible, so a best fix exists");
@@ -470,35 +612,36 @@ impl<'a> IncState<'a> {
                     self.stats.nulls_introduced += 1;
                 }
                 cur.set_id(*a, v);
+                scratch.set_id(*a, v);
                 fixed[a.index()] = true;
+            }
+            if fixed.iter().any(|f| !f) {
+                verdicts = Verdicts::of(self.rules, &self.census, &cur);
             }
         }
         cur
     }
 
-    /// Evaluate one candidate assignment; update `best` when feasible and
-    /// cheaper. Ranking is `(costfix, cost, #nulls)` for determinism.
+    /// Price one candidate, `cand` (`cur` with the values being tried
+    /// written over `combo`), through the attribute set's [`Split`];
+    /// update `best` when feasible and cheaper. Ranking is
+    /// `(costfix, cost, #nulls)` for determinism.
     fn consider(
         &mut self,
         orig: &Tuple,
-        cur: &Tuple,
         combo: &[AttrId],
-        values: Vec<ValueId>,
-        mask: &[bool],
+        cand: &Tuple,
+        split: &Split<'a>,
         best: &mut Option<(Vec<AttrId>, Vec<ValueId>, f64, f64)>,
     ) {
-        let mut cand = cur.clone();
-        for (a, v) in combo.iter().zip(values.iter()) {
-            cand.set_id(*a, *v);
-        }
-        if !self.satisfies_within(&cand, mask) {
+        let Some(vio) = split.price(self.rules, &self.census, cand) else {
             return;
-        }
+        };
         let cost: f64 = combo
             .iter()
-            .zip(values.iter())
-            .map(|(a, v)| {
-                let c = change_cost_ids(orig.weight(*a), orig.id(*a), *v, &mut self.dcache);
+            .map(|a| {
+                let v = cand.id(*a);
+                let c = change_cost_ids(orig.weight(*a), orig.id(*a), v, &mut self.dcache);
                 if v.is_null() && !orig.id(*a).is_null() {
                     c * NULL_COST_FACTOR
                 } else {
@@ -506,12 +649,15 @@ impl<'a> IncState<'a> {
                 }
             })
             .sum();
-        let vio = self.vio(&cand);
         let costfix = cost + VIO_PENALTY * vio as f64;
-        let tie = cost + values.iter().filter(|v| v.is_null()).count() as f64 * 1e-6;
+        let nulls = combo.iter().filter(|a| cand.id(**a).is_null()).count();
+        let tie = cost + nulls as f64 * 1e-6;
         match best {
             Some((_, _, bf, bt)) if (*bf, *bt) <= (costfix, tie) => {}
-            _ => *best = Some((combo.to_vec(), values, costfix, tie)),
+            _ => {
+                let values = combo.iter().map(|a| cand.id(*a)).collect();
+                *best = Some((combo.to_vec(), values, costfix, tie));
+            }
         }
     }
 
@@ -711,10 +857,6 @@ impl<'a> IncState<'a> {
     /// each resume covers one repair round; callers accumulate across
     /// rounds.
     pub(crate) fn resume(parts: ResidentParts, rules: Rules<'a>, config: IncConfig) -> Self {
-        assert!(
-            parts.work.schema().arity() <= 128,
-            "incremental repair supports arity ≤ 128"
-        );
         assert!(config.k >= 1, "k must be at least 1");
         IncState {
             rules,
@@ -1161,5 +1303,174 @@ mod tests {
             );
             assert_eq!(state.census.checksum(), snapshot, "seed {seed}");
         });
+    }
+
+    /// The full-Σ evaluation [`Split`] replaces, kept as the oracle's
+    /// reference: `cand` is feasible when it satisfies every rule whose
+    /// attributes fall inside `scope`, and is then priced at `vio(cand)`.
+    fn reference_price(state: &IncState, cand: &Tuple, scope: &[bool]) -> Option<usize> {
+        let mut ok = true;
+        state.rules.constants.for_each_fired(cand, |lhs, r| {
+            if lhs.iter().all(|a| scope[a.index()])
+                && scope[r.rhs_attr.index()]
+                && !r.rhs.satisfied_by_id(cand.id(r.rhs_attr))
+            {
+                ok = false;
+            }
+        });
+        let ok = ok
+            && state
+                .rules
+                .variable_cfds()
+                .filter(|n| n.attrs().all(|a| scope[a.index()]))
+                .all(|n| state.census.satisfies(n, cand));
+        ok.then(|| state.vio(cand))
+    }
+
+    /// Which legs of `split` see a violated rule on `cand`: (i) a pinned
+    /// rule, (ii) a re-fired group, (iii) a variable CFD.
+    fn legs_hit(state: &IncState, split: &Split, cand: &Tuple) -> [bool; 3] {
+        let fails = |r: &ConstRule| !r.rhs.satisfied_by_id(cand.id(r.rhs_attr));
+        let mut refired = false;
+        state
+            .rules
+            .constants
+            .for_each_fired_in(cand, split.groups.iter().copied(), |_, r| {
+                refired |= fails(r);
+            });
+        [
+            split.pinned.iter().any(|(r, _)| fails(r)),
+            refired,
+            split
+                .variable
+                .iter()
+                .any(|(n, _)| state.census.verdict(n, cand) != (true, 0)),
+        ]
+    }
+
+    /// Resolve-like probes against `state`: for each probe, k = 1..3, a
+    /// random fixed mask, a random attribute set `C` among the unfixed
+    /// attributes and candidates drawn from `C`'s current values, the
+    /// active domain and null. Every candidate's split verdict and `vio`
+    /// must equal the reference's. Counts the candidates each leg saw.
+    fn split_trial(
+        state: &IncState,
+        probes: &[Tuple],
+        rng: &mut cfd_prng::ChaCha8Rng,
+        hits: &mut [usize; 3],
+    ) {
+        use cfd_prng::{Rng, SliceRandom};
+        let arity = state.work.schema().arity();
+        let adom: Vec<Vec<ValueId>> = state
+            .work
+            .schema()
+            .attr_ids()
+            .map(|a| state.adom.ids(a).map(|(id, _)| id).collect())
+            .collect();
+        let mut split = Split::new(arity);
+        for cur in probes {
+            let verdicts = Verdicts::of(state.rules, &state.census, cur);
+            for k in 1..=3 {
+                let fixed: Vec<bool> = (0..arity).map(|_| rng.gen_bool(0.4)).collect();
+                let mut combo: Vec<AttrId> = (0..arity as u16)
+                    .map(AttrId)
+                    .filter(|a| !fixed[a.index()])
+                    .collect();
+                if combo.len() < k {
+                    continue;
+                }
+                combo.shuffle(rng);
+                combo.truncate(k);
+                combo.sort_unstable();
+                split.build(state.rules, &verdicts, &fixed, &combo);
+                for _ in 0..12 {
+                    let mut cand = cur.clone();
+                    for a in &combo {
+                        let v = match rng.gen_range(0..5u32) {
+                            0 => NULL_ID,
+                            1 => cur.id(*a),
+                            _ => *adom[a.index()].choose(rng).unwrap_or(&NULL_ID),
+                        };
+                        cand.set_id(*a, v);
+                    }
+                    assert_eq!(
+                        split.price(state.rules, &state.census, &cand),
+                        reference_price(state, &cand, &split.scope),
+                        "C = {combo:?}, fixed = {fixed:?}, candidate {cand:?}"
+                    );
+                    for (hit, leg) in hits.iter_mut().zip(legs_hit(state, &split, &cand)) {
+                        *hit += usize::from(leg);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The split of Σ per attribute set prices every candidate exactly
+    /// as the full evaluation does, over the §7.1 Σ (probes: the pending
+    /// tuples of a 30%-noisy copy, the rest active) and the Fig. 1 `cust`
+    /// Σ (probes: tuples mixed from its active domain), and every leg of
+    /// the split decides some of them.
+    #[test]
+    fn split_pricing_matches_the_full_evaluation() {
+        use cfd_gen::{generate, inject, GenConfig, NoiseConfig};
+        use cfd_prng::{trials, Rng, SliceRandom};
+        let mut hits = [0usize; 3];
+        trials(4, 0x5_9117, |rng| {
+            let seed = rng.gen_range(0..1_000u64);
+            let w = generate(&GenConfig::sized(300, seed));
+            let noise = NoiseConfig {
+                rate: 0.3,
+                seed,
+                ..Default::default()
+            };
+            let dirty = inject(&w.dopt, &w.world, &noise).dirty;
+            let sigma = w.sigma_for(&dirty);
+            let pending: Vec<TupleId> = dirty
+                .ids()
+                .filter(|_| rng.gen_range(0..5u32) == 0)
+                .collect();
+            let rules = OwnedRules::build(&sigma);
+            let state = IncState::new(
+                dirty.clone(),
+                &pending,
+                rules.view(&sigma),
+                IncConfig::default(),
+            )
+            .unwrap();
+            let probes: Vec<Tuple> = pending
+                .iter()
+                .map(|id| dirty.require(*id).unwrap().to_tuple())
+                .collect();
+            split_trial(&state, &probes, rng, &mut hits);
+        });
+        assert!(hits.iter().all(|h| *h > 0), "§7.1 legs hit: {hits:?}");
+
+        let mut hits = [0usize; 3];
+        trials(4, 0xC057, |rng| {
+            let pool = ValuePool::new_handle();
+            let data = include_str!("../../../tests/fixtures/cust_dirty.csv");
+            let rel = cfd_model::csv::read_relation_in("cust", &mut data.as_bytes(), pool).unwrap();
+            let text = include_str!("../../../tests/fixtures/cust_rules.txt");
+            let cfds = cfd_cfd::parser::parse_rules(rel.schema(), text).unwrap();
+            let sigma = Sigma::normalize_in(rel.schema().clone(), cfds, rel.pool()).unwrap();
+            let rules = OwnedRules::build(&sigma);
+            let state =
+                IncState::new(rel.clone(), &[], rules.view(&sigma), IncConfig::default()).unwrap();
+            let rows: Vec<Tuple> = rel.iter().map(|(_, t)| t.to_tuple()).collect();
+            let probes: Vec<Tuple> = (0..24)
+                .map(|_| {
+                    let mut t = rows.choose(rng).unwrap().clone();
+                    for a in rel.schema().attr_ids() {
+                        if rng.gen_bool(0.3) {
+                            t.set_id(a, rows.choose(rng).unwrap().id(a));
+                        }
+                    }
+                    t
+                })
+                .collect();
+            split_trial(&state, &probes, rng, &mut hits);
+        });
+        assert!(hits.iter().all(|h| *h > 0), "cust legs hit: {hits:?}");
     }
 }
