@@ -5,13 +5,15 @@
 //! reference), equivalence-class operations, census validation (the
 //! LHS-index probe), nearest-value search (banded vs naive scan, memo hit
 //! vs miss), cold
-//! dataset ingest (CSV re-interning vs snapshot dictionary install),
+//! dataset ingest (CSV re-interning and the weight file vs snapshot
+//! dictionary install),
 //! daemon request latency (warm resident dataset vs cold one-shot open),
 //! streaming window latency (a warm `RepairSession` cycle vs the cold
 //! per-window one-shot insert), and a Fig. 12 ΔD insert into a warm
 //! resident dataset.
-//! `meta/*` entries record the container's CPU count alongside the
-//! numbers.
+//! `meta/*` entries record the container's CPU count and the time of a
+//! fixed machine-speed kernel alongside the numbers, so runs taken at
+//! different times can be put on one scale.
 //!
 //! The headline pair is `index_build` / `detect`: the dictionary-encoded
 //! value layer keys every hot map on `ValueId`/`IdKey` (u32s), while the
@@ -363,7 +365,7 @@ fn smoke() -> ! {
 /// mean anything. Returns the csv/snapshot median ratio (> 1 means the
 /// snapshot wins).
 fn bench_load(h: &mut Harness) -> f64 {
-    use cfd_model::csv::{read_relation_in, write_relation};
+    use cfd_model::csv::{read_relation_in, read_weights, write_relation, write_weights};
     use cfd_model::snapshot::{read_snapshot, snapshot_to_vec};
 
     let w = workload(20_000, 7);
@@ -407,6 +409,23 @@ fn bench_load(h: &mut Harness) -> f64 {
         )
         .expect("csv parses")
         .len()
+    });
+    // The weight file of the same relation, applied to the CSV-loaded
+    // copy: the reader overwrites every live weight, so each pass does
+    // the whole job.
+    let mut weights = Vec::new();
+    write_weights(&noise.dirty, &mut weights).expect("render weights");
+    let mut weighted = via_csv;
+    read_weights(&mut weighted, &mut weights.as_slice()).expect("weights parse");
+    for a in weighted.schema().attr_ids() {
+        assert_eq!(
+            weighted.weight_column(a),
+            noise.dirty.weight_column(a),
+            "weights disagree on column {a}"
+        );
+    }
+    h.run("load/csv_weights_20k", || {
+        read_weights(&mut weighted, &mut black_box(weights.as_slice())).expect("weights parse")
     });
     let t_snap = h.run("load/snapshot_20k", || {
         read_snapshot(black_box(&snap))
@@ -823,12 +842,33 @@ fn bench_resident_insert(h: &mut Harness) {
 
 /// Run-environment metadata, recorded into `BENCH_kernels.json` alongside
 /// the timings so the numbers carry their own context: how many CPUs the
-/// container actually had.
+/// container actually had, and how fast the machine ran a fixed kernel
+/// that shares no code with the program (see [`machine_speed_kernel`]).
+/// Two runs taken at different times compare after dividing each row by
+/// its run's `meta/machine_speed` row.
 fn record_metadata(h: &mut Harness) {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     h.record("meta/container_cpus", cpus as f64);
+    let mut table = vec![0u64; 1 << 18];
+    h.run("meta/machine_speed", || machine_speed_kernel(&mut table));
+}
+
+/// A program-independent yardstick of machine speed: 150,000 xorshift
+/// steps, each scattering its value into a 2 MB table (dependent
+/// arithmetic plus cache misses, like the program's own hot loops).
+fn machine_speed_kernel(table: &mut [u64]) -> u64 {
+    let mask = table.len() - 1;
+    let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+    for _ in 0..150_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let slot = &mut table[x as usize & mask];
+        *slot = slot.wrapping_add(x);
+    }
+    black_box(table[0])
 }
 
 /// The interned-vs-string headline: index build and full detection on the

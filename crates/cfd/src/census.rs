@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cfd_model::hash::FnvMap;
+use cfd_model::hash::FixedMap;
 use cfd_model::index::HashIndex;
 use cfd_model::{AttrId, IdKey, Relation, TupleId, TupleView, ValueId};
 
@@ -214,10 +214,10 @@ impl Buckets {
     }
 }
 
-/// Group key → RHS value → bucket, for one shape. FNV-hashed: no
-/// per-process seed, and no reader lets the map's iteration order reach
+/// Group key → RHS value → bucket, for one shape. Under the fixed word
+/// hasher: no per-process seed, and no reader lets the map's iteration order reach
 /// a decision.
-type GroupMap = FnvMap<IdKey, Buckets>;
+type GroupMap = FixedMap<IdKey, Buckets>;
 
 /// One tracked shape: its LHS, its RHS and its groups.
 type Shape = (Vec<AttrId>, AttrId, GroupMap);

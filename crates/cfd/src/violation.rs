@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use cfd_model::hash::FnvMap;
+use cfd_model::hash::FixedMap;
 use cfd_model::index::HashIndex;
 use cfd_model::{AttrId, IdKey, Relation, TupleId, TupleView, ValueId};
 
@@ -39,7 +39,7 @@ use crate::pattern::{ids_match, PatternId};
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ViolationReport {
     /// `vio(t)` for every tuple with at least one violation.
-    pub per_tuple: FnvMap<TupleId, usize>,
+    pub per_tuple: FixedMap<TupleId, usize>,
     /// For each normal CFD (indexed by `CfdId`), the tuples violating it.
     pub per_cfd: Vec<Vec<TupleId>>,
     /// Total violation count `vio(D) = Σ_t vio(t)`.
@@ -154,7 +154,7 @@ struct ConstGroup {
     const_attrs: Vec<AttrId>,
     /// key = interned projection onto `const_attrs` → the rules with that
     /// key. Probed with a stack-built id slice; no allocation per tuple.
-    map: FnvMap<IdKey, Vec<ConstRule>>,
+    map: FixedMap<IdKey, Vec<ConstRule>>,
 }
 
 /// One constant rule: `CfdId` plus its RHS obligation (interned).
@@ -172,7 +172,7 @@ impl ConstantRules {
     /// Index all constant normal CFDs of `sigma`.
     pub fn build(sigma: &Sigma) -> Self {
         // group key: (lhs attrs, const-position mask)
-        let mut grouping: FnvMap<(Vec<AttrId>, Vec<bool>), usize> = FnvMap::default();
+        let mut grouping: FixedMap<(Vec<AttrId>, Vec<bool>), usize> = FixedMap::default();
         let mut groups: Vec<ConstGroup> = Vec::new();
         for n in sigma.iter().filter(|n| n.is_constant()) {
             let mask: Vec<bool> = n.lhs_pattern().iter().map(|p| !p.is_wildcard()).collect();
@@ -189,7 +189,7 @@ impl ConstantRules {
                     groups.push(ConstGroup {
                         lhs: n.lhs().to_vec(),
                         const_attrs,
-                        map: FnvMap::default(),
+                        map: FixedMap::default(),
                     });
                     groups.len() - 1
                 });

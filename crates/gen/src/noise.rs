@@ -25,7 +25,7 @@ use cfd_prng::ChaCha8Rng;
 use cfd_prng::SliceRandom;
 use cfd_prng::{Rng, SeedableRng};
 
-use cfd_model::hash::{FnvMap, FnvSet};
+use cfd_model::hash::{FixedMap, FixedSet};
 use cfd_model::{AttrId, Relation, TupleId, Value, ValuePool};
 
 use crate::order_schema::{order_attrs, OrderAttrs};
@@ -136,7 +136,7 @@ fn corrupt_value<R: Rng>(
     cfg: &NoiseConfig,
     current: &str,
     pool: &[String],
-    forbidden: &FnvSet<String>,
+    forbidden: &FixedSet<String>,
 ) -> String {
     for _ in 0..16 {
         let candidate = if rng.gen_bool(cfg.typo_prob) || pool.is_empty() {
@@ -177,8 +177,8 @@ pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome
 
     // Partner counts: variable noise needs a second order by the same
     // customer (STR) or of the same item (name/PR).
-    let mut pn_count: FnvMap<Value, usize> = FnvMap::default();
-    let mut id_count: FnvMap<Value, usize> = FnvMap::default();
+    let mut pn_count: FixedMap<Value, usize> = FixedMap::default();
+    let mut id_count: FixedMap<Value, usize> = FixedMap::default();
     for (_, t) in dopt.iter() {
         *pn_count.entry(t.value(attrs.pn).clone()).or_insert(0) += 1;
         *id_count.entry(t.value(attrs.id).clone()).or_insert(0) += 1;
@@ -210,7 +210,7 @@ pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome
     let mut variable_done = 0usize;
     // Per-group corrupted values, so two partners are never corrupted to
     // the same value (which would silently cancel the conflict).
-    let mut group_values: FnvMap<(u16, Value), FnvSet<String>> = FnvMap::default();
+    let mut group_values: FixedMap<(u16, Value), FixedSet<String>> = FixedMap::default();
 
     for id in ids {
         if planned.len() >= n_dirty {
@@ -264,7 +264,7 @@ pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome
         } else {
             // Constant noise: CT / ST / AC / CTY / VAT / zip-swap.
             let choice = rng.gen_range(0..6);
-            let empty = FnvSet::default();
+            let empty = FixedSet::default();
             let (attr, value) = match choice {
                 0 => {
                     let cur = t.value(attrs.ct).render().to_string();
@@ -343,7 +343,7 @@ pub fn inject(dopt: &Relation, world: &World, cfg: &NoiseConfig) -> NoiseOutcome
 
     // §7.1 weights: dirty cells draw from [0, a], clean cells from [b, 1].
     if cfg.assign_weights {
-        let corrupted_set: FnvSet<(TupleId, AttrId)> = corrupted.iter().copied().collect();
+        let corrupted_set: FixedSet<(TupleId, AttrId)> = corrupted.iter().copied().collect();
         let all_attrs: Vec<AttrId> = dirty.schema().attr_ids().collect();
         let ids: Vec<TupleId> = dirty.ids().collect();
         for id in ids {
@@ -462,7 +462,7 @@ mod tests {
     fn weights_follow_bands() {
         let w = workload();
         let out = inject(&w.dopt, &w.world, &NoiseConfig::default());
-        let corrupted: FnvSet<_> = out.corrupted.iter().copied().collect();
+        let corrupted: FixedSet<_> = out.corrupted.iter().copied().collect();
         for (id, t) in out.dirty.iter() {
             for a in out.dirty.schema().attr_ids() {
                 let wt = t.weight(a);

@@ -18,7 +18,7 @@
 //!   at one address;
 //! * `id → (name, PR, TT)` — an item catalog.
 
-use cfd_model::hash::FnvSet;
+use cfd_model::hash::FixedSet;
 use cfd_prng::ChaCha8Rng;
 use cfd_prng::SliceRandom;
 use cfd_prng::{Rng, SeedableRng};
@@ -218,7 +218,7 @@ impl World {
         // De-duplicate zips that collided under the stride: rewrite any
         // duplicate deterministically.
         {
-            let mut seen: FnvSet<String> = FnvSet::default();
+            let mut seen: FixedSet<String> = FixedSet::default();
             let mut next = 10000usize;
             for z in &mut zips {
                 if !seen.insert(z.zip.clone()) {
@@ -318,9 +318,9 @@ mod tests {
             zips_per_city: 12,
             ..Default::default()
         });
-        let zips: FnvSet<_> = w.zips.iter().map(|z| z.zip.clone()).collect();
+        let zips: FixedSet<_> = w.zips.iter().map(|z| z.zip.clone()).collect();
         assert_eq!(zips.len(), w.zips.len());
-        let acs: FnvSet<_> = w.zips.iter().map(|z| z.area_code.clone()).collect();
+        let acs: FixedSet<_> = w.zips.iter().map(|z| z.area_code.clone()).collect();
         assert_eq!(acs.len(), w.zips.len());
     }
 
@@ -330,7 +330,7 @@ mod tests {
             n_customers: 5000,
             ..Default::default()
         });
-        let phones: FnvSet<_> = w.customers.iter().map(|c| c.phone.clone()).collect();
+        let phones: FixedSet<_> = w.customers.iter().map(|c| c.phone.clone()).collect();
         assert_eq!(phones.len(), 5000);
     }
 
@@ -340,7 +340,7 @@ mod tests {
             n_cities: 300,
             ..Default::default()
         });
-        let names: FnvSet<_> = w.cities.iter().map(|c| c.name.clone()).collect();
+        let names: FixedSet<_> = w.cities.iter().map(|c| c.name.clone()).collect();
         assert_eq!(names.len(), 300);
     }
 
@@ -348,7 +348,7 @@ mod tests {
     fn street_names_unique_within_city() {
         let w = World::generate(WorldConfig::default());
         for city_idx in 0..w.cities.len() {
-            let names: FnvSet<_> = w
+            let names: FixedSet<_> = w
                 .streets
                 .iter()
                 .filter(|s| s.city == city_idx)
@@ -372,7 +372,7 @@ mod tests {
             n_cities: 200, // several cities per state
             ..Default::default()
         });
-        let mut by_state: cfd_model::hash::FnvMap<&str, &str> = Default::default();
+        let mut by_state: cfd_model::hash::FixedMap<&str, &str> = Default::default();
         for c in &w.cities {
             let prev = by_state.insert(c.state, c.country);
             if let Some(prev) = prev {
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn item_ids_unique_and_items_well_formed() {
         let w = World::generate(WorldConfig::default());
-        let ids: FnvSet<_> = w.items.iter().map(|i| i.id.clone()).collect();
+        let ids: FixedSet<_> = w.items.iter().map(|i| i.id.clone()).collect();
         assert_eq!(ids.len(), w.items.len());
         for item in &w.items {
             assert!(item.price.contains('.'));

@@ -15,7 +15,7 @@
 //! The structure itself is pool-agnostic — it stores whatever ids the
 //! caller feeds it; callers resolve them through the relation's pool.
 
-use crate::hash::FnvMap;
+use crate::hash::FixedMap;
 use crate::pool::ValueId;
 use crate::relation::Relation;
 use crate::schema::AttrId;
@@ -24,14 +24,14 @@ use crate::schema::AttrId;
 /// relation, keyed by interned id.
 #[derive(Clone, Debug, Default)]
 pub struct ActiveDomain {
-    per_attr: Vec<FnvMap<ValueId, usize>>,
+    per_attr: Vec<FixedMap<ValueId, usize>>,
 }
 
 impl ActiveDomain {
     /// Build the active domain of every attribute of `rel` in one scan.
     pub fn of_relation(rel: &Relation) -> Self {
-        let mut per_attr: Vec<FnvMap<ValueId, usize>> =
-            vec![FnvMap::default(); rel.schema().arity()];
+        let mut per_attr: Vec<FixedMap<ValueId, usize>> =
+            vec![FixedMap::default(); rel.schema().arity()];
         for (_, t) in rel.iter() {
             for a in rel.schema().attr_ids() {
                 let id = t.id(a);
@@ -46,7 +46,7 @@ impl ActiveDomain {
     /// An empty domain for a relation of the given arity.
     pub fn with_arity(arity: usize) -> Self {
         ActiveDomain {
-            per_attr: vec![FnvMap::default(); arity],
+            per_attr: vec![FixedMap::default(); arity],
         }
     }
 

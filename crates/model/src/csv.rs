@@ -7,31 +7,40 @@
 //! anything that parses as `i64` *and* was written by [`write_relation`]
 //! from an `Int` is prefixed with `#i:` to keep types stable.
 //!
-//! Import reads the input once and splits it into lines and fields that
-//! borrow from that one buffer. A line without a `"` splits on commas in
-//! place; only a line that contains a quote goes through the unescaping
-//! splitter. Each column is then deduplicated *by field* (text plus
-//! whether it was quoted) in first-occurrence order, so a cell costs one
-//! hash probe and no allocation. The distinct fields are decoded once and
-//! installed with their occurrence counts through
+//! Import splits each line with one walk over its bytes, eight at a
+//! time, noting the commas. A line without a `"` yields its fields in
+//! place, borrowed from the input; only a line that contains a quote goes
+//! through the unescaping splitter.
+//!
+//! [`read_relation_in`] reads the input into one buffer, and each column
+//! deduplicates its unquoted fields on their borrowed text (a quoted
+//! line's fields on text plus quoting) in first-occurrence order, so a
+//! cell costs one hash probe and no allocation. The distinct fields are
+//! decoded once and installed with their occurrence counts through
 //! [`ValuePool::install_column`] — the same bulk install snapshot load
 //! uses — one call per column in schema order. A pool allocates ids in
 //! first-occurrence order within a column, so this gives exactly the ids
 //! and `use_count`s that interning every cell in row order would. Two
-//! fields that decode to one value (`#i:7` and `#i:07`) simply install the
-//! same value twice and add up their counts. The id columns go straight
-//! into a [`ColumnStore`](crate::ColumnStore) via
-//! [`Relation::from_columns_in`]; no intermediate
-//! [`Tuple`](crate::Tuple) objects are built.
+//! fields that decode to one value (`#i:7` and `#i:07`, or `x` on a plain
+//! line and `x` on a quoted one) simply install the same value twice and
+//! add up their counts. The id columns go straight into a
+//! [`ColumnStore`](crate::ColumnStore) via [`Relation::from_columns_in`];
+//! no intermediate [`Tuple`](crate::Tuple) objects are built.
+//!
+//! [`read_weights`] needs nothing to outlive its line, so it reads one
+//! line at a time through a reused buffer, parses each row with
+//! `str::parse::<f64>`, and writes it straight into the live slots'
+//! weight columns.
 //!
 //! Export encodes each distinct id once per call and streams rows to the
 //! writer in bounded chunks.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
 use crate::error::ModelError;
-use crate::hash::FnvMap;
+use crate::hash::FixedMap;
 use crate::pool::{ValueId, ValuePool};
 use crate::relation::{Relation, TupleId};
 use crate::schema::{AttrId, Schema};
@@ -89,10 +98,16 @@ fn encode_value(v: &Value, out: &mut String) {
 }
 
 fn decode_value(field: &Field) -> Value {
-    let text = &*field.text;
     if field.quoted {
-        return Value::str(text);
+        Value::str(&*field.text)
+    } else {
+        decode_unquoted(&field.text)
     }
+}
+
+/// The value of an unquoted field: the null token, an int tag, or a
+/// string.
+fn decode_unquoted(text: &str) -> Value {
     if text == NULL_TOKEN {
         Value::Null
     } else if let Some(rest) = text.strip_prefix(INT_PREFIX) {
@@ -234,26 +249,99 @@ fn split_record(line: &str) -> Result<Vec<Field<'static>>, String> {
     Ok(fields)
 }
 
-/// Split one record into `out` (cleared first). A line without a quote
-/// splits on commas in place — exactly what [`split_record`] yields for
-/// it, without copying; any other line goes through [`split_record`].
-fn split_fields<'a>(line: &'a str, out: &mut Vec<Field<'a>>) -> Result<(), String> {
-    out.clear();
-    if line.contains('"') {
-        out.extend(split_record(line)?);
-    } else {
-        out.extend(line.split(',').map(|text| Field {
-            text: Cow::Borrowed(text),
-            quoted: false,
-        }));
+/// One data or weight record: the unquoted fields of a quote-free line,
+/// borrowed in place, or what [`split_record`] made of a line with a
+/// `"`.
+enum Record<'a, 'e> {
+    /// A quote-free line and the end offset of each of its fields.
+    Plain(&'a str, &'e [usize]),
+    /// The unescaped fields of a line that holds a quote.
+    Split(Vec<Field<'static>>),
+}
+
+impl<'a, 'e> Record<'a, 'e> {
+    /// Split `line` with one walk over its bytes, eight at a time,
+    /// noting each comma in `ends` (reused across lines). The first `"`
+    /// hands the whole line to [`split_record`]. A quote-free line yields
+    /// exactly what [`split_record`] would, without copying.
+    fn split(line: &'a str, ends: &'e mut Vec<usize>) -> Result<Self, String> {
+        ends.clear();
+        let mut words = line.as_bytes().chunks_exact(8);
+        let mut at = 0;
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            if bytes_equal(word, b'"') != 0 {
+                return split_record(line).map(Record::Split);
+            }
+            let mut commas = bytes_equal(word, b',');
+            while commas != 0 {
+                ends.push(at + commas.trailing_zeros() as usize / 8);
+                commas &= commas - 1;
+            }
+            at += 8;
+        }
+        for (i, &b) in words.remainder().iter().enumerate() {
+            match b {
+                b',' => ends.push(at + i),
+                b'"' => return split_record(line).map(Record::Split),
+                _ => {}
+            }
+        }
+        ends.push(line.len());
+        Ok(Record::Plain(line, ends))
     }
-    Ok(())
+
+    fn len(&self) -> usize {
+        match self {
+            Record::Plain(_, ends) => ends.len(),
+            Record::Split(fields) => fields.len(),
+        }
+    }
+
+    /// Call `f` on each field's text in order, quoting forgotten (a
+    /// weight is read from its text alone), stopping at its first error.
+    fn try_for_each_text<E>(&self, mut f: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+        match self {
+            Record::Plain(line, ends) => plain_fields(line, ends).try_for_each(f),
+            Record::Split(fields) => fields.iter().try_for_each(|field| f(&field.text)),
+        }
+    }
+}
+
+/// `0x80` in each byte of the little-endian `word` that equals `byte`,
+/// `0` in every other byte. Exact: no carry crosses a byte boundary.
+#[inline]
+fn bytes_equal(word: u64, byte: u8) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let x = word ^ (u64::from(byte) * 0x0101_0101_0101_0101);
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// The fields of a quote-free `line` whose field ends are `ends`.
+fn plain_fields<'a, 'e>(line: &'a str, ends: &'e [usize]) -> impl Iterator<Item = &'a str> + 'e
+where
+    'a: 'e,
+{
+    let mut start = 0;
+    ends.iter().map(move |&end| {
+        let field = &line[start..end];
+        start = end + 1;
+        field
+    })
 }
 
 /// The text of split fields, quoting forgotten — for headers, where
 /// quoting carries no meaning.
 fn field_texts(fields: Vec<Field>) -> Vec<String> {
     fields.into_iter().map(|f| f.text.into_owned()).collect()
+}
+
+/// The error `BufRead::lines` raises for a line that is not UTF-8.
+fn not_utf8() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    )
 }
 
 /// All of `r` as text, for line-wise parsing from one buffer. When the
@@ -274,11 +362,7 @@ fn read_text<R: BufRead>(r: &mut R) -> Result<(String, Option<io::Error>), Model
                 .map_or(0, |p| p + 1);
             bytes.truncate(end);
             let text = String::from_utf8(bytes).expect("whole lines before the first bad byte");
-            let err = io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            );
-            Ok((text, Some(err)))
+            Ok((text, Some(not_utf8())))
         }
     }
 }
@@ -296,11 +380,10 @@ fn text_lines(text: &str, bad: Option<io::Error>) -> impl Iterator<Item = io::Re
         .chain(bad.map(Err))
 }
 
-/// The header line of a CSV input, split into attribute names.
-fn read_header<'a>(
-    lines: &mut impl Iterator<Item = io::Result<&'a str>>,
-) -> Result<Vec<String>, ModelError> {
-    let header = match lines.next() {
+/// The header line of a CSV input (its first line, if any), split into
+/// attribute names.
+fn read_header(first: Option<io::Result<&str>>) -> Result<Vec<String>, ModelError> {
+    let header = match first {
         Some(h) => h?,
         None => {
             return Err(ModelError::Csv {
@@ -319,21 +402,39 @@ fn read_header<'a>(
 /// a pool id).
 #[derive(Default)]
 struct ColumnDict<'a> {
-    index: FnvMap<Field<'a>, u32>,
+    /// Unquoted fields of quote-free lines, by their borrowed text.
+    plain: FixedMap<&'a str, u32>,
+    /// Fields of lines that went through [`split_record`].
+    split: FixedMap<Field<'static>, u32>,
     values: Vec<Value>,
     counts: Vec<u64>,
     cells: Vec<ValueId>,
 }
 
 impl<'a> ColumnDict<'a> {
-    fn push(&mut self, field: Field<'a>) {
+    fn push_plain(&mut self, text: &'a str) {
         let values = &mut self.values;
-        let counts = &mut self.counts;
-        let code = *self.index.entry(field).or_insert_with_key(|f| {
-            values.push(decode_value(f));
-            counts.push(0);
+        let code = *self.plain.entry(text).or_insert_with(|| {
+            values.push(decode_unquoted(text));
             (values.len() - 1) as u32
         });
+        self.count(code);
+    }
+
+    fn push_split(&mut self, field: Field<'static>) {
+        let values = &mut self.values;
+        let code = *self.split.entry(field).or_insert_with_key(|f| {
+            values.push(decode_value(f));
+            (values.len() - 1) as u32
+        });
+        self.count(code);
+    }
+
+    /// One more cell holding the field with local code `code`.
+    fn count(&mut self, code: u32) {
+        if code as usize == self.counts.len() {
+            self.counts.push(0);
+        }
         self.counts[code as usize] += 1;
         self.cells.push(ValueId(code));
     }
@@ -360,30 +461,51 @@ pub fn read_relation_in<R: BufRead>(
     pool: std::sync::Arc<ValuePool>,
 ) -> Result<Relation, ModelError> {
     let (text, bad) = read_text(r)?;
-    let mut lines = text_lines(&text, bad);
-    let attrs = read_header(&mut lines)?;
+    relation_from_text(name, &text, bad, pool)
+}
+
+/// The body of [`read_relation_in`] once the input is text. Not generic,
+/// so the per-cell loop is compiled (and inlined) here, not in each
+/// caller's crate.
+fn relation_from_text(
+    name: &str,
+    text: &str,
+    bad: Option<io::Error>,
+    pool: std::sync::Arc<ValuePool>,
+) -> Result<Relation, ModelError> {
+    let mut lines = text_lines(text, bad);
+    let attrs = read_header(lines.next())?;
     let schema = Schema::new(name, &attrs)?;
     let arity = schema.arity();
     let mut columns: Vec<ColumnDict> = (0..arity).map(|_| ColumnDict::default()).collect();
-    let mut fields = Vec::with_capacity(arity);
+    let mut ends = Vec::with_capacity(arity);
     for (i, line) in lines.enumerate() {
         let line_no = i + 2;
         let line = line?;
         if line.is_empty() {
             continue;
         }
-        split_fields(line, &mut fields).map_err(|message| ModelError::Csv {
+        let record = Record::split(line, &mut ends).map_err(|message| ModelError::Csv {
             line: line_no,
             message,
         })?;
-        if fields.len() != arity {
+        if record.len() != arity {
             return Err(ModelError::Csv {
                 line: line_no,
-                message: format!("expected {arity} fields, found {}", fields.len()),
+                message: format!("expected {arity} fields, found {}", record.len()),
             });
         }
-        for (col, f) in columns.iter_mut().zip(fields.drain(..)) {
-            col.push(f);
+        match record {
+            Record::Plain(line, ends) => {
+                for (col, text) in columns.iter_mut().zip(plain_fields(line, ends)) {
+                    col.push_plain(text);
+                }
+            }
+            Record::Split(fields) => {
+                for (col, field) in columns.iter_mut().zip(fields) {
+                    col.push_split(field);
+                }
+            }
         }
     }
     let id_cols = columns.into_iter().map(|c| c.install(&pool)).collect();
@@ -404,7 +526,7 @@ pub fn write_weights<W: Write>(rel: &Relation, w: &mut W) -> Result<(), ModelErr
             if i > 0 {
                 line.push(',');
             }
-            line.push_str(&format!("{wt}"));
+            write!(line, "{wt}").expect("formatting into a String cannot fail");
         }
         line.push('\n');
         w.write_all(line.as_bytes())?;
@@ -415,11 +537,35 @@ pub fn write_weights<W: Write>(rel: &Relation, w: &mut W) -> Result<(), ModelErr
 /// Apply a weight file written by [`write_weights`] to `rel`, row-aligned
 /// with the relation's live tuples in id order. The header must name the
 /// relation's attributes in schema order, every weight must parse as a
-/// finite `f64` in `[0, 1]`, and the row count must match.
+/// finite `f64` in `[0, 1]`, and the row count must match. Each row is
+/// checked whole, then written straight into the weight columns; on an
+/// error the rows before the failing line stay written.
 pub fn read_weights<R: BufRead>(rel: &mut Relation, r: &mut R) -> Result<(), ModelError> {
-    let (text, bad) = read_text(r)?;
-    let mut lines = text_lines(&text, bad);
-    let attrs = read_header(&mut lines)?;
+    weights_from_reader(rel, r)
+}
+
+/// The next line of `r`, read into `buf` and returned exactly as
+/// `BufRead::lines` yields it.
+fn next_line<'b>(r: &mut dyn BufRead, buf: &'b mut Vec<u8>) -> Option<io::Result<&'b str>> {
+    buf.clear();
+    match r.read_until(b'\n', buf) {
+        Ok(0) => None,
+        Ok(_) => {
+            let mut line = &buf[..];
+            if let Some(l) = line.strip_suffix(b"\n") {
+                line = l.strip_suffix(b"\r").unwrap_or(l);
+            }
+            Some(std::str::from_utf8(line).map_err(|_| not_utf8()))
+        }
+        Err(e) => Some(Err(e)),
+    }
+}
+
+/// The body of [`read_weights`]: one line at a time, through one reused
+/// buffer. Not generic, like [`relation_from_text`].
+fn weights_from_reader(rel: &mut Relation, r: &mut dyn BufRead) -> Result<(), ModelError> {
+    let mut buf = Vec::new();
+    let attrs = read_header(next_line(r, &mut buf))?;
     let expected: Vec<&str> = rel
         .schema()
         .attr_ids()
@@ -432,52 +578,53 @@ pub fn read_weights<R: BufRead>(rel: &mut Relation, r: &mut R) -> Result<(), Mod
         });
     }
     let arity = rel.schema().arity();
-    let ids: Vec<crate::TupleId> = rel.ids().collect();
-    let mut idx = 0usize;
-    let mut fields = Vec::with_capacity(arity);
-    let mut weights = Vec::with_capacity(arity);
-    for (i, line) in lines.enumerate() {
-        let line_no = i + 2;
+    let tuples = rel.len();
+    let (mut live, columns) = rel.live_weight_columns_mut();
+    let mut rows = 0usize;
+    let mut ends = Vec::with_capacity(arity);
+    let mut row = Vec::with_capacity(arity);
+    let mut line_no = 1;
+    while let Some(line) = next_line(r, &mut buf) {
+        line_no += 1;
         let line = line?;
         if line.is_empty() {
             continue;
         }
-        split_fields(line, &mut fields).map_err(|message| ModelError::Csv {
+        let csv_error = |message| ModelError::Csv {
             line: line_no,
             message,
-        })?;
-        if fields.len() != arity {
-            return Err(ModelError::Csv {
-                line: line_no,
-                message: format!("expected {arity} weights, found {}", fields.len()),
-            });
+        };
+        let record = Record::split(line, &mut ends).map_err(csv_error)?;
+        if record.len() != arity {
+            return Err(csv_error(format!(
+                "expected {arity} weights, found {}",
+                record.len()
+            )));
         }
-        let id = *ids.get(idx).ok_or_else(|| ModelError::Csv {
-            line: line_no,
-            message: format!("more weight rows than tuples ({})", ids.len()),
-        })?;
-        weights.clear();
-        for f in &fields {
-            let f = &*f.text;
-            let wt: f64 = f.trim().parse().map_err(|_| ModelError::Csv {
-                line: line_no,
-                message: format!("weight {f:?} is not a number"),
-            })?;
+        let slot = live
+            .next()
+            .ok_or_else(|| csv_error(format!("more weight rows than tuples ({tuples})")))?;
+        row.clear();
+        record.try_for_each_text(|f| {
+            let wt: f64 = f
+                .trim()
+                .parse()
+                .map_err(|_| csv_error(format!("weight {f:?} is not a number")))?;
             if !wt.is_finite() || !(0.0..=1.0).contains(&wt) {
-                return Err(ModelError::Csv {
-                    line: line_no,
-                    message: format!("weight {wt} outside [0, 1]"),
-                });
+                return Err(csv_error(format!("weight {wt} outside [0, 1]")));
             }
-            weights.push(wt);
+            row.push(wt);
+            Ok(())
+        })?;
+        for (col, wt) in columns.iter_mut().zip(&row) {
+            col[slot] = *wt;
         }
-        rel.set_weights(id, &weights)?;
-        idx += 1;
+        rows += 1;
     }
-    if idx != ids.len() {
+    if rows != tuples {
         return Err(ModelError::Csv {
-            line: idx + 2,
-            message: format!("{} weight rows for {} tuples", idx, ids.len()),
+            line: rows + 2,
+            message: format!("{rows} weight rows for {tuples} tuples"),
         });
     }
     Ok(())
@@ -773,8 +920,9 @@ mod tests {
         }
     }
 
-    /// One awkward CSV field, as written in the file.
-    fn awkward_field(rng: &mut ChaCha8Rng) -> &'static str {
+    /// One awkward CSV field, as written in the file; never one with a
+    /// quote when `quote_free`.
+    fn awkward_field(rng: &mut ChaCha8Rng, quote_free: bool) -> &'static str {
         const FIELDS: &[&str] = &[
             "plain",
             "H. Porter",
@@ -797,12 +945,23 @@ mod tests {
             "\"x\ry\"",
             "7",
         ];
-        FIELDS[rng.gen_range(0..FIELDS.len())]
+        loop {
+            let f = FIELDS[rng.gen_range(0..FIELDS.len())];
+            if !(quote_free && f.contains('"')) {
+                return f;
+            }
+        }
     }
 
-    /// A malformed record, or a line that is not UTF-8.
-    fn broken_line(rng: &mut ChaCha8Rng) -> Vec<u8> {
-        match rng.gen_range(0..4u32) {
+    /// A malformed record, or a line that is not UTF-8; never one with a
+    /// quote when `quote_free`.
+    fn broken_line(rng: &mut ChaCha8Rng, quote_free: bool) -> Vec<u8> {
+        let kind = if quote_free {
+            [0, 3][rng.gen_range(0..2usize)]
+        } else {
+            rng.gen_range(0..4u32)
+        };
+        match kind {
             0 => b"only,two".to_vec(),
             1 => b"a,b\"c,d".to_vec(),
             2 => b"\"unterminated,b,c".to_vec(),
@@ -812,14 +971,17 @@ mod tests {
 
     /// A random CSV document over three attributes mixing every encoding
     /// corner: CRLF and LF endings, blank lines, no final newline, and
-    /// (sometimes) one malformed line.
+    /// (sometimes) one malformed line. A third of the documents hold no
+    /// quote at all, so every line takes the in-place split; those run
+    /// longer.
     fn awkward_csv(rng: &mut ChaCha8Rng, broken: bool) -> Vec<u8> {
-        let mut out: Vec<u8> = if rng.gen_bool(0.5) {
+        let quote_free = rng.gen_bool(1.0 / 3.0);
+        let mut out: Vec<u8> = if quote_free || rng.gen_bool(0.5) {
             b"a,b,c".to_vec()
         } else {
             b"\"a\",b,\"c\"".to_vec()
         };
-        let rows = rng.gen_range(0..40usize);
+        let rows = rng.gen_range(0..if quote_free { 120 } else { 40usize });
         let bad_at = broken.then(|| rng.gen_range(0..=rows));
         for r in 0..=rows {
             out.extend_from_slice(if rng.gen_bool(0.3) { b"\r\n" } else { b"\n" });
@@ -827,9 +989,9 @@ mod tests {
                 out.extend_from_slice(b"\n");
             }
             if bad_at == Some(r) {
-                out.extend(broken_line(rng));
+                out.extend(broken_line(rng, quote_free));
             } else if r < rows {
-                let fields: Vec<&str> = (0..3).map(|_| awkward_field(rng)).collect();
+                let fields: Vec<&str> = (0..3).map(|_| awkward_field(rng, quote_free)).collect();
                 out.extend_from_slice(fields.join(",").as_bytes());
             }
         }
@@ -843,9 +1005,16 @@ mod tests {
     fn ingest_matches_cell_by_cell_interning() {
         use cfd_prng::trials;
         let mut errors = 0;
+        // Quote-free documents read fine, fail a CSV check, fail UTF-8.
+        let mut quote_free = [0; 3];
         trials(400, 0x00c5_1f3e, |rng| {
             let broken = rng.gen_bool(0.3);
             let input = awkward_csv(rng, broken);
+            let tally = if input.contains(&b'"') {
+                &mut [0; 3]
+            } else {
+                &mut quote_free
+            };
             let ctx = format!("input {:?}", String::from_utf8_lossy(&input));
             let (pool, ref_pool) = (ValuePool::new_handle(), ValuePool::new());
             let got = read_relation_in("r", &mut input.as_slice(), pool.clone());
@@ -859,15 +1028,49 @@ mod tests {
                         assert_eq!(pool.resolve(id), ref_pool.resolve(id), "{ctx}");
                         assert_eq!(pool.use_count(id), ref_pool.use_count(id), "{ctx}");
                     }
+                    tally[0] += 1;
                 }
                 (Err(got), Err(want)) => {
                     errors += 1;
+                    let io = matches!(got, ModelError::Io(_));
+                    tally[1 + usize::from(io)] += 1;
                     assert_same_error(&got, &want, &ctx);
                 }
                 (got, want) => panic!("{ctx}: got {got:?}, want {want:?}"),
             }
         });
         assert!(errors > 0, "the trials exercise the error paths");
+        assert!(
+            quote_free.iter().all(|&n| n > 0),
+            "quote-free documents (ok, csv error, io error): {quote_free:?}"
+        );
+    }
+
+    /// The word-at-a-time walk against [`split_record`], with commas and
+    /// quotes at every offset of lines that straddle word boundaries.
+    #[test]
+    fn record_split_matches_split_record() {
+        use cfd_prng::trials;
+        const BYTES: &[&str] = &[",", "a", "7", " ", "é", "東", "\"", ",,"];
+        let mut ends = Vec::new();
+        trials(2000, 0x5e11_0b1e, |rng| {
+            let quote_free = rng.gen_bool(0.7);
+            let len = rng.gen_range(0..40usize);
+            let line: String = (0..len)
+                .map(|_| loop {
+                    let b = BYTES[rng.gen_range(0..BYTES.len())];
+                    if !(quote_free && b == "\"") {
+                        return b;
+                    }
+                })
+                .collect();
+            let want = split_record(&line).map(field_texts);
+            let got = Record::split(&line, &mut ends).map(|r| match r {
+                Record::Plain(line, ends) => plain_fields(line, ends).map(str::to_string).collect(),
+                Record::Split(fields) => field_texts(fields),
+            });
+            assert_eq!(got, want, "{line:?}");
+        });
     }
 
     #[test]
@@ -889,22 +1092,43 @@ mod tests {
     #[test]
     fn weights_match_the_reference_reader() {
         use cfd_prng::trials;
+        /// Mostly the first five; half of the documents hold no quote.
         const WEIGHTS: &[&str] = &[
-            "0.5", " 0.25 ", "1", "0", "\"0.75\"", "1e-1", "NaN", "1.5", "-0.1", "abc", "",
+            "0.5", " 0.25 ", "1", "0", "\"0.75\"", "1e-1", "-0", "NaN", "1.5", "-0.1", "abc", "",
         ];
-        let mut base = Relation::new_in(
-            Schema::new("r", &["a", "b"]).unwrap(),
-            ValuePool::new_handle(),
-        );
-        for i in 0..4 {
-            base.insert(Tuple::new_in([Value::int(i), Value::int(i)], base.pool()))
-                .unwrap();
-        }
+        let weight = |rng: &mut ChaCha8Rng, quote_free: bool| loop {
+            let w = if rng.gen_bool(0.9) {
+                WEIGHTS[rng.gen_range(0..5usize)]
+            } else {
+                WEIGHTS[rng.gen_range(0..WEIGHTS.len())]
+            };
+            if !(quote_free && w.contains('"')) {
+                return w;
+            }
+        };
+        // Four live tuples, once densely and once between tombstones: the
+        // rows land in the live slots only.
+        let base = |slots: i64, dead: &[u32]| {
+            let mut r = Relation::new_in(
+                Schema::new("r", &["a", "b"]).unwrap(),
+                ValuePool::new_handle(),
+            );
+            for i in 0..slots {
+                r.insert(Tuple::new_in([Value::int(i), Value::int(i)], r.pool()))
+                    .unwrap();
+            }
+            for &d in dead {
+                r.delete(crate::TupleId(d)).unwrap();
+            }
+            r
+        };
+        let bases = [base(4, &[]), base(7, &[0, 3, 5])];
         let (mut oks, mut errors) = (0, 0);
         trials(400, 0x0077_e1a5, |rng| {
+            let quote_free = rng.gen_bool(0.5);
             let mut input: Vec<u8> = match rng.gen_range(0..10u32) {
                 0 => b"a,wrong".to_vec(),
-                1 => b"\"a\",\"b\"".to_vec(),
+                1 if !quote_free => b"\"a\",\"b\"".to_vec(),
                 _ => b"a,b".to_vec(),
             };
             let rows = rng.gen_range(3..6usize);
@@ -913,22 +1137,19 @@ mod tests {
                 if rng.gen_bool(0.1) {
                     input.extend_from_slice(b"\n");
                 }
+                if rng.gen_bool(0.03) {
+                    input.extend_from_slice(&[b'0', b',', 0xff]);
+                    continue;
+                }
                 let n = if rng.gen_bool(0.05) { 3 } else { 2 };
-                let row: Vec<&str> = (0..n)
-                    .map(|_| {
-                        if rng.gen_bool(0.9) {
-                            WEIGHTS[rng.gen_range(0..5usize)]
-                        } else {
-                            WEIGHTS[rng.gen_range(0..WEIGHTS.len())]
-                        }
-                    })
-                    .collect();
+                let row: Vec<&str> = (0..n).map(|_| weight(rng, quote_free)).collect();
                 input.extend_from_slice(row.join(",").as_bytes());
             }
             if rng.gen_bool(0.5) {
                 input.push(b'\n');
             }
             let ctx = format!("input {:?}", String::from_utf8_lossy(&input));
+            let base = &bases[rng.gen_range(0..bases.len())];
             let (mut got_rel, mut want_rel) = (base.clone(), base.clone());
             let got = read_weights(&mut got_rel, &mut input.as_slice());
             match (got, reference_read_weights(&mut want_rel, &input)) {
@@ -940,8 +1161,13 @@ mod tests {
                 (got, want) => panic!("{ctx}: got {got:?}, want {want:?}"),
             }
             for a in 0..2 {
-                let a = AttrId(a);
-                assert_eq!(got_rel.weight_column(a), want_rel.weight_column(a), "{ctx}");
+                let bits = |r: &Relation| -> Vec<u64> {
+                    r.weight_column(AttrId(a))
+                        .iter()
+                        .map(|w| w.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&got_rel), bits(&want_rel), "{ctx}");
             }
         });
         assert!(oks > 0 && errors > 0, "{oks} ok, {errors} errors");

@@ -10,7 +10,7 @@
 //! which is correct because pattern matching excludes nulls anyway and the
 //! callers that need SQL-null semantics handle them explicitly.
 
-use crate::hash::FnvMap;
+use crate::hash::FixedMap;
 
 use crate::key::IdKey;
 use crate::pool::ValueId;
@@ -22,7 +22,7 @@ use crate::tuple::TupleView;
 #[derive(Clone, Debug)]
 pub struct HashIndex {
     attrs: Vec<AttrId>,
-    map: FnvMap<IdKey, Vec<TupleId>>,
+    map: FixedMap<IdKey, Vec<TupleId>>,
 }
 
 impl HashIndex {
@@ -36,7 +36,7 @@ impl HashIndex {
     /// materializing rows.
     pub fn build(rel: &Relation, attrs: &[AttrId]) -> Self {
         let cols: Vec<&[ValueId]> = attrs.iter().map(|a| rel.column(*a)).collect();
-        let mut map: FnvMap<IdKey, Vec<TupleId>> = FnvMap::default();
+        let mut map: FixedMap<IdKey, Vec<TupleId>> = FixedMap::default();
         for id in rel.ids() {
             let slot = id.index();
             let key: IdKey = cols.iter().map(|c| c[slot]).collect();
@@ -52,7 +52,7 @@ impl HashIndex {
     pub fn empty(attrs: &[AttrId]) -> Self {
         HashIndex {
             attrs: attrs.to_vec(),
-            map: FnvMap::default(),
+            map: FixedMap::default(),
         }
     }
 

@@ -151,15 +151,15 @@ impl fmt::Debug for IdKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::FnvMap;
+    use crate::hash::{FixedHasher, FixedMap};
     use std::collections::hash_map::DefaultHasher;
 
     fn ids(raw: &[u32]) -> Vec<ValueId> {
         raw.iter().map(|i| ValueId(*i)).collect()
     }
 
-    fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
-        let mut h = DefaultHasher::new();
+    fn hash_of<H: Hasher + Default, T: Hash + ?Sized>(t: &T) -> u64 {
+        let mut h = H::default();
         t.hash(&mut h);
         h.finish()
     }
@@ -193,18 +193,30 @@ mod tests {
         }
     }
 
+    /// Map lookups by `&[ValueId]` need the key and its slice to hash
+    /// alike, under `std`'s hasher and under the workspace's, whose
+    /// `ValueId` slices pack two ids per word (odd lengths included).
     #[test]
     fn hash_agrees_with_slice_hash() {
-        for n in [0usize, 2, 4, 6] {
-            let v = ids(&(0..n as u32).collect::<Vec<_>>());
+        for n in 0..=7usize {
+            let v = ids(&(0..n as u32).map(|i| i * 7 + 1).collect::<Vec<_>>());
             let k = IdKey::from_slice(&v);
-            assert_eq!(hash_of(&k), hash_of::<[ValueId]>(&v), "len {n}");
+            assert_eq!(
+                hash_of::<DefaultHasher, _>(&k),
+                hash_of::<DefaultHasher, [ValueId]>(&v),
+                "len {n}"
+            );
+            assert_eq!(
+                hash_of::<FixedHasher, _>(&k),
+                hash_of::<FixedHasher, [ValueId]>(&v),
+                "len {n}"
+            );
         }
     }
 
     #[test]
     fn borrowed_slice_lookup_works() {
-        let mut m: FnvMap<IdKey, &str> = FnvMap::default();
+        let mut m: FixedMap<IdKey, &str> = FixedMap::default();
         m.insert(IdKey::from_slice(&ids(&[7, 8])), "short");
         m.insert(IdKey::from_slice(&ids(&[1, 2, 3, 4, 5])), "long");
         assert_eq!(m.get(ids(&[7, 8]).as_slice()), Some(&"short"));

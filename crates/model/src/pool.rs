@@ -75,21 +75,43 @@
 //! its dataset's dictionary segment).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::hash::{FnvMap, FnvSet};
+use crate::hash::{FixedMap, FixedSet};
 use crate::value::Value;
 
 /// Dense identifier of an interned [`Value`] within one pool.
 ///
 /// `Copy`, 4 bytes, hash = integer hash: exactly what hot-path keys want.
-/// Ordering is *interning order*, not value order — sort resolved values
+/// A slice of ids hashes two ids per 64-bit word, so an
+/// [`IdKey`](crate::IdKey) (which hashes as its slice) costs the
+/// workspace's [`FixedHasher`](crate::hash::FixedHasher) one step per
+/// pair. Ordering is *interning order*, not value order — sort resolved values
 /// when a display-stable order is needed. An id is meaningful only
 /// relative to the pool that issued it; structures that move ids around
 /// (relations, indices, fixes) stay within a single dataset's pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ValueId(pub u32);
+
+impl Hash for ValueId {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.0);
+    }
+
+    #[inline]
+    fn hash_slice<H: Hasher>(data: &[Self], state: &mut H) {
+        let mut pairs = data.chunks_exact(2);
+        for p in &mut pairs {
+            state.write_u64(u64::from(p[0].0) | (u64::from(p[1].0) << 32));
+        }
+        if let [last] = pairs.remainder() {
+            state.write_u32(last.0);
+        }
+    }
+}
 
 /// The id of `Value::Null` — slot 0 of every pool, by construction.
 pub const NULL_ID: ValueId = ValueId(0);
@@ -161,10 +183,10 @@ struct PoolInner {
     /// id → value. Slot 0 is always `Value::Null`.
     values: Vec<Value>,
     /// value → id. Keyed by value text, which comes from outside input:
-    /// FNV is not DoS-resistant, so keys crafted to collide degrade
-    /// lookups to linear scans. That costs time, never results — no
+    /// the fixed hasher is not DoS-resistant, so keys crafted to collide
+    /// degrade lookups to linear scans. That costs time, never results — no
     /// caller lets this map's iteration order reach its output.
-    ids: FnvMap<Value, u32>,
+    ids: FixedMap<Value, u32>,
     /// id → number of counted occurrences: every `intern` call bumps the
     /// hit's counter and `install_column` adds its counts, so for loaded
     /// data (tuples, CSV columns, snapshots) the counter approximates the
@@ -232,7 +254,7 @@ static NEXT_SERIAL: AtomicU64 = AtomicU64::new(0);
 impl ValuePool {
     /// A fresh pool with `null` pre-interned at [`NULL_ID`].
     pub fn new() -> Self {
-        let mut ids = FnvMap::default();
+        let mut ids = FixedMap::default();
         ids.insert(Value::Null, 0);
         ValuePool {
             inner: RwLock::new(PoolInner {
@@ -384,7 +406,7 @@ impl ValuePool {
     /// relation being dropped). Occurrences are coalesced first so the
     /// counters are touched once per distinct id.
     pub fn retire_ids<I: IntoIterator<Item = ValueId>>(&self, ids: I) {
-        let mut occ: FnvMap<u32, u64> = FnvMap::default();
+        let mut occ: FixedMap<u32, u64> = FixedMap::default();
         for id in ids {
             if !id.is_null() {
                 *occ.entry(id.0).or_default() += 1;
@@ -414,7 +436,7 @@ impl ValuePool {
     /// passed here, so filter them out first.
     pub fn seal_ids<I: IntoIterator<Item = ValueId>>(&self, ids: I) -> usize {
         let mut inner = self.inner.write().expect("pool lock poisoned");
-        let mut seen = FnvSet::default();
+        let mut seen = FixedSet::default();
         let mut sealed = 0;
         for id in ids {
             let i = id.index();

@@ -19,7 +19,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::ModelError;
-use crate::pool::{ValueId, ValuePool};
+use crate::pool::{ValueId, ValuePool, NULL_ID};
 use crate::schema::{AttrId, Schema};
 use crate::storage::{ColumnStore, RowRef};
 use crate::tuple::Tuple;
@@ -113,44 +113,58 @@ impl Relation {
     /// A deep copy of this relation with every cell re-interned into
     /// `pool` — the boundary translation that moves a relation onto a
     /// pool of its own (noise injection gives each dirty copy a fresh
-    /// one). Tuple ids, tombstones, and weights are preserved; live
-    /// cells are interned through the counted path, so the target pool's
-    /// frequency counters end up exactly as a cell-by-cell load would
-    /// have left them. A no-op (plain clone) when `pool` already owns the
-    /// relation.
+    /// one). Tuple ids, tombstones, and weights are preserved; a
+    /// tombstone's cells read `null` at weight 1. The live cells' distinct
+    /// values go to [`ValuePool::install_column`] once, in row-major
+    /// first-occurrence order with their occurrence counts, so the target
+    /// pool ends up with exactly the ids and frequency counters that
+    /// interning the live cells one by one, row by row, would leave. A
+    /// no-op (plain clone) when `pool` already owns the relation.
     pub fn rekey_into(&self, pool: &Arc<ValuePool>) -> Relation {
         let src = self.pool();
         if Arc::ptr_eq(src, pool) {
             return self.clone();
         }
-        let mut out = Relation::new_in(self.schema.clone(), pool.clone());
-        for slot in 0..self.store.slot_count() {
-            match self.store.view(slot) {
-                Some(v) => {
-                    let ids: Vec<ValueId> = self
-                        .schema
-                        .attr_ids()
-                        .map(|a| src.with_value(v.id(a), |val| pool.intern(val)))
-                        .collect();
-                    let mut t = Tuple::from_ids(ids);
-                    for a in self.schema.attr_ids() {
-                        t.set_weight(a, v.weight(a));
-                    }
-                    let id = out.insert(t).expect("same schema");
-                    debug_assert_eq!(id.index(), slot);
+        let arity = self.schema.arity();
+        let slots = self.store.slot_count();
+        // Source id → local code, first occurrence first.
+        let mut code: Vec<u32> = Vec::new();
+        let mut distinct: Vec<ValueId> = Vec::new();
+        let mut counts: Vec<u64> = Vec::new();
+        let mut cols = vec![vec![NULL_ID; slots]; arity];
+        let mut wcols = vec![vec![1.0; slots]; arity];
+        for slot in self.store.live_slots() {
+            for (a, (col, wcol)) in cols.iter_mut().zip(&mut wcols).enumerate() {
+                let a = AttrId(a as u16);
+                let id = self.store.column(a)[slot];
+                if id.index() >= code.len() {
+                    code.resize(id.index() + 1, u32::MAX);
                 }
-                None => {
-                    // Reproduce the tombstone so ids stay aligned.
-                    let arity = self.schema.arity();
-                    let id = out
-                        .insert(Tuple::from_ids(vec![crate::pool::NULL_ID; arity]))
-                        .expect("same schema");
-                    debug_assert_eq!(id.index(), slot);
-                    out.delete(id).expect("just inserted");
+                if code[id.index()] == u32::MAX {
+                    code[id.index()] = distinct.len() as u32;
+                    distinct.push(id);
+                    counts.push(0);
                 }
+                counts[code[id.index()] as usize] += 1;
+                col[slot] = ValueId(code[id.index()]);
+                wcol[slot] = self.store.weight_column(a)[slot].clamp(0.0, 1.0);
             }
         }
-        out
+        let values: Vec<Value> = distinct.iter().map(|&id| src.resolve(id)).collect();
+        let ids = pool.install_column(&values, &counts);
+        for slot in self.store.live_slots() {
+            for col in &mut cols {
+                col[slot] = ids[col[slot].index()];
+            }
+        }
+        let store = ColumnStore::from_parts(
+            slots,
+            cols,
+            wcols,
+            self.store.validity().to_vec(),
+            pool.clone(),
+        );
+        Relation::from_store(self.schema.clone(), store).expect("same schema")
     }
 
     /// The relation's schema.
@@ -324,6 +338,15 @@ impl Relation {
             self.store.set_weight(id.index(), AttrId(i as u16), *w);
         }
         Ok(())
+    }
+
+    /// The live slots in id order beside the weight columns, which the
+    /// caller may overwrite in place with weights it has checked to lie
+    /// in `[0, 1]` (the weight-file reader).
+    pub(crate) fn live_weight_columns_mut(
+        &mut self,
+    ) -> (impl Iterator<Item = usize> + '_, &mut [Vec<f64>]) {
+        self.store.live_weight_columns_mut()
     }
 
     /// Iterate over `(id, view)` pairs of live tuples in id order.
@@ -547,5 +570,106 @@ mod tests {
         r.delete(dead).unwrap();
         assert_eq!(r.value_id(dead, AttrId(0)), None);
         assert_eq!(r.cell_weight(dead, AttrId(0)), None);
+    }
+
+    /// The cell-by-cell `rekey_into` the bulk install replaced, kept as
+    /// its oracle: every live cell interned through the counted path in
+    /// row-major order, every tombstone re-made by insert and delete.
+    fn reference_rekey(rel: &Relation, pool: &Arc<ValuePool>) -> Relation {
+        let src = rel.pool();
+        let mut out = Relation::new_in(rel.schema.clone(), pool.clone());
+        for slot in 0..rel.store.slot_count() {
+            match rel.store.view(slot) {
+                Some(v) => {
+                    let ids: Vec<ValueId> = rel
+                        .schema
+                        .attr_ids()
+                        .map(|a| src.with_value(v.id(a), |val| pool.intern(val)))
+                        .collect();
+                    let mut t = Tuple::from_ids(ids);
+                    for a in rel.schema.attr_ids() {
+                        t.set_weight(a, v.weight(a));
+                    }
+                    out.insert(t).unwrap();
+                }
+                None => {
+                    let id = out
+                        .insert(Tuple::from_ids(vec![NULL_ID; rel.schema.arity()]))
+                        .unwrap();
+                    out.delete(id).unwrap();
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rekey_matches_cell_by_cell_interning() {
+        use cfd_prng::{trials, Rng};
+        const VALUES: &[&str] = &["a", "b", "c", "d", "e", "f", "g", "h"];
+        trials(200, 0x2e4e_71d0, |rng| {
+            let arity = rng.gen_range(1..4usize);
+            let attrs: Vec<String> = (0..arity).map(|a| format!("c{a}")).collect();
+            let mut rel =
+                Relation::new_in(Schema::new("r", &attrs).unwrap(), ValuePool::new_handle());
+            // Source ids out of value order: intern a shuffled prefix first.
+            for _ in 0..rng.gen_range(0..6usize) {
+                let v = VALUES[rng.gen_range(0..VALUES.len())];
+                rel.pool().intern_uncounted(&Value::str(v));
+            }
+            for _ in 0..rng.gen_range(0..30usize) {
+                let row: Vec<Value> = (0..arity)
+                    .map(|_| match rng.gen_range(0..10u32) {
+                        0 => Value::Null,
+                        1 => Value::int(rng.gen_range(0..3i64)),
+                        _ => Value::str(VALUES[rng.gen_range(0..VALUES.len())]),
+                    })
+                    .collect();
+                let id = rel.insert(Tuple::new_in(row, rel.pool())).unwrap();
+                for a in 0..arity {
+                    let w = rng.gen_range(0..5u32) as f64 / 4.0;
+                    rel.set_weight(id, AttrId(a as u16), w).unwrap();
+                }
+                if rng.gen_bool(0.2) {
+                    rel.delete(id).unwrap();
+                }
+            }
+            // The target pool already holds some values and, after a
+            // compaction, free slots the installs reuse.
+            let seeded: Vec<&str> = (0..rng.gen_range(0..4usize))
+                .map(|_| VALUES[rng.gen_range(0..VALUES.len())])
+                .collect();
+            let freed = rng.gen_bool(0.5);
+            let target = || {
+                let pool = ValuePool::new_handle();
+                for v in &seeded {
+                    pool.intern(&Value::str(*v));
+                }
+                if freed {
+                    pool.intern_uncounted(&Value::str("gone"));
+                    pool.intern_uncounted(&Value::str("also gone"));
+                    assert_eq!(pool.compact(), 2);
+                }
+                pool
+            };
+            let (got_pool, want_pool) = (target(), target());
+            let got = rel.rekey_into(&got_pool);
+            let want = reference_rekey(&rel, &want_pool);
+            assert_eq!(got.slot_count(), want.slot_count());
+            assert_eq!(got.len(), want.len());
+            assert_eq!(got.store.validity(), want.store.validity());
+            for a in rel.schema().attr_ids() {
+                assert_eq!(got.column(a), want.column(a));
+                let bits = |r: &Relation| -> Vec<u64> {
+                    r.weight_column(a).iter().map(|w| w.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want));
+            }
+            assert_eq!(got_pool.len(), want_pool.len());
+            for id in (0..want_pool.len() as u32).map(ValueId) {
+                assert_eq!(got_pool.resolve(id), want_pool.resolve(id));
+                assert_eq!(got_pool.use_count(id), want_pool.use_count(id));
+            }
+        });
     }
 }

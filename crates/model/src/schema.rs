@@ -6,7 +6,7 @@
 //! referred to positionally through the copy-type [`AttrId`] everywhere in
 //! the hot paths, with name lookup reserved for parsing and display.
 
-use crate::hash::FnvMap;
+use crate::hash::FixedMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ impl fmt::Display for AttrId {
 pub struct Schema {
     name: Arc<str>,
     attrs: Vec<Arc<str>>,
-    by_name: FnvMap<Arc<str>, AttrId>,
+    by_name: FixedMap<Arc<str>, AttrId>,
 }
 
 impl Schema {
@@ -50,7 +50,7 @@ impl Schema {
         if attrs.len() > u16::MAX as usize {
             return Err(ModelError::TooManyAttributes(attrs.len()));
         }
-        let mut by_name = FnvMap::with_capacity_and_hasher(attrs.len(), Default::default());
+        let mut by_name = FixedMap::with_capacity_and_hasher(attrs.len(), Default::default());
         let mut names = Vec::with_capacity(attrs.len());
         for (i, a) in attrs.iter().enumerate() {
             let a: Arc<str> = Arc::from(a.as_ref());

@@ -125,7 +125,7 @@ use std::path::{Path, PathBuf};
 
 use crate::diff::{Edit, EditLog};
 use crate::error::ModelError;
-use crate::hash::FnvMap;
+use crate::hash::FixedMap;
 use crate::pool::{ValueId, ValuePool, NULL_ID};
 use crate::relation::{Relation, TupleId};
 use crate::schema::{AttrId, Schema};
@@ -460,7 +460,7 @@ fn check_magic(
 /// Pool-id → local-id assignment in first-occurrence order, null pinned
 /// at local 0. `count` accumulates live-cell occurrences (never null).
 struct DictBuilder {
-    locals: FnvMap<ValueId, u32>,
+    locals: FixedMap<ValueId, u32>,
     order: Vec<ValueId>,
     counts: Vec<u64>,
 }
@@ -468,7 +468,7 @@ struct DictBuilder {
 impl DictBuilder {
     fn new() -> Self {
         DictBuilder {
-            locals: FnvMap::from_iter([(NULL_ID, 0)]),
+            locals: FixedMap::from_iter([(NULL_ID, 0)]),
             order: vec![NULL_ID],
             counts: vec![0],
         }

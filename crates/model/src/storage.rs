@@ -45,6 +45,12 @@ fn full_validity(slots: usize) -> Vec<u64> {
     validity
 }
 
+/// Bit `slot` of a validity bitmap.
+#[inline]
+fn live_bit(validity: &[u64], slot: usize) -> bool {
+    (validity[slot >> 6] >> (slot & 63)) & 1 == 1
+}
+
 /// Columnar storage: `arity` value columns, `arity` weight columns, and a
 /// validity bitmap, all indexed by slot (= [`TupleId`](crate::TupleId)
 /// index). Every column is an owned `Vec` of the store's own, whether it
@@ -189,7 +195,7 @@ impl ColumnStore {
     /// Is the slot live?
     #[inline]
     pub fn is_live(&self, slot: usize) -> bool {
-        slot < self.slots && (self.validity[slot >> 6] >> (slot & 63)) & 1 == 1
+        slot < self.slots && live_bit(&self.validity, slot)
     }
 
     /// The full value column of attribute `a` (dead slots included).
@@ -270,6 +276,18 @@ impl ColumnStore {
     /// checks liveness and arity.
     pub(crate) fn set_weight(&mut self, slot: usize, a: AttrId, w: f64) {
         self.wcols[a.index()][slot] = w.clamp(0.0, 1.0);
+    }
+
+    /// The live slots in ascending order beside the weight columns, for
+    /// a bulk weight install that writes the columns in place. Writes
+    /// bypass the clamp of [`ColumnStore::set_weight`]: the caller
+    /// validates every weight into `[0, 1]` first.
+    pub(crate) fn live_weight_columns_mut(
+        &mut self,
+    ) -> (impl Iterator<Item = usize> + '_, &mut [Vec<f64>]) {
+        let validity = &self.validity;
+        let live = (0..self.slots).filter(move |&s| live_bit(validity, s));
+        (live, &mut self.wcols)
     }
 
     /// Drop tombstones in place; returns (old slot, new slot) pairs.

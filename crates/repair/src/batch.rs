@@ -92,7 +92,7 @@ use cfd_cfd::violation::{
     detect_with_parts, ConstantRules, Engine, EngineParts, GroupIndexes, ViolationReport,
 };
 use cfd_cfd::{CfdId, NormalCfd, Sigma};
-use cfd_model::hash::FnvMap;
+use cfd_model::hash::FixedMap;
 use cfd_model::index::HashIndex;
 use cfd_model::{AttrId, EditLog, IdKey, Relation, TupleId, ValueId, ValuePool, NULL_ID};
 
@@ -625,9 +625,9 @@ struct FrozenMemo {
     /// Group level of free/free merge pricing (`group_merge_price`) per
     /// (variable CFD, LHS group key): every tuple of a group sees the same
     /// bucket census, winner and sampled minority-carrier cost.
-    groups: FnvMap<(CfdId, IdKey), Option<(ValueId, f64)>>,
+    groups: FixedMap<(CfdId, IdKey), Option<(ValueId, f64)>>,
     /// `class_residual_vios` per (cell, candidate value).
-    residuals: FnvMap<(Cell, ValueId), usize>,
+    residuals: FixedMap<(Cell, ValueId), usize>,
 }
 
 /// The planning context `PICKNEXT`/`CFD-RESOLVE` run against: shared
@@ -942,7 +942,7 @@ impl<'p> Planner<'p> {
     /// the loop has no memo and always computes afresh.
     fn memoized<K: Hash + Eq, V: Copy>(
         &mut self,
-        table: fn(&mut FrozenMemo) -> &mut FnvMap<K, V>,
+        table: fn(&mut FrozenMemo) -> &mut FixedMap<K, V>,
         key: impl FnOnce() -> K,
         compute: impl FnOnce(&mut Self) -> V,
     ) -> V {
@@ -2297,7 +2297,7 @@ mod tests {
         let sigma = Sigma::normalize_in(schema.clone(), vec![cfd], rel.pool()).unwrap();
         // Brute-force most-common candidate among the S-group's keys.
         let k = schema.attr("k").unwrap();
-        let mut counts: FnvMap<ValueId, usize> = FnvMap::default();
+        let mut counts: FixedMap<ValueId, usize> = FixedMap::default();
         for (id, t) in rel.iter() {
             if id != t0 {
                 *counts.entry(t.id(k)).or_insert(0) += 1;

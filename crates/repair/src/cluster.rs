@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cfd_model::hash::FnvMap;
+use cfd_model::hash::FixedMap;
 use cfd_model::{ActiveDomain, AttrId, Value, ValueId, ValuePool};
 
 use crate::pricing::TargetPricer;
@@ -165,7 +165,7 @@ pub struct ValueIndex {
     added: Bands,
     len: usize,
     /// Base answers keyed by probe; every key is a base value.
-    memo: FnvMap<ValueId, Memo>,
+    memo: FixedMap<ValueId, Memo>,
     /// The pool probe ids and [`ValueIndex::add`]ed ids resolve through —
     /// the pool of the relation whose active domain this indexes.
     pool: Arc<ValuePool>,
@@ -193,7 +193,7 @@ impl ValueIndex {
             base,
             added: Bands::default(),
             len,
-            memo: FnvMap::default(),
+            memo: FixedMap::default(),
             pool,
         }
     }

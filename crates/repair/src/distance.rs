@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use cfd_model::hash::FnvMap;
+use cfd_model::hash::FixedMap;
 use cfd_model::{Value, ValueId, ValuePool};
 
 use crate::pricing::TargetPricer;
@@ -153,9 +153,9 @@ pub fn normalized_distance(v: &Value, w: &Value) -> f64 {
 /// symmetric, so pairs are stored with the smaller id first.
 #[derive(Clone, Debug)]
 pub struct DistanceCache {
-    /// FNV-hashed memo: the keys are small fixed-width id pairs from the
-    /// interner, exactly what FNV is good at and SipHash wasteful for.
-    memo: FnvMap<(ValueId, ValueId), f64>,
+    /// Memo under the fixed word hasher: a key is two ids from the
+    /// interner, two mixing steps, where SipHash would be wasteful.
+    memo: FixedMap<(ValueId, ValueId), f64>,
     /// The pool ids resolve through on a miss — the owning dataset's
     /// pool, so memoized distances (and the cached renders behind them)
     /// die with the dataset instead of accreting process-wide.
@@ -166,7 +166,7 @@ impl DistanceCache {
     /// An empty cache whose ids resolve through `pool`.
     pub fn for_pool(pool: Arc<ValuePool>) -> Self {
         DistanceCache {
-            memo: FnvMap::default(),
+            memo: FixedMap::default(),
             pool,
         }
     }

@@ -18,7 +18,7 @@
 //! A node never merged keeps an empty member list, which stands for the
 //! cell alone; the first merge writes out both sides in eager-list order.
 
-use cfd_model::hash::FnvMap;
+use cfd_model::hash::FixedMap;
 use cfd_model::{AttrId, TupleId, ValueId};
 
 /// A cell: one attribute of one tuple.
@@ -96,7 +96,7 @@ pub struct EqClasses<'w> {
     /// Weight of a cell, read when it has no node or gets one.
     weight_of: Box<dyn Fn(TupleId, AttrId) -> f64 + 'w>,
     /// Node index of each reached cell.
-    index: FnvMap<Cell, u32>,
+    index: FixedMap<Cell, u32>,
     nodes: Vec<Node>,
     /// Count of classes (N of the termination argument).
     class_count: usize,
@@ -127,7 +127,7 @@ impl<'w> EqClasses<'w> {
         EqClasses {
             cells,
             weight_of: Box::new(weight_of),
-            index: FnvMap::default(),
+            index: FixedMap::default(),
             nodes: Vec::new(),
             class_count: cells as usize,
             total_rank: 0,

@@ -91,7 +91,7 @@ use cfd_cfd::parser::parse_rules;
 use cfd_cfd::violation::{self, EngineParts, ViolationReport};
 use cfd_cfd::{CfdId, Engine, Sigma};
 use cfd_model::diff::{dif, EditLog};
-use cfd_model::hash::{FnvMap, FnvSet};
+use cfd_model::hash::{FixedMap, FixedSet};
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
 use cfd_model::{csv, Catalog, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
@@ -177,7 +177,7 @@ struct BoundRules {
     parts: EngineParts,
     /// Σ's pattern-constant ids ([`constant_ids`]): shielded from sealing
     /// by every insert and stream while the rules stay bound.
-    constant_ids: FnvSet<ValueId>,
+    constant_ids: FixedSet<ValueId>,
     /// `detect(D, Σ)`, computed by the first detect and read by every
     /// later one. It needs no invalidation while the handle's methods
     /// leave the relation's cells alone: rebinding replaces the whole
@@ -619,7 +619,7 @@ impl DatasetHandle {
         drop(updates);
         let pool = self.relation.pool();
         pool.retire_ids(delta_ids.iter().copied());
-        let unbound = FnvSet::default();
+        let unbound = FixedSet::default();
         let protect = self.bound.as_ref().map_or(&unbound, |b| &b.constant_ids);
         pool.seal_ids(delta_ids.into_iter().filter(|id| !protect.contains(id)));
         result
@@ -858,8 +858,8 @@ fn live_cell_ids(rel: &Relation) -> Vec<ValueId> {
 /// The pattern-constant ids a normalized Σ holds — count-zero by design
 /// (uncounted interns), so they must be shielded from sealing while the
 /// rules stay bound.
-fn constant_ids(sigma: &Sigma) -> FnvSet<ValueId> {
-    let mut out = FnvSet::default();
+fn constant_ids(sigma: &Sigma) -> FixedSet<ValueId> {
+    let mut out = FixedSet::default();
     for cfd in sigma.iter() {
         for p in cfd.lhs_pattern_ids() {
             if let Some(id) = p.as_const_id() {
@@ -945,7 +945,7 @@ pub struct SessionStats {
 }
 
 struct SessionInner {
-    datasets: FnvMap<String, DatasetRef>,
+    datasets: FixedMap<String, DatasetRef>,
     /// Dataset names, least-recently-used first.
     lru: Vec<String>,
     auto_evictions: u64,
@@ -973,7 +973,7 @@ impl Session {
             catalog: None,
             capacity: None,
             inner: Mutex::new(SessionInner {
-                datasets: FnvMap::default(),
+                datasets: FixedMap::default(),
                 lru: Vec::new(),
                 auto_evictions: 0,
             }),

@@ -67,7 +67,7 @@ use std::collections::BTreeMap;
 
 use cfd_cfd::Sigma;
 use cfd_model::diff::{Edit, EditLog};
-use cfd_model::hash::FnvSet;
+use cfd_model::hash::FixedSet;
 use cfd_model::snapshot::edit_log_to_vec;
 use cfd_model::{csv, AttrId, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{IncConfig, IncStats, Ordering, StreamRepairer};
@@ -234,14 +234,14 @@ pub struct RepairSession {
     total: IncStats,
     /// Σ's pattern constants — uncounted interns that must never seal
     /// while the rules stay bound.
-    protect: FnvSet<ValueId>,
+    protect: FixedSet<ValueId>,
     /// Ids that entered the live indexes (activated finals): the
     /// append-only active domain and the distance memo may reference
     /// them, so they seal only at stream close.
-    pinned: FnvSet<ValueId>,
+    pinned: FixedSet<ValueId>,
     /// Every id the stream interned or activated — the final close seals
     /// exactly these (minus `protect`; counted slots skip themselves).
-    touched: FnvSet<ValueId>,
+    touched: FixedSet<ValueId>,
 }
 
 impl RepairSession {
@@ -252,7 +252,7 @@ impl RepairSession {
         name: String,
         relation: Relation,
         sigma: Sigma,
-        protect: FnvSet<ValueId>,
+        protect: FixedSet<ValueId>,
         config: StreamConfig,
     ) -> Result<RepairSession, SessionError> {
         if config.size == 0 || config.slide == 0 || config.slide > config.size {
@@ -299,8 +299,8 @@ impl RepairSession {
             windows_emitted: 0,
             total: IncStats::default(),
             protect,
-            pinned: FnvSet::default(),
-            touched: FnvSet::default(),
+            pinned: FixedSet::default(),
+            touched: FixedSet::default(),
         })
     }
 
@@ -523,7 +523,7 @@ impl RepairSession {
         // deleted at most once.
         let next = self.repairer.work().slot_count() as u64;
         let staged_range = next..next + rows.len() as u64;
-        let mut seen: FnvSet<TupleId> = FnvSet::default();
+        let mut seen: FixedSet<TupleId> = FixedSet::default();
         for d in &deletes {
             let live =
                 staged_range.contains(&(d.0 as u64)) || self.repairer.work().tuple(*d).is_some();
