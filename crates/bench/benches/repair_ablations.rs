@@ -9,6 +9,18 @@
 //! 5. Free/free merge pricing: group-majority vs the literal pairwise
 //!    reading of §4.1 (the snowball ablation: pairwise merges drag one
 //!    cell after another to a wrong value).
+//! 6. The `BATCHREPAIR` matrix: the default config, the dependency-ordered
+//!    picker and pairwise merge pricing on 15 §7.1 cases — 2k tuples at
+//!    seeds 1, 7 and 13 and 6k tuples at seeds 42 and 1, each at
+//!    ρ = 2, 5 and 10%, with the noise seed equal to the workload seed.
+//!    Per (case, config) it times the repair (median of 3 runs) and
+//!    records precision, recall and F1 as ratios; it then prints in how
+//!    many cases each variant beat the default. The cases span both sizes
+//!    the daemon and experiment workloads use and the noise range of
+//!    Figs. 9–10, so a variant that wins anywhere in that range shows.
+//!
+//! `meta/container_cpus` and `meta/commit/<id>` record where the numbers
+//! come from (`-dirty` marks uncommitted changes in the checkout).
 //!
 //! Run with `cargo bench --bench repair_ablations [-- json [PATH]]`.
 
@@ -206,21 +218,128 @@ fn bench_merge_pricing(h: &mut Harness) {
     }
 }
 
+/// The matrix workloads `(tuples, seed)`, each run at every rate of
+/// [`MATRIX_RATES`].
+const MATRIX_WORKLOADS: [(usize, u64); 5] =
+    [(2_000, 1), (2_000, 7), (2_000, 13), (6_000, 42), (6_000, 1)];
+const MATRIX_RATES: [f64; 3] = [0.02, 0.05, 0.10];
+
+fn bench_batch_matrix(h: &mut Harness) {
+    let configs = [
+        ("default", BatchConfig::default()),
+        (
+            "dependency_ordered",
+            BatchConfig {
+                pick: PickStrategy::DependencyOrdered,
+                ..Default::default()
+            },
+        ),
+        (
+            "pairwise",
+            BatchConfig {
+                merge_pricing: MergePricing::Pairwise,
+                ..Default::default()
+            },
+        ),
+    ];
+    // Per variant: cases where it beat the default on (precision,
+    // recall, F1, time).
+    let mut wins = [[0usize; 4]; 3];
+    let mut cases = 0;
+    let batches = std::mem::replace(&mut h.batches, 3);
+    for (n, seed) in MATRIX_WORKLOADS {
+        let w = workload(n, seed);
+        for rate in MATRIX_RATES {
+            let noise = inject(
+                &w.dopt,
+                &w.world,
+                &NoiseConfig {
+                    rate,
+                    seed,
+                    ..Default::default()
+                },
+            );
+            let sigma = w.sigma_for(&noise.dirty);
+            let case = format!("{}k_s{seed}_rho{:.0}", n / 1_000, rate * 100.0);
+            cases += 1;
+            let mut scores = Vec::new();
+            for (label, config) in &configs {
+                let row = format!("batch_matrix/{case}/{label}");
+                let ns = h
+                    .run(&row, || {
+                        batch_repair(black_box(&noise.dirty), &sigma, config.clone()).unwrap()
+                    })
+                    .median_ns;
+                let out = batch_repair(&noise.dirty, &sigma, config.clone()).unwrap();
+                let q = RunSummary::evaluate(
+                    &noise.dirty,
+                    &out.repair,
+                    &w.dopt,
+                    std::time::Duration::ZERO,
+                );
+                h.record(&format!("{row}/precision"), q.precision);
+                h.record(&format!("{row}/recall"), q.recall);
+                h.record(&format!("{row}/f1"), q.f1());
+                scores.push([q.precision, q.recall, q.f1(), -ns]);
+            }
+            for (variant, score) in scores.iter().enumerate() {
+                for m in 0..4 {
+                    wins[variant][m] += usize::from(score[m] > scores[0][m]);
+                }
+            }
+        }
+    }
+    h.batches = batches;
+    for (variant, (label, _)) in configs.iter().enumerate().skip(1) {
+        let [p, r, f, t] = wins[variant];
+        println!(
+            "{label} beat the default in {cases} cases: precision {p}, recall {r}, F1 {f}, time {t}"
+        );
+    }
+}
+
+/// Where the numbers come from: the CPU count and the checked-out commit.
+fn record_metadata(h: &mut Harness) {
+    let cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    h.record("meta/container_cpus", cpus as f64);
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let commit = git(&["rev-parse", "--short=12", "HEAD"]).unwrap_or_else(|| "unknown".into());
+    let dirty =
+        git(&["status", "--porcelain", "--untracked-files=no"]).is_some_and(|s| !s.is_empty());
+    let suffix = if dirty { "-dirty" } else { "" };
+    h.record(&format!("meta/commit/{commit}{suffix}"), 1.0);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json_path = args.iter().position(|a| a == "json").map(|i| {
         args.get(i + 1)
+            // cargo appends its own flags (e.g. `--bench`) after the
+            // user's; never mistake one for an output path.
+            .filter(|p| !p.starts_with('-'))
             .cloned()
             .unwrap_or_else(|| "BENCH_repair_ablations.json".to_string())
     });
 
     // Whole-repair runs: coarse methodology (single-iteration batches).
     let mut h = Harness::coarse();
+    record_metadata(&mut h);
     bench_pick_strategy(&mut h);
     bench_tupleresolve_k(&mut h);
     bench_orderings(&mut h);
     bench_candidate_width(&mut h);
     bench_merge_pricing(&mut h);
+    bench_batch_matrix(&mut h);
 
     println!("\n{}", h.table());
     if let Some(path) = json_path {

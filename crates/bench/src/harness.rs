@@ -155,17 +155,22 @@ impl Harness {
     }
 
     /// Write the measurements as a JSON array (hand-rolled: no serde in
-    /// the offline container).
+    /// the offline container). Timings carry one decimal of a
+    /// nanosecond; recorded metrics keep every digit, so a ratio such as
+    /// a precision survives the round trip.
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
         let mut f = std::fs::File::create(path)?;
         writeln!(f, "[")?;
         for (i, m) in self.results.iter().enumerate() {
+            let (median, min) = if m.batch == 0 {
+                (format!("{:?}", m.median_ns), format!("{:?}", m.min_ns))
+            } else {
+                (format!("{:.1}", m.median_ns), format!("{:.1}", m.min_ns))
+            };
             writeln!(
                 f,
-                "  {{ \"label\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"batch\": {} }}{}",
+                "  {{ \"label\": \"{}\", \"median_ns\": {median}, \"min_ns\": {min}, \"batch\": {} }}{}",
                 json_escape(&m.label),
-                m.median_ns,
-                m.min_ns,
                 m.batch,
                 if i + 1 < self.results.len() { "," } else { "" }
             )?;
