@@ -41,7 +41,7 @@ use cfd_repair::distance::{dl_distance, dl_distance_bounded, dl_distance_referen
 use cfd_repair::equivalence::{Cell, EqClasses};
 use cfd_repair::pricing::TargetPricer;
 use cfd_repair::shard::{variable_shapes, GroupCensus};
-use cfd_repair::{BatchConfig, BatchSeed, Ordering};
+use cfd_repair::{BatchSeed, Ordering};
 
 /// The pre-dictionary tuple representation: values stored inline, read
 /// without any pool access. Reference rows are materialized once,
@@ -245,15 +245,9 @@ fn bench_census(h: &mut Harness) {
     let parts = Engine::build(&noise.dirty, &sigma).to_parts();
     let report = detect_with_parts(&noise.dirty, &sigma, &parts);
     h.run("repair_seed/build_20k", || {
-        BatchSeed::new(
-            black_box(&noise.dirty),
-            &sigma,
-            parts.clone(),
-            &report,
-            BatchConfig::default(),
-        )
+        BatchSeed::new(black_box(&noise.dirty), &sigma, parts.clone(), &report)
     });
-    let seed = BatchSeed::new(&noise.dirty, &sigma, parts, &report, BatchConfig::default());
+    let seed = BatchSeed::new(&noise.dirty, &sigma, parts, &report);
     let mut class_cells = 0;
     h.run("repair_seed/run_20k", || {
         let out = seed.repair(black_box(&noise.dirty), &sigma).unwrap();

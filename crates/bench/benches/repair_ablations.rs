@@ -1,23 +1,15 @@
 //! Ablation benchmarks for the places this implementation chooses between
 //! the paper's literal reading and a variant:
 //!
-//! 1. `PICKNEXT` strategy: cost-ordered global best vs dependency-ordered
-//!    draining (§7.2's optimization) — time *and* accuracy.
-//! 2. `TUPLERESOLVE` attribute-set size `k` ∈ {1, 2}.
-//! 3. `INCREPAIR` tuple orderings (L / V / W).
-//! 4. Candidate-pool width of the cost-based value index.
-//! 5. Free/free merge pricing: group-majority vs the literal pairwise
-//!    reading of §4.1 (the snowball ablation: pairwise merges drag one
-//!    cell after another to a wrong value).
-//! 6. The `BATCHREPAIR` matrix: the default config, the dependency-ordered
-//!    picker and pairwise merge pricing on 15 §7.1 cases — 2k tuples at
-//!    seeds 1, 7 and 13 and 6k tuples at seeds 42 and 1, each at
-//!    ρ = 2, 5 and 10%, with the noise seed equal to the workload seed.
-//!    Per (case, config) it times the repair (median of 3 runs) and
-//!    records precision, recall and F1 as ratios; it then prints in how
-//!    many cases each variant beat the default. The cases span both sizes
-//!    the daemon and experiment workloads use and the noise range of
-//!    Figs. 9–10, so a variant that wins anywhere in that range shows.
+//! 1. `TUPLERESOLVE` attribute-set size `k` ∈ {1, 2}.
+//! 2. `INCREPAIR` tuple orderings (L / V / W).
+//! 3. Candidate-pool width of the cost-based value index.
+//!
+//! `BATCHREPAIR` has no variant left to ablate: the committed
+//! `BENCH_ablations.json` keeps the rows of the dependency-ordered picker
+//! and pairwise merge pricing (`batch_pick_strategy/*`,
+//! `batch_merge_pricing/*`, `batch_matrix/*`) that showed neither beat the
+//! cost-ordered `PICKNEXT` with group-majority pricing.
 //!
 //! `meta/container_cpus` and `meta/commit/<id>` record where the numbers
 //! come from (`-dirty` marks uncommitted changes in the checkout).
@@ -26,63 +18,10 @@
 
 use cfd_bench::harness::{black_box, Harness};
 use cfd_bench::workload;
-use cfd_gen::{inject, NoiseConfig, RunSummary};
-use cfd_repair::{
-    batch_repair, repair_via_incremental, BatchConfig, IncConfig, MergePricing, Ordering,
-    PickStrategy,
-};
+use cfd_gen::{inject, NoiseConfig};
+use cfd_repair::{repair_via_incremental, IncConfig, Ordering};
 
 const N: usize = 1_500;
-
-fn bench_pick_strategy(h: &mut Harness) {
-    let w = workload(N, 3);
-    let noise = inject(
-        &w.dopt,
-        &w.world,
-        &NoiseConfig {
-            rate: 0.05,
-            ..Default::default()
-        },
-    );
-    let sigma = w.sigma_for(&noise.dirty);
-    for (label, pick) in [
-        ("global_best", PickStrategy::GlobalBest),
-        ("dependency_ordered", PickStrategy::DependencyOrdered),
-    ] {
-        h.run(&format!("batch_pick_strategy/{label}"), || {
-            batch_repair(
-                black_box(&noise.dirty),
-                &sigma,
-                BatchConfig {
-                    pick,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        });
-        // accuracy context printed once per strategy
-        let out = batch_repair(
-            &noise.dirty,
-            &sigma,
-            BatchConfig {
-                pick,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let q = RunSummary::evaluate(
-            &noise.dirty,
-            &out.repair,
-            &w.dopt,
-            std::time::Duration::ZERO,
-        );
-        eprintln!(
-            "[{label}] precision {:.1}% recall {:.1}%",
-            q.precision * 100.0,
-            q.recall * 100.0
-        );
-    }
-}
 
 fn bench_tupleresolve_k(h: &mut Harness) {
     let w = workload(N, 5);
@@ -166,138 +105,6 @@ fn bench_candidate_width(h: &mut Harness) {
     }
 }
 
-fn bench_merge_pricing(h: &mut Harness) {
-    // Seed 1 exhibits the bridge corruption that snowballs under pairwise
-    // pricing; both accuracy and time are reported.
-    let w = workload(N, 1);
-    let noise = inject(
-        &w.dopt,
-        &w.world,
-        &NoiseConfig {
-            rate: 0.05,
-            seed: 1,
-            ..Default::default()
-        },
-    );
-    let sigma = w.sigma_for(&noise.dirty);
-    for (label, pricing) in [
-        ("group_majority", MergePricing::GroupMajority),
-        ("pairwise", MergePricing::Pairwise),
-    ] {
-        h.run(&format!("batch_merge_pricing/{label}"), || {
-            batch_repair(
-                black_box(&noise.dirty),
-                &sigma,
-                BatchConfig {
-                    merge_pricing: pricing,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        });
-        let out = batch_repair(
-            &noise.dirty,
-            &sigma,
-            BatchConfig {
-                merge_pricing: pricing,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let q = RunSummary::evaluate(
-            &noise.dirty,
-            &out.repair,
-            &w.dopt,
-            std::time::Duration::ZERO,
-        );
-        eprintln!(
-            "[{label}] precision {:.1}% recall {:.1}%",
-            q.precision * 100.0,
-            q.recall * 100.0
-        );
-    }
-}
-
-/// The matrix workloads `(tuples, seed)`, each run at every rate of
-/// [`MATRIX_RATES`].
-const MATRIX_WORKLOADS: [(usize, u64); 5] =
-    [(2_000, 1), (2_000, 7), (2_000, 13), (6_000, 42), (6_000, 1)];
-const MATRIX_RATES: [f64; 3] = [0.02, 0.05, 0.10];
-
-fn bench_batch_matrix(h: &mut Harness) {
-    let configs = [
-        ("default", BatchConfig::default()),
-        (
-            "dependency_ordered",
-            BatchConfig {
-                pick: PickStrategy::DependencyOrdered,
-                ..Default::default()
-            },
-        ),
-        (
-            "pairwise",
-            BatchConfig {
-                merge_pricing: MergePricing::Pairwise,
-                ..Default::default()
-            },
-        ),
-    ];
-    // Per variant: cases where it beat the default on (precision,
-    // recall, F1, time).
-    let mut wins = [[0usize; 4]; 3];
-    let mut cases = 0;
-    let batches = std::mem::replace(&mut h.batches, 3);
-    for (n, seed) in MATRIX_WORKLOADS {
-        let w = workload(n, seed);
-        for rate in MATRIX_RATES {
-            let noise = inject(
-                &w.dopt,
-                &w.world,
-                &NoiseConfig {
-                    rate,
-                    seed,
-                    ..Default::default()
-                },
-            );
-            let sigma = w.sigma_for(&noise.dirty);
-            let case = format!("{}k_s{seed}_rho{:.0}", n / 1_000, rate * 100.0);
-            cases += 1;
-            let mut scores = Vec::new();
-            for (label, config) in &configs {
-                let row = format!("batch_matrix/{case}/{label}");
-                let ns = h
-                    .run(&row, || {
-                        batch_repair(black_box(&noise.dirty), &sigma, config.clone()).unwrap()
-                    })
-                    .median_ns;
-                let out = batch_repair(&noise.dirty, &sigma, config.clone()).unwrap();
-                let q = RunSummary::evaluate(
-                    &noise.dirty,
-                    &out.repair,
-                    &w.dopt,
-                    std::time::Duration::ZERO,
-                );
-                h.record(&format!("{row}/precision"), q.precision);
-                h.record(&format!("{row}/recall"), q.recall);
-                h.record(&format!("{row}/f1"), q.f1());
-                scores.push([q.precision, q.recall, q.f1(), -ns]);
-            }
-            for (variant, score) in scores.iter().enumerate() {
-                for m in 0..4 {
-                    wins[variant][m] += usize::from(score[m] > scores[0][m]);
-                }
-            }
-        }
-    }
-    h.batches = batches;
-    for (variant, (label, _)) in configs.iter().enumerate().skip(1) {
-        let [p, r, f, t] = wins[variant];
-        println!(
-            "{label} beat the default in {cases} cases: precision {p}, recall {r}, F1 {f}, time {t}"
-        );
-    }
-}
-
 /// Where the numbers come from: the CPU count and the checked-out commit.
 fn record_metadata(h: &mut Harness) {
     let cpus = std::thread::available_parallelism()
@@ -334,12 +141,9 @@ fn main() {
     // Whole-repair runs: coarse methodology (single-iteration batches).
     let mut h = Harness::coarse();
     record_metadata(&mut h);
-    bench_pick_strategy(&mut h);
     bench_tupleresolve_k(&mut h);
     bench_orderings(&mut h);
     bench_candidate_width(&mut h);
-    bench_merge_pricing(&mut h);
-    bench_batch_matrix(&mut h);
 
     println!("\n{}", h.table());
     if let Some(path) = json_path {

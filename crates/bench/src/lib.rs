@@ -27,9 +27,7 @@ use std::time::Instant;
 use cfd_cfd::Engine;
 use cfd_gen::{generate, inject, GenConfig, NoiseConfig, RunSummary, Workload};
 use cfd_model::{Relation, Tuple};
-use cfd_repair::{
-    batch_repair, repair_via_incremental, BatchConfig, IncConfig, InsertRepairer, Ordering,
-};
+use cfd_repair::{batch_repair, repair_via_incremental, IncConfig, InsertRepairer, Ordering};
 
 /// Experiment scale: paper sizes or a 10× reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,7 +107,7 @@ pub fn run_algo(algo: Algo, dirty: &Relation, w: &Workload) -> RunSummary {
     let t0 = Instant::now();
     let repair = match algo {
         Algo::Batch => {
-            batch_repair(dirty, &sigma, BatchConfig::default())
+            batch_repair(dirty, &sigma)
                 .expect("batch repair succeeds")
                 .repair
         }
@@ -198,7 +196,7 @@ pub fn fig8(scale: Scale, seed: u64) -> Vec<Series> {
             .embedded_fds_in(noise.dirty.pool())
             .expect("embedded FDs normalize");
         let t0 = Instant::now();
-        let repair = batch_repair(&noise.dirty, &fd_sigma, BatchConfig::default())
+        let repair = batch_repair(&noise.dirty, &fd_sigma)
             .expect("fd repair succeeds")
             .repair;
         let s_fd = RunSummary::evaluate(&noise.dirty, &repair, &w.dopt, t0.elapsed());
@@ -328,7 +326,7 @@ pub fn fig12(scale: Scale, seed: u64) -> Vec<Series> {
             full.insert(t.clone()).expect("same schema");
         }
         let batch_secs = median_secs(|| {
-            batch_repair(&full, &w.sigma, BatchConfig::default()).expect("batch succeeds");
+            batch_repair(&full, &w.sigma).expect("batch succeeds");
         });
         batch_points.push(point(n_insert, batch_secs));
         // Give ΔD's occurrences back, so the next point starts from the

@@ -21,8 +21,7 @@ pub const USAGE: &str = "cfdclean client <op> (--tcp ADDR | --unix PATH) [flags]
     open-snapshot  --name N [--as NAME]
     detect         --name N [--limit N]
     repair         --name N --out R.csv [--algorithm batch|v-inc|w-inc|l-inc]
-                   [--pick global|dependency] [--k N]
-                   [--emit-edits E.cfde] [--stats]
+                   [--k N] [--emit-edits E.cfde] [--stats]
     insert         --name N --updates U.csv --out M.csv
                    [--weights W.csv] [--ordering v|w|l] [--k N]
     stream-open    --name N [--window W] [--slide S] [--ordering v|w|l] [--k N]
@@ -121,7 +120,6 @@ pub fn run(op: &str, args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let emit_edits = args.get("emit-edits").map(str::to_string);
             let spec = RepairSpec {
                 algorithm: args.get("algorithm").unwrap_or("batch").to_string(),
-                pick: args.get("pick").unwrap_or("global").to_string(),
                 k: args.get_parsed("k", 2u32)?,
             };
             let mut paths = vec![out_path];

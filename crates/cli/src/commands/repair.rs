@@ -12,7 +12,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use cfd_cfd::violation::check;
-use cfd_repair::{Algorithm, PickStrategy, RepairOptions};
+use cfd_repair::{Algorithm, RepairOptions};
 use cfdclean::DatasetHandle;
 
 use crate::args::Args;
@@ -23,8 +23,7 @@ use crate::io::{
 
 pub const USAGE: &str = "cfdclean repair (--data D.csv | --snapshot NAME --catalog DIR)
                 --out REPAIRED.csv [--rules R.cfd]
-                [--weights W.csv] [--algorithm batch|v-inc|w-inc|l-inc]
-                [--pick global|dependency] [--k N]
+                [--weights W.csv] [--algorithm batch|v-inc|w-inc|l-inc] [--k N]
                 [--emit-edits E.cfde | --apply-edits E.cfde] [--stats]
   Compute a repair of the input satisfying the rules.
     --data        dirty CSV file
@@ -36,7 +35,6 @@ pub const USAGE: &str = "cfdclean repair (--data D.csv | --snapshot NAME --catal
     --out         where to write the repair
     --weights     optional per-cell confidence weights (CSV, same shape)
     --algorithm   batch (default) or an IncRepair ordering
-    --pick        BatchRepair PICKNEXT strategy (default global)
     --k           IncRepair attribute-set size (default 2)
     --emit-edits  also write the repair as an id-level edit log, replayable
                   with --apply-edits against the same input
@@ -53,7 +51,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let out_path = args.require("out")?.to_string();
     let weights = args.get("weights").map(str::to_string);
     let algorithm = args.get("algorithm").unwrap_or("batch").to_string();
-    let pick = args.get("pick").unwrap_or("global").to_string();
     let k: usize = args.get_parsed("k", 2)?;
     let emit_edits = args.get("emit-edits").map(str::to_string);
     let apply_edits = args.get("apply-edits").map(str::to_string);
@@ -67,10 +64,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let algorithm: Algorithm = algorithm
         .parse()
         .map_err(|_| format!("unknown --algorithm {algorithm:?} (batch, v-inc, w-inc, l-inc)"))?;
-    let pick: PickStrategy = pick
-        .parse()
-        .map_err(|_| format!("unknown --pick {pick:?}"))?;
-    let opts = RepairOptions::new().algorithm(algorithm).pick(pick).k(k);
+    let opts = RepairOptions::new().algorithm(algorithm).k(k);
 
     // The input: a CSV file or a catalog snapshot (which may carry its
     // own rules).

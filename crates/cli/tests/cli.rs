@@ -172,6 +172,54 @@ fn speculate_flag_is_rejected_as_unknown() {
 }
 
 #[test]
+fn pick_flag_is_rejected_as_unknown() {
+    // BATCHREPAIR has one PICKNEXT: `--pick global` is an unknown flag of
+    // `repair` and `client repair`, exits 1 without panicking, and
+    // neither help text lists it.
+    let s = Scratch::new("pick-unknown");
+    generate_workload(&s, 200);
+    let repair = [
+        "repair",
+        "--data",
+        &s.path("dirty.csv"),
+        "--rules",
+        &s.path("rules.cfd"),
+        "--out",
+        &s.path("repaired.csv"),
+        "--pick",
+        "global",
+    ];
+    // Rejected before any connection is attempted.
+    let client = [
+        "client",
+        "repair",
+        "--unix",
+        &s.path("no-daemon.sock"),
+        "--name",
+        "d",
+        "--out",
+        &s.path("client.csv"),
+        "--pick",
+        "global",
+    ];
+    for argv in [&repair[..], &client[..]] {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_cfdclean"))
+            .args(argv)
+            .output()
+            .unwrap();
+        assert_eq!(status.status.code(), Some(1), "{argv:?}");
+        let stderr = String::from_utf8_lossy(&status.stderr);
+        assert!(stderr.contains("unknown flag --pick"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    for command in ["repair", "client"] {
+        let usage = run(&[command]).unwrap_err();
+        assert!(!usage.contains("--pick"), "{command} help: {usage}");
+    }
+    assert!(!std::path::Path::new(&s.path("repaired.csv")).exists());
+}
+
+#[test]
 fn repair_incremental_algorithms_also_clean() {
     let s = Scratch::new("repair-inc");
     generate_workload(&s, 400);

@@ -6,11 +6,12 @@
 //!   null`), which is what makes the algorithm terminate on CFDs where the
 //!   FD-only repair of Bohannon et al. would oscillate (Example 4.1);
 //! * `PICKNEXT`: among all (CFD, dirty tuple) pairs, pick the least-cost
-//!   resolution ([`PickStrategy::GlobalBest`], the default), or the
-//!   dependency-graph optimized variant that drains one CFD at a time in
-//!   topological order ([`PickStrategy::DependencyOrdered`] — §7.2 reports
-//!   the unoptimized picker "runs very slow"; here a lazy priority queue
-//!   keeps the default fast);
+//!   resolution. Resolving cheap, certain fixes first is what keeps wrong
+//!   expensive resolutions (e.g. dragging a city to a corrupted zip's
+//!   binding) from firing before the cheap correct one. §7.2 reports the
+//!   unoptimized picker "runs very slow"; here a lazy priority queue,
+//!   whose entries are re-verified and re-priced when they pop, replaces
+//!   the O(|dirty|) rescan per step;
 //! * `CFD-RESOLVE` (§4.1): constant violations resolved by RHS target
 //!   assignment (case 1.1) or LHS change (case 1.2); variable violations by
 //!   class merging (case 2.1), LHS change on conflicting constants (case
@@ -52,10 +53,10 @@
 //! classes and values, plans without them. Seeded keys are therefore the
 //! bits an unmemoized planner computes.
 //!
-//! Under [`MergePricing::GroupMajority`], most dirty pairs are carriers of
-//! the winning value of a conflicting group, and the pass prices them a
-//! group at a time without planning each one. This is exact: at t=0, for
-//! any winner carrier `t` of a group under variable CFD `φ`,
+//! Most dirty pairs are carriers of the winning value of a conflicting
+//! group, and the pass prices them a group at a time without planning
+//! each one. This is exact: at t=0, for any winner carrier `t` of a
+//! group under variable CFD `φ`,
 //!
 //! * `violates` sees the same census group, the same non-winner buckets
 //!   and only singleton classes, so the partner is the same tuple `p` for
@@ -69,9 +70,9 @@
 //!
 //! So a carrier's key is its group's key for its suspicion score, with its
 //! own tuple id: one planned representative per (CFD, group, suspicion
-//! score) prices them all. Constant CFDs, non-winner carriers, pairwise
-//! pricing and any pair outside a tracked conflicting group are planned
-//! one by one, as before.
+//! score) prices them all. Constant CFDs, non-winner carriers, pairs the
+//! census-less pairwise fallback prices (`plan_pairwise_merge`) and any
+//! pair outside a tracked conflicting group are planned one by one.
 //!
 //! The seeded frontier is kept in the total, seed-independent `HeapKey`
 //! order as a `Run` of segments, one per distinct key prefix, each with
@@ -97,65 +98,10 @@ use cfd_model::index::HashIndex;
 use cfd_model::{AttrId, EditLog, IdKey, Relation, TupleId, ValueId, ValuePool, NULL_ID};
 
 use crate::cost::{class_assign_cost_ids, class_assign_cost_ids_batch, repair_cost};
-use crate::depgraph::DepGraph;
 use crate::distance::DistanceCache;
 use crate::equivalence::{Cell, EqClasses, Target};
+use crate::options::BatchConfig;
 use crate::RepairError;
-
-/// How `PICKNEXT` chooses the next violation to resolve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PickStrategy {
-    /// Faithful Fig. 5: always resolve the globally cheapest (CFD, dirty
-    /// tuple) pair next. Implemented as a lazy priority queue — entries
-    /// are re-verified and re-priced on pop — instead of the naive
-    /// O(|dirty|) rescan per step. The fully priced t=0 frontier is one
-    /// run of key segments read in O(1) per pop, and a popped pair that
-    /// is no longer dirty is dropped after an O(1) set lookup; only pairs
-    /// queued later (re-queued or newly dirtied) pay O(log n) in a heap.
-    /// This is the default:
-    /// resolving cheap-certain fixes first is what keeps wrong expensive
-    /// resolutions (e.g. dragging a city to a corrupted zip's binding)
-    /// from firing before the cheap correct one.
-    GlobalBest,
-    /// Dependency-graph optimization (§7.2): drain CFDs one at a time in
-    /// topological order of the CFD dependency graph, looping until no
-    /// dirty tuples remain anywhere. Faster per step but blind to cost
-    /// order across CFDs; the `repair_ablations` bench quantifies the
-    /// accuracy gap.
-    DependencyOrdered,
-}
-
-/// How a free/free variable-CFD merge chooses its reconciliation value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergePricing {
-    /// Price over the whole agreeing group: the winner is the value with
-    /// the largest weighted carrier support. The default — immune to the
-    /// pairwise snowball, where each two-cell merge drags one more cell
-    /// to a wrong value and the next merge inherits it.
-    GroupMajority,
-    /// The literal two-cell reading of §4.1: compare only the two classes
-    /// being merged. Kept for the `repair_ablations` benchmark, which
-    /// quantifies the snowball cascades this produces.
-    Pairwise,
-}
-
-/// Configuration for [`batch_repair`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct BatchConfig {
-    /// Picker variant; defaults to the optimized one.
-    pub pick: PickStrategy,
-    /// Free/free merge winner selection; defaults to group majority.
-    pub merge_pricing: MergePricing,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            pick: PickStrategy::GlobalBest,
-            merge_pricing: MergePricing::GroupMajority,
-        }
-    }
-}
 
 /// How many candidate values `FINDV` examines per S-set. The paper takes
 /// the minimum over the whole S-set; capping bounds worst-case group
@@ -248,14 +194,13 @@ struct BatchState<'a> {
     /// Σ has no constant rules (a corrupted cell conflicts with its whole
     /// group; an innocent partner only with the corrupted tuple).
     initial_vio: &'a [usize],
-    /// Lazy priority queue for [`PickStrategy::GlobalBest`]: entries carry
-    /// the last-known [`HeapKey`] and are re-verified and re-priced when
-    /// popped. Its run is the seed's priced t=0 frontier.
+    /// `PICKNEXT`'s lazy priority queue: entries carry the last-known
+    /// [`HeapKey`] and are re-verified and re-priced when popped. Its run
+    /// is the seed's priced t=0 frontier.
     frontier: Frontier<'a>,
     /// Memoized `dis(v, v')` over id pairs.
     dcache: DistanceCache,
     stats: BatchStats,
-    config: &'a BatchConfig,
 }
 
 /// The total order `PICKNEXT` resolves under: `(cost, value frequency,
@@ -512,16 +457,6 @@ impl TidSet {
         }
     }
 
-    /// The smallest id.
-    fn first(&self) -> Option<TupleId> {
-        match self {
-            TidSet::Sparse(ids) => ids.first().copied(),
-            TidSet::Dense { words, low, .. } => words
-                .get(*low)
-                .map(|w| TupleId((*low * 64) as u32 + w.trailing_zeros())),
-        }
-    }
-
     /// The ids, ascending.
     fn iter(&self) -> TidIter<'_> {
         match self {
@@ -642,7 +577,6 @@ struct Planner<'p> {
     rules: &'p ConstantRules,
     census: &'p CensusOverlay,
     initial_vio: &'p [usize],
-    config: &'p BatchConfig,
     eq: &'p EqClasses<'p>,
     indexes: &'p mut GroupIndexes,
     /// Set only while scoring the t=0 frontier.
@@ -650,12 +584,11 @@ struct Planner<'p> {
     dcache: &'p mut DistanceCache,
 }
 
-/// `BATCHREPAIR`'s t=0 state for one (D, Σ, weights, config): the dirty
-/// sets (`TidSet`s) and `vio(t)` of the initial detection, the group
-/// census, and — under [`PickStrategy::GlobalBest`] — the fully priced
-/// `PICKNEXT` frontier with the S-set indexes and distances its scoring
-/// built. The frontier is a `Run`: a key prefix per segment and 4 bytes
-/// per dirty pair.
+/// `BATCHREPAIR`'s t=0 state for one (D, Σ, weights): the dirty sets
+/// (`TidSet`s) and `vio(t)` of the initial detection, the group census,
+/// and the fully priced `PICKNEXT` frontier with the S-set indexes and
+/// distances its scoring built. The frontier is a `Run`: a key prefix
+/// per segment and 4 bytes per dirty pair.
 ///
 /// Every run from a seed reads the same t=0 state and leaves it as it
 /// was. A run copies only what the loop mutates (indexes, dirty sets,
@@ -676,7 +609,6 @@ pub struct BatchSeed {
 
 /// The part of a [`BatchSeed`] every run reads and none writes.
 struct Fixed {
-    config: BatchConfig,
     rules: ConstantRules,
     variable_ids: Vec<CfdId>,
     /// The detection parts' census, shared with them.
@@ -710,7 +642,6 @@ impl BatchSeed {
         sigma: &Sigma,
         parts: EngineParts,
         report: &ViolationReport,
-        config: BatchConfig,
     ) -> BatchSeed {
         let dirty = report
             .per_cfd
@@ -733,7 +664,6 @@ impl BatchSeed {
         } = parts;
         let dcache = DistanceCache::for_pool(d.pool().clone());
         let mut fixed = Fixed {
-            config,
             rules,
             variable_ids,
             census,
@@ -745,9 +675,7 @@ impl BatchSeed {
             dirty,
             dcache,
         };
-        if fixed.config.pick == PickStrategy::GlobalBest {
-            fixed.run = score_frontier(d, sigma, &fixed, &mut start);
-        }
+        fixed.run = score_frontier(d, sigma, &fixed, &mut start);
         BatchSeed { fixed, start }
     }
 
@@ -790,12 +718,11 @@ fn t0_classes(d: &Relation) -> EqClasses<'_> {
 /// Score the fully priced initial `PICKNEXT` frontier of a seed.
 ///
 /// One pass prices every dirty `(CFD, tuple)` pair against the frozen t=0
-/// state and returns the keys as one [`Run`]. Under
-/// [`MergePricing::GroupMajority`], the first dirty winner-bucket member of
-/// a conflicting group met in a variable CFD's set prices the whole bucket
-/// ([`Planner::winner_bucket`]): one planned representative per suspicion
-/// level gives the key prefix of every dirty member at that level. Every
-/// other pair is planned on its own. The working relation of t=0 is `d`
+/// state and returns the keys as one [`Run`]. The first dirty
+/// winner-bucket member of a conflicting group met in a variable CFD's
+/// set prices the whole bucket ([`Planner::winner_bucket`]): one planned
+/// representative per suspicion level gives the key prefix of every
+/// dirty member at that level. Every other pair is planned on its own. The working relation of t=0 is `d`
 /// itself. The pass's memo tables and t=0 suspect scores are dropped with
 /// it: nothing computed for t=0 reaches the loop. The S-set indexes and
 /// distances it computes stay in `start`; each index is exactly the one a
@@ -830,7 +757,6 @@ fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start)
         rules: &fixed.rules,
         census: &census,
         initial_vio: &fixed.initial_vio,
-        config: &fixed.config,
         eq: &eq,
         indexes,
         frozen: Some(Frozen {
@@ -839,22 +765,20 @@ fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start)
         }),
         dcache,
     };
-    let group_majority = fixed.config.merge_pricing == MergePricing::GroupMajority;
     // Per slot, the CFD whose winner-bucket walk already priced the pair.
     let mut walked = vec![u32::MAX; slot_count(d)];
     let mut pieces: Vec<(Prefix, Vec<TupleId>)> = Vec::new();
     let mut members: Vec<(usize, TupleId)> = Vec::new();
     for (i, set) in dirty.iter().enumerate() {
         let n = sigma.get(CfdId(i as u32));
-        let derive = group_majority && !n.is_constant();
         for tid in set.iter() {
             if walked[tid.index()] == n.id().0 {
                 continue;
             }
-            let bucket = if derive {
-                planner.winner_bucket(n, tid)
-            } else {
+            let bucket = if n.is_constant() {
                 None
+            } else {
+                planner.winner_bucket(n, tid)
             };
             let Some(bucket) = bucket else {
                 let (prefix, tid) = split_key(planner.key(n, tid));
@@ -905,7 +829,6 @@ impl<'a> BatchState<'a> {
             frontier: Frontier::seeded(&fixed.run),
             dcache,
             stats: BatchStats::default(),
-            config: &fixed.config,
         }
     }
 
@@ -918,7 +841,6 @@ impl<'a> BatchState<'a> {
             rules: self.rules,
             census: &self.census,
             initial_vio: self.initial_vio,
-            config: self.config,
             eq: &self.eq,
             indexes: &mut self.indexes,
             frozen: None,
@@ -1426,11 +1348,10 @@ impl<'p> Planner<'p> {
         }
     }
 
-    /// At t=0 under group pricing: the carriers of the winning value of
-    /// `tid`'s group under variable CFD `n`, when the group conflicts and
-    /// `tid` is one of them. Every such carrier then has the key of `tid`
-    /// up to its suspicion score and its tuple (module docs). `None` for
-    /// any other pair.
+    /// At t=0: the carriers of the winning value of `tid`'s group under
+    /// variable CFD `n`, when the group conflicts and `tid` is one of them.
+    /// Every such carrier then has the key of `tid` up to its suspicion
+    /// score and its tuple (module docs). `None` for any other pair.
     fn winner_bucket(&mut self, n: &NormalCfd, tid: TupleId) -> Option<&'p [TupleId]> {
         debug_assert!(self.frozen.is_some(), "t=0 only");
         let t = self.work.tuple(tid)?;
@@ -1468,9 +1389,6 @@ impl<'p> Planner<'p> {
         v1: ValueId,
         v2: ValueId,
     ) -> (f64, Option<ValueId>, usize) {
-        if self.config.merge_pricing == MergePricing::Pairwise {
-            return self.plan_pairwise_merge(n, tid, partner, v1, v2);
-        }
         let Some((winner, cost)) = self.group_merge_price(n, tid) else {
             // Census unavailable (e.g. the shape is tracked under a
             // different minimal CFD) — fall back to pairwise pricing.
@@ -1542,9 +1460,10 @@ impl<'p> Planner<'p> {
         )
     }
 
-    /// Two-cell merge pricing: the literal §4.1 reading, also the
-    /// fallback when the census does not track a shape. Compares moving
-    /// either class to the other's value, residuals included.
+    /// Two-cell merge pricing, the literal §4.1 reading: the fallback of
+    /// [`plan_group_merge`](Self::plan_group_merge) when the census holds
+    /// fewer than two value buckets for the group. Compares moving either
+    /// class to the other's value, residuals included.
     fn plan_pairwise_merge(
         &mut self,
         n: &NormalCfd,
@@ -1591,9 +1510,7 @@ impl<'a> BatchState<'a> {
             }
         });
         for id in fired {
-            if self.dirty[id.index()].insert(cell.tuple)
-                && self.config.pick == PickStrategy::GlobalBest
-            {
+            if self.dirty[id.index()].insert(cell.tuple) {
                 // optimistic minimum key: priced properly on first pop
                 self.frontier.push((0, 0, 0, id.0, cell.tuple.0));
             }
@@ -1634,9 +1551,7 @@ impl<'a> BatchState<'a> {
                 }
             }
             for member in to_mark {
-                if self.dirty[psi.index()].insert(member)
-                    && self.config.pick == PickStrategy::GlobalBest
-                {
+                if self.dirty[psi.index()].insert(member) {
                     self.frontier.push((0, 0, 0, psi.0, member.0));
                 }
             }
@@ -1746,26 +1661,10 @@ impl<'a> BatchState<'a> {
         Ok(())
     }
 
-    /// Remove stale entries and return the next verified violation of CFD
-    /// `id`, if any.
-    fn next_violation_of(&mut self, id: CfdId) -> Option<(TupleId, Violation)> {
-        loop {
-            let tid = self.dirty[id.index()].first()?;
-            let n = self.sigma.get(id);
-            match self.planner().violates(n, tid) {
-                Some(v) => return Some((tid, v)),
-                None => {
-                    self.dirty[id.index()].remove(tid);
-                }
-            }
-        }
-    }
-
-    /// One `PICKNEXT` + `CFD-RESOLVE` step under the global-best strategy:
-    /// pop queue entries, re-verify and re-price lazily, apply the first
-    /// entry whose price is still current. Returns false when no
-    /// violations remain.
-    fn step_global(&mut self) -> Result<bool, RepairError> {
+    /// One `PICKNEXT` + `CFD-RESOLVE` step: pop queue entries, re-verify
+    /// and re-price lazily, apply the first entry whose price is still
+    /// current. Returns false when no violations remain.
+    fn step(&mut self) -> Result<bool, RepairError> {
         while let Some(key) = self.frontier.pop() {
             let (_, _, _, cfd_raw, tid_raw) = key;
             let id = CfdId(cfd_raw);
@@ -1803,30 +1702,6 @@ impl<'a> BatchState<'a> {
             return Ok(true);
         }
         Ok(false)
-    }
-
-    /// Drain all violations CFD-by-CFD in dependency order. Returns false
-    /// when a full pass found nothing to do.
-    fn step_dependency(&mut self, graph: &DepGraph) -> Result<bool, RepairError> {
-        let mut any = false;
-        for &id in graph.order() {
-            if self.dirty[id.index()].is_empty() {
-                continue;
-            }
-            while let Some((tid, v)) = self.next_violation_of(id) {
-                let n = self.sigma.get(id);
-                match self.planner().plan_fix(n, tid, &v) {
-                    Some((fix, _)) => {
-                        self.apply_fix(fix)?;
-                        any = true;
-                    }
-                    None => {
-                        self.dirty[id.index()].remove(tid);
-                    }
-                }
-            }
-        }
-        Ok(any)
     }
 
     /// Instantiation phase (Fig. 4 lines 9–13): every still-free
@@ -1872,21 +1747,13 @@ impl<'a> BatchState<'a> {
     /// The main loop and the instantiation rounds, until no violation is
     /// left.
     fn resolve(&mut self) -> Result<(), RepairError> {
-        // Only the dependency-ordered picker reads the graph.
-        let graph = match self.config.pick {
-            PickStrategy::DependencyOrdered => Some(DepGraph::build(self.sigma)),
-            PickStrategy::GlobalBest => None,
-        };
         // Hard bound: progress is ≤ 4·cells, so the loop cannot legally
         // exceed that many fixes; a generous multiple guards against bugs.
         let cells = self.work.len() * self.work.schema().arity();
         let max_steps = 8 * cells + 64;
         loop {
             loop {
-                let advanced = match &graph {
-                    Some(graph) => self.step_dependency(graph)?,
-                    None => self.step_global()?,
-                };
+                let advanced = self.step()?;
                 if self.stats.steps > max_steps {
                     return Err(RepairError::Internal(format!(
                         "exceeded step bound {max_steps}: termination invariant broken"
@@ -1912,28 +1779,25 @@ impl<'a> BatchState<'a> {
 /// progress argument, enforced at runtime) together with statistics. The
 /// input relation is not modified. A `sigma` normalized into another pool
 /// than `d`'s is refused with [`cfd_model::ModelError::PoolMismatch`].
-pub fn batch_repair(
-    d: &Relation,
-    sigma: &Sigma,
-    config: BatchConfig,
-) -> Result<BatchOutcome, RepairError> {
+pub fn batch_repair(d: &Relation, sigma: &Sigma) -> Result<BatchOutcome, RepairError> {
     sigma.check_pool(d.pool())?;
-    batch_repair_with_parts(d, sigma, Engine::build(d, sigma).to_parts(), config)
+    batch_repair_with_parts(d, sigma, Engine::build(d, sigma).to_parts(), BatchConfig)
 }
 
 /// [`batch_repair`] reusing prebuilt detection [`EngineParts`] of `d`:
 /// detects with them, builds a [`BatchSeed`] and runs it once. Parts
 /// built over `d` equal the ones [`batch_repair`] builds, so the result
-/// is byte-identical to it with the same config.
+/// is byte-identical to it. The field-less [`BatchConfig`] is ignored;
+/// `perfbench` still passes one.
 pub fn batch_repair_with_parts(
     d: &Relation,
     sigma: &Sigma,
     parts: EngineParts,
-    config: BatchConfig,
+    _config: BatchConfig,
 ) -> Result<BatchOutcome, RepairError> {
     sigma.check_pool(d.pool())?;
     let report = detect_with_parts(d, sigma, &parts);
-    BatchSeed::new(d, sigma, parts, &report, config).into_repair(d, sigma)
+    BatchSeed::new(d, sigma, parts, &report).into_repair(d, sigma)
 }
 
 #[cfg(test)]
@@ -2066,7 +1930,7 @@ mod tests {
         // intended repair (Example 1.1): t3 and t4 get CT=NYC, ST=NY —
         // their CT/ST weights (0.1/0.6) are the cheap cells.
         let (rel, sigma) = fig1();
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert!(cfd_cfd::check(&out.repair, &sigma));
         let schema = out.repair.schema().clone();
         let ct = schema.attr("CT").unwrap();
@@ -2098,25 +1962,6 @@ mod tests {
     }
 
     #[test]
-    fn fig1_dependency_ordered_still_consistent() {
-        // The dependency-ordered optimization is blind to global cost
-        // order, so it may choose a different — but still consistent —
-        // repair.
-        let (rel, sigma) = fig1();
-        let out = batch_repair(
-            &rel,
-            &sigma,
-            BatchConfig {
-                pick: PickStrategy::DependencyOrdered,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(cfd_cfd::check(&out.repair, &sigma));
-        assert!(out.stats.steps > 0);
-    }
-
-    #[test]
     fn clean_input_is_returned_unchanged() {
         let (mut rel, sigma) = fig1();
         let schema = rel.schema().clone();
@@ -2126,7 +1971,7 @@ mod tests {
             rel.set_value(id, ct, Value::str("NYC")).unwrap();
             rel.set_value(id, st, Value::str("NY")).unwrap();
         }
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert_eq!(out.stats.steps, 0);
         assert_eq!(out.stats.cost, 0.0);
         for (id, t) in rel.iter() {
@@ -2155,18 +2000,8 @@ mod tests {
             rel.pool(),
         ))
         .unwrap();
-        for pick in [PickStrategy::DependencyOrdered, PickStrategy::GlobalBest] {
-            let out = batch_repair(
-                &rel,
-                &sigma,
-                BatchConfig {
-                    pick,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert!(cfd_cfd::check(&out.repair, &sigma), "{pick:?}");
-        }
+        let out = batch_repair(&rel, &sigma).unwrap();
+        assert!(cfd_cfd::check(&out.repair, &sigma));
     }
 
     #[test]
@@ -2185,7 +2020,7 @@ mod tests {
             vec![schema.attr("v").unwrap()],
         );
         let sigma = Sigma::normalize_in(schema.clone(), vec![fd], rel.pool()).unwrap();
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert!(cfd_cfd::check(&out.repair, &sigma));
         assert!(out.stats.merges >= 1);
         let v = schema.attr("v").unwrap();
@@ -2213,7 +2048,7 @@ mod tests {
             vec![schema.attr("v").unwrap()],
         );
         let sigma = Sigma::normalize_in(schema.clone(), vec![fd], rel.pool()).unwrap();
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         let v = schema.attr("v").unwrap();
         assert_eq!(
             out.repair.tuple(TupleId(0)).unwrap().value(v),
@@ -2256,7 +2091,7 @@ mod tests {
         )
         .unwrap();
         let sigma = Sigma::normalize_in(schema, vec![c1, c2], rel.pool()).unwrap();
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert!(cfd_cfd::check(&out.repair, &sigma));
         assert!(out.stats.nulls_set >= 1); // single tuple: null is the only out
     }
@@ -2309,7 +2144,7 @@ mod tests {
             .map(|(v, _)| v)
             .unwrap();
         assert_eq!(rel.pool().resolve(brute), Value::str("fqv2"));
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert!(cfd_cfd::check(&out.repair, &sigma));
         assert_eq!(
             out.repair.tuple(t0).unwrap().id(k),
@@ -2321,7 +2156,7 @@ mod tests {
     #[test]
     fn stats_count_operations() {
         let (rel, sigma) = fig1();
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert_eq!(
             out.stats.steps,
             out.stats.merges + out.stats.nulls_set + out.stats.consts_set
@@ -2343,7 +2178,7 @@ mod tests {
     ) -> (usize, usize, usize) {
         let report = cfd_cfd::detect(rel, sigma);
         let parts = Engine::build(rel, sigma).to_parts();
-        let seed = BatchSeed::new(rel, sigma, parts, &report, BatchConfig::default());
+        let seed = BatchSeed::new(rel, sigma, parts, &report);
         let mut state = BatchState::new(rel, sigma, &seed.fixed, seed.start.clone());
         assert!(
             state.frontier.heap.is_empty(),
@@ -2449,7 +2284,7 @@ mod tests {
         for (label, rel, sigma) in scoring_workloads() {
             let parts = Engine::build(&rel, &sigma).to_parts();
             let report = cfd_cfd::detect(&rel, &sigma);
-            let seed = BatchSeed::new(&rel, &sigma, parts, &report, BatchConfig::default());
+            let seed = BatchSeed::new(&rel, &sigma, parts, &report);
             let indexes = &seed.start.indexes;
             let lhs_lists = GroupIndexes::build(&rel, &sigma).attr_lists();
             let lists = indexes.attr_lists();
@@ -2479,7 +2314,7 @@ mod tests {
     /// checked bit for bit against the value path it takes once the
     /// repair is written to CSV and read back into a fresh pool.
     fn assert_cost_paths_agree(orig: &Relation, sigma: &Sigma, label: &str) {
-        let out = batch_repair(orig, sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(orig, sigma).unwrap();
         assert!(Arc::ptr_eq(orig.pool(), out.repair.pool()), "{label}");
         let mut csv = Vec::new();
         cfd_model::csv::write_relation(&out.repair, &mut csv).unwrap();
@@ -2624,17 +2459,17 @@ mod tests {
                     } else if roll < odds[0] + odds[1] {
                         assert_eq!(set.remove(t), model.remove(&t), "remove {t:?}");
                     } else if roll < odds[0] + odds[1] + odds[2] {
-                        // Drain from the front, as `step_dependency` does.
+                        // Drain from the front: each removal of the
+                        // lowest id moves a dense set's `low` word.
                         if let Some(first) = model.pop_first() {
-                            assert_eq!(set.first(), Some(first));
                             assert!(set.remove(first));
+                            assert_eq!(set.iter().next(), model.first().copied());
                         }
                     } else {
                         assert_eq!(set.contains(t), model.contains(&t), "contains {t:?}");
                     }
                     assert_eq!(set.len(), model.len());
                     assert_eq!(set.is_empty(), model.is_empty());
-                    assert_eq!(set.first(), model.first().copied());
                 }
                 assert!(set.iter().eq(model.iter().copied()));
             }
@@ -2645,43 +2480,26 @@ mod tests {
         assert!(grown > 0, "no set outgrew its sparse form");
     }
 
-    /// Runs from one seed equal a one-shot repair, again and again, under
-    /// every picker and merge pricing, and leave the seed's census and
-    /// frontier as they were.
+    /// Runs from one seed equal a one-shot repair, again and again, and
+    /// leave the seed's census and frontier as they were.
     #[test]
     fn a_seed_serves_every_run_like_a_one_shot_repair() {
-        let configs = [
-            BatchConfig::default(),
-            BatchConfig {
-                pick: PickStrategy::DependencyOrdered,
-                ..BatchConfig::default()
-            },
-            BatchConfig {
-                merge_pricing: MergePricing::Pairwise,
-                ..BatchConfig::default()
-            },
-        ];
         for (label, rel, sigma) in scoring_workloads().into_iter().take(2) {
-            for config in &configs {
-                let one_shot = batch_repair(&rel, &sigma, config.clone()).unwrap();
-                let parts = Engine::build(&rel, &sigma).to_parts();
-                let report = cfd_cfd::detect(&rel, &sigma);
-                let seed = BatchSeed::new(&rel, &sigma, parts, &report, config.clone());
-                let (census, run) = (seed.census().checksum(), seed.fixed.run.clone());
-                for round in 0..2 {
-                    let out = seed.repair(&rel, &sigma).unwrap();
-                    assert_eq!(
-                        out.stats, one_shot.stats,
-                        "{label} {config:?} round {round}"
-                    );
-                    assert_eq!(
-                        EditLog::between(&rel, &out.repair).unwrap(),
-                        EditLog::between(&rel, &one_shot.repair).unwrap(),
-                        "{label} {config:?} round {round}"
-                    );
-                    assert_eq!(seed.census().checksum(), census, "{label} {config:?}");
-                    assert_eq!(seed.fixed.run, run, "{label} {config:?}");
-                }
+            let one_shot = batch_repair(&rel, &sigma).unwrap();
+            let parts = Engine::build(&rel, &sigma).to_parts();
+            let report = cfd_cfd::detect(&rel, &sigma);
+            let seed = BatchSeed::new(&rel, &sigma, parts, &report);
+            let (census, run) = (seed.census().checksum(), seed.fixed.run.clone());
+            for round in 0..2 {
+                let out = seed.repair(&rel, &sigma).unwrap();
+                assert_eq!(out.stats, one_shot.stats, "{label} round {round}");
+                assert_eq!(
+                    EditLog::between(&rel, &out.repair).unwrap(),
+                    EditLog::between(&rel, &one_shot.repair).unwrap(),
+                    "{label} round {round}"
+                );
+                assert_eq!(seed.census().checksum(), census, "{label}");
+                assert_eq!(seed.fixed.run, run, "{label}");
             }
         }
     }
@@ -2696,7 +2514,7 @@ mod tests {
         for (label, rel, sigma) in scoring_workloads().into_iter().skip(1) {
             let parts = Engine::build(&rel, &sigma).to_parts();
             let report = cfd_cfd::detect(&rel, &sigma);
-            let seed = BatchSeed::new(&rel, &sigma, parts, &report, BatchConfig::default());
+            let seed = BatchSeed::new(&rel, &sigma, parts, &report);
             let mut state = BatchState::new(&rel, &sigma, &seed.fixed, seed.start.clone());
             state.resolve().unwrap();
             let arity = rel.schema().arity();
@@ -2727,7 +2545,7 @@ mod tests {
         let schema = Schema::new("r", &["a"]).unwrap();
         let rel = Relation::new_in(schema.clone(), ValuePool::new_handle());
         let sigma = Sigma::normalize_in(schema, vec![], rel.pool()).unwrap();
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert_eq!(out.repair.len(), 0);
         assert_eq!(out.stats.steps, 0);
     }

@@ -6,8 +6,7 @@
 //! a repair `Repr |= Σ` of small cost. Both flavors are provided:
 //!
 //! * [`batch::batch_repair`] — `BATCHREPAIR` (§4), equivalence-class based
-//!   whole-database repair, with the faithful global-best `PICKNEXT` and
-//!   the dependency-graph-optimized variant the paper benchmarks;
+//!   whole-database repair with the faithful cost-ordered `PICKNEXT`;
 //! * [`incremental::inc_repair`] — `INCREPAIR` (§5), repairing a batch of
 //!   inserted tuples one at a time via `TUPLERESOLVE`, with the three
 //!   orderings L-/V-/W- of §5.2, the group census as its LHS-indices and
@@ -17,7 +16,7 @@
 //!
 //! Supporting machinery: the Damerau–Levenshtein [`distance`] kernel, the
 //! §3.2 [`cost`] model, [`equivalence`] classes with monotone targets,
-//! [`cluster`] for nearest-value enumeration, the CFD [`depgraph`], the
+//! [`cluster`] for nearest-value enumeration, the
 //! resident `INCREPAIR` drivers in [`resident`], and [`shard`], which
 //! re-exports the per-shape group census detection and both algorithms
 //! share ([`cfd_cfd::census`]).
@@ -38,7 +37,6 @@
 pub mod batch;
 pub mod cluster;
 pub mod cost;
-pub mod depgraph;
 pub mod distance;
 pub mod equivalence;
 pub mod incremental;
@@ -48,14 +46,11 @@ pub mod resident;
 pub mod shard;
 pub mod subset;
 
-pub use batch::{
-    batch_repair, batch_repair_with_parts, BatchConfig, BatchOutcome, BatchSeed, BatchStats,
-    MergePricing, PickStrategy,
-};
+pub use batch::{batch_repair, batch_repair_with_parts, BatchOutcome, BatchSeed, BatchStats};
 pub use incremental::{inc_repair, IncConfig, IncOutcome, IncStats, Ordering};
-#[doc(hidden)]
-pub use options::Parallelism;
 pub use options::{Algorithm, RepairOptions};
+#[doc(hidden)]
+pub use options::{BatchConfig, Parallelism, PickStrategy};
 pub use resident::{DeltaRepair, InsertFootprint, InsertRepairer, StreamRepairer};
 pub use subset::{consistent_subset, repair_via_incremental};
 
@@ -125,12 +120,9 @@ mod tests {
         let parts = Engine::build(&other, &sigma).to_parts();
         let delta = [Tuple::new_in(["k2", "c"], rel.pool())];
         let config = IncConfig::default();
+        refused(batch_repair(&rel, &sigma).map(drop), "batch_repair");
         refused(
-            batch_repair(&rel, &sigma, BatchConfig::default()).map(drop),
-            "batch_repair",
-        );
-        refused(
-            batch_repair_with_parts(&rel, &sigma, parts.clone(), BatchConfig::default()).map(drop),
+            batch_repair_with_parts(&rel, &sigma, parts.clone(), BatchConfig).map(drop),
             "batch_repair_with_parts",
         );
         refused(
@@ -151,6 +143,6 @@ mod tests {
             repair_via_incremental(&rel, &sigma, config).map(drop),
             "repair_via_incremental",
         );
-        assert!(batch_repair(&other, &sigma, BatchConfig::default()).is_ok());
+        assert!(batch_repair(&other, &sigma).is_ok());
     }
 }

@@ -2,17 +2,17 @@
 //!
 //! Callers that expose both algorithms behind one switch (the CLI
 //! `repair` command, the `cfd-server` daemon) map user-facing flags onto
-//! the *shared* determinism axes — algorithm, picker, `k` — once, here,
-//! and lower them to either algorithm's config via
-//! [`RepairOptions::batch_config`] / [`RepairOptions::inc_config`]. Both
-//! algorithms are serial, so no setting takes a thread count, and each
-//! runs one distance kernel, so no setting picks one.
+//! the *shared* determinism axes — algorithm and `k` — once, here, and
+//! lower them to the `INCREPAIR` config via [`RepairOptions::inc_config`].
+//! `BATCHREPAIR` has no setting: it runs the paper's cost-ordered
+//! `PICKNEXT` with group-majority merge pricing. Both algorithms are
+//! serial, so no setting takes a thread count, and each runs one distance
+//! kernel, so no setting picks one.
 //!
-//! [`BatchConfig`] and [`IncConfig`] stay public — construct them
-//! directly only when poking fields `RepairOptions` deliberately does
-//! not surface (`merge_pricing`, `max_combos`, …).
+//! [`IncConfig`] stays public — construct it directly only when poking
+//! fields `RepairOptions` deliberately does not surface (`max_combos`,
+//! …).
 
-use crate::batch::{BatchConfig, PickStrategy};
 use crate::incremental::{IncConfig, Ordering};
 
 /// The repair thread count, always 1: `perfbench` still records it.
@@ -25,6 +25,21 @@ impl Parallelism {
     pub fn get(&self) -> usize {
         1
     }
+}
+
+/// The `BATCHREPAIR` config, which has no field: `perfbench` still passes
+/// one ([`RepairOptions::batch_config`]).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct BatchConfig;
+
+/// The one `PICKNEXT`, the cost-ordered one: `perfbench` still names it
+/// ([`RepairOptions::pick`]).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub enum PickStrategy {
+    /// Always resolve the globally cheapest (CFD, dirty tuple) pair next.
+    GlobalBest,
 }
 
 /// Which repair algorithm to run — the paper's two flavors, with the
@@ -66,33 +81,19 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
-impl std::str::FromStr for PickStrategy {
-    type Err = String;
-
-    /// The CLI spelling: `global` or `dependency`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "global" => Ok(PickStrategy::GlobalBest),
-            "dependency" => Ok(PickStrategy::DependencyOrdered),
-            other => Err(format!("unknown pick {other:?}")),
-        }
-    }
-}
-
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-/// Builder over the shared repair knobs, lowering to [`BatchConfig`] or
-/// [`IncConfig`]. Two `RepairOptions` that compare equal produce
-/// byte-identical repairs on the same dataset — that is the determinism
-/// contract the differential suites pin.
+/// Builder over the shared repair knobs, lowering to [`IncConfig`]. Two
+/// `RepairOptions` that compare equal produce byte-identical repairs on
+/// the same dataset — that is the determinism contract the differential
+/// suites pin.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RepairOptions {
     algorithm: Algorithm,
-    pick: PickStrategy,
     k: usize,
 }
 
@@ -100,14 +101,13 @@ impl Default for RepairOptions {
     fn default() -> Self {
         RepairOptions {
             algorithm: Algorithm::Batch,
-            pick: PickStrategy::GlobalBest,
             k: 1,
         }
     }
 }
 
 impl RepairOptions {
-    /// Batch algorithm, global-best picker, `k = 1`.
+    /// Batch algorithm, `k = 1`.
     pub fn new() -> Self {
         RepairOptions::default()
     }
@@ -118,9 +118,9 @@ impl RepairOptions {
         self
     }
 
-    /// `PICKNEXT` variant for the batch algorithm.
-    pub fn pick(mut self, p: PickStrategy) -> Self {
-        self.pick = p;
+    /// No-op: there is one `PICKNEXT`. `perfbench` still calls it.
+    #[doc(hidden)]
+    pub fn pick(self, _: PickStrategy) -> Self {
         self
     }
 
@@ -133,11 +133,6 @@ impl RepairOptions {
     /// The selected algorithm.
     pub fn algorithm_choice(&self) -> Algorithm {
         self.algorithm
-    }
-
-    /// The selected picker.
-    pub fn pick_choice(&self) -> PickStrategy {
-        self.pick
     }
 
     /// The selected `k`.
@@ -159,12 +154,11 @@ impl RepairOptions {
         0
     }
 
-    /// Lower to the `BATCHREPAIR` config.
+    /// The field-less [`BatchConfig`]: `perfbench` still passes it to
+    /// [`batch_repair_with_parts`](crate::batch_repair_with_parts).
+    #[doc(hidden)]
     pub fn batch_config(&self) -> BatchConfig {
-        BatchConfig {
-            pick: self.pick,
-            ..BatchConfig::default()
-        }
+        BatchConfig
     }
 
     /// Lower to the `INCREPAIR` config. For [`Algorithm::Batch`] the
@@ -193,22 +187,13 @@ mod tests {
             assert_eq!(a.as_str(), name);
         }
         assert!("bogus".parse::<Algorithm>().is_err());
-        assert_eq!("global".parse(), Ok(PickStrategy::GlobalBest));
-        assert_eq!("dependency".parse(), Ok(PickStrategy::DependencyOrdered));
-        assert_eq!(
-            "Global".parse::<PickStrategy>(),
-            Err("unknown pick \"Global\"".to_string())
-        );
     }
 
     #[test]
-    fn overrides_lower_into_both_configs() {
+    fn overrides_lower_into_the_inc_config() {
         let opts = RepairOptions::new()
             .algorithm(Algorithm::Incremental(Ordering::Weight))
-            .pick(PickStrategy::DependencyOrdered)
             .k(3);
-        let b = opts.batch_config();
-        assert_eq!(b.pick, PickStrategy::DependencyOrdered);
         let i = opts.inc_config();
         assert_eq!(i.k, 3);
         assert_eq!(i.ordering, Ordering::Weight);

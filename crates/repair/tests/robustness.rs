@@ -7,7 +7,7 @@ use cfd_cfd::pattern::{PatternRow, PatternValue};
 use cfd_cfd::violation::check;
 use cfd_cfd::{Cfd, Sigma};
 use cfd_model::{AttrId, Relation, Schema, Tuple, TupleId, Value, ValuePool};
-use cfd_repair::{batch_repair, BatchConfig};
+use cfd_repair::batch_repair;
 
 fn c(s: &str) -> PatternValue {
     PatternValue::constant(s)
@@ -52,7 +52,7 @@ fn corrupted_group_key_does_not_contaminate_the_group() {
     bad.set_weight(AttrId(1), 0.1);
     let bad_id = rel.insert(bad).unwrap();
 
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     // the CAN population must be untouched
     for (id, t) in out.repair.iter() {
@@ -109,7 +109,7 @@ fn corrupted_pattern_key_is_restored_not_propagated() {
     let mut bad = Tuple::new_in(["10012", "PHI", "PA"], &pool);
     bad.set_weight(AttrId(0), 0.1);
     let bad_id = rel.insert(bad).unwrap();
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     let fixed = out.repair.tuple(bad_id).unwrap();
     // city/state must survive; the zip is rebound to the Philadelphia zip
@@ -138,7 +138,7 @@ fn merged_class_resolves_to_majority_value() {
     let odd = rel
         .insert(Tuple::new_in(["key", "minority"], &pool))
         .unwrap();
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     let v = schema.attr("v").unwrap();
     assert_eq!(
@@ -167,7 +167,7 @@ fn pathological_all_conflicting_input_terminates() {
         rel.insert(Tuple::new_in(["k", &format!("v{i}")[..]], &pool))
             .unwrap();
     }
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     // All 60 values must end up equal. Group-majority reconciliation can
     // settle two minority cells per merge (both sides of a merge are
@@ -214,7 +214,7 @@ fn contradictory_constants_resolve_with_null_not_livelock() {
     for _ in 0..10 {
         rel.insert(Tuple::new_in(["x", "p"], &pool)).unwrap();
     }
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     // every tuple needed either a nulled b or an escaped a
     for (_, t) in out.repair.iter() {
@@ -267,7 +267,7 @@ fn bridging_tuple_does_not_snowball_a_clean_group() {
     bridge.set_weight(AttrId(2), 0.95);
     let bridge_id = rel.insert(bridge).unwrap();
 
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     // Group A must be untouched: all sixteen rows keep zip 10525.
     for id in group_a {
@@ -344,7 +344,7 @@ fn pinned_constant_does_not_flip_a_foreign_group() {
     bad.set_weight(AttrId(3), 0.95); // clean AC — the anchor
     let bad_id = rel.insert(bad).unwrap();
 
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     // The healthy group keeps its binding.
     for id in group {

@@ -87,7 +87,7 @@
 //! 0x02 Open          name:str csv:bytes rules:opt<str> weights:opt<bytes>
 //! 0x03 OpenSnapshot  name:str
 //! 0x04 Detect        dataset:str limit:u32
-//! 0x05 Repair        dataset:str algorithm:str pick:str k:u32
+//! 0x05 Repair        dataset:str algorithm:str k:u32
 //!                    want_edits:bool want_stats:bool
 //! 0x06 Insert        dataset:str csv:bytes weights:opt<bytes>
 //!                    ordering:u8 ('v'|'w'|'l') k:u32
@@ -105,12 +105,13 @@
 //! ```
 //!
 //! `algorithm` is the CLI spelling (`batch`, `v-inc`, `w-inc`,
-//! `l-inc`); `pick` is `global` or `dependency`. Repair is serial and
-//! runs one distance kernel, so the frame carries neither a thread count
-//! nor a kernel choice. `Repair` frames in any retired layout — with a
-//! `simd:opt<bool>` after `k`, with a `threads:opt<u32>` ahead of it, or
-//! with those plus a speculation-depth `opt<u32>` between them — are at
-//! least one byte longer than the current decoder reads, so they are
+//! `l-inc`). `BATCHREPAIR` has one picker, repair is serial and it runs
+//! one distance kernel, so the frame carries no picker name, thread
+//! count or kernel choice. `Repair` frames in any retired layout carry a
+//! `pick:str` between `algorithm` and `k` (older ones also a
+//! `simd:opt<bool>` after `k`, a `threads:opt<u32>` ahead of it, or
+//! those plus a speculation-depth `opt<u32>` between them), so they are
+//! at least 4 bytes longer than the current decoder reads and are
 //! rejected with a `Protocol` error (trailing bytes or a bad tag), never
 //! misread.
 //!

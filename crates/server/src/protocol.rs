@@ -261,8 +261,6 @@ impl<'a> Dec<'a> {
 pub struct RepairSpec {
     /// `batch`, `v-inc`, `w-inc`, or `l-inc`.
     pub algorithm: String,
-    /// `global` or `dependency`.
-    pub pick: String,
     /// TUPLERESOLVE attribute-set size.
     pub k: u32,
 }
@@ -271,7 +269,6 @@ impl Default for RepairSpec {
     fn default() -> Self {
         RepairSpec {
             algorithm: "batch".to_string(),
-            pick: "global".to_string(),
             k: 2,
         }
     }
@@ -403,7 +400,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             let mut e = Enc::new(OP_REPAIR);
             e.str(dataset);
             e.str(&spec.algorithm);
-            e.str(&spec.pick);
             e.u32(spec.k);
             e.bool(*want_edits);
             e.bool(*want_stats);
@@ -503,7 +499,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
             dataset: d.str()?.to_string(),
             spec: RepairSpec {
                 algorithm: d.str()?.to_string(),
-                pick: d.str()?.to_string(),
                 k: d.u32()?,
             },
             want_edits: d.bool()?,
@@ -740,7 +735,6 @@ mod tests {
             dataset: "cust".into(),
             spec: RepairSpec {
                 algorithm: "v-inc".into(),
-                pick: "dependency".into(),
                 k: 3,
             },
             want_edits: true,
@@ -837,11 +831,13 @@ mod tests {
 
     #[test]
     fn retired_repair_layout_is_a_typed_error() {
-        // Three retired Repair layouts carry fields the current frame
-        // lacks after `k`: a `simd:opt<bool>` kernel override; before
-        // that also a `threads:opt<u32>` override ahead of it; and before
-        // that also a speculation-depth `opt<u32>` between the two. A
-        // stale client's frame must fail to decode — never decode to a
+        // Every retired Repair layout carries a `pick:str` picker name
+        // between `algorithm` and `k`, at least 4 bytes the current
+        // frame lacks. The older ones also carry fields after `k`: a
+        // `simd:opt<bool>` kernel override; before that also a
+        // `threads:opt<u32>` override ahead of it; and before that also
+        // a speculation-depth `opt<u32>` between the two. A stale
+        // client's frame must fail to decode — never decode to a
         // different request.
         let opt_u32 = |e: &mut Enc, v: Option<u32>| match v {
             Some(n) => {
@@ -850,16 +846,17 @@ mod tests {
             }
             None => e.u8(0),
         };
-        let legacy = |threads: Option<Option<u32>>,
+        let legacy = |pick: &str,
+                      threads: Option<Option<u32>>,
                       depth: Option<Option<u32>>,
-                      simd: Option<bool>,
+                      simd: Option<Option<bool>>,
                       edits: bool,
                       stats: bool| {
             let spec = RepairSpec::default();
             let mut e = Enc::new(OP_REPAIR);
             e.str("cust");
             e.str(&spec.algorithm);
-            e.str(&spec.pick);
+            e.str(pick);
             e.u32(spec.k);
             if let Some(threads) = threads {
                 opt_u32(&mut e, threads);
@@ -868,39 +865,57 @@ mod tests {
                 opt_u32(&mut e, depth);
             }
             match simd {
-                Some(b) => {
+                Some(Some(b)) => {
                     e.u8(1);
                     e.bool(b);
                 }
-                None => e.u8(0),
+                Some(None) => e.u8(0),
+                None => {}
             }
             e.bool(edits);
             e.bool(stats);
             e.0
         };
+        let current = |edits: bool, stats: bool| {
+            encode_request(&Request::Repair {
+                dataset: "cust".into(),
+                spec: RepairSpec::default(),
+                want_edits: edits,
+                want_stats: stats,
+            })
+        };
         let mut frames = 0;
-        for depth in [None, Some(None), Some(Some(8))] {
-            for threads in [None, Some(None), Some(Some(1)), Some(Some(2))] {
-                if threads.is_none() && depth.is_some() {
-                    continue; // the depth field only ever followed `threads`
-                }
-                for simd in [None, Some(false), Some(true)] {
-                    for edits in [false, true] {
-                        for stats in [false, true] {
-                            let frame = legacy(threads, depth, simd, edits, stats);
-                            let got = decode_request(&frame);
-                            assert!(
-                                matches!(got, Err(ProtoError::Trailing(_) | ProtoError::BadTag(_))),
-                                "depth={depth:?} threads={threads:?} simd={simd:?} \
-                                 edits={edits} stats={stats}: {got:?}"
-                            );
-                            frames += 1;
+        for pick in ["global", "dependency", ""] {
+            for depth in [None, Some(None), Some(Some(8))] {
+                for threads in [None, Some(None), Some(Some(1)), Some(Some(2))] {
+                    if threads.is_none() && depth.is_some() {
+                        continue; // the depth field only ever followed `threads`
+                    }
+                    for simd in [None, Some(None), Some(Some(false)), Some(Some(true))] {
+                        if simd.is_none() && threads.is_some() {
+                            continue; // `threads` only ever came with `simd`
+                        }
+                        for edits in [false, true] {
+                            for stats in [false, true] {
+                                let frame = legacy(pick, threads, depth, simd, edits, stats);
+                                assert!(frame.len() >= current(edits, stats).len() + 4);
+                                let got = decode_request(&frame);
+                                assert!(
+                                    matches!(
+                                        got,
+                                        Err(ProtoError::Trailing(_) | ProtoError::BadTag(_))
+                                    ),
+                                    "pick={pick:?} depth={depth:?} threads={threads:?} \
+                                     simd={simd:?} edits={edits} stats={stats}: {got:?}"
+                                );
+                                frames += 1;
+                            }
                         }
                     }
                 }
             }
         }
-        assert_eq!(frames, 120);
+        assert_eq!(frames, 372);
     }
 
     #[test]

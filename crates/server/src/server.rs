@@ -29,7 +29,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cfd_model::Catalog;
-use cfd_repair::{Algorithm, Ordering, PickStrategy, RepairOptions};
+use cfd_repair::{Algorithm, Ordering, RepairOptions};
 use cfdclean::{read_cell, write_cell, Session, SessionError, StreamConfig, WindowResult};
 
 use crate::protocol::{
@@ -377,11 +377,7 @@ fn spec_to_options(spec: &RepairSpec) -> Result<RepairOptions, SessionError> {
             spec.algorithm
         ))
     })?;
-    let pick: PickStrategy = spec.pick.parse().map_err(SessionError::Data)?;
-    Ok(RepairOptions::new()
-        .algorithm(algorithm)
-        .pick(pick)
-        .k(spec.k as usize))
+    Ok(RepairOptions::new().algorithm(algorithm).k(spec.k as usize))
 }
 
 /// Execute one request against the session. Every [`SessionError`]

@@ -10,7 +10,7 @@ use cfd_prng::SeedableRng;
 use cfdclean::cfd::violation::detect;
 use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig, RunSummary};
 use cfdclean::model::TupleId;
-use cfdclean::repair::{batch_repair, BatchConfig};
+use cfdclean::repair::batch_repair;
 use cfdclean::sampling::{certify, chernoff_sample_size, GroundTruthOracle, SamplingConfig};
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ fn main() {
 
     // 3. Repair (the repairing module).
     let t0 = Instant::now();
-    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).expect("repair succeeds");
+    let out = batch_repair(&noise.dirty, &sigma).expect("repair succeeds");
     let quality = RunSummary::evaluate(&noise.dirty, &out.repair, &w.dopt, t0.elapsed());
     println!("BATCHREPAIR: {quality}");
 

@@ -5,7 +5,7 @@
 
 use cfdclean::cfd::violation::detect;
 use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig, RunSummary};
-use cfdclean::repair::{batch_repair, repair_via_incremental, BatchConfig, IncConfig};
+use cfdclean::repair::{batch_repair, repair_via_incremental, IncConfig};
 use std::time::Instant;
 
 fn main() {
@@ -30,8 +30,7 @@ fn main() {
 
     // BATCHREPAIR
     let t0 = Instant::now();
-    let batch =
-        batch_repair(&noise.dirty, &sigma, BatchConfig::default()).expect("batch repair succeeds");
+    let batch = batch_repair(&noise.dirty, &sigma).expect("batch repair succeeds");
     let batch_summary =
         RunSummary::evaluate(&noise.dirty, &batch.repair, &workload.dopt, t0.elapsed());
     println!("BATCHREPAIR  {batch_summary}");

@@ -153,7 +153,7 @@
 //! ```
 //! use cfdclean::cfd::{parser::parse_rules, violation, Sigma};
 //! use cfdclean::model::{Relation, Schema, Tuple, ValuePool};
-//! use cfdclean::repair::{batch_repair, BatchConfig};
+//! use cfdclean::repair::batch_repair;
 //!
 //! let schema = Schema::new("order", &["AC", "PN", "CT", "ST", "zip"]).unwrap();
 //! // The dataset's values and the rules' constants share one pool.
@@ -169,7 +169,7 @@
 //! let sigma = Sigma::normalize_in(schema, cfds, dirty.pool()).unwrap();
 //!
 //! assert!(!violation::check(&dirty, &sigma));
-//! let out = batch_repair(&dirty, &sigma, BatchConfig::default()).unwrap();
+//! let out = batch_repair(&dirty, &sigma).unwrap();
 //! assert!(violation::check(&out.repair, &sigma));
 //! ```
 

@@ -18,12 +18,11 @@
 //!   bind, which also buckets the parts' **group census**; every later
 //!   detect request, and the insert path's clean-base check, reads that
 //!   one report. `BATCHREPAIR` starts from a **resident t=0 state**
-//!   ([`BatchSeed`]): the first default-config batch repair builds it
-//!   from the report and a clone of the parts — dirty sets, the shared
-//!   census and the priced `PICKNEXT` frontier — and every later
-//!   default-config repair copies only what the repair loop mutates,
-//!   borrowing the census and frontier. Reweighting and rebinding drop
-//!   it; a repair with another config builds a seed for itself alone.
+//!   ([`BatchSeed`]): the first batch repair builds it from the report
+//!   and a clone of the parts — dirty sets, the shared census and the
+//!   priced `PICKNEXT` frontier — and every later batch repair copies
+//!   only what the repair loop mutates, borrowing the census and
+//!   frontier. Reweighting and rebinding drop it.
 //!   Insert requests go through a **resident `INCREPAIR` state** (see
 //!   below), which reads only the parts' constant rules, variable-CFD ids
 //!   and census, never their group indexes. The set of Σ's
@@ -95,8 +94,8 @@ use cfd_model::hash::{FixedMap, FixedSet};
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
 use cfd_model::{csv, Catalog, Relation, Tuple, TupleId, ValueId, ValuePool};
 use cfd_repair::{
-    repair_via_incremental, Algorithm, BatchConfig, BatchSeed, IncConfig, InsertFootprint,
-    InsertRepairer, Ordering, RepairError, RepairOptions,
+    repair_via_incremental, Algorithm, BatchSeed, IncConfig, InsertFootprint, InsertRepairer,
+    Ordering, RepairError, RepairOptions,
 };
 
 use crate::stream::{RepairSession, StreamCloseReport, StreamConfig, StreamInfo, WindowResult};
@@ -188,12 +187,10 @@ struct BoundRules {
     /// unaffected). A method that changes the resident relation's values
     /// must reset it.
     report: OnceLock<ViolationReport>,
-    /// `BATCHREPAIR`'s t=0 state ([`BatchSeed`]) for the default
-    /// [`BatchConfig`], built from the report and a clone of `parts` by
-    /// the first default batch repair and shared by every later one. A
-    /// repair with another config builds a seed of its own and uses it
-    /// once, so it can never pin this one. It depends on the cell
-    /// weights, so [`DatasetHandle::apply_weights`] resets it; rebinding
+    /// `BATCHREPAIR`'s t=0 state ([`BatchSeed`]), built from the report
+    /// and a clone of `parts` by the first batch repair and shared by
+    /// every later one. `INCREPAIR` repairs neither read nor store it.
+    /// It depends on the cell weights, so [`DatasetHandle::apply_weights`] resets it; rebinding
     /// replaces it with the rest of `BoundRules`.
     seed: OnceLock<BatchSeed>,
 }
@@ -505,11 +502,10 @@ impl DatasetHandle {
     /// the same input and options. Set `want_edits` to also derive the
     /// `.cfde` edit-log bytes.
     ///
-    /// A batch repair with the default [`BatchConfig`] starts from the
-    /// resident [`BatchSeed`] (see `BoundRules`): no detection, census
-    /// build or frontier pricing per request, only copies of what the
-    /// repair loop mutates. Any other config builds a seed for the one
-    /// request.
+    /// A batch repair starts from the resident [`BatchSeed`] (see
+    /// `BoundRules`): no detection, census build or frontier pricing per
+    /// request after the first, only copies of what the repair loop
+    /// mutates.
     pub fn repair(
         &self,
         opts: &RepairOptions,
@@ -518,23 +514,11 @@ impl DatasetHandle {
         let bound = self.bound()?;
         let (repair, detail) = match opts.algorithm_choice() {
             Algorithm::Batch => {
-                let config = opts.batch_config();
                 let report = self.detect()?;
-                let build = |config| {
-                    BatchSeed::new(
-                        &self.relation,
-                        &bound.sigma,
-                        bound.parts.clone(),
-                        report,
-                        config,
-                    )
-                };
-                let outcome = if config == BatchConfig::default() {
-                    let seed = bound.seed.get_or_init(|| build(config));
-                    seed.repair(&self.relation, &bound.sigma)?
-                } else {
-                    build(config).into_repair(&self.relation, &bound.sigma)?
-                };
+                let seed = bound.seed.get_or_init(|| {
+                    BatchSeed::new(&self.relation, &bound.sigma, bound.parts.clone(), report)
+                });
+                let outcome = seed.repair(&self.relation, &bound.sigma)?;
                 let d = format!(
                     "steps {} merges {} consts {} nulls {} cost {:.3}",
                     outcome.stats.steps,
@@ -1522,26 +1506,26 @@ mod tests {
         (run.csv, run.edit_log, run.detail)
     }
 
-    /// Default batch repairs share the one seed the first of them built;
-    /// a repair with another config runs on a seed of its own, before or
-    /// after that, and never stores it.
+    /// Batch repairs share the one seed the first of them built; a
+    /// `v-inc` repair, before or after that, neither stores a seed nor
+    /// replaces the stored one.
     #[test]
     fn repairs_share_one_resident_batch_seed() {
         let session = Session::new();
         let entry = open(&session, "orders");
         let cell = entry.read().unwrap();
         let handle = cell.handle().unwrap();
-        let other = RepairOptions::new().pick(cfd_repair::PickStrategy::DependencyOrdered);
-        let ordered = reply(handle.repair(&other, true).unwrap());
-        assert!(handle.batch_seed().is_none(), "another config stores none");
+        let inc = RepairOptions::new().algorithm(Algorithm::Incremental(Ordering::Violations));
+        let v_inc = reply(handle.repair(&inc, true).unwrap());
+        assert!(handle.batch_seed().is_none(), "INCREPAIR stores none");
         let first = reply(handle.repair(&RepairOptions::new(), true).unwrap());
         let seed = handle
             .batch_seed()
-            .expect("built by the first default repair");
+            .expect("built by the first batch repair");
         let second = reply(handle.repair(&RepairOptions::new(), true).unwrap());
         assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
         assert_eq!(first, second);
-        assert_eq!(reply(handle.repair(&other, true).unwrap()), ordered);
+        assert_eq!(reply(handle.repair(&inc, true).unwrap()), v_inc);
         assert!(std::ptr::eq(seed, handle.batch_seed().unwrap()));
     }
 

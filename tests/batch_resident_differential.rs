@@ -2,25 +2,22 @@
 //!
 //! A [`DatasetHandle`] keeps one `BatchSeed`: the t=0 state of
 //! `BATCHREPAIR` (dirty sets, group census and the priced `PICKNEXT`
-//! frontier), built by the first default-config batch repair and shared
-//! by every later one. The contracts pinned here, on §7.1 generator
-//! workloads at several seeds:
+//! frontier), built by the first batch repair and shared by every later
+//! one. The contracts pinned here, on §7.1 generator workloads at several
+//! seeds:
 //!
 //! * **One-shot equivalence** — on one long-lived handle, repairs are
 //!   interleaved with detects, inserts, a stream's open/feed/advance/
-//!   close, reweighting, rebinding and picker switches. Every repair
-//!   reply — CSV bytes, `.cfde`
-//!   bytes, the detail line and the cost bits — equals a one-shot
-//!   [`batch_repair`] on a fresh handle with the same data, weights,
-//!   rules and config.
+//!   close, reweighting, rebinding and `v-inc` repairs. Every repair
+//!   reply — CSV bytes, `.cfde` bytes, the detail line and the cost bits
+//!   — equals a one-shot [`batch_repair`] (or, for `v-inc`,
+//!   [`repair_via_incremental`]) on a fresh handle with the same data,
+//!   weights and rules.
 //! * **A base that is never written** — after every request, the
 //!   resident seed's census checksum equals a fresh census build of the
 //!   handle's relation.
-//! * **Only the default config is resident** — a repair with another
-//!   config neither stores a seed nor replaces the stored one.
-//!
-//! Pairwise merge pricing from one seed is covered by the `batch` unit
-//! tests, which set `BatchConfig` directly.
+//! * **Only `BATCHREPAIR` is resident** — a `v-inc` repair neither
+//!   stores a seed nor replaces the stored one.
 
 use cfdclean::cfd::{violation, ViolationReport};
 use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig};
@@ -28,7 +25,7 @@ use cfdclean::model::snapshot::edit_log_to_vec;
 use cfdclean::model::{csv, EditLog, Relation};
 use cfdclean::repair::cost::repair_cost;
 use cfdclean::repair::shard::GroupCensus;
-use cfdclean::repair::{batch_repair, BatchConfig, PickStrategy, RepairOptions};
+use cfdclean::repair::{batch_repair, repair_via_incremental, Algorithm, Ordering, RepairOptions};
 use cfdclean::{DatasetHandle, StreamConfig};
 
 const TUPLES: usize = 2_000;
@@ -136,18 +133,35 @@ fn fresh_handle(inputs: &Inputs, weights: usize, rules: &str) -> DatasetHandle {
     h
 }
 
-/// The one-shot reply: `batch_repair` over a fresh handle's relation.
+/// The one-shot reply: `batch_repair`, or `repair_via_incremental` for an
+/// incremental `opts`, over a fresh handle's relation.
 fn one_shot(inputs: &Inputs, weights: usize, rules: &str, opts: &RepairOptions) -> Reply {
     let h = fresh_handle(inputs, weights, rules);
     let (d, sigma) = (h.relation(), h.sigma().unwrap());
-    let out = batch_repair(d, sigma, opts.batch_config()).unwrap();
-    assert!(violation::check(&out.repair, sigma));
-    let log = EditLog::between(d, &out.repair).unwrap();
+    let (repair, detail) = match opts.algorithm_choice() {
+        Algorithm::Batch => {
+            let out = batch_repair(d, sigma).unwrap();
+            (out.repair, detail(&out.stats))
+        }
+        Algorithm::Incremental(_) => {
+            let out = repair_via_incremental(d, sigma, opts.inc_config()).unwrap();
+            let line = format!(
+                "reinserted {} modified {} nulls {} cost {:.3}",
+                out.reinserted.len(),
+                out.stats.modified,
+                out.stats.nulls_introduced,
+                out.stats.cost
+            );
+            (out.repair, line)
+        }
+    };
+    assert!(violation::check(&repair, sigma));
+    let log = EditLog::between(d, &repair).unwrap();
     Reply {
-        csv: render(&out.repair),
+        cost_bits: repair_cost(d, &repair).to_bits(),
+        csv: render(&repair),
         edits: edit_log_to_vec(&log, d.schema().name(), d.schema().arity(), d.pool()),
-        detail: detail(&out.stats),
-        cost_bits: out.stats.cost.to_bits(),
+        detail,
     }
 }
 
@@ -189,7 +203,7 @@ impl Warm<'_> {
         assert!(got == want, "{what}: reply bytes differ");
         let resident = assert_census_untouched(&self.handle, &what);
         assert!(
-            resident || opts.batch_config() != BatchConfig::default(),
+            resident || opts.algorithm_choice() != Algorithm::Batch,
             "{what}: no seed"
         );
         got
@@ -215,7 +229,7 @@ impl Warm<'_> {
 #[test]
 fn resident_repairs_equal_one_shot_across_interleaved_requests() {
     let global = RepairOptions::new();
-    let ordered = RepairOptions::new().pick(PickStrategy::DependencyOrdered);
+    let v_inc = RepairOptions::new().algorithm(Algorithm::Incremental(Ordering::Violations));
     for seed in SEEDS {
         let inputs = inputs(seed);
         let mut w = Warm {
@@ -234,35 +248,29 @@ fn resident_repairs_equal_one_shot_across_interleaved_requests() {
 
         // Inserts on a dirty base fail after interning ΔD into the pool.
         let updates = w.updates(0, 20);
-        let err = w
-            .handle
-            .insert(&updates, None, cfdclean::repair::Ordering::Violations, 1);
+        let err = w.handle.insert(&updates, None, Ordering::Violations, 1);
         assert!(err.is_err(), "the base is dirty");
         assert_eq!(w.repair(&global, "after a failed insert"), first);
 
-        // Another config runs on a seed of its own.
-        w.repair(&ordered, "dependency-ordered");
+        // INCREPAIR neither reads nor replaces the seed.
+        w.repair(&v_inc, "v-inc");
         assert!(std::ptr::eq(seed_ptr, w.handle.batch_seed().unwrap()));
-        assert_eq!(w.repair(&global, "back to the default"), first);
+        assert_eq!(w.repair(&global, "back to BATCHREPAIR"), first);
 
-        // Reweighting drops the seed. A dependency-ordered repair sent
-        // first stores none, so the default repairs after it still share
-        // one seed.
+        // Reweighting drops the seed. A v-inc repair sent first stores
+        // none, so the batch repairs after it still share one seed.
         w.handle.apply_weights(&inputs.weights[1]).unwrap();
         w.weights = 1;
         assert!(
             w.handle.batch_seed().is_none(),
             "reweighting drops the seed"
         );
-        w.repair(&ordered, "reweighted, dependency-ordered");
-        assert!(
-            w.handle.batch_seed().is_none(),
-            "another config stores no seed"
-        );
-        let reweighted = w.repair(&global, "reweighted, default");
+        w.repair(&v_inc, "reweighted, v-inc");
+        assert!(w.handle.batch_seed().is_none(), "v-inc stores no seed");
+        let reweighted = w.repair(&global, "reweighted, batch");
         let seed_ptr = std::ptr::from_ref(w.handle.batch_seed().unwrap());
-        w.repair(&ordered, "reweighted, dependency-ordered again");
-        assert_eq!(w.repair(&global, "reweighted, default again"), reweighted);
+        w.repair(&v_inc, "reweighted, v-inc again");
+        assert_eq!(w.repair(&global, "reweighted, batch again"), reweighted);
         assert!(std::ptr::eq(seed_ptr, w.handle.batch_seed().unwrap()));
         w.detect("reweighted detect");
 
@@ -272,9 +280,7 @@ fn resident_repairs_equal_one_shot_across_interleaved_requests() {
         assert!(w.handle.batch_seed().is_none(), "rebinding drops the seed");
         let clean = w.repair(&global, "clean rules");
         let updates = w.updates(0, 10);
-        let run = w
-            .handle
-            .insert(&updates, None, cfdclean::repair::Ordering::Violations, 1);
+        let run = w.handle.insert(&updates, None, Ordering::Violations, 1);
         assert!(run.is_ok(), "seed {seed}: insert on a clean base");
         assert_eq!(w.repair(&global, "after an insert"), clean);
         w.handle.open_stream(StreamConfig::tumbling(10)).unwrap();
@@ -286,7 +292,9 @@ fn resident_repairs_equal_one_shot_across_interleaved_requests() {
         w.handle.stream_feed(&events).unwrap();
         assert_eq!(w.repair(&global, "stream fed"), clean);
         w.handle.stream_advance(12).unwrap();
-        assert_eq!(w.repair(&ordered, "stream advanced"), clean);
+        let inc = w.repair(&v_inc, "stream advanced, v-inc");
+        assert_eq!(inc.csv, clean.csv, "a clean base repairs to itself");
+        assert_eq!(w.repair(&global, "stream advanced"), clean);
         w.handle.stream_close().unwrap();
         assert_eq!(w.repair(&global, "stream closed"), clean);
         w.detect("detect after the stream");

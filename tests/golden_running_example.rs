@@ -20,7 +20,7 @@ use cfdclean::cfd::violation::{detect, ViolationReport};
 use cfdclean::cfd::{CfdId, Sigma};
 use cfdclean::model::csv::{read_relation_in, read_weights, write_relation};
 use cfdclean::model::{Relation, Schema, ValuePool};
-use cfdclean::repair::{batch_repair, BatchConfig};
+use cfdclean::repair::batch_repair;
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
 
@@ -114,7 +114,7 @@ fn golden_cust_pipeline_is_pinned() {
     check_or_update("cust_violations.txt", &render_report(&report, &sigma));
 
     // Stage 3: the batch repair.
-    let out = batch_repair(&dirty, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&dirty, &sigma).unwrap();
     assert!(cfdclean::cfd::check(&out.repair, &sigma));
     let mut repaired_csv = Vec::new();
     write_relation(&out.repair, &mut repaired_csv).unwrap();

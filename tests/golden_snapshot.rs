@@ -23,7 +23,7 @@ use cfdclean::model::snapshot::{
     edit_log_to_vec, read_edit_log_in, read_snapshot, snapshot_info, snapshot_to_vec,
 };
 use cfdclean::model::{Relation, Schema, ValuePool};
-use cfdclean::repair::{batch_repair, BatchConfig};
+use cfdclean::repair::batch_repair;
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
 
@@ -119,7 +119,7 @@ fn golden_snapshot_and_edit_log_are_pinned() {
         loaded.relation.pool(),
     )
     .expect("embedded rules normalize");
-    let out = batch_repair(&loaded.relation, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&loaded.relation, &sigma).unwrap();
     let mut repaired_csv = Vec::new();
     write_relation(&out.repair, &mut repaired_csv).unwrap();
     let expected = std::fs::read(fixture_path("cust_repaired.csv")).expect("repair fixture");

@@ -7,7 +7,7 @@ use cfdclean::cfd::satisfiability::satisfiable;
 use cfdclean::cfd::violation::{check, detect};
 use cfdclean::cfd::Sigma;
 use cfdclean::model::{Relation, Schema, Tuple, TupleId, Value, ValuePool};
-use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, IncConfig};
+use cfdclean::repair::{batch_repair, inc_repair, IncConfig};
 
 const RULES: &str = "
 # Fig. 1(b) and Fig. 2 of the paper
@@ -129,7 +129,7 @@ fn fig1_satisfies_the_fds_but_not_the_cfds() {
 fn batch_repair_produces_the_intended_fig1_repair() {
     let rel = fig1_data();
     let sigma = sigma(&rel);
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     // t3's low-confidence CT/ST (w = 0.1) are corrected to NYC/NY as in
     // Example 1.1 / 3.1.
@@ -144,9 +144,7 @@ fn example_1_1_t5_incremental_insert() {
     // Start from the repaired (clean) Fig. 1 database.
     let rel = fig1_data();
     let sigma = sigma(&rel);
-    let clean = batch_repair(&rel, &sigma, BatchConfig::default())
-        .unwrap()
-        .repair;
+    let clean = batch_repair(&rel, &sigma).unwrap().repair;
     assert!(check(&clean, &sigma));
     // Insert t5 = (215, 8983490, …, NYC, NY, 10012): violates fd1 with t1
     // and sits in the ϕ1/ϕ2 cycle of Example 1.1.
@@ -183,9 +181,7 @@ fn example_4_1_oscillation_terminates_in_batch() {
     // guarantee termination (Theorem 4.2).
     let rel = fig1_data();
     let sigma = sigma(&rel);
-    let mut with_t5 = batch_repair(&rel, &sigma, BatchConfig::default())
-        .unwrap()
-        .repair;
+    let mut with_t5 = batch_repair(&rel, &sigma).unwrap().repair;
     let t5 = Tuple::new_in(
         [
             "a55", "New Item", "9.99", "215", "8983490", "Walnut", "NYC", "NY", "10012",
@@ -193,7 +189,7 @@ fn example_4_1_oscillation_terminates_in_batch() {
         with_t5.pool(),
     );
     with_t5.insert(t5).unwrap();
-    let out = batch_repair(&with_t5, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&with_t5, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
 }
 
@@ -204,9 +200,7 @@ fn example_5_1_certain_fix_needs_k3() {
     // same attributes must fall back to nulls.
     let rel = fig1_data();
     let sigma = sigma(&rel);
-    let clean = batch_repair(&rel, &sigma, BatchConfig::default())
-        .unwrap()
-        .repair;
+    let clean = batch_repair(&rel, &sigma).unwrap().repair;
     let s = schema();
     let mut t5 = Tuple::new_in(
         [
@@ -239,9 +233,7 @@ fn deletions_never_need_repair() {
     // without causing any CFD violation."
     let rel = fig1_data();
     let sigma = sigma(&rel);
-    let mut clean = batch_repair(&rel, &sigma, BatchConfig::default())
-        .unwrap()
-        .repair;
+    let mut clean = batch_repair(&rel, &sigma).unwrap().repair;
     clean.delete(TupleId(0)).unwrap();
     clean.delete(TupleId(3)).unwrap();
     assert!(check(&clean, &sigma));

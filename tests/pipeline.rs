@@ -9,8 +9,7 @@ use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig, RunSummary, WorldC
 use cfdclean::model::diff::dif;
 use cfdclean::model::TupleId;
 use cfdclean::repair::{
-    batch_repair, consistent_subset, repair_via_incremental, BatchConfig, IncConfig, Ordering,
-    PickStrategy,
+    batch_repair, consistent_subset, repair_via_incremental, IncConfig, Ordering,
 };
 use cfdclean::sampling::{certify, GroundTruthOracle, SamplingConfig};
 use std::time::Duration;
@@ -39,7 +38,7 @@ fn batch_repair_is_consistent_and_accurate() {
         },
     );
     let sigma = w.sigma_for(&noise.dirty);
-    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&noise.dirty, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     let q = RunSummary::evaluate(&noise.dirty, &out.repair, &w.dopt, Duration::ZERO);
     assert!(q.precision > 0.7, "precision {:.2}", q.precision);
@@ -168,8 +167,8 @@ fn cfds_repair_more_accurately_than_embedded_fds() {
             fd_caught <= cfd_caught,
             "embedded FDs cannot catch more errors than the CFDs ({fd_caught} vs {cfd_caught})"
         );
-        let cfd_out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
-        let fd_out = batch_repair(&noise.dirty, &fd_sigma, BatchConfig::default()).unwrap();
+        let cfd_out = batch_repair(&noise.dirty, &sigma).unwrap();
+        let fd_out = batch_repair(&noise.dirty, &fd_sigma).unwrap();
         cfd_f1_sum +=
             RunSummary::evaluate(&noise.dirty, &cfd_out.repair, &w.dopt, Duration::ZERO).f1();
         fd_f1_sum +=
@@ -204,32 +203,6 @@ fn consistent_subset_matches_detection() {
 }
 
 #[test]
-fn pick_strategies_both_terminate_and_satisfy() {
-    let w = small_workload(9);
-    let noise = inject(
-        &w.dopt,
-        &w.world,
-        &NoiseConfig {
-            rate: 0.06,
-            ..Default::default()
-        },
-    );
-    let sigma = w.sigma_for(&noise.dirty);
-    for pick in [PickStrategy::GlobalBest, PickStrategy::DependencyOrdered] {
-        let out = batch_repair(
-            &noise.dirty,
-            &sigma,
-            BatchConfig {
-                pick,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(check(&out.repair, &sigma), "{pick:?}");
-    }
-}
-
-#[test]
 fn certification_accepts_good_repairs_and_rejects_the_dirty_input() {
     let w = small_workload(10);
     let noise = inject(
@@ -242,7 +215,7 @@ fn certification_accepts_good_repairs_and_rejects_the_dirty_input() {
     );
     let sigma = w.sigma_for(&noise.dirty);
     let report = detect(&noise.dirty, &sigma);
-    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&noise.dirty, &sigma).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let config = SamplingConfig::new(0.05, 0.95, 250);
     // the repair passes
@@ -286,7 +259,7 @@ fn weights_off_mode_still_works() {
         },
     );
     let sigma = w.sigma_for(&noise.dirty);
-    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&noise.dirty, &sigma).unwrap();
     assert!(check(&out.repair, &sigma));
     let q = RunSummary::evaluate(&noise.dirty, &out.repair, &w.dopt, Duration::ZERO);
     assert!(q.recall > 0.6, "recall without weights {:.2}", q.recall);
@@ -307,7 +280,7 @@ fn repair_changes_are_bounded_by_dif_accounting() {
         },
     );
     let sigma = w.sigma_for(&noise.dirty);
-    let out = batch_repair(&noise.dirty, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&noise.dirty, &sigma).unwrap();
     let noises = dif(&noise.dirty, &w.dopt);
     let changes = dif(&noise.dirty, &out.repair);
     let residual = dif(&w.dopt, &out.repair);

@@ -35,7 +35,7 @@ use cfdclean::cfd::{violation, Cfd, Sigma, ViolationReport};
 use cfdclean::model::csv::{read_relation_in, write_relation};
 use cfdclean::model::{AttrId, Relation, Tuple, TupleId, Value, ValueId, ValuePool};
 use cfdclean::repair::incremental::IncStats;
-use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, BatchStats, IncConfig};
+use cfdclean::repair::{batch_repair, inc_repair, BatchStats, IncConfig};
 
 /// Dataset A. Under `fd: [a] -> [b]`, group `k1` conflicts with `b`
 /// split 2/2 between `x` and `y`; pool-wide both values occur exactly
@@ -126,7 +126,7 @@ struct DatasetOutputs {
 fn dataset_outputs(rel: &Relation, delta: &[Tuple]) -> DatasetOutputs {
     let sigma = sigma_for(rel);
     let detect = violation::detect(rel, &sigma);
-    let batch = batch_repair(rel, &sigma, BatchConfig::default()).unwrap();
+    let batch = batch_repair(rel, &sigma).unwrap();
     let inc = inc_repair(&batch.repair, delta, &sigma, IncConfig::default()).unwrap();
     DatasetOutputs {
         detect,
@@ -146,7 +146,7 @@ fn churn(b: &Relation) {
     let sigma = sigma_for(b);
     let report = violation::detect(b, &sigma);
     assert!(report.total > 0, "B must be dirty for the churn to matter");
-    batch_repair(b, &sigma, BatchConfig::default()).unwrap();
+    batch_repair(b, &sigma).unwrap();
 }
 
 /// The workload really sits on the knife edge the suite is about: `x`
@@ -210,7 +210,7 @@ fn repeat_repair_is_byte_identical() {
     let run = || {
         let sigma = sigma_for(&a);
         let report = violation::detect(&a, &sigma);
-        let out = batch_repair(&a, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&a, &sigma).unwrap();
         (
             report,
             render(&out.repair),
@@ -295,7 +295,7 @@ fn load_repair_evict_loop_returns_pool_to_baseline() {
     for round in 0..6 {
         let rel = read_relation_in("gate", &mut A_CSV.as_bytes(), pool.clone()).unwrap();
         let sigma = sigma_for(&rel);
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert!(out.stats.cost > 0.0, "round {round} repaired nothing");
         let mut live: Vec<ValueId> = Vec::new();
         for (_, t) in rel.iter() {

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use cfdclean::model::{csv, AttrId, Relation, Schema, Tuple, Value, ValuePool};
 use cfdclean::repair::distance::{dl_distance, normalized_distance};
 use cfdclean::repair::equivalence::{Cell, EqClasses, Target};
-use cfdclean::repair::{batch_repair, inc_repair, BatchConfig, IncConfig};
+use cfdclean::repair::{batch_repair, inc_repair, IncConfig};
 
 const ARITY: usize = 4;
 
@@ -92,7 +92,7 @@ fn batch_repair_always_satisfies_sigma() {
         let pool = ValuePool::new_handle();
         let sigma = rand_sigma(rng, &schema, 4, &pool);
         let rel = build_relation(&schema, rand_rows(rng), pool.clone());
-        let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+        let out = batch_repair(&rel, &sigma).unwrap();
         assert!(check(&out.repair, &sigma));
         // ids and cardinality preserved: repairs are value modifications
         assert_eq!(out.repair.len(), rel.len());
@@ -107,9 +107,7 @@ fn incremental_repair_always_satisfies_sigma() {
         let sigma = rand_sigma(rng, &schema, 4, &pool);
         let rel = build_relation(&schema, rand_rows(rng), pool.clone());
         // start from a guaranteed-clean base
-        let clean = batch_repair(&rel, &sigma, BatchConfig::default())
-            .unwrap()
-            .repair;
+        let clean = batch_repair(&rel, &sigma).unwrap().repair;
         let delta: Vec<Tuple> = (0..rng.gen_range(1..5usize))
             .map(|_| Tuple::new_in(rand_tuple(rng), &pool))
             .collect();
@@ -129,8 +127,8 @@ fn batch_repair_is_idempotent() {
         let pool = ValuePool::new_handle();
         let sigma = rand_sigma(rng, &schema, 4, &pool);
         let rel = build_relation(&schema, rand_rows(rng), pool.clone());
-        let first = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
-        let second = batch_repair(&first.repair, &sigma, BatchConfig::default()).unwrap();
+        let first = batch_repair(&rel, &sigma).unwrap();
+        let second = batch_repair(&first.repair, &sigma).unwrap();
         assert_eq!(second.stats.steps, 0, "repairing a repair must be a no-op");
         assert_eq!(second.stats.cost, 0.0);
         for (id, t) in first.repair.iter() {
@@ -146,9 +144,7 @@ fn inserting_consistent_tuples_changes_nothing() {
         let pool = ValuePool::new_handle();
         let sigma = rand_sigma(rng, &schema, 3, &pool);
         let rel = build_relation(&schema, rand_rows(rng), pool.clone());
-        let clean = batch_repair(&rel, &sigma, BatchConfig::default())
-            .unwrap()
-            .repair;
+        let clean = batch_repair(&rel, &sigma).unwrap().repair;
         // re-inserting an existing clean tuple must be a no-op repair
         let existing: Vec<Tuple> = clean.iter().take(2).map(|(_, t)| t.to_tuple()).collect();
         let out = inc_repair(&clean, &existing, &sigma, IncConfig::default()).unwrap();

@@ -16,7 +16,7 @@ use cfdclean::cfd::pattern::{PatternRow, PatternValue};
 use cfdclean::cfd::violation::detect;
 use cfdclean::cfd::{Cfd, Sigma};
 use cfdclean::model::{AttrId, Relation, Schema, Tuple, TupleId, Value, ValueId, ValuePool};
-use cfdclean::repair::{batch_repair, BatchConfig};
+use cfdclean::repair::batch_repair;
 
 const ARITY: usize = 4;
 
@@ -198,7 +198,7 @@ fn degenerate_relations_survive_the_pipeline() {
     let rel = Relation::new_in(empty_schema.clone(), ValuePool::new_handle());
     let sigma = Sigma::normalize_in(empty_schema, vec![], rel.pool()).unwrap();
     assert!(detect(&rel, &sigma).is_clean());
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert_eq!(out.repair.len(), 0);
     // arity-4 but zero tuples, under a wildcard FD and a constant row
     let rel = Relation::new_in(schema(), ValuePool::new_handle());
@@ -218,7 +218,7 @@ fn degenerate_relations_survive_the_pipeline() {
     ];
     let sigma = Sigma::normalize_in(schema(), cfds, rel.pool()).unwrap();
     assert!(detect(&rel, &sigma).is_clean());
-    let out = batch_repair(&rel, &sigma, BatchConfig::default()).unwrap();
+    let out = batch_repair(&rel, &sigma).unwrap();
     assert_eq!(out.repair.len(), 0);
 }
 

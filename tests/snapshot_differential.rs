@@ -8,7 +8,7 @@
 //!   tombstoned relation is snapshotted and re-loaded; the loaded
 //!   relation must be cell-, weight-, and liveness-identical, re-saving
 //!   it must reproduce the snapshot byte for byte (canonical encoding),
-//!   and `BATCHREPAIR` (both pickers) must produce bit-identical repairs
+//!   and `BATCHREPAIR` must produce bit-identical repairs
 //!   and cost bits on the original and the loaded copy. The repair's
 //!   [`EditLog`] is then serialized, parsed back, and replayed onto the
 //!   loaded copy — which must land exactly on the repair.
@@ -31,9 +31,7 @@ use cfdclean::model::snapshot::{
 };
 use cfdclean::model::ValuePool;
 use cfdclean::model::{AttrId, Catalog, Relation, Schema, Tuple, TupleId, Value};
-use cfdclean::repair::{
-    batch_repair, repair_via_incremental, BatchConfig, IncConfig, PickStrategy,
-};
+use cfdclean::repair::{batch_repair, repair_via_incremental, IncConfig};
 
 const ARITY: usize = 4;
 
@@ -130,14 +128,6 @@ fn assert_same_contents(a: &Relation, b: &Relation, ctx: &str) {
     }
 }
 
-fn rand_pick(rng: &mut ChaCha8Rng) -> PickStrategy {
-    if rng.gen_bool(0.5) {
-        PickStrategy::GlobalBest
-    } else {
-        PickStrategy::DependencyOrdered
-    }
-}
-
 #[test]
 fn differential_snapshot_round_trip_and_repair() {
     trials(150, 0x5AA9_D1FF, |rng| {
@@ -170,17 +160,8 @@ fn differential_snapshot_round_trip_and_repair() {
         // The loaded relation lives in its own pool, so each side
         // normalizes Σ into its own dictionary: repairs must still be
         // bit-identical, stats and cost bits included.
-        let config = BatchConfig {
-            pick: rand_pick(rng),
-            ..Default::default()
-        };
-        let out_a = batch_repair(&rel, &sigma_for(&rel, &cfds), config.clone()).unwrap();
-        let out_b = batch_repair(
-            &loaded.relation,
-            &sigma_for(&loaded.relation, &cfds),
-            config,
-        )
-        .unwrap();
+        let out_a = batch_repair(&rel, &sigma_for(&rel, &cfds)).unwrap();
+        let out_b = batch_repair(&loaded.relation, &sigma_for(&loaded.relation, &cfds)).unwrap();
         assert_same_contents(&out_a.repair, &out_b.repair, "batch repair");
         assert_eq!(out_a.stats, out_b.stats, "batch stats");
         assert_eq!(
@@ -231,12 +212,8 @@ fn differential_csv_vs_snapshot_ingest() {
         let sigma_csv = sigma_for(&via_csv, &cfds);
         let sigma_snap = sigma_for(&via_snap, &cfds);
 
-        let config = BatchConfig {
-            pick: rand_pick(rng),
-            ..Default::default()
-        };
-        let out_csv = batch_repair(&via_csv, &sigma_csv, config.clone()).unwrap();
-        let out_snap = batch_repair(&via_snap, &sigma_snap, config).unwrap();
+        let out_csv = batch_repair(&via_csv, &sigma_csv).unwrap();
+        let out_snap = batch_repair(&via_snap, &sigma_snap).unwrap();
         assert_same_contents(&out_csv.repair, &out_snap.repair, "batch repair");
         assert_eq!(out_csv.stats, out_snap.stats, "batch stats");
         assert_eq!(
@@ -302,12 +279,8 @@ fn differential_catalog_open_vs_saved_relation() {
         );
 
         // Bit-identical repairs of the saved relation and the opened one.
-        let config = BatchConfig {
-            pick: rand_pick(rng),
-            ..Default::default()
-        };
-        let out_saved = batch_repair(&rel, &sigma_for(&rel, &cfds), config.clone()).unwrap();
-        let out_opened = batch_repair(&opened, &sigma_for(&opened, &cfds), config).unwrap();
+        let out_saved = batch_repair(&rel, &sigma_for(&rel, &cfds)).unwrap();
+        let out_opened = batch_repair(&opened, &sigma_for(&opened, &cfds)).unwrap();
         assert_same_contents(&out_saved.repair, &out_opened.repair, "opened batch repair");
         assert_eq!(out_saved.stats, out_opened.stats, "opened batch stats");
         assert_eq!(
