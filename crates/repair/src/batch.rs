@@ -722,11 +722,11 @@ fn t0_classes(d: &Relation) -> EqClasses<'_> {
 /// winner-bucket member of a conflicting group met in a variable CFD's
 /// set prices the whole bucket ([`Planner::winner_bucket`]): one planned
 /// representative per suspicion level gives the key prefix of every
-/// dirty member at that level. Every other pair is planned on its own. The working relation of t=0 is `d`
-/// itself. The pass's memo tables and t=0 suspect scores are dropped with
-/// it: nothing computed for t=0 reaches the loop. The S-set indexes and
-/// distances it computes stay in `start`; each index is exactly the one a
-/// t=0 `ensure` builds.
+/// dirty member at that level. Every other pair is planned on its own.
+/// The working relation of t=0 is `d` itself. The pass's memo tables and
+/// t=0 suspect scores are dropped with it: nothing computed for t=0
+/// reaches the loop. The S-set indexes and distances it computes stay in
+/// `start`; each index is exactly the one a t=0 `ensure` builds.
 fn score_frontier(d: &Relation, sigma: &Sigma, fixed: &Fixed, start: &mut Start) -> Run {
     if start.dirty.iter().all(TidSet::is_empty) {
         return Run::default();

@@ -190,8 +190,8 @@ struct BoundRules {
     /// `BATCHREPAIR`'s t=0 state ([`BatchSeed`]), built from the report
     /// and a clone of `parts` by the first batch repair and shared by
     /// every later one. `INCREPAIR` repairs neither read nor store it.
-    /// It depends on the cell weights, so [`DatasetHandle::apply_weights`] resets it; rebinding
-    /// replaces it with the rest of `BoundRules`.
+    /// It depends on the cell weights, so [`DatasetHandle::apply_weights`]
+    /// resets it; rebinding replaces it with the rest of `BoundRules`.
     seed: OnceLock<BatchSeed>,
 }
 
