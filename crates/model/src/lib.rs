@@ -79,7 +79,7 @@ pub use active_domain::ActiveDomain;
 pub use diff::{Edit, EditLog};
 pub use error::ModelError;
 pub use key::IdKey;
-pub use pool::{Rendered, ValueId, ValuePool, NULL_ID};
+pub use pool::{PoolMark, Rendered, ValueId, ValuePool, NULL_ID};
 pub use relation::{Relation, TupleId};
 pub use schema::{AttrId, Schema};
 pub use snapshot::{Catalog, LoadedSnapshot, SegmentInfo, SnapshotError, SnapshotInfo};

@@ -73,6 +73,20 @@
 //! argument: compact only when nothing still references the retired ids
 //! (snapshots make that safe — any evicted value is re-installable from
 //! its dataset's dictionary segment).
+//!
+//! Two narrower paths serve a dataset that stays resident while
+//! transient values come and go:
+//!
+//! * [`mark`](ValuePool::mark) / [`release`](ValuePool::release) — a
+//!   section of the pool owned by one request. Everything appended after
+//!   the mark is dropped at release, so the slot vectors return to their
+//!   length at the mark and the next request gets the same ids in the
+//!   same append order. An insert request uses this: nothing it leaves
+//!   behind holds a ΔD id.
+//! * [`seal_ids`](ValuePool::seal_ids) — tombstones whose ids are never
+//!   handed out again until a [`compact`](ValuePool::compact). A stream
+//!   uses this: its distance memo outlives each window and is keyed by
+//!   the window's ids, so reusing them would alias other values.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -237,6 +251,11 @@ impl PoolInner {
         id
     }
 }
+
+/// A pool's slot count at one moment, taken by [`ValuePool::mark`]:
+/// [`ValuePool::release`] drops every slot appended since.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PoolMark(usize);
 
 /// A dictionary interning [`Value`]s to dense [`ValueId`]s, scoped to one
 /// dataset (see the module docs for the sharing and reclamation model).
@@ -417,6 +436,53 @@ impl ValuePool {
         }
     }
 
+    /// The pool's current slot count, as a [`PoolMark`] to hand to
+    /// [`release`](ValuePool::release) later: every slot appended after
+    /// this call sits at or above the mark.
+    pub fn mark(&self) -> PoolMark {
+        PoolMark(self.inner.read().expect("pool lock poisoned").values.len())
+    }
+
+    /// Drop every slot at or above `mark` — value payload, cached render,
+    /// dictionary entry and counter — so the slot vectors are as long as
+    /// they were when the mark was taken and the next interns get the
+    /// same ids, in the same append order. Returns the number of slots
+    /// dropped. Slots below the mark, sealed and free ones included, are
+    /// untouched.
+    ///
+    /// This is the insert request's hygiene path: a request marks the
+    /// pool before it parses ΔD, retires ΔD's occurrences when it ends,
+    /// and releases the mark. The caller owns the safety argument: no
+    /// live state may still hold an id at or above the mark. A counted
+    /// slot is never dropped; reaching one is a caller bug
+    /// (`debug_assert!`), and the release stops there, keeping it and
+    /// every slot below it.
+    pub fn release(&self, mark: PoolMark) -> usize {
+        let (dropped, counted) = {
+            let mut inner = self.inner.write().expect("pool lock poisoned");
+            let inner = &mut *inner;
+            let top = inner.values.len();
+            let mark = mark.0.clamp(1, top);
+            let counted = (mark..top)
+                .rev()
+                .find(|&i| inner.counts[i].load(Ordering::Relaxed) != 0);
+            let keep = counted.map_or(mark, |i| i + 1);
+            for v in inner.values.drain(keep..) {
+                if !v.is_null() {
+                    inner.ids.remove(&v);
+                }
+            }
+            inner.counts.truncate(keep);
+            inner.renders.truncate(keep);
+            inner.free.retain(|&i| (i as usize) < keep);
+            inner.sealed.retain(|&i| (i as usize) < keep);
+            (top - keep, counted)
+        };
+        // Asserted with the lock released, so the pool stays usable.
+        debug_assert!(counted.is_none(), "release met counted slot {counted:?}");
+        dropped
+    }
+
     /// Tombstone every count-zero slot in `ids` **without** putting it on
     /// the free list: the value payload, cached render, and dictionary
     /// entry are dropped (so the text could be re-interned later under a
@@ -425,15 +491,19 @@ impl ValuePool {
     /// sealed; ids with a nonzero count, already-freed slots, [`NULL_ID`],
     /// and ids this pool never issued are skipped.
     ///
-    /// This is the resident-service ΔD hygiene path: after an `INCREPAIR`
-    /// insert request, the delta's values must release their memory, yet
-    /// later requests must keep **append-order** id assignment — free-list
-    /// reuse hands slots back in LIFO order, which would permute the
-    /// `(cost, use_count, ValueId, …)` repair tie-break relative to the
-    /// equivalent one-shot run. The caller owns the exclusion argument:
-    /// count-zero ids still referenced by live state (a bound `Sigma`'s
-    /// uncounted pattern constants, probe values) **will** be sealed if
-    /// passed here, so filter them out first.
+    /// This is the stream's hygiene path: a closed window's values must
+    /// release their memory while structures that outlive the window (a
+    /// stream's distance memo) still hold their ids as keys, so the ids
+    /// must never come back for other values. Sealing also keeps later
+    /// interns in **append order** — free-list reuse hands slots back in
+    /// LIFO order, which would permute the `(cost, use_count, ValueId, …)`
+    /// repair tie-break relative to the equivalent one-shot run. An insert
+    /// request, whose state dies with it, uses
+    /// [`release`](ValuePool::release) instead and gets its ids back. The
+    /// caller owns the exclusion argument: count-zero ids still referenced
+    /// by live state (a bound `Sigma`'s uncounted pattern constants, probe
+    /// values) **will** be sealed if passed here, so filter them out
+    /// first.
     pub fn seal_ids<I: IntoIterator<Item = ValueId>>(&self, ids: I) -> usize {
         let mut inner = self.inner.write().expect("pool lock poisoned");
         let mut seen = FixedSet::default();
@@ -578,8 +648,9 @@ impl ValuePool {
     }
 
     /// Number of distinct values interned (including `null`), excluding
-    /// slots freed by [`compact`](ValuePool::compact) or tombstoned by
-    /// [`seal_ids`](ValuePool::seal_ids).
+    /// slots freed by [`compact`](ValuePool::compact), tombstoned by
+    /// [`seal_ids`](ValuePool::seal_ids) or dropped by
+    /// [`release`](ValuePool::release).
     pub fn len(&self) -> usize {
         let inner = self.inner.read().expect("pool lock poisoned");
         inner.values.len() - inner.free.len() - inner.sealed.len()
@@ -915,6 +986,105 @@ mod tests {
         // compact has always treated it).
         assert_eq!(pool.compact(), 5);
         assert_eq!(pool.len(), 2, "null + base remain");
+    }
+
+    #[test]
+    fn release_drops_the_section_and_hands_its_ids_back() {
+        let pool = ValuePool::new();
+        let base = pool.intern(&Value::str("base"));
+        let constant = pool.intern_uncounted(&Value::str("const"));
+        pool.rendered(base);
+        let before = (pool.len(), pool.approx_bytes());
+        let mark = pool.mark();
+
+        // A request's section: counted values (one also a base hit), an
+        // uncounted probe, and renders of all of them.
+        let x = pool.intern(&Value::str("x"));
+        let y = pool.intern(&Value::str("y"));
+        pool.intern(&Value::str("x"));
+        assert_eq!(pool.intern(&Value::str("base")), base);
+        let probe = pool.intern_uncounted(&Value::str("probe"));
+        pool.rendered_batch(&[x, y, probe, base]);
+        pool.retire_ids([x, x, y, base]);
+
+        assert_eq!(pool.release(mark), 3);
+        assert_eq!((pool.len(), pool.approx_bytes()), before);
+        for gone in ["x", "y", "probe"] {
+            assert_eq!(pool.lookup(&Value::str(gone)), None, "{gone}");
+        }
+        assert_eq!(pool.use_count(base), 1, "below the mark untouched");
+        assert_eq!(pool.lookup(&Value::str("const")), Some(constant));
+        assert_eq!(&*pool.rendered(base).text, "base");
+
+        // The next section gets the same ids in the same append order,
+        // with fresh counts and renders.
+        assert_eq!(pool.intern(&Value::str("x")), x);
+        assert_eq!(pool.intern(&Value::str("y")), y);
+        assert_eq!(pool.use_count(x), 1);
+        assert_eq!(&*pool.rendered(y).text, "y");
+        pool.retire_ids([x, y]);
+        assert_eq!(pool.release(mark), 2);
+        assert_eq!(pool.release(mark), 0, "releasing twice is a no-op");
+        assert_eq!((pool.len(), pool.approx_bytes()), before);
+    }
+
+    #[test]
+    fn release_never_drops_a_counted_slot() {
+        let pool = ValuePool::new();
+        pool.intern(&Value::str("base"));
+        let len = pool.len();
+        let mark = pool.mark();
+        let kept = pool.intern(&Value::str("kept"));
+        pool.intern_uncounted(&Value::str("uncounted"));
+        let retired = pool.intern(&Value::str("retired"));
+        pool.retire(retired, 1);
+
+        // A counted slot in the section is a caller bug: debug builds
+        // assert (after the release, with the lock free); either way the
+        // release stops at that slot.
+        let released = std::panic::catch_unwind(|| pool.release(mark));
+        assert_eq!(released.is_err(), cfg!(debug_assertions));
+        if let Ok(dropped) = released {
+            assert_eq!(dropped, 2);
+        }
+        assert_eq!(pool.lookup(&Value::str("kept")), Some(kept));
+        assert_eq!(pool.use_count(kept), 1);
+        assert_eq!(pool.lookup(&Value::str("uncounted")), None);
+        assert_eq!(pool.lookup(&Value::str("retired")), None);
+        assert_eq!(pool.len(), len + 1);
+    }
+
+    #[test]
+    fn release_leaves_sealed_and_free_slots_below_the_mark() {
+        let pool = ValuePool::new();
+        let [live, freed, sealed] =
+            ["live", "freed", "sealed"].map(|s| pool.intern(&Value::str(s)));
+        pool.retire(freed, 1);
+        assert_eq!(pool.compact(), 1);
+        pool.retire(sealed, 1);
+        assert_eq!(pool.seal_ids([sealed]), 1);
+        let before = (pool.len(), pool.approx_bytes());
+
+        let mark = pool.mark();
+        assert_eq!(pool.release(mark), 0);
+        assert_eq!((pool.len(), pool.approx_bytes()), before);
+        // A value interned in a section takes the free slot below the
+        // mark, so the release leaves it; the next one appends at the
+        // mark and goes.
+        let reused = pool.intern(&Value::str("reused"));
+        let appended = pool.intern(&Value::str("appended"));
+        assert_eq!(reused, freed);
+        assert!(appended > sealed);
+        pool.retire_ids([reused, appended]);
+        assert_eq!(pool.release(mark), 1);
+        assert_eq!(pool.lookup(&Value::str("appended")), None);
+        assert_eq!(pool.lookup(&Value::str("reused")), Some(reused));
+        assert_eq!(pool.lookup(&Value::str("sealed")), None);
+        assert_eq!(pool.use_count(live), 1);
+        // The sealed slot is still sealed: compact drains it (and the
+        // retired `reused`) onto the free list.
+        assert_eq!(pool.compact(), 2);
+        assert_eq!(pool.len(), 2, "null + live remain");
     }
 
     #[test]

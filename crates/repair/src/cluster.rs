@@ -22,8 +22,10 @@
 //!   `top-k(B ∪ A) = top-k(top-k(B) ∪ A)`, since an element of `B` outside
 //!   `top-k(B)` already has `k` better elements in `B`. So only a probe
 //!   asked for the first time, or one outside the base, scans the base
-//!   bands. Keys are base values only: the memo is bounded by the base
-//!   domain and never keeps an id that only a sealed ΔD holds. Removing
+//!   bands. Keys and answers are base values only: the memo is bounded
+//!   by the base domain and never keeps an id that only ΔD holds, which
+//!   matters because a resident insert hands ΔD's ids back to the pool
+//!   when its request ends and the next request reuses them. Removing
 //!   an added id leaves the memo as it is; removing a base value clears
 //!   it.
 //!

@@ -42,9 +42,11 @@
 //! built mid-request records the values ΔD already activated as added),
 //! and only base values become keys, so no ΔD id stays in it.
 //!
-//! The distance memo is fresh per request: ΔD ids are sealed after each
-//! request and never reused, so a memo kept across requests would only
-//! collect dead keys.
+//! The distance memo is fresh per request, and must be: the caller gives
+//! ΔD's pool slots back when a request ends
+//! ([`cfd_model::ValuePool::release`]), so the next request's values get
+//! the same ids. A memo kept across requests would price them with the
+//! distances of the values that held those ids before.
 //!
 //! ## Stream divergences from the one-shot path
 //!

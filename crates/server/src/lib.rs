@@ -25,11 +25,12 @@
 //! * repairs never mutate the resident relation (they return fresh
 //!   output), so a dataset's state is a function of its open + insert
 //!   history, not of what was detected or repaired in between;
-//! * inserts seal their delta dictionary entries
-//!   ([`cfd_model::ValuePool::seal_ids`]) instead of free-listing them,
-//!   so the pool's append-order id assignment — which the repair
-//!   algorithms' `FINDV` tie-breaks observe — matches a fresh process
-//!   run for run.
+//! * each insert gives its delta's dictionary slots back when the
+//!   request ends ([`cfd_model::ValuePool::release`] truncates the pool
+//!   to its length before the request), so the pool's append-order id
+//!   assignment — which the repair algorithms' `FINDV` tie-breaks
+//!   observe — matches a fresh process run for run, and a warm daemon's
+//!   dictionary does not grow with the number of inserts served.
 //!
 //! ## Concurrency
 //!

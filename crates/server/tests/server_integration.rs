@@ -231,7 +231,8 @@ fn concurrent_connections_interleave_without_perturbing_results() {
                         }
                     } else {
                         // Writers: inserts serialize on `clean`'s write
-                        // lock; sealing makes every answer identical.
+                        // lock; each gives its pool slots back, so every
+                        // answer is identical.
                         match c
                             .request(&Request::Insert {
                                 dataset: "clean".into(),

@@ -67,11 +67,12 @@
 //! independence**: a warm handle answers byte-identically to a fresh
 //! one-shot process, over any request history. Opens intern into a
 //! brand-new pool in canonical order (CSV column-major, then the rules'
-//! pattern constants, uncounted); insert requests retire **and seal**
-//! ΔD's transient values ([`model::ValuePool::seal_ids`] — released
-//! without free-list reuse, so later interns still get append-order
-//! ids); eviction retires + compacts the whole dictionary back to
-//! baseline. A request that panics inside a dataset's lock poisons only
+//! pattern constants, uncounted); an insert request marks the pool
+//! before it parses ΔD and, once ΔD is retired, releases every slot
+//! appended since ([`model::ValuePool::release`]), so the pool is what
+//! it was before the request and the next request's values get the ids
+//! a fresh process would give them; eviction retires + compacts the
+//! whole dictionary back to baseline. A request that panics inside a dataset's lock poisons only
 //! that dataset: subsequent requests on it get a typed
 //! [`SessionError::Poisoned`] instead of a wedged session, siblings
 //! proceed untouched, and eviction still succeeds and reclaims the
@@ -100,11 +101,12 @@
 //! the initial snapshot reconstructs the live relation exactly
 //! (`tests/stream_differential.rs` pins this, plus
 //! stream-vs-one-shot-`INCREPAIR` byte equality per window and
-//! sliding-with-`slide == size` ≡ tumbling). Pool hygiene follows the
-//! insert path's discipline per window: a closing window's rejected
-//! values are retired and **sealed** — never free-listed mid-stream, so
-//! ids stay append-ordered and `FINDV` tie-breaks match a fresh process
-//! — and closing the stream (or evicting the dataset, which aborts an
+//! sliding-with-`slide == size` ≡ tumbling). Pool hygiene per window: a
+//! closing window's rejected values are retired and **sealed** — never
+//! reused mid-stream, because the stream's distance memo outlives the
+//! window and is keyed by their ids, and never free-listed, so ids stay
+//! append-ordered and `FINDV` tie-breaks match a fresh process — and
+//! closing the stream (or evicting the dataset, which aborts an
 //! open stream) returns the pool to its pre-stream footprint. All
 //! three front ends expose it: the facade (`open_stream` /
 //! `stream_feed` / `stream_advance` / `stream_close`), the daemon

@@ -26,8 +26,8 @@
 //!   Insert requests go through a **resident `INCREPAIR` state** (see
 //!   below), which reads only the parts' constant rules, variable-CFD ids
 //!   and census, never their group indexes. The set of Σ's
-//!   pattern-constant ids, which pool hygiene must never seal, is also
-//!   computed once per bind.
+//!   pattern-constant ids, which a stream's pool hygiene must never
+//!   seal, is also computed once per bind.
 //! * [`Session`] — a named collection of handles behind per-dataset
 //!   reader/writer locks, optionally backed by a snapshot [`Catalog`]
 //!   and bounded by an LRU capacity whose evictions provably return
@@ -40,10 +40,16 @@
 //! does (CSV column-major, then the rules' pattern constants, uncounted),
 //! so every detect/repair answer is byte-identical to running the
 //! equivalent `cfdclean` command, per the workspace-wide determinism
-//! contract. Insert requests keep the contract over time: ΔD's values are interned, repaired, and then retired **and
-//! sealed** ([`ValuePool::seal_ids`]) — released without free-list
-//! reuse — so a later request's interns still get append-order ids,
-//! exactly as a fresh process would assign them.
+//! contract. Insert requests keep the contract over time: each request
+//! marks the pool before it parses ΔD and, once ΔD is retired, releases
+//! everything appended since ([`ValuePool::release`]). Every Σ constant
+//! was interned at bind time, below the mark, and nothing the request
+//! leaves behind holds a ΔD id: repairs write existing ids or null, the
+//! resident state rolls back to the base, and each request prices with
+//! a fresh distance memo. So a request's ΔD values get the ids a fresh
+//! one-shot process would assign them (unless an open stream interned
+//! values of its own first), and the pool does not grow with the number
+//! of requests served.
 //!
 //! ## The insert path
 //!
@@ -51,7 +57,9 @@
 //! §5 precondition `D |= Σ`, answered by the resident violation report) and
 //! only then builds the resident state: an [`InsertRepairer`] holding the
 //! active domain and nearest-value indexes over the base, plus the base's
-//! rendered CSV bytes. Its existence *is* the cached "base is clean"
+//! rendered CSV bytes; it also fills the pool's render cache for the
+//! base's values and Σ's constants, so a request renders only its own
+//! values. Its existence *is* the cached "base is clean"
 //! answer; a dirty base builds nothing and every insert keeps failing with
 //! the same error. Each request then costs O(|ΔD|) index work: ΔD is
 //! staged into a copy-on-write clone of the base, resolved against the
@@ -92,7 +100,7 @@ use cfd_cfd::{CfdId, Engine, Sigma};
 use cfd_model::diff::{dif, EditLog};
 use cfd_model::hash::{FixedMap, FixedSet};
 use cfd_model::snapshot::{edit_log_to_vec, SnapshotInfo};
-use cfd_model::{csv, Catalog, Relation, Tuple, TupleId, ValueId, ValuePool};
+use cfd_model::{csv, Catalog, Relation, Tuple, TupleId, ValueId, ValuePool, NULL_ID};
 use cfd_repair::{
     repair_via_incremental, Algorithm, BatchSeed, IncConfig, InsertFootprint, InsertRepairer,
     Ordering, RepairError, RepairOptions,
@@ -175,7 +183,7 @@ struct BoundRules {
     /// [`DatasetHandle::apply_weights`] drops it.
     parts: EngineParts,
     /// Σ's pattern-constant ids ([`constant_ids`]): shielded from sealing
-    /// by every insert and stream while the rules stay bound.
+    /// by every stream while the rules stay bound.
     constant_ids: FixedSet<ValueId>,
     /// `detect(D, Σ)`, computed by the first detect and read by every
     /// later one. It needs no invalidation while the handle's methods
@@ -270,7 +278,7 @@ impl RepairRun {
 
 /// The result of an insert (incremental repair) request. Carries CSV
 /// bytes rather than the merged relation: the delta's pool slots are
-/// sealed when the request completes, so the rendered bytes are the
+/// released when the request completes, so the rendered bytes are the
 /// durable artifact.
 pub struct InsertRun {
     /// `csv::write_relation` bytes of base ⊕ repaired updates.
@@ -576,12 +584,14 @@ impl DatasetHandle {
     }
 
     /// Insert a batch of new tuples (§5's `INCREPAIR` in its native
-    /// setting): parse ΔD into the resident pool, repair it against the
-    /// clean base through the resident state (see the module docs), render
-    /// the merged relation, then retire **and seal** ΔD's pool slots so
-    /// the dictionary's memory returns without perturbing append-order id
-    /// assignment for later requests (see [`ValuePool::seal_ids`]). The
-    /// resident relation is not mutated.
+    /// setting): mark the resident pool, parse ΔD into it, repair ΔD
+    /// against the clean base through the resident state (see the module
+    /// docs) and render the merged relation. On every exit, success or
+    /// error, ΔD's occurrences are retired and the pool is released back
+    /// to the mark ([`ValuePool::release`]): the slot count, dictionary
+    /// and byte estimate are what they were before the request, and the
+    /// next request's values get the same ids in the same append order.
+    /// The resident relation is not mutated.
     pub fn insert(
         &mut self,
         updates_csv: &[u8],
@@ -593,19 +603,19 @@ impl DatasetHandle {
         // interned before ΔD, the same order the (rules-first) one-shot
         // insert uses.
         self.bound()?;
-        let mut updates =
-            csv::read_relation_in("updates", &mut &*updates_csv, self.relation.pool().clone())
-                .map_err(|e| SessionError::Data(format!("cannot parse updates: {e}")))?;
-        // Everything ΔD interned must be released when the request ends,
-        // success or error — collect the cell ids up front.
-        let delta_ids = live_cell_ids(&updates);
-        let result = self.insert_inner(&mut updates, weights_csv, ordering, k);
-        drop(updates);
-        let pool = self.relation.pool();
-        pool.retire_ids(delta_ids.iter().copied());
-        let unbound = FixedSet::default();
-        let protect = self.bound.as_ref().map_or(&unbound, |b| &b.constant_ids);
-        pool.seal_ids(delta_ids.into_iter().filter(|id| !protect.contains(id)));
+        // Every slot ΔD appends lies at or above this mark, and only ΔD
+        // holds it: the pool gives the section back when the request
+        // ends, success or error.
+        let pool = self.relation.pool().clone();
+        let mark = pool.mark();
+        let result = csv::read_relation_in("updates", &mut &*updates_csv, pool.clone())
+            .map_err(|e| SessionError::Data(format!("cannot parse updates: {e}")))
+            .and_then(|mut updates| {
+                let result = self.insert_inner(&mut updates, weights_csv, ordering, k);
+                pool.retire_ids(live_cell_ids(&updates));
+                result
+            });
+        pool.release(mark);
         result
     }
 
@@ -659,13 +669,17 @@ impl DatasetHandle {
                 });
             }
         };
-        // Render before the caller seals ΔD's slots — the bytes are the
-        // durable artifact; the merged relation dies with this request.
-        // ΔD ids follow every base id, so the merged rendering is the
-        // base's followed by the ΔD rows.
-        let mut csv_bytes = resident.base_csv.clone();
-        csv::write_rows(&run.repair, &run.delta_ids, &mut csv_bytes)
+        // Render before the caller releases ΔD's slots — the bytes are
+        // the durable artifact; the merged relation dies with this
+        // request. ΔD ids follow every base id, so the merged rendering
+        // is the base's followed by the ΔD rows, copied once into a reply
+        // allocated at its full size.
+        let mut rows = Vec::new();
+        csv::write_rows(&run.repair, &run.delta_ids, &mut rows)
             .map_err(|e| SessionError::Internal(format!("cannot render merge: {e}")))?;
+        let mut csv_bytes = Vec::with_capacity(resident.base_csv.len() + rows.len());
+        csv_bytes.extend_from_slice(&resident.base_csv);
+        csv_bytes.extend_from_slice(&rows);
         Ok(InsertRun {
             csv: csv_bytes,
             inserted: delta.len(),
@@ -692,6 +706,16 @@ impl DatasetHandle {
         let mut base_csv = Vec::new();
         csv::write_relation(&self.relation, &mut base_csv)
             .map_err(|e| SessionError::Internal(format!("cannot render base: {e}")))?;
+        // Fill the pool's render cache for every value a request can
+        // price against — the base's cells, Σ's constants and null — once,
+        // here: a request then renders only its own values, which its
+        // release drops, so it leaves the pool's byte estimate as it was.
+        let bound = self.bound()?;
+        let mut priced: FixedSet<ValueId> = live_cell_ids(&self.relation).into_iter().collect();
+        priced.extend(bound.constant_ids.iter().copied());
+        priced.insert(NULL_ID);
+        let priced: Vec<ValueId> = priced.into_iter().collect();
+        self.relation.pool().rendered_batch(&priced);
         let repairer = InsertRepairer::new(&self.relation);
         self.resident = Some(ResidentInsert { repairer, base_csv });
         Ok(())
@@ -840,8 +864,8 @@ fn live_cell_ids(rel: &Relation) -> Vec<ValueId> {
 }
 
 /// The pattern-constant ids a normalized Σ holds — count-zero by design
-/// (uncounted interns), so they must be shielded from sealing while the
-/// rules stay bound.
+/// (uncounted interns), so a stream must shield them from sealing while
+/// the rules stay bound.
 fn constant_ids(sigma: &Sigma) -> FixedSet<ValueId> {
     let mut out = FixedSet::default();
     for cfd in sigma.iter() {
@@ -1259,7 +1283,10 @@ mod tests {
             .entry;
         let mut cell = entry.write().unwrap();
         let handle = cell.handle_mut().unwrap();
-        let pool_before = (handle.relation().pool().len(), 0);
+        let pool_before = (
+            handle.relation().pool().len(),
+            handle.relation().pool().mark(),
+        );
 
         let updates = "AC,PN,CT,ST,zip\n215,8883425,PHI,PA,10012\n";
         let run = handle
@@ -1269,10 +1296,11 @@ mod tests {
         assert_eq!(run.base_rows, 1);
         let text = String::from_utf8(run.csv.clone()).unwrap();
         assert!(text.contains("NYC,NY"), "merged rows satisfy phi");
-        // ΔD's slots were retired and sealed: the pool is back at its
-        // pre-insert size, and a second identical insert answers
-        // identically (the determinism contract over time).
-        assert_eq!(handle.relation().pool().len(), pool_before.0);
+        // ΔD's slots were retired and released: the pool is back at its
+        // pre-insert size and slot count, and a second identical insert
+        // answers identically (the determinism contract over time).
+        let pool = handle.relation().pool();
+        assert_eq!((pool.len(), pool.mark()), pool_before);
         let again = handle
             .insert(updates.as_bytes(), None, Ordering::Violations, 2)
             .unwrap();
@@ -1280,20 +1308,19 @@ mod tests {
         assert_eq!(again.summary(), run.summary());
     }
 
-    /// Regression pin for the insert error path (audited for PR 9): ΔD
-    /// is interned into the resident pool *before* `insert_inner` can
-    /// fail, so every error exit — wrong arity, unparsable weights, a
-    /// dirty base — must still retire **and seal** ΔD's slots. The path
-    /// was already correct (`insert` collects `delta_ids` up front and
-    /// runs the hygiene unconditionally after the inner call); this test
-    /// keeps it that way.
+    /// Regression pin for the insert error path: ΔD is interned into the
+    /// resident pool *before* `insert_inner` can fail, so every error
+    /// exit — wrong arity, unparsable weights, a dirty base — must still
+    /// retire ΔD's occurrences and release its slots (`insert` releases
+    /// the pool to its mark after the inner call, whatever it returned).
     #[test]
     fn failed_inserts_release_every_delta_intern() {
         let session = Session::new();
         let entry = open(&session, "orders"); // CSV base is dirty under phi
         let mut cell = entry.write().unwrap();
         let handle = cell.handle_mut().unwrap();
-        let baseline = handle.relation().pool().len();
+        let slots = |h: &DatasetHandle| (h.relation().pool().len(), h.relation().pool().mark());
+        let baseline = slots(handle);
 
         // Wrong arity: rejected after ΔD interned two fresh values.
         let narrow = "AC,PN\n999,1112223\n";
@@ -1302,11 +1329,7 @@ mod tests {
             .err()
             .expect("arity mismatch must be rejected");
         assert!(matches!(err, SessionError::Data(_)), "{err}");
-        assert_eq!(
-            handle.relation().pool().len(),
-            baseline,
-            "arity error leaked ΔD"
-        );
+        assert_eq!(slots(handle), baseline, "arity error leaked ΔD");
 
         // Unparsable weights: rejected after ΔD *and* the weight header
         // were read.
@@ -1321,11 +1344,7 @@ mod tests {
             .err()
             .expect("bad weights must be rejected");
         assert!(matches!(err, SessionError::Data(_)), "{err}");
-        assert_eq!(
-            handle.relation().pool().len(),
-            baseline,
-            "weights error leaked ΔD"
-        );
+        assert_eq!(slots(handle), baseline, "weights error leaked ΔD");
 
         // Dirty base: the §5 precondition check fires last, deepest into
         // the request.
@@ -1337,11 +1356,7 @@ mod tests {
             matches!(&err, SessionError::Data(m) if m.contains("base is not clean")),
             "{err}"
         );
-        assert_eq!(
-            handle.relation().pool().len(),
-            baseline,
-            "dirty-base error leaked ΔD"
-        );
+        assert_eq!(slots(handle), baseline, "dirty-base error leaked ΔD");
 
         // And the failures left id assignment undisturbed: repairing the
         // resident relation now answers exactly what a fresh handle says.

@@ -44,9 +44,13 @@
 //!    equal the cell occurrences of live stream tuples.* Replaced
 //!    original values are retired and sealed ([`ValuePool::seal_ids`] —
 //!    released without free-list reuse, so later interns keep
-//!    append-order ids); values that entered the live indexes are
-//!    **pinned** and never sealed mid-stream (the append-only active
-//!    domain and the distance memo may still reference them).
+//!    append-order ids). Unlike an insert request, a window cannot hand
+//!    its slots back with [`ValuePool::release`]: the stream's distance
+//!    memo lives across windows and is keyed by the sealed ids, so a
+//!    reused id would read another value's distances. Values that
+//!    entered the live indexes are **pinned** and never sealed
+//!    mid-stream (the append-only active domain and the distance memo
+//!    may still reference them).
 //!
 //! [`RepairSession::close`] flushes every still-queued window regardless
 //! of the watermark, then retires the stream's remaining pool counts and
@@ -651,6 +655,9 @@ impl RepairSession {
         pool.retire_ids(retire);
         // Seal what this window released, except pinned/protected ids;
         // slots still counted (base-shared values) skip themselves.
+        // Sealed, not released back to a mark as an insert's are: the
+        // stream's distance memo outlives this window and keeps these
+        // ids as keys, so they must never name another value.
         let mut seal: Vec<ValueId> = seal_now
             .into_iter()
             .filter(|v| !self.protect.contains(v) && !self.pinned.contains(v))

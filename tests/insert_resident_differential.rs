@@ -25,11 +25,15 @@
 //!   and on a dirty one whose inserts keep failing.
 //! * **ΔD-wide verification** — the ΔD-only check flags a violating ΔD
 //!   tuple wherever it sits in ΔD.
+//! * **A pool that does not grow** — after every request, successful or
+//!   not, the handle's pool has the slot count, live length and byte
+//!   estimate it had before the request, and no value only ΔD held still
+//!   looks up.
 
 use cfdclean::cfd::census::GroupCensus;
 use cfdclean::cfd::{check, Cfd, Engine, Sigma};
 use cfdclean::gen::{generate, inject, GenConfig, NoiseConfig};
-use cfdclean::model::{csv, ActiveDomain, AttrId, Relation, Schema, Tuple, ValuePool};
+use cfdclean::model::{csv, ActiveDomain, AttrId, Relation, Schema, Tuple, Value, ValuePool};
 use cfdclean::repair::{inc_repair, IncConfig, InsertRepairer, Ordering, RepairOptions};
 use cfdclean::{DatasetRef, InsertRun, ResidentFootprint, Session};
 
@@ -456,4 +460,79 @@ fn replies_do_not_depend_on_request_order() {
     for (i, (got, want)) in got.iter().zip(&want).enumerate() {
         assert_eq!(got, want, "request {i}");
     }
+}
+
+/// Every request hands its pool slots back: the slot count, the live
+/// length and the byte estimate after a request are the ones before it,
+/// for replies and errors alike, and a value only ΔD held no longer looks
+/// up — so a warm handle's dictionary does not grow with the number of
+/// requests served. The first request builds the resident state, which
+/// renders the base's values into the pool's cache once; it keeps the
+/// slot count and length, and every later request keeps the bytes too.
+#[test]
+fn resident_inserts_leave_the_pool_as_they_found_it() {
+    let inputs = inputs(5);
+    let session = Session::new();
+    let base = open(&session, "base", &inputs.clean_csv, &inputs, false);
+    let pool = entry_pool(&base);
+    let before = (pool.mark(), pool.len());
+    let first = inputs.request(0, 70, false, Ordering::Violations, 2);
+    assert!(insert(&base, &first).is_ok());
+    assert_eq!((pool.mark(), pool.len()), before, "the first request");
+    let narrow = Request {
+        updates: b"AC,PN\n999,1112223\n".to_vec(),
+        weights: None,
+        ordering: Ordering::Violations,
+        k: 1,
+    };
+    let mut released = 0;
+    for i in 0..12 {
+        let what = format!("request {i}");
+        let req = if i % 4 == 2 {
+            narrow.clone()
+        } else {
+            inputs.request(
+                i * 11,
+                SIZES[i % SIZES.len()],
+                i % 3 == 1,
+                ORDERINGS[i % 3],
+                1 + i % 2,
+            )
+        };
+        let before = (pool.mark(), pool.len(), pool.approx_bytes());
+        let scratch = csv::read_relation_in(
+            "updates",
+            &mut req.updates.as_slice(),
+            ValuePool::new_handle(),
+        )
+        .unwrap();
+        let delta_only: Vec<Value> = scratch
+            .iter()
+            .flat_map(|(_, t)| t.values())
+            .filter(|v| pool.lookup(v).is_none())
+            .collect();
+        released += delta_only.len();
+        let got = insert(&base, &req);
+        assert_eq!(got.is_err(), i % 4 == 2, "{what}: {got:?}");
+        assert_eq!(
+            (pool.mark(), pool.len(), pool.approx_bytes()),
+            before,
+            "{what}: the pool grew"
+        );
+        for v in &delta_only {
+            assert_eq!(pool.lookup(v), None, "{what}: {v:?} still interned");
+        }
+    }
+    assert!(released > 100, "only {released} ΔD-only values");
+}
+
+fn entry_pool(entry: &DatasetRef) -> std::sync::Arc<ValuePool> {
+    entry
+        .read()
+        .unwrap()
+        .handle()
+        .unwrap()
+        .relation()
+        .pool()
+        .clone()
 }
